@@ -52,6 +52,11 @@ fn bench_scheduler(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1024 * micro::CHURN_COHORT));
     g.bench_function("calq_churn_1k", |b| b.iter(|| black_box(micro::calq_churn(1024))));
     g.bench_function("heap_churn_1k", |b| b.iter(|| black_box(micro::heap_churn(1024))));
+    // The measured k16_perm flood shape: ~51 events per instant.
+    g.throughput(Throughput::Elements(1024 * micro::DENSE_COHORT));
+    let (mut calq, mut heap) = (micro::calq_dense(), micro::heap_dense());
+    g.bench_function("calq_dense", |b| b.iter(|| black_box(calq.run(1024))));
+    g.bench_function("heap_dense", |b| b.iter(|| black_box(heap.run(1024))));
     g.finish();
 }
 

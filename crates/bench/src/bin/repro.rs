@@ -44,6 +44,9 @@
 //! ```text
 //! repro -- bench-guard --baseline BENCH_PR7.json --current ci.json \
 //!     --key e9_incast_quick_ms --max-ratio 2
+//! # a same-run ratio: the calendar queue must not lose to a BinaryHeap
+//! repro -- bench-guard --current ci.json \
+//!     --key calq_dense_ns --baseline-key heap_dense_ns --max-ratio 1
 //! ```
 
 use arppath_bench::experiments::{
@@ -76,10 +79,14 @@ fn json_section(pairs: &[(String, f64)]) -> String {
 
 /// `bench-guard`: compare one key of two bench-trajectory files and
 /// fail (exit 1) when the current value exceeds baseline × ratio.
+/// `--baseline` defaults to the `--current` file and `--baseline-key`
+/// to `--key`, so naming only a baseline key guards a *same-run*
+/// ratio — the kind that survives a change of machine.
 fn bench_guard(mut args: Vec<String>) -> ! {
-    let baseline_path = take_value(&mut args, "--baseline").expect("bench-guard needs --baseline");
     let current_path = take_value(&mut args, "--current").expect("bench-guard needs --current");
+    let baseline_path = take_value(&mut args, "--baseline").unwrap_or_else(|| current_path.clone());
     let key = take_value(&mut args, "--key").unwrap_or_else(|| "e8_quick_ms".into());
+    let baseline_key = take_value(&mut args, "--baseline-key").unwrap_or_else(|| key.clone());
     let ratio: f64 = take_value(&mut args, "--max-ratio")
         .map(|v| v.parse().expect("--max-ratio expects a number"))
         .unwrap_or(2.0);
@@ -87,13 +94,13 @@ fn bench_guard(mut args: Vec<String>) -> ! {
         std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("bench-guard: cannot read {path}: {e}"))
     };
-    let baseline = json_number_for_key(&read(&baseline_path), &key)
-        .unwrap_or_else(|| panic!("bench-guard: key {key} missing from {baseline_path}"));
+    let baseline = json_number_for_key(&read(&baseline_path), &baseline_key)
+        .unwrap_or_else(|| panic!("bench-guard: key {baseline_key} missing from {baseline_path}"));
     let current = json_number_for_key(&read(&current_path), &key)
         .unwrap_or_else(|| panic!("bench-guard: key {key} missing from {current_path}"));
     let observed = current / baseline;
     println!(
-        "bench-guard: {key} baseline={baseline:.3} current={current:.3} \
+        "bench-guard: {key} baseline({baseline_key})={baseline:.3} current={current:.3} \
          ratio={observed:.2} (max {ratio:.2})"
     );
     if current > baseline * ratio {
@@ -772,7 +779,7 @@ fn main() {
         let micro_ns: Vec<(String, f64)> =
             micro::measure_all().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
         let json = format!(
-            "{{\n  \"schema\": \"arppath-bench-trajectory/v1\",\n  \"pr\": \"PR10\",\n  \
+            "{{\n  \"schema\": \"arppath-bench-trajectory/v1\",\n  \"pr\": \"PR13\",\n  \
              \"quick\": {},\n  \"wall_ms\": {{\n{}\n  }},\n  \"micro_ns\": {{\n{}\n  }}\n}}\n",
             quick,
             json_section(&wall_ms),

@@ -34,7 +34,7 @@
 //! (churn events stay shard-local under rack-major partitions —
 //! `tests/sharded_equivalence.rs` pins it).
 
-use super::{host_ip, host_mac};
+use super::{host_ip, host_mac, TracedRun};
 use arppath::ArpPathConfig;
 use arppath_host::{ChurnConfig, ChurnHost, ChurnSpec, ChurnWorkload};
 use arppath_metrics::{ChurnEpochs, LatencyStats, Table};
@@ -521,24 +521,25 @@ pub fn run_cell(params: &E11Params, regime: TableRegime) -> E11Row {
 /// the byte-comparable artifact the equivalence suite diffs between the
 /// single-threaded and sharded engines, carrier events and all.
 pub fn delivery_trace(params: &E11Params, regime: TableRegime) -> Vec<String> {
-    let (t, ft, grid, _wl, base, deadline) = scenario(params, regime);
-    if params.shards > 1 {
-        let mut fabric = instantiate(params, t, &ft, &grid, true);
-        apply_churn(&mut fabric, &grid, base);
-        fabric.run_until(deadline);
-        match fabric {
-            Fabric::Sharded(s) => s.net.delivery_trace(),
-            Fabric::Single(_) => unreachable!("shards > 1 builds sharded"),
-        }
+    traced_run(params, regime).trace
+}
+
+/// [`delivery_trace`] plus the engine and link counters of the same
+/// run.
+pub fn traced_run(params: &E11Params, regime: TableRegime) -> TracedRun {
+    let (mut t, ft, grid, _wl, base, deadline) = scenario(params, regime);
+    let sink = Arc::new(Mutex::new(DeliveryTracer::new()));
+    let mut fabric = if params.shards > 1 {
+        instantiate(params, t, &ft, &grid, true)
     } else {
-        let sink = Arc::new(Mutex::new(DeliveryTracer::new()));
-        let mut t = t;
         t.set_tracer(Box::new(sink.clone()));
-        let mut fabric = Fabric::Single(Box::new(t.build()));
-        apply_churn(&mut fabric, &grid, base);
-        fabric.run_until(deadline);
-        let records = std::mem::take(&mut sink.lock().unwrap().records);
-        DeliveryTracer::render_sorted(records)
+        Fabric::Single(Box::new(t.build()))
+    };
+    apply_churn(&mut fabric, &grid, base);
+    fabric.run_until(deadline);
+    match &fabric {
+        Fabric::Sharded(s) => TracedRun::of_sharded(s),
+        Fabric::Single(b) => TracedRun::of_single(b, &sink),
     }
 }
 

@@ -20,7 +20,7 @@
 //! Everything is a pure function of the parameter struct: same seed ⇒
 //! identical tables, which `tests/fat_tree_workload.rs` pins.
 
-use super::{host_ip, host_mac};
+use super::{host_ip, host_mac, TracedRun};
 use arppath::{ArpPathBridge, ArpPathConfig};
 use arppath_host::{pairings, TrafficConfig, TrafficHost, TrafficPattern};
 use arppath_metrics::{jain_index, DiversityCounter, Table, UtilizationHistogram};
@@ -466,6 +466,12 @@ fn shard_table(k: usize, stats: &[ShardStats], lookahead: Option<SimDuration>) -
 /// the same parameters must render **identical** lines; CI diffs
 /// exactly this (`repro -- e8 --quick --trace-out`).
 pub fn delivery_trace(params: &E8Params, pattern: TrafficPattern) -> Vec<String> {
+    traced_run(params, pattern).trace
+}
+
+/// [`delivery_trace`] plus the engine and link counters of the same
+/// run.
+pub fn traced_run(params: &E8Params, pattern: TrafficPattern) -> TracedRun {
     let (t, ft, _pairs, deadline) = scenario(params, pattern);
     if params.shards > 1 {
         let mut fabric = match instantiate(params, t, &ft, true) {
@@ -473,15 +479,14 @@ pub fn delivery_trace(params: &E8Params, pattern: TrafficPattern) -> Vec<String>
             Fabric::Single(_) => unreachable!("shards > 1 builds sharded"),
         };
         fabric.net.run_until(deadline);
-        fabric.net.delivery_trace()
+        TracedRun::of_sharded(&fabric)
     } else {
         let sink = Arc::new(Mutex::new(DeliveryTracer::new()));
         let mut t = t;
         t.set_tracer(Box::new(sink.clone()));
         let mut built = t.build();
         built.net.run_until(deadline);
-        let records = std::mem::take(&mut sink.lock().unwrap().records);
-        DeliveryTracer::render_sorted(records)
+        TracedRun::of_single(&built, &sink)
     }
 }
 

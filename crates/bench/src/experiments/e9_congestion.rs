@@ -26,7 +26,7 @@
 //! pins it, pause frames crossing shard cuts included).
 
 use super::e8_fattree::PathWalker;
-use super::{host_ip, host_mac};
+use super::{host_ip, host_mac, TracedRun};
 use arppath::ArpPathConfig;
 use arppath_host::{pairings, Aimd, FixedWindow, FlowConfig, FlowHost, TrafficPattern};
 use arppath_metrics::{
@@ -509,6 +509,17 @@ pub fn delivery_trace_cc(
     cc: CcMode,
     pattern: TrafficPattern,
 ) -> Vec<String> {
+    traced_run(params, mode, cc, pattern).trace
+}
+
+/// [`delivery_trace_cc`] plus the engine and link counters of the
+/// same run.
+pub fn traced_run(
+    params: &E9Params,
+    mode: QueueMode,
+    cc: CcMode,
+    pattern: TrafficPattern,
+) -> TracedRun {
     let (t, ft, _pairs, deadline) = scenario(params, mode, cc, pattern);
     if params.shards > 1 {
         let mut topo = match instantiate(params, t, &ft, true) {
@@ -516,15 +527,14 @@ pub fn delivery_trace_cc(
             Fabric::Single(_) => unreachable!("shards > 1 builds sharded"),
         };
         topo.net.run_until(deadline);
-        topo.net.delivery_trace()
+        TracedRun::of_sharded(&topo)
     } else {
         let sink = Arc::new(Mutex::new(DeliveryTracer::new()));
         let mut t = t;
         t.set_tracer(Box::new(sink.clone()));
         let mut built = t.build();
         built.net.run_until(deadline);
-        let records = std::mem::take(&mut sink.lock().unwrap().records);
-        DeliveryTracer::render_sorted(records)
+        TracedRun::of_single(&built, &sink)
     }
 }
 

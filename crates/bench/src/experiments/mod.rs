@@ -29,10 +29,71 @@ pub mod e8_fattree;
 pub mod e9_congestion;
 
 use arppath_host::{PingConfig, PingHost};
-use arppath_netsim::{NodeId, SimDuration};
-use arppath_topo::{BridgeIx, TopoBuilder};
+use arppath_netsim::{DeliveryTracer, Dir, DirStats, NetworkStats, NodeId, SimDuration};
+use arppath_topo::{BridgeIx, BuiltTopology, ShardedTopology, TopoBuilder};
 use arppath_wire::MacAddr;
 use std::net::Ipv4Addr;
+use std::sync::{Arc, Mutex};
+
+/// What one delivery-traced run leaves behind: the byte-comparable
+/// trace plus the counters a golden regression pin
+/// (`tests/event_elision_golden.rs`) records next to it. The
+/// experiments' `delivery_trace` functions are the `.trace` of their
+/// `traced_run`.
+#[derive(Debug, Clone)]
+pub struct TracedRun {
+    /// Merged, timestamp-sorted delivery trace.
+    pub trace: Vec<String>,
+    /// Engine counters (boundary-corrected on a sharded run).
+    pub stats: NetworkStats,
+    /// Per-direction link counters summed over every link, both
+    /// directions (`peak_queue_bytes` is therefore a sum of peaks).
+    pub links: DirStats,
+}
+
+impl TracedRun {
+    /// Collect from a finished single-engine run traced into `sink`.
+    pub(crate) fn of_single(built: &BuiltTopology, sink: &Arc<Mutex<DeliveryTracer>>) -> Self {
+        let records = std::mem::take(&mut sink.lock().expect("tracer poisoned").records);
+        let links = built.bridge_links.iter().chain(&built.host_links);
+        TracedRun {
+            trace: DeliveryTracer::render_sorted(records),
+            stats: built.net.stats(),
+            links: sum_dirs(
+                links.map(|&l| built.net.link(l)).flat_map(|l| DIRS.map(|d| l.stats(d))),
+            ),
+        }
+    }
+
+    /// Collect from a finished sharded run built with its delivery
+    /// trace on.
+    pub(crate) fn of_sharded(topo: &ShardedTopology) -> Self {
+        let links = topo.bridge_links.iter().chain(&topo.host_links);
+        TracedRun {
+            trace: topo.net.delivery_trace(),
+            stats: topo.net.stats(),
+            links: sum_dirs(links.flat_map(|&l| DIRS.map(|d| topo.net.link_stats(l, d)))),
+        }
+    }
+}
+
+const DIRS: [Dir; 2] = [Dir::AtoB, Dir::BtoA];
+
+fn sum_dirs(stats: impl Iterator<Item = DirStats>) -> DirStats {
+    stats.fold(DirStats::default(), |mut sum, s| {
+        sum.tx_frames += s.tx_frames;
+        sum.tx_bytes += s.tx_bytes;
+        sum.dropped_queue_full += s.dropped_queue_full;
+        sum.dropped_link_down += s.dropped_link_down;
+        sum.busy = sum.busy + s.busy;
+        sum.pause_events += s.pause_events;
+        sum.paused_for = sum.paused_for + s.paused_for;
+        sum.peak_queue_bytes += s.peak_queue_bytes;
+        sum.watchdog_fires += s.watchdog_fires;
+        sum.dropped_watchdog += s.dropped_watchdog;
+        sum
+    })
+}
 
 /// Host addressing convention used across experiments: host `i` gets
 /// MAC `02:01::i` and IP `10.0.x.y`.

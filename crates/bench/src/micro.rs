@@ -152,6 +152,142 @@ pub fn heap_churn(rounds: u64) -> u64 {
     acc
 }
 
+/// Events per instant in the dense schedule: what `k16_perm` drains
+/// (9.86 M events in 192,514 instants ≈ 51).
+pub const DENSE_COHORT: u64 = 51;
+/// Instants sharing one 64 ns calendar bucket in the dense schedule.
+const DENSE_INSTANTS_PER_BUCKET: u64 = 4;
+/// Their spacing within the bucket.
+const DENSE_SLOT_NS: u64 = 64 / DENSE_INSTANTS_PER_BUCKET;
+/// Occupied buckets standing in the dense schedule: 5 × 4 × 51 ≈ the
+/// 1,100 ring entries `k16_perm` holds.
+const DENSE_BUCKETS: u64 = 5;
+/// Spacing of the occupied buckets; every follow-up is scheduled
+/// `DENSE_BUCKETS × DENSE_STRIDE_NS` ahead, so the pattern recurs.
+const DENSE_STRIDE_NS: u64 = 320;
+
+/// An `EventKind`-sized payload (the engine's entries are 104 bytes:
+/// 24 of ordering plus this), so the scheduler moves what it moves in
+/// production.
+pub type DensePayload = [u64; 10];
+
+/// The scheduler operations the dense schedule is driven through.
+pub trait DenseQueue {
+    /// Schedule `item` at `(time, key, seq)`.
+    fn push(&mut self, time: SimTime, key: u64, seq: u64, item: DensePayload);
+    /// Drain the head instant into `out` in `(key, seq)` order.
+    fn drain(&mut self, out: &mut Vec<DensePayload>) -> Option<SimTime>;
+}
+
+impl DenseQueue for CalendarQueue<DensePayload> {
+    fn push(&mut self, time: SimTime, key: u64, seq: u64, item: DensePayload) {
+        CalendarQueue::push(self, time, key, seq, item);
+    }
+    fn drain(&mut self, out: &mut Vec<DensePayload>) -> Option<SimTime> {
+        self.drain_head(out)
+    }
+}
+
+/// Heap entry ordered by `(time, key, seq)` alone, like the calendar
+/// queue's.
+pub struct ByOrd((SimTime, u64, u64), DensePayload);
+
+impl PartialEq for ByOrd {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+impl Eq for ByOrd {}
+impl PartialOrd for ByOrd {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for ByOrd {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl DenseQueue for BinaryHeap<Reverse<ByOrd>> {
+    fn push(&mut self, time: SimTime, key: u64, seq: u64, item: DensePayload) {
+        BinaryHeap::push(self, Reverse(ByOrd((time, key, seq), item)));
+    }
+    fn drain(&mut self, out: &mut Vec<DensePayload>) -> Option<SimTime> {
+        let time = self.peek()?.0 .0 .0;
+        while self.peek().is_some_and(|Reverse(e)| e.0 .0 == time) {
+            out.extend(self.pop().map(|Reverse(e)| e.1));
+        }
+        Some(time)
+    }
+}
+
+/// The measured `k16_perm` flood schedule in miniature, the regime
+/// [`calq_churn`]'s cohorts of 4 never reach: ~1,000 standing entries,
+/// ~51 events per instant, four instants per 64 ns bucket. Each drained
+/// event schedules one follow-up a fixed distance ahead, dealt round
+/// robin over the four instants of the target bucket with a scrambled
+/// key — so every bucket fills interleaved in time and out of
+/// canonical order, as it does when a fan-out's copies cross links of
+/// different lengths. The queue lives across [`DenseChurn::run`] calls
+/// like the engine's does across a simulation: time what a warm
+/// scheduler does, not the growth of its buckets.
+pub struct DenseChurn<Q> {
+    queue: Q,
+    seq: u64,
+    batch: Vec<DensePayload>,
+}
+
+impl<Q: DenseQueue> DenseChurn<Q> {
+    /// The standing population in `queue`, warmed until the pattern
+    /// has been round the calendar ring often enough to have touched
+    /// every bucket.
+    pub fn new(queue: Q) -> Self {
+        let mut churn = DenseChurn { queue, seq: 0, batch: Vec::new() };
+        for bucket in 0..DENSE_BUCKETS {
+            for slot in 0..DENSE_INSTANTS_PER_BUCKET {
+                for i in 0..DENSE_COHORT {
+                    let time = SimTime(64 + bucket * DENSE_STRIDE_NS + slot * DENSE_SLOT_NS);
+                    churn.queue.push(time, (i * 37) % DENSE_COHORT, churn.seq, [churn.seq; 10]);
+                    churn.seq += 1;
+                }
+            }
+        }
+        churn.run(4096);
+        churn
+    }
+
+    /// Drain `rounds` instants, scheduling every follow-up; returns a
+    /// checksum of the drain order.
+    pub fn run(&mut self, rounds: u64) -> u64 {
+        let mut acc = 0u64;
+        for _ in 0..rounds {
+            let Some(t) = self.queue.drain(&mut self.batch) else { break };
+            let target = (t.as_nanos() & !63) + DENSE_BUCKETS * DENSE_STRIDE_NS;
+            for (i, item) in self.batch.drain(..).enumerate() {
+                acc = acc.wrapping_mul(31).wrapping_add(t.as_nanos() ^ item[0]);
+                let slot = i as u64 % DENSE_INSTANTS_PER_BUCKET;
+                let key = (self.seq * 37) % DENSE_COHORT;
+                self.queue.push(SimTime(target + slot * DENSE_SLOT_NS), key, self.seq, item);
+                self.seq += 1;
+            }
+        }
+        acc
+    }
+}
+
+/// The dense schedule on the calendar queue.
+pub fn calq_dense() -> DenseChurn<CalendarQueue<DensePayload>> {
+    DenseChurn::new(CalendarQueue::new())
+}
+
+/// The dense schedule on a `BinaryHeap` with the engine's same-instant
+/// pop loop — the boring scheduler the calendar queue has to beat on
+/// this schedule to stay (ROADMAP 1(a)).
+pub fn heap_dense() -> DenseChurn<BinaryHeap<Reverse<ByOrd>>> {
+    DenseChurn::new(BinaryHeap::new())
+}
+
 /// Every micro-measurement as `(key, median ns/op)` pairs — the
 /// `micro_ns` section of the bench-trajectory JSON.
 pub fn measure_all() -> Vec<(&'static str, f64)> {
@@ -203,6 +339,10 @@ pub fn measure_all() -> Vec<(&'static str, f64)> {
     let churn_ops = 1024 * CHURN_COHORT as usize;
     out.push(("calq_churn_1k_ns", median_ns_per_op(churn_ops, || calq_churn(1024))));
     out.push(("heap_churn_1k_ns", median_ns_per_op(churn_ops, || heap_churn(1024))));
+    let dense_ops = 1024 * DENSE_COHORT as usize;
+    let (mut calq, mut heap) = (calq_dense(), heap_dense());
+    out.push(("calq_dense_ns", median_ns_per_op(dense_ops, || calq.run(1024))));
+    out.push(("heap_dense_ns", median_ns_per_op(dense_ops, || heap.run(1024))));
     out
 }
 
@@ -228,5 +368,42 @@ mod tests {
     #[test]
     fn churn_cycles_agree_on_checksums() {
         assert_eq!(calq_churn(1024), heap_churn(1024), "same schedule, same drain order");
+        assert_eq!(calq_dense().run(1024), heap_dense().run(1024), "same schedule, same order");
+    }
+
+    /// A calendar queue that notes every drained cohort's instant and
+    /// size.
+    #[derive(Default)]
+    struct Recording {
+        inner: CalendarQueue<DensePayload>,
+        cohorts: Vec<(u64, usize)>,
+    }
+
+    impl DenseQueue for Recording {
+        fn push(&mut self, time: SimTime, key: u64, seq: u64, item: DensePayload) {
+            self.inner.push(time, key, seq, item);
+        }
+        fn drain(&mut self, out: &mut Vec<DensePayload>) -> Option<SimTime> {
+            let before = out.len();
+            let time = self.inner.drain_head(out)?;
+            self.cohorts.push((time.as_nanos(), out.len() - before));
+            Some(time)
+        }
+    }
+
+    #[test]
+    fn dense_schedule_has_the_measured_shape() {
+        // However long the churn runs, ~1,000 entries stand in the
+        // ring, cohorts stay ~51 strong and sit four to a 64 ns bucket.
+        let mut churn = DenseChurn::new(Recording::default());
+        churn.run(100);
+        let q = churn.queue;
+        assert_eq!(q.inner.len(), 1020);
+        let mut per_bucket = std::collections::BTreeMap::new();
+        for &(time, size) in &q.cohorts[q.cohorts.len() - 100..] {
+            assert!((45..=58).contains(&size), "cohort of {size}");
+            *per_bucket.entry(time >> 6).or_insert(0) += 1;
+        }
+        assert!(per_bucket.values().all(|&instants| instants == 4), "{per_bucket:?}");
     }
 }

@@ -3,16 +3,25 @@
 //! heap.
 //!
 //! The discrete-event hot path is dominated by queue traffic: every
-//! frame crossing every link is two push/pop pairs (`TxDone`,
-//! `Deliver`), and under load those events cluster within microseconds
-//! of the present (serialization is hundreds of nanoseconds). A binary
-//! heap pays O(log n) pointer-hopping comparisons per operation over
-//! the whole pending set; the calendar queue exploits the clustering:
+//! frame crossing every link is a push/pop pair (`Deliver`; a `TxDone`
+//! too where a transmitter has a backlog), and under load those events
+//! cluster within microseconds of the present (serialization is
+//! hundreds of nanoseconds) and *on* shared instants — a flood on a
+//! k=16 fat-tree drains ~50 events per timestamp. A binary heap pays
+//! O(log n) pointer-hopping comparisons per operation over the whole
+//! pending set; the calendar queue exploits the clustering:
 //!
 //! * events within the **ring horizon** ([`BUCKET_COUNT`] ×
 //!   `2^`[`BUCKET_SHIFT`] ns ≈ 33 µs of future) go into fixed-width
-//!   time buckets — push is a shift + an append, and a same-timestamp
-//!   batch drains in one bucket visit;
+//!   time buckets — push is a shift + an append. Only the **head
+//!   bucket** (the earliest occupied one) is ordered: it is sorted
+//!   once, descending, when the queue reaches it, and every
+//!   same-timestamp cohort in it then comes off its tail in one move.
+//!   A push *into* the bucket being drained (a same-instant follow-up)
+//!   is a binary insert near the tail; a push into a head bucket not
+//!   yet reached just appends, and the sort is redone at the next pop
+//!   — so a burst into it (a thousand hosts starting in one instant)
+//!   stays O(1) per push;
 //! * events beyond the horizon (protocol timers, idle-period traffic)
 //!   go to a `BinaryHeap` **annex** and are popped from it directly
 //!   when due — a sparse simulation therefore runs at binary-heap
@@ -28,13 +37,10 @@
 //! what makes same-nanosecond coincidences resolve identically in the
 //! single-threaded and sharded engines — a heap keyed on insertion
 //! order alone would let the two engines race-resolve ties
-//! differently. The head is the minimum of the ring head (found via a
-//! two-level occupancy bitmap, O(1)) and the annex top, cached so
-//! [`head_time`](CalendarQueue::head_time) is O(1) and `&self`. All
-//! events sharing a timestamp land in one ring bucket and/or at the
-//! annex top, so [`drain_head`](CalendarQueue::drain_head) reassembles
-//! the cohort in `(key, seq)` order, sorting only when a cohort
-//! actually carries more than one event.
+//! differently. The head is the smaller of the head bucket's tail and
+//! the annex top, so [`head_time`](CalendarQueue::head_time) is O(1)
+//! and `&self`. A cohort split across the two (part pushed before the
+//! cursor came within a horizon of it, part after) merges pop by pop.
 //!
 //! The ring-window invariant that makes bucket masking sound: the
 //! cursor is the bucket of the last popped timestamp and only moves
@@ -44,17 +50,20 @@
 //! bucket.
 //!
 //! `tests` drive it against a `BinaryHeap` reference on randomized
-//! push/pop schedules; the engine-level byte-identity suites
-//! (`tests/engine_batching.rs`, `tests/sharded_equivalence.rs`, the
-//! CI trace diff) pin that the swap changed no delivery trace.
+//! dense schedules; the engine-level byte-identity suites
+//! (`tests/engine_batching.rs`, `tests/sharded_equivalence.rs`,
+//! `tests/event_elision_golden.rs`, the CI trace diff) pin that no
+//! delivery trace depends on which scheduler runs underneath.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// log2 of the bucket width in nanoseconds: 64 ns buckets keep even
+/// log2 of the bucket width in nanoseconds: 64 ns buckets keep
 /// back-to-back minimum-frame traffic (672 ns apart) in distinct
-/// buckets and same-instant cohorts alone in theirs.
+/// buckets; on a dense flood one bucket still holds a handful of
+/// instants (measured: ~4, ~70 entries, at k=16), which the head-bucket
+/// sort orders once.
 pub const BUCKET_SHIFT: u32 = 6;
 /// Ring size (power of two, at most 64 × 64 for the two-level bitmap).
 /// 512 × 64 ns ≈ 33 µs of horizon: the in-flight frame events of a
@@ -155,31 +164,36 @@ impl Occupancy {
     }
 }
 
+/// "No ring bucket is occupied."
+const NO_BUCKET: u64 = u64::MAX;
+
 /// The queue. `T` is the event payload; ordering keys (`time`, `key`,
 /// `seq`) are supplied on push and echoed back on pop.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
     /// The ring: `BUCKET_COUNT` buckets of `BUCKET_SHIFT`-wide slices
-    /// of time, indexed by absolute bucket number masked down.
+    /// of time, indexed by absolute bucket number masked down. Only
+    /// the head bucket is kept ordered; the rest are append-only.
     buckets: Vec<Vec<Entry<T>>>,
     /// Which ring buckets hold entries.
     occupied: Occupancy,
     /// Absolute bucket number of the last popped timestamp. Every ring
     /// entry's absolute bucket is in `[cursor, cursor + BUCKET_COUNT)`.
     cursor: u64,
-    /// Entries in the ring.
-    ring_len: usize,
+    /// Absolute number of the earliest occupied ring bucket — the
+    /// **head bucket** — or [`NO_BUCKET`]. Its last element is always
+    /// the ring's minimum.
+    head_bucket: u64,
+    /// The head bucket is sorted by `(time, key, seq)` *descending*, so
+    /// a cohort is its tail. Established when it is popped from (and
+    /// when it becomes the head by its predecessor emptying); undone
+    /// by a push into it from outside the bucket being drained.
+    head_sorted: bool,
     /// Events pushed beyond the ring horizon, by `(time, key, seq)`;
     /// popped directly from here when due.
     annex: BinaryHeap<Reverse<Far<T>>>,
-    /// Cached global minimum `(time, key, seq)`, kept exact on every
-    /// mutation so `head_time` is O(1) and `&self`.
-    head: Option<(SimTime, u64, u64)>,
     /// Total entries (ring + annex).
     len: usize,
-    /// Reused scratch for cohorts that need a `(key, seq)` sort or
-    /// filtering.
-    cohort: Vec<(u64, u64, T)>,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -195,11 +209,10 @@ impl<T> CalendarQueue<T> {
             buckets: (0..BUCKET_COUNT).map(|_| Vec::new()).collect(),
             occupied: Occupancy::new(),
             cursor: 0,
-            ring_len: 0,
+            head_bucket: NO_BUCKET,
+            head_sorted: false,
             annex: BinaryHeap::new(),
-            head: None,
             len: 0,
-            cohort: Vec::new(),
         }
     }
 
@@ -215,7 +228,27 @@ impl<T> CalendarQueue<T> {
 
     /// Timestamp of the earliest pending event. O(1).
     pub fn head_time(&self) -> Option<SimTime> {
-        self.head.map(|(t, _, _)| t)
+        self.head().map(|(ord, _)| ord.0)
+    }
+
+    /// The minimum `(time, key, seq)` and whether the annex holds it:
+    /// the smaller of the head bucket's tail and the annex top.
+    #[inline]
+    fn head(&self) -> Option<((SimTime, u64, u64), bool)> {
+        let ring = self.ring_head().map(|e| (e.ord(), false));
+        let annex = self.annex.peek().map(|Reverse(far)| (far.0.ord(), true));
+        match (ring, annex) {
+            (Some(r), Some(a)) => Some(r.min(a)),
+            (r, a) => r.or(a),
+        }
+    }
+
+    /// The ring's minimum entry.
+    #[inline]
+    fn ring_head(&self) -> Option<&Entry<T>> {
+        (self.head_bucket != NO_BUCKET)
+            .then(|| self.buckets[Self::ring_index(self.head_bucket)].last())
+            .flatten()
     }
 
     /// Absolute bucket number of `time`.
@@ -240,187 +273,107 @@ impl<T> CalendarQueue<T> {
     pub fn push(&mut self, time: SimTime, key: u64, seq: u64, item: T) {
         let abs = Self::abs_bucket(time);
         assert!(abs >= self.cursor, "push at {time} is behind the queue's progress");
-        if abs >= self.cursor + BUCKET_COUNT as u64 {
-            self.annex.push(Reverse(Far(Entry { time, key, seq, item })));
-        } else {
-            let idx = Self::ring_index(abs);
-            self.buckets[idx].push(Entry { time, key, seq, item });
-            self.occupied.set(idx);
-            self.ring_len += 1;
-        }
+        let entry = Entry { time, key, seq, item };
         self.len += 1;
-        if self.head.is_none_or(|h| (time, key, seq) < h) {
-            self.head = Some((time, key, seq));
+        if abs >= self.cursor + BUCKET_COUNT as u64 {
+            self.annex.push(Reverse(Far(entry)));
+            return;
         }
-    }
-
-    /// Advance the popped-time floor.
-    #[inline]
-    fn advance_cursor(&mut self, abs: u64) {
-        if abs > self.cursor {
-            self.cursor = abs;
+        let idx = Self::ring_index(abs);
+        let bucket = &mut self.buckets[idx];
+        if abs == self.head_bucket && self.head_sorted && abs == self.cursor {
+            // A follow-up within the bucket being drained (a
+            // same-instant timer, say) sorts in near the tail.
+            let at = bucket.partition_point(|e| e.ord() > entry.ord());
+            bucket.insert(at, entry);
+            return;
         }
-    }
-
-    /// Recompute `head` after a removal: the minimum of the first
-    /// occupied ring bucket's `(time, key, seq)` (bitmap lookup) and
-    /// the annex top.
-    fn rescan_head(&mut self) {
-        let mut best: Option<(SimTime, u64, u64)> =
-            self.annex.peek().map(|Reverse(far)| far.0.ord());
-        if self.ring_len > 0 {
-            let idx = self
-                .occupied
-                .next_set_circular(Self::ring_index(self.cursor))
-                .expect("ring_len > 0 but no occupied bucket");
-            for e in &self.buckets[idx] {
-                if best.is_none_or(|b| e.ord() < b) {
-                    best = Some(e.ord());
+        bucket.push(entry);
+        self.occupied.set(idx);
+        if abs <= self.head_bucket {
+            // The head bucket — possibly a new one, every bucket before
+            // it being empty — took an entry out of order: it is
+            // re-sorted when next popped from, not per push (a burst
+            // into it must stay O(1) each). Only its minimum has to be
+            // in place, last, for `head_time`.
+            self.head_bucket = abs;
+            self.head_sorted = false;
+            if let [.., min, new] = bucket.as_mut_slice() {
+                if new.ord() > min.ord() {
+                    std::mem::swap(min, new);
                 }
             }
         }
-        debug_assert_eq!(best.is_none(), self.len == 0);
-        self.head = best;
+    }
+
+    /// The head bucket at ring index `idx` just emptied: move on to the
+    /// next occupied bucket and sort it — once; every cohort in it then
+    /// pops off its tail.
+    fn advance_head_bucket(&mut self, idx: usize) {
+        self.occupied.clear(idx);
+        self.head_bucket = match self.occupied.next_set_circular(idx) {
+            Some(next) => Self::abs_bucket(self.buckets[next][0].time),
+            None => NO_BUCKET,
+        };
+        self.head_sorted = false;
+        self.sort_head_bucket();
+    }
+
+    /// Order the head bucket for popping, if a push disturbed it (or
+    /// it only just became the head).
+    fn sort_head_bucket(&mut self) {
+        if !self.head_sorted && self.head_bucket != NO_BUCKET {
+            let bucket = &mut self.buckets[Self::ring_index(self.head_bucket)];
+            bucket.sort_unstable_by_key(|e| Reverse(e.ord()));
+            self.head_sorted = true;
+        }
     }
 
     /// Remove and return the earliest event as `(time, key, seq, item)`.
     pub fn pop_min(&mut self) -> Option<(SimTime, u64, u64, T)> {
-        let (time, key, seq) = self.head?;
-        let from_annex =
-            self.annex.peek().is_some_and(|Reverse(far)| far.0.ord() == (time, key, seq));
+        let (_, from_annex) = self.head()?;
         let entry = if from_annex {
             let Some(Reverse(Far(entry))) = self.annex.pop() else { unreachable!() };
             entry
         } else {
-            let idx = Self::ring_index(Self::abs_bucket(time));
-            let bucket = &mut self.buckets[idx];
-            let pos = bucket
-                .iter()
-                .position(|e| e.ord() == (time, key, seq))
-                .expect("cached head missing from its bucket");
-            // `remove`, not `swap_remove`: same-time runs keep their
-            // push order, preserving the drain fast path's sortedness
-            // check for untied cohorts.
-            let entry = bucket.remove(pos);
-            if bucket.is_empty() {
-                self.occupied.clear(idx);
+            self.sort_head_bucket();
+            let idx = Self::ring_index(self.head_bucket);
+            let entry = self.buckets[idx].pop().expect("head bucket is occupied");
+            if self.buckets[idx].is_empty() {
+                self.advance_head_bucket(idx);
             }
-            self.ring_len -= 1;
             entry
         };
         self.len -= 1;
-        self.advance_cursor(Self::abs_bucket(time));
-        self.rescan_head();
+        self.cursor = Self::abs_bucket(entry.time);
         Some((entry.time, entry.key, entry.seq, entry.item))
     }
 
     /// Remove every event at the head timestamp, appending their items
-    /// to `out` in `(key, seq)` order, and return that timestamp. One
-    /// bucket visit and/or a run of annex pops — the engine's
-    /// same-timestamp batch drain.
+    /// to `out` in `(key, seq)` order, and return that timestamp — the
+    /// engine's same-timestamp batch drain. A cohort in the ring is the
+    /// tail run of the sorted head bucket and moves out in one pass;
+    /// one at the annex top (wholly, or straddling the horizon) merges
+    /// with it pop by pop.
     pub fn drain_head(&mut self, out: &mut Vec<T>) -> Option<SimTime> {
-        let (time, _, _) = self.head?;
-        let annex_has = self.annex.peek().is_some_and(|Reverse(far)| far.0.time == time);
-        // The cohort's ring bucket, if the masked slot actually carries
-        // this time (it may alias a different absolute bucket).
-        let idx = Self::ring_index(Self::abs_bucket(time));
-        let ring_has = self.ring_len > 0 && self.buckets[idx].iter().any(|e| e.time == time);
-        match (ring_has, annex_has) {
-            (true, false) => self.drain_ring_cohort(idx, time, out),
-            (false, true) => self.drain_annex_cohort(time, out),
-            (true, true) => {
-                // A cohort straddling the horizon (part pushed before
-                // the cursor reached it, part after): gather both
-                // sides, sort by (key, seq).
-                let mut cohort = std::mem::take(&mut self.cohort);
-                debug_assert!(cohort.is_empty());
-                let bucket = &mut self.buckets[idx];
-                let mut i = 0;
-                while i < bucket.len() {
-                    if bucket[i].time == time {
-                        let e = bucket.remove(i);
-                        cohort.push((e.key, e.seq, e.item));
-                    } else {
-                        i += 1;
-                    }
-                }
-                self.ring_len -= cohort.len();
-                self.len -= cohort.len();
-                if bucket.is_empty() {
-                    self.occupied.clear(idx);
-                }
-                while let Some(Reverse(far)) = self.annex.peek() {
-                    if far.0.time != time {
-                        break;
-                    }
-                    let Some(Reverse(Far(e))) = self.annex.pop() else { unreachable!() };
-                    cohort.push((e.key, e.seq, e.item));
-                    self.len -= 1;
-                }
-                cohort.sort_unstable_by_key(|&(key, seq, _)| (key, seq));
-                out.extend(cohort.drain(..).map(|(_, _, item)| item));
-                self.cohort = cohort;
+        let time = self.head_time()?;
+        if self.annex.peek().is_some_and(|Reverse(far)| far.0.time == time) {
+            while self.head_time() == Some(time) {
+                out.extend(self.pop_min().map(|(_, _, _, item)| item));
             }
-            (false, false) => unreachable!("cached head in neither structure"),
+            return Some(time);
         }
-        self.advance_cursor(Self::abs_bucket(time));
-        self.rescan_head();
-        Some(time)
-    }
-
-    /// Drain the `time` cohort out of ring bucket `idx`.
-    fn drain_ring_cohort(&mut self, idx: usize, time: SimTime, out: &mut Vec<T>) {
+        self.sort_head_bucket();
+        let idx = Self::ring_index(self.head_bucket);
         let bucket = &mut self.buckets[idx];
-        // Fast path for the overwhelmingly common case: the bucket
-        // holds exactly the head cohort, already in (key, seq) order —
-        // always true for the single-event cohorts that dominate.
-        let mut prev: Option<(u64, u64)> = None;
-        let uniform = bucket.iter().all(|e| {
-            let ok = e.time == time && prev < Some((e.key, e.seq));
-            prev = Some((e.key, e.seq));
-            ok
-        });
-        if uniform {
-            self.ring_len -= bucket.len();
-            self.len -= bucket.len();
-            out.extend(bucket.drain(..).map(|e| e.item));
-            self.occupied.clear(idx);
-            return;
+        let start = bucket.iter().rposition(|e| e.time != time).map_or(0, |i| i + 1);
+        self.len -= bucket.len() - start;
+        out.extend(bucket.drain(start..).rev().map(|e| e.item));
+        if start == 0 {
+            self.advance_head_bucket(idx);
         }
-        // Mixed bucket: extract matches, sort the cohort into the
-        // canonical (key, seq) order, keep the rest.
-        let mut cohort = std::mem::take(&mut self.cohort);
-        debug_assert!(cohort.is_empty());
-        let mut i = 0;
-        while i < bucket.len() {
-            if bucket[i].time == time {
-                let e = bucket.remove(i);
-                cohort.push((e.key, e.seq, e.item));
-            } else {
-                i += 1;
-            }
-        }
-        self.ring_len -= cohort.len();
-        self.len -= cohort.len();
-        if bucket.is_empty() {
-            self.occupied.clear(idx);
-        }
-        cohort.sort_unstable_by_key(|&(key, seq, _)| (key, seq));
-        out.extend(cohort.drain(..).map(|(_, _, item)| item));
-        self.cohort = cohort;
-    }
-
-    /// Drain the `time` cohort off the top of the annex heap (pops
-    /// arrive in `(time, key, seq)` order — already sorted).
-    fn drain_annex_cohort(&mut self, time: SimTime, out: &mut Vec<T>) {
-        while let Some(Reverse(far)) = self.annex.peek() {
-            if far.0.time != time {
-                break;
-            }
-            let Some(Reverse(Far(entry))) = self.annex.pop() else { unreachable!() };
-            out.push(entry.item);
-            self.len -= 1;
-        }
+        self.cursor = Self::abs_bucket(time);
+        Some(time)
     }
 }
 
@@ -495,20 +448,26 @@ mod tests {
     }
 
     #[test]
-    fn drain_head_sorts_a_key_tied_cohort() {
-        // A same-instant cohort pushed in anti-key order, sharing its
-        // bucket with a later event that must stay behind.
+    fn pushes_into_the_bucket_being_drained_keep_their_place() {
         let mut q = CalendarQueue::new();
-        q.push(t(100), 5, 0, "k5");
-        q.push(t(100), 1, 1, "k1");
-        q.push(t(110), 0, 2, "later");
-        q.push(t(100), 3, 3, "k3");
+        q.push(t(130), 1, 0, "first");
+        q.push(t(140), 5, 1, "late-k5");
         let mut out = Vec::new();
-        assert_eq!(q.drain_head(&mut out), Some(t(100)));
-        assert_eq!(out, vec!["k1", "k3", "k5"]);
-        out.clear();
-        assert_eq!(q.drain_head(&mut out), Some(t(110)));
-        assert_eq!(out, vec!["later"]);
+        assert_eq!(q.drain_head(&mut out), Some(t(130)));
+        // The 128..192 ns bucket is now the sorted head bucket, still
+        // holding t=140. A same-instant follow-up, an earlier instant
+        // and a lower key at t=140 must each find their place in it.
+        q.push(t(130), 0, 2, "follow-up");
+        q.push(t(140), 2, 3, "late-k2");
+        q.push(t(135), 9, 4, "between");
+        for (time, want) in
+            [(130, vec!["follow-up"]), (135, vec!["between"]), (140, vec!["late-k2", "late-k5"])]
+        {
+            out.clear();
+            assert_eq!(q.drain_head(&mut out), Some(t(time)));
+            assert_eq!(out, want);
+        }
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -596,90 +555,66 @@ mod tests {
 
     proptest! {
         #[test]
-        fn matches_binary_heap_reference(
-            ops in proptest::collection::vec((0u8..4, 0u64..200_000, 0u8..4, 0u64..4), 1..200),
+        fn drain_pops_and_heap_agree_on_dense_schedules(
+            ops in proptest::collection::vec((0u8..4, 0u64..60_000, 0u64..64, 0u8..3), 1..120),
         ) {
-            // Random interleaving of pushes (at now + delta, with
-            // deltas spanning ring and annex territory, keys drawn from
-            // a small alphabet so same-instant key collisions and
-            // inversions both occur) and pops; the calendar queue must
-            // pop the exact (time, key, seq) sequence a binary heap
-            // does.
-            let mut cal = CalendarQueue::new();
+            // Three queues fed identically: `a` is drained a cohort at
+            // a time, `b` popped an event at a time, and a binary heap
+            // is the reference — all three must agree on every
+            // `(time, key, seq)`. The schedule is the dense regime the
+            // engine produces on floods: cohorts of up to 64 pushed
+            // with keys descending (and tied in pairs, so `seq`
+            // decides); near pushes a few ns apart, so one 64 ns
+            // bucket holds several instants and the head bucket takes
+            // pushes between drains, `now` itself included; far pushes
+            // on a coarse absolute lattice reaching past the 33 µs
+            // horizon, so a cohort that began in the annex gains ring
+            // members once the cursor closes in.
+            let mut a = CalendarQueue::new();
+            let mut b = CalendarQueue::new();
             let mut heap: BinaryHeap<Reverse<(SimTime, u64, u64)>> = BinaryHeap::new();
-            let mut seq = 0u64;
-            let mut now = SimTime::ZERO;
-            for (op, delta, burst, key) in ops {
+            let (mut seq, mut now) = (0u64, 0u64);
+            let mut batch = Vec::new();
+            let mut ops = ops.into_iter();
+            loop {
+                // Once the script runs out, drain whatever is left.
+                let (op, delta, burst, mode) = match ops.next() {
+                    Some(op) => op,
+                    None if heap.is_empty() => break,
+                    None => (0, 0, 0, 0),
+                };
                 if op == 0 {
-                    // pop (possibly empty)
-                    let got = cal.pop_min().map(|(time, k, s, ())| (time, k, s));
-                    let want = heap.pop().map(|Reverse(k)| k);
-                    prop_assert_eq!(got, want);
-                    if let Some((time, _, _)) = got {
-                        now = time;
+                    let drained = a.drain_head(&mut batch);
+                    prop_assert_eq!(drained, heap.peek().map(|Reverse((time, _, _))| *time));
+                    for item in batch.drain(..) {
+                        let want = heap.pop().map(|Reverse(ord)| ord);
+                        prop_assert_eq!(b.pop_min().map(|(time, k, s, ())| (time, k, s)), want);
+                        prop_assert_eq!(want.map(|(time, _, s)| (time, s)), drained.map(|d| (d, item)));
                     }
+                    prop_assert!(
+                        heap.peek().is_none_or(|Reverse((time, _, _))| Some(*time) > drained),
+                        "drain_head left part of the cohort behind"
+                    );
+                    now = drained.map_or(now, |d| d.as_nanos());
                 } else {
-                    // push a small same-time burst to exercise seq ties
-                    let time = now + crate::SimDuration::nanos(delta);
-                    for i in 0..=burst as u64 {
-                        // vary the key within the burst so bursts are
-                        // pushed out of canonical order
-                        let k = (key + i) % 4;
-                        cal.push(time, k, seq, ());
-                        heap.push(Reverse((time, k, seq)));
+                    let time = match mode {
+                        0 => t(now + delta % 200),
+                        _ => t((now + delta + 1).next_multiple_of(4096)),
+                    };
+                    for i in 0..=burst {
+                        let key = (burst - i) / 2;
+                        a.push(time, key, seq, seq);
+                        b.push(time, key, seq, ());
+                        heap.push(Reverse((time, key, seq)));
                         seq += 1;
                     }
                 }
-                prop_assert_eq!(cal.head_time(), heap.peek().map(|Reverse((time, _, _))| *time));
-                prop_assert_eq!(cal.len(), heap.len());
+                let want_head = heap.peek().map(|Reverse((time, _, _))| *time);
+                prop_assert_eq!(a.head_time(), want_head);
+                prop_assert_eq!(b.head_time(), want_head);
+                prop_assert_eq!((a.len(), b.len()), (heap.len(), heap.len()));
             }
-            // Full drain at the end must agree too.
-            while let Some(Reverse(want)) = heap.pop() {
-                prop_assert_eq!(cal.pop_min().map(|(time, k, s, ())| (time, k, s)), Some(want));
-            }
-            prop_assert!(cal.is_empty());
-        }
-
-        #[test]
-        fn drain_head_equals_repeated_pops(
-            ops in proptest::collection::vec((0u8..2, 1u64..100_000, 0u8..3, 0u64..3), 1..64),
-        ) {
-            // Two queues fed identically (with interleaved pops that
-            // advance the cursor); draining batches from one must
-            // equal single-popping the other. Times cluster on 1 µs
-            // grid points so same-timestamp batches occur, and reach
-            // far enough to land cohorts on both sides of the horizon
-            // — including the straddle re-sort path, with keys pushed
-            // out of order so the re-sort actually has work to do.
-            let mut a = CalendarQueue::new();
-            let mut b = CalendarQueue::new();
-            let mut seq = 0u64;
-            let mut now = 0u64;
-            for (op, delta, burst, key) in ops {
-                if op == 0 && !a.is_empty() {
-                    let (time, k, s, _) = a.pop_min().expect("non-empty");
-                    let (bt, bk, bs, _) = b.pop_min().expect("b matches");
-                    prop_assert_eq!((time, k, s), (bt, bk, bs));
-                    now = time.as_nanos();
-                    continue;
-                }
-                let time = t(now + (delta / 1_000) * 1_000);
-                for i in 0..=burst as u64 {
-                    let k = 2u64.wrapping_sub(key.wrapping_add(i)) % 3; // anti-sorted keys
-                    a.push(time, k, seq, seq);
-                    b.push(time, k, seq, seq);
-                    seq += 1;
-                }
-            }
-            let mut batch = Vec::new();
-            while let Some(time) = a.drain_head(&mut batch) {
-                for item in batch.drain(..) {
-                    let (bt, _, bs, bi) = b.pop_min().expect("b drained early");
-                    prop_assert_eq!((bt, bs), (time, item));
-                    prop_assert_eq!(bi, item);
-                }
-            }
-            prop_assert!(b.is_empty());
+            prop_assert!(a.is_empty() && b.is_empty());
         }
     }
 }

@@ -6,7 +6,7 @@
 //! The run loops ([`Network::run_until`], [`Network::run_until_idle`],
 //! [`Network::run_for`]) drain the queue **one timestamp at a time**:
 //! every event sharing the earliest pending instant is popped into a
-//! reused batch buffer in a single pass over the heap, the clock
+//! reused batch buffer in a single pass over the queue, the clock
 //! advances once, and the batch is then processed in order. Events an
 //! event handler schedules *at the same instant* (zero-delay timers,
 //! injected frames) land after the current batch — they are drained as
@@ -25,7 +25,7 @@
 //! insertion order *is* reproducible shard-locally. This batched order
 //! is byte-identical to processing one event at a time with
 //! [`Network::step`], which `tests/engine_batching.rs` asserts at the
-//! trace level; batching only removes per-event heap interleaving and
+//! trace level; batching only removes per-event queue interleaving and
 //! allocation churn from the hot path, it never reorders.
 //!
 //! Two further hot-path choices matter for scale. Device callbacks
@@ -38,23 +38,38 @@
 //! two-level table indexed by node id and port number, not a hash map,
 //! so the per-send cost is two array indexations.
 //!
-//! # Event lifecycle
+//! # Event lifecycle: one event per hop
 //!
 //! One frame crossing one link passes through the engine as:
 //!
 //! ```text
 //! device callback ──Command::Send──▶ handle_send
-//!       ▲                               │ (queue or start serializing)
+//!       ▲                               │ (queue, or start_tx)
 //!       │                               ▼
-//!   on_frame ◀── Deliver event ◀── TxDone event
-//!              (+propagation)      (+serialization)
+//!   on_frame ◀───────────────── Deliver event
+//!                      (+serialization +propagation)
 //! ```
 //!
-//! Every arrow is an event push at a computed future instant; nothing
-//! happens "between" events, which is what makes runs reproducible and
-//! what lets the sharded engine ([`crate::sharded`]) cut the graph at
-//! link boundaries: a link's delivery time is fully determined the
-//! moment its `TxDone` fires.
+//! A link's delivery time is fully determined the moment a frame
+//! starts serializing, so `start_tx` schedules the `Deliver` event
+//! directly and records `busy_until` on the direction. The transmit
+//! *completion* at `busy_until` is an event (`TxDone`) only when it has
+//! work to do: a queued successor to start, or an asserted PFC pause
+//! whose release it must check — known at `start_tx`, or discovered
+//! when the first frame queues up behind the one in flight. On flood
+//! traffic almost no completion has any, and the frame costs exactly
+//! one scheduler event.
+//!
+//! An elided completion still *happens*, at its canonical position
+//! `(busy_until, TxDone key)` in the `(time, key, seq)` order: it is
+//! applied lazily ("settled" — transmitter freed, `tx_frames`/
+//! `tx_bytes` credited) before anything reads the transmitter's state
+//! from a later position, and by the run loops on the way out, so link
+//! counters are exact at every run boundary. Nothing can tell the
+//! difference — see `Network::settle` for the rule and its one corner.
+//! Nothing happens "between" events, which is what makes runs
+//! reproducible and what lets the sharded engine ([`crate::sharded`])
+//! cut the graph at link boundaries.
 //!
 //! # Example
 //!
@@ -114,11 +129,17 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, Tracer};
 use arppath_wire::EthernetFrame;
 
+/// Bit position of the tier in a canonical order key (see
+/// `Network::order_key`).
+const TIER: u32 = 60;
+
 /// What happens at an instant.
 #[derive(Debug)]
 enum EventKind {
-    /// The head frame of `link`/`dir` finished serializing.
-    TxDone { link: LinkId, dir: Dir, epoch: u64, frame: EthernetFrame },
+    /// The frame in flight on `link`/`dir` finished serializing and the
+    /// transmitter has something to do about it. Scheduled only then;
+    /// an idle completion is elided (see `Network::settle`).
+    TxDone { link: LinkId, dir: Dir, epoch: u64 },
     /// The last bit of `frame` reached the far end of `link`/`dir`.
     Deliver { link: LinkId, dir: Dir, epoch: u64, frame: EthernetFrame },
     /// A device timer fires.
@@ -149,7 +170,10 @@ pub struct NetworkStats {
     pub watchdog_fires: u64,
     /// Frames discarded by `DrainAndDrop` watchdog fires.
     pub drops_watchdog: u64,
-    /// Events processed.
+    /// Scheduler events processed: one per frame hop (its delivery),
+    /// plus a transmit completion only where one had work to do — a
+    /// queued successor to start or a PFC release to check — plus
+    /// timers, link-admin flips, watchdog deadlines and injections.
     pub events: u64,
 }
 
@@ -281,6 +305,8 @@ impl NetworkBuilder {
             tracer: self.tracer,
             scratch: Vec::new(),
             batch: Vec::new(),
+            cur_key: 0,
+            unsettled: Vec::new(),
         };
         for i in 0..n {
             net.dispatch(NodeId(i), |dev, ctx| dev.on_start(ctx));
@@ -311,6 +337,13 @@ pub struct Network {
     scratch: Vec<Command>,
     /// Reused buffer holding the events of the batch being processed.
     batch: Vec<EventKind>,
+    /// Canonical order key of the event being processed: with `now`,
+    /// the position elided completions are settled against.
+    cur_key: u64,
+    /// Directions with an elided completion that nothing has read past
+    /// yet; the run loops settle them on the way out so link counters
+    /// are exact at every run boundary.
+    unsettled: Vec<(LinkId, Dir)>,
 }
 
 impl Network {
@@ -431,6 +464,7 @@ impl Network {
             true
         } else {
             self.now = self.now.max(limit);
+            self.settle_all(limit, u64::MAX);
             false
         }
     }
@@ -440,6 +474,7 @@ impl Network {
     pub fn run_until(&mut self, until: SimTime) {
         while self.step_batch(until) {}
         self.now = self.now.max(until);
+        self.settle_all(until, u64::MAX);
     }
 
     /// Run for `d` from the current instant.
@@ -462,11 +497,12 @@ impl Network {
     /// the repository's scenarios produce one (propagation and
     /// serialization are nonzero), and the equivalence suite holds.
     pub fn step(&mut self) -> Option<SimTime> {
-        let (time, _key, _seq, kind) = self.queue.pop_min()?;
+        let (time, key, _seq, kind) = self.queue.pop_min()?;
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.stats.events += 1;
         self.process(kind);
+        self.settle_all(time, key);
         Some(self.now)
     }
 
@@ -480,10 +516,12 @@ impl Network {
     /// insertion sequence numbers are higher than everything already
     /// pending.
     pub fn step_batch(&mut self, bound: SimTime) -> bool {
-        let Some(time) = self.queue.head_time() else { return false };
-        if time > bound {
+        let Some(time) = self.queue.head_time().filter(|&t| t <= bound) else {
+            // Nothing left at or before the bound: every event up to
+            // here has run, so elided completions up to here are due.
+            self.settle_all(self.now.min(bound), u64::MAX);
             return false;
-        }
+        };
         debug_assert!(time >= self.now, "event queue went backwards");
         // One calendar-bucket pass moves the whole same-instant run out
         // of the queue before touching any device, into a buffer reused
@@ -505,10 +543,9 @@ impl Network {
 
     /// Apply one event's effect at the already-advanced clock.
     fn process(&mut self, kind: EventKind) {
+        self.cur_key = self.order_key(&kind);
         match kind {
-            EventKind::TxDone { link, dir, epoch, frame } => {
-                self.on_tx_done(link, dir, epoch, frame)
-            }
+            EventKind::TxDone { link, dir, epoch } => self.on_tx_done(link, dir, epoch),
             EventKind::Deliver { link, dir, epoch, frame } => {
                 self.on_deliver(link, dir, epoch, frame)
             }
@@ -559,7 +596,6 @@ impl Network {
     /// between the engines, only breaks ties *within* one wire
     /// direction or one device, where both engines agree on it.
     fn order_key(&self, kind: &EventKind) -> u64 {
-        const TIER: u32 = 60;
         let wire = |link: &LinkId, dir: Dir| self.link_order_keys[link.0][dir.index()];
         match kind {
             EventKind::Deliver { link, dir, .. } => wire(link, *dir),
@@ -572,11 +608,20 @@ impl Network {
                     None => (1 << (TIER - 1)) | ((node.0 as u64) << 16) | port.0 as u64,
                 }
             }
-            EventKind::TxDone { link, dir, .. } => (1 << TIER) | wire(link, *dir),
+            EventKind::TxDone { link, dir, .. } => {
+                Self::tx_done_key(&self.link_order_keys, *link, *dir)
+            }
             EventKind::Timer { node, .. } => (2 << TIER) | self.node_order_keys[node.0],
             EventKind::LinkAdmin { link, .. } => (3 << TIER) | self.link_order_keys[link.0][0],
             EventKind::Watchdog { link, dir, .. } => (4 << TIER) | wire(link, *dir),
         }
+    }
+
+    /// Canonical key of a direction's transmit completion — whether or
+    /// not an event carries it. (Takes the key table rather than `self`
+    /// so `settle_all` can hold the links mutably beside it.)
+    fn tx_done_key(link_order_keys: &[[u64; 2]], link: LinkId, dir: Dir) -> u64 {
+        (1 << TIER) | link_order_keys[link.0][dir.index()]
     }
 
     fn push_at(&mut self, time: SimTime, kind: EventKind) {
@@ -631,7 +676,10 @@ impl Network {
             self.trace(TraceEvent::DropLinkDown { link: link_id, frame: &frame });
             return;
         }
+        self.settle(link_id, dir);
+        let link = &mut self.links[link_id.0];
         let sender = link.sender(dir);
+        let epoch = link.epoch;
         let state = &mut link.dirs[dir.index()];
         if state.transmitting || state.paused {
             match state.queue.try_enqueue(frame) {
@@ -643,11 +691,20 @@ impl Network {
                 Admission::Queued => {
                     let depth = state.queue.bytes() as u64;
                     state.stats.peak_queue_bytes = state.stats.peak_queue_bytes.max(depth);
+                    // The frame in flight now has a successor to start:
+                    // its completion, elided so far, becomes an event.
+                    let schedule_done = state.transmitting && !state.done_scheduled;
+                    state.done_scheduled |= schedule_done;
+                    let done_at = state.busy_until;
                     // PFC: crossing the pause threshold asserts pause
                     // toward every device feeding this queue — i.e. out
                     // of all the congested device's *other* ports.
-                    if !state.pause_asserted && state.queue.above_pause() {
-                        state.pause_asserted = true;
+                    let assert_pause = !state.pause_asserted && state.queue.above_pause();
+                    state.pause_asserted |= assert_pause;
+                    if schedule_done {
+                        self.push_at(done_at, EventKind::TxDone { link: link_id, dir, epoch });
+                    }
+                    if assert_pause {
                         self.emit_pfc(sender, PfcOp::Pause);
                     }
                 }
@@ -655,6 +712,61 @@ impl Network {
         } else {
             self.start_tx(link_id, dir, frame);
         }
+    }
+
+    /// Apply `dir`'s outstanding transmit completion if it is due: if
+    /// its canonical position `(busy_until, TxDone key)` precedes the
+    /// event being processed. Called before every read of
+    /// `transmitting`, this makes an elided completion indistinguishable
+    /// from an event: a send from an arrival handler at exactly
+    /// `busy_until` still finds the transmitter busy (arrivals sort
+    /// before completions within an instant), a timer at that instant
+    /// finds it idle.
+    ///
+    /// A completion that *does* have an event can be due here too, in
+    /// one corner: it was scheduled late, by an arrival handler at
+    /// exactly `busy_until`, so the batch being processed was already
+    /// drained without it. It is applied now, in its canonical place;
+    /// `on_tx_done` ignores the event when it pops.
+    fn settle(&mut self, link_id: LinkId, dir: Dir) {
+        let link = &self.links[link_id.0];
+        let state = &link.dirs[dir.index()];
+        if !state.transmitting {
+            return;
+        }
+        // (busy_until, done key) < (now, current key), with the key
+        // table only consulted on a same-instant tie.
+        let due = state.busy_until < self.now
+            || (state.busy_until == self.now
+                && Self::tx_done_key(&self.link_order_keys, link_id, dir) < self.cur_key);
+        if !due {
+            return;
+        }
+        if state.done_scheduled {
+            self.on_tx_done(link_id, dir, link.epoch);
+        } else {
+            self.links[link_id.0].dirs[dir.index()].complete_tx();
+        }
+    }
+
+    /// Settle every elided completion positioned before `(time, key)`
+    /// and forget the directions that have none outstanding. The run
+    /// loops call this on the way out, with every event before that
+    /// position processed.
+    fn settle_all(&mut self, time: SimTime, key: u64) {
+        let (links, keys) = (&mut self.links, &self.link_order_keys);
+        self.unsettled.retain(|&(link, dir)| {
+            let state = &mut links[link.0].dirs[dir.index()];
+            let elided = state.transmitting && !state.done_scheduled;
+            if elided && (state.busy_until, Self::tx_done_key(keys, link, dir)) >= (time, key) {
+                return true;
+            }
+            if elided {
+                state.complete_tx();
+            }
+            state.listed = false;
+            false
+        });
     }
 
     /// Send a pause or resume frame out of every cabled port of
@@ -713,6 +825,8 @@ impl Network {
                         state.stats.paused_for =
                             state.stats.paused_for + SimDuration::nanos(now.0 - started.0);
                     }
+                    self.settle(link_id, dir);
+                    let state = &mut self.links[link_id.0].dirs[dir.index()];
                     if !state.transmitting {
                         if let Some(next) = state.queue.pop() {
                             self.start_tx(link_id, dir, next);
@@ -735,10 +849,11 @@ impl Network {
     /// byte-identical.
     fn on_watchdog(&mut self, link_id: LinkId, dir: Dir, gen: u64) {
         let now = self.now;
-        let link = &mut self.links[link_id.0];
-        if !link.up {
+        if !self.links[link_id.0].up {
             return; // pause state died with the carrier
         }
+        self.settle(link_id, dir);
+        let link = &mut self.links[link_id.0];
         let policy = link.params.watchdog;
         let ep = link.sender(dir);
         let state = &mut link.dirs[dir.index()];
@@ -778,45 +893,57 @@ impl Network {
         }
     }
 
+    /// Put `frame` on the wire. Its delivery is fully determined here
+    /// — serialization plus propagation from now — so the `Deliver`
+    /// event is scheduled straight away. The completion at
+    /// `busy_until` gets an event only if it has work to do: a queued
+    /// successor to start, or an asserted PFC pause whose release it
+    /// must check. Otherwise it is elided and settled lazily.
     fn start_tx(&mut self, link_id: LinkId, dir: Dir, frame: EthernetFrame) {
         let link = &mut self.links[link_id.0];
         let ser = link.params.serialization(&frame);
+        let done_at = self.now + ser;
+        let arrives_at = done_at + link.params.propagation;
         let epoch = link.epoch;
         let state = &mut link.dirs[dir.index()];
+        debug_assert!(!state.transmitting, "start_tx on a busy transmitter");
         state.transmitting = true;
+        state.busy_until = done_at;
+        state.in_flight_len = frame.wire_len() as u32;
         state.stats.busy = state.stats.busy + ser;
-        let when = self.now + ser;
-        self.push_at(when, EventKind::TxDone { link: link_id, dir, epoch, frame });
+        state.done_scheduled = !state.queue.is_empty() || state.pause_asserted;
+        if state.done_scheduled {
+            self.push_at(done_at, EventKind::TxDone { link: link_id, dir, epoch });
+        } else if !state.listed {
+            state.listed = true;
+            self.unsettled.push((link_id, dir));
+        }
+        self.push_at(arrives_at, EventKind::Deliver { link: link_id, dir, epoch, frame });
     }
 
-    fn on_tx_done(&mut self, link_id: LinkId, dir: Dir, epoch: u64, frame: EthernetFrame) {
-        let link = &mut self.links[link_id.0];
-        if epoch != link.epoch || !link.up {
-            // The cable was cut while these bits were leaving the MAC.
-            self.stats.drops_link_down += 1;
-            link.dirs[dir.index()].stats.dropped_link_down += 1;
-            self.trace(TraceEvent::DropLinkDown { link: link_id, frame: &frame });
-            return;
-        }
-        let prop = link.params.propagation;
-        {
-            let state = &mut link.dirs[dir.index()];
-            state.stats.tx_frames += 1;
-            state.stats.tx_bytes += frame.wire_len() as u64;
-        }
-        let when = self.now + prop;
-        self.push_at(when, EventKind::Deliver { link: link_id, dir, epoch, frame });
-        // Pull the next queued frame into the transmitter — unless a
-        // pause frame halted this direction (the in-flight frame always
-        // finishes; the next one waits for resume).
+    /// A scheduled completion: free the transmitter, pull the next
+    /// queued frame in, release an asserted PFC pause the queue has
+    /// drained below.
+    fn on_tx_done(&mut self, link_id: LinkId, dir: Dir, epoch: u64) {
         let link = &mut self.links[link_id.0];
         let state = &mut link.dirs[dir.index()];
-        if state.paused {
-            state.transmitting = false;
-        } else if let Some(next) = state.queue.pop() {
-            self.start_tx(link_id, dir, next);
-        } else {
-            state.transmitting = false;
+        // Stale if the cable was cut under the frame (the cut accounted
+        // for it), or if `settle` already applied this completion.
+        let live = epoch == link.epoch
+            && state.transmitting
+            && state.done_scheduled
+            && state.busy_until == self.now;
+        if !live {
+            return;
+        }
+        state.complete_tx();
+        // The next frame goes out unless a pause frame halted this
+        // direction (the in-flight frame always finishes; the next one
+        // waits for resume).
+        if !state.paused {
+            if let Some(next) = state.queue.pop() {
+                self.start_tx(link_id, dir, next);
+            }
         }
         // PFC: a queue that drained back to the resume threshold
         // releases its asserted pause.
@@ -855,10 +982,14 @@ impl Network {
     }
 
     fn on_link_admin(&mut self, link_id: LinkId, up: bool) {
-        let link = &mut self.links[link_id.0];
-        if link.up == up {
+        if self.links[link_id.0].up == up {
             return; // idempotent
         }
+        // Completions before this instant's admin tier happened on the
+        // old carrier state.
+        self.settle(link_id, Dir::AtoB);
+        self.settle(link_id, Dir::BtoA);
+        let link = &mut self.links[link_id.0];
         link.up = up;
         link.epoch += 1;
         let (a, b) = (link.a, link.b);
@@ -874,7 +1005,17 @@ impl Network {
                 let lost = state.queue.clear() as u64;
                 state.stats.dropped_link_down += lost;
                 self.stats.drops_link_down += lost;
-                state.transmitting = false;
+                if state.transmitting {
+                    // Cut mid-serialization: the frame never completes.
+                    // It is charged to this direction here; the
+                    // engine-wide count and the `DropLinkDown` trace
+                    // record come from its `Deliver` event, which finds
+                    // the epoch changed at the would-be delivery
+                    // instant.
+                    state.transmitting = false;
+                    state.done_scheduled = false;
+                    state.stats.dropped_link_down += 1;
+                }
                 if state.pause_asserted {
                     state.pause_asserted = false;
                     release.push(sender);
@@ -1478,5 +1619,236 @@ mod tests {
         assert_eq!(s.tx_bytes, 4 * 60);
         assert_eq!(s.busy, SimDuration::nanos(4 * 672));
         assert_eq!(net.link(l).total_tx_frames(), 4);
+    }
+
+    // ---- elided transmit completions: the corners of the settle rule ----
+
+    /// Sends a frame out of port `out` at each scripted instant and, if
+    /// `relay`, on every arrival; logs arrivals and timer fires in the
+    /// order they happen.
+    struct Scripted {
+        out: usize,
+        sends_at: Vec<u64>,
+        relay: bool,
+        log: Vec<(u64, &'static str)>,
+    }
+
+    impl Scripted {
+        fn new(out: usize, sends_at: &[u64], relay: bool) -> Box<Self> {
+            Box::new(Scripted { out, sends_at: sends_at.to_vec(), relay, log: Vec::new() })
+        }
+    }
+
+    impl Device for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            for (i, &at) in self.sends_at.iter().enumerate() {
+                ctx.schedule(SimDuration::nanos(at), TimerToken(i as u64));
+            }
+        }
+        fn on_frame(&mut self, _: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
+            self.log.push((ctx.now().as_nanos(), "frame"));
+            if self.relay {
+                ctx.send(PortNo(self.out), frame);
+            }
+        }
+        fn on_timer(&mut self, _: TimerToken, ctx: &mut Ctx) {
+            self.log.push((ctx.now().as_nanos(), "timer"));
+            ctx.send(PortNo(self.out), test_frame());
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// feeder ─(10 Gbit/s, 605 ns)→ relay ─(1 Gbit/s, 500 ns, `egress`)→ sink.
+    /// A minimum frame the feeder sends at t = 0 reaches the relay at
+    /// 67 + 605 = 672 ns: exactly when a frame the relay put on its
+    /// egress at t = 0 finishes serializing.
+    fn relay_chain(
+        feeder_sends: &[u64],
+        relay_sends: &[u64],
+        egress: QueuePolicy,
+    ) -> (Network, NodeId, LinkId) {
+        let fast = LinkParams {
+            bandwidth_bps: 10_000_000_000,
+            propagation: SimDuration::nanos(605),
+            ..Default::default()
+        };
+        let mut b = NetworkBuilder::new();
+        let feeder = b.add(Scripted::new(0, feeder_sends, false));
+        let relay = b.add(Scripted::new(1, relay_sends, true));
+        let sink = b.add(Scripted::new(0, &[], false));
+        b.link(feeder, 0, relay, 0, fast);
+        let out = b.link(relay, 1, sink, 0, LinkParams::default().with_queue(egress));
+        (b.build(), sink, out)
+    }
+
+    fn heard_at(net: &Network, node: NodeId) -> Vec<u64> {
+        net.device::<Scripted>(node).log.iter().map(|&(at, _)| at).collect()
+    }
+
+    #[test]
+    fn send_at_busy_until_queues_from_an_arrival_but_starts_from_a_timer() {
+        // Arrivals sort before transmit completions within an instant,
+        // timers after. So a relay whose egress completes at 672 ns
+        // finds it *busy* when an arrival at 672 makes it send (the
+        // frame queues, and starts in that same instant), but *idle*
+        // when its own timer at 672 does. Same wire timing either way;
+        // the difference shows in the queue's high-water mark...
+        for (feeder, relay, peak) in [(&[0u64][..], &[0u64][..], 60), (&[], &[0, 672], 0)] {
+            let (mut net, sink, out) = relay_chain(feeder, relay, QueuePolicy::Infinite);
+            net.run_until_idle(SimTime(u64::MAX));
+            assert_eq!(heard_at(&net, sink), vec![1172, 1844]);
+            let s = net.link(out).stats(Dir::AtoB);
+            assert_eq!((s.tx_frames, s.peak_queue_bytes), (2, peak));
+        }
+        // ...and in drop-tail admission: a queue too small for one
+        // frame refuses the arrival's send and never sees the timer's.
+        for (feeder, relay, drops) in [(&[0u64][..], &[0u64][..], 1), (&[], &[0, 672], 0)] {
+            let (mut net, sink, _) = relay_chain(feeder, relay, QueuePolicy::drop_tail(59));
+            net.run_until_idle(SimTime(u64::MAX));
+            assert_eq!(net.stats().drops_queue_full, drops);
+            assert_eq!(heard_at(&net, sink).len(), 2 - drops as usize);
+        }
+    }
+
+    #[test]
+    fn completion_scheduled_late_is_applied_before_a_same_instant_timer_reads_it() {
+        // Both at once: the arrival at 672 queues a frame behind the
+        // completing one — only now does that completion get an event,
+        // at the instant already being drained — and the relay's timer
+        // at 672 sends a third. The timer sorts after the completion,
+        // so it must see the queued frame already started: a queue
+        // that fits exactly one frame admits both.
+        let (mut net, sink, out) = relay_chain(&[0], &[0, 672], QueuePolicy::drop_tail(60));
+        net.run_until_idle(SimTime(u64::MAX));
+        assert_eq!(net.stats().drops_queue_full, 0);
+        assert_eq!(heard_at(&net, sink), vec![1172, 1844, 2516]);
+        assert_eq!(net.link(out).stats(Dir::AtoB).peak_queue_bytes, 60);
+    }
+
+    /// One scripted sender on a default link (672 ns serialization,
+    /// 500 ns propagation) into a logging sink.
+    fn scripted_pair(sends_at: &[u64], params: LinkParams) -> (Network, NodeId, NodeId, LinkId) {
+        let mut b = NetworkBuilder::new();
+        let tx = b.add(Scripted::new(0, sends_at, false));
+        let rx = b.add(Scripted::new(0, &[], false));
+        let l = b.link(tx, 0, rx, 0, params);
+        (b.build(), tx, rx, l)
+    }
+
+    #[test]
+    fn pause_mid_serialization_then_resume_with_an_elided_completion() {
+        // A lone frame's completion has no event. A pause lands while
+        // it serializes; one frame is sent behind it mid-flight (which
+        // gives the completion an event after all), one after it is
+        // done (which finds the transmitter idle but paused). Resume
+        // must restart the line with both, in order.
+        let (mut net, tx, rx, l) = scripted_pair(&[0, 300, 1000], LinkParams::default());
+        net.inject_at(SimTime(100), tx, PortNo(0), crate::pfc::pause_frame());
+        net.inject_at(SimTime(2000), tx, PortNo(0), crate::pfc::resume_frame());
+        net.run_until(SimTime(1999));
+        assert_eq!(heard_at(&net, rx), vec![1172], "the in-flight frame always finishes");
+        assert_eq!(net.link(l).queue_depth(Dir::AtoB).0, 2);
+        net.run_until_idle(SimTime(u64::MAX));
+        assert_eq!(heard_at(&net, rx), vec![1172, 2000 + 1172, 2672 + 1172]);
+        let s = net.link(l).stats(Dir::AtoB);
+        assert_eq!((s.tx_frames, s.pause_events), (3, 1));
+        assert_eq!(s.paused_for, SimDuration::nanos(1900));
+    }
+
+    #[test]
+    fn watchdog_force_resume_on_an_elided_completion() {
+        // As above, but nobody resumes: the watchdog fires one deadline
+        // after the pause and must find the transmitter idle — its
+        // completion was never an event — to restart it.
+        let params = LinkParams::default()
+            .with_watchdog(PauseWatchdog::force_resume(SimDuration::millis(1)));
+        let (mut net, tx, rx, l) = scripted_pair(&[0, 1000], params);
+        net.inject_at(SimTime(100), tx, PortNo(0), crate::pfc::pause_frame());
+        net.run_until_idle(SimTime(u64::MAX));
+        assert_eq!(heard_at(&net, rx), vec![1172, 1_000_100 + 1172]);
+        assert_eq!(net.stats().watchdog_fires, 1);
+        assert_eq!(net.link(l).stats(Dir::AtoB).tx_frames, 2);
+    }
+
+    #[test]
+    fn link_cut_mid_serialization_is_charged_once_and_never_credited() {
+        // Cut at 300 ns, 372 ns before the last bit would have left.
+        // The frame is lost: charged to its direction at the cut and to
+        // the engine-wide counter when its delivery finds the carrier
+        // gone — at 1172 ns, the would-be delivery instant, which is
+        // where the `DropLinkDown` trace record now sits (the eager
+        // engine put it at 672 ns, the would-be completion). No
+        // transmit credit. Both drop counters are exact at any run
+        // boundary past that instant.
+        let (mut net, _tx, rx, l) = scripted_pair(&[0], LinkParams::default());
+        let sink = std::sync::Arc::new(std::sync::Mutex::new(CollectingTracer::default()));
+        net.set_tracer(Box::new(sink.clone()));
+        net.schedule_link_down(l, SimTime(300));
+        net.run_until(SimTime(1172));
+        assert_eq!(heard_at(&net, rx), Vec::<u64>::new());
+        let s = net.link(l).stats(Dir::AtoB);
+        assert_eq!((s.tx_frames, s.tx_bytes, s.dropped_link_down), (0, 0, 1));
+        assert_eq!(net.stats().drops_link_down, 1);
+        let lines = sink.lock().unwrap().lines.clone();
+        let drops: Vec<_> = lines.iter().filter(|l| l.contains("DROP")).collect();
+        assert_eq!(drops.len(), 1, "one loss, one record: {lines:?}");
+        assert!(drops[0].starts_with("t=1.172us "), "not at the would-be delivery: {}", drops[0]);
+
+        // A cut at exactly the completion instant comes after it
+        // (admin events sort last): the frame was fully transmitted —
+        // credited — and is lost in propagation instead.
+        let (mut net, _tx, rx, l) = scripted_pair(&[0], LinkParams::default());
+        net.schedule_link_down(l, SimTime(672));
+        net.run_until_idle(SimTime(u64::MAX));
+        assert_eq!(heard_at(&net, rx), Vec::<u64>::new());
+        let s = net.link(l).stats(Dir::AtoB);
+        assert_eq!((s.tx_frames, s.dropped_link_down), (1, 0));
+        assert_eq!(net.stats().drops_link_down, 1);
+    }
+
+    #[test]
+    fn run_boundaries_settle_exactly_the_completions_before_them() {
+        // One frame, serializing over (0, 672]: a run that stops inside
+        // shows no transmit credit, one that stops at or after the last
+        // bit shows it — though no event exists at 672 ns.
+        for (until, frames) in [(671, 0), (672, 1), (5000, 1)] {
+            let (mut net, _, _, l) = scripted_pair(&[0], LinkParams::default());
+            net.run_until(SimTime(until));
+            let s = net.link(l).stats(Dir::AtoB);
+            assert_eq!((s.tx_frames, s.tx_bytes), (frames, frames * 60), "run_until({until})");
+            assert_eq!(s.busy, SimDuration::nanos(672), "busy time is booked at transmit start");
+        }
+        // Single-stepping settles too: the timer at 0, then the delivery.
+        let (mut net, _, _, l) = scripted_pair(&[0], LinkParams::default());
+        assert_eq!(net.step(), Some(SimTime(0)));
+        assert_eq!(net.link(l).stats(Dir::AtoB).tx_frames, 0);
+        assert_eq!(net.step(), Some(SimTime(1172)));
+        assert_eq!(net.link(l).stats(Dir::AtoB).tx_frames, 1);
+        assert_eq!(net.stats().events, 2, "one event per hop, plus the timer");
+    }
+
+    #[test]
+    fn zero_propagation_link_delivers_in_the_arrival_tier() {
+        // With no propagation the delivery shares its instant with the
+        // completion. It is an arrival like any other: it runs before
+        // the receiver's timer at that instant, not after it in a
+        // follow-up batch (as it did when the completion event pushed
+        // it).
+        let params = LinkParams { propagation: SimDuration::ZERO, ..Default::default() };
+        let mut b = NetworkBuilder::new();
+        let tx = b.add(Scripted::new(0, &[0], false));
+        let rx = b.add(Scripted::new(1, &[672], false));
+        b.link(tx, 0, rx, 0, params);
+        let mut net = b.build();
+        net.run_until_idle(SimTime(u64::MAX));
+        assert_eq!(net.device::<Scripted>(rx).log, vec![(672, "frame"), (672, "timer")]);
     }
 }

@@ -335,10 +335,29 @@ pub struct DirStats {
 }
 
 /// One direction's transmit state.
+///
+/// A frame in flight is `transmitting` from `start_tx` until its
+/// completion is *applied*, which the engine does lazily: a completion
+/// with nothing to do (no queued successor, no PFC release to check)
+/// has no event, and is applied ("settled") the next time anything
+/// reads this state at or after its canonical position
+/// `(busy_until, TxDone key)`, or at the next run boundary.
 #[derive(Debug, Default)]
 pub(crate) struct DirState {
-    /// Frame currently being serialized, if any.
+    /// A frame's completion is outstanding (it may already be due —
+    /// see `Network::settle`).
     pub transmitting: bool,
+    /// When the in-flight frame's last bit leaves the MAC.
+    pub busy_until: SimTime,
+    /// Wire length of the in-flight frame, credited to
+    /// [`DirStats::tx_bytes`] on completion.
+    pub in_flight_len: u32,
+    /// A `TxDone` event is queued for the in-flight frame; otherwise
+    /// its completion is elided.
+    pub done_scheduled: bool,
+    /// This direction is on the engine's list of elided completions to
+    /// settle at the next run boundary.
+    pub listed: bool,
     /// Frames awaiting the transmitter, under the link's queue policy.
     pub queue: PortQueue,
     /// Transmitter halted by a pause frame from the downstream device.
@@ -355,6 +374,17 @@ pub(crate) struct DirState {
     pub pause_gen: u64,
     /// Counters.
     pub stats: DirStats,
+}
+
+impl DirState {
+    /// The in-flight frame's last bit left the MAC: free the
+    /// transmitter and credit the frame.
+    pub(crate) fn complete_tx(&mut self) {
+        self.transmitting = false;
+        self.done_scheduled = false;
+        self.stats.tx_frames += 1;
+        self.stats.tx_bytes += u64::from(self.in_flight_len);
+    }
 }
 
 /// A full-duplex point-to-point link.
@@ -397,7 +427,9 @@ impl Link {
         }
     }
 
-    /// Counters for one direction.
+    /// Counters for one direction. `tx_frames`/`tx_bytes` count
+    /// completed serializations as of the last run boundary (the end
+    /// of `run_until`, `run_until_idle`, `run_for` or `step`).
     pub fn stats(&self, dir: Dir) -> DirStats {
         self.dirs[dir.index()].stats
     }

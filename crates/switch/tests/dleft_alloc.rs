@@ -13,25 +13,31 @@ use arppath_netsim::{SimDuration, SimTime};
 use arppath_switch::DLeftTable;
 use arppath_wire::MacAddr;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Passes everything through to the system allocator, counting calls.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per thread, so tests running in parallel do not count each
+    /// other's allocations (a `const`-initialized `Cell` needs no lazy
+    /// initialization and no destructor, so touching it never
+    /// allocates).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 // SAFETY: delegates directly to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a relaxed atomic side effect.
+// `GlobalAlloc` contract; the counter is a thread-local side effect.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -40,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]
