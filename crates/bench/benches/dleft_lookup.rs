@@ -1,7 +1,8 @@
 //! Fast-table comparison: the d-left hash table against the BTreeMap
 //! `AgingMap` oracle at the ≥10k-entry scale the All-Path scalability
 //! study flags, plus the calendar queue against the binary heap it
-//! replaced.
+//! replaced, the probe-once refresh against the look-up-twice one, and
+//! the timer wheel's idle advance against its insert.
 //!
 //! The PR-5 acceptance bar lives here: `tables/dleft_get_hit_10k` must
 //! be ≥2× faster than `tables/btree_get_hit_10k`. The idle-sweep pair
@@ -10,6 +11,7 @@
 
 use arppath_bench::micro;
 use arppath_netsim::SimTime;
+use arppath_switch::wheel::TimerWheel;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 fn bench_tables(c: &mut Criterion) {
@@ -60,5 +62,40 @@ fn bench_scheduler(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_tables, bench_scheduler);
+/// The PR 14 pairs: what a unicast frame does to the table (hit, then
+/// refresh) through one probe and through two, and what a flooding
+/// bridge's scrub costs when nothing is due against filing a deadline.
+fn bench_hot_path(c: &mut Criterion) {
+    let now = SimTime(1);
+    let mut g = c.benchmark_group("hot_path");
+    let (mut table, keys) = micro::refresh_fixture();
+    g.throughput(Throughput::Elements(keys.len() as u64));
+    g.bench_function("dleft_get_touch", |b| {
+        b.iter(|| black_box(micro::dleft_get_touch(&mut table, &keys, now)))
+    });
+    g.bench_function("dleft_probe_refresh", |b| {
+        b.iter(|| black_box(micro::dleft_probe_refresh(&mut table, &keys, now)))
+    });
+    g.throughput(Throughput::Elements(u64::from(micro::WHEEL_DEADLINES)));
+    let mut wheel = TimerWheel::default();
+    g.bench_function("wheel_insert", |b| {
+        b.iter(|| black_box(micro::wheel_insert(&mut wheel, now)))
+    });
+    const CALLS: u64 = 256;
+    g.throughput(Throughput::Elements(CALLS));
+    let mut idle = micro::IdleWheel::new();
+    g.bench_function("wheel_idle_advance", |b| {
+        b.iter(|| {
+            // Stay inside the horizon: a fresh wheel every dozen
+            // iterations is an outlier the median sheds.
+            if idle.calls_left() < CALLS {
+                idle = micro::IdleWheel::new();
+            }
+            black_box(idle.run(CALLS))
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_tables, bench_scheduler, bench_hot_path);
 criterion_main!(benches);

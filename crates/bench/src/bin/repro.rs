@@ -35,11 +35,11 @@
 //! trajectory (schema documented in `BASELINES.md`): per-experiment
 //! wall clocks, the quick E9 incast guard (with its per-controller
 //! FCT p99s), the quick E11 churn guard (with its undersized eviction
-//! count and correction p99), the quick E12 scale guard (with the SoA
+//! count and correction p99), the quick E12 scale guard (with the
 //! `dleft_bytes_per_station` figure), plus the fast-table micro
-//! medians. The committed `BENCH_PR5.json`/`BENCH_PR7.json`/
-//! `BENCH_PR9.json`/`BENCH_PR10.json` are such files; CI re-captures
-//! a quick one and gates it with the `bench-guard` subcommand:
+//! medians. The committed `BENCH_PR<N>.json` files are such captures;
+//! CI re-captures a quick one and gates it with the `bench-guard`
+//! subcommand:
 //!
 //! ```text
 //! repro -- bench-guard --baseline BENCH_PR7.json --current ci.json \
@@ -47,6 +47,9 @@
 //! # a same-run ratio: the calendar queue must not lose to a BinaryHeap
 //! repro -- bench-guard --current ci.json \
 //!     --key calq_dense_ns --baseline-key heap_dense_ns --max-ratio 1
+//! # one probe per frame must stay >= 1.3x faster than two (1/1.3 = 0.77)
+//! repro -- bench-guard --current ci.json \
+//!     --key dleft_probe_refresh_ns --baseline-key dleft_get_touch_ns --max-ratio 0.77
 //! ```
 
 use arppath_bench::experiments::{
@@ -619,7 +622,8 @@ fn main() {
             if e12_scale::verify_delivery(&result) { "HOLDS" } else { "VIOLATED" }
         );
         println!(
-            "SoA planes under the AoS footprint: {}",
+            "path tables ≤ {} B/station: {}",
+            e12_scale::MAX_BYTES_PER_STATION,
             if e12_scale::verify_footprint(&result) { "HOLDS" } else { "VIOLATED" }
         );
         eprintln!("[repro] e12: comparing merged traces across {:?}...", params.shard_counts);
@@ -753,8 +757,9 @@ fn main() {
         wall_ms.extend(churn_keys);
         // Fourth guard pair since PR 10: the quick E12 shard-scaling
         // sweep (k=16 skeleton, all four worker counts, matrix
-        // lookahead) and the SoA bytes-per-station figure it measures
-        // — the two numbers the shard-scaling push is accountable for.
+        // lookahead) and the path-table bytes-per-station figure it
+        // measures — the two numbers the shard-scaling push is
+        // accountable for.
         eprintln!("[repro] bench-json: timing the quick E12 scale guard workload...");
         let scale_params = e12_scale::E12Params::quick();
         let mut best_ms = f64::INFINITY;
@@ -769,7 +774,7 @@ fn main() {
             );
             assert!(
                 e12_scale::verify_footprint(&result),
-                "quick E12 SoA footprint must undercut the AoS layout"
+                "quick E12 path tables must stay under the bytes-per-station ceiling"
             );
             scale_keys = vec![("dleft_bytes_per_station".to_string(), result.bytes_per_station())];
         }
@@ -779,7 +784,7 @@ fn main() {
         let micro_ns: Vec<(String, f64)> =
             micro::measure_all().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
         let json = format!(
-            "{{\n  \"schema\": \"arppath-bench-trajectory/v1\",\n  \"pr\": \"PR13\",\n  \
+            "{{\n  \"schema\": \"arppath-bench-trajectory/v1\",\n  \"pr\": \"PR14\",\n  \
              \"quick\": {},\n  \"wall_ms\": {{\n{}\n  }},\n  \"micro_ns\": {{\n{}\n  }}\n}}\n",
             quick,
             json_section(&wall_ms),

@@ -13,9 +13,9 @@
 //!   conservative window protocol made the workers rendezvous; the
 //!   per-pair lookahead matrix (PR 10) exists to push this down;
 //! * **bytes per station** — the d-left path tables' heap footprint
-//!   (SoA planes, PR 10) summed over every bridge and divided by the
-//!   attached host count, with the pre-PR array-of-structs layout as
-//!   the yardstick.
+//!   (SoA planes of 8-byte cells plus the timer wheel) summed over
+//!   every bridge and divided by the attached host count, held under
+//!   an absolute ceiling ([`MAX_BYTES_PER_STATION`]).
 //!
 //! Correctness rides along: every run must deliver every datagram, and
 //! the merged delivery trace must be byte-identical across *all* shard
@@ -110,23 +110,22 @@ pub struct E12Result {
     pub lookahead: &'static str,
     /// One row per swept worker count.
     pub rows: Vec<E12Row>,
-    /// Σ path-table heap bytes over every bridge (SoA layout).
+    /// Σ path-table heap bytes over every bridge.
     pub table_bytes: usize,
-    /// What the pre-PR-10 AoS slot layout would spend on the same
-    /// geometry.
-    pub table_bytes_aos: usize,
 }
+
+/// Ceiling on [`E12Result::bytes_per_station`]: the quick geometry's
+/// figure (82,124 B at PR 14) plus 2 %. One station per rack is the
+/// worst case E12 runs — each bridge's fixed costs (minimum table
+/// geometry, wheel spine) are spread over the fewest stations — so
+/// fuller fabrics sit well under it (55,892 B at 16 hosts per edge).
+pub const MAX_BYTES_PER_STATION: f64 = 83_800.0;
 
 impl E12Result {
     /// The headline footprint figure: table heap bytes per attached
     /// station.
     pub fn bytes_per_station(&self) -> f64 {
         self.table_bytes as f64 / self.hosts.max(1) as f64
-    }
-
-    /// The AoS yardstick, per station.
-    pub fn aos_bytes_per_station(&self) -> f64 {
-        self.table_bytes_aos as f64 / self.hosts.max(1) as f64
     }
 }
 
@@ -167,7 +166,7 @@ fn scenario(params: &E12Params) -> (TopoBuilder, FatTree, SimTime) {
 /// first run's bridges (the geometry is identical at every point).
 pub fn run(params: &E12Params) -> E12Result {
     let mut rows = Vec::new();
-    let mut footprint: Option<(usize, usize, usize)> = None; // (bridges, soa, aos)
+    let mut footprint: Option<(usize, usize)> = None; // (bridges, table bytes)
     let mut hosts = 0;
     for &requested in &params.shard_counts {
         let (t, ft, deadline) = scenario(params);
@@ -209,7 +208,7 @@ pub fn run(params: &E12Params) -> E12Result {
             sent,
         });
     }
-    let (bridges, table_bytes, table_bytes_aos) = footprint.expect("shard_counts must be nonempty");
+    let (bridges, table_bytes) = footprint.expect("shard_counts must be nonempty");
     E12Result {
         k: params.k,
         hosts,
@@ -217,24 +216,15 @@ pub fn run(params: &E12Params) -> E12Result {
         lookahead: if params.use_matrix { "matrix" } else { "global" },
         rows,
         table_bytes,
-        table_bytes_aos,
     }
 }
 
-/// Σ (SoA heap bytes, AoS-equivalent bytes) over every bridge's path
-/// table.
+/// Σ heap bytes over every bridge's path table.
 fn table_footprint<'a>(
     bridges: usize,
     arppath: impl Fn(BridgeIx) -> &'a ArpPathBridge,
-) -> (usize, usize, usize) {
-    let mut soa = 0;
-    let mut aos = 0;
-    for ix in 0..bridges {
-        let b = arppath(BridgeIx(ix));
-        soa += b.table_heap_bytes();
-        aos += b.table_heap_bytes_aos_equivalent();
-    }
-    (bridges, soa, aos)
+) -> (usize, usize) {
+    (bridges, (0..bridges).map(|ix| arppath(BridgeIx(ix)).table_heap_bytes()).sum())
 }
 
 /// The merged, timestamp-sorted delivery trace of one run at `shards`
@@ -285,10 +275,10 @@ pub fn verify_delivery(result: &E12Result) -> bool {
     !result.rows.is_empty() && result.rows.iter().all(|r| r.sent > 0 && r.delivered == r.sent)
 }
 
-/// The footprint half of the acceptance bar: the SoA planes cost less
-/// per station than the AoS layout they replaced.
+/// The footprint half of the acceptance bar: the path tables stay
+/// under [`MAX_BYTES_PER_STATION`].
 pub fn verify_footprint(result: &E12Result) -> bool {
-    result.table_bytes < result.table_bytes_aos
+    result.bytes_per_station() <= MAX_BYTES_PER_STATION
 }
 
 /// Render the scaling table.
@@ -319,14 +309,9 @@ pub fn footprint_table(result: &E12Result) -> Table {
         &["layout", "total bytes", "bytes/station"],
     );
     t.row(&[
-        "SoA planes (PR 10)".into(),
+        "SoA planes, 8-byte cells".into(),
         result.table_bytes.to_string(),
         format!("{:.0}", result.bytes_per_station()),
-    ]);
-    t.row(&[
-        "AoS slots (pre-PR)".into(),
-        result.table_bytes_aos.to_string(),
-        format!("{:.0}", result.aos_bytes_per_station()),
     ]);
     t
 }

@@ -14,7 +14,8 @@
 //! charity.
 
 use arppath_netsim::{CalendarQueue, SimDuration, SimTime};
-use arppath_switch::{AgingMap, DLeftTable};
+use arppath_switch::wheel::{TimerEntry, TimerWheel, DEFAULT_TICK_SHIFT};
+use arppath_switch::{bucket_bits_for, AgingMap, DLeftTable};
 use arppath_wire::MacAddr;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -288,6 +289,120 @@ pub fn heap_dense() -> DenseChurn<BinaryHeap<Reverse<ByOrd>>> {
     DenseChurn::new(BinaryHeap::new())
 }
 
+/// Stations in the refresh fixtures: what one `k8_unicast` bridge
+/// holds, at the geometry the fabric builder would give it.
+pub const REFRESH_ENTRIES: usize = 1_000;
+
+/// A table of [`REFRESH_ENTRIES`] live MACs and the shuffled order to
+/// visit them in — the unicast data path's working set, where every
+/// frame hits and then refreshes an entry.
+pub fn refresh_fixture() -> (DLeftTable<MacAddr, u32>, Vec<MacAddr>) {
+    let mut t = DLeftTable::with_bucket_bits(bucket_bits_for(REFRESH_ENTRIES));
+    for i in 0..REFRESH_ENTRIES as u32 {
+        t.insert(MacAddr::from_index(1, i), i, far());
+    }
+    (t, key_schedule(REFRESH_ENTRIES, false))
+}
+
+/// Hit-then-refresh by key, the way the bridge did it before slot
+/// handles: `get` finds the entry, `touch` finds it again.
+pub fn dleft_get_touch(t: &mut DLeftTable<MacAddr, u32>, keys: &[MacAddr], now: SimTime) -> u64 {
+    let expires = now + SimDuration::secs(120);
+    let mut acc = 0;
+    for k in keys {
+        if let Some(&v) = t.get(k, now) {
+            acc += u64::from(v);
+            t.touch(k, expires, now);
+        }
+    }
+    acc
+}
+
+/// The same hit-then-refresh on one probe: find the slot once, read
+/// and extend it through the handle.
+pub fn dleft_probe_refresh(
+    t: &mut DLeftTable<MacAddr, u32>,
+    keys: &[MacAddr],
+    now: SimTime,
+) -> u64 {
+    let expires = now + SimDuration::secs(120);
+    let mut acc = 0;
+    for k in keys {
+        if let Some(slot) = t.probe(k, now) {
+            acc += u64::from(*t.value_at(slot));
+            t.touch_at(slot, expires);
+        }
+    }
+    acc
+}
+
+/// Deadlines standing in the wheel fixtures: one lock per station of a
+/// `k16_perm` bridge.
+pub const WHEEL_DEADLINES: u32 = 1_024;
+/// How far out they sit: the default lock time.
+const WHEEL_HORIZON: SimDuration = SimDuration::millis(500);
+/// Ticks per idle advance: the 137 µs between one host's ARP flood
+/// and the next reaching a `k16_perm` bridge. At that step an advance
+/// covers ~72 buckets — all of level 0, three of level 1, the cursor's
+/// own on each level above — and on the measured run found every one
+/// of them empty, 335 k times.
+pub const WHEEL_IDLE_STEP_TICKS: u64 = 134;
+
+/// A wheel holding [`WHEEL_DEADLINES`] deadlines half a second out,
+/// stepped forward [`WHEEL_IDLE_STEP_TICKS`] at a time: the scrub a
+/// flooding bridge runs before every insert, which has nothing to
+/// deliver until the locks start expiring.
+pub struct IdleWheel {
+    wheel: TimerWheel,
+    tick: u64,
+    due: Vec<TimerEntry>,
+}
+
+impl IdleWheel {
+    /// The wheel at t = 0 with its deadlines filed.
+    pub fn new() -> Self {
+        let mut wheel = TimerWheel::default();
+        wheel_insert(&mut wheel, SimTime::ZERO);
+        IdleWheel { wheel, tick: 0, due: Vec::new() }
+    }
+
+    /// Advance `calls` steps; returns how many entries came due (none,
+    /// while the fixture stays inside its horizon — see
+    /// [`IdleWheel::calls_left`]).
+    pub fn run(&mut self, calls: u64) -> u64 {
+        for _ in 0..calls {
+            self.tick += WHEEL_IDLE_STEP_TICKS;
+            self.wheel.advance(SimTime(self.tick << DEFAULT_TICK_SHIFT), &mut self.due);
+        }
+        self.due.len() as u64
+    }
+
+    /// Steps left before the first deadline comes due.
+    pub fn calls_left(&self) -> u64 {
+        let horizon = WHEEL_HORIZON.as_nanos() >> DEFAULT_TICK_SHIFT;
+        horizon.saturating_sub(self.tick) / WHEEL_IDLE_STEP_TICKS
+    }
+}
+
+impl Default for IdleWheel {
+    fn default() -> Self {
+        IdleWheel::new()
+    }
+}
+
+/// Empty `wheel` and file [`WHEEL_DEADLINES`] deadlines
+/// `WHEEL_HORIZON` past `now`, a nanosecond apart — the yardstick an
+/// idle advance is held against: looking at an idle wheel must not
+/// cost more than a few filings into it.
+pub fn wheel_insert(wheel: &mut TimerWheel, now: SimTime) -> u64 {
+    wheel.clear();
+    let first = now + WHEEL_HORIZON;
+    for i in 0..WHEEL_DEADLINES {
+        wheel.insert(first + SimDuration::nanos(u64::from(i)), i, 0);
+    }
+    wheel.len() as u64
+}
+
 /// Every micro-measurement as `(key, median ns/op)` pairs — the
 /// `micro_ns` section of the bench-trajectory JSON.
 pub fn measure_all() -> Vec<(&'static str, f64)> {
@@ -343,6 +458,27 @@ pub fn measure_all() -> Vec<(&'static str, f64)> {
     let (mut calq, mut heap) = (calq_dense(), heap_dense());
     out.push(("calq_dense_ns", median_ns_per_op(dense_ops, || calq.run(1024))));
     out.push(("heap_dense_ns", median_ns_per_op(dense_ops, || heap.run(1024))));
+    // One probe per frame against two: the unicast hit-then-refresh.
+    let (mut table, keys) = refresh_fixture();
+    out.push((
+        "dleft_get_touch_ns",
+        median_ns_per_op(keys.len(), || dleft_get_touch(&mut table, &keys, now)),
+    ));
+    out.push((
+        "dleft_probe_refresh_ns",
+        median_ns_per_op(keys.len(), || dleft_probe_refresh(&mut table, &keys, now)),
+    ));
+    // O(1) idle aging: an advance over ~72 empty buckets against the
+    // cost of filing one deadline. Every sample must stay idle.
+    let mut wheel = TimerWheel::default();
+    out.push((
+        "wheel_insert_ns",
+        median_ns_per_op(WHEEL_DEADLINES as usize, || wheel_insert(&mut wheel, now)),
+    ));
+    let mut idle = IdleWheel::new();
+    let calls = idle.calls_left() / (SAMPLES as u64 + 1);
+    out.push(("wheel_idle_advance_ns", median_ns_per_op(calls as usize, || idle.run(calls))));
+    assert_eq!(idle.run(0), 0, "the idle-advance fixture ran past its horizon");
     out
 }
 
@@ -369,6 +505,32 @@ mod tests {
     fn churn_cycles_agree_on_checksums() {
         assert_eq!(calq_churn(1024), heap_churn(1024), "same schedule, same drain order");
         assert_eq!(calq_dense().run(1024), heap_dense().run(1024), "same schedule, same order");
+    }
+
+    #[test]
+    fn refresh_paths_agree_and_extend_every_entry() {
+        let (mut keyed, keys) = refresh_fixture();
+        let (mut probed, _) = refresh_fixture();
+        let now = SimTime(5);
+        let sum: u64 = (0..REFRESH_ENTRIES as u64).sum();
+        assert_eq!(dleft_get_touch(&mut keyed, &keys, now), sum);
+        assert_eq!(dleft_probe_refresh(&mut probed, &keys, now), sum);
+        let refreshed = now + SimDuration::secs(120);
+        for k in &keys {
+            // `far()` is already later: a refresh never shortens.
+            assert_eq!(keyed.peek_aged(k, now).unwrap().expires, far().max(refreshed));
+            assert_eq!(probed.peek_aged(k, now).unwrap().expires, far().max(refreshed));
+        }
+    }
+
+    #[test]
+    fn idle_wheel_stays_idle_for_its_whole_horizon() {
+        let mut idle = IdleWheel::new();
+        let calls = idle.calls_left();
+        assert!(calls > 3_000, "room for the warm-up and every sample: {calls}");
+        assert_eq!(idle.run(calls), 0, "nothing due inside the horizon");
+        assert_eq!(idle.calls_left(), 0);
+        assert_eq!(idle.run(1), u64::from(WHEEL_DEADLINES), "and everything just past it");
     }
 
     /// A calendar queue that notes every drained cohort's instant and

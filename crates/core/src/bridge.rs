@@ -32,10 +32,10 @@
 
 use crate::config::ArpPathConfig;
 use crate::counters::ArpPathCounters;
-use crate::entry::{EntryState, PathEntry};
+use crate::entry::{EntryState, PackedEntry, PathEntry, MAX_PORTS};
 use arppath_netsim::{PortNo, SimTime, TimerToken};
 use arppath_switch::{
-    AgingMap, DLeftTable, DropReason, LogicEnv, ProcessingClass, SwitchCounters, SwitchLogic,
+    AgingMap, DLeftTable, DropReason, LogicEnv, ProcessingClass, Slot, SwitchCounters, SwitchLogic,
 };
 use arppath_wire::{ArpOp, ArpPacket, EthernetFrame, MacAddr, PathCtl, PathCtlKind, Payload};
 use std::net::Ipv4Addr;
@@ -64,8 +64,9 @@ pub struct ArpPathBridge {
     /// The path table: station MAC → (port, Locked/Learnt). This is
     /// the structure the paper implements in NetFPGA block RAM: a
     /// fixed-geometry d-left hash table with background aging (the
-    /// [`AgingMap`] oracle remains the reference semantics).
-    table: DLeftTable<MacAddr, PathEntry>,
+    /// [`AgingMap`] oracle remains the reference semantics). Entries
+    /// are stored packed, one word each.
+    table: DLeftTable<MacAddr, PackedEntry>,
     /// Per-port instant until which the port counts as *core*
     /// (a neighbouring bridge's hello was heard recently).
     core_until: Vec<SimTime>,
@@ -82,7 +83,8 @@ pub struct ArpPathBridge {
     /// concurrent wave or its reply, but a late copy of an old wave
     /// must still be recognized and discarded, or it re-floods.
     seen_waves: AgingMap<(MacAddr, u32), PortNo>,
-    /// Proxy cache: IP → MAC gleaned from ARP traffic.
+    /// Proxy cache: IP → MAC gleaned from ARP traffic. Filled only
+    /// when [`ArpPathConfig::proxy`] is on — nothing else reads it.
     proxy_cache: AgingMap<Ipv4Addr, MacAddr>,
     counters: SwitchCounters,
     ap: ArpPathCounters,
@@ -92,12 +94,18 @@ impl ArpPathBridge {
     /// Create a bridge named `name` with `num_ports` ports. `mac` is
     /// the bridge's own address (control-message origin; never learned
     /// by peers, since path state is only created for hosts).
+    ///
+    /// # Panics
+    ///
+    /// With more than 65,536 ports: a path-table entry names its port
+    /// in 16 bits.
     pub fn new(
         name: impl Into<String>,
         mac: MacAddr,
         num_ports: usize,
         config: ArpPathConfig,
     ) -> Self {
+        assert!(num_ports <= MAX_PORTS, "{num_ports} ports do not fit a path-table entry");
         ArpPathBridge {
             name: name.into(),
             mac,
@@ -127,7 +135,7 @@ impl ArpPathBridge {
 
     /// Live path-table entry for `mac` (inspection; does not mutate).
     pub fn entry_of(&self, mac: MacAddr, now: SimTime) -> Option<PathEntry> {
-        self.table.peek(&mac, now).copied()
+        self.table.peek(&mac, now).map(|packed| packed.unpack())
     }
 
     /// Number of (possibly stale) table entries.
@@ -157,10 +165,10 @@ impl ArpPathBridge {
         self.table.heap_bytes()
     }
 
-    /// What the pre-PR-10 array-of-structs slot layout would spend on
-    /// the same geometry — the yardstick for the SoA footprint gate.
-    pub fn table_heap_bytes_aos_equivalent(&self) -> usize {
-        self.table.heap_bytes_aos_equivalent()
+    /// Entries in the proxy IP → MAC cache (possibly stale ones
+    /// included); stays zero on a bridge whose proxy is off.
+    pub fn proxy_cache_len(&self) -> usize {
+        self.proxy_cache.len()
     }
 
     /// Churn/aging instrumentation snapshot of the path table
@@ -181,9 +189,37 @@ impl ArpPathBridge {
 
     // ---- table helpers ----
 
-    /// Insert honouring the optional hardware capacity bound. Existing
-    /// keys always replace in place; new keys are refused when the
-    /// table is full even after sweeping expired entries.
+    /// Live entry for `mac`, expired ones vacated on the way.
+    fn lookup(&mut self, mac: MacAddr, now: SimTime) -> Option<PathEntry> {
+        self.table.get(&mac, now).map(|packed| packed.unpack())
+    }
+
+    /// One walk of the table for `mac`: its live entry and the slot
+    /// handle to refresh or rewrite it through, so a frame pays for
+    /// one probe per address however much it then does to the entry.
+    fn probe(&mut self, mac: MacAddr, now: SimTime) -> Option<(Slot, PathEntry)> {
+        let slot = self.table.probe(&mac, now)?;
+        Some((slot, self.table.value_at(slot).unpack()))
+    }
+
+    /// Whether the optional hardware capacity bound admits one more
+    /// key, sweeping expired entries first if it looks full; counts the
+    /// rejection otherwise.
+    fn has_room(&mut self, now: SimTime) -> bool {
+        let Some(cap) = self.config.table_capacity else { return true };
+        if self.table.len() >= cap {
+            self.table.sweep(now);
+            if self.table.len() >= cap {
+                self.ap.table_full_rejections += 1;
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Insert honouring the capacity bound. Existing keys always
+    /// replace in place; new keys are refused when the table is full
+    /// even after sweeping expired entries.
     fn try_insert(
         &mut self,
         mac: MacAddr,
@@ -191,16 +227,11 @@ impl ArpPathBridge {
         expires: SimTime,
         now: SimTime,
     ) -> bool {
-        if let Some(cap) = self.config.table_capacity {
-            if self.table.peek(&mac, now).is_none() && self.table.len() >= cap {
-                self.table.sweep(now);
-                if self.table.len() >= cap {
-                    self.ap.table_full_rejections += 1;
-                    return false;
-                }
-            }
+        let bounded = self.config.table_capacity.is_some();
+        if bounded && self.table.peek(&mac, now).is_none() && !self.has_room(now) {
+            return false;
         }
-        self.table.insert(mac, entry, expires);
+        self.table.insert(mac, entry.into(), expires);
         true
     }
 
@@ -226,24 +257,25 @@ impl ArpPathBridge {
             match self.seen_waves.get(&(src, n), now).copied() {
                 None => {
                     self.seen_waves.insert((src, n), port, lock_expiry);
-                    match self.table.get(&src, now).copied() {
-                        Some(e) if e.port == port => {
+                    let lock = PathEntry::repair_locked(port, n);
+                    match self.probe(src, now) {
+                        Some((slot, e)) if e.port == port => {
                             // The entry already points where this wave's
                             // winner came from — possibly confirmed and
                             // long-lived. Keep it (downgrading it to a
                             // short lock would seed an expiry miss);
                             // just make sure it survives the episode.
-                            let expiry = match e.state {
-                                EntryState::Locked => lock_expiry,
-                                EntryState::Learnt => now + self.config.learn_time,
-                            };
-                            self.table.touch(&src, expiry, now);
+                            self.table.touch_at(slot, self.refreshed_expiry(e, now));
                         }
-                        _ => {
-                            // First copy: take the entry over, displacing
-                            // stale learnt state (the very thing repair
-                            // exists to fix) or older waves.
-                            self.table.insert(src, PathEntry::repair_locked(port, n), lock_expiry);
+                        // First copy: take the entry over, displacing
+                        // stale learnt state (the very thing repair
+                        // exists to fix) or older waves.
+                        Some((slot, _)) => {
+                            self.table.replace_at(slot, lock.into(), lock_expiry);
+                            self.ap.locks_created += 1;
+                        }
+                        None => {
+                            self.table.insert_absent(src, lock.into(), lock_expiry);
                             self.ap.locks_created += 1;
                         }
                     }
@@ -262,9 +294,10 @@ impl ArpPathBridge {
                 }
             }
         }
-        match self.table.get(&src, now).copied() {
+        match self.probe(src, now) {
             None => {
-                if self.try_insert(src, PathEntry::locked(port), lock_expiry, now) {
+                if self.has_room(now) {
+                    self.table.insert_absent(src, PathEntry::locked(port).into(), lock_expiry);
                     self.ap.locks_created += 1;
                     true
                 } else {
@@ -272,13 +305,9 @@ impl ArpPathBridge {
                     false
                 }
             }
-            Some(e) if e.port == port => {
+            Some((slot, e)) if e.port == port => {
                 // Same port as the standing entry: a retry or refresh.
-                let expiry = match e.state {
-                    EntryState::Locked => lock_expiry,
-                    EntryState::Learnt => now + self.config.learn_time,
-                };
-                self.table.touch(&src, expiry, now);
+                self.table.touch_at(slot, self.refreshed_expiry(e, now));
                 true
             }
             Some(_) => {
@@ -288,6 +317,15 @@ impl ArpPathBridge {
                 self.counters.drop_frame(DropReason::LostRace);
                 false
             }
+        }
+    }
+
+    /// The expiry a standing entry is refreshed to: its own state's
+    /// lifetime from `now`.
+    fn refreshed_expiry(&self, entry: PathEntry, now: SimTime) -> SimTime {
+        match entry.state {
+            EntryState::Locked => now + self.config.lock_time,
+            EntryState::Learnt => now + self.config.learn_time,
         }
     }
 
@@ -302,11 +340,11 @@ impl ArpPathBridge {
         if !self.accept_discovery(frame.src, port, DiscoveryKind::HostBroadcast, now) {
             return ProcessingClass::Hardware;
         }
-        // Snoop the sender mapping for the proxy cache.
-        if arp.sha.is_unicast() {
-            self.proxy_cache.insert(arp.spa, arp.sha, now + self.config.proxy_cache_time);
-        }
         if self.config.proxy {
+            // Snoop the sender mapping for the proxy cache.
+            if arp.sha.is_unicast() {
+                self.proxy_cache.insert(arp.spa, arp.sha, now + self.config.proxy_cache_time);
+            }
             // Answer locally iff we know the mapping *and* hold a live
             // confirmed path to the target — the ARP-Path + EtherProxy
             // combination (§2.2, ref [5]): the suppressed flood is only
@@ -314,7 +352,7 @@ impl ArpPathBridge {
             // forwarded from here.
             if let Some(&target_mac) = self.proxy_cache.get(&arp.tpa, now) {
                 let has_path =
-                    self.table.get(&target_mac, now).is_some_and(|e| e.state == EntryState::Learnt);
+                    self.lookup(target_mac, now).is_some_and(|e| e.state == EntryState::Learnt);
                 if has_path {
                     let reply = ArpPacket::reply_to(&arp, target_mac, arp.tpa);
                     env.transmit(port, EthernetFrame::arp_reply(reply));
@@ -341,7 +379,7 @@ impl ArpPathBridge {
         env: &mut LogicEnv,
     ) -> ProcessingClass {
         let now = env.now();
-        if arp.sha.is_unicast() {
+        if self.config.proxy && arp.sha.is_unicast() {
             self.proxy_cache.insert(arp.spa, arp.sha, now + self.config.proxy_cache_time);
         }
         // The replier D is reachable via the reply's ingress port.
@@ -358,28 +396,22 @@ impl ArpPathBridge {
         env: &mut LogicEnv,
     ) -> ProcessingClass {
         let now = env.now();
-        match self.table.get(&frame.dst, now).copied() {
-            Some(e) if e.port == port => {
+        let learnt_expiry = now + self.config.learn_time;
+        match self.probe(frame.dst, now) {
+            Some((_, e)) if e.port == port => {
                 self.counters.drop_frame(DropReason::NoPath);
                 ProcessingClass::Hardware
             }
-            Some(e) => {
+            Some((slot, e)) => {
                 if e.state == EntryState::Locked {
                     // Promote, preserving the wave stamp: a late copy
                     // of the discovery flood that produced this reply
                     // must still be recognized as a race loser.
-                    self.table.insert(
-                        frame.dst,
-                        PathEntry {
-                            port: e.port,
-                            state: EntryState::Learnt,
-                            flood_nonce: e.flood_nonce,
-                        },
-                        now + self.config.learn_time,
-                    );
+                    let promoted = PathEntry { state: EntryState::Learnt, ..e };
+                    self.table.replace_at(slot, promoted.into(), learnt_expiry);
                     self.ap.promotions += 1;
                 } else {
-                    self.table.touch(&frame.dst, now + self.config.learn_time, now);
+                    self.table.touch_at(slot, learnt_expiry);
                 }
                 self.counters.forwarded += 1;
                 env.transmit(e.port, frame);
@@ -403,26 +435,27 @@ impl ArpPathBridge {
         env: &mut LogicEnv,
     ) -> ProcessingClass {
         let now = env.now();
+        let learnt_expiry = now + self.config.learn_time;
         if self.config.refresh_on_data {
             // A frame from S on S's own entry port proves the path is
             // in use: refresh confirmed entries.
-            if let Some(e) = self.table.get(&frame.src, now).copied() {
+            if let Some((slot, e)) = self.probe(frame.src, now) {
                 if e.port == port && e.state == EntryState::Learnt {
-                    self.table.touch(&frame.src, now + self.config.learn_time, now);
+                    self.table.touch_at(slot, learnt_expiry);
                 }
             }
         }
-        match self.table.get(&frame.dst, now).copied() {
-            Some(e) if e.port == port => {
+        match self.probe(frame.dst, now) {
+            Some((_, e)) if e.port == port => {
                 self.counters.drop_frame(DropReason::NoPath);
                 ProcessingClass::Hardware
             }
-            Some(e) => {
+            Some((slot, e)) => {
                 if self.config.refresh_on_data && e.state == EntryState::Learnt {
                     // A lookup hit refreshes the entry (the hardware
                     // hit-bit): one-way flows keep their path alive in
                     // both tables.
-                    self.table.touch(&frame.dst, now + self.config.learn_time, now);
+                    self.table.touch_at(slot, learnt_expiry);
                 }
                 self.counters.forwarded += 1;
                 env.transmit(e.port, frame);
@@ -479,7 +512,7 @@ impl ArpPathBridge {
         }
         let nonce = self.next_nonce();
         self.recent_repairs.insert((src, dst), nonce, now + self.config.repair_hold);
-        let Some(src_entry) = self.table.get(&src, now).copied() else {
+        let Some(src_entry) = self.lookup(src, now) else {
             // We cannot even route a PathFail toward the source; give
             // up and let host-level timeouts recover.
             return;
@@ -506,7 +539,7 @@ impl ArpPathBridge {
         env: &mut LogicEnv,
     ) {
         let now = env.now();
-        if let Some(e) = self.table.get(&dst, now).copied() {
+        if let Some(e) = self.lookup(dst, now) {
             if self.is_edge_port(e.port, now) {
                 // Source and destination are both our edge stations;
                 // our own table already carries the (one-bridge) path,
@@ -516,7 +549,7 @@ impl ArpPathBridge {
         }
         // Pin the source's entry as confirmed on its edge port for the
         // duration of the episode.
-        self.table.insert(src, PathEntry::learnt(src_port), now + self.config.learn_time);
+        self.table.insert(src, PathEntry::learnt(src_port).into(), now + self.config.learn_time);
         let ctl = PathCtl::request(src, dst, self.mac, nonce);
         // Spoof the source host so the flood locks `src`, exactly as an
         // ARP Request from the host would.
@@ -534,7 +567,7 @@ impl ArpPathBridge {
     ) {
         self.ap.path_fails_rx += 1;
         let now = env.now();
-        let Some(src_entry) = self.table.get(&ctl.src_host, now).copied() else {
+        let Some(src_entry) = self.lookup(ctl.src_host, now) else {
             self.counters.drop_frame(DropReason::NoPath);
             return;
         };
@@ -581,8 +614,7 @@ impl ArpPathBridge {
         }
         // Are we the destination's edge bridge? Then answer on its
         // behalf — the host never participates.
-        let dst_entry = self.table.get(&ctl.dst_host, now).copied();
-        if let Some(e) = dst_entry {
+        if let Some(e) = self.lookup(ctl.dst_host, now) {
             if e.state == EntryState::Learnt && self.is_edge_port(e.port, now) {
                 let reply = PathCtl::reply(ctl.src_host, ctl.dst_host, self.mac, ctl.nonce);
                 let reply_frame =
@@ -622,27 +654,24 @@ impl ArpPathBridge {
             now + self.config.learn_time,
             now,
         );
-        match self.table.get(&ctl.src_host, now).copied() {
-            Some(e) if e.port == port => {
+        match self.probe(ctl.src_host, now) {
+            Some((_, e)) if e.port == port => {
                 self.counters.drop_frame(DropReason::NoPath);
             }
-            Some(e) => {
+            Some((slot, e)) => {
                 if e.state == EntryState::Locked {
-                    self.table.insert(
-                        ctl.src_host,
-                        PathEntry {
-                            port: e.port,
-                            state: EntryState::Learnt,
-                            // Keep the wave stamp across promotion (see
-                            // above; the reply usually carries the same
-                            // nonce the lock already holds).
-                            flood_nonce: e.flood_nonce.or(Some(ctl.nonce)),
-                        },
-                        now + self.config.learn_time,
-                    );
+                    let promoted = PathEntry {
+                        port: e.port,
+                        state: EntryState::Learnt,
+                        // Keep the wave stamp across promotion (see
+                        // above; the reply usually carries the same
+                        // nonce the lock already holds).
+                        flood_nonce: e.flood_nonce.or(Some(ctl.nonce)),
+                    };
+                    self.table.replace_at(slot, promoted.into(), now + self.config.learn_time);
                     self.ap.promotions += 1;
                 } else {
-                    self.table.touch(&ctl.src_host, now + self.config.learn_time, now);
+                    self.table.touch_at(slot, now + self.config.learn_time);
                 }
                 if self.is_edge_port(e.port, now) {
                     // We are the source's edge: the repair is complete;
@@ -752,7 +781,7 @@ impl SwitchLogic for ArpPathBridge {
             // dead port so the next unicast triggers repair instead of
             // black-holing until expiry.
             let before = self.table.len();
-            self.table.retain(|_, e| e.port != port);
+            self.table.retain(|_, e| e.port() != port);
             self.ap.link_down_flushes += (before - self.table.len()) as u64;
             self.core_until[port.0] = SimTime::ZERO;
         }
@@ -1216,6 +1245,30 @@ mod tests {
         assert_eq!(out.len(), 3, "unknown mapping floods normally");
         assert_eq!(br.ap_counters().proxy_passthrough, 1);
         assert_eq!(br.ap_counters().proxy_replies, 0);
+    }
+
+    #[test]
+    fn proxy_off_bridge_keeps_no_proxy_cache() {
+        // Nothing reads the cache when the proxy is off, so ARP traffic
+        // — winning requests and replies alike — must not fill it.
+        let mut br = mk(ArpPathConfig::default());
+        for i in 1..=20u32 {
+            feed(&mut br, (i % 3) as usize, arp_request_frame(i, 99), SimTime(u64::from(i)));
+            feed(&mut br, 3, arp_reply_frame(99, i), SimTime(1_000 + u64::from(i)));
+        }
+        assert!(br.ap_counters().arp_request_floods >= 20);
+        assert_eq!(br.proxy_cache_len(), 0);
+        // The same traffic through a proxy-on bridge does fill it.
+        let mut proxy = mk(ArpPathConfig::default().with_proxy());
+        feed(&mut proxy, 0, arp_request_frame(1, 99), SimTime(1));
+        feed(&mut proxy, 3, arp_reply_frame(99, 1), SimTime(1_001));
+        assert_eq!(proxy.proxy_cache_len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit a path-table entry")]
+    fn more_ports_than_an_entry_can_name_are_refused() {
+        ArpPathBridge::new("wide", bridge_mac(), 65_537, ArpPathConfig::default());
     }
 
     #[test]

@@ -910,7 +910,7 @@ impl Network {
         state.transmitting = true;
         state.busy_until = done_at;
         state.in_flight_len = frame.wire_len() as u32;
-        state.stats.busy = state.stats.busy + ser;
+        state.busy = state.busy + ser;
         state.done_scheduled = !state.queue.is_empty() || state.pause_asserted;
         if state.done_scheduled {
             self.push_at(done_at, EventKind::TxDone { link: link_id, dir, epoch });

@@ -2,6 +2,26 @@
 //! configurable transmit queueing — the three delay terms whose sum the
 //! ARP race minimizes, plus the congestion machinery (finite queues,
 //! PFC pause/resume) that experiment E9 studies.
+//!
+//! # Layout
+//!
+//! Every frame hop reads link state twice — once to send, once to
+//! deliver — and a fabric has thousands of links, so each read is a
+//! cache miss. [`Link`] and its per-direction state are therefore laid
+//! out (`repr(C)`, 64-byte aligned) so that a hop touches as few lines
+//! as it can:
+//!
+//! * the link's **shared line** — `a`, `b`, `epoch`, `up`, bandwidth,
+//!   propagation — is all a delivery reads, and the first of the two
+//!   lines a send reads;
+//! * each direction's **hot line** — `busy_until`, the busy/frame/byte
+//!   counters every transmission bumps, the in-flight length, the five
+//!   state flags and the queued byte count — is the other.
+//!
+//! The queue's `VecDeque`, its policy, the pause bookkeeping and the
+//! counters that only move on drops and pauses sit behind those and
+//! are touched only when a frame actually queues, drops or pauses. The
+//! `layout` tests pin the offsets.
 
 use crate::device::{NodeId, PortNo};
 use crate::time::{SimDuration, SimTime};
@@ -156,12 +176,17 @@ pub enum Admission {
 /// public so the drop-tail property suite
 /// (`crates/netsim/tests/queue_oracle.rs`) can exercise the real
 /// admission logic against a naive reference model.
+///
+/// The byte count comes first so that it lands on the owning
+/// direction's hot line (see the module docs): emptiness is read from
+/// it, not from the `VecDeque` behind it.
 #[derive(Debug, Default)]
+#[repr(C)]
 pub struct PortQueue {
-    policy: QueuePolicy,
-    queue: VecDeque<EthernetFrame>,
     bytes: usize,
     peak_bytes: usize,
+    policy: QueuePolicy,
+    queue: VecDeque<EthernetFrame>,
 }
 
 impl PortQueue {
@@ -180,9 +205,11 @@ impl PortQueue {
         self.queue.len()
     }
 
-    /// True when no frames are queued.
+    /// True when no frames are queued. Read off the byte count — every
+    /// frame is at least 60 bytes on the wire — so the check stays on
+    /// the line the transmitter state shares.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.bytes == 0
     }
 
     /// Bytes of frame data (wire length) currently queued.
@@ -236,8 +263,10 @@ impl PortQueue {
     }
 }
 
-/// Physical parameters of a link.
+/// Physical parameters of a link. The two every transmission reads
+/// come first, so they close [`Link`]'s shared line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
 pub struct LinkParams {
     /// Line rate in bits per second (default 1 Gbit/s, the NetFPGA demo
     /// rate).
@@ -334,6 +363,21 @@ pub struct DirStats {
     pub dropped_watchdog: u64,
 }
 
+/// The [`DirStats`] counters that move only when a frame drops or a
+/// pause starts, ends or times out — kept off the direction's hot
+/// line. (`busy`, `tx_frames` and `tx_bytes` move on every frame and
+/// live on it; [`Link::stats`] puts the two halves back together.)
+#[derive(Debug, Default)]
+pub(crate) struct RareStats {
+    pub dropped_queue_full: u64,
+    pub dropped_link_down: u64,
+    pub pause_events: u64,
+    pub paused_for: SimDuration,
+    pub peak_queue_bytes: u64,
+    pub watchdog_fires: u64,
+    pub dropped_watchdog: u64,
+}
+
 /// One direction's transmit state.
 ///
 /// A frame in flight is `transmitting` from `start_tx` until its
@@ -342,38 +386,49 @@ pub struct DirStats {
 /// has no event, and is applied ("settled") the next time anything
 /// reads this state at or after its canonical position
 /// `(busy_until, TxDone key)`, or at the next run boundary.
+///
+/// Field order is the layout (see the module docs): everything down to
+/// the queue's leading byte count is the hot line.
 #[derive(Debug, Default)]
+#[repr(C, align(64))]
 pub(crate) struct DirState {
+    /// When the in-flight frame's last bit leaves the MAC.
+    pub busy_until: SimTime,
+    /// Accumulated busy time of the transmitter ([`DirStats::busy`]).
+    pub busy: SimDuration,
+    /// Frames fully transmitted ([`DirStats::tx_frames`]).
+    pub tx_frames: u64,
+    /// Bytes fully transmitted ([`DirStats::tx_bytes`]).
+    pub tx_bytes: u64,
+    /// Wire length of the in-flight frame, credited to `tx_bytes` on
+    /// completion.
+    pub in_flight_len: u32,
     /// A frame's completion is outstanding (it may already be due —
     /// see `Network::settle`).
     pub transmitting: bool,
-    /// When the in-flight frame's last bit leaves the MAC.
-    pub busy_until: SimTime,
-    /// Wire length of the in-flight frame, credited to
-    /// [`DirStats::tx_bytes`] on completion.
-    pub in_flight_len: u32,
     /// A `TxDone` event is queued for the in-flight frame; otherwise
     /// its completion is elided.
     pub done_scheduled: bool,
     /// This direction is on the engine's list of elided completions to
     /// settle at the next run boundary.
     pub listed: bool,
-    /// Frames awaiting the transmitter, under the link's queue policy.
-    pub queue: PortQueue,
     /// Transmitter halted by a pause frame from the downstream device.
     /// An in-flight frame finishes; the next one waits for resume.
     pub paused: bool,
-    /// When the current pause began (for `DirStats::paused_for`).
-    pub pause_started: Option<SimTime>,
     /// This direction's queue has an unreleased pause asserted toward
     /// the devices feeding it (PFC policy only).
     pub pause_asserted: bool,
+    /// Frames awaiting the transmitter, under the link's queue policy.
+    /// Its byte count closes the hot line.
+    pub queue: PortQueue,
+    /// When the current pause began (for `DirStats::paused_for`).
+    pub pause_started: Option<SimTime>,
     /// Bumped every time a pause takes hold; a pending watchdog event
     /// carries the generation it was armed under and is ignored if the
     /// pause it guarded has since been released (or replaced).
     pub pause_gen: u64,
-    /// Counters.
-    pub stats: DirStats,
+    /// The drop and pause counters.
+    pub stats: RareStats,
 }
 
 impl DirState {
@@ -382,33 +437,37 @@ impl DirState {
     pub(crate) fn complete_tx(&mut self) {
         self.transmitting = false;
         self.done_scheduled = false;
-        self.stats.tx_frames += 1;
-        self.stats.tx_bytes += u64::from(self.in_flight_len);
+        self.tx_frames += 1;
+        self.tx_bytes += u64::from(self.in_flight_len);
     }
 }
 
 /// A full-duplex point-to-point link.
+///
+/// Field order is the layout (see the module docs): everything down to
+/// the first two fields of `params` is the shared line.
 #[derive(Debug)]
+#[repr(C, align(64))]
 pub struct Link {
     /// Endpoint A (first argument of the builder call).
     pub a: Endpoint,
     /// Endpoint B.
     pub b: Endpoint,
-    /// Physical parameters (shared by both directions).
-    pub params: LinkParams,
-    /// Administrative + operational state.
-    pub up: bool,
     /// Incremented on every state flip; in-flight deliveries carry the
     /// epoch they were launched under and are discarded if it changed
     /// (a cable cut loses the bits already on the wire).
     pub epoch: u64,
+    /// Administrative + operational state.
+    pub up: bool,
+    /// Physical parameters (shared by both directions).
+    pub params: LinkParams,
     pub(crate) dirs: [DirState; 2],
 }
 
 impl Link {
     pub(crate) fn new(a: Endpoint, b: Endpoint, params: LinkParams) -> Self {
         let dir = || DirState { queue: PortQueue::new(params.queue), ..Default::default() };
-        Link { a, b, params, up: true, epoch: 0, dirs: [dir(), dir()] }
+        Link { a, b, epoch: 0, up: true, params, dirs: [dir(), dir()] }
     }
 
     /// The endpoint a frame travelling in `dir` arrives at.
@@ -431,7 +490,19 @@ impl Link {
     /// completed serializations as of the last run boundary (the end
     /// of `run_until`, `run_until_idle`, `run_for` or `step`).
     pub fn stats(&self, dir: Dir) -> DirStats {
-        self.dirs[dir.index()].stats
+        let d = &self.dirs[dir.index()];
+        DirStats {
+            tx_frames: d.tx_frames,
+            tx_bytes: d.tx_bytes,
+            dropped_queue_full: d.stats.dropped_queue_full,
+            dropped_link_down: d.stats.dropped_link_down,
+            busy: d.busy,
+            pause_events: d.stats.pause_events,
+            paused_for: d.stats.paused_for,
+            peak_queue_bytes: d.stats.peak_queue_bytes,
+            watchdog_fires: d.stats.watchdog_fires,
+            dropped_watchdog: d.stats.dropped_watchdog,
+        }
     }
 
     /// Current depth of one direction's transmit queue as
@@ -461,7 +532,7 @@ impl Link {
 
     /// Combined counters of both directions.
     pub fn total_tx_frames(&self) -> u64 {
-        self.dirs[0].stats.tx_frames + self.dirs[1].stats.tx_frames
+        self.dirs[0].tx_frames + self.dirs[1].tx_frames
     }
 
     /// Utilization of the busier direction over `elapsed`, in [0, 1].
@@ -469,7 +540,7 @@ impl Link {
         if elapsed == SimDuration::ZERO {
             return 0.0;
         }
-        let busiest = self.dirs.iter().map(|d| d.stats.busy.as_nanos()).max().unwrap_or(0);
+        let busiest = self.dirs.iter().map(|d| d.busy.as_nanos()).max().unwrap_or(0);
         busiest as f64 / elapsed.as_nanos() as f64
     }
 }
@@ -489,6 +560,79 @@ mod tests {
                 Ipv4Addr::new(10, 0, 0, 2),
             ),
         )
+    }
+
+    /// The layout the module docs promise, pinned field by field.
+    mod layout {
+        use super::*;
+        use std::mem::{align_of, offset_of, size_of};
+
+        const LINE: usize = 64;
+
+        #[test]
+        fn a_send_and_a_delivery_read_one_shared_line_of_the_link() {
+            assert_eq!(align_of::<Link>(), LINE);
+            assert!(offset_of!(Link, a) + size_of::<Endpoint>() <= LINE);
+            assert!(offset_of!(Link, b) + size_of::<Endpoint>() <= LINE);
+            assert!(offset_of!(Link, epoch) + size_of::<u64>() <= LINE);
+            assert!(offset_of!(Link, up) + size_of::<bool>() <= LINE);
+            let params = offset_of!(Link, params);
+            assert!(params + offset_of!(LinkParams, bandwidth_bps) + size_of::<u64>() <= LINE);
+            assert!(
+                params + offset_of!(LinkParams, propagation) + size_of::<SimDuration>() <= LINE
+            );
+            // The directions start on lines of their own.
+            assert_eq!(offset_of!(Link, dirs) % LINE, 0);
+        }
+
+        #[test]
+        fn a_direction_keeps_everything_a_transmission_touches_on_one_line() {
+            assert_eq!(align_of::<DirState>(), LINE);
+            assert_eq!(size_of::<DirState>() % LINE, 0);
+            assert!(offset_of!(DirState, busy_until) + size_of::<SimTime>() <= LINE);
+            assert!(offset_of!(DirState, busy) + size_of::<SimDuration>() <= LINE);
+            assert!(offset_of!(DirState, tx_frames) + size_of::<u64>() <= LINE);
+            assert!(offset_of!(DirState, tx_bytes) + size_of::<u64>() <= LINE);
+            assert!(offset_of!(DirState, in_flight_len) + size_of::<u32>() <= LINE);
+            for flag in [
+                offset_of!(DirState, transmitting),
+                offset_of!(DirState, done_scheduled),
+                offset_of!(DirState, listed),
+                offset_of!(DirState, paused),
+                offset_of!(DirState, pause_asserted),
+            ] {
+                assert!(flag < LINE);
+            }
+            let queued_bytes = offset_of!(DirState, queue) + offset_of!(PortQueue, bytes);
+            assert!(queued_bytes + size_of::<usize>() <= LINE);
+            // What a hop does not need stays off the line.
+            assert!(offset_of!(DirState, queue) + offset_of!(PortQueue, queue) >= LINE);
+            assert!(offset_of!(DirState, stats) >= LINE);
+        }
+    }
+
+    #[test]
+    fn stats_reassemble_the_hot_and_rare_counters() {
+        let a = Endpoint { node: NodeId(0), port: PortNo(0) };
+        let b = Endpoint { node: NodeId(1), port: PortNo(0) };
+        let mut link = Link::new(a, b, LinkParams::default());
+        let d = &mut link.dirs[Dir::BtoA.index()];
+        d.in_flight_len = 60;
+        d.complete_tx();
+        d.busy = SimDuration::nanos(672);
+        d.stats.dropped_link_down = 3;
+        d.stats.peak_queue_bytes = 120;
+        let expected = DirStats {
+            tx_frames: 1,
+            tx_bytes: 60,
+            busy: SimDuration::nanos(672),
+            dropped_link_down: 3,
+            peak_queue_bytes: 120,
+            ..DirStats::default()
+        };
+        assert_eq!(link.stats(Dir::BtoA), expected);
+        assert_eq!(link.stats(Dir::AtoB), DirStats::default());
+        assert_eq!(link.total_tx_frames(), 1);
     }
 
     #[test]

@@ -85,6 +85,8 @@ proptest! {
             // The running byte counter never drifts from ground truth.
             prop_assert_eq!(q.bytes(), oracle.bytes());
             prop_assert_eq!(q.len(), oracle.frames.len());
+            // Emptiness is read off the byte counter, not the deque.
+            prop_assert_eq!(q.is_empty(), oracle.frames.is_empty());
         }
         // Drain: remaining contents identical, counters return to zero.
         while let Some(f) = q.pop() {
@@ -92,6 +94,46 @@ proptest! {
         }
         prop_assert_eq!(oracle.pop(), None);
         prop_assert_eq!(q.bytes(), 0);
+        prop_assert!(q.is_empty());
+    }
+
+    /// The same equivalence under PFC, whose queue is never refused an
+    /// enqueue and is emptied wholesale by `clear` (a link cut, a
+    /// `DrainAndDrop` watchdog): `is_empty()` ⇔ `len() == 0` after
+    /// every enqueue, pop and clear, and the pause/resume thresholds
+    /// read the same byte count.
+    #[test]
+    fn pfc_emptiness_follows_the_byte_count(
+        pause_frames in 1usize..8,
+        // 0–5: enqueue (pad), 6–8: pop, 9: clear.
+        ops in proptest::collection::vec((0u8..10, 0usize..1455), 1..200),
+    ) {
+        let pause_bytes = pause_frames * 600;
+        let mut q = PortQueue::new(QueuePolicy::pfc(pause_bytes));
+        let mut held: Vec<usize> = Vec::new();
+        for (sel, pad) in ops {
+            match sel {
+                0..=5 => {
+                    let f = frame(pad);
+                    held.push(f.wire_len());
+                    prop_assert!(matches!(q.try_enqueue(f), Admission::Queued));
+                }
+                6..=8 => {
+                    let popped = q.pop().map(|f| f.wire_len());
+                    prop_assert_eq!(popped, (!held.is_empty()).then(|| held.remove(0)));
+                }
+                _ => {
+                    prop_assert_eq!(q.clear(), held.len());
+                    held.clear();
+                }
+            }
+            let bytes: usize = held.iter().sum();
+            prop_assert_eq!(q.len(), held.len());
+            prop_assert_eq!(q.bytes(), bytes);
+            prop_assert_eq!(q.is_empty(), held.is_empty());
+            prop_assert_eq!(q.above_pause(), bytes >= pause_bytes);
+            prop_assert_eq!(q.below_resume(), bytes <= pause_bytes / 2);
+        }
     }
 
     /// The infinite policy admits everything, byte-count drift-free.

@@ -9,22 +9,38 @@
 //!
 //! * **d = [`WAYS`] ways**, each a flat array of buckets holding
 //!   [`SLOTS_PER_BUCKET`] slots — no per-entry heap allocation, no
-//!   pointer chasing. Since PR 10 the slots are stored
-//!   **struct-of-arrays**: the key plane (which doubles as the
-//!   occupancy map), expiry plane, birth plane, and value plane are
-//!   separate flat arrays indexed by the same flat slot index. A probe
-//!   walks only the key plane — one cache line per way even when `V`
-//!   is fat — and touches the expiry plane for the single matched
-//!   slot; values are read only on a hit.
-//!   [`heap_bytes`](DLeftTable::heap_bytes) reports the resulting footprint so
-//!   bytes-per-station is a measured number, not a guess.
+//!   pointer chasing. The slots are stored **struct-of-arrays**: the
+//!   key plane (which doubles as the occupancy map), expiry plane,
+//!   birth plane, and value plane are separate flat arrays indexed by
+//!   the same flat slot index. A probe walks only the key plane — one
+//!   cache line per way even when `V` is fat — and touches the expiry
+//!   plane for the single matched slot; values are read only on a hit.
+//!   Key cells are padded to 8 bytes and a bucket's cells to a 16-byte
+//!   boundary, so a MAC-keyed bucket is one aligned 16-byte block that
+//!   never straddles a line. With a one-word value (the bridge packs
+//!   its `PathEntry`) a slot costs 36 bytes across all planes;
+//!   [`heap_bytes`](DLeftTable::heap_bytes) reports the resulting
+//!   footprint so bytes-per-station is a measured number, not a guess.
+//!   (PR 14 measured this layout against one 64-byte line per bucket
+//!   holding both slots' key, expiry, value and stamps; the verdict is
+//!   in `BASELINES.md`.)
+//! * **One probe primitive**: [`probe`](DLeftTable::probe) walks the
+//!   key plane once and returns a [`Slot`] handle;
+//!   [`value_at`](DLeftTable::value_at), [`touch_at`](DLeftTable::touch_at)
+//!   and [`replace_at`](DLeftTable::replace_at) then work on the slot,
+//!   and [`insert_absent`](DLeftTable::insert_absent) places a key the
+//!   probe just missed. `get`/`touch`/`insert` are thin wrappers over
+//!   it, for callers that do one thing to a key; a bridge, which
+//!   looks an address up and then refreshes or rewrites the entry,
+//!   uses the handle and pays for one walk per address.
 //! * **Multiply-shift hashing**: each way reduces a mixed 64-bit key
 //!   fingerprint with its own odd multiplier; insertion takes the
 //!   least-loaded candidate bucket (leftmost way on ties), the classic
 //!   d-left rule that keeps occupancy near-uniform.
 //! * **Background aging**: every slot's expiry is filed in a
 //!   [`TimerWheel`]; [`sweep`](DLeftTable::sweep) advances the wheel
-//!   and touches only entries actually due — O(expired), not O(table).
+//!   and touches only entries actually due — O(expired), not O(table),
+//!   and a handful of word tests when nothing is.
 //!   Inserts opportunistically advance the wheel to the latest
 //!   observed instant, mirroring the hardware scrubber that runs
 //!   whether or not anyone asks.
@@ -200,16 +216,39 @@ impl TableStats {
     }
 }
 
+/// One cell of the key plane: `Some` iff the slot is occupied. Padded
+/// to an 8-byte stride so that cells never share a word and — for
+/// keys of up to 7 bytes, MACs included — a bucket is one aligned
+/// 16-byte read (see [`KeyBucket`]).
+#[derive(Debug, Clone, Copy)]
+#[repr(align(8))]
+struct KeyCell<K>(Option<K>);
+
+/// The key cells of one bucket. 16-byte alignment makes a MAC-keyed
+/// bucket exactly one aligned 16-byte block, so probing a way never
+/// straddles a cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(16))]
+struct KeyBucket<K>([KeyCell<K>; SLOTS_PER_BUCKET]);
+
+/// Handle to an occupied slot, returned by [`DLeftTable::probe`]. It
+/// names a physical slot, not a key: it stays valid until the next
+/// call on the table that can vacate or re-key a slot (`insert*`,
+/// `replace_at`, `sweep`, `remove`, `retain`, `clear`, or a lookup that
+/// finds an expired key) — use it straight away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(u32);
+
 /// The fixed-geometry aging hash table. See the module docs for the
 /// hardware mapping, the SoA plane layout, and the eviction policy.
 #[derive(Debug, Clone)]
 pub struct DLeftTable<K: DLeftKey, V> {
     /// log2 of buckets per way.
     bucket_bits: u32,
-    /// SoA key plane, way-major then bucket then slot; `Some` iff the
+    /// SoA key plane, way-major then bucket; a cell is `Some` iff the
     /// slot is occupied (the plane doubles as the occupancy map, so a
     /// probe never leaves it until a key matches).
-    keys: Vec<Option<K>>,
+    keys: Vec<KeyBucket<K>>,
     /// SoA expiry plane; meaningful only while the slot is occupied.
     expires: Vec<SimTime>,
     /// SoA birth plane: instant of the insert that created (or
@@ -256,10 +295,11 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// geometry is fixed for the table's lifetime, like the hardware.
     pub fn with_bucket_bits(bucket_bits: u32) -> Self {
         assert!(bucket_bits <= 24, "bucket_bits {bucket_bits} would allocate absurd geometry");
-        let total = (WAYS * SLOTS_PER_BUCKET) << bucket_bits;
+        let buckets = WAYS << bucket_bits;
+        let total = buckets * SLOTS_PER_BUCKET;
         DLeftTable {
             bucket_bits,
-            keys: vec![None; total],
+            keys: vec![KeyBucket([KeyCell(None); SLOTS_PER_BUCKET]); buckets],
             expires: vec![SimTime::ZERO; total],
             born: vec![SimTime::ZERO; total],
             values: (0..total).map(|_| None).collect(),
@@ -275,7 +315,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
 
     /// Total physical slot count of the fixed geometry.
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.values.len()
     }
 
     /// Heap footprint of the table in bytes: every SoA plane, the
@@ -284,27 +324,10 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// at construction — so dividing by the station count gives the
     /// bytes-per-station figure experiment E12 reports.
     pub fn heap_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<Option<K>>()
+        self.keys.capacity() * std::mem::size_of::<KeyBucket<K>>()
             + self.expires.capacity() * std::mem::size_of::<SimTime>()
             + self.born.capacity() * std::mem::size_of::<SimTime>()
             + self.values.capacity() * std::mem::size_of::<Option<V>>()
-            + self.gens.capacity() * std::mem::size_of::<u32>()
-            + self.wheel.heap_bytes()
-            + self.due.capacity() * std::mem::size_of::<TimerEntry>()
-    }
-
-    /// What the pre-PR-10 array-of-structs layout
-    /// (`Vec<Option<(K, Aged<V>, SimTime)>>` slots + stamps + wheel)
-    /// would spend on the same geometry — the yardstick the SoA
-    /// footprint is gated against in CI.
-    pub fn heap_bytes_aos_equivalent(&self) -> usize {
-        #[allow(dead_code)]
-        struct AosSlot<K, V> {
-            key: K,
-            aged: Aged<V>,
-            born: SimTime,
-        }
-        self.keys.len() * std::mem::size_of::<Option<AosSlot<K, V>>>()
             + self.gens.capacity() * std::mem::size_of::<u32>()
             + self.wheel.heap_bytes()
             + self.due.capacity() * std::mem::size_of::<TimerEntry>()
@@ -336,30 +359,42 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         self.len == 0
     }
 
-    /// Flat index of way `way`, bucket `bucket`, slot 0.
+    /// The key cell of flat slot `idx`.
     #[inline]
-    fn bucket_base(&self, way: usize, bucket: usize) -> usize {
-        (way << self.bucket_bits | bucket) * SLOTS_PER_BUCKET
+    fn key(&self, idx: usize) -> &Option<K> {
+        &self.keys[idx / SLOTS_PER_BUCKET].0[idx % SLOTS_PER_BUCKET].0
     }
 
-    /// The candidate bucket for `key` in `way` (fast-range reduction of
-    /// a per-way multiply over the mixed fingerprint).
+    /// The key cell of flat slot `idx`, mutably.
+    #[inline]
+    fn key_mut(&mut self, idx: usize) -> &mut Option<K> {
+        &mut self.keys[idx / SLOTS_PER_BUCKET].0[idx % SLOTS_PER_BUCKET].0
+    }
+
+    /// Index into the key plane of `key`'s candidate bucket in `way`:
+    /// multiply-shift — the top `bucket_bits` bits of a per-way odd
+    /// multiple of the mixed fingerprint — under the way's base.
+    /// Times [`SLOTS_PER_BUCKET`] it is the bucket's first flat slot.
     #[inline]
     fn way_bucket(&self, fp: u64, way: usize) -> usize {
         let h = fp.wrapping_mul(WAY_MULTIPLIERS[way]);
-        ((u128::from(h) * (1u128 << self.bucket_bits)) >> 64) as usize
+        // `h >> (64 - bucket_bits)`, written so zero bits shift by 64.
+        way << self.bucket_bits | ((h >> 1) >> (63 - self.bucket_bits)) as usize
     }
 
     /// Flat index of the slot holding `key`, if any. Walks the key
-    /// plane only — the whole point of the SoA layout.
+    /// plane only — the whole point of the SoA layout. The one probe
+    /// loop: every keyed operation goes through it.
     #[inline]
     fn find(&self, key: &K) -> Option<usize> {
         let fp = mix64(key.fingerprint());
+        let wanted = Some(*key);
         for way in 0..WAYS {
-            let base = self.bucket_base(way, self.way_bucket(fp, way));
-            for idx in base..base + SLOTS_PER_BUCKET {
-                if self.keys[idx] == Some(*key) {
-                    return Some(idx);
+            let bucket = self.way_bucket(fp, way);
+            let cells = &self.keys[bucket].0;
+            for (i, cell) in cells.iter().enumerate() {
+                if cell.0 == wanted {
+                    return Some(bucket * SLOTS_PER_BUCKET + i);
                 }
             }
         }
@@ -375,8 +410,8 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
 
     /// Empty the slot and strand its wheel entries.
     fn vacate(&mut self, idx: usize) {
-        debug_assert!(self.keys[idx].is_some());
-        self.keys[idx] = None;
+        debug_assert!(self.key(idx).is_some());
+        *self.key_mut(idx) = None;
         self.values[idx] = None;
         self.gens[idx] = self.gens[idx].wrapping_add(1);
         self.len -= 1;
@@ -404,7 +439,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
             if self.gens[idx] != entry.gen {
                 continue; // vacated or re-keyed since filing
             }
-            if self.keys[idx].is_none() {
+            if self.key(idx).is_none() {
                 continue;
             }
             if self.slot_live(idx, now) {
@@ -425,46 +460,101 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         removed
     }
 
-    /// Insert or replace `key`, valid until `expires`. Returns the
-    /// evicted victim if the insert overflowed every candidate slot
-    /// (see the module docs; `None` in normal operation).
-    pub fn insert(&mut self, key: K, value: V, expires: SimTime) -> Option<(K, V)> {
-        // Background aging: scrub up to the latest instant the caller
-        // has shown us before taking new work, like the hardware.
+    /// Background aging: scrub up to the latest instant the caller has
+    /// shown us before taking new work, like the hardware. Returns
+    /// that instant.
+    fn scrub_to_watermark(&mut self) -> SimTime {
         let watermark = self.observed_now;
         self.scrub(watermark);
-        if let Some(idx) = self.find(&key) {
-            self.values[idx] = Some(value);
-            self.expires[idx] = expires;
-            self.born[idx] = watermark;
-            self.wheel.insert(expires, idx as u32, self.gens[idx]);
+        watermark
+    }
+
+    // ---- the slot-handle primitive ----
+
+    /// The lookup every keyed accessor is built on: the slot holding
+    /// `key` if it is live at `now`. An expired entry is vacated on the
+    /// way (the lookup path double-checks timestamps, as the hardware
+    /// does) and reported absent. One walk of the key plane; the
+    /// `*_at` accessors then read or write the slot without another.
+    #[inline]
+    pub fn probe(&mut self, key: &K, now: SimTime) -> Option<Slot> {
+        self.observe(now);
+        let idx = self.find(key)?;
+        if !self.slot_live(idx, now) {
+            self.vacate(idx);
             return None;
         }
+        Some(Slot(idx as u32))
+    }
+
+    /// The value in a probed slot.
+    #[inline]
+    pub fn value_at(&self, slot: Slot) -> &V {
+        self.values[slot.0 as usize].as_ref().expect("slot handle outlived its entry")
+    }
+
+    /// Extend a probed slot's expiry to `expires`; never shortens. The
+    /// stale wheel entry is left to revalidate at the old deadline, so
+    /// a refresh costs one store.
+    #[inline]
+    pub fn touch_at(&mut self, slot: Slot, expires: SimTime) {
+        let idx = slot.0 as usize;
+        debug_assert!(self.key(idx).is_some(), "slot handle outlived its entry");
+        self.expires[idx] = self.expires[idx].max(expires);
+    }
+
+    /// Overwrite a probed slot's value and expiry in place (the expiry
+    /// may move either way) and restart its age. Scrubs to the observed
+    /// watermark first, as every insert does — so the handle must come
+    /// from a probe at the latest instant the table has been shown,
+    /// which guarantees the scrub cannot expire the slot under it.
+    pub fn replace_at(&mut self, slot: Slot, value: V, expires: SimTime) {
+        let watermark = self.scrub_to_watermark();
+        let idx = slot.0 as usize;
+        assert!(self.key(idx).is_some(), "slot handle outlived its entry");
+        self.write_slot(idx, value, expires, watermark);
+    }
+
+    /// Insert a key the caller has just [`probe`](DLeftTable::probe)d
+    /// and found absent, skipping the second walk
+    /// [`insert`](DLeftTable::insert) would spend rediscovering that.
+    /// Returns the evicted victim if every candidate slot was occupied
+    /// (see the module docs; `None` in normal operation).
+    pub fn insert_absent(&mut self, key: K, value: V, expires: SimTime) -> Option<(K, V)> {
+        let watermark = self.scrub_to_watermark();
+        debug_assert!(self.find(&key).is_none(), "insert_absent of a present key");
+        self.place(key, value, expires, watermark)
+    }
+
+    /// Store `value` in the occupied slot `idx` and file its deadline.
+    fn write_slot(&mut self, idx: usize, value: V, expires: SimTime, watermark: SimTime) {
+        self.values[idx] = Some(value);
+        self.expires[idx] = expires;
+        self.born[idx] = watermark;
+        self.wheel.insert(expires, idx as u32, self.gens[idx]);
+    }
+
+    /// Give an absent `key` a slot and store its entry.
+    fn place(&mut self, key: K, value: V, expires: SimTime, watermark: SimTime) -> Option<(K, V)> {
         let fp = mix64(key.fingerprint());
         // d-left placement: the least-loaded candidate bucket wins,
         // leftmost way on ties; take its first free slot.
         let mut best: Option<(usize, usize)> = None; // (load, free idx)
         for way in 0..WAYS {
-            let base = self.bucket_base(way, self.way_bucket(fp, way));
-            let mut load = 0;
-            let mut free = None;
-            for idx in base..base + SLOTS_PER_BUCKET {
-                if self.keys[idx].is_some() {
-                    load += 1;
-                } else if free.is_none() {
-                    free = Some(idx);
-                }
-            }
-            if let Some(free_idx) = free {
+            let bucket = self.way_bucket(fp, way);
+            let cells = &self.keys[bucket].0;
+            let load = cells.iter().filter(|cell| cell.0.is_some()).count();
+            if let Some(free) = cells.iter().position(|cell| cell.0.is_none()) {
                 if best.is_none_or(|(l, _)| load < l) {
-                    best = Some((load, free_idx));
+                    best = Some((load, bucket * SLOTS_PER_BUCKET + free));
                 }
             }
         }
-        let idx = match best {
+        let (idx, evicted) = match best {
             Some((_, idx)) => {
                 self.len += 1;
-                idx
+                self.stats.occupancy_high_water = self.stats.occupancy_high_water.max(self.len);
+                (idx, None)
             }
             None => {
                 // Physical overflow: every candidate slot is occupied.
@@ -473,9 +563,9 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
                 let mut victim = usize::MAX;
                 let mut victim_expires = SimTime(u64::MAX);
                 for way in 0..WAYS {
-                    let base = self.bucket_base(way, self.way_bucket(fp, way));
+                    let base = self.way_bucket(fp, way) * SLOTS_PER_BUCKET;
                     for idx in base..base + SLOTS_PER_BUCKET {
-                        debug_assert!(self.keys[idx].is_some(), "overflow bucket has hole");
+                        debug_assert!(self.key(idx).is_some(), "overflow bucket has hole");
                         if self.expires[idx] < victim_expires {
                             victim_expires = self.expires[idx];
                             victim = idx;
@@ -483,59 +573,51 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
                     }
                 }
                 self.evictions += 1;
-                let old_key = self.keys[victim].take().expect("victim vanished");
+                let old_key = self.key_mut(victim).take().expect("victim vanished");
                 let old_value = self.values[victim].take().expect("victim value vanished");
                 let age = watermark.as_nanos().saturating_sub(self.born[victim].as_nanos());
                 self.stats.victim_age_histogram[TableStats::age_bucket(age)] += 1;
                 self.gens[victim] = self.gens[victim].wrapping_add(1);
-                self.keys[victim] = Some(key);
-                self.values[victim] = Some(value);
-                self.expires[victim] = expires;
-                self.born[victim] = watermark;
-                self.wheel.insert(expires, victim as u32, self.gens[victim]);
-                return Some((old_key, old_value));
+                (victim, Some((old_key, old_value)))
             }
         };
-        self.keys[idx] = Some(key);
-        self.values[idx] = Some(value);
-        self.expires[idx] = expires;
-        self.born[idx] = watermark;
-        self.wheel.insert(expires, idx as u32, self.gens[idx]);
-        self.stats.occupancy_high_water = self.stats.occupancy_high_water.max(self.len);
-        None
+        *self.key_mut(idx) = Some(key);
+        self.write_slot(idx, value, expires, watermark);
+        evicted
+    }
+
+    // ---- keyed accessors: thin wrappers over the primitive ----
+
+    /// Insert or replace `key`, valid until `expires`. Returns the
+    /// evicted victim if the insert overflowed every candidate slot
+    /// (see the module docs; `None` in normal operation).
+    pub fn insert(&mut self, key: K, value: V, expires: SimTime) -> Option<(K, V)> {
+        let watermark = self.scrub_to_watermark();
+        match self.probe(&key, watermark) {
+            Some(slot) => {
+                self.write_slot(slot.0 as usize, value, expires, watermark);
+                None
+            }
+            None => self.place(key, value, expires, watermark),
+        }
     }
 
     /// Live value for `key` at `now`; expired entries are removed on
-    /// the way (the lookup path double-checks timestamps, as the
-    /// hardware does).
+    /// the way.
     pub fn get(&mut self, key: &K, now: SimTime) -> Option<&V> {
-        self.observe(now);
-        let idx = self.find(key)?;
-        if !self.slot_live(idx, now) {
-            self.vacate(idx);
-            return None;
-        }
-        self.values[idx].as_ref()
+        let slot = self.probe(key, now)?;
+        Some(self.value_at(slot))
     }
 
     /// Mutable live value for `key` at `now`.
     pub fn get_mut(&mut self, key: &K, now: SimTime) -> Option<&mut V> {
-        self.observe(now);
-        let idx = self.find(key)?;
-        if !self.slot_live(idx, now) {
-            self.vacate(idx);
-            return None;
-        }
-        self.values[idx].as_mut()
+        let slot = self.probe(key, now)?;
+        self.values[slot.0 as usize].as_mut()
     }
 
     /// Peek without removing expired entries (read-only inspection).
     pub fn peek(&self, key: &K, now: SimTime) -> Option<&V> {
-        let idx = self.find(key)?;
-        if !self.slot_live(idx, now) {
-            return None;
-        }
-        self.values[idx].as_ref()
+        self.peek_aged(key, now).map(|aged| aged.value)
     }
 
     /// The full aged entry (value reference + expiry), live at `now`.
@@ -550,18 +632,14 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     }
 
     /// Extend the expiry of `key` to `expires` if present and live;
-    /// returns whether the entry existed. Never shortens. The stale
-    /// wheel entry is left to revalidate at the old deadline — the
-    /// hot-path cost of a touch is the lookup alone.
+    /// returns whether the entry existed. Never shortens.
     pub fn touch(&mut self, key: &K, expires: SimTime, now: SimTime) -> bool {
-        self.observe(now);
-        let Some(idx) = self.find(key) else { return false };
-        if self.slot_live(idx, now) {
-            self.expires[idx] = self.expires[idx].max(expires);
-            true
-        } else {
-            self.vacate(idx);
-            false
+        match self.probe(key, now) {
+            Some(slot) => {
+                self.touch_at(slot, expires);
+                true
+            }
+            None => false,
         }
     }
 
@@ -569,10 +647,8 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// not).
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let idx = self.find(key)?;
-        self.keys[idx] = None;
         let value = self.values[idx].take().expect("find returned empty slot");
-        self.gens[idx] = self.gens[idx].wrapping_add(1);
-        self.len -= 1;
+        self.vacate(idx);
         Some(value)
     }
 
@@ -581,8 +657,8 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// slots in physical slot order, not key order (divergence from the
     /// oracle; observable only through `pred`'s side effects).
     pub fn retain<F: FnMut(&K, &V) -> bool>(&mut self, mut pred: F) {
-        for idx in 0..self.keys.len() {
-            if let Some(key) = self.keys[idx] {
+        for idx in 0..self.capacity() {
+            if let Some(key) = *self.key(idx) {
                 let value = self.values[idx].as_ref().expect("occupied slot lost its value");
                 if !pred(&key, value) {
                     self.vacate(idx);
@@ -592,7 +668,8 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     }
 
     /// Remove entries expired at `now`; returns how many were removed.
-    /// O(expired + buckets passed), driven by the timer wheel.
+    /// O(expired + non-empty wheel buckets passed), driven by the
+    /// timer wheel.
     pub fn sweep(&mut self, now: SimTime) -> usize {
         self.observe(now);
         self.scrub(now)
@@ -600,25 +677,16 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
 
     /// Remove everything. The geometry (and slot generations) survive.
     pub fn clear(&mut self) {
-        for idx in 0..self.keys.len() {
-            if self.keys[idx].is_some() {
-                self.vacate(idx);
-            }
-        }
+        self.retain(|_, _| false);
         self.wheel.clear();
     }
 
     /// Iterate live entries at `now`, in key order (collected and
     /// sorted — reporting path, not the hot path).
     pub fn iter_live(&self, now: SimTime) -> impl Iterator<Item = (&K, &V)> {
-        let mut live: Vec<(&K, &V)> = (0..self.keys.len())
-            .filter(|&idx| self.keys[idx].is_some() && self.slot_live(idx, now))
-            .map(|idx| {
-                (
-                    self.keys[idx].as_ref().expect("occupancy checked"),
-                    self.values[idx].as_ref().expect("occupied slot lost its value"),
-                )
-            })
+        let mut live: Vec<(&K, &V)> = (0..self.capacity())
+            .filter(|&idx| self.slot_live(idx, now))
+            .filter_map(|idx| Some((self.key(idx).as_ref()?, self.values[idx].as_ref()?)))
             .collect();
         live.sort_unstable_by(|a, b| a.0.cmp(b.0));
         live.into_iter()
@@ -821,20 +889,13 @@ mod tests {
     }
 
     #[test]
-    fn soa_heap_bytes_beat_the_aos_layout() {
-        // The PR 10 footprint claim at E12 geometry: the SoA planes
-        // must cost less than the old array-of-structs slots would on
-        // the same table, and the figure must scale with geometry, not
-        // with how many entries happen to be live.
+    fn heap_bytes_follow_geometry_not_occupancy() {
         let m: DLeftTable<MacAddr, u32> = DLeftTable::with_bucket_bits(bucket_bits_for(16_384));
-        assert!(
-            m.heap_bytes() < m.heap_bytes_aos_equivalent(),
-            "SoA {} >= AoS {}",
-            m.heap_bytes(),
-            m.heap_bytes_aos_equivalent()
-        );
         let empty: DLeftTable<MacAddr, u32> = DLeftTable::new();
         assert!(m.heap_bytes() > empty.heap_bytes(), "footprint follows geometry");
+        // 8 (key cell) + 8 (expiry) + 8 (birth) + 8 (Option<u32>) + 4
+        // (generation) bytes a slot, plus the wheel's bucket spine.
+        assert_eq!(m.heap_bytes() - m.wheel.heap_bytes(), 36 * m.capacity());
         let mut filled = DLeftTable::with_bucket_bits(bucket_bits_for(16_384));
         let before = filled.heap_bytes();
         for i in 0..1024u32 {
@@ -842,6 +903,39 @@ mod tests {
         }
         // Wheel buckets grow, but the plane cost is fixed at build.
         assert!(filled.heap_bytes() >= before);
+    }
+
+    #[test]
+    fn mac_key_bucket_is_one_aligned_sixteen_byte_block() {
+        use std::mem::{align_of, size_of};
+        assert_eq!((size_of::<KeyCell<MacAddr>>(), align_of::<KeyCell<MacAddr>>()), (8, 8));
+        assert_eq!((size_of::<KeyBucket<MacAddr>>(), align_of::<KeyBucket<MacAddr>>()), (16, 16));
+        // Wider keys keep the cell alignment; only the stride grows.
+        assert_eq!(align_of::<KeyCell<(MacAddr, u32)>>(), 8);
+        let m: DLeftTable<MacAddr, u32> = DLeftTable::new();
+        assert_eq!(
+            m.keys.as_ptr() as usize % 16,
+            0,
+            "the plane itself starts on a bucket boundary"
+        );
+    }
+
+    #[test]
+    fn probe_hands_out_a_slot_that_the_at_accessors_share() {
+        let mut m = DLeftTable::new();
+        assert_eq!(m.probe(&1u32, t(0)), None);
+        assert_eq!(m.insert_absent(1u32, "a", t(100)), None);
+        let slot = m.probe(&1, t(10)).expect("live");
+        assert_eq!(*m.value_at(slot), "a");
+        m.touch_at(slot, t(50));
+        assert_eq!(m.peek_aged(&1, t(10)).unwrap().expires, t(100), "touch_at never shortens");
+        m.touch_at(slot, t(300));
+        assert_eq!(m.peek_aged(&1, t(10)).unwrap().expires, t(300));
+        m.replace_at(slot, "b", t(40));
+        assert_eq!(m.probe(&1, t(10)), Some(slot), "replaced in place");
+        assert_eq!(m.peek_aged(&1, t(10)).map(|a| (*a.value, a.expires)), Some(("b", t(40))));
+        assert_eq!(m.probe(&1, t(40)), None, "replace_at may shorten; dead at the new expiry");
+        assert!(m.is_empty(), "and the dead entry was vacated by the probe");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod logic;
 pub mod wheel;
 
 pub use aging::{Aged, AgingMap};
-pub use dleft::{bucket_bits_for, DLeftKey, DLeftTable, TableStats, VICTIM_AGE_BUCKETS};
+pub use dleft::{bucket_bits_for, DLeftKey, DLeftTable, Slot, TableStats, VICTIM_AGE_BUCKETS};
 pub use ideal::IdealSwitch;
 pub use learning::{LearningConfig, LearningSwitch};
 pub use logic::{DropReason, LogicEnv, ProcessingClass, SwitchCounters, SwitchLogic};

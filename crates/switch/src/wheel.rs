@@ -7,8 +7,12 @@
 //! per sweep, all of it on the caller. This wheel restores the hardware
 //! shape: expiry instants are filed into power-of-two time buckets and
 //! [`TimerWheel::advance`] hands back only the entries whose bucket
-//! range the clock has passed — O(expired + passed buckets), not
-//! O(table).
+//! range the clock has passed. One `u64` occupancy word per level
+//! (bit `s` set iff bucket `s` holds an entry) lets an advance skip the
+//! empty buckets in its range without reading them, so a call costs
+//! O([`LEVELS`] + non-empty buckets passed + entries moved) — an idle
+//! advance, the common case on a flooding bridge whose deadlines are
+//! all half a second out, reads eight words and no bucket.
 //!
 //! # Lazy revalidation
 //!
@@ -29,9 +33,11 @@
 //! 9 sim-years — nothing ever lands outside the wheel. Entries cascade
 //! down a level each time the cursor passes their bucket, reaching
 //! tick resolution by level 0; an [`advance`](TimerWheel::advance) that
-//! jumps far processes at most one full rotation per level, so the
-//! cost of a jump is bounded by `LEVELS × SLOTS` bucket visits plus the
-//! entries actually due.
+//! jumps far covers at most one full rotation per level — one masked
+//! occupancy word — so the cost of a jump is bounded by the non-empty
+//! buckets plus the entries actually due. Buckets are visited in
+//! level-then-cursor order, which fixes the order of `due` and of
+//! re-filing.
 
 use arppath_netsim::SimTime;
 
@@ -66,6 +72,10 @@ pub struct TimerWheel {
     shift: u32,
     /// The tick the wheel has been advanced to.
     now_tick: u64,
+    /// Per-level occupancy: bit `s` of word `l` is set iff bucket
+    /// `l * SLOTS + s` is non-empty. Set in `file`, cleared when the
+    /// bucket is drained.
+    occupied: [u64; LEVELS],
     /// Flat `LEVELS × SLOTS` bucket array.
     buckets: Vec<Vec<TimerEntry>>,
     /// Entries currently filed (including stale ones awaiting
@@ -89,6 +99,7 @@ impl TimerWheel {
         TimerWheel {
             shift: tick_shift,
             now_tick: 0,
+            occupied: [0; LEVELS],
             buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             len: 0,
             scratch: Vec::new(),
@@ -138,6 +149,7 @@ impl TimerWheel {
             (((63 - delta.leading_zeros()) / SLOT_BITS) as usize).min(LEVELS - 1)
         };
         let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+        self.occupied[level] |= 1 << slot;
         self.buckets[level * SLOTS + slot].push(entry);
     }
 
@@ -155,15 +167,25 @@ impl TimerWheel {
         let mut cascade = std::mem::take(&mut self.scratch);
         debug_assert!(cascade.is_empty());
         for level in 0..LEVELS {
+            if self.occupied[level] == 0 {
+                continue;
+            }
             let lshift = SLOT_BITS * level as u32;
             let old = self.now_tick >> lshift;
             let new = target >> lshift;
             // Inclusive range, capped at one full rotation.
             let visits = (new - old + 1).min(SLOTS as u64);
-            for i in 0..visits {
-                let slot = ((old + i) & (SLOTS as u64 - 1)) as usize;
-                let bucket = &mut self.buckets[level * SLOTS + slot];
-                cascade.append(bucket);
+            // Rotate the cursor's slot down to bit 0: bit `i` is then
+            // the bucket `i` steps ahead of the cursor, and the low
+            // `visits` bits are the range, nearest first.
+            let start = (old & (SLOTS as u64 - 1)) as u32;
+            let in_range = u64::MAX >> (SLOTS as u64 - visits);
+            let mut pending = self.occupied[level].rotate_right(start) & in_range;
+            while pending != 0 {
+                let slot = ((start + pending.trailing_zeros()) & (SLOTS as u32 - 1)) as usize;
+                pending &= pending - 1;
+                self.occupied[level] &= !(1 << slot);
+                cascade.append(&mut self.buckets[level * SLOTS + slot]);
             }
         }
         self.now_tick = target;
@@ -184,7 +206,19 @@ impl TimerWheel {
         for bucket in &mut self.buckets {
             bucket.clear();
         }
+        self.occupied = [0; LEVELS];
         self.len = 0;
+    }
+
+    /// The occupancy invariant, for the oracle suite: every occupancy
+    /// bit equals "its bucket is non-empty", and `len` counts exactly
+    /// the filed entries.
+    #[doc(hidden)]
+    pub fn occupancy_is_consistent(&self) -> bool {
+        let bits_match = self.buckets.iter().enumerate().all(|(i, bucket)| {
+            (self.occupied[i / SLOTS] >> (i % SLOTS) & 1 == 1) != bucket.is_empty()
+        });
+        bits_match && self.len == self.buckets.iter().map(Vec::len).sum::<usize>()
     }
 }
 

@@ -80,14 +80,19 @@ fn steady_state_lookup_path_is_allocation_free() {
         assert!(table.touch(&mac, now + ttl, now));
         let miss = MacAddr::from_index(9, i);
         assert_eq!(table.get(&miss, now), None);
+        // The probe-once path a bridge takes per frame.
+        let slot = table.probe(&mac, now).expect("live entry");
+        assert_eq!(*table.value_at(slot), i);
+        table.touch_at(slot, now + ttl);
+        assert_eq!(table.probe(&miss, now), None);
     }
     let after = alloc_count();
     assert_eq!(
         after - before,
         0,
-        "steady-state get/peek/touch/miss made {} heap allocations over {} ops",
+        "steady-state get/peek/touch/probe/miss made {} heap allocations over {} ops",
         after - before,
-        4 * N
+        6 * N
     );
 }
 
@@ -151,7 +156,13 @@ fn replacement_insert_allocates_only_amortized_wheel_growth() {
     now += SimDuration::micros(5);
     let before = alloc_count();
     for i in 0..N {
-        table.insert(MacAddr::from_index(1, i), i + 7, now + ttl);
+        let mac = MacAddr::from_index(1, i);
+        if i % 2 == 0 {
+            table.insert(mac, i + 7, now + ttl);
+        } else {
+            let slot = table.probe(&mac, now).expect("live entry");
+            table.replace_at(slot, i + 7, now + ttl);
+        }
     }
     let after = alloc_count();
     assert!(

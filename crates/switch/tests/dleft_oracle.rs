@@ -8,6 +8,13 @@
 //! equivalence deliberately ignores: raw `len()` (the d-left scrubber
 //! may vacate expired entries earlier than the oracle's lazy path —
 //! only *live* views must agree), and `retain`'s visit order.
+//!
+//! The keyed accessors (`get`/`touch`/`insert`) are wrappers over the
+//! slot-handle primitive (`probe` + `value_at`/`touch_at`/`replace_at`/
+//! `insert_absent`); a bridge that probes once per frame must leave
+//! the table in *physically* the same state as one that looks the key
+//! up again for every step — same slots, same scrubs, same evictions —
+//! and that too is pinned here, on geometries small enough to evict.
 
 use arppath_netsim::{SimDuration, SimTime};
 use arppath_switch::{AgingMap, DLeftTable};
@@ -112,6 +119,102 @@ proptest! {
         prop_assert_eq!(dleft.evictions(), 0);
     }
 
+    /// Probe-once ≡ look-up-every-time ≡ the oracle. `keyed` drives
+    /// the table the way the bridge did before it had slot handles
+    /// (`get`, then `touch` or `insert` by key); `probed` probes once
+    /// and finishes on the handle. Both see the same schedule at every
+    /// geometry from 8 slots (constant eviction) up to the default;
+    /// every observable — results, evicted victims, `len`, `stats`,
+    /// footprint — must agree after every op, and at the default
+    /// geometry both must agree with `AgingMap`. TTLs and time steps
+    /// overlap, so lookups land on, one before and one after expiry
+    /// instants.
+    #[test]
+    fn probe_path_matches_keyed_path_and_oracle(
+        bucket_bits in 0u32..7,
+        raw_ops in proptest::collection::vec(
+            ((0u8..6, 0u32..24, 0u64..1000, 1u64..400), 0u64..200),
+            1..160,
+        ),
+    ) {
+        let with_oracle = bucket_bits == arppath_switch::dleft::DEFAULT_BUCKET_BITS;
+        let mut oracle: AgingMap<u32, u64> = AgingMap::new();
+        let mut keyed: DLeftTable<u32, u64> = DLeftTable::with_bucket_bits(bucket_bits);
+        let mut probed: DLeftTable<u32, u64> = DLeftTable::with_bucket_bits(bucket_bits);
+        let mut now = SimTime::ZERO;
+        for ((sel, key, val, ttl), dt) in raw_ops {
+            now += SimDuration::nanos(dt);
+            let expires = now + SimDuration::nanos(ttl);
+            match sel {
+                // Upsert: look the key up, then replace or insert —
+                // the lock-promotion and first-lock shapes.
+                0 | 1 => {
+                    let was = keyed.get(&key, now).copied();
+                    let k_evicted = keyed.insert(key, val, expires);
+                    let p_evicted = match probed.probe(&key, now) {
+                        Some(slot) => {
+                            prop_assert_eq!(Some(*probed.value_at(slot)), was);
+                            probed.replace_at(slot, val, expires);
+                            None
+                        }
+                        None => {
+                            prop_assert_eq!(was, None);
+                            probed.insert_absent(key, val, expires)
+                        }
+                    };
+                    prop_assert_eq!(k_evicted, p_evicted);
+                    if with_oracle {
+                        prop_assert_eq!(oracle.get(&key, now).copied(), was);
+                        oracle.insert(key, val, expires);
+                    }
+                }
+                // Hit-then-refresh: the unicast data shape.
+                2 | 3 => {
+                    let was = keyed.get(&key, now).copied();
+                    let touched = was.is_some() && keyed.touch(&key, expires, now);
+                    let slot = probed.probe(&key, now);
+                    prop_assert_eq!(slot.map(|s| *probed.value_at(s)), was);
+                    if let Some(slot) = slot {
+                        probed.touch_at(slot, expires);
+                    }
+                    prop_assert_eq!(touched, slot.is_some());
+                    if with_oracle {
+                        prop_assert_eq!(oracle.get(&key, now).copied(), was);
+                        prop_assert_eq!(oracle.touch(&key, expires, now), touched);
+                    }
+                }
+                4 => {
+                    prop_assert_eq!(keyed.sweep(now), probed.sweep(now));
+                    oracle.sweep(now);
+                }
+                _ => {
+                    prop_assert_eq!(keyed.remove(&key), probed.remove(&key));
+                    oracle.remove(&key);
+                }
+            }
+            prop_assert_eq!(keyed.len(), probed.len());
+            prop_assert_eq!(keyed.stats(), probed.stats());
+            prop_assert_eq!(keyed.heap_bytes(), probed.heap_bytes());
+            let k: Vec<(u32, u64, SimTime)> = keyed
+                .iter_live(now)
+                .map(|(k, v)| (*k, *v, keyed.peek_aged(k, now).expect("live").expires))
+                .collect();
+            let p: Vec<(u32, u64, SimTime)> = probed
+                .iter_live(now)
+                .map(|(k, v)| (*k, *v, probed.peek_aged(k, now).expect("live").expires))
+                .collect();
+            prop_assert_eq!(&k, &p);
+            if with_oracle {
+                let o: Vec<(u32, u64, SimTime)> = oracle
+                    .iter_live(now)
+                    .map(|(k, v)| (*k, *v, oracle.peek_aged(k, now).expect("live").expires))
+                    .collect();
+                prop_assert_eq!(&o, &p);
+                prop_assert_eq!(probed.evictions(), 0);
+            }
+        }
+    }
+
     /// Timer-wheel stress: long-lived entries repeatedly touched across
     /// many sweep horizons must behave exactly like the oracle — the
     /// re-filing path (stale wheel entries revalidating against
@@ -164,6 +267,9 @@ fn expiry_boundary_is_shared() {
     m.insert(2, "y", t(100));
     assert_eq!(m.sweep(t(100)), 1, "sweep removes exactly the boundary-dead entry");
     assert_eq!(m.get(&2, t(100)), None, "get agrees with sweep at the boundary");
+    m.insert_absent(3, "z", t(400));
+    assert!(m.probe(&3, t(399)).is_some(), "probe sees the entry live at t-1");
+    assert_eq!(m.probe(&3, t(400)), None, "probe: the expiry instant itself is dead");
 
     // And the oracle gives byte-for-byte the same answers.
     let mut o: AgingMap<u32, &str> = AgingMap::new();

@@ -16,15 +16,132 @@
 //!
 //! The oracle is a `BinaryHeap` of (tick, id): `advance(now)` must
 //! return exactly the heap prefix with `tick <= now >> shift`.
+//!
+//! A second oracle, [`NaiveWheel`], pins the *order*: it is the wheel
+//! without occupancy words, reading every bucket in an advance's range.
+//! The owning table re-files and vacates in `due` order, so the
+//! sequence — not just the set — is part of the contract.
 
 use arppath_netsim::SimTime;
-use arppath_switch::wheel::{TimerWheel, DEFAULT_TICK_SHIFT};
+use arppath_switch::wheel::{TimerEntry, TimerWheel, DEFAULT_TICK_SHIFT, LEVELS, SLOTS, SLOT_BITS};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// The wheel as it was before it had occupancy words: same filing
+/// rule, and an advance that reads every bucket in range, level by
+/// level from the cursor up.
+struct NaiveWheel {
+    shift: u32,
+    now_tick: u64,
+    buckets: Vec<Vec<TimerEntry>>,
+}
+
+impl NaiveWheel {
+    fn new(shift: u32) -> Self {
+        NaiveWheel { shift, now_tick: 0, buckets: vec![Vec::new(); LEVELS * SLOTS] }
+    }
+
+    fn file(&mut self, tick: u64, entry: TimerEntry) {
+        let delta = tick - self.now_tick;
+        let level = match delta {
+            0 => 0,
+            _ => (((63 - delta.leading_zeros()) / SLOT_BITS) as usize).min(LEVELS - 1),
+        };
+        let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+        self.buckets[level * SLOTS + slot].push(entry);
+    }
+
+    fn insert(&mut self, fires: SimTime, slot: u32, gen: u32) {
+        let tick = (fires.as_nanos() >> self.shift).max(self.now_tick);
+        self.file(tick, TimerEntry { fires, slot, gen });
+    }
+
+    fn advance(&mut self, now: SimTime, due: &mut Vec<TimerEntry>) {
+        let target = (now.as_nanos() >> self.shift).max(self.now_tick);
+        let mut cascade = Vec::new();
+        for level in 0..LEVELS {
+            let lshift = SLOT_BITS * level as u32;
+            let (old, new) = (self.now_tick >> lshift, target >> lshift);
+            for i in 0..(new - old + 1).min(SLOTS as u64) {
+                let slot = ((old + i) & (SLOTS as u64 - 1)) as usize;
+                cascade.append(&mut self.buckets[level * SLOTS + slot]);
+            }
+        }
+        self.now_tick = target;
+        for entry in cascade {
+            let tick = entry.fires.as_nanos() >> self.shift;
+            if tick <= target {
+                due.push(entry);
+            } else {
+                self.file(tick, entry);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Arbitrary insert / advance / clear sequences: after every
+    /// operation each occupancy bit equals "bucket non-empty", and
+    /// every advance delivers the naive all-bucket scan's `due`
+    /// *sequence*. Advance distances span one tick to past a full
+    /// level-2 rotation (64³ ticks ≈ 268 ms), so ranges wrap the
+    /// occupancy word, cap at 64 visits, and re-file cascaded entries
+    /// into levels the same advance already walked.
+    #[test]
+    fn occupancy_words_match_the_naive_all_bucket_scan(
+        raw_ops in proptest::collection::vec((0u8..10, 0u64..u64::MAX, 0u64..u64::MAX), 1..250),
+    ) {
+        let shift = DEFAULT_TICK_SHIFT;
+        let mut wheel = TimerWheel::new(shift);
+        let mut naive = NaiveWheel::new(shift);
+        let mut now = 0u64;
+        let (mut got, mut expect) = (Vec::new(), Vec::new());
+        for (id, (sel, a, b)) in raw_ops.into_iter().enumerate() {
+            match sel {
+                // Insert at a distance drawn from one of four decades,
+                // so every level up to 3 gets entries; sometimes in
+                // the past.
+                0..=5 => {
+                    let reach = [2_000u64, 300_000, 40_000_000, 3_000_000_000][(a % 4) as usize];
+                    let fires = if sel == 0 { now.saturating_sub(b % reach) } else { now + b % reach };
+                    wheel.insert(SimTime(fires), id as u32, sel.into());
+                    naive.insert(SimTime(fires), id as u32, sel.into());
+                }
+                6 => {
+                    if a % 8 == 0 {
+                        wheel.clear();
+                        naive.clear();
+                    }
+                }
+                // Advance: a tick or two, a partial rotation, or a
+                // jump past whole rotations of the lower levels.
+                _ => {
+                    let reach = [3_000u64, 50_000, 5_000_000, 600_000_000][(a % 4) as usize];
+                    now += b % reach;
+                    got.clear();
+                    expect.clear();
+                    wheel.advance(SimTime(now), &mut got);
+                    naive.advance(SimTime(now), &mut expect);
+                    prop_assert_eq!(&got, &expect, "advance to {} reordered or lost entries", now);
+                }
+            }
+            prop_assert!(wheel.occupancy_is_consistent(), "occupancy drifted after op {}", id);
+        }
+        now += 1 << 40;
+        got.clear();
+        expect.clear();
+        wheel.advance(SimTime(now), &mut got);
+        naive.advance(SimTime(now), &mut expect);
+        prop_assert_eq!(&got, &expect);
+        prop_assert!(wheel.is_empty() && wheel.occupancy_is_consistent());
+    }
 
     /// Mass expiry: hundreds of deadlines spread over ~70 ms (crossing
     /// several wheel levels at the default 1.024 µs tick), drained
