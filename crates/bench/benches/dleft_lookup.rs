@@ -59,6 +59,9 @@ fn bench_scheduler(c: &mut Criterion) {
     let (mut calq, mut heap) = (micro::calq_dense(), micro::heap_dense());
     g.bench_function("calq_dense", |b| b.iter(|| black_box(calq.run(1024))));
     g.bench_function("heap_dense", |b| b.iter(|| black_box(heap.run(1024))));
+    // ...and the same after a start-up burst has been round the ring.
+    let mut rotating = micro::calq_rotating();
+    g.bench_function("calq_rotating", |b| b.iter(|| black_box(rotating.run(1024))));
     g.finish();
 }
 

@@ -626,6 +626,13 @@ fn main() {
             e12_scale::MAX_BYTES_PER_STATION,
             if e12_scale::verify_footprint(&result) { "HOLDS" } else { "VIOLATED" }
         );
+        if let Some(holds) = e12_scale::verify_scheduler(&result) {
+            println!(
+                "scheduler reserved ≤ {} MB: {}",
+                e12_scale::MAX_SCHEDULER_RESERVED_BYTES >> 20,
+                if holds { "HOLDS" } else { "VIOLATED" }
+            );
+        }
         eprintln!("[repro] e12: comparing merged traces across {:?}...", params.shard_counts);
         println!(
             "merged delivery trace byte-identical at every worker count: {}\n",
@@ -776,6 +783,11 @@ fn main() {
                 e12_scale::verify_footprint(&result),
                 "quick E12 path tables must stay under the bytes-per-station ceiling"
             );
+            assert_eq!(
+                e12_scale::verify_scheduler(&result),
+                Some(true),
+                "quick E12 scheduler must stay under its reserved-bytes ceiling"
+            );
             scale_keys = vec![("dleft_bytes_per_station".to_string(), result.bytes_per_station())];
         }
         wall_ms.push(("e12_scale_quick_ms".into(), best_ms));
@@ -784,7 +796,7 @@ fn main() {
         let micro_ns: Vec<(String, f64)> =
             micro::measure_all().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
         let json = format!(
-            "{{\n  \"schema\": \"arppath-bench-trajectory/v1\",\n  \"pr\": \"PR14\",\n  \
+            "{{\n  \"schema\": \"arppath-bench-trajectory/v1\",\n  \"pr\": \"PR15\",\n  \
              \"quick\": {},\n  \"wall_ms\": {{\n{}\n  }},\n  \"micro_ns\": {{\n{}\n  }}\n}}\n",
             quick,
             json_section(&wall_ms),

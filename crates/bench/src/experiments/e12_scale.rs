@@ -15,7 +15,10 @@
 //! * **bytes per station** — the d-left path tables' heap footprint
 //!   (SoA planes of 8-byte cells plus the timer wheel) summed over
 //!   every bridge and divided by the attached host count, held under
-//!   an absolute ceiling ([`MAX_BYTES_PER_STATION`]).
+//!   an absolute ceiling ([`MAX_BYTES_PER_STATION`]) — and beside it
+//!   the event storage the single-engine run's scheduler ended up
+//!   holding ([`MAX_SCHEDULER_RESERVED_BYTES`]): the other memory every
+//!   frame hop writes.
 //!
 //! Correctness rides along: every run must deliver every datagram, and
 //! the merged delivery trace must be byte-identical across *all* shard
@@ -112,6 +115,10 @@ pub struct E12Result {
     pub rows: Vec<E12Row>,
     /// Σ path-table heap bytes over every bridge.
     pub table_bytes: usize,
+    /// `Network::scheduler_reserved_bytes` at the end of the
+    /// single-engine run (the 1-worker sweep point), if the sweep had
+    /// one.
+    pub scheduler_reserved_bytes: Option<usize>,
 }
 
 /// Ceiling on [`E12Result::bytes_per_station`]: the quick geometry's
@@ -120,6 +127,14 @@ pub struct E12Result {
 /// geometry, wheel spine) are spread over the fewest stations — so
 /// fuller fabrics sit well under it (55,892 B at 16 hosts per edge).
 pub const MAX_BYTES_PER_STATION: f64 = 83_800.0;
+
+/// Ceiling on [`E12Result::scheduler_reserved_bytes`]. With drained
+/// calendar buckets recycled the ring reserves what was pending at
+/// once: 4.7 MB at the end of the full sweep's 2,048-host run and
+/// 1.7 MB on the quick geometry (PR 15). Keeping every ring index's
+/// high-water storage reserved 28.7 and 9.3 MB for the same ~1,100
+/// events pending in steady state, and cycled through all of it.
+pub const MAX_SCHEDULER_RESERVED_BYTES: usize = 6 << 20;
 
 impl E12Result {
     /// The headline footprint figure: table heap bytes per attached
@@ -167,6 +182,7 @@ fn scenario(params: &E12Params) -> (TopoBuilder, FatTree, SimTime) {
 pub fn run(params: &E12Params) -> E12Result {
     let mut rows = Vec::new();
     let mut footprint: Option<(usize, usize)> = None; // (bridges, table bytes)
+    let mut scheduler_reserved_bytes = None;
     let mut hosts = 0;
     for &requested in &params.shard_counts {
         let (t, ft, deadline) = scenario(params);
@@ -195,6 +211,7 @@ pub fn run(params: &E12Params) -> E12Result {
                 delivered += host.rx_datagrams;
             }
             let tables = table_footprint(built.bridge_nodes.len(), |ix| built.arppath(ix));
+            scheduler_reserved_bytes = Some(built.net.scheduler_reserved_bytes());
             (0, sent, delivered, tables)
         };
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -216,6 +233,7 @@ pub fn run(params: &E12Params) -> E12Result {
         lookahead: if params.use_matrix { "matrix" } else { "global" },
         rows,
         table_bytes,
+        scheduler_reserved_bytes,
     }
 }
 
@@ -281,6 +299,13 @@ pub fn verify_footprint(result: &E12Result) -> bool {
     result.bytes_per_station() <= MAX_BYTES_PER_STATION
 }
 
+/// The transient-memory half: the single-engine scheduler's reserved
+/// event storage stays under [`MAX_SCHEDULER_RESERVED_BYTES`]. `None`
+/// when the sweep had no 1-worker point to read it from.
+pub fn verify_scheduler(result: &E12Result) -> Option<bool> {
+    result.scheduler_reserved_bytes.map(|bytes| bytes <= MAX_SCHEDULER_RESERVED_BYTES)
+}
+
 /// Render the scaling table.
 pub fn table(result: &E12Result) -> Table {
     let mut t = Table::new(
@@ -302,16 +327,24 @@ pub fn table(result: &E12Result) -> Table {
     t
 }
 
-/// Render the table-footprint report.
+/// Render the memory report: path tables, and the scheduler's reserved
+/// event storage beside them.
 pub fn footprint_table(result: &E12Result) -> Table {
     let mut t = Table::new(
-        format!("E12: d-left path-table footprint, k={} ({} stations)", result.k, result.hosts),
-        &["layout", "total bytes", "bytes/station"],
+        format!("E12: memory footprint, k={} ({} stations)", result.k, result.hosts),
+        &["what", "total bytes", "bytes/station"],
     );
     t.row(&[
-        "SoA planes, 8-byte cells".into(),
+        "d-left path tables (SoA planes, 8-byte cells)".into(),
         result.table_bytes.to_string(),
         format!("{:.0}", result.bytes_per_station()),
     ]);
+    if let Some(bytes) = result.scheduler_reserved_bytes {
+        t.row(&[
+            "scheduler events, reserved (1 worker)".into(),
+            bytes.to_string(),
+            format!("{:.0}", bytes as f64 / result.hosts.max(1) as f64),
+        ]);
+    }
     t
 }

@@ -13,6 +13,7 @@
 //! pre-shuffled key schedule so neither table gets sequential-locality
 //! charity.
 
+use arppath_netsim::calq::{BUCKET_COUNT, BUCKET_SHIFT};
 use arppath_netsim::{CalendarQueue, SimDuration, SimTime};
 use arppath_switch::wheel::{TimerEntry, TimerWheel, DEFAULT_TICK_SHIFT};
 use arppath_switch::{bucket_bits_for, AgingMap, DLeftTable};
@@ -232,7 +233,9 @@ impl DenseQueue for BinaryHeap<Reverse<ByOrd>> {
 /// canonical order, as it does when a fan-out's copies cross links of
 /// different lengths. The queue lives across [`DenseChurn::run`] calls
 /// like the engine's does across a simulation: time what a warm
-/// scheduler does, not the growth of its buckets.
+/// scheduler does, not the growth of its buckets. (Which is also what
+/// this fixture cannot see — how much storage the warm scheduler cycles
+/// through; [`calq_rotating`] reports that.)
 pub struct DenseChurn<Q> {
     queue: Q,
     seq: u64,
@@ -240,15 +243,16 @@ pub struct DenseChurn<Q> {
 }
 
 impl<Q: DenseQueue> DenseChurn<Q> {
-    /// The standing population in `queue`, warmed until the pattern
-    /// has been round the calendar ring often enough to have touched
-    /// every bucket.
-    pub fn new(queue: Q) -> Self {
+    /// The standing population in `queue` from the bucket at `origin`
+    /// on, warmed until the pattern has been round the calendar ring
+    /// often enough (ten times) to have touched every bucket.
+    pub fn new(queue: Q, origin: SimTime) -> Self {
         let mut churn = DenseChurn { queue, seq: 0, batch: Vec::new() };
         for bucket in 0..DENSE_BUCKETS {
             for slot in 0..DENSE_INSTANTS_PER_BUCKET {
                 for i in 0..DENSE_COHORT {
-                    let time = SimTime(64 + bucket * DENSE_STRIDE_NS + slot * DENSE_SLOT_NS);
+                    let time = origin
+                        + SimDuration::nanos(bucket * DENSE_STRIDE_NS + slot * DENSE_SLOT_NS);
                     churn.queue.push(time, (i * 37) % DENSE_COHORT, churn.seq, [churn.seq; 10]);
                     churn.seq += 1;
                 }
@@ -279,14 +283,52 @@ impl<Q: DenseQueue> DenseChurn<Q> {
 
 /// The dense schedule on the calendar queue.
 pub fn calq_dense() -> DenseChurn<CalendarQueue<DensePayload>> {
-    DenseChurn::new(CalendarQueue::new())
+    DenseChurn::new(CalendarQueue::new(), SimTime(64))
+}
+
+/// Entries per start-up cohort in [`calq_rotating`]: a `k8_perm`
+/// fabric's hosts all starting in one instant.
+const BURST_COHORT: u64 = 1_024;
+/// Where the dense schedule starts once the burst has been round the
+/// ring: the first bucket of the second rotation.
+const ROTATING_ORIGIN: SimTime = SimTime((BUCKET_COUNT as u64) << BUCKET_SHIFT);
+
+/// Burst, then rotate: the dense schedule on a calendar queue that
+/// start-up traffic has been all the way round first — one
+/// 1,024-entry cohort (`BURST_COHORT`) pushed and drained in each of the 512
+/// ring indices, as a fabric's `on_start` hellos and first timers do.
+/// A ring that keeps every index's high-water storage is left
+/// reserving 512 × 1,024 entries (54 MB) for the ~1,000 that are ever
+/// pending afterwards, and every push of the rotation then writes
+/// memory last touched a whole ring turn ago; one that recycles drained
+/// buckets reserves what is pending at once.
+pub fn calq_rotating() -> DenseChurn<CalendarQueue<DensePayload>> {
+    let mut queue = CalendarQueue::new();
+    let (mut seq, mut batch) = (0, Vec::new());
+    for bucket in 0..BUCKET_COUNT as u64 {
+        for key in 0..BURST_COHORT {
+            queue.push(SimTime(bucket << BUCKET_SHIFT), key, seq, [seq; 10]);
+            seq += 1;
+        }
+        queue.drain_head(&mut batch);
+        batch.clear();
+    }
+    DenseChurn::new(queue, ROTATING_ORIGIN)
+}
+
+impl DenseChurn<CalendarQueue<DensePayload>> {
+    /// Event storage the queue holds allocated (exact and repeatable:
+    /// it depends on the schedule alone).
+    pub fn reserved_bytes(&self) -> usize {
+        self.queue.reserved_bytes()
+    }
 }
 
 /// The dense schedule on a `BinaryHeap` with the engine's same-instant
 /// pop loop — the boring scheduler the calendar queue has to beat on
 /// this schedule to stay (ROADMAP 1(a)).
 pub fn heap_dense() -> DenseChurn<BinaryHeap<Reverse<ByOrd>>> {
-    DenseChurn::new(BinaryHeap::new())
+    DenseChurn::new(BinaryHeap::new(), SimTime(64))
 }
 
 /// Stations in the refresh fixtures: what one `k8_unicast` bridge
@@ -404,7 +446,9 @@ pub fn wheel_insert(wheel: &mut TimerWheel, now: SimTime) -> u64 {
 }
 
 /// Every micro-measurement as `(key, median ns/op)` pairs — the
-/// `micro_ns` section of the bench-trajectory JSON.
+/// `micro_ns` section of the bench-trajectory JSON. (One key is not a
+/// time: `calq_reserved_bytes`, which rides beside the fixture it is
+/// read from.)
 pub fn measure_all() -> Vec<(&'static str, f64)> {
     let n = TABLE_ENTRIES;
     let hits = key_schedule(n, false);
@@ -458,6 +502,14 @@ pub fn measure_all() -> Vec<(&'static str, f64)> {
     let (mut calq, mut heap) = (calq_dense(), heap_dense());
     out.push(("calq_dense_ns", median_ns_per_op(dense_ops, || calq.run(1024))));
     out.push(("heap_dense_ns", median_ns_per_op(dense_ops, || heap.run(1024))));
+    // The same schedule after a start-up burst has been round the ring.
+    // The time is reported, not gated: in isolation a ring cycling
+    // through 54 MB costs only ~25 against ~20 ns an event — what it
+    // evicts (tables, links) is the end-to-end loss, and that does not
+    // show here. The byte count is exact, and is the guard CI holds.
+    let mut rotating = calq_rotating();
+    out.push(("calq_rotating_ns", median_ns_per_op(dense_ops, || rotating.run(1024))));
+    out.push(("calq_reserved_bytes", rotating.reserved_bytes() as f64));
     // One probe per frame against two: the unicast hit-then-refresh.
     let (mut table, keys) = refresh_fixture();
     out.push((
@@ -505,6 +557,19 @@ mod tests {
     fn churn_cycles_agree_on_checksums() {
         assert_eq!(calq_churn(1024), heap_churn(1024), "same schedule, same drain order");
         assert_eq!(calq_dense().run(1024), heap_dense().run(1024), "same schedule, same order");
+    }
+
+    #[test]
+    fn rotating_ring_drains_in_heap_order_out_of_recycled_storage() {
+        let mut rotating = calq_rotating();
+        let mut heap = DenseChurn::new(BinaryHeap::new(), ROTATING_ORIGIN);
+        assert_eq!(rotating.run(1024), heap.run(1024), "same schedule, same order");
+        // ~1,000 pending entries of 104 bytes; the burst's 54 MB of
+        // high-water storage is not kept.
+        let reserved = rotating.reserved_bytes();
+        assert!(reserved < 1 << 20, "{reserved} bytes reserved");
+        rotating.run(4096);
+        assert_eq!(rotating.reserved_bytes(), reserved, "settled");
     }
 
     #[test]
@@ -557,7 +622,7 @@ mod tests {
     fn dense_schedule_has_the_measured_shape() {
         // However long the churn runs, ~1,000 entries stand in the
         // ring, cohorts stay ~51 strong and sit four to a 64 ns bucket.
-        let mut churn = DenseChurn::new(Recording::default());
+        let mut churn = DenseChurn::new(Recording::default(), SimTime(64));
         churn.run(100);
         let q = churn.queue;
         assert_eq!(q.inner.len(), 1020);

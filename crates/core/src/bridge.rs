@@ -795,7 +795,7 @@ impl SwitchLogic for ArpPathBridge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arppath_netsim::SimDuration;
+    use arppath_netsim::{Command, SimDuration};
     use bytes::Bytes;
 
     const N: usize = 4;
@@ -841,10 +841,7 @@ mod tests {
 
     /// Run one frame through the bridge; returns the egress ports used.
     fn feed(br: &mut ArpPathBridge, port: usize, f: EthernetFrame, now: SimTime) -> Vec<usize> {
-        let ports_up = vec![true; N];
-        let mut env = LogicEnv::new(now, &ports_up, N);
-        br.on_frame(PortNo(port), f, &mut env);
-        env.outputs.iter().map(|(p, _)| p.0).collect()
+        feed_frames(br, port, f, now).into_iter().map(|(p, _)| p).collect()
     }
 
     /// Like `feed` but returning the full output frames.
@@ -855,9 +852,9 @@ mod tests {
         now: SimTime,
     ) -> Vec<(usize, EthernetFrame)> {
         let ports_up = vec![true; N];
-        let mut env = LogicEnv::new(now, &ports_up, N);
-        br.on_frame(PortNo(port), f, &mut env);
-        env.outputs.into_iter().map(|(p, f)| (p.0, f)).collect()
+        let mut commands = Vec::new();
+        br.on_frame(PortNo(port), f, &mut LogicEnv::new(now, &ports_up, N, &mut commands));
+        commands.iter().filter_map(Command::as_send).map(|(p, f)| (p.0, f.clone())).collect()
     }
 
     /// Mark `port` as core by feeding a hello from a peer bridge.
@@ -1148,7 +1145,8 @@ mod tests {
         feed(&mut br, 1, arp_request_frame(1, 2), SimTime(0));
         feed(&mut br, 2, arp_request_frame(2, 1), SimTime(10));
         let ports_up = [true, false, true, true];
-        let mut env = LogicEnv::new(SimTime(100), &ports_up, N);
+        let mut commands = Vec::new();
+        let mut env = LogicEnv::new(SimTime(100), &ports_up, N, &mut commands);
         br.on_link_status(PortNo(1), false, &mut env);
         assert_eq!(br.entry_of(host(1), SimTime(101)), None, "flushed");
         assert!(br.entry_of(host(2), SimTime(101)).is_some(), "other port untouched");
@@ -1167,7 +1165,8 @@ mod tests {
         assert_eq!(br.entry_of(host(1), SimTime(1)).unwrap().port, PortNo(1));
 
         let ports_up = [true, false, true, true];
-        let mut env = LogicEnv::new(SimTime(10), &ports_up, N);
+        let mut commands = Vec::new();
+        let mut env = LogicEnv::new(SimTime(10), &ports_up, N, &mut commands);
         br.on_link_status(PortNo(1), false, &mut env);
         assert!(br.entry_of(host(1), SimTime(11)).is_none(), "slot released at once");
         assert_eq!(br.ap_counters().link_down_flushes, 1);
@@ -1275,13 +1274,17 @@ mod tests {
     fn hellos_emitted_on_start_and_tick() {
         let mut br = mk(ArpPathConfig::default());
         let ports_up = vec![true; N];
-        let mut env = LogicEnv::new(SimTime(0), &ports_up, N);
-        br.on_start(&mut env);
-        assert_eq!(env.outputs.len(), N, "hello on every up port");
-        assert_eq!(env.timers.len(), 1, "periodic hello scheduled");
-        let mut env2 = LogicEnv::new(SimTime(1_000_000_000), &ports_up, N);
-        br.on_timer(TOKEN_HELLO, &mut env2);
-        assert_eq!(env2.outputs.len(), N);
+        let mut commands = Vec::new();
+        br.on_start(&mut LogicEnv::new(SimTime(0), &ports_up, N, &mut commands));
+        let sends = |commands: &[Command]| commands.iter().filter_map(Command::as_send).count();
+        assert_eq!(sends(&commands), N, "hello on every up port");
+        assert_eq!(commands.len(), N + 1, "periodic hello scheduled");
+        commands.clear();
+        br.on_timer(
+            TOKEN_HELLO,
+            &mut LogicEnv::new(SimTime(1_000_000_000), &ports_up, N, &mut commands),
+        );
+        assert_eq!(sends(&commands), N);
         assert_eq!(br.ap_counters().hellos_tx, 2 * N as u64);
     }
 

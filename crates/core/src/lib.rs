@@ -44,14 +44,19 @@
 //! let s = MacAddr::from_index(1, 1);
 //! let req = ArpPacket::request(s, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
 //! let frame = EthernetFrame::arp_request(s, req);
+//! // The bridge writes what it decides into the command buffer it is
+//! // lent — under `IdealSwitch`, the engine's own.
 //! let ports_up = [true; 4];
-//! let mut env = LogicEnv::new(SimTime::ZERO, &ports_up, 4);
+//! let mut commands = Vec::new();
+//! let mut env = LogicEnv::new(SimTime::ZERO, &ports_up, 4, &mut commands);
 //! bridge.on_frame(PortNo(1), frame, &mut env);
 //!
 //! // S is now locked to port 1; the request was flooded on 0, 2, 3.
 //! let entry = bridge.entry_of(s, SimTime(1)).unwrap();
 //! assert_eq!(entry.state, EntryState::Locked);
-//! assert_eq!(env.outputs.len(), 3);
+//! let flooded: Vec<usize> =
+//!     commands.iter().filter_map(|c| c.as_send()).map(|(port, _)| port.0).collect();
+//! assert_eq!(flooded, [0, 2, 3]);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
+use arppath_netsim::{Command, Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
 use arppath_switch::{LogicEnv, ProcessingClass, SwitchLogic};
 use arppath_wire::EthernetFrame;
 use std::collections::BTreeMap;
@@ -95,8 +95,9 @@ pub struct NetFpgaCounters {
 pub struct NetFpgaSwitch<L: SwitchLogic> {
     logic: L,
     params: NetFpgaParams,
-    /// Frames decided but still "in the pipeline": token → outputs.
-    pending: BTreeMap<u64, Vec<(PortNo, EthernetFrame)>>,
+    /// Frames decided but still "in the pipeline": token → the sends
+    /// held back.
+    pending: BTreeMap<u64, Vec<Command>>,
     next_token: u64,
     /// The CPU finishes its current exception at this instant.
     cpu_busy_until: SimTime,
@@ -136,29 +137,26 @@ impl<L: SwitchLogic> NetFpgaSwitch<L> {
         self.params
     }
 
-    fn run_logic<F>(
-        &mut self,
-        ctx: &mut Ctx,
-        f: F,
-    ) -> (Vec<(PortNo, EthernetFrame)>, ProcessingClass)
+    /// Run a control-plane callback (start-up, timers, carrier changes).
+    /// Its traffic — hellos, BPDUs — originates at the CPU and does not
+    /// traverse the lookup path, so the logic writes straight into the
+    /// engine's command buffer and everything leaves at once.
+    fn run_direct<F>(&mut self, ctx: &mut Ctx, f: F)
     where
-        F: FnOnce(&mut L, &mut LogicEnv) -> ProcessingClass,
+        F: FnOnce(&mut L, &mut LogicEnv),
     {
-        let ports_up: Vec<bool> =
-            (0..self.logic.num_ports()).map(|p| ctx.is_port_up(PortNo(p))).collect();
-        let mut env = LogicEnv::new(ctx.now(), &ports_up, self.logic.num_ports());
-        let class = f(&mut self.logic, &mut env);
-        for (after, token) in env.timers.drain(..) {
-            debug_assert_eq!(token.0 & WRAPPER_TOKEN_BIT, 0, "logic token collides with wrapper");
-            ctx.schedule(after, token);
-        }
-        (env.outputs, class)
+        let (now, num_ports) = (ctx.now(), self.logic.num_ports());
+        let (ports_up, commands) = ctx.parts();
+        let first = commands.len();
+        f(&mut self.logic, &mut LogicEnv::new(now, ports_up, num_ports, commands));
+        debug_assert!(commands[first..].iter().all(is_logic_command));
     }
 
-    /// Release `outputs` after the latency implied by `class`.
+    /// Release `outputs` (the sends a frame's decision produced) after
+    /// the latency implied by `class`.
     fn emit_delayed(
         &mut self,
-        outputs: Vec<(PortNo, EthernetFrame)>,
+        outputs: Vec<Command>,
         class: ProcessingClass,
         frame_len: usize,
         ctx: &mut Ctx,
@@ -191,57 +189,53 @@ impl<L: SwitchLogic> NetFpgaSwitch<L> {
     }
 }
 
+/// Logic timer tokens must leave the wrapper's bit alone.
+fn is_logic_command(cmd: &Command) -> bool {
+    !matches!(cmd, Command::Schedule { token, .. } if token.0 & WRAPPER_TOKEN_BIT != 0)
+}
+
 impl<L: SwitchLogic> Device for NetFpgaSwitch<L> {
     fn name(&self) -> &str {
         self.logic.name()
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
-        // Control-plane start-up traffic (hellos) originates at the
-        // CPU and does not traverse the lookup path: send directly.
-        let (outputs, _) = self.run_logic(ctx, |logic, env| {
-            logic.on_start(env);
-            ProcessingClass::Software
-        });
-        for (port, frame) in outputs {
-            ctx.send(port, frame);
-        }
+        self.run_direct(ctx, |logic, env| logic.on_start(env));
     }
 
     fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
         let len = frame.wire_len();
-        let (outputs, class) = self.run_logic(ctx, |logic, env| logic.on_frame(port, frame, env));
-        self.emit_delayed(outputs, class, len, ctx);
+        // The frame's sends must wait out the pipeline, so the logic
+        // gets a buffer of the card's to decide into; the timers it
+        // arms start now and are handed on, what stays is held back.
+        let mut held = Vec::new();
+        let (now, num_ports) = (ctx.now(), self.logic.num_ports());
+        let (ports_up, _) = ctx.parts();
+        let mut env = LogicEnv::new(now, ports_up, num_ports, &mut held);
+        let class = self.logic.on_frame(port, frame, &mut env);
+        held.retain(|cmd| match *cmd {
+            Command::Send { .. } => true,
+            Command::Schedule { after, token } => {
+                debug_assert!(is_logic_command(cmd), "logic token collides with wrapper");
+                ctx.schedule(after, token);
+                false
+            }
+        });
+        self.emit_delayed(held, class, len, ctx);
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
         if token.0 & WRAPPER_TOKEN_BIT != 0 {
-            if let Some(outputs) = self.pending.remove(&token.0) {
-                for (port, frame) in outputs {
-                    ctx.send(port, frame);
-                }
+            if let Some(mut outputs) = self.pending.remove(&token.0) {
+                ctx.parts().1.append(&mut outputs);
             }
             return;
         }
-        let (outputs, _) = self.run_logic(ctx, |logic, env| {
-            logic.on_timer(token, env);
-            ProcessingClass::Software
-        });
-        // Timer-driven traffic (hellos, BPDUs) leaves immediately: it
-        // originates at the CPU and does not traverse the lookup path.
-        for (port, frame) in outputs {
-            ctx.send(port, frame);
-        }
+        self.run_direct(ctx, |logic, env| logic.on_timer(token, env));
     }
 
     fn on_link_status(&mut self, port: PortNo, up: bool, ctx: &mut Ctx) {
-        let (outputs, _) = self.run_logic(ctx, |logic, env| {
-            logic.on_link_status(port, up, env);
-            ProcessingClass::Software
-        });
-        for (port, frame) in outputs {
-            ctx.send(port, frame);
-        }
+        self.run_direct(ctx, |logic, env| logic.on_link_status(port, up, env));
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -384,15 +378,15 @@ mod tests {
         let ports = [true, true];
         let mut cmds = Vec::new();
         let mut ctx = Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds);
-        let out = vec![(PortNo(1), arp_broadcast())];
-        card.emit_delayed(out.clone(), ProcessingClass::Software, 60, &mut ctx);
-        card.emit_delayed(out, ProcessingClass::Software, 60, &mut ctx);
+        let out = || vec![Command::Send { port: PortNo(1), frame: arp_broadcast() }];
+        card.emit_delayed(out(), ProcessingClass::Software, 60, &mut ctx);
+        card.emit_delayed(out(), ProcessingClass::Software, 60, &mut ctx);
         assert_eq!(card.nf_counters().sw_frames, 2);
         assert!(card.nf_counters().sw_queueing_ns > 0, "second exception queued");
         let delays: Vec<u64> = cmds
             .iter()
             .filter_map(|c| match c {
-                arppath_netsim::Command::Schedule { after, .. } => Some(after.as_nanos()),
+                Command::Schedule { after, .. } => Some(after.as_nanos()),
                 _ => None,
             })
             .collect();

@@ -21,7 +21,15 @@
 //!   is a binary insert near the tail; a push into a head bucket not
 //!   yet reached just appends, and the sort is redone at the next pop
 //!   — so a burst into it (a thousand hosts starting in one instant)
-//!   stays O(1) per push;
+//!   stays O(1) per push. Bucket **storage is recycled**: when the
+//!   head bucket empties its `Vec` goes onto a LIFO spare list, and a
+//!   push that opens an empty ring index takes the most recently
+//!   drained — the hottest — one. An empty index therefore owns no
+//!   storage, and what the ring reserves
+//!   ([`reserved_bytes`](CalendarQueue::reserved_bytes)) tracks the
+//!   buckets occupied *at once* (~50 on a k=16 flood), not 512
+//!   high-water `Vec`s that each get written once per ring rotation
+//!   and push the tables and links out of cache on the way round;
 //! * events beyond the horizon (protocol timers, idle-period traffic)
 //!   go to a `BinaryHeap` **annex** and are popped from it directly
 //!   when due — a sparse simulation therefore runs at binary-heap
@@ -173,8 +181,12 @@ const NO_BUCKET: u64 = u64::MAX;
 pub struct CalendarQueue<T> {
     /// The ring: `BUCKET_COUNT` buckets of `BUCKET_SHIFT`-wide slices
     /// of time, indexed by absolute bucket number masked down. Only
-    /// the head bucket is kept ordered; the rest are append-only.
+    /// the head bucket is kept ordered; the rest are append-only. An
+    /// empty bucket has no capacity: its storage is on `spare`.
     buckets: Vec<Vec<Entry<T>>>,
+    /// Storage of drained buckets, most recently drained last. Never
+    /// holds more `Vec`s than buckets were ever occupied at once.
+    spare: Vec<Vec<Entry<T>>>,
     /// Which ring buckets hold entries.
     occupied: Occupancy,
     /// Absolute bucket number of the last popped timestamp. Every ring
@@ -207,6 +219,7 @@ impl<T> CalendarQueue<T> {
     pub fn new() -> Self {
         CalendarQueue {
             buckets: (0..BUCKET_COUNT).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             occupied: Occupancy::new(),
             cursor: 0,
             head_bucket: NO_BUCKET,
@@ -224,6 +237,15 @@ impl<T> CalendarQueue<T> {
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Bytes of entry storage the queue holds allocated — occupied
+    /// buckets, spare bucket storage and the annex, at capacity. This is
+    /// the memory scheduling cycles through, whatever `len` is; it
+    /// settles at the high-water mark of what was pending at once.
+    pub fn reserved_bytes(&self) -> usize {
+        let ring: usize = self.buckets.iter().chain(&self.spare).map(Vec::capacity).sum();
+        (ring + self.annex.capacity()) * std::mem::size_of::<Entry<T>>()
     }
 
     /// Timestamp of the earliest pending event. O(1).
@@ -281,6 +303,10 @@ impl<T> CalendarQueue<T> {
         }
         let idx = Self::ring_index(abs);
         let bucket = &mut self.buckets[idx];
+        if bucket.capacity() == 0 {
+            // Opening an empty index: write where a drain just read.
+            *bucket = self.spare.pop().unwrap_or_default();
+        }
         if abs == self.head_bucket && self.head_sorted && abs == self.cursor {
             // A follow-up within the bucket being drained (a
             // same-instant timer, say) sorts in near the tail.
@@ -306,10 +332,11 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// The head bucket at ring index `idx` just emptied: move on to the
-    /// next occupied bucket and sort it — once; every cohort in it then
-    /// pops off its tail.
+    /// The head bucket at ring index `idx` just emptied: shelve its
+    /// storage, move on to the next occupied bucket and sort it — once;
+    /// every cohort in it then pops off its tail.
     fn advance_head_bucket(&mut self, idx: usize) {
+        self.spare.push(std::mem::take(&mut self.buckets[idx]));
         self.occupied.clear(idx);
         self.head_bucket = match self.occupied.next_set_circular(idx) {
             Some(next) => Self::abs_bucket(self.buckets[next][0].time),
@@ -380,6 +407,7 @@ impl<T> CalendarQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
     use proptest::prelude::*;
 
     fn t(ns: u64) -> SimTime {
@@ -553,10 +581,61 @@ mod tests {
         q.push(t(100), 0, 1, ());
     }
 
+    /// The recycling invariant: storage sits under entries or on the
+    /// spare list, never under an empty ring index.
+    fn empty_indices_own_no_storage<T>(q: &CalendarQueue<T>) -> bool {
+        q.buckets.iter().all(|bucket| !bucket.is_empty() || bucket.capacity() == 0)
+    }
+
+    #[test]
+    fn reserved_storage_tracks_occupancy_not_the_high_water_of_every_index() {
+        // Start-up, as a fabric's hellos make it: a 1,024-entry cohort
+        // in each of the 512 ring indices in turn. Kept per index, that
+        // high-water storage is the whole of `everywhere`.
+        let everywhere = BUCKET_COUNT * 1024 * std::mem::size_of::<Entry<u64>>();
+        let mut q = CalendarQueue::new();
+        let (mut seq, mut batch) = (0u64, Vec::new());
+        for bucket in 0..BUCKET_COUNT as u64 {
+            for key in 0..1024 {
+                q.push(t(bucket << BUCKET_SHIFT), key, seq, seq);
+                seq += 1;
+            }
+            q.drain_head(&mut batch);
+            batch.clear();
+        }
+        assert!(q.is_empty());
+        // Then the measured flood shape: 5 occupied buckets of 4
+        // instants x 51 events (1,020 pending), every drained event
+        // rescheduled 16 buckets ahead — for ten turns of the ring.
+        let start = BUCKET_COUNT as u64;
+        for bucket in [0, 3, 6, 9, 12] {
+            for slot in 0..4 {
+                for key in 0..51 {
+                    q.push(t(((start + bucket) << BUCKET_SHIFT) + slot * 16), key, seq, seq);
+                    seq += 1;
+                }
+            }
+        }
+        let mut reserved = Vec::new();
+        for rotation in 2..=11 {
+            while q.head_time().is_some_and(|at| at < t((rotation * start) << BUCKET_SHIFT)) {
+                let at = q.drain_head(&mut batch).expect("the flood never ends");
+                for item in batch.drain(..) {
+                    q.push(at + SimDuration::nanos(16 << BUCKET_SHIFT), item % 51, seq, item);
+                    seq += 1;
+                }
+            }
+            assert_eq!(q.len(), 1020);
+            reserved.push(q.reserved_bytes());
+        }
+        assert!(reserved[1] < everywhere / 10, "{} of {everywhere} bytes", reserved[1]);
+        assert_eq!(reserved[1], reserved[9], "still growing after ten rotations: {reserved:?}");
+    }
+
     proptest! {
         #[test]
         fn drain_pops_and_heap_agree_on_dense_schedules(
-            ops in proptest::collection::vec((0u8..4, 0u64..60_000, 0u64..64, 0u8..3), 1..120),
+            ops in proptest::collection::vec((0u8..4, 0u64..60_000, 0u64..64, 0u8..5), 1..120),
         ) {
             // Three queues fed identically: `a` is drained a cohort at
             // a time, `b` popped an event at a time, and a binary heap
@@ -569,7 +648,12 @@ mod tests {
             // pushes between drains, `now` itself included; far pushes
             // on a coarse absolute lattice reaching past the 33 µs
             // horizon, so a cohort that began in the annex gains ring
-            // members once the cursor closes in.
+            // members once the cursor closes in. Two more modes aim at
+            // recycled storage: a push within a few ns of `now` reopens
+            // the ring index a drain has just emptied (and shelved the
+            // storage of), and a push on the horizon's edge lands in
+            // the last ring bucket or the first annex one — which
+            // shares its ring index with the cursor's.
             let mut a = CalendarQueue::new();
             let mut b = CalendarQueue::new();
             let mut heap: BinaryHeap<Reverse<(SimTime, u64, u64)>> = BinaryHeap::new();
@@ -599,6 +683,8 @@ mod tests {
                 } else {
                     let time = match mode {
                         0 => t(now + delta % 200),
+                        1 => t(now + delta % 4),
+                        2 => t(((now >> BUCKET_SHIFT) + 511 + delta % 2) << BUCKET_SHIFT),
                         _ => t((now + delta + 1).next_multiple_of(4096)),
                     };
                     for i in 0..=burst {
@@ -613,6 +699,7 @@ mod tests {
                 prop_assert_eq!(a.head_time(), want_head);
                 prop_assert_eq!(b.head_time(), want_head);
                 prop_assert_eq!((a.len(), b.len()), (heap.len(), heap.len()));
+                prop_assert!(empty_indices_own_no_storage(&a) && empty_indices_own_no_storage(&b));
             }
             prop_assert!(a.is_empty() && b.is_empty());
         }

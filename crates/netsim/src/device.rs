@@ -45,6 +45,17 @@ pub enum Command {
     },
 }
 
+impl Command {
+    /// The egress port and frame, if this is a [`Command::Send`] — how a
+    /// test reads what a callback sent out of its command buffer.
+    pub fn as_send(&self) -> Option<(PortNo, &EthernetFrame)> {
+        match self {
+            Command::Send { port, frame } => Some((*port, frame)),
+            Command::Schedule { .. } => None,
+        }
+    }
+}
+
 /// Per-callback context handed to devices: the clock, link state, and a
 /// command sink.
 pub struct Ctx<'a> {
@@ -99,6 +110,14 @@ impl<'a> Ctx<'a> {
     /// Schedule an `on_timer(token)` callback `after` from now.
     pub fn schedule(&mut self, after: SimDuration, token: TimerToken) {
         self.commands.push(Command::Schedule { after, token });
+    }
+
+    /// The port-state slice and the command buffer themselves, for a
+    /// device that hands its callback on to an inner environment (a
+    /// timing wrapper's decision plane) which should write its commands
+    /// where the engine reads them instead of into a buffer of its own.
+    pub fn parts(&mut self) -> (&[bool], &mut Vec<Command>) {
+        (self.ports_up, self.commands)
     }
 }
 

@@ -30,10 +30,22 @@
 //!
 //! Two further hot-path choices matter for scale. Device callbacks
 //! cannot borrow the engine, so their side effects are *deferred
-//! commands*: each dispatch lends the device a reusable scratch vector,
+//! commands*: each dispatch lends the device one reused scratch vector,
 //! and the engine applies the commands (sends, timer schedules)
 //! immediately after the callback returns — a flood out of N ports is
-//! N commands in one scratch buffer, no allocation after warm-up. And
+//! N commands in that one buffer. A frame hop allocates nothing after
+//! warm-up, for two reasons: the scratch vector, the batch buffer and
+//! the scheduler's bucket storage are each owned once and recycled (the
+//! calendar shelves a drained bucket's `Vec` and hands it to the next
+//! bucket that opens — see [`crate::calq`]); and the callback writes
+//! where the engine reads ([`Ctx::parts`] lets a wrapper such as
+//! `arppath_switch::IdealSwitch` point its decision plane at the
+//! scratch vector itself, so there is no second output list to grow
+//! and copy, and no snapshot of the port states).
+//! `crates/switch/tests/ideal_alloc.rs` counts allocations per frame at
+//! the device and at the fabric level; what a flooding run still
+//! allocates is per host, not per hop — datagram building and first
+//! inserts growing table storage. And
 //! egress lookup (device, port) → (link, direction) is a dense
 //! two-level table indexed by node id and port number, not a hash map,
 //! so the per-send cost is two array indexations.
@@ -332,8 +344,9 @@ pub struct Network {
     seq: u64,
     stats: NetworkStats,
     tracer: Option<Box<dyn Tracer>>,
-    /// Reused command buffer lent to device callbacks (flood fan-out
-    /// writes N send commands here without allocating after warm-up).
+    /// Reused command buffer lent to device callbacks; bridge logic
+    /// writes its sends and timers straight into it (a flood is N
+    /// commands here and nowhere else).
     scratch: Vec<Command>,
     /// Reused buffer holding the events of the batch being processed.
     batch: Vec<EventKind>,
@@ -356,6 +369,13 @@ impl Network {
     /// single-step up to a horizon without consuming events past it.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.head_time()
+    }
+
+    /// Bytes of event storage the scheduler holds allocated (see
+    /// [`CalendarQueue::reserved_bytes`]): what a run's pending events
+    /// cost in memory at their high-water mark.
+    pub fn scheduler_reserved_bytes(&self) -> usize {
+        self.queue.reserved_bytes()
     }
 
     /// Engine-wide counters.

@@ -709,13 +709,22 @@ impl SwitchLogic for StpBridge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arppath_netsim::Command;
 
     fn mk(name: &str, idx: u32, ports: usize, cfg: StpConfig) -> StpBridge {
         StpBridge::new(name, MacAddr::from_index(2, idx), ports, cfg)
     }
 
-    fn env_all_up<'a>(ports_up: &'a [bool], n: usize, now: SimTime) -> LogicEnv<'a> {
-        LogicEnv::new(now, ports_up, n)
+    /// Run one callback at `now` over the given carrier states; returns
+    /// the frames it sent.
+    fn run<R>(
+        ports_up: &[bool],
+        now: SimTime,
+        f: impl FnOnce(&mut LogicEnv) -> R,
+    ) -> Vec<(PortNo, EthernetFrame)> {
+        let mut commands = Vec::new();
+        f(&mut LogicEnv::new(now, ports_up, ports_up.len(), &mut commands));
+        commands.iter().filter_map(Command::as_send).map(|(p, f)| (p, f.clone())).collect()
     }
 
     fn cfg_bpdu(root_idx: u32, cost: u32, bridge_idx: u32, port: u8) -> ConfigBpdu {
@@ -753,24 +762,23 @@ mod tests {
     fn isolated_bridge_elects_itself_root() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        let mut env = env_all_up(&ports_up, 2, SimTime::ZERO);
-        br.on_start(&mut env);
+        let outputs = run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
         assert!(br.is_root());
         assert_eq!(br.port_role(PortNo(0)), PortRole::Designated);
         assert_eq!(br.port_state(PortNo(0)), PortState::Listening);
         // Initial configs went out on both designated ports.
-        assert_eq!(env.outputs.len(), 2);
+        assert_eq!(outputs.len(), 2);
     }
 
     #[test]
     fn superior_bpdu_dethrones_self_elected_root() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        let mut env = env_all_up(&ports_up, 2, SimTime::ZERO);
-        br.on_start(&mut env);
+        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
         // Root claim from bridge 1 (lower MAC → better) at cost 0.
-        let mut env = env_all_up(&ports_up, 2, SimTime(1000));
-        br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), &mut env);
+        run(&ports_up, SimTime(1000), |env| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), env)
+        });
         assert!(!br.is_root());
         assert_eq!(br.root_bridge(), BridgeId::new(0x8000, MacAddr::from_index(2, 1)));
         assert_eq!(br.root_port(), Some(PortNo(0)));
@@ -783,14 +791,15 @@ mod tests {
     fn worse_path_to_same_root_gets_blocked() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        let mut env = env_all_up(&ports_up, 2, SimTime::ZERO);
-        br.on_start(&mut env);
+        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
         // Port 0: root at cost 0 (direct). Port 1: another bridge (idx 3,
         // better than us, worse than root) also offering the root at cost 0.
-        let mut env = env_all_up(&ports_up, 2, SimTime(1000));
-        br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), &mut env);
-        let mut env = env_all_up(&ports_up, 2, SimTime(2000));
-        br.on_frame(PortNo(1), bpdu_frame(cfg_bpdu(1, 0, 3, 1)), &mut env);
+        run(&ports_up, SimTime(1000), |env| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), env)
+        });
+        run(&ports_up, SimTime(2000), |env| {
+            br.on_frame(PortNo(1), bpdu_frame(cfg_bpdu(1, 0, 3, 1)), env)
+        });
         assert_eq!(br.root_port(), Some(PortNo(0)), "lower bridge id wins tiebreak");
         assert_eq!(br.port_role(PortNo(1)), PortRole::Blocked);
         assert_eq!(br.port_state(PortNo(1)), PortState::Blocking);
@@ -800,15 +809,15 @@ mod tests {
     fn designated_port_corrects_inferior_neighbor() {
         let mut br = mk("b", 1, 2, StpConfig::default()); // lowest MAC: the root
         let ports_up = [true, true];
-        let mut env = env_all_up(&ports_up, 2, SimTime::ZERO);
-        br.on_start(&mut env);
+        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
         let tx_before = br.stp_counters().config_tx;
         // Inferior claim arrives (bridge 9 thinks *it* is root).
-        let mut env = env_all_up(&ports_up, 2, SimTime(1000));
-        br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(9, 0, 9, 1)), &mut env);
+        let outputs = run(&ports_up, SimTime(1000), |env| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(9, 0, 9, 1)), env)
+        });
         assert!(br.is_root(), "inferior info must not displace us");
         assert_eq!(br.stp_counters().config_tx, tx_before + 1, "reply sent to correct them");
-        assert_eq!(env.outputs.len(), 1);
+        assert_eq!(outputs.len(), 1);
     }
 
     #[test]
@@ -816,18 +825,15 @@ mod tests {
         let cfg = StpConfig::scaled_down(100); // fwd delay 150 ms
         let mut br = mk("b", 5, 1, cfg);
         let ports_up = [true];
-        let mut env = env_all_up(&ports_up, 1, SimTime::ZERO);
-        br.on_start(&mut env);
+        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
         assert_eq!(br.port_state(PortNo(0)), PortState::Listening);
         // After one forward delay: Learning.
         let t1 = SimTime::ZERO + cfg.forward_delay + cfg.tick;
-        let mut env = env_all_up(&ports_up, 1, t1);
-        br.tick(&mut env);
+        run(&ports_up, t1, |env| br.tick(env));
         assert_eq!(br.port_state(PortNo(0)), PortState::Learning);
         // After another: Forwarding.
         let t2 = t1 + cfg.forward_delay + cfg.tick;
-        let mut env = env_all_up(&ports_up, 1, t2);
-        br.tick(&mut env);
+        run(&ports_up, t2, |env| br.tick(env));
         assert_eq!(br.port_state(PortNo(0)), PortState::Forwarding);
     }
 
@@ -836,15 +842,14 @@ mod tests {
         let cfg = StpConfig::scaled_down(100); // max age 200 ms
         let mut br = mk("b", 5, 1, cfg);
         let ports_up = [true];
-        let mut env = env_all_up(&ports_up, 1, SimTime::ZERO);
-        br.on_start(&mut env);
-        let mut env = env_all_up(&ports_up, 1, SimTime(1000));
-        br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu_with_timers(1, 0, 1, 1, cfg)), &mut env);
+        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
+        run(&ports_up, SimTime(1000), |env| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu_with_timers(1, 0, 1, 1, cfg)), env)
+        });
         assert!(!br.is_root());
         // No refreshing BPDUs: info expires after max_age.
         let expiry = SimTime(1000) + cfg.max_age + cfg.tick;
-        let mut env = env_all_up(&ports_up, 1, expiry);
-        br.tick(&mut env);
+        run(&ports_up, expiry, |env| br.tick(env));
         assert!(br.is_root(), "root information must age out");
         assert_eq!(br.stp_counters().info_expiries, 1);
     }
@@ -853,8 +858,7 @@ mod tests {
     fn data_frames_blocked_until_forwarding() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        let mut env = env_all_up(&ports_up, 2, SimTime::ZERO);
-        br.on_start(&mut env);
+        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
         // Ports are Listening: data must not pass.
         let data = EthernetFrame::new(
             MacAddr::BROADCAST,
@@ -864,41 +868,37 @@ mod tests {
                 data: bytes::Bytes::from(vec![0u8; 46]),
             },
         );
-        let mut env = env_all_up(&ports_up, 2, SimTime(10));
-        br.on_frame(PortNo(0), data.clone(), &mut env);
-        assert!(env.outputs.is_empty());
+        let outputs = run(&ports_up, SimTime(10), |env| br.on_frame(PortNo(0), data.clone(), env));
+        assert!(outputs.is_empty());
         assert_eq!(br.counters().dropped(DropReason::PortBlocked), 1);
         // Force both ports Forwarding and retry.
         for p in 0..2 {
             br.ports[p].state = PortState::Forwarding;
         }
-        let mut env = env_all_up(&ports_up, 2, SimTime(20));
-        br.on_frame(PortNo(0), data, &mut env);
-        assert_eq!(env.outputs.len(), 1, "flooded out the other forwarding port");
+        let outputs = run(&ports_up, SimTime(20), |env| br.on_frame(PortNo(0), data, env));
+        assert_eq!(outputs.len(), 1, "flooded out the other forwarding port");
     }
 
     #[test]
     fn tcn_on_designated_port_is_acked_and_relayed() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        let mut env = env_all_up(&ports_up, 2, SimTime::ZERO);
-        br.on_start(&mut env);
+        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
         // Make the bridge non-root with root via port 0.
-        let mut env = env_all_up(&ports_up, 2, SimTime(1000));
-        br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), &mut env);
+        run(&ports_up, SimTime(1000), |env| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), env)
+        });
         // TCN arrives on designated port 1.
         let tcn = EthernetFrame::new(
             MacAddr::STP_MULTICAST,
             MacAddr::from_index(2, 9),
             Payload::Bpdu(Bpdu::Tcn),
         );
-        let mut env = env_all_up(&ports_up, 2, SimTime(2000));
-        br.on_frame(PortNo(1), tcn, &mut env);
+        let outputs = run(&ports_up, SimTime(2000), |env| br.on_frame(PortNo(1), tcn, env));
         assert_eq!(br.stp_counters().tcn_rx, 1);
         assert_eq!(br.stp_counters().tcn_tx, 1, "relayed toward root");
         // The ack config went out on port 1 with TCA set.
-        let acks: Vec<_> = env
-            .outputs
+        let acks: Vec<_> = outputs
             .iter()
             .filter_map(|(p, f)| match &f.payload {
                 Payload::Bpdu(Bpdu::Config(c)) if c.flags.tc_ack => Some(*p),
@@ -912,19 +912,16 @@ mod tests {
     fn root_sets_tc_flag_after_tcn() {
         let mut br = mk("b", 1, 2, StpConfig::default()); // root
         let ports_up = [true, true];
-        let mut env = env_all_up(&ports_up, 2, SimTime::ZERO);
-        br.on_start(&mut env);
+        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
         let tcn = EthernetFrame::new(
             MacAddr::STP_MULTICAST,
             MacAddr::from_index(2, 9),
             Payload::Bpdu(Bpdu::Tcn),
         );
-        let mut env = env_all_up(&ports_up, 2, SimTime(1000));
-        br.on_frame(PortNo(0), tcn, &mut env);
+        run(&ports_up, SimTime(1000), |env| br.on_frame(PortNo(0), tcn, env));
         // Next hello carries TC.
-        let mut env = env_all_up(&ports_up, 2, SimTime(2000));
-        br.hello(&mut env);
-        let tc_set = env.outputs.iter().any(|(_, f)| {
+        let outputs = run(&ports_up, SimTime(2000), |env| br.hello(env));
+        let tc_set = outputs.iter().any(|(_, f)| {
             matches!(&f.payload, Payload::Bpdu(Bpdu::Config(c)) if c.flags.topology_change)
         });
         assert!(tc_set);
@@ -934,15 +931,14 @@ mod tests {
     fn link_down_flushes_and_recomputes() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        let mut env = env_all_up(&ports_up, 2, SimTime::ZERO);
-        br.on_start(&mut env);
-        let mut env = env_all_up(&ports_up, 2, SimTime(1000));
-        br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), &mut env);
+        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
+        run(&ports_up, SimTime(1000), |env| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), env)
+        });
         assert!(!br.is_root());
         // Root port's link dies.
         let ports_down = [false, true];
-        let mut env = env_all_up(&ports_down, 2, SimTime(2000));
-        br.on_link_status(PortNo(0), false, &mut env);
+        run(&ports_down, SimTime(2000), |env| br.on_link_status(PortNo(0), false, env));
         assert!(br.is_root(), "lost the only path to the root");
         assert_eq!(br.port_state(PortNo(0)), PortState::Disabled);
     }
@@ -951,15 +947,13 @@ mod tests {
     fn message_age_relay_accumulates() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        let mut env = env_all_up(&ports_up, 2, SimTime::ZERO);
-        br.on_start(&mut env);
+        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
         let mut cfg = cfg_bpdu(1, 0, 1, 1);
         cfg.message_age = BpduTime(512); // 2 s old already
-        let mut env = env_all_up(&ports_up, 2, SimTime(1000));
-        br.on_frame(PortNo(0), bpdu_frame(cfg), &mut env);
+        let outputs =
+            run(&ports_up, SimTime(1000), |env| br.on_frame(PortNo(0), bpdu_frame(cfg), env));
         // The config relayed out port 1 must carry age 512 + 256.
-        let relayed = env
-            .outputs
+        let relayed = outputs
             .iter()
             .find_map(|(p, f)| match &f.payload {
                 Payload::Bpdu(Bpdu::Config(c)) if *p == PortNo(1) => Some(*c),

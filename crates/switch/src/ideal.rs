@@ -29,22 +29,20 @@ impl<L: SwitchLogic> IdealSwitch<L> {
         &mut self.logic
     }
 
+    /// Run one logic callback on the engine's own port-state slice and
+    /// command buffer: what the logic decides *is* what the engine
+    /// applies, in the order decided. This runs once per frame hop and
+    /// nine in ten flood copies are race losers that decide nothing, so
+    /// it must cost nothing beyond the callback — no snapshot of the
+    /// ports, no buffer of its own, no allocation
+    /// (`tests/ideal_alloc.rs`).
     fn run<F>(&mut self, ctx: &mut Ctx, f: F)
     where
         F: FnOnce(&mut L, &mut LogicEnv),
     {
-        // Snapshot port state for the env (Ctx and env have disjoint
-        // lifetimes; ports are few, the copy is trivial).
-        let ports_up: Vec<bool> =
-            (0..self.logic.num_ports()).map(|p| ctx.is_port_up(PortNo(p))).collect();
-        let mut env = LogicEnv::new(ctx.now(), &ports_up, self.logic.num_ports());
-        f(&mut self.logic, &mut env);
-        for (port, frame) in env.outputs.drain(..) {
-            ctx.send(port, frame);
-        }
-        for (after, token) in env.timers.drain(..) {
-            ctx.schedule(after, token);
-        }
+        let (now, num_ports) = (ctx.now(), self.logic.num_ports());
+        let (ports_up, commands) = ctx.parts();
+        f(&mut self.logic, &mut LogicEnv::new(now, ports_up, num_ports, commands));
     }
 }
 

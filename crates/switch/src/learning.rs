@@ -154,6 +154,7 @@ impl SwitchLogic for LearningSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arppath_netsim::Command;
     use arppath_wire::{EtherType, Payload};
     use bytes::Bytes;
 
@@ -176,9 +177,10 @@ mod tests {
         now: SimTime,
     ) -> Vec<usize> {
         let ports_up = vec![true; sw.num_ports()];
-        let mut env = LogicEnv::new(now, &ports_up, sw.num_ports());
+        let mut commands = Vec::new();
+        let mut env = LogicEnv::new(now, &ports_up, sw.num_ports(), &mut commands);
         sw.on_frame(PortNo(port), f, &mut env);
-        env.outputs.iter().map(|(p, _)| p.0).collect()
+        commands.iter().filter_map(Command::as_send).map(|(p, _)| p.0).collect()
     }
 
     #[test]
@@ -249,7 +251,8 @@ mod tests {
         run_frame(&mut sw, 0, frame(mac(1), mac(9)), SimTime::ZERO);
         run_frame(&mut sw, 1, frame(mac(2), mac(9)), SimTime::ZERO);
         let ports_up = [true, true, true, true];
-        let mut env = LogicEnv::new(SimTime(5), &ports_up, 4);
+        let mut commands = Vec::new();
+        let mut env = LogicEnv::new(SimTime(5), &ports_up, 4, &mut commands);
         sw.on_link_status(PortNo(0), false, &mut env);
         assert_eq!(sw.lookup(mac(1), SimTime(6)), None);
         assert_eq!(sw.lookup(mac(2), SimTime(6)), Some(PortNo(1)));

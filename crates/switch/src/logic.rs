@@ -8,8 +8,13 @@
 //! what the paper's cards measured). Keeping the FSM identical under
 //! both is exactly the "same algorithm, different substrate" comparison
 //! the paper's multi-platform implementations made.
+//!
+//! What a logic decides leaves through [`LogicEnv`] as netsim
+//! [`Command`]s, appended to a buffer the wrapper lends: there is one
+//! representation of "send this, arm that" from the FSM to the engine,
+//! and under the ideal wrapper one buffer.
 
-use arppath_netsim::{PortNo, SimDuration, SimTime, TimerToken};
+use arppath_netsim::{Command, PortNo, SimDuration, SimTime, TimerToken};
 use arppath_wire::EthernetFrame;
 
 /// How the frame's forwarding decision was reached, which the timing
@@ -85,22 +90,29 @@ impl SwitchCounters {
 }
 
 /// Environment handed to logic callbacks: clock, port state, and the
-/// output sinks (transmissions + timer requests). The timing wrapper
-/// decides *when* queued outputs actually hit the wire.
+/// command sink. It owns nothing — `transmit`/`flood`/`schedule` push
+/// [`Command`]s straight into the buffer the wrapper lends, which under
+/// [`crate::IdealSwitch`] is the engine's own reused command buffer, so
+/// a decision costs no allocation and no copy between the logic and the
+/// engine. The timing wrapper decides *when* the sends hit the wire:
+/// one that adds latency lends a buffer of its own and holds the
+/// [`Command::Send`]s back.
 pub struct LogicEnv<'a> {
     now: SimTime,
     ports_up: &'a [bool],
     num_ports: usize,
-    /// Transmissions requested by the logic, in order.
-    pub outputs: Vec<(PortNo, EthernetFrame)>,
-    /// Timer requests `(after, token)`.
-    pub timers: Vec<(SimDuration, TimerToken)>,
+    commands: &'a mut Vec<Command>,
 }
 
 impl<'a> LogicEnv<'a> {
-    /// Build an environment for one callback.
-    pub fn new(now: SimTime, ports_up: &'a [bool], num_ports: usize) -> Self {
-        LogicEnv { now, ports_up, num_ports, outputs: Vec::new(), timers: Vec::new() }
+    /// Build an environment for one callback, appending to `commands`.
+    pub fn new(
+        now: SimTime,
+        ports_up: &'a [bool],
+        num_ports: usize,
+        commands: &'a mut Vec<Command>,
+    ) -> Self {
+        LogicEnv { now, ports_up, num_ports, commands }
     }
 
     /// Current instant.
@@ -120,26 +132,25 @@ impl<'a> LogicEnv<'a> {
 
     /// Queue a transmission out `port`.
     pub fn transmit(&mut self, port: PortNo, frame: EthernetFrame) {
-        self.outputs.push((port, frame));
+        self.commands.push(Command::Send { port, frame });
     }
 
     /// Queue `frame` out of every up port except `except` — the flood
     /// primitive. Returns how many copies were queued.
     pub fn flood(&mut self, frame: &EthernetFrame, except: PortNo) -> usize {
-        let mut n = 0;
+        let before = self.commands.len();
         for p in 0..self.num_ports {
             let port = PortNo(p);
             if port != except && self.is_port_up(port) {
-                self.outputs.push((port, frame.clone()));
-                n += 1;
+                self.transmit(port, frame.clone());
             }
         }
-        n
+        self.commands.len() - before
     }
 
     /// Request an `on_timer` callback `after` from now.
     pub fn schedule(&mut self, after: SimDuration, token: TimerToken) {
-        self.timers.push((after, token));
+        self.commands.push(Command::Schedule { after, token });
     }
 }
 
@@ -208,17 +219,20 @@ mod tests {
             ),
         );
         let ports_up = [true, true, false, true];
-        let mut env = LogicEnv::new(SimTime::ZERO, &ports_up, 4);
+        let mut commands = Vec::new();
+        let mut env = LogicEnv::new(SimTime::ZERO, &ports_up, 4, &mut commands);
         let n = env.flood(&frame, PortNo(0));
         assert_eq!(n, 2, "ports 1 and 3 (2 is down, 0 is ingress)");
-        let out_ports: Vec<usize> = env.outputs.iter().map(|(p, _)| p.0).collect();
+        let out_ports: Vec<usize> =
+            commands.iter().filter_map(Command::as_send).map(|(p, _)| p.0).collect();
         assert_eq!(out_ports, vec![1, 3]);
     }
 
     #[test]
     fn env_reports_uncabled_ports_down() {
         let ports_up = [true];
-        let env = LogicEnv::new(SimTime::ZERO, &ports_up, 4);
+        let mut commands = Vec::new();
+        let env = LogicEnv::new(SimTime::ZERO, &ports_up, 4, &mut commands);
         assert!(env.is_port_up(PortNo(0)));
         assert!(!env.is_port_up(PortNo(3)));
     }

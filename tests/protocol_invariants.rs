@@ -80,7 +80,8 @@ proptest! {
             let src = MacAddr::from_index(1, host + 1);
             let arp = arppath_wire::ArpPacket::request(src, ip(host + 1), ip(99));
             let frame = EthernetFrame::arp_request(src, arp);
-            let mut env = LogicEnv::new(now, &ports_up, 4);
+            let mut commands = Vec::new();
+            let mut env = LogicEnv::new(now, &ports_up, 4, &mut commands);
             bridge.on_frame(PortNo(port), frame, &mut env);
             prop_assert!(
                 bridge.table_len() <= cap,
@@ -113,10 +114,11 @@ proptest! {
                     data: bytes::Bytes::from(data),
                 },
             );
-            let mut env = LogicEnv::new(now, &ports_up, 4);
+            let mut commands = Vec::new();
+            let mut env = LogicEnv::new(now, &ports_up, 4, &mut commands);
             bridge.on_frame(PortNo(port), frame, &mut env);
             // Outputs never echo out the ingress port.
-            for (p, _) in &env.outputs {
+            for (p, _) in commands.iter().filter_map(|c| c.as_send()) {
                 prop_assert_ne!(p.0, port, "frame reflected to its ingress");
             }
         }
