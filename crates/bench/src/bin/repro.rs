@@ -26,10 +26,8 @@
 //!
 //! `repro -- e12` sweeps the k=16 fabric over 1/2/4/8 workers
 //! (wall clock, sync rounds per simulated ms, bytes per station) and
-//! verifies trace identity across the sweep; `--e12-lookahead
-//! matrix|global` picks the window computation (`global` is the PR 4
-//! sync-cost baseline), and `--shards`/`--trace-out` capture the
-//! byte-comparable trace at one worker count.
+//! verifies trace identity across the sweep; `--shards`/`--trace-out`
+//! capture the byte-comparable trace at one worker count.
 //!
 //! `--bench-json FILE` additionally writes the machine-readable bench
 //! trajectory (schema documented in `BASELINES.md`): per-experiment
@@ -174,6 +172,13 @@ fn difftest_cmd(mut args: Vec<String>) -> ! {
     }
 }
 
+/// Write a `--trace-out` file: one delivery per line.
+fn write_trace(path: &str, trace: &[String]) {
+    let mut body = trace.join("\n");
+    body.push('\n');
+    std::fs::write(path, body).expect("write --trace-out file");
+}
+
 /// Pull `--flag value` or `--flag=value` out of `args`, consuming it.
 fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let prefix = format!("{flag}=");
@@ -223,17 +228,8 @@ fn main() {
         Some(ms) => PauseWatchdog::force_resume(SimDuration::millis(ms)),
         None => default,
     };
-    // E12 knob: `--e12-lookahead matrix|global` picks the window
-    // computation (the global mode is the PR 4 sync-cost baseline).
-    let e12_matrix: bool = match take_value(&mut args, "--e12-lookahead").as_deref() {
-        None | Some("matrix") => true,
-        Some("global") => false,
-        Some(other) => panic!("--e12-lookahead expects matrix|global, got {other}"),
-    };
     // `--e12-k K` overrides E12's fabric arity; with `--e12-shards
-    // a,b,...` it turns the sweep into an arbitrary measurement rig —
-    // the matrix-vs-global acceptance numbers in BASELINES.md come
-    // from `e12 --e12-k 8 --e12-shards 2 --e12-lookahead <mode>`.
+    // a,b,...` it turns the sweep into an arbitrary measurement rig.
     let e12_k: Option<usize> =
         take_value(&mut args, "--e12-k").map(|v| v.parse().expect("--e12-k expects a number"));
     let e12_shard_counts: Option<Vec<usize>> = take_value(&mut args, "--e12-shards")
@@ -438,10 +434,10 @@ fn main() {
             // delivery trace, re-run with tracing enabled. Identical
             // bytes regardless of --shards.
             eprintln!("[repro] capturing E8 delivery trace ({shards} shard(s)) -> {path}");
-            let trace = e8_fattree::delivery_trace(&e8_params(&ks[0]), TrafficPattern::Permutation);
-            let mut body = trace.join("\n");
-            body.push('\n');
-            std::fs::write(path, body).expect("write --trace-out file");
+            write_trace(
+                path,
+                &e8_fattree::delivery_trace(&e8_params(&ks[0]), TrafficPattern::Permutation),
+            );
         }
     }
 
@@ -516,14 +512,14 @@ fn main() {
             // E8 also ran (and owns `path`), this goes to `path.e9`.
             let e9_path = if want("e8") { format!("{path}.e9") } else { path.clone() };
             eprintln!("[repro] capturing E9 delivery trace ({shards} shard(s)) -> {e9_path}");
-            let trace = e9_congestion::delivery_trace(
-                &e9_params(&ks[0]),
-                e9_congestion::QueueMode::Pfc,
-                TrafficPattern::Hotspot { hot_receivers: e9_params(&ks[0]).hot_receivers },
+            write_trace(
+                &e9_path,
+                &e9_congestion::delivery_trace(
+                    &e9_params(&ks[0]),
+                    e9_congestion::QueueMode::Pfc,
+                    TrafficPattern::Hotspot { hot_receivers: e9_params(&ks[0]).hot_receivers },
+                ),
             );
-            let mut body = trace.join("\n");
-            body.push('\n');
-            std::fs::write(&e9_path, body).expect("write --trace-out file");
         }
     }
 
@@ -581,11 +577,10 @@ fn main() {
             let e11_path =
                 if want("e8") || want("e9") { format!("{path}.e11") } else { path.clone() };
             eprintln!("[repro] capturing E11 delivery trace ({shards} shard(s)) -> {e11_path}");
-            let trace =
-                e11_churn::delivery_trace(&e11_params(&ks[0]), e11_churn::TableRegime::Undersized);
-            let mut body = trace.join("\n");
-            body.push('\n');
-            std::fs::write(&e11_path, body).expect("write --trace-out file");
+            write_trace(
+                &e11_path,
+                &e11_churn::delivery_trace(&e11_params(&ks[0]), e11_churn::TableRegime::Undersized),
+            );
         }
     }
 
@@ -594,8 +589,7 @@ fn main() {
         // `--shards` does not pick the engine here (the sweep covers
         // 1/2/4/8 itself); it selects the worker count for the
         // `--trace-out` capture.
-        let params = if quick { e12_scale::E12Params::quick() } else { Default::default() };
-        let mut params = e12_scale::E12Params { use_matrix: e12_matrix, ..params };
+        let mut params = if quick { e12_scale::E12Params::quick() } else { Default::default() };
         if let Some(k) = e12_k {
             assert!(k >= 4 && k % 2 == 0, "--e12-k must be an even arity >= 4");
             params.k = k;
@@ -605,11 +599,8 @@ fn main() {
             params.shard_counts = counts;
         }
         eprintln!(
-            "[repro] running E12 (shard scaling), k={}, {} hosts/edge, sweep {:?}, {} lookahead...",
-            params.k,
-            params.hosts_per_edge,
-            params.shard_counts,
-            if params.use_matrix { "matrix" } else { "global" }
+            "[repro] running E12 (shard scaling), k={}, {} hosts/edge, sweep {:?}...",
+            params.k, params.hosts_per_edge, params.shard_counts
         );
         let started = Instant::now();
         let result = e12_scale::run(&params);
@@ -649,10 +640,7 @@ fn main() {
                 path.clone()
             };
             eprintln!("[repro] capturing E12 delivery trace ({shards} shard(s)) -> {e12_path}");
-            let trace = e12_scale::delivery_trace(&params, shards);
-            let mut body = trace.join("\n");
-            body.push('\n');
-            std::fs::write(&e12_path, body).expect("write --trace-out file");
+            write_trace(&e12_path, &e12_scale::delivery_trace(&params, shards));
         }
     }
 
@@ -763,8 +751,7 @@ fn main() {
         wall_ms.push(("e11_churn_quick_ms".into(), best_ms));
         wall_ms.extend(churn_keys);
         // Fourth guard pair since PR 10: the quick E12 shard-scaling
-        // sweep (k=16 skeleton, all four worker counts, matrix
-        // lookahead) and the path-table bytes-per-station figure it
+        // sweep (k=16 skeleton, all four worker counts) and the path-table bytes-per-station figure it
         // measures — the two numbers the shard-scaling push is
         // accountable for.
         eprintln!("[repro] bench-json: timing the quick E12 scale guard workload...");

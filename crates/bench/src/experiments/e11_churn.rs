@@ -34,17 +34,15 @@
 //! (churn events stay shard-local under rack-major partitions —
 //! `tests/sharded_equivalence.rs` pins it).
 
-use super::{host_ip, host_mac, TracedRun};
+use super::{host_ip, host_mac, rack_major, run_to, TracedRun};
 use arppath::ArpPathConfig;
 use arppath_host::{ChurnConfig, ChurnHost, ChurnSpec, ChurnWorkload};
 use arppath_metrics::{ChurnEpochs, LatencyStats, Table};
-use arppath_netsim::{DeliveryTracer, NodeId, SimDuration, SimTime};
+use arppath_netsim::{Engine, SimDuration, SimTime};
 use arppath_switch::{bucket_bits_for, TableStats, VICTIM_AGE_BUCKETS};
 use arppath_topo::{
-    generic, BridgeIx, BridgeKind, BuiltTopology, ChurnGrid, FatTree, GridRole, Partition,
-    ShardedTopology, StationLife, TopoBuilder,
+    generic, BridgeIx, BridgeKind, ChurnGrid, FatTree, GridRole, StationLife, TopoBuilder, Topology,
 };
-use std::sync::{Arc, Mutex};
 
 /// Settling time before the churn window opens: the initial population
 /// attaches, ARPs and locks its paths first, so the churn observables
@@ -166,9 +164,6 @@ pub struct E11Params {
     /// Worker threads; `1` = single-threaded engine, `≥ 2` = sharded
     /// (rack-major, clamped to `k` like E8/E9).
     pub shards: usize,
-    /// Per-pair lookahead matrix (vs the global-`L` compatibility
-    /// window); only meaningful when `shards > 1`.
-    pub use_matrix: bool,
 }
 
 impl E11Params {
@@ -189,7 +184,6 @@ impl E11Params {
             mobility_per_mille: 400,
             seed: 0xE11,
             shards: 1,
-            use_matrix: true,
         }
     }
 }
@@ -241,75 +235,6 @@ pub struct E11Row {
 pub struct E11Result {
     /// Rows in [`TableRegime::ALL`] order.
     pub rows: Vec<E11Row>,
-}
-
-enum Fabric {
-    Single(Box<BuiltTopology>),
-    Sharded(Box<ShardedTopology>),
-}
-
-impl Fabric {
-    fn run_until(&mut self, until: SimTime) {
-        match self {
-            Fabric::Single(b) => {
-                b.net.run_until(until);
-            }
-            Fabric::Sharded(s) => {
-                s.net.run_until(until);
-            }
-        }
-    }
-
-    fn host_nodes(&self) -> &[NodeId] {
-        match self {
-            Fabric::Single(b) => &b.host_nodes,
-            Fabric::Sharded(s) => &s.host_nodes,
-        }
-    }
-
-    fn churn_host(&self, node: NodeId) -> &ChurnHost {
-        match self {
-            Fabric::Single(b) => b.net.device::<ChurnHost>(node),
-            Fabric::Sharded(s) => s.net.device::<ChurnHost>(node),
-        }
-    }
-
-    fn bridge_count(&self) -> usize {
-        match self {
-            Fabric::Single(b) => b.bridge_nodes.len(),
-            Fabric::Sharded(s) => s.bridge_nodes.len(),
-        }
-    }
-
-    fn bridge_table_stats(&self, ix: BridgeIx) -> TableStats {
-        match self {
-            Fabric::Single(b) => b.arppath(ix).table_stats(),
-            Fabric::Sharded(s) => s.arppath(ix).table_stats(),
-        }
-    }
-
-    fn bridge_table_capacity(&self, ix: BridgeIx) -> usize {
-        match self {
-            Fabric::Single(b) => b.arppath(ix).table_slot_capacity(),
-            Fabric::Sharded(s) => s.arppath(ix).table_slot_capacity(),
-        }
-    }
-
-    fn schedule_link(&mut self, link: arppath_netsim::LinkId, at: SimTime, up: bool) {
-        match (self, up) {
-            (Fabric::Single(b), true) => b.net.schedule_link_up(link, at),
-            (Fabric::Single(b), false) => b.net.schedule_link_down(link, at),
-            (Fabric::Sharded(s), true) => s.net.schedule_link_up(link, at),
-            (Fabric::Sharded(s), false) => s.net.schedule_link_down(link, at),
-        }
-    }
-
-    fn host_links(&self) -> &[arppath_netsim::LinkId] {
-        match self {
-            Fabric::Single(b) => &b.host_links,
-            Fabric::Sharded(s) => &s.host_links,
-        }
-    }
 }
 
 /// Lay out one E11 scenario: generate the churn script, place it on
@@ -412,55 +337,56 @@ pub(crate) fn scenario(
     (t, ft, grid, wl, base, SimTime(deadline.as_nanos()))
 }
 
-fn instantiate(
-    params: &E11Params,
-    t: TopoBuilder,
-    ft: &FatTree,
+/// Schedule the churn script's carrier events on the built fabric and
+/// run it to `deadline`. `starts_down` cells go dark at t = 0 (before
+/// the settling window); lifecycle instants are offset by `base`. Host
+/// access links are intra-shard under rack-major partitions, so this
+/// is legal on both engines.
+fn run_churned<N: Engine>(
+    mut topo: Topology<N>,
     grid: &ChurnGrid,
-    trace: bool,
-) -> Fabric {
-    let shards = params.shards.min(ft.k);
-    if shards > 1 {
-        let partition = Partition::rack_major(ft, grid.slots_per_rack, grid.hosts(), shards);
-        Fabric::Sharded(Box::new(t.build_sharded_with(&partition, trace, params.use_matrix)))
-    } else {
-        Fabric::Single(Box::new(t.build()))
-    }
-}
-
-/// Schedule the churn script's carrier events on the built fabric.
-/// `starts_down` cells go dark at t = 0 (before the settling window);
-/// lifecycle instants are offset by `base`. Host access links are
-/// intra-shard under rack-major partitions, so this is legal on both
-/// engines.
-fn apply_churn(fabric: &mut Fabric, grid: &ChurnGrid, base: SimDuration) {
-    let links: Vec<_> = fabric.host_links().to_vec();
+    base: SimDuration,
+    deadline: SimTime,
+) -> Topology<N> {
     for inst in &grid.instances {
-        let link = links[inst.host_index];
+        let link = topo.host_links[inst.host_index];
         if inst.starts_down {
-            fabric.schedule_link(link, SimTime(0), false);
+            topo.net.schedule_link_down(link, SimTime(0));
         }
         if let Some(at) = inst.up_at {
-            fabric.schedule_link(link, SimTime((base + at).as_nanos()), true);
+            topo.net.schedule_link_up(link, SimTime((base + at).as_nanos()));
         }
         if let Some(at) = inst.down_at {
-            fabric.schedule_link(link, SimTime((base + at).as_nanos()), false);
+            topo.net.schedule_link_down(link, SimTime((base + at).as_nanos()));
         }
     }
+    run_to(topo, deadline)
 }
 
 /// Measure one (k, regime) cell.
 pub fn run_cell(params: &E11Params, regime: TableRegime) -> E11Row {
     let (t, ft, grid, wl, base, deadline) = scenario(params, regime);
-    let mut fabric = instantiate(params, t, &ft, &grid, false);
-    apply_churn(&mut fabric, &grid, base);
-    fabric.run_until(deadline);
+    let shards = params.shards.min(ft.k);
+    if shards > 1 {
+        let topo = t.build_sharded(&rack_major(&ft, grid.slots_per_rack, shards), false);
+        measure(params, regime, &grid, &wl, &run_churned(topo, &grid, base, deadline))
+    } else {
+        measure(params, regime, &grid, &wl, &run_churned(t.build(), &grid, base, deadline))
+    }
+}
 
+/// One cell's metrics off a finished run, on either engine.
+fn measure<N: Engine>(
+    params: &E11Params,
+    regime: TableRegime,
+    grid: &ChurnGrid,
+    wl: &ChurnWorkload,
+    topo: &Topology<N>,
+) -> E11Row {
     // Table pressure, aggregated over every bridge.
     let mut table = TableStats::default();
-    let mut peak_occupancy = 0usize;
-    for b in 0..fabric.bridge_count() {
-        let s = fabric.bridge_table_stats(BridgeIx(b));
+    for b in 0..topo.bridge_nodes.len() {
+        let s = topo.arppath(BridgeIx(b)).table_stats();
         table.evictions += s.evictions;
         table.expiry_sweeps += s.expiry_sweeps;
         table.swept_total += s.swept_total;
@@ -469,9 +395,8 @@ pub fn run_cell(params: &E11Params, regime: TableRegime) -> E11Row {
         for (acc, n) in table.victim_age_histogram.iter_mut().zip(s.victim_age_histogram) {
             *acc += n;
         }
-        peak_occupancy = peak_occupancy.max(s.occupancy_high_water);
     }
-    let table_capacity = fabric.bridge_table_capacity(BridgeIx(0));
+    let table_capacity = topo.arppath(BridgeIx(0)).table_slot_capacity();
 
     // Station-side observables: probe/reply totals, the per-epoch
     // fairness series, and — from each mover's post-move instance —
@@ -482,7 +407,7 @@ pub fn run_cell(params: &E11Params, regime: TableRegime) -> E11Row {
     let mut movers_activated = 0usize;
     let mut epochs = ChurnEpochs::new(SimDuration::millis(EPOCH_MS).as_nanos());
     for inst in &grid.instances {
-        let host = fabric.churn_host(fabric.host_nodes()[inst.host_index]);
+        let host = topo.net.device::<ChurnHost>(topo.host_nodes[inst.host_index]);
         probes_tx += host.probes_tx;
         replies_rx += host.replies_rx;
         if let Some(station) = grid.station_of(inst.host_index) {
@@ -508,7 +433,7 @@ pub fn run_cell(params: &E11Params, regime: TableRegime) -> E11Row {
         moves: wl.moves,
         table_capacity,
         table,
-        peak_occupancy,
+        peak_occupancy: table.occupancy_high_water,
         probes_tx,
         replies_rx,
         corrections,
@@ -527,19 +452,13 @@ pub fn delivery_trace(params: &E11Params, regime: TableRegime) -> Vec<String> {
 /// [`delivery_trace`] plus the engine and link counters of the same
 /// run.
 pub fn traced_run(params: &E11Params, regime: TableRegime) -> TracedRun {
-    let (mut t, ft, grid, _wl, base, deadline) = scenario(params, regime);
-    let sink = Arc::new(Mutex::new(DeliveryTracer::new()));
-    let mut fabric = if params.shards > 1 {
-        instantiate(params, t, &ft, &grid, true)
+    let (t, ft, grid, _wl, base, deadline) = scenario(params, regime);
+    let shards = params.shards.min(ft.k);
+    if shards > 1 {
+        let topo = t.build_sharded(&rack_major(&ft, grid.slots_per_rack, shards), true);
+        TracedRun::of(&run_churned(topo, &grid, base, deadline))
     } else {
-        t.set_tracer(Box::new(sink.clone()));
-        Fabric::Single(Box::new(t.build()))
-    };
-    apply_churn(&mut fabric, &grid, base);
-    fabric.run_until(deadline);
-    match &fabric {
-        Fabric::Sharded(s) => TracedRun::of_sharded(s),
-        Fabric::Single(b) => TracedRun::of_single(b, &sink),
+        TracedRun::of(&run_churned(t.build_single(true), &grid, base, deadline))
     }
 }
 

@@ -23,18 +23,14 @@
 //! Correctness rides along: every run must deliver every datagram, and
 //! the merged delivery trace must be byte-identical across *all* shard
 //! counts ([`verify_trace_identity`]; CI additionally diffs
-//! `--trace-out` files). The `use_matrix` knob collapses the lookahead
-//! matrix to the PR 4 global-`L` computation so the sync-cost win is
-//! measurable on the same scenario (`repro -- e12 --e12-lookahead
-//! global`).
+//! `--trace-out` files).
 
-use super::{host_ip, host_mac};
-use arppath::{ArpPathBridge, ArpPathConfig};
+use super::{host_ip, host_mac, rack_major, run_to};
+use arppath::ArpPathConfig;
 use arppath_host::{pairings, TrafficConfig, TrafficHost, TrafficPattern};
 use arppath_metrics::Table;
-use arppath_netsim::{DeliveryTracer, SimDuration, SimTime};
-use arppath_topo::{generic, BridgeIx, BridgeKind, FatTree, Partition, TopoBuilder};
-use std::sync::{Arc, Mutex};
+use arppath_netsim::{Engine, SimDuration, SimTime};
+use arppath_topo::{generic, BridgeIx, BridgeKind, FatTree, TopoBuilder, Topology};
 use std::time::Instant;
 
 /// Parameters of one E12 sweep (one fabric, several worker counts).
@@ -53,10 +49,6 @@ pub struct E12Params {
     pub seed: u64,
     /// Worker counts to sweep (each clamped to the pod count `k`).
     pub shard_counts: Vec<usize>,
-    /// `true`: per-pair lookahead matrix (PR 10). `false`: collapse to
-    /// the PR 4 global-`L` window computation — the sync-cost
-    /// baseline.
-    pub use_matrix: bool,
 }
 
 impl Default for E12Params {
@@ -68,7 +60,6 @@ impl Default for E12Params {
             payload_len: 700,
             seed: 0xE12,
             shard_counts: vec![1, 2, 4, 8],
-            use_matrix: true,
         }
     }
 }
@@ -109,8 +100,6 @@ pub struct E12Result {
     pub hosts: usize,
     /// Bridges in the fabric.
     pub bridges: usize,
-    /// `"matrix"` or `"global"` — which window computation ran.
-    pub lookahead: &'static str,
     /// One row per swept worker count.
     pub rows: Vec<E12Row>,
     /// Σ path-table heap bytes over every bridge.
@@ -189,30 +178,14 @@ pub fn run(params: &E12Params) -> E12Result {
         hosts = ft.host_capacity(params.hosts_per_edge);
         let shards = requested.min(ft.k);
         let started = Instant::now();
-        let (sync_rounds, sent, delivered, tables) = if shards > 1 {
-            let partition = Partition::rack_major(&ft, params.hosts_per_edge, hosts, shards);
-            let mut topo = t.build_sharded_with(&partition, false, params.use_matrix);
-            topo.net.run_until(deadline);
-            let (mut sent, mut delivered) = (0u64, 0u64);
-            for &h in &topo.host_nodes {
-                let host = topo.net.device::<TrafficHost>(h);
-                sent += host.sent();
-                delivered += host.rx_datagrams;
-            }
-            let tables = table_footprint(topo.bridge_nodes.len(), |ix| topo.arppath(ix));
-            (topo.net.sync_rounds(), sent, delivered, tables)
+        let (sync_rounds, (sent, delivered, tables)) = if shards > 1 {
+            let partition = rack_major(&ft, params.hosts_per_edge, shards);
+            let topo = run_to(t.build_sharded(&partition, false), deadline);
+            (topo.net.sync_rounds(), measure(&topo))
         } else {
-            let mut built = t.build();
-            built.net.run_until(deadline);
-            let (mut sent, mut delivered) = (0u64, 0u64);
-            for &h in &built.host_nodes {
-                let host = built.net.device::<TrafficHost>(h);
-                sent += host.sent();
-                delivered += host.rx_datagrams;
-            }
-            let tables = table_footprint(built.bridge_nodes.len(), |ix| built.arppath(ix));
-            scheduler_reserved_bytes = Some(built.net.scheduler_reserved_bytes());
-            (0, sent, delivered, tables)
+            let topo = run_to(t.build(), deadline);
+            scheduler_reserved_bytes = Some(topo.net.scheduler_reserved_bytes());
+            (0, measure(&topo))
         };
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         footprint.get_or_insert(tables);
@@ -226,23 +199,21 @@ pub fn run(params: &E12Params) -> E12Result {
         });
     }
     let (bridges, table_bytes) = footprint.expect("shard_counts must be nonempty");
-    E12Result {
-        k: params.k,
-        hosts,
-        bridges,
-        lookahead: if params.use_matrix { "matrix" } else { "global" },
-        rows,
-        table_bytes,
-        scheduler_reserved_bytes,
-    }
+    E12Result { k: params.k, hosts, bridges, rows, table_bytes, scheduler_reserved_bytes }
 }
 
-/// Σ heap bytes over every bridge's path table.
-fn table_footprint<'a>(
-    bridges: usize,
-    arppath: impl Fn(BridgeIx) -> &'a ArpPathBridge,
-) -> (usize, usize) {
-    (bridges, (0..bridges).map(|ix| arppath(BridgeIx(ix)).table_heap_bytes()).sum())
+/// `(sent, delivered, (bridges, Σ path-table heap bytes))` off a
+/// finished run, on either engine.
+fn measure<N: Engine>(topo: &Topology<N>) -> (u64, u64, (usize, usize)) {
+    let (mut sent, mut delivered) = (0u64, 0u64);
+    for &h in &topo.host_nodes {
+        let host = topo.net.device::<TrafficHost>(h);
+        sent += host.sent();
+        delivered += host.rx_datagrams;
+    }
+    let bridges = topo.bridge_nodes.len();
+    let table_bytes = (0..bridges).map(|ix| topo.arppath(BridgeIx(ix)).table_heap_bytes()).sum();
+    (sent, delivered, (bridges, table_bytes))
 }
 
 /// The merged, timestamp-sorted delivery trace of one run at `shards`
@@ -252,19 +223,10 @@ pub fn delivery_trace(params: &E12Params, shards: usize) -> Vec<String> {
     let (t, ft, deadline) = scenario(params);
     let shards = shards.min(ft.k);
     if shards > 1 {
-        let hosts = ft.host_capacity(params.hosts_per_edge);
-        let partition = Partition::rack_major(&ft, params.hosts_per_edge, hosts, shards);
-        let mut topo = t.build_sharded_with(&partition, true, params.use_matrix);
-        topo.net.run_until(deadline);
-        topo.net.delivery_trace()
+        let partition = rack_major(&ft, params.hosts_per_edge, shards);
+        run_to(t.build_sharded(&partition, true), deadline).net.delivery_trace()
     } else {
-        let sink = Arc::new(Mutex::new(DeliveryTracer::new()));
-        let mut t = t;
-        t.set_tracer(Box::new(sink.clone()));
-        let mut built = t.build();
-        built.net.run_until(deadline);
-        let records = std::mem::take(&mut sink.lock().unwrap().records);
-        DeliveryTracer::render_sorted(records)
+        run_to(t.build_single(true), deadline).net.delivery_trace()
     }
 }
 
@@ -273,19 +235,9 @@ pub fn delivery_trace(params: &E12Params, shards: usize) -> Vec<String> {
 /// per count with tracing on — call on quick geometry unless you mean
 /// to pay full-scale runs twice.
 pub fn verify_trace_identity(params: &E12Params) -> bool {
-    let mut reference: Option<Vec<String>> = None;
-    for &shards in &params.shard_counts {
-        let trace = delivery_trace(params, shards);
-        match &reference {
-            None => reference = Some(trace),
-            Some(r) => {
-                if *r != trace {
-                    return false;
-                }
-            }
-        }
-    }
-    reference.is_some_and(|r| !r.is_empty())
+    let mut traces = params.shard_counts.iter().map(|&shards| delivery_trace(params, shards));
+    let Some(reference) = traces.next() else { return false };
+    !reference.is_empty() && traces.all(|trace| trace == reference)
 }
 
 /// Delivery sanity over the sweep: nothing lost at any worker count.
@@ -310,8 +262,8 @@ pub fn verify_scheduler(result: &E12Result) -> Option<bool> {
 pub fn table(result: &E12Result) -> Table {
     let mut t = Table::new(
         format!(
-            "E12 (shard scaling): k={} fat-tree, {} hosts, {} bridges, {} lookahead",
-            result.k, result.hosts, result.bridges, result.lookahead
+            "E12 (shard scaling): k={} fat-tree, {} hosts, {} bridges",
+            result.k, result.hosts, result.bridges
         ),
         &["shards", "wall ms", "sync rounds", "rounds/sim ms", "delivered"],
     );

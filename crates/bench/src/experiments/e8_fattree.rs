@@ -20,20 +20,14 @@
 //! Everything is a pure function of the parameter struct: same seed ⇒
 //! identical tables, which `tests/fat_tree_workload.rs` pins.
 
-use super::{host_ip, host_mac, TracedRun};
+use super::{host_ip, host_mac, pattern_label, rack_major, run_to, TracedRun};
 use arppath::{ArpPathBridge, ArpPathConfig};
 use arppath_host::{pairings, TrafficConfig, TrafficHost, TrafficPattern};
 use arppath_metrics::{jain_index, DiversityCounter, Table, UtilizationHistogram};
-use arppath_netsim::{
-    DeliveryTracer, Dir, DirStats, Endpoint, LinkId, NodeId, PortNo, ShardStats, SimDuration,
-    SimTime,
-};
-use arppath_topo::{
-    generic, BridgeIx, BridgeKind, BuiltTopology, FatTree, Partition, ShardedTopology, TopoBuilder,
-};
+use arppath_netsim::{Dir, Engine, NodeId, PortNo, ShardStats, SimDuration, SimTime};
+use arppath_topo::{generic, BridgeIx, BridgeKind, FatTree, TopoBuilder, Topology};
 use arppath_wire::MacAddr;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// Parameters of one E8 run (one fabric size, both patterns).
 #[derive(Debug, Clone, Copy)]
@@ -56,7 +50,7 @@ pub struct E8Params {
     /// Worker threads for the simulation. `1` runs the classic
     /// single-threaded engine; `≥ 2` runs
     /// [`arppath_netsim::ShardedNetwork`] under the rack-major
-    /// partition ([`Partition::rack_major`]), clamped to the fabric's
+    /// partition ([`arppath_topo::Partition::rack_major`]), clamped to the fabric's
     /// pod count `k` — same scenario, same results
     /// (`tests/sharded_equivalence.rs` pins trace identity),
     /// different wall clock.
@@ -121,82 +115,6 @@ pub struct E8Result {
     pub shard_summary: Option<Table>,
 }
 
-/// The fabric under measurement: the same scenario instantiated on
-/// either engine, behind one accessor surface so every metric below is
-/// computed identically for single-threaded and sharded runs.
-enum Fabric {
-    Single(Box<BuiltTopology>),
-    Sharded(Box<ShardedTopology>),
-}
-
-impl Fabric {
-    fn run_until(&mut self, until: SimTime) {
-        match self {
-            Fabric::Single(b) => b.net.run_until(until),
-            Fabric::Sharded(s) => s.net.run_until(until),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            Fabric::Single(b) => b.net.now(),
-            Fabric::Sharded(s) => s.net.now(),
-        }
-    }
-
-    fn bridge_nodes(&self) -> &[NodeId] {
-        match self {
-            Fabric::Single(b) => &b.bridge_nodes,
-            Fabric::Sharded(s) => &s.bridge_nodes,
-        }
-    }
-
-    fn host_nodes(&self) -> &[NodeId] {
-        match self {
-            Fabric::Single(b) => &b.host_nodes,
-            Fabric::Sharded(s) => &s.host_nodes,
-        }
-    }
-
-    fn bridge_links(&self) -> &[LinkId] {
-        match self {
-            Fabric::Single(b) => &b.bridge_links,
-            Fabric::Sharded(s) => &s.bridge_links,
-        }
-    }
-
-    fn link_endpoints(&self, l: LinkId) -> (Endpoint, Endpoint) {
-        match self {
-            Fabric::Single(b) => {
-                let lk = b.net.link(l);
-                (lk.a, lk.b)
-            }
-            Fabric::Sharded(s) => s.net.link_endpoints(l),
-        }
-    }
-
-    fn link_stats(&self, l: LinkId, dir: Dir) -> DirStats {
-        match self {
-            Fabric::Single(b) => b.net.link(l).stats(dir),
-            Fabric::Sharded(s) => s.net.link_stats(l, dir),
-        }
-    }
-
-    fn arppath(&self, ix: BridgeIx) -> &ArpPathBridge {
-        match self {
-            Fabric::Single(b) => b.arppath(ix),
-            Fabric::Sharded(s) => s.arppath(ix),
-        }
-    }
-
-    fn traffic_host(&self, node: NodeId) -> &TrafficHost {
-        match self {
-            Fabric::Single(b) => b.net.device::<TrafficHost>(node),
-            Fabric::Sharded(s) => s.net.device::<TrafficHost>(node),
-        }
-    }
-}
-
 /// Walks learned unicast paths over one built topology. The fabric
 /// adjacency maps are built once at construction, so walking every
 /// host pair (1024 at k=8) costs hops, not map rebuilds.
@@ -208,54 +126,17 @@ pub struct PathWalker<'a> {
 }
 
 impl<'a> PathWalker<'a> {
-    /// Index the fabric adjacency of `built`.
-    pub fn new(built: &'a BuiltTopology) -> Self {
-        Self::from_parts(
-            built.bridge_nodes.len(),
-            &built.bridge_nodes,
-            built.bridge_links.iter().map(|&l| {
-                let lk = built.net.link(l);
-                (lk.a, lk.b)
-            }),
-            |ix| built.arppath(ix),
-        )
-    }
-
-    /// Index the fabric adjacency of a sharded instantiation (E9 walks
-    /// learned paths on both engines through this).
-    pub fn new_sharded(topo: &'a ShardedTopology) -> Self {
-        Self::from_parts(
-            topo.bridge_nodes.len(),
-            &topo.bridge_nodes,
-            topo.bridge_links.iter().map(|&l| topo.net.link_endpoints(l)),
-            |ix| topo.arppath(ix),
-        )
-    }
-
-    /// Index the fabric adjacency of either engine's instantiation.
-    fn from_fabric(fabric: &'a Fabric) -> Self {
-        Self::from_parts(
-            fabric.bridge_nodes().len(),
-            fabric.bridge_nodes(),
-            fabric.bridge_links().iter().map(|&l| fabric.link_endpoints(l)),
-            |ix| fabric.arppath(ix),
-        )
-    }
-
-    fn from_parts(
-        n: usize,
-        bridge_nodes: &[NodeId],
-        links: impl Iterator<Item = (Endpoint, Endpoint)>,
-        arppath: impl Fn(BridgeIx) -> &'a ArpPathBridge,
-    ) -> Self {
+    /// Index the fabric adjacency of `topo`, on either engine.
+    pub fn new<N: Engine>(topo: &'a Topology<N>) -> Self {
         let ix_of: BTreeMap<NodeId, usize> =
-            bridge_nodes.iter().enumerate().map(|(i, &node)| (node, i)).collect();
+            topo.bridge_nodes.iter().enumerate().map(|(i, &node)| (node, i)).collect();
         let mut peer = BTreeMap::new();
-        for (a, b) in links {
+        for &l in &topo.bridge_links {
+            let (a, b) = topo.net.link_endpoints(l);
             peer.insert((ix_of[&a.node], a.port), ix_of[&b.node]);
             peer.insert((ix_of[&b.node], b.port), ix_of[&a.node]);
         }
-        let bridges = (0..n).map(|i| arppath(BridgeIx(i))).collect();
+        let bridges = (0..topo.bridge_nodes.len()).map(|i| topo.arppath(BridgeIx(i))).collect();
         PathWalker { bridges, peer }
     }
 
@@ -280,17 +161,6 @@ impl<'a> PathWalker<'a> {
         }
         visited
     }
-}
-
-/// One-shot convenience over [`PathWalker`] — fine for a single pair;
-/// batch callers should construct the walker once.
-pub fn walk_path(
-    built: &BuiltTopology,
-    from: BridgeIx,
-    target: MacAddr,
-    now: SimTime,
-) -> Vec<BridgeIx> {
-    PathWalker::new(built).walk(from, target, now)
 }
 
 /// Lay out one E8 scenario: the jittered fabric, the seeded workload's
@@ -342,82 +212,45 @@ fn scenario(
     (t, ft, pairs, SimTime(deadline.as_nanos()))
 }
 
-/// Instantiate a prepared scenario on the engine `params.shards` asks
-/// for (rack-major partition when sharded). The worker count is
-/// clamped to the fabric's pod count `k` — rack-major assigns whole
-/// pods, so a k=4 fabric can use at most 4 workers even when the
-/// sweep's larger fabrics use more (the per-shard table reports the
-/// count actually used).
-fn instantiate(params: &E8Params, t: TopoBuilder, ft: &FatTree, trace: bool) -> Fabric {
+fn run_pattern(params: &E8Params, pattern: TrafficPattern) -> (E8Row, Option<Table>) {
+    let (t, ft, pairs, deadline) = scenario(params, pattern);
     let shards = params.shards.min(ft.k);
     if shards > 1 {
-        let hosts = ft.host_capacity(params.hosts_per_edge);
-        let partition = Partition::rack_major(ft, params.hosts_per_edge, hosts, shards);
-        Fabric::Sharded(Box::new(t.build_sharded(&partition, trace)))
+        let partition = rack_major(&ft, params.hosts_per_edge, shards);
+        let topo = run_to(t.build_sharded(&partition, false), deadline);
+        let summary = shard_table(params.k, &topo.net.shard_stats(), topo.net.lookahead());
+        (measure(params, pattern, &ft, &pairs, &topo), Some(summary))
     } else {
-        Fabric::Single(Box::new(t.build()))
+        (measure(params, pattern, &ft, &pairs, &run_to(t.build(), deadline)), None)
     }
 }
 
-fn run_pattern(
+/// One pattern's metrics off a finished run, on either engine.
+fn measure<N: Engine>(
     params: &E8Params,
     pattern: TrafficPattern,
-    label: &'static str,
-) -> (E8Row, Option<Table>) {
-    let (t, ft, pairs, deadline) = scenario(params, pattern);
-    let n = pairs.len();
-    let mut fabric = instantiate(params, t, &ft, false);
-    fabric.run_until(deadline);
-    let now = fabric.now();
-
-    // Core links: exactly one endpoint on a core switch.
-    let core_nodes: Vec<NodeId> = ft.core.iter().map(|&c| fabric.bridge_nodes()[c.0]).collect();
-    let core_loads: Vec<f64> = fabric
-        .bridge_links()
-        .iter()
-        .filter_map(|&l| {
-            let (a, b) = fabric.link_endpoints(l);
-            let is_core = core_nodes.contains(&a.node) || core_nodes.contains(&b.node);
-            is_core.then(|| {
-                (fabric.link_stats(l, Dir::AtoB).tx_bytes
-                    + fabric.link_stats(l, Dir::BtoA).tx_bytes) as f64
-            })
-        })
-        .collect();
+    ft: &FatTree,
+    pairs: &[usize],
+    topo: &Topology<N>,
+) -> E8Row {
+    let core_loads = core_loads(ft, topo);
     let mean = core_loads.iter().sum::<f64>() / core_loads.len().max(1) as f64;
     let used = core_loads.iter().filter(|&&x| x > mean * 0.05).count() as f64
         / core_loads.len().max(1) as f64;
-
-    // Path diversity: which core each pair's learned path crosses.
-    let mut diversity = DiversityCounter::new();
-    let walker = PathWalker::from_fabric(&fabric);
-    for (i, &dst) in pairs.iter().enumerate() {
-        let from = ft.edge_of_host(i, params.hosts_per_edge);
-        let path = walker.walk(from, host_mac((dst + 1) as u32), now);
-        for b in &path {
-            if ft.is_core(*b) {
-                diversity.record(i as u64, b.0 as u64);
-            }
-        }
-    }
+    let diversity = core_diversity(ft, params.hosts_per_edge, pairs, topo);
 
     let mut sent = 0u64;
     let mut delivered = 0u64;
-    for &h in fabric.host_nodes() {
-        let host = fabric.traffic_host(h);
+    for &h in &topo.host_nodes {
+        let host = topo.net.device::<TrafficHost>(h);
         sent += host.sent();
         delivered += host.rx_datagrams;
     }
 
-    let shard_summary = match &fabric {
-        Fabric::Single(_) => None,
-        Fabric::Sharded(s) => Some(shard_table(params.k, &s.net.shard_stats(), s.net.lookahead())),
-    };
-
-    let row = E8Row {
-        pattern: label,
+    E8Row {
+        pattern: pattern_label(pattern),
         k: params.k,
-        hosts: n,
+        hosts: pairs.len(),
         core_links: core_loads.len(),
         jain_core: jain_index(&core_loads),
         core_links_used: used,
@@ -428,8 +261,46 @@ fn run_pattern(
         delivered,
         sent,
         histogram: UtilizationHistogram::from_loads(&core_loads),
+    }
+}
+
+/// Byte load of every core link (one endpoint on a core switch), both
+/// directions summed, in link order.
+pub(crate) fn core_loads<N: Engine>(ft: &FatTree, topo: &Topology<N>) -> Vec<f64> {
+    let core_nodes: Vec<NodeId> = ft.core.iter().map(|&c| topo.bridge_nodes[c.0]).collect();
+    let load = |l| {
+        (topo.net.link_stats(l, Dir::AtoB).tx_bytes + topo.net.link_stats(l, Dir::BtoA).tx_bytes)
+            as f64
     };
-    (row, shard_summary)
+    topo.bridge_links
+        .iter()
+        .filter(|&&l| {
+            let (a, b) = topo.net.link_endpoints(l);
+            core_nodes.contains(&a.node) || core_nodes.contains(&b.node)
+        })
+        .map(|&l| load(l))
+        .collect()
+}
+
+/// Which core switch each host pair's learned path crosses at the end
+/// of the run (host `i` sends to host `pairs[i]`).
+pub(crate) fn core_diversity<N: Engine>(
+    ft: &FatTree,
+    hosts_per_edge: usize,
+    pairs: &[usize],
+    topo: &Topology<N>,
+) -> DiversityCounter {
+    let mut diversity = DiversityCounter::new();
+    let walker = PathWalker::new(topo);
+    for (i, &dst) in pairs.iter().enumerate() {
+        let from = ft.edge_of_host(i, hosts_per_edge);
+        for b in walker.walk(from, host_mac((dst + 1) as u32), topo.net.now()) {
+            if ft.is_core(b) {
+                diversity.record(i as u64, b.0 as u64);
+            }
+        }
+    }
+    diversity
 }
 
 /// Render the per-shard utilization report of a sharded run: how many
@@ -473,32 +344,20 @@ pub fn delivery_trace(params: &E8Params, pattern: TrafficPattern) -> Vec<String>
 /// run.
 pub fn traced_run(params: &E8Params, pattern: TrafficPattern) -> TracedRun {
     let (t, ft, _pairs, deadline) = scenario(params, pattern);
-    if params.shards > 1 {
-        let mut fabric = match instantiate(params, t, &ft, true) {
-            Fabric::Sharded(s) => s,
-            Fabric::Single(_) => unreachable!("shards > 1 builds sharded"),
-        };
-        fabric.net.run_until(deadline);
-        TracedRun::of_sharded(&fabric)
+    let shards = params.shards.min(ft.k);
+    if shards > 1 {
+        let partition = rack_major(&ft, params.hosts_per_edge, shards);
+        TracedRun::of(&run_to(t.build_sharded(&partition, true), deadline))
     } else {
-        let sink = Arc::new(Mutex::new(DeliveryTracer::new()));
-        let mut t = t;
-        t.set_tracer(Box::new(sink.clone()));
-        let mut built = t.build();
-        built.net.run_until(deadline);
-        TracedRun::of_single(&built, &sink)
+        TracedRun::of(&run_to(t.build_single(true), deadline))
     }
 }
 
 /// Run both patterns on one fabric size.
 pub fn run(params: &E8Params) -> E8Result {
-    let (permutation, shard_summary) =
-        run_pattern(params, TrafficPattern::Permutation, "permutation");
-    let (hotspot, _) = run_pattern(
-        params,
-        TrafficPattern::Hotspot { hot_receivers: params.hot_receivers },
-        "hotspot",
-    );
+    let (permutation, shard_summary) = run_pattern(params, TrafficPattern::Permutation);
+    let hotspot = TrafficPattern::Hotspot { hot_receivers: params.hot_receivers };
+    let (hotspot, _) = run_pattern(params, hotspot);
     E8Result { rows: vec![permutation, hotspot], shard_summary }
 }
 

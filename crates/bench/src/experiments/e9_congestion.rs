@@ -25,21 +25,13 @@
 //! single-threaded and sharded engines (`tests/sharded_equivalence.rs`
 //! pins it, pause frames crossing shard cuts included).
 
-use super::e8_fattree::PathWalker;
-use super::{host_ip, host_mac, TracedRun};
+use super::e8_fattree::{core_diversity, core_loads};
+use super::{host_ip, host_mac, pattern_label, rack_major, run_to, TracedRun};
 use arppath::ArpPathConfig;
 use arppath_host::{pairings, Aimd, FixedWindow, FlowConfig, FlowHost, TrafficPattern};
-use arppath_metrics::{
-    jain_index, DiversityCounter, DropCounter, FctSummary, QueueDepthSeries, Table,
-};
-use arppath_netsim::{
-    DeliveryTracer, Dir, DirStats, Endpoint, LinkId, NetworkStats, NodeId, PauseWatchdog,
-    QueuePolicy, SimDuration, SimTime,
-};
-use arppath_topo::{
-    generic, BridgeKind, BuiltTopology, FatTree, Partition, ShardedTopology, TopoBuilder,
-};
-use std::sync::{Arc, Mutex};
+use arppath_metrics::{jain_index, DropCounter, FctSummary, QueueDepthSeries, Table};
+use arppath_netsim::{Dir, Engine, PauseWatchdog, QueuePolicy, SimDuration, SimTime};
+use arppath_topo::{generic, BridgeKind, BuiltTopology, FatTree, TopoBuilder, Topology};
 
 /// Per-port-direction byte cap (drop-tail) and PFC pause threshold.
 const QUEUE_CAP_BYTES: usize = 16 * 1024;
@@ -206,97 +198,6 @@ pub struct E9Result {
     pub rows: Vec<E9Row>,
 }
 
-enum Fabric {
-    Single(Box<BuiltTopology>),
-    Sharded(Box<ShardedTopology>),
-}
-
-impl Fabric {
-    fn run_until(&mut self, until: SimTime) {
-        match self {
-            Fabric::Single(b) => b.net.run_until(until),
-            Fabric::Sharded(s) => s.net.run_until(until),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            Fabric::Single(b) => b.net.now(),
-            Fabric::Sharded(s) => s.net.now(),
-        }
-    }
-
-    fn host_nodes(&self) -> &[NodeId] {
-        match self {
-            Fabric::Single(b) => &b.host_nodes,
-            Fabric::Sharded(s) => &s.host_nodes,
-        }
-    }
-
-    fn bridge_nodes(&self) -> &[NodeId] {
-        match self {
-            Fabric::Single(b) => &b.bridge_nodes,
-            Fabric::Sharded(s) => &s.bridge_nodes,
-        }
-    }
-
-    fn all_links(&self) -> Vec<LinkId> {
-        let (bl, hl) = match self {
-            Fabric::Single(b) => (&b.bridge_links, &b.host_links),
-            Fabric::Sharded(s) => (&s.bridge_links, &s.host_links),
-        };
-        bl.iter().chain(hl.iter()).copied().collect()
-    }
-
-    fn bridge_links(&self) -> &[LinkId] {
-        match self {
-            Fabric::Single(b) => &b.bridge_links,
-            Fabric::Sharded(s) => &s.bridge_links,
-        }
-    }
-
-    fn link_endpoints(&self, l: LinkId) -> (Endpoint, Endpoint) {
-        match self {
-            Fabric::Single(b) => {
-                let lk = b.net.link(l);
-                (lk.a, lk.b)
-            }
-            Fabric::Sharded(s) => s.net.link_endpoints(l),
-        }
-    }
-
-    fn link_stats(&self, l: LinkId, dir: Dir) -> DirStats {
-        match self {
-            Fabric::Single(b) => b.net.link(l).stats(dir),
-            Fabric::Sharded(s) => s.net.link_stats(l, dir),
-        }
-    }
-
-    /// Pause time including a still-open pause interval at `now` — a
-    /// deadlocked direction stays paused through the deadline and
-    /// would otherwise report zero.
-    fn link_paused_for(&self, l: LinkId, dir: Dir, now: SimTime) -> SimDuration {
-        match self {
-            Fabric::Single(b) => b.net.link(l).paused_for(dir, now),
-            Fabric::Sharded(s) => s.net.link_paused_for(l, dir, now),
-        }
-    }
-
-    fn stats(&self) -> NetworkStats {
-        match self {
-            Fabric::Single(b) => b.net.stats(),
-            Fabric::Sharded(s) => s.net.stats(),
-        }
-    }
-
-    fn flow_host(&self, node: NodeId) -> &FlowHost {
-        match self {
-            Fabric::Single(b) => b.net.device::<FlowHost>(node),
-            Fabric::Sharded(s) => s.net.device::<FlowHost>(node),
-        }
-    }
-}
-
 /// Lay out one E9 scenario: the E8 jittered fabric, one sized
 /// go-back-N flow per host under `cc`'s controller, and the mode's
 /// queue policy (plus, for PFC, the pause watchdog) stamped over every
@@ -357,67 +258,64 @@ pub(crate) fn scenario(
     (t, ft, pairs, SimTime(deadline.as_nanos()))
 }
 
-fn instantiate(params: &E9Params, t: TopoBuilder, ft: &FatTree, trace: bool) -> Fabric {
-    let shards = params.shards.min(ft.k);
-    if shards > 1 {
-        let hosts = ft.host_capacity(params.hosts_per_edge);
-        let partition = Partition::rack_major(ft, params.hosts_per_edge, hosts, shards);
-        Fabric::Sharded(Box::new(t.build_sharded(&partition, trace)))
-    } else {
-        Fabric::Single(Box::new(t.build()))
-    }
-}
-
-/// Table label for a workload pattern.
-fn pattern_label(pattern: TrafficPattern) -> &'static str {
-    match pattern {
-        TrafficPattern::Permutation => "permutation",
-        TrafficPattern::Hotspot { .. } => "hotspot",
-    }
-}
-
 /// Measure one (mode, cc, pattern) cell. Public so the watchdog
 /// property tests can probe individual cells (fires, drops,
 /// completion) without paying for the full grid.
 pub fn run_cell(params: &E9Params, mode: QueueMode, cc: CcMode, pattern: TrafficPattern) -> E9Row {
-    let label = pattern_label(pattern);
     let (t, ft, pairs, deadline) = scenario(params, mode, cc, pattern);
-    let n = pairs.len();
-    let mut fabric = instantiate(params, t, &ft, false);
-
-    // Drive the run in slices, sampling fabric-wide queued bytes on a
-    // fixed cadence (single-engine only; slicing is behaviorally
-    // identical to one run_until — the event order is unchanged).
-    let mut depth = QueueDepthSeries::new();
-    match &mut fabric {
-        Fabric::Single(b) => {
-            // A 16 KiB queue drains in ~131 us at 1 Gb/s, so the
-            // cadence must be well below that to see occupancy at all.
-            let tick = SimDuration::micros(50);
-            let links = [b.bridge_links.clone(), b.host_links.clone()].concat();
-            let mut at = SimTime(tick.as_nanos());
-            while at < deadline {
-                b.net.run_until(at);
-                let queued: u64 = links
-                    .iter()
-                    .flat_map(|&l| {
-                        [Dir::AtoB, Dir::BtoA].map(|d| b.net.link(l).queue_depth(d).1 as u64)
-                    })
-                    .sum();
-                depth.push(at.as_nanos(), queued);
-                at += tick;
-            }
-            b.net.run_until(deadline);
-        }
-        _ => fabric.run_until(deadline),
+    let shards = params.shards.min(ft.k);
+    if shards > 1 {
+        let partition = rack_major(&ft, params.hosts_per_edge, shards);
+        let topo = run_to(t.build_sharded(&partition, false), deadline);
+        measure(params, mode, cc, pattern, &ft, &pairs, &topo)
+    } else {
+        let mut topo = t.build();
+        let depth = run_sampling_depth(&mut topo, deadline);
+        E9Row { depth, ..measure(params, mode, cc, pattern, &ft, &pairs, &topo) }
     }
-    let now = fabric.now();
+}
+
+/// Run the single engine to `deadline` in slices, sampling fabric-wide
+/// queued bytes on a fixed cadence (slicing is behaviorally identical
+/// to one `run_until` — the event order is unchanged).
+fn run_sampling_depth(topo: &mut BuiltTopology, deadline: SimTime) -> QueueDepthSeries {
+    let mut depth = QueueDepthSeries::new();
+    // A 16 KiB queue drains in ~131 us at 1 Gb/s, so the cadence must
+    // be well below that to see occupancy at all.
+    let tick = SimDuration::micros(50);
+    let links = [topo.bridge_links.clone(), topo.host_links.clone()].concat();
+    let mut at = SimTime(tick.as_nanos());
+    while at < deadline {
+        topo.net.run_until(at);
+        let queued: u64 = links
+            .iter()
+            .flat_map(|&l| [Dir::AtoB, Dir::BtoA].map(|d| topo.net.link(l).queue_depth(d).1 as u64))
+            .sum();
+        depth.push(at.as_nanos(), queued);
+        at += tick;
+    }
+    topo.net.run_until(deadline);
+    depth
+}
+
+/// One cell's metrics off a finished run, on either engine (`depth` is
+/// left empty: only the single engine samples it mid-run).
+fn measure<N: Engine>(
+    params: &E9Params,
+    mode: QueueMode,
+    cc: CcMode,
+    pattern: TrafficPattern,
+    ft: &FatTree,
+    pairs: &[usize],
+    topo: &Topology<N>,
+) -> E9Row {
+    let now = topo.net.now();
 
     // Flow completion, per sender.
     let mut fct = FctSummary::new();
     let mut retransmits = 0u64;
-    for &h in fabric.host_nodes() {
-        let host = fabric.flow_host(h);
+    for &h in &topo.host_nodes {
+        let host = topo.net.device::<FlowHost>(h);
         retransmits += host.retransmits;
         match host.fct {
             Some(d) => fct.record(d.as_nanos()),
@@ -425,8 +323,10 @@ pub fn run_cell(params: &E9Params, mode: QueueMode, cc: CcMode, pattern: Traffic
         }
     }
 
-    // Drop + pause accounting.
-    let stats = fabric.stats();
+    // Drop + pause accounting. Pause time includes a still-open pause
+    // interval at `now` — a deadlocked direction stays paused through
+    // the deadline and would otherwise report zero.
+    let stats = topo.net.stats();
     let mut drops = DropCounter::new();
     drops.add("queue_full", stats.drops_queue_full);
     drops.add("link_down", stats.drops_link_down);
@@ -434,50 +334,25 @@ pub fn run_cell(params: &E9Params, mode: QueueMode, cc: CcMode, pattern: Traffic
     let mut pause_events = 0u64;
     let mut pause_time_ns = 0u64;
     let mut peak_queue_bytes = 0u64;
-    for l in fabric.all_links() {
+    for &l in topo.bridge_links.iter().chain(&topo.host_links) {
         for dir in [Dir::AtoB, Dir::BtoA] {
-            let s = fabric.link_stats(l, dir);
+            let s = topo.net.link_stats(l, dir);
             pause_events += s.pause_events;
-            pause_time_ns += fabric.link_paused_for(l, dir, now).as_nanos();
+            pause_time_ns += topo.net.link_paused_for(l, dir, now).as_nanos();
             peak_queue_bytes = peak_queue_bytes.max(s.peak_queue_bytes);
         }
     }
 
     // Core spread of the learned paths (the path-shift observable).
-    let core_nodes: Vec<NodeId> = ft.core.iter().map(|&c| fabric.bridge_nodes()[c.0]).collect();
-    let core_loads: Vec<f64> = fabric
-        .bridge_links()
-        .iter()
-        .filter_map(|&l| {
-            let (a, b) = fabric.link_endpoints(l);
-            let is_core = core_nodes.contains(&a.node) || core_nodes.contains(&b.node);
-            is_core.then(|| {
-                (fabric.link_stats(l, Dir::AtoB).tx_bytes
-                    + fabric.link_stats(l, Dir::BtoA).tx_bytes) as f64
-            })
-        })
-        .collect();
-    let mut diversity = DiversityCounter::new();
-    let walker = match &fabric {
-        Fabric::Single(b) => PathWalker::new(b),
-        Fabric::Sharded(s) => PathWalker::new_sharded(s),
-    };
-    for (i, &dst) in pairs.iter().enumerate() {
-        let from = ft.edge_of_host(i, params.hosts_per_edge);
-        let path = walker.walk(from, host_mac((dst + 1) as u32), now);
-        for b in &path {
-            if ft.is_core(*b) {
-                diversity.record(i as u64, b.0 as u64);
-            }
-        }
-    }
+    let core_loads = core_loads(ft, topo);
+    let diversity = core_diversity(ft, params.hosts_per_edge, pairs, topo);
 
     E9Row {
-        pattern: label,
+        pattern: pattern_label(pattern),
         mode: mode.label(),
         cc: cc.label(),
         k: params.k,
-        hosts: n,
+        hosts: pairs.len(),
         fct,
         retransmits,
         drops,
@@ -485,7 +360,7 @@ pub fn run_cell(params: &E9Params, mode: QueueMode, cc: CcMode, pattern: Traffic
         watchdog_fires: stats.watchdog_fires,
         pause_time_ns,
         peak_queue_bytes,
-        depth,
+        depth: QueueDepthSeries::new(),
         distinct_cores: diversity.distinct_items(),
         total_cores: ft.core.len(),
         jain_core: jain_index(&core_loads),
@@ -521,20 +396,12 @@ pub fn traced_run(
     pattern: TrafficPattern,
 ) -> TracedRun {
     let (t, ft, _pairs, deadline) = scenario(params, mode, cc, pattern);
-    if params.shards > 1 {
-        let mut topo = match instantiate(params, t, &ft, true) {
-            Fabric::Sharded(s) => s,
-            Fabric::Single(_) => unreachable!("shards > 1 builds sharded"),
-        };
-        topo.net.run_until(deadline);
-        TracedRun::of_sharded(&topo)
+    let shards = params.shards.min(ft.k);
+    if shards > 1 {
+        let partition = rack_major(&ft, params.hosts_per_edge, shards);
+        TracedRun::of(&run_to(t.build_sharded(&partition, true), deadline))
     } else {
-        let sink = Arc::new(Mutex::new(DeliveryTracer::new()));
-        let mut t = t;
-        t.set_tracer(Box::new(sink.clone()));
-        let mut built = t.build();
-        built.net.run_until(deadline);
-        TracedRun::of_single(&built, &sink)
+        TracedRun::of(&run_to(t.build_single(true), deadline))
     }
 }
 

@@ -28,12 +28,11 @@ pub mod e7_ablation;
 pub mod e8_fattree;
 pub mod e9_congestion;
 
-use arppath_host::{PingConfig, PingHost};
-use arppath_netsim::{DeliveryTracer, Dir, DirStats, NetworkStats, NodeId, SimDuration};
-use arppath_topo::{BridgeIx, BuiltTopology, ShardedTopology, TopoBuilder};
+use arppath_host::{PingConfig, PingHost, TrafficPattern};
+use arppath_netsim::{Dir, DirStats, Engine, NetworkStats, SimDuration, SimTime};
+use arppath_topo::{BridgeIx, FatTree, Partition, TopoBuilder, Topology};
 use arppath_wire::MacAddr;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
 
 /// What one delivery-traced run leaves behind: the byte-comparable
 /// trace plus the counters a golden regression pin
@@ -52,22 +51,8 @@ pub struct TracedRun {
 }
 
 impl TracedRun {
-    /// Collect from a finished single-engine run traced into `sink`.
-    pub(crate) fn of_single(built: &BuiltTopology, sink: &Arc<Mutex<DeliveryTracer>>) -> Self {
-        let records = std::mem::take(&mut sink.lock().expect("tracer poisoned").records);
-        let links = built.bridge_links.iter().chain(&built.host_links);
-        TracedRun {
-            trace: DeliveryTracer::render_sorted(records),
-            stats: built.net.stats(),
-            links: sum_dirs(
-                links.map(|&l| built.net.link(l)).flat_map(|l| DIRS.map(|d| l.stats(d))),
-            ),
-        }
-    }
-
-    /// Collect from a finished sharded run built with its delivery
-    /// trace on.
-    pub(crate) fn of_sharded(topo: &ShardedTopology) -> Self {
+    /// Collect from a finished run built with its delivery trace on.
+    pub(crate) fn of<N: Engine>(topo: &Topology<N>) -> Self {
         let links = topo.bridge_links.iter().chain(&topo.host_links);
         TracedRun {
             trace: topo.net.delivery_trace(),
@@ -75,6 +60,28 @@ impl TracedRun {
             links: sum_dirs(links.flat_map(|&l| DIRS.map(|d| topo.net.link_stats(l, d)))),
         }
     }
+}
+
+/// The rack-major partition of a fat-tree with `hosts_per_edge` hosts
+/// per rack over `shards` workers. Rack-major assigns whole pods, so
+/// callers clamp `shards` to the pod count `k` (a k=4 fabric can use at
+/// most 4 workers even when a sweep's larger fabrics use more).
+pub(crate) fn rack_major(ft: &FatTree, hosts_per_edge: usize, shards: usize) -> Partition {
+    Partition::rack_major(ft, hosts_per_edge, ft.host_capacity(hosts_per_edge), shards)
+}
+
+/// Table label for a workload pattern.
+pub(crate) fn pattern_label(pattern: TrafficPattern) -> &'static str {
+    match pattern {
+        TrafficPattern::Permutation => "permutation",
+        TrafficPattern::Hotspot { .. } => "hotspot",
+    }
+}
+
+/// Run `topo` to `deadline` and hand it back for measurement.
+pub(crate) fn run_to<N: Engine>(mut topo: Topology<N>, deadline: SimTime) -> Topology<N> {
+    topo.net.run_until(deadline);
+    topo
 }
 
 const DIRS: [Dir; 2] = [Dir::AtoB, Dir::BtoA];
@@ -141,9 +148,4 @@ pub fn attach_ping_pair(
 /// its hellos. Experiments that scale timers down scale this too.
 pub fn stp_convergence_time() -> SimDuration {
     SimDuration::secs(35)
-}
-
-/// Convenience: node handle for the `ix`-th attached host.
-pub fn host_node(built: &arppath_topo::BuiltTopology, ix: usize) -> NodeId {
-    built.host_nodes[ix]
 }

@@ -135,11 +135,12 @@
 
 use crate::calq::CalendarQueue;
 use crate::device::{Command, Ctx, Device, NodeId, PortNo, TimerToken};
-use crate::link::{Admission, Dir, Endpoint, Link, LinkId, LinkParams, PauseWatchdog};
+use crate::link::{Admission, Dir, DirStats, Endpoint, Link, LinkId, LinkParams, PauseWatchdog};
 use crate::pfc::{self, PfcOp};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::{DeliveryRecord, DeliveryTracer, TeeTracer, TraceEvent, Tracer};
 use arppath_wire::EthernetFrame;
+use std::sync::{Arc, Mutex};
 
 /// Bit position of the tier in a canonical order key (see
 /// `Network::order_key`).
@@ -211,6 +212,8 @@ pub struct NetworkBuilder {
     /// sharded builder overrides with global node ids.
     node_order_keys: Vec<u64>,
     tracer: Option<Box<dyn Tracer>>,
+    /// Delivery recorder behind [`Engine::delivery_trace`], if asked for.
+    delivery: Option<DeliveryTracer>,
 }
 
 impl NetworkBuilder {
@@ -223,6 +226,22 @@ impl NetworkBuilder {
     /// traffic (protocol hellos, application kick-off) is captured too.
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
         self.tracer = Some(tracer);
+    }
+
+    /// Record every frame delivery so [`Engine::delivery_trace`] can
+    /// render the canonical trace — the same switch as
+    /// [`crate::ShardedBuilder::record_delivery_trace`]. Off by default:
+    /// recording costs one frame encode per delivery. Runs beside any
+    /// [`NetworkBuilder::set_tracer`] tracer; replacing the tracer after
+    /// build ([`Network::set_tracer`]) stops the recording.
+    pub fn record_delivery_trace(&mut self, on: bool) {
+        self.delivery = on.then(DeliveryTracer::new);
+    }
+
+    /// Record deliveries under translated node ids (see
+    /// [`DeliveryTracer`]'s remap): how a shard reports global ids.
+    pub(crate) fn record_remapped_delivery_trace(&mut self, remap: Vec<Option<NodeId>>) {
+        self.delivery = Some(DeliveryTracer::with_remap(remap));
     }
 
     /// Attach a device; ids are handed out in insertion order.
@@ -301,6 +320,12 @@ impl NetworkBuilder {
             }
         }
         let n = self.devices.len();
+        let delivery = self.delivery.map(|d| Arc::new(Mutex::new(d)));
+        let tracer: Option<Box<dyn Tracer>> = match (self.tracer, &delivery) {
+            (tracer, None) => tracer,
+            (None, Some(d)) => Some(Box::new(Arc::clone(d))),
+            (Some(tracer), Some(d)) => Some(Box::new(TeeTracer(tracer, Arc::clone(d)))),
+        };
         let mut net = Network {
             devices: self.devices.into_iter().map(Some).collect(),
             links: self.links,
@@ -314,7 +339,8 @@ impl NetworkBuilder {
             now: SimTime::ZERO,
             seq: 0,
             stats: NetworkStats::default(),
-            tracer: self.tracer,
+            tracer,
+            delivery,
             scratch: Vec::new(),
             batch: Vec::new(),
             cur_key: 0,
@@ -344,6 +370,8 @@ pub struct Network {
     seq: u64,
     stats: NetworkStats,
     tracer: Option<Box<dyn Tracer>>,
+    /// The delivery recorder the tracer feeds, when recording is on.
+    delivery: Option<Arc<Mutex<DeliveryTracer>>>,
     /// Reused command buffer lent to device callbacks; bridge logic
     /// writes its sends and timers straight into it (a flood is N
     /// commands here and nowhere else).
@@ -416,6 +444,13 @@ impl Network {
     /// Remove and return the tracer (to inspect collected data).
     pub fn take_tracer(&mut self) -> Option<Box<dyn Tracer>> {
         self.tracer.take()
+    }
+
+    /// The recorded deliveries, in emission order.
+    pub(crate) fn delivery_records(&self) -> Vec<DeliveryRecord> {
+        self.delivery
+            .as_ref()
+            .map_or_else(Vec::new, |d| d.lock().expect("delivery tracer poisoned").records.clone())
     }
 
     /// Typed access to a device.
@@ -1088,6 +1123,87 @@ impl Network {
         for ep in [a, b] {
             self.dispatch(ep.node, |dev, ctx| dev.on_link_status(ep.port, up, ctx));
         }
+    }
+}
+
+/// What a harness needs from a running simulation, whichever engine
+/// runs it: [`Network`] or the sharded [`crate::ShardedNetwork`], which
+/// numbers nodes and links identically for the same scenario. Code
+/// generic over `Engine` measures one scenario on both engines with one
+/// implementation — and since the engines agree byte for byte, its
+/// results must too.
+pub trait Engine {
+    /// The current instant.
+    fn now(&self) -> SimTime;
+    /// Run every event up to and including `until`, then set the clock
+    /// to `until`.
+    fn run_until(&mut self, until: SimTime);
+    /// Engine-wide counters.
+    fn stats(&self) -> NetworkStats;
+    /// Typed access to a device.
+    ///
+    /// # Panics
+    /// If `node` does not hold a `T`.
+    fn device<T: 'static>(&self, node: NodeId) -> &T;
+    /// A link's two endpoints.
+    fn link_endpoints(&self, id: LinkId) -> (Endpoint, Endpoint);
+    /// Transmit counters of one direction of a link.
+    fn link_stats(&self, id: LinkId, dir: Dir) -> DirStats;
+    /// Accumulated pause-halt time of one direction of a link as of
+    /// `now`, a still-open pause included (see [`Link::paused_for`]).
+    fn link_paused_for(&self, id: LinkId, dir: Dir, now: SimTime) -> SimDuration;
+    /// Schedule a cable cut at `at`.
+    fn schedule_link_down(&mut self, link: LinkId, at: SimTime);
+    /// Schedule a cable re-plug at `at`.
+    fn schedule_link_up(&mut self, link: LinkId, at: SimTime);
+    /// The canonical delivery trace: one line per frame delivery, in
+    /// `(time, node, port, length, digest)` order — byte-for-byte equal
+    /// across engines on the same scenario. Empty unless the builder
+    /// recorded it.
+    fn delivery_trace(&self) -> Vec<String>;
+}
+
+impl Engine for Network {
+    fn now(&self) -> SimTime {
+        Network::now(self)
+    }
+
+    fn run_until(&mut self, until: SimTime) {
+        Network::run_until(self, until)
+    }
+
+    fn stats(&self) -> NetworkStats {
+        Network::stats(self)
+    }
+
+    fn device<T: 'static>(&self, node: NodeId) -> &T {
+        Network::device(self, node)
+    }
+
+    fn link_endpoints(&self, id: LinkId) -> (Endpoint, Endpoint) {
+        let link = self.link(id);
+        (link.a, link.b)
+    }
+
+    fn link_stats(&self, id: LinkId, dir: Dir) -> DirStats {
+        self.link(id).stats(dir)
+    }
+
+    fn link_paused_for(&self, id: LinkId, dir: Dir, now: SimTime) -> SimDuration {
+        self.link(id).paused_for(dir, now)
+    }
+
+    fn schedule_link_down(&mut self, link: LinkId, at: SimTime) {
+        Network::schedule_link_down(self, link, at)
+    }
+
+    fn schedule_link_up(&mut self, link: LinkId, at: SimTime) {
+        Network::schedule_link_up(self, link, at)
+    }
+
+    /// Empty unless [`NetworkBuilder::record_delivery_trace`] was on.
+    fn delivery_trace(&self) -> Vec<String> {
+        DeliveryTracer::render_sorted(self.delivery_records())
     }
 }
 

@@ -60,7 +60,7 @@ pub mod trace;
 pub use calq::CalendarQueue;
 pub use device::{Command, Ctx, Device, NodeId, PortNo, TimerToken};
 pub use difftest::{DiffScenario, Divergence, Minimized, Outcome};
-pub use engine::{Network, NetworkBuilder, NetworkStats};
+pub use engine::{Engine, Network, NetworkBuilder, NetworkStats};
 pub use link::{
     Admission, Dir, DirStats, Endpoint, Link, LinkId, LinkParams, PauseWatchdog, PortQueue,
     QueuePolicy,

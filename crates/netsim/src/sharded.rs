@@ -35,13 +35,12 @@
 //!    idle or unreachable pair stops bounding a busy one), capped by
 //!    any boundary frame already bound for `i`. Collapsing every pair
 //!    to the global minimum `L` recovers the PR 4 window
-//!    `min(min_other, W + L) + L`, kept as the oracle
-//!    ([`ShardedBuilder::use_lookahead_matrix`]). Each round the
-//!    workers run to their horizons, flush boundary frames, and agree
-//!    on the next window at a **single** exchange barrier — the
-//!    publish and the post-flush waits of the PR 4 design fused into
-//!    one synchronization point per round — until the floor passes the
-//!    run bound.
+//!    `min(min_other, W + L) + L`, which the horizon property tests
+//!    keep as their oracle. Each round the workers run to their
+//!    horizons, flush boundary frames, and agree on the next window at
+//!    a **single** exchange barrier — the publish and the post-flush
+//!    waits fused into one synchronization point per round — until the
+//!    floor passes the run bound.
 //!
 //! # Determinism
 //!
@@ -72,7 +71,7 @@
 //!
 //! ```
 //! use arppath_netsim::{Ctx, Device, EthernetFrame, LinkParams, PortNo};
-//! use arppath_netsim::{ShardedBuilder, SimDuration, SimTime};
+//! use arppath_netsim::{Engine, ShardedBuilder, SimDuration, SimTime};
 //! use arppath_wire::{ArpPacket, MacAddr};
 //!
 //! /// Echoes every frame straight back out of its ingress port.
@@ -112,49 +111,47 @@
 //! ```
 
 use crate::device::{Ctx, Device, NodeId, PortNo};
-use crate::engine::{Network, NetworkBuilder, NetworkStats};
-use crate::link::{Dir, DirStats, Endpoint, LinkId, LinkParams};
+use crate::engine::{Engine, Network, NetworkBuilder, NetworkStats};
+use crate::link::{Dir, DirStats, Endpoint, Link, LinkId, LinkParams};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{DeliveryRecord, DeliveryTracer};
+use crate::trace::DeliveryTracer;
 use arppath_wire::EthernetFrame;
 use bytes::Bytes;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Fault-injection knob for `difftest --self-check`: extra nanoseconds
-/// every worker adds to its CMB horizon, deliberately breaking the
-/// conservative-lookahead guarantee so the differential harness can
-/// prove it detects unsound synchronization. Zero in production.
-static UNSOUND_HORIZON_WIDEN_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Widen every shard's execution horizon by `ns` nanoseconds beyond the
-/// sound CMB bound. **Test-only fault injection** — any nonzero value
-/// makes sharded runs unsound (late cross-shard arrivals may be
-/// reordered or rejected). Used by `difftest`'s self-check to verify
-/// the harness catches exactly this class of bug.
-#[doc(hidden)]
-pub fn set_unsound_horizon_widen(ns: u64) {
-    UNSOUND_HORIZON_WIDEN_NS.store(ns, Ordering::Relaxed);
+// Test-only fault knobs, per thread; `ShardedBuilder::build` copies
+// them into the network it returns, so no other thread sees them.
+thread_local! {
+    static UNSOUND_HORIZON_WIDEN_NS: Cell<u64> = const { Cell::new(0) };
+    static CHANNEL_CAPACITY_OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Test knob forcing every frame-exchange channel to a fixed capacity
-/// (0 = off, use the derived sizing). Small capacities exercise the
-/// non-blocking flush path: a full channel leaves the batch pending on
-/// the sender, covered by the published `msg_min` row so no horizon
-/// can run past it — capacity is a performance knob, never a
-/// correctness bound. The regression test pins completion and trace
-/// identity at capacity 1.
-static CHANNEL_CAPACITY_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+/// Widen the execution horizon of every shard of every
+/// [`ShardedNetwork`] this thread builds from now on by `ns`
+/// nanoseconds beyond the sound CMB bound. **Test-only fault
+/// injection** — any nonzero value makes those runs unsound (late
+/// cross-shard arrivals may be reordered or rejected). Used by
+/// `difftest`'s self-check to verify the harness catches exactly this
+/// class of bug.
+#[doc(hidden)]
+pub fn set_unsound_horizon_widen(ns: u64) {
+    UNSOUND_HORIZON_WIDEN_NS.set(ns);
+}
 
-/// Force every shard-exchange channel to `cap` slots (`0` restores the
-/// derived sizing). **Test-only**: concurrent sharded runs in the same
-/// process all observe the override; results stay byte-identical, only
-/// round counts change.
+/// Force every frame-exchange channel of the sharded networks this
+/// thread builds from now on to `cap` slots (`0` restores the derived
+/// sizing). **Test-only**: small capacities exercise the non-blocking
+/// flush path — a full channel leaves the batch pending on the sender,
+/// covered by the published `msg_min` row so no horizon can run past
+/// it. Capacity is a performance knob, never a correctness bound:
+/// results stay byte-identical, only round counts change.
 #[doc(hidden)]
 pub fn set_channel_capacity_override(cap: usize) {
-    CHANNEL_CAPACITY_OVERRIDE.store(cap, Ordering::Relaxed);
+    CHANNEL_CAPACITY_OVERRIDE.set(cap);
 }
 
 /// Per-shard-pair conservative lookahead. `pair[src * n + dst]` is the
@@ -163,8 +160,7 @@ pub fn set_channel_capacity_override(cap: usize) {
 /// cut link joins the pair — such a source can never reach the
 /// destination directly and contributes nothing to its horizon.
 ///
-/// Public (hidden) so the horizon property tests can drive
-/// [`window_horizons`] against the collapsed global-`L` oracle.
+/// Public (hidden) so property tests can drive [`window_horizons`].
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct LookaheadMatrix {
@@ -179,11 +175,6 @@ impl LookaheadMatrix {
     /// A matrix over `n` shards with every pair unreachable.
     pub fn new(n: usize) -> Self {
         LookaheadMatrix { n, pair: vec![u64::MAX; n * n], in_min: vec![u64::MAX; n] }
-    }
-
-    /// Number of shards the matrix covers.
-    pub fn shard_count(&self) -> usize {
-        self.n
     }
 
     /// Record a cut link between shards `a` and `b` with the given
@@ -204,17 +195,13 @@ impl LookaheadMatrix {
         self.pair[src * self.n + dst]
     }
 
-    /// The global minimum over every cut (`u64::MAX`: nothing is cut).
-    pub fn global_min(&self) -> u64 {
-        self.pair.iter().copied().min().unwrap_or(u64::MAX)
-    }
-
     /// Collapse every off-diagonal pair to the global minimum — the
     /// PR 4 window computation (every shard bounds every other at the
-    /// cheapest cut anywhere), kept as the difftest's `matrix=0` mode
-    /// and the property-test oracle.
-    pub fn collapse_to_global(&mut self) {
-        let l = self.global_min();
+    /// cheapest cut anywhere), kept as the horizon property tests'
+    /// oracle.
+    #[cfg(test)]
+    fn collapse_to_global(&mut self) {
+        let l = self.pair.iter().copied().min().unwrap_or(u64::MAX);
         if l == u64::MAX {
             return;
         }
@@ -383,7 +370,6 @@ enum LinkHome {
 struct GlobalLink {
     a: Endpoint,
     b: Endpoint,
-    params: LinkParams,
     home: LinkHome,
 }
 
@@ -394,12 +380,17 @@ struct Shard {
     stubs: Vec<NodeId>,
     /// Cross-shard frames produced by this shard's stubs this window.
     outbox: Arc<Mutex<Vec<RemoteMsg>>>,
-    /// Delivery-trace handle, when recording was requested.
-    delivery: Option<Arc<Mutex<DeliveryTracer>>>,
     /// Real (non-stub) devices in this shard.
     devices: usize,
     /// Cross-shard frames received over the whole run.
     cross_in: u64,
+}
+
+impl Shard {
+    /// Frames this shard's stubs forwarded to other shards.
+    fn cross_out(&self) -> u64 {
+        self.stubs.iter().map(|&n| self.net.device::<BoundaryStub>(n).forwarded).sum()
+    }
 }
 
 /// Per-shard execution counters, for the per-shard utilization report.
@@ -431,7 +422,6 @@ pub struct ShardedBuilder {
     devices: Vec<Box<dyn Device>>,
     links: Vec<(Endpoint, Endpoint, LinkParams)>,
     record_deliveries: bool,
-    use_matrix: bool,
 }
 
 impl ShardedBuilder {
@@ -441,23 +431,7 @@ impl ShardedBuilder {
     /// If `shards` is zero.
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "a sharded network needs at least one shard");
-        ShardedBuilder {
-            shards,
-            devices: Vec::new(),
-            links: Vec::new(),
-            record_deliveries: false,
-            use_matrix: true,
-        }
-    }
-
-    /// Choose the window computation: `true` (the default) uses the
-    /// per-shard-pair lookahead matrix, `false` collapses every pair to
-    /// the global minimum `L` — the PR 4 design, kept as the oracle for
-    /// the horizon property tests and the difftest's `matrix=0` axis.
-    /// Both modes produce byte-identical traces; only window sizes (and
-    /// so round counts and wall clock) differ.
-    pub fn use_lookahead_matrix(&mut self, on: bool) {
-        self.use_matrix = on;
+        ShardedBuilder { shards, devices: Vec::new(), links: Vec::new(), record_deliveries: false }
     }
 
     /// Attach a device; global ids are handed out in insertion order.
@@ -507,7 +481,10 @@ impl ShardedBuilder {
     /// devices (`on_start` runs at t=0, shard by shard in global id
     /// order within each shard).
     ///
-    /// `assignment[node] = shard` for every global node id.
+    /// `assignment[node] = shard` for every global node id. The
+    /// network keeps this thread's test-only fault knobs
+    /// ([`set_unsound_horizon_widen`], [`set_channel_capacity_override`])
+    /// as they are now; its worker threads read only that copy.
     ///
     /// # Panics
     /// If the assignment's length or shard indices are out of range, or
@@ -549,9 +526,6 @@ impl ShardedBuilder {
                 lookahead =
                     Some(lookahead.map_or(params.propagation, |l| l.min(params.propagation)));
             }
-        }
-        if !self.use_matrix {
-            matrix.collapse_to_global();
         }
 
         let mut builders: Vec<NetworkBuilder> =
@@ -639,18 +613,12 @@ impl ShardedBuilder {
                 let b_half = half(eb, ea, Dir::BtoA);
                 LinkHome::Cross { a_half, b_half }
             };
-            links.push(GlobalLink { a: ea, b: eb, params, home });
+            links.push(GlobalLink { a: ea, b: eb, home });
         }
 
-        let mut delivery_handles: Vec<Option<Arc<Mutex<DeliveryTracer>>>> = Vec::new();
-        for (s, builder) in builders.iter_mut().enumerate() {
-            if self.record_deliveries {
-                let tracer =
-                    Arc::new(Mutex::new(DeliveryTracer::with_remap(local2global[s].clone())));
-                builder.set_tracer(Box::new(Arc::clone(&tracer)));
-                delivery_handles.push(Some(tracer));
-            } else {
-                delivery_handles.push(None);
+        if self.record_deliveries {
+            for (builder, remap) in builders.iter_mut().zip(local2global) {
+                builder.record_remapped_delivery_trace(remap);
             }
         }
 
@@ -658,13 +626,11 @@ impl ShardedBuilder {
             .into_iter()
             .zip(stubs)
             .zip(outboxes)
-            .zip(delivery_handles)
             .zip(device_counts)
-            .map(|((((builder, stubs), outbox), delivery), devices)| Shard {
+            .map(|(((builder, stubs), outbox), devices)| Shard {
                 net: builder.build(),
                 stubs,
                 outbox,
-                delivery,
                 devices,
                 cross_in: 0,
             })
@@ -677,7 +643,8 @@ impl ShardedBuilder {
             links,
             lookahead,
             matrix,
-            use_matrix: self.use_matrix,
+            horizon_widen_ns: UNSOUND_HORIZON_WIDEN_NS.get(),
+            channel_capacity: CHANNEL_CAPACITY_OVERRIDE.get(),
             sync_rounds: 0,
             now: SimTime::ZERO,
         }
@@ -704,17 +671,12 @@ impl ShardedBuilder {
 struct ExchangeBarrier {
     state: Mutex<ExchangeState>,
     cv: Condvar,
-    n: usize,
     matrix: LookaheadMatrix,
 }
 
 struct ExchangeState {
     arrived: usize,
     generation: u64,
-    /// Independent counter/generation for the data-free second
-    /// rendezvous the PR 4 compatibility mode adds per round.
-    arrived_sync: usize,
-    generation_sync: u64,
     aborted: bool,
     /// Completed exchanges — the run's synchronization-round count.
     rounds: u64,
@@ -731,13 +693,11 @@ struct ExchangeState {
 
 impl ExchangeBarrier {
     fn new(matrix: LookaheadMatrix) -> Self {
-        let n = matrix.shard_count();
+        let n = matrix.n;
         ExchangeBarrier {
             state: Mutex::new(ExchangeState {
                 arrived: 0,
                 generation: 0,
-                arrived_sync: 0,
-                generation_sync: 0,
                 aborted: false,
                 rounds: 0,
                 next: [vec![u64::MAX; n], vec![u64::MAX; n]],
@@ -745,7 +705,6 @@ impl ExchangeBarrier {
                 window: [(u64::MAX, vec![u64::MAX; n]), (u64::MAX, vec![u64::MAX; n])],
             }),
             cv: Condvar::new(),
-            n,
             matrix,
         }
     }
@@ -761,9 +720,10 @@ impl ExchangeBarrier {
         }
         let slot = (s.generation % 2) as usize;
         s.next[slot][shard] = next;
-        s.msg_min[slot][shard * self.n..(shard + 1) * self.n].copy_from_slice(msg_row);
+        let n = self.matrix.n;
+        s.msg_min[slot][shard * n..(shard + 1) * n].copy_from_slice(msg_row);
         s.arrived += 1;
-        if s.arrived == self.n {
+        if s.arrived == n {
             s.arrived = 0;
             s.rounds += 1;
             s.window[slot] = window_horizons(&self.matrix, &s.next[slot], &s.msg_min[slot]);
@@ -781,32 +741,6 @@ impl ExchangeBarrier {
         }
         let (w, ref horizons) = s.window[slot];
         Some((w, horizons[shard]))
-    }
-
-    /// A plain data-free rendezvous: block until every participant has
-    /// arrived, carrying no window data. The global-`L` compatibility
-    /// mode calls this once per round to reproduce the PR 4 engine's
-    /// two-barrier round structure (publish barrier + post-flush
-    /// barrier), so E12's matrix-vs-global comparison measures the
-    /// sync cost the fused exchange actually removed. Returns `false`
-    /// if the barrier was aborted.
-    fn rendezvous(&self) -> bool {
-        let mut s = self.state.lock().expect("exchange barrier poisoned");
-        if s.aborted {
-            return false;
-        }
-        s.arrived_sync += 1;
-        if s.arrived_sync == self.n {
-            s.arrived_sync = 0;
-            s.generation_sync += 1;
-            self.cv.notify_all();
-            return true;
-        }
-        let generation = s.generation_sync;
-        while s.generation_sync == generation && !s.aborted {
-            s = self.cv.wait(s).expect("exchange barrier poisoned");
-        }
-        !s.aborted
     }
 
     /// Completed exchange rounds so far.
@@ -833,13 +767,15 @@ struct WindowSync {
     poisoned: AtomicBool,
     /// Run bound (inclusive): no event past it is executed.
     bound: SimTime,
-    /// Global-`L` compatibility: add the PR 4 design's second
-    /// rendezvous per round, so the mode is a faithful wall-clock
-    /// proxy for the engine it replaced (not just its window math).
-    pr4_rendezvous: bool,
+    /// Test-only fault injection ([`set_unsound_horizon_widen`]):
+    /// nanoseconds every horizon is widened by. Zero in production.
+    horizon_widen_ns: u64,
 }
 
-/// A partitioned network running its shards on worker threads.
+/// A partitioned network running its shards on worker threads. Its
+/// clock, counters, devices, link counters and link admin are its
+/// [`Engine`] surface, shared with the single-threaded [`Network`]
+/// (link admin on a cut link panics; see the module docs).
 ///
 /// Construction and all accessors happen on the caller's thread; only
 /// the run loops ([`ShardedNetwork::run_until`] /
@@ -855,59 +791,23 @@ pub struct ShardedNetwork {
     links: Vec<GlobalLink>,
     /// Minimum cross-shard propagation delay (`None`: nothing is cut).
     lookahead: Option<SimDuration>,
-    /// Per-pair lookahead (collapsed to the global minimum when the
-    /// builder disabled the matrix).
+    /// Per-pair lookahead.
     matrix: LookaheadMatrix,
-    /// Whether per-pair windows are in use (vs the global-`L` oracle).
-    use_matrix: bool,
+    /// Test-only horizon widening captured at build time.
+    horizon_widen_ns: u64,
+    /// Test-only forced channel capacity captured at build time (0 =
+    /// derived sizing).
+    channel_capacity: usize,
     /// Synchronization rounds (window exchanges) across all runs.
     sync_rounds: u64,
     now: SimTime,
 }
 
 impl ShardedNetwork {
-    /// The current instant (advanced by the run loops).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of real devices (boundary stubs excluded).
-    pub fn node_count(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Number of global links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// The conservative lookahead: the minimum propagation delay over
     /// cross-shard links, or `None` when the partition cuts nothing.
     pub fn lookahead(&self) -> Option<SimDuration> {
         self.lookahead
-    }
-
-    /// The per-pair lookahead from shard `src` to shard `dst`: the
-    /// cheapest cut link that can carry a frame between them, or
-    /// `None` when no cut joins the pair (`src` never bounds `dst`).
-    /// With [`ShardedBuilder::use_lookahead_matrix`] off, every
-    /// connected pair reports the global minimum.
-    pub fn lookahead_between(&self, src: usize, dst: usize) -> Option<SimDuration> {
-        match self.matrix.between(src, dst) {
-            u64::MAX => None,
-            ns => Some(SimDuration::nanos(ns)),
-        }
-    }
-
-    /// Whether the per-pair lookahead matrix is in use (`false`: the
-    /// global-`L` oracle window computation).
-    pub fn uses_lookahead_matrix(&self) -> bool {
-        self.use_matrix
     }
 
     /// Total synchronization rounds (one window exchange each) the run
@@ -919,91 +819,30 @@ impl ShardedNetwork {
         self.sync_rounds
     }
 
-    /// Which shard `node` lives in.
-    pub fn shard_of(&self, node: NodeId) -> usize {
-        self.assignment[node.0]
-    }
-
-    /// Typed access to a device by its global id.
-    ///
-    /// # Panics
-    /// If `node` does not hold a `T`.
-    pub fn device<T: 'static>(&self, node: NodeId) -> &T {
-        self.shards[self.assignment[node.0]].net.device::<T>(self.local_id[node.0])
-    }
-
-    /// Typed mutable access to a device by its global id.
-    ///
-    /// # Panics
-    /// If `node` does not hold a `T`.
-    pub fn device_mut<T: 'static>(&mut self, node: NodeId) -> &mut T {
-        self.shards[self.assignment[node.0]].net.device_mut::<T>(self.local_id[node.0])
-    }
-
     /// A global link's endpoints (global node ids).
     pub fn link_endpoints(&self, id: LinkId) -> (Endpoint, Endpoint) {
         let l = &self.links[id.0];
         (l.a, l.b)
     }
 
-    /// A global link's physical parameters.
-    pub fn link_params(&self, id: LinkId) -> LinkParams {
-        self.links[id.0].params
-    }
-
-    /// Transmit counters for one direction of a global link, wherever
-    /// its machinery lives (for a cut link, on the sender-side half).
-    pub fn link_stats(&self, id: LinkId, dir: Dir) -> DirStats {
+    /// Where one direction of a global link transmits: the link that
+    /// holds its machinery, and that direction's name there (a cut
+    /// link's sender-side halves have the real sender as endpoint A).
+    fn transmitter(&self, id: LinkId, dir: Dir) -> (&Link, Dir) {
         match self.links[id.0].home {
-            LinkHome::Intra { shard, local } => self.shards[shard].net.link(local).stats(dir),
-            LinkHome::Cross { a_half, b_half } => {
-                // Each half-link's A endpoint is the real device, so its
-                // transmit direction is always local `AtoB`.
-                let (shard, local) = match dir {
-                    Dir::AtoB => a_half,
-                    Dir::BtoA => b_half,
-                };
-                self.shards[shard].net.link(local).stats(Dir::AtoB)
-            }
-        }
-    }
-
-    /// Accumulated pause-halt time of one direction of a global link
-    /// as of `now`, including a still-open pause interval (see
-    /// [`crate::link::Link::paused_for`]).
-    pub fn link_paused_for(&self, id: LinkId, dir: Dir, now: SimTime) -> SimDuration {
-        match self.links[id.0].home {
-            LinkHome::Intra { shard, local } => {
-                self.shards[shard].net.link(local).paused_for(dir, now)
-            }
+            LinkHome::Intra { shard, local } => (self.shards[shard].net.link(local), dir),
             LinkHome::Cross { a_half, b_half } => {
                 let (shard, local) = match dir {
                     Dir::AtoB => a_half,
                     Dir::BtoA => b_half,
                 };
-                self.shards[shard].net.link(local).paused_for(Dir::AtoB, now)
+                (self.shards[shard].net.link(local), Dir::AtoB)
             }
         }
     }
 
-    /// Schedule a cable cut at `at`.
-    ///
-    /// # Panics
-    /// On cross-shard links: a frame already handed to the exchange
-    /// channel cannot be recalled, so admin events are restricted to
-    /// intra-shard links (put flapping links inside one shard).
-    pub fn schedule_link_down(&mut self, link: LinkId, at: SimTime) {
-        self.admin(link, at, false);
-    }
-
-    /// Schedule a cable re-plug at `at`.
-    ///
-    /// # Panics
-    /// On cross-shard links (see [`ShardedNetwork::schedule_link_down`]).
-    pub fn schedule_link_up(&mut self, link: LinkId, at: SimTime) {
-        self.admin(link, at, true);
-    }
-
+    /// Schedule a cable cut (`up = false`) or re-plug at `at`; panics
+    /// on a cut link (put flapping links inside one shard).
     fn admin(&mut self, link: LinkId, at: SimTime, up: bool) {
         match self.links[link.0].home {
             LinkHome::Intra { shard, local } => {
@@ -1056,38 +895,9 @@ impl ShardedNetwork {
         drained
     }
 
-    /// Aggregated engine counters, corrected for the boundary
-    /// machinery: a frame crossing a cut link is delivered once to its
-    /// boundary stub and once (as an injected event) to its real
-    /// destination, so one delivery and one event per cross-shard
-    /// frame are subtracted to match the single-threaded accounting.
-    pub fn stats(&self) -> NetworkStats {
-        let mut total = NetworkStats::default();
-        for shard in &self.shards {
-            let s = shard.net.stats();
-            total.frames_sent += s.frames_sent;
-            total.frames_delivered += s.frames_delivered;
-            total.drops_queue_full += s.drops_queue_full;
-            total.drops_link_down += s.drops_link_down;
-            total.drops_no_cable += s.drops_no_cable;
-            total.watchdog_fires += s.watchdog_fires;
-            total.drops_watchdog += s.drops_watchdog;
-            total.events += s.events;
-        }
-        let cross = self.cross_frames();
-        total.frames_delivered -= cross;
-        total.events -= cross;
-        total
-    }
-
     /// Total frames that crossed a shard boundary.
     pub fn cross_frames(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|sh| {
-                sh.stubs.iter().map(|&n| sh.net.device::<BoundaryStub>(n).forwarded).sum::<u64>()
-            })
-            .sum()
+        self.shards.iter().map(Shard::cross_out).sum()
     }
 
     /// Per-shard execution counters — the raw material of the
@@ -1097,8 +907,7 @@ impl ShardedNetwork {
             .iter()
             .enumerate()
             .map(|(i, sh)| {
-                let cross_out: u64 =
-                    sh.stubs.iter().map(|&n| sh.net.device::<BoundaryStub>(n).forwarded).sum();
+                let cross_out = sh.cross_out();
                 let s = sh.net.stats();
                 ShardStats {
                     shard: i,
@@ -1119,13 +928,9 @@ impl ShardedNetwork {
     /// scenario. Empty unless
     /// [`ShardedBuilder::record_delivery_trace`] was enabled.
     pub fn delivery_trace(&self) -> Vec<String> {
-        let mut records: Vec<DeliveryRecord> = Vec::new();
-        for shard in &self.shards {
-            if let Some(handle) = &shard.delivery {
-                records.extend(handle.lock().expect("delivery tracer poisoned").records.iter());
-            }
-        }
-        DeliveryTracer::render_sorted(records)
+        DeliveryTracer::render_sorted(
+            self.shards.iter().flat_map(|s| s.net.delivery_records()).collect(),
+        )
     }
 
     /// Drive all shards through lookahead windows until nothing at or
@@ -1141,7 +946,7 @@ impl ShardedNetwork {
             barrier: ExchangeBarrier::new(self.matrix.clone()),
             poisoned: AtomicBool::new(false),
             bound,
-            pr4_rendezvous: !self.use_matrix,
+            horizon_widen_ns: self.horizon_widen_ns,
         };
         // Bounded frame-exchange channels, one per destination shard,
         // sized from the window protocol and the partition's cut-link
@@ -1154,11 +959,10 @@ impl ShardedNetwork {
         // bound — a full channel leaves the batch pending on the
         // sender, covered by its published `msg_min` row, which the
         // capacity-1 regression test pins.
-        let override_cap = CHANNEL_CAPACITY_OVERRIDE.load(Ordering::Relaxed);
         let caps: Vec<usize> = (0..nshards)
             .map(|d| {
-                if override_cap > 0 {
-                    return override_cap;
+                if self.channel_capacity > 0 {
+                    return self.channel_capacity;
                 }
                 let cut_in = self
                     .links
@@ -1309,8 +1113,7 @@ fn worker_rounds(
         // Test-only fault injection: difftest's self-check widens the
         // horizon past what CMB permits to prove the harness catches
         // unsound lookahead. Always zero in production.
-        let widen = UNSOUND_HORIZON_WIDEN_NS.load(Ordering::Relaxed);
-        let horizon = horizon.saturating_add(widen);
+        let horizon = horizon.saturating_add(sync.horizon_widen_ns);
         let run_bound = SimTime(horizon.saturating_sub(1).min(sync.bound.0));
         while shard.net.step_batch(run_bound) {}
 
@@ -1345,14 +1148,72 @@ fn worker_rounds(
                 }
             }
         }
+    }
+}
 
-        // PR 4 compatibility: the replaced engine separated the flush
-        // from the next round's publish with a second barrier. The
-        // exit decision above is uniform across workers, so either
-        // every shard reaches this rendezvous or none does.
-        if sync.pr4_rendezvous && !sync.barrier.rendezvous() {
-            return Vec::new();
+impl Engine for ShardedNetwork {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn run_until(&mut self, until: SimTime) {
+        ShardedNetwork::run_until(self, until)
+    }
+
+    /// Aggregated engine counters, corrected for the boundary
+    /// machinery: a frame crossing a cut link is delivered once to its
+    /// boundary stub and once (as an injected event) to its real
+    /// destination, so one delivery and one event per cross-shard
+    /// frame are subtracted to match the single-threaded accounting.
+    fn stats(&self) -> NetworkStats {
+        let mut total = NetworkStats::default();
+        for shard in &self.shards {
+            let s = shard.net.stats();
+            total.frames_sent += s.frames_sent;
+            total.frames_delivered += s.frames_delivered;
+            total.drops_queue_full += s.drops_queue_full;
+            total.drops_link_down += s.drops_link_down;
+            total.drops_no_cable += s.drops_no_cable;
+            total.watchdog_fires += s.watchdog_fires;
+            total.drops_watchdog += s.drops_watchdog;
+            total.events += s.events;
         }
+        let cross = self.cross_frames();
+        total.frames_delivered -= cross;
+        total.events -= cross;
+        total
+    }
+
+    fn device<T: 'static>(&self, node: NodeId) -> &T {
+        self.shards[self.assignment[node.0]].net.device::<T>(self.local_id[node.0])
+    }
+
+    fn link_endpoints(&self, id: LinkId) -> (Endpoint, Endpoint) {
+        ShardedNetwork::link_endpoints(self, id)
+    }
+
+    /// Counted wherever the direction transmits (for a cut link, on
+    /// its sender-side half).
+    fn link_stats(&self, id: LinkId, dir: Dir) -> DirStats {
+        let (link, dir) = self.transmitter(id, dir);
+        link.stats(dir)
+    }
+
+    fn link_paused_for(&self, id: LinkId, dir: Dir, now: SimTime) -> SimDuration {
+        let (link, dir) = self.transmitter(id, dir);
+        link.paused_for(dir, now)
+    }
+
+    fn schedule_link_down(&mut self, link: LinkId, at: SimTime) {
+        self.admin(link, at, false);
+    }
+
+    fn schedule_link_up(&mut self, link: LinkId, at: SimTime) {
+        self.admin(link, at, true);
+    }
+
+    fn delivery_trace(&self) -> Vec<String> {
+        ShardedNetwork::delivery_trace(self)
     }
 }
 
@@ -1363,6 +1224,7 @@ mod tests {
     use crate::engine::NetworkBuilder;
     use arppath_wire::{ArpPacket, MacAddr};
     use std::net::Ipv4Addr;
+    use std::sync::atomic::AtomicU64;
 
     /// A 3-shard matrix where every pair is connected at 1 µs — the
     /// uniform fixture the barrier tests run on.

@@ -202,6 +202,13 @@ impl<T: Tracer> Tracer for std::sync::Arc<std::sync::Mutex<T>> {
     }
 }
 
+/// A boxed tracer is a tracer, so boxes compose ([`TeeTracer`]).
+impl Tracer for Box<dyn Tracer> {
+    fn record(&mut self, now: SimTime, event: TraceEvent<'_>) {
+        (**self).record(now, event);
+    }
+}
+
 /// One frame delivery, reduced to the canonical comparable form used by
 /// the sharded-vs-single-threaded equivalence checks: when, to whom, on
 /// which port, and a digest of the exact wire bytes.
@@ -249,9 +256,9 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Collects [`DeliveryRecord`]s — the trace the sharded engine's
-/// equivalence contract is stated over. Install one per network (for a
-/// sharded run the engine installs one per shard with a local→global
-/// node remap) and merge with [`DeliveryTracer::render_sorted`].
+/// equivalence contract is stated over. Both builders' `record_delivery_trace`
+/// switch installs one per network (a sharded run, one per shard with a
+/// local→global node remap); [`DeliveryTracer::render_sorted`] merges.
 #[derive(Debug, Default)]
 pub struct DeliveryTracer {
     /// Records in emission order (*not* globally sorted in a sharded

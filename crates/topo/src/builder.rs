@@ -12,8 +12,8 @@ use crate::partition::Partition;
 use arppath::{ArpPathBridge, ArpPathConfig};
 use arppath_netfpga::{NetFpgaParams, NetFpgaSwitch};
 use arppath_netsim::{
-    Device, LinkId, LinkParams, Network, NetworkBuilder, NodeId, PauseWatchdog, QueuePolicy,
-    ShardedBuilder, ShardedNetwork, Tracer,
+    Device, Engine, LinkId, LinkParams, Network, NetworkBuilder, NodeId, PauseWatchdog,
+    QueuePolicy, ShardedBuilder, ShardedNetwork, Tracer,
 };
 use arppath_stp::{StpBridge, StpConfig};
 use arppath_switch::{IdealSwitch, LearningConfig, LearningSwitch, SwitchCounters};
@@ -237,25 +237,26 @@ impl TopoBuilder {
 
     /// Instantiate everything on the single-threaded engine.
     pub fn build(self) -> BuiltTopology {
-        let plan = self.plan();
+        self.build_single(false)
+    }
+
+    /// [`build`](TopoBuilder::build), recording the canonical delivery
+    /// trace ([`Engine::delivery_trace`]) when `record_delivery_trace`
+    /// is set — the single-engine twin of
+    /// [`build_sharded`](TopoBuilder::build_sharded)'s flag.
+    pub fn build_single(self, record_delivery_trace: bool) -> BuiltTopology {
+        let mut plan = self.plan();
         let mut nb = NetworkBuilder::new();
-        if let Some(t) = plan.tracer {
+        if let Some(t) = plan.tracer.take() {
             nb.set_tracer(t);
         }
-        let nodes: Vec<NodeId> = plan.devices.into_iter().map(|d| nb.add(d)).collect();
-        let mut link_ids = Vec::with_capacity(plan.links.len());
+        nb.record_delivery_trace(record_delivery_trace);
+        let nodes: Vec<NodeId> = plan.devices.drain(..).map(|d| nb.add(d)).collect();
+        let mut links = Vec::with_capacity(plan.links.len());
         for &(a, ap, b, bp, params) in &plan.links {
-            link_ids.push(nb.link(nodes[a], ap, nodes[b], bp, params));
+            links.push(nb.link(nodes[a], ap, nodes[b], bp, params));
         }
-        BuiltTopology {
-            net: nb.build(),
-            kind: plan.kind,
-            bridge_nodes: nodes[..plan.n_bridges].to_vec(),
-            host_nodes: nodes[plan.n_bridges..].to_vec(),
-            bridge_links: link_ids[..plan.n_bridge_links].to_vec(),
-            host_links: link_ids[plan.n_bridge_links..].to_vec(),
-            link_index: plan.link_index,
-        }
+        plan.instantiated(nb.build(), nodes, links)
     }
 
     /// Instantiate everything on the sharded parallel engine, devices
@@ -275,22 +276,7 @@ impl TopoBuilder {
         partition: &Partition,
         record_delivery_trace: bool,
     ) -> ShardedTopology {
-        self.build_sharded_with(partition, record_delivery_trace, true)
-    }
-
-    /// [`build_sharded`](TopoBuilder::build_sharded) with the per-pair
-    /// lookahead matrix toggled explicitly. `use_lookahead_matrix =
-    /// false` collapses the matrix to the PR 4 global-`L` window
-    /// computation — the oracle mode the difftest fuzzer and the E12
-    /// sync-cost comparison run against. Results are identical either
-    /// way; only the window schedule (and wall clock) differ.
-    pub fn build_sharded_with(
-        self,
-        partition: &Partition,
-        record_delivery_trace: bool,
-        use_lookahead_matrix: bool,
-    ) -> ShardedTopology {
-        let plan = self.plan();
+        let mut plan = self.plan();
         assert!(
             plan.tracer.is_none(),
             "global tracers are not supported on sharded builds; \
@@ -304,21 +290,12 @@ impl TopoBuilder {
         );
         let mut sb = ShardedBuilder::new(partition.shards());
         sb.record_delivery_trace(record_delivery_trace);
-        sb.use_lookahead_matrix(use_lookahead_matrix);
-        let nodes: Vec<NodeId> = plan.devices.into_iter().map(|d| sb.add(d)).collect();
-        let mut link_ids = Vec::with_capacity(plan.links.len());
+        let nodes: Vec<NodeId> = plan.devices.drain(..).map(|d| sb.add(d)).collect();
+        let mut links = Vec::with_capacity(plan.links.len());
         for &(a, ap, b, bp, params) in &plan.links {
-            link_ids.push(sb.link(nodes[a], ap, nodes[b], bp, params));
+            links.push(sb.link(nodes[a], ap, nodes[b], bp, params));
         }
-        ShardedTopology {
-            net: sb.build(&partition.assignment()),
-            kind: plan.kind,
-            bridge_nodes: nodes[..plan.n_bridges].to_vec(),
-            host_nodes: nodes[plan.n_bridges..].to_vec(),
-            bridge_links: link_ids[..plan.n_bridge_links].to_vec(),
-            host_links: link_ids[plan.n_bridge_links..].to_vec(),
-            link_index: plan.link_index,
-        }
+        plan.instantiated(sb.build(&partition.assignment()), nodes, links)
     }
 }
 
@@ -333,6 +310,22 @@ struct TopoPlan {
     n_bridge_links: usize,
     link_index: BTreeMap<(usize, usize), LinkId>,
     tracer: Option<Box<dyn Tracer>>,
+}
+
+impl TopoPlan {
+    /// The handle over `net`, which instantiated this plan's devices as
+    /// `nodes` and its links as `links`, both in plan order.
+    fn instantiated<N>(self, net: N, nodes: Vec<NodeId>, links: Vec<LinkId>) -> Topology<N> {
+        Topology {
+            net,
+            kind: self.kind,
+            bridge_nodes: nodes[..self.n_bridges].to_vec(),
+            host_nodes: nodes[self.n_bridges..].to_vec(),
+            bridge_links: links[..self.n_bridge_links].to_vec(),
+            host_links: links[self.n_bridge_links..].to_vec(),
+            link_index: self.link_index,
+        }
+    }
 }
 
 fn make_bridge(
@@ -368,10 +361,13 @@ fn make_bridge(
 }
 
 /// A fully instantiated topology: the running network plus maps back to
-/// the declarative description.
-pub struct BuiltTopology {
+/// the declarative description. `N` is the engine running it —
+/// [`BuiltTopology`] on the single-threaded [`Network`],
+/// [`ShardedTopology`] on the sharded [`ShardedNetwork`]; both builds
+/// of one description number every node and link identically.
+pub struct Topology<N> {
     /// The simulated network.
-    pub net: Network,
+    pub net: N,
     /// The protocol every bridge runs.
     pub kind: BridgeKind,
     /// Node ids of bridges, in declaration order.
@@ -385,7 +381,14 @@ pub struct BuiltTopology {
     link_index: BTreeMap<(usize, usize), LinkId>,
 }
 
-impl BuiltTopology {
+/// A topology on the single-threaded engine ([`TopoBuilder::build`]).
+pub type BuiltTopology = Topology<Network>;
+
+/// A topology on the sharded parallel engine
+/// ([`TopoBuilder::build_sharded`]).
+pub type ShardedTopology = Topology<ShardedNetwork>;
+
+impl<N: Engine> Topology<N> {
     /// The (first) link between bridges `a` and `b`, if they are
     /// adjacent.
     pub fn link_between(&self, a: BridgeIx, b: BridgeIx) -> Option<LinkId> {
@@ -417,72 +420,6 @@ impl BuiltTopology {
             BridgeKind::Stp(_) => self.net.device::<IdealSwitch<StpBridge>>(node).logic(),
             BridgeKind::StpNetFpga(..) => self.net.device::<NetFpgaSwitch<StpBridge>>(node).logic(),
             _ => panic!("topology does not run STP bridges"),
-        }
-    }
-
-    /// Generic forwarding counters of bridge `ix`, regardless of kind.
-    pub fn bridge_counters(&self, ix: BridgeIx) -> SwitchCounters {
-        use arppath_switch::SwitchLogic;
-        let node = self.bridge_nodes[ix.0];
-        match self.kind {
-            BridgeKind::ArpPath(_) => {
-                self.net.device::<IdealSwitch<ArpPathBridge>>(node).logic().counters().clone()
-            }
-            BridgeKind::ArpPathNetFpga(..) => {
-                self.net.device::<NetFpgaSwitch<ArpPathBridge>>(node).logic().counters().clone()
-            }
-            BridgeKind::Stp(_) => {
-                self.net.device::<IdealSwitch<StpBridge>>(node).logic().counters().clone()
-            }
-            BridgeKind::StpNetFpga(..) => {
-                self.net.device::<NetFpgaSwitch<StpBridge>>(node).logic().counters().clone()
-            }
-            BridgeKind::Learning(_) => {
-                self.net.device::<IdealSwitch<LearningSwitch>>(node).logic().counters().clone()
-            }
-        }
-    }
-}
-
-/// A topology instantiated on the sharded parallel engine: the same
-/// maps as [`BuiltTopology`], over a [`ShardedNetwork`]. Node and link
-/// ids are identical to what the single-threaded build of the same
-/// description assigns.
-pub struct ShardedTopology {
-    /// The partitioned network.
-    pub net: ShardedNetwork,
-    /// The protocol every bridge runs.
-    pub kind: BridgeKind,
-    /// Node ids of bridges, in declaration order.
-    pub bridge_nodes: Vec<NodeId>,
-    /// Node ids of hosts, in attachment order.
-    pub host_nodes: Vec<NodeId>,
-    /// Bridge-to-bridge links, in declaration order.
-    pub bridge_links: Vec<LinkId>,
-    /// Host attachment links, in attachment order.
-    pub host_links: Vec<LinkId>,
-    link_index: BTreeMap<(usize, usize), LinkId>,
-}
-
-impl ShardedTopology {
-    /// The (first) link between bridges `a` and `b`, if they are
-    /// adjacent.
-    pub fn link_between(&self, a: BridgeIx, b: BridgeIx) -> Option<LinkId> {
-        self.link_index.get(&(a.0.min(b.0), a.0.max(b.0))).copied()
-    }
-
-    /// The ARP-Path logic of bridge `ix`.
-    ///
-    /// # Panics
-    /// If the topology was not built with an ARP-Path kind.
-    pub fn arppath(&self, ix: BridgeIx) -> &ArpPathBridge {
-        let node = self.bridge_nodes[ix.0];
-        match self.kind {
-            BridgeKind::ArpPath(_) => self.net.device::<IdealSwitch<ArpPathBridge>>(node).logic(),
-            BridgeKind::ArpPathNetFpga(..) => {
-                self.net.device::<NetFpgaSwitch<ArpPathBridge>>(node).logic()
-            }
-            _ => panic!("topology does not run ARP-Path bridges"),
         }
     }
 

@@ -12,7 +12,7 @@ pub mod figures;
 pub mod generic;
 pub mod partition;
 
-pub use builder::{BridgeIx, BridgeKind, BuiltTopology, ShardedTopology, TopoBuilder};
+pub use builder::{BridgeIx, BridgeKind, BuiltTopology, ShardedTopology, TopoBuilder, Topology};
 pub use churn::{ChurnGrid, GridInstance, GridRole, LinkAdminEvent, StationLife};
 pub use figures::{fig2_topology, fig3_topology, Fig1, Fig2, Fig3};
 pub use generic::{

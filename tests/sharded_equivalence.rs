@@ -16,12 +16,12 @@ use arppath_bench::experiments::e11_churn::{self, E11Params, TableRegime};
 use arppath_bench::experiments::e8_fattree::{self, E8Params};
 use arppath_bench::experiments::e9_congestion::{self, CcMode, E9Params, QueueMode};
 use arppath_host::{PingConfig, PingHost, TrafficPattern};
+use arppath_metrics::QueueDepthSeries;
 use arppath_netsim::difftest::{check, Outcome};
-use arppath_netsim::{DeliveryTracer, NetworkStats, SimDuration, SimTime};
-use arppath_topo::{BridgeKind, Fig1, Fig2, Partition, TopoBuilder};
+use arppath_netsim::{Engine, NetworkStats, SimDuration, SimTime};
+use arppath_topo::{BridgeKind, Fig1, Fig2, Partition, TopoBuilder, Topology};
 use arppath_wire::MacAddr;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
 
 /// Attach the standard prober/responder ping pair used across the
 /// repository's determinism suites.
@@ -54,27 +54,11 @@ fn attach_ping_pair(
     t.host(at_b, Box::new(responder));
 }
 
-/// Run on the single-threaded engine, returning the canonical delivery
-/// trace and the engine counters.
-fn single_run(mut t: TopoBuilder, horizon: SimTime) -> (Vec<String>, NetworkStats) {
-    let sink = Arc::new(Mutex::new(DeliveryTracer::new()));
-    t.set_tracer(Box::new(sink.clone()));
-    let mut built = t.build();
-    built.net.run_until(horizon);
-    let records = std::mem::take(&mut sink.lock().unwrap().records);
-    (DeliveryTracer::render_sorted(records), built.net.stats())
-}
-
-/// Run on the sharded engine under `partition`, returning the merged
-/// canonical delivery trace and the corrected aggregate counters.
-fn sharded_run(
-    t: TopoBuilder,
-    partition: &Partition,
-    horizon: SimTime,
-) -> (Vec<String>, NetworkStats) {
-    let mut st = t.build_sharded(partition, true);
-    st.net.run_until(horizon);
-    (st.net.delivery_trace(), st.net.stats())
+/// Run a built topology to `horizon`, returning the canonical delivery
+/// trace and the engine counters (boundary-corrected when sharded).
+fn run<N: Engine>(mut topo: Topology<N>, horizon: SimTime) -> (Vec<String>, NetworkStats) {
+    topo.net.run_until(horizon);
+    (topo.net.delivery_trace(), topo.net.stats())
 }
 
 fn fig1_scenario() -> (TopoBuilder, usize) {
@@ -100,12 +84,12 @@ fn fig2_scenario() -> (TopoBuilder, usize) {
 fn fig1_sharded_trace_is_byte_identical() {
     let horizon = SimTime(SimDuration::millis(150).as_nanos());
     let (t, bridges) = fig1_scenario();
-    let (reference, ref_stats) = single_run(t, horizon);
+    let (reference, ref_stats) = run(t.build_single(true), horizon);
     assert!(!reference.is_empty(), "scenario must produce traffic");
     for shards in [2usize, 3] {
         let (t, _) = fig1_scenario();
         let partition = Partition::round_robin(bridges, 2, shards);
-        let (trace, stats) = sharded_run(t, &partition, horizon);
+        let (trace, stats) = run(t.build_sharded(&partition, true), horizon);
         assert_eq!(trace, reference, "Fig-1 delivery trace diverged at {shards} shards");
         assert_eq!(stats, ref_stats, "Fig-1 counters diverged at {shards} shards");
     }
@@ -115,12 +99,12 @@ fn fig1_sharded_trace_is_byte_identical() {
 fn fig2_sharded_trace_is_byte_identical() {
     let horizon = SimTime(SimDuration::millis(250).as_nanos());
     let (t, bridges) = fig2_scenario();
-    let (reference, ref_stats) = single_run(t, horizon);
+    let (reference, ref_stats) = run(t.build_single(true), horizon);
     assert!(!reference.is_empty(), "scenario must produce traffic");
     for shards in [2usize, 3] {
         let (t, _) = fig2_scenario();
         let partition = Partition::round_robin(bridges, 2, shards);
-        let (trace, stats) = sharded_run(t, &partition, horizon);
+        let (trace, stats) = run(t.build_sharded(&partition, true), horizon);
         assert_eq!(trace, reference, "Fig-2 delivery trace diverged at {shards} shards");
         assert_eq!(stats, ref_stats, "Fig-2 counters diverged at {shards} shards");
     }
@@ -312,29 +296,6 @@ fn minimized_k6_reproducer_replays_clean() {
 }
 
 #[test]
-fn global_l_compatibility_mode_is_trace_identical_too() {
-    // `lookahead=global` turns off the per-pair matrix: the windows
-    // come from the collapsed global-`L` formula and the round runs
-    // PR 4's two-rendezvous structure. It must stay a *correct*
-    // engine — E12's matrix-vs-global comparison measures cost, never
-    // answers. One pinned scenario per family: the E8-style
-    // permutation workload, E9's PFC congestion under the watchdog,
-    // and the E11 churn family.
-    for line in [
-        "k=8 hosts_per_edge=2 segments=4 seed=233 pattern=permutation mode=infinite \
-         watchdog=off shards=3 partition=rack lookahead=global",
-        "k=4 hosts_per_edge=2 segments=8 seed=9 pattern=hotspot mode=pfc \
-         watchdog=on shards=2 partition=round-robin lookahead=global",
-        "k=4 hosts_per_edge=1 segments=4 seed=3 pattern=permutation mode=infinite \
-         watchdog=off shards=2 partition=rack churn=25 mobility=500 lookahead=global",
-    ] {
-        let spec = Spec::parse(line);
-        assert!(!spec.matrix, "the lookahead=global axis must parse");
-        assert_eq!(check(&spec), Outcome::Identical, "global-L mode diverged: {line}");
-    }
-}
-
-#[test]
 fn difftest_fuzz_smoke_finds_no_divergence() {
     // A handful of generated scenarios straight through the fuzzer
     // API — the same path `repro -- difftest --seeds N` and the CI
@@ -357,13 +318,13 @@ fn sharded_runs_are_reproducible() {
     // Parallel execution must not cost the determinism contract:
     // thread scheduling never leaks into the trace.
     let horizon = SimTime(SimDuration::millis(150).as_nanos());
-    let run = || {
+    let sharded_run = || {
         let (t, bridges) = fig1_scenario();
         let partition = Partition::round_robin(bridges, 2, 3);
-        sharded_run(t, &partition, horizon)
+        run(t.build_sharded(&partition, true), horizon)
     };
-    let (a, stats_a) = run();
-    let (b, stats_b) = run();
+    let (a, stats_a) = sharded_run();
+    let (b, stats_b) = sharded_run();
     assert_eq!(a, b, "two identical sharded runs diverged");
     assert_eq!(stats_a, stats_b);
 }
@@ -397,4 +358,42 @@ fn e8_metrics_match_across_engines() {
             a.pattern
         );
     }
+}
+
+#[test]
+fn e9_metrics_match_across_engines() {
+    // E9's whole measured row, beyond its trace: FCT percentiles,
+    // retransmits, drops, pause events and time (cut links' paused
+    // intervals included), peak queue, core spread and Jain. Only the
+    // queue-depth series differs by design — the single engine alone
+    // samples it mid-run.
+    let params =
+        |shards| E9Params { k: 4, hosts_per_edge: 2, segments: 8, shards, ..Default::default() };
+    let pattern = TrafficPattern::Hotspot { hot_receivers: 2 };
+    for mode in [QueueMode::DropTail, QueueMode::Pfc] {
+        let single = e9_congestion::run_cell(&params(1), mode, CcMode::Fixed, pattern);
+        let sharded = e9_congestion::run_cell(&params(2), mode, CcMode::Fixed, pattern);
+        assert!(!single.depth.is_empty() && sharded.depth.is_empty());
+        // The rows hold metric types without `PartialEq`; their Debug
+        // renderings are exact (f64s print round-trip).
+        let row = |r: e9_congestion::E9Row| {
+            format!("{:?}", e9_congestion::E9Row { depth: QueueDepthSeries::new(), ..r })
+        };
+        assert_eq!(row(sharded), row(single), "{mode:?}: E9 row diverged at 2 shards");
+    }
+}
+
+#[test]
+fn e11_metrics_match_across_engines() {
+    // E11's whole measured row under the undersized regime: aggregated
+    // table statistics (evictions, sweeps, victim ages), peak
+    // occupancy, probes and replies, stale-path corrections and the
+    // per-epoch fairness series — every bridge's table read through
+    // the sharded engine's `arppath()` accessor.
+    let params =
+        |shards| E11Params { horizon: SimDuration::millis(60), shards, ..E11Params::for_k(4) };
+    let single = e11_churn::run_cell(&params(1), TableRegime::Undersized);
+    let sharded = e11_churn::run_cell(&params(2), TableRegime::Undersized);
+    assert!(single.table.evictions > 0, "the undersized regime must evict");
+    assert_eq!(format!("{sharded:?}"), format!("{single:?}"), "E11 row diverged at 2 shards");
 }
