@@ -29,26 +29,13 @@
 //! verifies trace identity across the sweep; `--shards`/`--trace-out`
 //! capture the byte-comparable trace at one worker count.
 //!
-//! `--bench-json FILE` additionally writes the machine-readable bench
-//! trajectory (schema documented in `BASELINES.md`): per-experiment
-//! wall clocks, the quick E9 incast guard (with its per-controller
-//! FCT p99s), the quick E11 churn guard (with its undersized eviction
-//! count and correction p99), the quick E12 scale guard (with the
-//! `dleft_bytes_per_station` figure), plus the fast-table micro
-//! medians. The committed `BENCH_PR<N>.json` files are such captures;
-//! CI re-captures a quick one and gates it with the `bench-guard`
-//! subcommand:
+//! `repro micro` times the fast table and scheduler structures against
+//! the boring ones they replaced, prints every `key value` pair and
+//! checks the same-run ratios in `micro::GUARDS`.
 //!
-//! ```text
-//! repro -- bench-guard --baseline BENCH_PR7.json --current ci.json \
-//!     --key e9_incast_quick_ms --max-ratio 2
-//! # a same-run ratio: the calendar queue must not lose to a BinaryHeap
-//! repro -- bench-guard --current ci.json \
-//!     --key calq_dense_ns --baseline-key heap_dense_ns --max-ratio 1
-//! # one probe per frame must stay >= 1.3x faster than two (1/1.3 = 0.77)
-//! repro -- bench-guard --current ci.json \
-//!     --key dleft_probe_refresh_ns --baseline-key dleft_get_touch_ns --max-ratio 0.77
-//! ```
+//! Exit codes: 0 when every headline verdict HOLDS; 1 when any is
+//! VIOLATED (or a `micro` guard, `difftest` or `--incast-gate` fails);
+//! 2 for an unknown experiment name.
 
 use arppath_bench::experiments::{
     e11_churn, e12_scale, e1_latency, e2_repair, e3_linerate, e5_load, e6_proxy, e7_ablation,
@@ -57,59 +44,52 @@ use arppath_bench::experiments::{
 use arppath_bench::{difftest, micro};
 use arppath_host::TrafficPattern;
 use arppath_netsim::{PauseWatchdog, SimDuration};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// Extract the number following `"key":` in a (flat-keyed) JSON text.
-/// Keys in the bench-trajectory schema are globally unique, so no real
-/// JSON parser is needed — and the guard must not grow dependencies.
-fn json_number_for_key(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
+/// The names `repro` accepts as positional experiment selectors.
+const EXPERIMENTS: [&str; 10] = ["e1", "e2", "e3", "e5", "e6", "e7", "e8", "e9", "e11", "e12"];
 
-/// Render one flat JSON object section from key/value pairs.
-fn json_section(pairs: &[(String, f64)]) -> String {
-    let body: Vec<String> = pairs.iter().map(|(k, v)| format!("    \"{k}\": {v:.3}")).collect();
-    body.join(",\n")
-}
+/// Set by the first headline verdict that fails.
+static VIOLATED: AtomicBool = AtomicBool::new(false);
 
-/// `bench-guard`: compare one key of two bench-trajectory files and
-/// fail (exit 1) when the current value exceeds baseline × ratio.
-/// `--baseline` defaults to the `--current` file and `--baseline-key`
-/// to `--key`, so naming only a baseline key guards a *same-run*
-/// ratio — the kind that survives a change of machine.
-fn bench_guard(mut args: Vec<String>) -> ! {
-    let current_path = take_value(&mut args, "--current").expect("bench-guard needs --current");
-    let baseline_path = take_value(&mut args, "--baseline").unwrap_or_else(|| current_path.clone());
-    let key = take_value(&mut args, "--key").unwrap_or_else(|| "e8_quick_ms".into());
-    let baseline_key = take_value(&mut args, "--baseline-key").unwrap_or_else(|| key.clone());
-    let ratio: f64 = take_value(&mut args, "--max-ratio")
-        .map(|v| v.parse().expect("--max-ratio expects a number"))
-        .unwrap_or(2.0);
-    let read = |path: &str| {
-        std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("bench-guard: cannot read {path}: {e}"))
-    };
-    let baseline = json_number_for_key(&read(&baseline_path), &baseline_key)
-        .unwrap_or_else(|| panic!("bench-guard: key {baseline_key} missing from {baseline_path}"));
-    let current = json_number_for_key(&read(&current_path), &key)
-        .unwrap_or_else(|| panic!("bench-guard: key {key} missing from {current_path}"));
-    let observed = current / baseline;
-    println!(
-        "bench-guard: {key} baseline({baseline_key})={baseline:.3} current={current:.3} \
-         ratio={observed:.2} (max {ratio:.2})"
-    );
-    if current > baseline * ratio {
-        eprintln!("bench-guard: REGRESSION — {key} exceeded the {ratio:.2}x bound");
-        std::process::exit(1);
+/// Print one headline verdict line, `label: HOLDS|VIOLATED`, and
+/// remember a failure for the exit code.
+fn verdict(label: &str, ok: bool) {
+    println!("{label}: {}", if ok { "HOLDS" } else { "VIOLATED" });
+    if !ok {
+        VIOLATED.store(true, Ordering::Relaxed);
     }
-    println!("bench-guard: OK");
-    std::process::exit(0);
+}
+
+/// Exit 1 if any verdict so far was VIOLATED, else 0.
+fn exit_with_verdicts() -> ! {
+    std::process::exit(i32::from(VIOLATED.load(Ordering::Relaxed)))
+}
+
+/// `micro`: time the fast table and scheduler structures against the
+/// ones they replaced, print every `key value` pair, and hold each
+/// same-run ratio in [`micro::GUARDS`] as a verdict.
+fn micro_cmd(args: Vec<String>) -> ! {
+    if !args.is_empty() {
+        eprintln!("[repro] micro takes no arguments, got {args:?}");
+        std::process::exit(2);
+    }
+    let values = micro::measure_all();
+    for (key, value) in &values {
+        println!("{key} {value:.3}");
+    }
+    for guard in &micro::GUARDS {
+        let label = format!(
+            "{} ≤ {} × {} (measured {:.2}×)",
+            guard.key,
+            guard.max_ratio,
+            guard.baseline,
+            guard.ratio(&values)
+        );
+        verdict(&label, guard.holds(&values));
+    }
+    exit_with_verdicts()
 }
 
 /// `difftest`: the differential shard-equivalence fuzzer. Runs
@@ -197,16 +177,14 @@ fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench-guard") {
-        args.remove(0);
-        bench_guard(args);
-    }
     if args.first().map(String::as_str) == Some("difftest") {
         args.remove(0);
         difftest_cmd(args);
     }
-    let bench_json = take_value(&mut args, "--bench-json");
-    let mut wall_ms: Vec<(String, f64)> = Vec::new();
+    if args.first().map(String::as_str) == Some("micro") {
+        args.remove(0);
+        micro_cmd(args);
+    }
     let shards: usize = take_value(&mut args, "--shards")
         .map(|v| v.parse().expect("--shards expects a number"))
         .unwrap_or(1);
@@ -238,6 +216,10 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let selected: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();
+    if let Some(unknown) = selected.iter().find(|name| !EXPERIMENTS.contains(name)) {
+        eprintln!("[repro] unknown experiment {unknown:?}; valid names: {}", EXPERIMENTS.join(" "));
+        std::process::exit(2);
+    }
     let want = |name: &str| selected.is_empty() || selected.contains(&name);
 
     if incast_gate {
@@ -266,12 +248,11 @@ fn main() {
         let results = [e9_congestion::E9Result { rows }];
         eprintln!("[repro] incast gate took {} ms", started.elapsed().as_millis());
         println!("{}", e9_congestion::table(&results).render_markdown());
-        let ok = e9_congestion::verify_pfc_lossless_completion(&results);
-        println!(
-            "incast k=8 under PFC + watchdog, all flows complete with zero drops: {}",
-            if ok { "HOLDS" } else { "VIOLATED" }
+        verdict(
+            "incast k=8 under PFC + watchdog, all flows complete with zero drops",
+            e9_congestion::verify_pfc_lossless_completion(&results),
         );
-        std::process::exit(if ok { 0 } else { 1 });
+        exit_with_verdicts();
     }
     // Both flags only act on E8/E9/E11/E12; warn instead of silently
     // ignoring them when the selection excludes all four.
@@ -290,7 +271,6 @@ fn main() {
     }
 
     if want("e1") {
-        let started = Instant::now();
         eprintln!("[repro] running E1 (Fig. 2 latency, ARP-Path vs STP root sweep)...");
         let params = if quick {
             e1_latency::E1Params { probes: 20, ..Default::default() }
@@ -299,15 +279,14 @@ fn main() {
         };
         let result = e1_latency::run(&params);
         println!("{}", e1_latency::table(&result).render_markdown());
-        println!(
-            "headline (ARP-Path ≤ every STP placement, < worst): {}\n",
-            if e1_latency::verify_headline(&result) { "HOLDS" } else { "VIOLATED" }
+        verdict(
+            "headline (ARP-Path ≤ every STP placement, < worst)",
+            e1_latency::verify_headline(&result),
         );
-        wall_ms.push(("e1_ms".into(), started.elapsed().as_secs_f64() * 1e3));
+        println!();
     }
 
     if want("e2") {
-        let started = Instant::now();
         eprintln!("[repro] running E2 (Fig. 3 path repair during video stream)...");
         let params = if quick {
             e2_repair::E2Params {
@@ -324,11 +303,9 @@ fn main() {
         if params.stp_timer_divisor > 1 {
             println!("(STP timers scaled down by {}x in quick mode)\n", params.stp_timer_divisor);
         }
-        wall_ms.push(("e2_ms".into(), started.elapsed().as_secs_f64() * 1e3));
     }
 
     if want("e3") {
-        let started = Instant::now();
         eprintln!("[repro] running E3 (line-rate frame-size sweep)...");
         let params = if quick {
             e3_linerate::E3Params { frames_per_size: 500, ..Default::default() }
@@ -337,15 +314,11 @@ fn main() {
         };
         let result = e3_linerate::run(&params);
         println!("{}", e3_linerate::table(&result).render_markdown());
-        println!(
-            "line rate sustained at every size: {}\n",
-            if e3_linerate::verify_linerate(&result) { "YES" } else { "NO" }
-        );
-        wall_ms.push(("e3_ms".into(), started.elapsed().as_secs_f64() * 1e3));
+        verdict("line rate sustained at every size", e3_linerate::verify_linerate(&result));
+        println!();
     }
 
     if want("e5") {
-        let started = Instant::now();
         eprintln!("[repro] running E5 (load distribution on a grid fabric)...");
         let params = if quick {
             e5_load::E5Params { side: 3, probes: 20, stp_timer_divisor: 10 }
@@ -354,11 +327,9 @@ fn main() {
         };
         let result = e5_load::run(&params);
         println!("{}", e5_load::table(&result).render_markdown());
-        wall_ms.push(("e5_ms".into(), started.elapsed().as_secs_f64() * 1e3));
     }
 
     if want("e6") {
-        let started = Instant::now();
         eprintln!("[repro] running E6 (ARP proxy broadcast suppression)...");
         let params = if quick {
             e6_proxy::E6Params { side: 3, clients: 24, servers: 2 }
@@ -367,15 +338,11 @@ fn main() {
         };
         let result = e6_proxy::run(&params);
         println!("{}", e6_proxy::table(&result).render_markdown());
-        println!(
-            "suppression effective: {}\n",
-            if e6_proxy::verify_suppression(&result) { "YES" } else { "NO" }
-        );
-        wall_ms.push(("e6_ms".into(), started.elapsed().as_secs_f64() * 1e3));
+        verdict("suppression effective", e6_proxy::verify_suppression(&result));
+        println!();
     }
 
     if want("e7") {
-        let started = Instant::now();
         eprintln!("[repro] running E7 (lock timer / table capacity ablations)...");
         let params = if quick {
             e7_ablation::E7Params { probes: 20, ..Default::default() }
@@ -384,7 +351,6 @@ fn main() {
         };
         let result = e7_ablation::run(&params);
         println!("{}", e7_ablation::table(&result).render_markdown());
-        wall_ms.push(("e7_ms".into(), started.elapsed().as_secs_f64() * 1e3));
     }
 
     if want("e8") {
@@ -400,7 +366,6 @@ fn main() {
             ..Default::default()
         };
         let mut results = Vec::new();
-        let sweep_started = Instant::now();
         for kh in ks {
             let params = e8_params(kh);
             eprintln!(
@@ -415,9 +380,7 @@ fn main() {
                 params.k,
                 started.elapsed().as_millis()
             );
-            wall_ms.push((format!("e8_k{}_ms", params.k), started.elapsed().as_secs_f64() * 1e3));
         }
-        wall_ms.push(("e8_total_ms".into(), sweep_started.elapsed().as_secs_f64() * 1e3));
         println!("{}", e8_fattree::table(&results).render_markdown());
         for r in &results {
             println!("{}", e8_fattree::utilization_table(r).render_markdown());
@@ -425,10 +388,11 @@ fn main() {
                 println!("{}", shard_summary.render_markdown());
             }
         }
-        println!(
-            "permutation spreads over a majority of cores (jain > 0.5, lossless): {}\n",
-            if results.iter().all(e8_fattree::verify_spread) { "HOLDS" } else { "VIOLATED" }
+        verdict(
+            "permutation spreads over a majority of cores (jain > 0.5, lossless)",
+            results.iter().all(e8_fattree::verify_spread),
         );
+        println!();
         if let Some(path) = &trace_out {
             // The canonical artifact: the first fabric's permutation
             // delivery trace, re-run with tracing enabled. Identical
@@ -457,7 +421,6 @@ fn main() {
             params
         };
         let mut results = Vec::new();
-        let sweep_started = Instant::now();
         for kh in ks {
             let params = e9_params(kh);
             eprintln!(
@@ -473,38 +436,27 @@ fn main() {
                 started.elapsed().as_millis(),
                 e9_ccs.len()
             );
-            wall_ms.push((format!("e9_k{}_ms", params.k), started.elapsed().as_secs_f64() * 1e3));
         }
-        wall_ms.push(("e9_total_ms".into(), sweep_started.elapsed().as_secs_f64() * 1e3));
         println!("{}", e9_congestion::table(&results).render_markdown());
         println!("{}", e9_congestion::fct_comparison_table(&results).render_markdown());
         for r in &results {
             println!("{}", e9_congestion::depth_table(r).render_markdown());
         }
-        println!(
-            "drop-tail drops, PFC pauses losslessly, infinite does neither: {}",
-            if e9_congestion::verify_congestion(&results) { "HOLDS" } else { "VIOLATED" }
+        verdict(
+            "drop-tail drops, PFC pauses losslessly, infinite does neither",
+            e9_congestion::verify_congestion(&results),
         );
-        println!(
-            "pfc completes every flow with zero drops (watchdog armed): {}",
-            if e9_congestion::verify_pfc_lossless_completion(&results) {
-                "HOLDS"
-            } else {
-                "VIOLATED"
-            }
+        verdict(
+            "pfc completes every flow with zero drops (watchdog armed)",
+            e9_congestion::verify_pfc_lossless_completion(&results),
         );
         if e9_ccs.len() == e9_congestion::CcMode::ALL.len() {
-            println!(
-                "aimd beats the fixed window's p99 in at least one congested regime: {}\n",
-                if e9_congestion::verify_aimd_beats_fixed_somewhere(&results) {
-                    "HOLDS"
-                } else {
-                    "VIOLATED"
-                }
+            verdict(
+                "aimd beats the fixed window's p99 in at least one congested regime",
+                e9_congestion::verify_aimd_beats_fixed_somewhere(&results),
             );
-        } else {
-            println!();
         }
+        println!();
         if let Some(path) = &trace_out {
             // The canonical E9 artifact: the first fabric's PFC hotspot
             // delivery trace — the run where pause/resume frames cross
@@ -537,7 +489,6 @@ fn main() {
             params
         };
         let mut results = Vec::new();
-        let sweep_started = Instant::now();
         for k in ks {
             let params = e11_params(k);
             eprintln!(
@@ -551,23 +502,22 @@ fn main() {
                 params.k,
                 started.elapsed().as_millis()
             );
-            wall_ms.push((format!("e11_k{}_ms", params.k), started.elapsed().as_secs_f64() * 1e3));
         }
-        wall_ms.push(("e11_total_ms".into(), sweep_started.elapsed().as_secs_f64() * 1e3));
         println!("{}", e11_churn::table(&results).render_markdown());
         // The dip-and-recovery detail for the stormiest cell: the first
         // fabric's undersized regime.
         if let Some(first) = results.first().and_then(|r| r.rows.first()) {
             println!("{}", e11_churn::epoch_table(first).render_markdown());
         }
-        println!(
-            "undersized tables evict, autosized headroom stays eviction-free under churn: {}",
-            if e11_churn::verify_pressure(&results) { "HOLDS" } else { "VIOLATED" }
+        verdict(
+            "undersized tables evict, autosized headroom stays eviction-free under churn",
+            e11_churn::verify_pressure(&results),
         );
-        println!(
-            "movers re-activate behind their new rack and the fabric corrects the stale path: {}\n",
-            if e11_churn::verify_correction(&results) { "HOLDS" } else { "VIOLATED" }
+        verdict(
+            "movers re-activate behind their new rack and the fabric corrects the stale path",
+            e11_churn::verify_correction(&results),
         );
+        println!();
         if let Some(path) = &trace_out {
             // The canonical E11 artifact: the first fabric's undersized
             // churn trace — carrier flaps, eviction churn, repair
@@ -605,30 +555,28 @@ fn main() {
         let started = Instant::now();
         let result = e12_scale::run(&params);
         eprintln!("[repro] e12 sweep took {} ms", started.elapsed().as_millis());
-        wall_ms.push(("e12_sweep_ms".into(), started.elapsed().as_secs_f64() * 1e3));
         println!("{}", e12_scale::table(&result).render_markdown());
         println!("{}", e12_scale::footprint_table(&result).render_markdown());
-        println!(
-            "every worker count delivers every datagram: {}",
-            if e12_scale::verify_delivery(&result) { "HOLDS" } else { "VIOLATED" }
-        );
-        println!(
-            "path tables ≤ {} B/station: {}",
-            e12_scale::MAX_BYTES_PER_STATION,
-            if e12_scale::verify_footprint(&result) { "HOLDS" } else { "VIOLATED" }
+        verdict("every worker count delivers every datagram", e12_scale::verify_delivery(&result));
+        verdict(
+            &format!("path tables ≤ {} B/station", e12_scale::MAX_BYTES_PER_STATION),
+            e12_scale::verify_footprint(&result),
         );
         if let Some(holds) = e12_scale::verify_scheduler(&result) {
-            println!(
-                "scheduler reserved ≤ {} MB: {}",
-                e12_scale::MAX_SCHEDULER_RESERVED_BYTES >> 20,
-                if holds { "HOLDS" } else { "VIOLATED" }
+            verdict(
+                &format!(
+                    "scheduler reserved ≤ {} MB",
+                    e12_scale::MAX_SCHEDULER_RESERVED_BYTES >> 20
+                ),
+                holds,
             );
         }
         eprintln!("[repro] e12: comparing merged traces across {:?}...", params.shard_counts);
-        println!(
-            "merged delivery trace byte-identical at every worker count: {}\n",
-            if e12_scale::verify_trace_identity(&params) { "HOLDS" } else { "VIOLATED" }
+        verdict(
+            "merged delivery trace byte-identical at every worker count",
+            e12_scale::verify_trace_identity(&params),
         );
+        println!();
         if let Some(path) = &trace_out {
             // The canonical E12 artifact: the sweep scenario's trace at
             // the `--shards` worker count. Identical bytes regardless
@@ -644,153 +592,6 @@ fn main() {
         }
     }
 
-    if let Some(path) = &bench_json {
-        // The guard key: a quick-geometry E8 run, measured in-process.
-        // Under --quick the sweep above already ran it; re-run either
-        // way so the key always means the same workload.
-        eprintln!("[repro] bench-json: timing the quick E8 guard workload...");
-        let quick_params = e8_fattree::E8Params {
-            k: 4,
-            hosts_per_edge: 2,
-            datagrams: 5,
-            hot_receivers: 2,
-            shards: 1,
-            ..Default::default()
-        };
-        // Best of three: a single ~1.5 ms sample is at the mercy of
-        // scheduler noise; the minimum is the stable signal the CI
-        // guard should compare.
-        let mut best_ms = f64::INFINITY;
-        for _ in 0..3 {
-            let started = Instant::now();
-            let quick_result = e8_fattree::run(&quick_params);
-            best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1e3);
-            assert!(e8_fattree::verify_spread(&quick_result), "quick E8 headline must hold");
-        }
-        wall_ms.push(("e8_quick_ms".into(), best_ms));
-        // Second guard key since PR 7: a quick-geometry E9 PFC incast
-        // (k=4 hotspot, watchdog armed, both controllers) — the cell
-        // family the deadlock fix lives in. Its FCT p99s are recorded
-        // alongside so the trajectory shows the AIMD/fixed gap, not
-        // just wall clock.
-        eprintln!("[repro] bench-json: timing the quick E9 incast guard workload...");
-        let incast_params = e9_congestion::E9Params {
-            k: 4,
-            hosts_per_edge: 2,
-            segments: 16,
-            shards: 1,
-            ..Default::default()
-        };
-        let incast_pattern = TrafficPattern::Hotspot { hot_receivers: incast_params.hot_receivers };
-        let mut best_ms = f64::INFINITY;
-        let mut fct_p99 = Vec::new();
-        for _ in 0..3 {
-            let started = Instant::now();
-            let rows: Vec<_> = e9_congestion::CcMode::ALL
-                .iter()
-                .map(|&cc| {
-                    e9_congestion::run_cell(
-                        &incast_params,
-                        e9_congestion::QueueMode::Pfc,
-                        cc,
-                        incast_pattern,
-                    )
-                })
-                .collect();
-            best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1e3);
-            let results = [e9_congestion::E9Result { rows }];
-            assert!(
-                e9_congestion::verify_pfc_lossless_completion(&results),
-                "quick E9 incast must complete losslessly under PFC"
-            );
-            fct_p99 = results[0]
-                .rows
-                .iter()
-                .map(|r| {
-                    (format!("e9_incast_pfc_{}_p99_ms", r.cc), r.fct.percentile(99.0) as f64 / 1e6)
-                })
-                .collect();
-        }
-        wall_ms.push(("e9_incast_quick_ms".into(), best_ms));
-        wall_ms.extend(fct_p99);
-        // Third guard key since PR 9: a quick-geometry E11 churn run
-        // (k=4, halved churn window, all three table regimes) — the
-        // eviction/correction machinery this PR made observable. Its
-        // undersized eviction count and correction p99 are recorded
-        // alongside so the trajectory shows the pressure shape, not
-        // just wall clock.
-        eprintln!("[repro] bench-json: timing the quick E11 churn guard workload...");
-        let churn_params = e11_churn::E11Params {
-            horizon: SimDuration::millis(50),
-            ..e11_churn::E11Params::for_k(4)
-        };
-        let mut best_ms = f64::INFINITY;
-        let mut churn_keys = Vec::new();
-        for _ in 0..3 {
-            let started = Instant::now();
-            let result = e11_churn::run(&churn_params);
-            best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1e3);
-            let results = [result];
-            assert!(
-                e11_churn::verify_pressure(&results),
-                "quick E11 pressure gates must hold (undersized evicts, headroom does not)"
-            );
-            let under = &results[0].rows[0];
-            churn_keys = vec![
-                ("e11_churn_evictions".to_string(), under.table.evictions as f64),
-                (
-                    "e11_churn_corr_p99_ms".to_string(),
-                    if under.corrections.is_empty() {
-                        0.0
-                    } else {
-                        under.corrections.percentile(99.0) as f64 / 1e6
-                    },
-                ),
-            ];
-        }
-        wall_ms.push(("e11_churn_quick_ms".into(), best_ms));
-        wall_ms.extend(churn_keys);
-        // Fourth guard pair since PR 10: the quick E12 shard-scaling
-        // sweep (k=16 skeleton, all four worker counts) and the path-table bytes-per-station figure it
-        // measures — the two numbers the shard-scaling push is
-        // accountable for.
-        eprintln!("[repro] bench-json: timing the quick E12 scale guard workload...");
-        let scale_params = e12_scale::E12Params::quick();
-        let mut best_ms = f64::INFINITY;
-        let mut scale_keys = Vec::new();
-        for _ in 0..3 {
-            let started = Instant::now();
-            let result = e12_scale::run(&scale_params);
-            best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1e3);
-            assert!(
-                e12_scale::verify_delivery(&result),
-                "quick E12 must deliver everything at every worker count"
-            );
-            assert!(
-                e12_scale::verify_footprint(&result),
-                "quick E12 path tables must stay under the bytes-per-station ceiling"
-            );
-            assert_eq!(
-                e12_scale::verify_scheduler(&result),
-                Some(true),
-                "quick E12 scheduler must stay under its reserved-bytes ceiling"
-            );
-            scale_keys = vec![("dleft_bytes_per_station".to_string(), result.bytes_per_station())];
-        }
-        wall_ms.push(("e12_scale_quick_ms".into(), best_ms));
-        wall_ms.extend(scale_keys);
-        eprintln!("[repro] bench-json: running fast-table micro measurements...");
-        let micro_ns: Vec<(String, f64)> =
-            micro::measure_all().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-        let json = format!(
-            "{{\n  \"schema\": \"arppath-bench-trajectory/v1\",\n  \"pr\": \"PR15\",\n  \
-             \"quick\": {},\n  \"wall_ms\": {{\n{}\n  }},\n  \"micro_ns\": {{\n{}\n  }}\n}}\n",
-            quick,
-            json_section(&wall_ms),
-            json_section(&micro_ns),
-        );
-        std::fs::write(path, json).expect("write --bench-json file");
-        eprintln!("[repro] bench-json written to {path}");
-    }
     eprintln!("[repro] done.");
+    exit_with_verdicts();
 }

@@ -2,8 +2,8 @@
 //!
 //! Each experiment is a plain function from a parameter struct to a
 //! result struct, plus a `table()` renderer — so the `repro` binary,
-//! the integration tests and the Criterion benches all share one
-//! implementation.
+//! the integration tests and `benchmark/`'s fidelity checks all share
+//! one implementation.
 //!
 //! # Numbering: where is E4?
 //!

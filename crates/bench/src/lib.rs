@@ -3,9 +3,9 @@
 //! Every table and figure of the paper's evaluation (plus the §2.2
 //! claims and design ablations) is regenerated by a function in
 //! [`experiments`]; the `repro` binary runs them and prints the
-//! tables, Criterion benches (`cargo bench`) time scaled-down
-//! versions, and the workspace integration tests assert the headline
-//! shapes. See `docs/EXPERIMENTS.md` for the experiment ↔ paper-anchor
+//! tables with their headline verdicts, and the workspace integration
+//! tests assert the headline shapes. [`micro`] holds the same-run
+//! ratio guards of the fast table and scheduler structures. See `docs/EXPERIMENTS.md` for the experiment ↔ paper-anchor
 //! map and per-experiment repro commands.
 
 #![forbid(unsafe_code)]

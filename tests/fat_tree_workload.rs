@@ -216,6 +216,13 @@ fn e8_is_seed_deterministic() {
         e8_fattree::utilization_table(&b).render_markdown(),
         "utilization table must be identical run-to-run"
     );
+    // Both patterns get a load-table row with a core-load fairness.
+    let patterns: Vec<&str> = a.rows.iter().map(|r| r.pattern).collect();
+    assert_eq!(patterns, ["permutation", "hotspot"]);
+    for r in &a.rows {
+        assert!(r.hosts > 0 && r.core_links > 0, "{}: empty row", r.pattern);
+        assert!((0.0..=1.0).contains(&r.jain_core), "{}: jain {}", r.pattern, r.jain_core);
+    }
     // And the pair assignment itself reacts to the seed.
     let n = 16;
     assert_ne!(

@@ -381,6 +381,19 @@ fn e9_metrics_match_across_engines() {
         };
         assert_eq!(row(sharded), row(single), "{mode:?}: E9 row diverged at 2 shards");
     }
+    // The full grid E9's tables render: one row per pattern × queue
+    // mode × controller, each offering every host's flow.
+    let rows = e9_congestion::run(&params(1)).rows;
+    let cells: Vec<_> = rows.iter().map(|r| (r.pattern, r.mode, r.cc, r.hosts)).collect();
+    let mut grid = Vec::new();
+    for pattern in ["permutation", "hotspot"] {
+        for mode in QueueMode::ALL {
+            for cc in CcMode::ALL {
+                grid.push((pattern, mode.label(), cc.label(), 16));
+            }
+        }
+    }
+    assert_eq!(cells, grid);
 }
 
 #[test]
@@ -392,8 +405,13 @@ fn e11_metrics_match_across_engines() {
     // the sharded engine's `arppath()` accessor.
     let params =
         |shards| E11Params { horizon: SimDuration::millis(60), shards, ..E11Params::for_k(4) };
-    let single = e11_churn::run_cell(&params(1), TableRegime::Undersized);
+    // The pressure table has a row per regime, in report order.
+    let all = e11_churn::run(&params(1));
+    let regimes: Vec<&str> = all.rows.iter().map(|r| r.regime).collect();
+    assert_eq!(regimes, ["undersized", "headroom", "oversized"]);
+    let single = &all.rows[0];
     let sharded = e11_churn::run_cell(&params(2), TableRegime::Undersized);
     assert!(single.table.evictions > 0, "the undersized regime must evict");
+    assert!(!single.epochs.rows().is_empty(), "the per-epoch fairness series is empty");
     assert_eq!(format!("{sharded:?}"), format!("{single:?}"), "E11 row diverged at 2 shards");
 }
