@@ -35,7 +35,9 @@
 //!
 //! Exit codes: 0 when every headline verdict HOLDS; 1 when any is
 //! VIOLATED (or a `micro` guard, `difftest` or `--incast-gate` fails);
-//! 2 for an unknown experiment name.
+//! 2 for a usage error — an unknown experiment name or flag, a flag
+//! missing its value, or a value that does not parse — reported as one
+//! `[repro]` line before anything runs.
 
 use arppath_bench::experiments::{
     e11_churn, e12_scale, e1_latency, e2_repair, e3_linerate, e5_load, e6_proxy, e7_ablation,
@@ -62,6 +64,12 @@ fn verdict(label: &str, ok: bool) {
     }
 }
 
+/// Report a usage error as one `[repro]` line and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("[repro] {msg}");
+    std::process::exit(2)
+}
+
 /// Exit 1 if any verdict so far was VIOLATED, else 0.
 fn exit_with_verdicts() -> ! {
     std::process::exit(i32::from(VIOLATED.load(Ordering::Relaxed)))
@@ -72,8 +80,7 @@ fn exit_with_verdicts() -> ! {
 /// same-run ratio in [`micro::GUARDS`] as a verdict.
 fn micro_cmd(args: Vec<String>) -> ! {
     if !args.is_empty() {
-        eprintln!("[repro] micro takes no arguments, got {args:?}");
-        std::process::exit(2);
+        usage_error(&format!("micro takes no arguments, got {args:?}"));
     }
     let values = micro::measure_all();
     for (key, value) in &values {
@@ -103,16 +110,14 @@ fn micro_cmd(args: Vec<String>) -> ! {
 /// sharded engine and requires the fuzzer to catch and minimize it —
 /// proof the harness detects the bug class it exists for.
 fn difftest_cmd(mut args: Vec<String>) -> ! {
-    let seeds: u64 = take_value(&mut args, "--seeds")
-        .map(|v| v.parse().expect("--seeds expects a count"))
-        .unwrap_or(32);
-    let first_seed: u64 = take_value(&mut args, "--start")
-        .map(|v| v.parse().expect("--start expects a seed"))
-        .unwrap_or(0);
-    let budget: usize = take_value(&mut args, "--minimize-budget")
-        .map(|v| v.parse().expect("--minimize-budget expects a count"))
-        .unwrap_or(400);
+    let seeds: u64 = take_parsed(&mut args, "--seeds", "a count").unwrap_or(32);
+    let first_seed: u64 = take_parsed(&mut args, "--start", "a seed").unwrap_or(0);
+    let budget: usize = take_parsed(&mut args, "--minimize-budget", "a count").unwrap_or(400);
     let self_check = args.iter().any(|a| a == "--self-check");
+    args.retain(|a| a != "--self-check");
+    if let Some(unknown) = args.first() {
+        usage_error(&format!("difftest: unknown argument {unknown:?}"));
+    }
     let mut log = |line: &str| eprintln!("[difftest] {line}");
     let started = Instant::now();
     if self_check {
@@ -163,7 +168,9 @@ fn write_trace(path: &str, trace: &[String]) {
 fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let prefix = format!("{flag}=");
     if let Some(i) = args.iter().position(|a| a == flag) {
-        assert!(i + 1 < args.len(), "{flag} needs a value");
+        if i + 1 == args.len() {
+            usage_error(&format!("{flag} needs a value"));
+        }
         let v = args.remove(i + 1);
         args.remove(i);
         return Some(v);
@@ -173,6 +180,18 @@ fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
         return Some(v);
     }
     None
+}
+
+/// [`take_value`], parsed; a value that does not parse is a usage error
+/// naming what `flag` `expects`.
+fn take_parsed<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    flag: &str,
+    expects: &str,
+) -> Option<T> {
+    take_value(args, flag).map(|v| {
+        v.parse().unwrap_or_else(|_| usage_error(&format!("{flag} expects {expects}, got {v:?}")))
+    })
 }
 
 fn main() {
@@ -185,21 +204,20 @@ fn main() {
         args.remove(0);
         micro_cmd(args);
     }
-    let shards: usize = take_value(&mut args, "--shards")
-        .map(|v| v.parse().expect("--shards expects a number"))
-        .unwrap_or(1);
-    assert!(shards >= 1, "--shards must be at least 1");
+    let shards: usize = take_parsed(&mut args, "--shards", "a number").unwrap_or(1);
+    if shards == 0 {
+        usage_error("--shards must be at least 1");
+    }
     let trace_out = take_value(&mut args, "--trace-out");
     // E9 knobs: `--e9-watchdog-ms N` overrides the PFC pause-watchdog
     // deadline (0 disables it — reproduces the PR-6 incast deadlock);
     // `--e9-cc fixed|aimd|both` restricts the controller axis.
-    let e9_watchdog: Option<u64> = take_value(&mut args, "--e9-watchdog-ms")
-        .map(|v| v.parse().expect("--e9-watchdog-ms expects milliseconds"));
+    let e9_watchdog: Option<u64> = take_parsed(&mut args, "--e9-watchdog-ms", "milliseconds");
     let e9_ccs: Vec<e9_congestion::CcMode> = match take_value(&mut args, "--e9-cc").as_deref() {
         None | Some("both") => e9_congestion::CcMode::ALL.to_vec(),
         Some("fixed") => vec![e9_congestion::CcMode::Fixed],
         Some("aimd") => vec![e9_congestion::CcMode::Aimd],
-        Some(other) => panic!("--e9-cc expects fixed|aimd|both, got {other}"),
+        Some(other) => usage_error(&format!("--e9-cc expects fixed|aimd|both, got {other:?}")),
     };
     let e9_watchdog_param = |default: PauseWatchdog| match e9_watchdog {
         Some(0) => PauseWatchdog::Off,
@@ -208,17 +226,32 @@ fn main() {
     };
     // `--e12-k K` overrides E12's fabric arity; with `--e12-shards
     // a,b,...` it turns the sweep into an arbitrary measurement rig.
-    let e12_k: Option<usize> =
-        take_value(&mut args, "--e12-k").map(|v| v.parse().expect("--e12-k expects a number"));
-    let e12_shard_counts: Option<Vec<usize>> = take_value(&mut args, "--e12-shards")
-        .map(|v| v.split(',').map(|s| s.parse().expect("--e12-shards expects numbers")).collect());
+    let e12_k: Option<usize> = take_parsed(&mut args, "--e12-k", "a number");
+    if e12_k.is_some_and(|k| k < 4 || k % 2 != 0) {
+        usage_error("--e12-k must be an even arity >= 4");
+    }
+    let e12_shard_counts: Option<Vec<usize>> = take_value(&mut args, "--e12-shards").map(|v| {
+        v.split(',')
+            .map(|s| match s.parse() {
+                Ok(n) if n >= 1 => n,
+                _ => usage_error(&format!("--e12-shards expects counts >= 1, got {v:?}")),
+            })
+            .collect()
+    });
     let incast_gate = args.iter().any(|a| a == "--incast-gate");
     let quick = args.iter().any(|a| a == "--quick");
+    if let Some(unknown) =
+        args.iter().find(|a| a.starts_with("--") && *a != "--quick" && *a != "--incast-gate")
+    {
+        usage_error(&format!("unknown flag {unknown:?}"));
+    }
     let selected: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();
     if let Some(unknown) = selected.iter().find(|name| !EXPERIMENTS.contains(name)) {
-        eprintln!("[repro] unknown experiment {unknown:?}; valid names: {}", EXPERIMENTS.join(" "));
-        std::process::exit(2);
+        usage_error(&format!(
+            "unknown experiment {unknown:?}; valid names: {}",
+            EXPERIMENTS.join(" ")
+        ));
     }
     let want = |name: &str| selected.is_empty() || selected.contains(&name);
 
@@ -541,11 +574,9 @@ fn main() {
         // `--trace-out` capture.
         let mut params = if quick { e12_scale::E12Params::quick() } else { Default::default() };
         if let Some(k) = e12_k {
-            assert!(k >= 4 && k % 2 == 0, "--e12-k must be an even arity >= 4");
             params.k = k;
         }
         if let Some(counts) = e12_shard_counts.clone() {
-            assert!(!counts.is_empty(), "--e12-shards must name at least one count");
             params.shard_counts = counts;
         }
         eprintln!(

@@ -1,6 +1,7 @@
-//! The `repro` binary's exit-code contract: an unknown experiment name
-//! is a usage error (exit 2), and a run whose headline verdicts all
-//! hold exits 0.
+//! The `repro` binary's exit-code contract: a usage error (an unknown
+//! experiment name or flag, a flag missing its value, a value that does
+//! not parse) is one `[repro]` line and exit 2, and a run whose
+//! headline verdicts all hold exits 0.
 
 use std::process::{Command, Output};
 
@@ -14,6 +15,26 @@ fn unknown_experiment_names_exit_2_and_list_the_valid_ones() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("e1 e2 e3 e5 e6 e7 e8 e9 e11 e12"), "{stderr}");
+}
+
+#[test]
+fn malformed_arguments_exit_2_with_one_line_before_running_anything() {
+    for args in [
+        &["e8", "--shards", "x"][..],
+        &["e8", "--shards"],
+        &["e8", "--shards", "0"],
+        &["e9", "--e9-cc", "bogus"],
+        &["difftest", "--seeds", "x"],
+        &["difftest", "--bogus"],
+        &["e1", "--quick", "--bogus-flag"],
+    ] {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("[repro] "), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -63,9 +63,9 @@ pub struct ArpPathBridge {
     config: ArpPathConfig,
     /// The path table: station MAC → (port, Locked/Learnt). This is
     /// the structure the paper implements in NetFPGA block RAM: a
-    /// fixed-geometry d-left hash table with background aging (the
-    /// [`AgingMap`] oracle remains the reference semantics). Entries
-    /// are stored packed, one word each.
+    /// fixed-geometry d-left hash table with background aging, checked
+    /// against the [`AgingMap`] oracle by the `DLeftTable` property
+    /// suite. Entries are stored packed, one word each.
     table: DLeftTable<MacAddr, PackedEntry>,
     /// Per-port instant until which the port counts as *core*
     /// (a neighbouring bridge's hello was heard recently).

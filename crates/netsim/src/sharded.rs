@@ -16,31 +16,32 @@
 //!    ([`LinkParams::without_propagation`]); it terminates in a
 //!    *boundary stub* device inside the sender's shard.
 //! 2. When a frame finishes serializing, the stub receives it at
-//!    exactly its `TxDone` instant, encodes it once, and forwards the
-//!    wire bytes over a bounded channel as a zero-copy [`Bytes`] view
-//!    together with its delivery time (`TxDone` + propagation). The
-//!    receiving shard re-parses with [`EthernetFrame::parse_bytes`] —
-//!    sharing the one allocation — and schedules it with
-//!    [`Network::inject_at`].
+//!    exactly its `TxDone` instant and queues the typed
+//!    [`EthernetFrame`] itself, with its delivery time (`TxDone` +
+//!    propagation), in its shard's outbox. Nothing is encoded: the
+//!    destination shard schedules the very object the single engine
+//!    would have delivered, with [`Network::inject_at`].
 //! 3. The **lookahead matrix** holds, per ordered shard pair `(s, d)`,
 //!    the minimum propagation delay over cut links that can carry a
 //!    frame from `s` to `d` (`∞` when no cut joins the pair). Shard
 //!    `j` cannot *act* before `eff(j)` — the earlier of its own next
-//!    event and the earliest boundary frame still bound for it — and
+//!    event and the earliest boundary frame deposited for it — and
 //!    cannot *react* to this window's traffic before the global floor
 //!    `W` plus its cheapest incoming cut `in(j)`. So nothing from `j`
 //!    reaches `i` before `min(eff(j), W + in(j)) + pair[j][i]`, and
 //!    shard `i`'s *horizon* is the minimum of that bound over the
 //!    neighbours that can actually reach it (null-message style: an
-//!    idle or unreachable pair stops bounding a busy one), capped by
-//!    any boundary frame already bound for `i`. Collapsing every pair
-//!    to the global minimum `L` recovers the PR 4 window
-//!    `min(min_other, W + L) + L`, which the horizon property tests
-//!    keep as their oracle. Each round the workers run to their
-//!    horizons, flush boundary frames, and agree on the next window at
-//!    a **single** exchange barrier — the publish and the post-flush
-//!    waits fused into one synchronization point per round — until the
-//!    floor passes the run bound.
+//!    idle or unreachable pair stops bounding a busy one). Collapsing
+//!    every pair to the global minimum `L` recovers the global
+//!    window `min(min_other, W + L) + L`, which the horizon property tests
+//!    keep as their oracle. The **exchange barrier** is the only
+//!    channel between shards: at each round every worker publishes its
+//!    next-event time and deposits the boundary frames its last window
+//!    produced, the last arriver computes every horizon once, and each
+//!    worker leaves with its window and its inbox, injects the inbox in
+//!    canonical order, and only then runs to its horizon — so a frame
+//!    sent in one window is in its destination's queue before the next
+//!    window runs. Rounds repeat until the floor passes the run bound.
 //!
 //! # Determinism
 //!
@@ -64,8 +65,8 @@
 //! the single-threaded engine's on the same scenario.
 //!
 //! One caveat bounds the contract: cross-shard link-admin events
-//! (cable cuts) are rejected — frames already handed to the channel
-//! cannot be recalled, so cut links must stay within one shard.
+//! (cable cuts) are rejected — frames already deposited for the other
+//! shard cannot be recalled, so cut links must stay within one shard.
 //!
 //! # Example
 //!
@@ -116,18 +117,14 @@ use crate::link::{Dir, DirStats, Endpoint, Link, LinkId, LinkParams};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::DeliveryTracer;
 use arppath_wire::EthernetFrame;
-use bytes::Bytes;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 
-// Test-only fault knobs, per thread; `ShardedBuilder::build` copies
-// them into the network it returns, so no other thread sees them.
+// Test-only fault knob, per thread; `ShardedBuilder::build` copies it
+// into the network it returns, so no other thread sees it.
 thread_local! {
     static UNSOUND_HORIZON_WIDEN_NS: Cell<u64> = const { Cell::new(0) };
-    static CHANNEL_CAPACITY_OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Widen the execution horizon of every shard of every
@@ -140,18 +137,6 @@ thread_local! {
 #[doc(hidden)]
 pub fn set_unsound_horizon_widen(ns: u64) {
     UNSOUND_HORIZON_WIDEN_NS.set(ns);
-}
-
-/// Force every frame-exchange channel of the sharded networks this
-/// thread builds from now on to `cap` slots (`0` restores the derived
-/// sizing). **Test-only**: small capacities exercise the non-blocking
-/// flush path — a full channel leaves the batch pending on the sender,
-/// covered by the published `msg_min` row so no horizon can run past
-/// it. Capacity is a performance knob, never a correctness bound:
-/// results stay byte-identical, only round counts change.
-#[doc(hidden)]
-pub fn set_channel_capacity_override(cap: usize) {
-    CHANNEL_CAPACITY_OVERRIDE.set(cap);
 }
 
 /// Per-shard-pair conservative lookahead. `pair[src * n + dst]` is the
@@ -219,61 +204,49 @@ impl LookaheadMatrix {
 }
 
 /// One window agreement as a pure function of the exchanged state:
-/// `next[j]` is shard `j`'s earliest pending local event and
-/// `msg_min[s * n + d]` the earliest boundary frame from `s` to `d`
-/// that may not have reached `d`'s heap yet (`u64::MAX` when none).
-/// Returns `(w_start, horizons)` — the global window floor and every
-/// shard's exclusive execution horizon.
+/// `eff[j]` is the earliest instant shard `j` can act — the earlier of
+/// its next pending event and the earliest boundary frame deposited for
+/// it this exchange (`u64::MAX` when neither exists). Returns
+/// `(w_start, horizons)` — the global window floor and every shard's
+/// exclusive execution horizon.
 ///
 /// The Chandy–Misra–Bryant argument, per pair: shard `j` cannot *act*
-/// before `eff(j) = min(next[j], earliest frame still bound for j)`,
-/// and cannot *react* to this window's traffic before `w + in(j)` (a
-/// frame needs at least `j`'s cheapest incoming cut to reach it). So
-/// `j` emits nothing before `min(eff(j), w + in(j))`, and nothing from
-/// `j` reaches `i` before that plus `pair[j][i]`; unreachable pairs
-/// contribute nothing. Boundary frames already bound for `i` cap its
-/// horizon directly. With every pair collapsed to the global `L` this
-/// reduces exactly to PR 4's `min(min_other, w + L) + L`, which the
-/// property suite pins as a lower bound: per-pair horizons are never
-/// smaller (never less parallel) than the global-`L` oracle's.
+/// before `eff(j)`, and cannot *react* to this window's traffic before
+/// `w + in(j)` (a frame needs at least `j`'s cheapest incoming cut to
+/// reach it). So `j` emits nothing before `min(eff(j), w + in(j))`,
+/// and nothing from `j` reaches `i` before that plus `pair[j][i]`;
+/// unreachable pairs contribute nothing. Every deposited frame is in its
+/// destination's queue before the window runs, so no frame bound for
+/// `i` needs a cap of its own. With every pair collapsed to the global
+/// `L` this reduces exactly to the global `min(min_other, w + L) + L`,
+/// which the property suite pins as a lower bound: per-pair horizons
+/// are never smaller (never less parallel) than the global-`L`
+/// oracle's.
 #[doc(hidden)]
-pub fn window_horizons(m: &LookaheadMatrix, next: &[u64], msg_min: &[u64]) -> (u64, Vec<u64>) {
+pub fn window_horizons(m: &LookaheadMatrix, eff: &[u64]) -> (u64, Vec<u64>) {
     let n = m.n;
-    debug_assert_eq!(next.len(), n);
-    debug_assert_eq!(msg_min.len(), n * n);
-    let inbound = |d: usize| (0..n).map(|s| msg_min[s * n + d]).min().unwrap_or(u64::MAX);
-    let eff: Vec<u64> = (0..n).map(|j| next[j].min(inbound(j))).collect();
+    debug_assert_eq!(eff.len(), n);
     let w = eff.iter().copied().min().unwrap_or(u64::MAX);
     if w == u64::MAX {
         return (w, vec![u64::MAX; n]);
     }
     let horizons = (0..n)
         .map(|i| {
-            let mut h = inbound(i);
-            for (j, &eff_j) in eff.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let l_ji = m.pair[j * n + i];
-                if l_ji == u64::MAX {
-                    continue;
-                }
-                let emit = eff_j.min(w.saturating_add(m.in_min[j]));
-                h = h.min(emit.saturating_add(l_ji));
-            }
-            h
+            (0..n)
+                .filter(|&j| j != i && m.pair[j * n + i] != u64::MAX)
+                .map(|j| {
+                    let emit = eff[j].min(w.saturating_add(m.in_min[j]));
+                    emit.saturating_add(m.pair[j * n + i])
+                })
+                .min()
+                .unwrap_or(u64::MAX)
         })
         .collect();
     (w, horizons)
 }
 
-/// One window's worth of cross-shard frames for one destination.
-type BatchSender = SyncSender<Vec<RemoteMsg>>;
-/// Receiving end of a shard's frame-exchange channel.
-type BatchReceiver = Receiver<Vec<RemoteMsg>>;
-
-/// A frame in flight between shards: the wire bytes plus everything the
-/// destination needs to schedule and order it deterministically.
+/// A frame in flight between shards: the frame itself plus everything
+/// the destination needs to schedule and order it deterministically.
 struct RemoteMsg {
     /// Delivery instant at the destination (sender-side `TxDone` +
     /// the cut link's propagation delay).
@@ -292,8 +265,8 @@ struct RemoteMsg {
     node: NodeId,
     /// Destination ingress port.
     port: PortNo,
-    /// The frame's exact wire bytes; re-parsed zero-copy on arrival.
-    bytes: Bytes,
+    /// The frame, exactly as the sender's half-link delivered it.
+    frame: EthernetFrame,
 }
 
 impl RemoteMsg {
@@ -314,8 +287,6 @@ struct BoundaryStub {
     dst_node: NodeId,
     dst_port: PortNo,
     seq: u64,
-    /// Frames forwarded across the boundary (for stats correction).
-    forwarded: u64,
     /// Shared with the owning shard; drained after every window.
     outbox: Arc<Mutex<Vec<RemoteMsg>>>,
 }
@@ -334,15 +305,14 @@ impl Device for BoundaryStub {
             dst_shard: self.dst_shard,
             node: self.dst_node,
             port: self.dst_port,
-            bytes: Bytes::from(frame.to_bytes()),
+            frame,
         };
         self.seq += 1;
-        self.forwarded += 1;
-        self.outbox.lock().expect("outbox poisoned").push(msg);
+        self.outbox.lock().expect("a worker panicked holding the outbox").push(msg);
     }
 
-    /// PFC pause/resume frames must cross the cut as ordinary wire
-    /// bytes and be intercepted in the *receiving* shard, where the
+    /// PFC pause/resume frames must cross the cut as ordinary frames
+    /// and be intercepted in the *receiving* shard, where the
     /// transmitter they halt (the reverse half-link) lives — so the
     /// stub opts out of engine-side interception.
     fn forwards_control_frames(&self) -> bool {
@@ -376,21 +346,14 @@ struct GlobalLink {
 /// One shard: a complete [`Network`] plus its boundary machinery.
 struct Shard {
     net: Network,
-    /// Local node ids of this shard's boundary stubs.
-    stubs: Vec<NodeId>,
     /// Cross-shard frames produced by this shard's stubs this window.
     outbox: Arc<Mutex<Vec<RemoteMsg>>>,
     /// Real (non-stub) devices in this shard.
     devices: usize,
+    /// Cross-shard frames sent over the whole run.
+    cross_out: u64,
     /// Cross-shard frames received over the whole run.
     cross_in: u64,
-}
-
-impl Shard {
-    /// Frames this shard's stubs forwarded to other shards.
-    fn cross_out(&self) -> u64 {
-        self.stubs.iter().map(|&n| self.net.device::<BoundaryStub>(n).forwarded).sum()
-    }
 }
 
 /// Per-shard execution counters, for the per-shard utilization report.
@@ -482,9 +445,9 @@ impl ShardedBuilder {
     /// order within each shard).
     ///
     /// `assignment[node] = shard` for every global node id. The
-    /// network keeps this thread's test-only fault knobs
-    /// ([`set_unsound_horizon_widen`], [`set_channel_capacity_override`])
-    /// as they are now; its worker threads read only that copy.
+    /// network keeps this thread's test-only fault knob
+    /// ([`set_unsound_horizon_widen`]) as it is now; its worker threads
+    /// read only that copy.
     ///
     /// # Panics
     /// If the assignment's length or shard indices are out of range, or
@@ -545,7 +508,6 @@ impl ShardedBuilder {
 
         let outboxes: Vec<Arc<Mutex<Vec<RemoteMsg>>>> =
             (0..shards).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
-        let mut stubs: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
         let mut links = Vec::with_capacity(self.links.len());
         let mut stub_count = 0usize;
         for (gid, &(ea, eb, params)) in self.links.iter().enumerate() {
@@ -579,7 +541,6 @@ impl ShardedBuilder {
                         dst_node: local_id[dst.node.0],
                         dst_port: dst.port,
                         seq: 0,
-                        forwarded: 0,
                         outbox: Arc::clone(&outboxes[ss]),
                     }));
                     // Stubs never own timers; any collision-free key
@@ -587,7 +548,6 @@ impl ShardedBuilder {
                     builders[ss].set_node_order_key(stub, (n + stub_count) as u64);
                     stub_count += 1;
                     local2global[ss].push(None);
-                    stubs[ss].push(stub);
                     let local = builders[ss].link(
                         local_id[src.node.0],
                         src.port.0,
@@ -624,14 +584,13 @@ impl ShardedBuilder {
 
         let shard_nets: Vec<Shard> = builders
             .into_iter()
-            .zip(stubs)
             .zip(outboxes)
             .zip(device_counts)
-            .map(|(((builder, stubs), outbox), devices)| Shard {
+            .map(|((builder, outbox), devices)| Shard {
                 net: builder.build(),
-                stubs,
                 outbox,
                 devices,
+                cross_out: 0,
                 cross_in: 0,
             })
             .collect();
@@ -644,30 +603,28 @@ impl ShardedBuilder {
             lookahead,
             matrix,
             horizon_widen_ns: UNSOUND_HORIZON_WIDEN_NS.get(),
-            channel_capacity: CHANNEL_CAPACITY_OVERRIDE.get(),
             sync_rounds: 0,
             now: SimTime::ZERO,
         }
     }
 }
 
-/// The per-round synchronization point: an abortable cyclic barrier
-/// that *carries data*. Arrivers publish their next-event time and
-/// per-destination earliest-undelivered-frame row; the last arriver
-/// computes the window ([`window_horizons`]) once, and every waiter
-/// leaves with the agreed `(w_start, horizon)` for its shard. Fusing
-/// the PR 4 publish barrier and post-flush barrier into one
-/// synchronization per round halves the barrier wakeups a window
-/// costs — the dominant sharded overhead on few-core machines.
+/// The per-round synchronization point and the only channel between
+/// shards: an abortable cyclic barrier that *carries data*. Arrivers
+/// publish their next-event time and deposit their outgoing boundary
+/// frames; the last arriver folds each destination's earliest deposited
+/// frame into that shard's `eff` and computes the window
+/// ([`window_horizons`]) once, and every waiter leaves with the agreed
+/// `(w_start, horizon)` for its shard and the frames deposited for it.
 ///
 /// `abort` releases every current *and future* waiter immediately.
 /// `std::sync::Barrier` has no such escape hatch, and the panic path
 /// needs one: a panicking worker cannot know which generation its
 /// healthy siblings will reach next. If it joins "one more" generation
-/// while a sibling observes the poison flag right after its own
-/// release and exits without waiting again, the panicking worker is
-/// stranded at a barrier that never fills (the difftest
-/// fault-injection self-check deadlocked on exactly that race).
+/// while a sibling exits right after its own release without waiting
+/// again, the panicking worker is stranded at a barrier that never
+/// fills (the difftest fault-injection self-check deadlocked on exactly
+/// that race).
 struct ExchangeBarrier {
     state: Mutex<ExchangeState>,
     cv: Condvar,
@@ -681,12 +638,14 @@ struct ExchangeState {
     /// Completed exchanges — the run's synchronization-round count.
     rounds: u64,
     /// Double-buffered by generation parity: arrivers at generation
-    /// `g` write `inputs[g % 2]`, and the buffers are not rewritten
-    /// before generation `g + 2` — which cannot start until every
-    /// waiter of `g` has read its result (readers hold the state lock
-    /// when they wake from the condvar).
-    next: [Vec<u64>; 2],
-    msg_min: [Vec<u64>; 2],
+    /// `g` write `eff[g % 2]` and `mail[g % 2]`, and the buffers are
+    /// not rewritten before generation `g + 2` — which cannot start
+    /// until every waiter of `g` has read its window and taken its
+    /// inbox (readers hold the state lock when they wake from the
+    /// condvar).
+    eff: [Vec<u64>; 2],
+    /// Deposited boundary frames, per destination shard.
+    mail: [Vec<Vec<RemoteMsg>>; 2],
     /// The agreed window per parity: `(w_start, horizons)`.
     window: [(u64, Vec<u64>); 2],
 }
@@ -694,14 +653,15 @@ struct ExchangeState {
 impl ExchangeBarrier {
     fn new(matrix: LookaheadMatrix) -> Self {
         let n = matrix.n;
+        let mailboxes = || (0..n).map(|_| Vec::new()).collect();
         ExchangeBarrier {
             state: Mutex::new(ExchangeState {
                 arrived: 0,
                 generation: 0,
                 aborted: false,
                 rounds: 0,
-                next: [vec![u64::MAX; n], vec![u64::MAX; n]],
-                msg_min: [vec![u64::MAX; n * n], vec![u64::MAX; n * n]],
+                eff: [vec![u64::MAX; n], vec![u64::MAX; n]],
+                mail: [mailboxes(), mailboxes()],
                 window: [(u64::MAX, vec![u64::MAX; n]), (u64::MAX, vec![u64::MAX; n])],
             }),
             cv: Condvar::new(),
@@ -709,50 +669,56 @@ impl ExchangeBarrier {
         }
     }
 
-    /// Publish this shard's `(next event, per-destination earliest
-    /// undelivered frame)` and block until every participant has done
-    /// the same; returns the agreed `(w_start, horizon-for-this-shard)`
-    /// or `None` if the barrier was aborted.
-    fn exchange(&self, shard: usize, next: u64, msg_row: &[u64]) -> Option<(u64, u64)> {
-        let mut s = self.state.lock().expect("exchange barrier poisoned");
+    /// Publish this shard's next event time, deposit every frame in
+    /// `mail` for its destination, and block until every participant
+    /// has done the same. Returns the agreed `(w_start,
+    /// horizon-for-this-shard)` with `mail` refilled by the frames
+    /// deposited for this shard, or `None` if the barrier was aborted.
+    fn exchange(&self, shard: usize, next: u64, mail: &mut Vec<RemoteMsg>) -> Option<(u64, u64)> {
+        let mut s = self.state.lock().expect("a worker panicked holding the exchange barrier");
         if s.aborted {
             return None;
         }
         let slot = (s.generation % 2) as usize;
-        s.next[slot][shard] = next;
-        let n = self.matrix.n;
-        s.msg_min[slot][shard * n..(shard + 1) * n].copy_from_slice(msg_row);
+        s.eff[slot][shard] = next;
+        for msg in mail.drain(..) {
+            s.mail[slot][msg.dst_shard].push(msg);
+        }
         s.arrived += 1;
-        if s.arrived == n {
+        if s.arrived == self.matrix.n {
             s.arrived = 0;
             s.rounds += 1;
-            s.window[slot] = window_horizons(&self.matrix, &s.next[slot], &s.msg_min[slot]);
+            let ExchangeState { eff, mail: boxes, .. } = &mut *s;
+            for (eff_j, inbox) in eff[slot].iter_mut().zip(&boxes[slot]) {
+                *eff_j = inbox.iter().map(|m| m.time.0).fold(*eff_j, u64::min);
+            }
+            s.window[slot] = window_horizons(&self.matrix, &s.eff[slot]);
             s.generation += 1;
             self.cv.notify_all();
-            let (w, ref horizons) = s.window[slot];
-            return Some((w, horizons[shard]));
+        } else {
+            let generation = s.generation;
+            while s.generation == generation && !s.aborted {
+                s = self.cv.wait(s).expect("a worker panicked holding the exchange barrier");
+            }
+            if s.aborted {
+                return None;
+            }
         }
-        let generation = s.generation;
-        while s.generation == generation && !s.aborted {
-            s = self.cv.wait(s).expect("exchange barrier poisoned");
-        }
-        if s.aborted {
-            return None;
-        }
+        std::mem::swap(mail, &mut s.mail[slot][shard]);
         let (w, ref horizons) = s.window[slot];
         Some((w, horizons[shard]))
     }
 
     /// Completed exchange rounds so far.
     fn rounds(&self) -> u64 {
-        self.state.lock().expect("exchange barrier poisoned").rounds
+        self.state.lock().expect("a worker panicked holding the exchange barrier").rounds
     }
 
     /// Permanently release everyone: current waiters wake now, future
     /// [`exchange`](ExchangeBarrier::exchange) calls return `None`
     /// immediately.
     fn abort(&self) {
-        let mut s = self.state.lock().expect("exchange barrier poisoned");
+        let mut s = self.state.lock().expect("a worker panicked holding the exchange barrier");
         s.aborted = true;
         self.cv.notify_all();
     }
@@ -762,9 +728,6 @@ impl ExchangeBarrier {
 struct WindowSync {
     /// The single per-round synchronization point.
     barrier: ExchangeBarrier,
-    /// Set (before the barrier is aborted) when a worker panicked;
-    /// everyone else returns at their next post-exchange check.
-    poisoned: AtomicBool,
     /// Run bound (inclusive): no event past it is executed.
     bound: SimTime,
     /// Test-only fault injection ([`set_unsound_horizon_widen`]):
@@ -795,9 +758,6 @@ pub struct ShardedNetwork {
     matrix: LookaheadMatrix,
     /// Test-only horizon widening captured at build time.
     horizon_widen_ns: u64,
-    /// Test-only forced channel capacity captured at build time (0 =
-    /// derived sizing).
-    channel_capacity: usize,
     /// Synchronization rounds (window exchanges) across all runs.
     sync_rounds: u64,
     now: SimTime,
@@ -897,7 +857,7 @@ impl ShardedNetwork {
 
     /// Total frames that crossed a shard boundary.
     pub fn cross_frames(&self) -> u64 {
-        self.shards.iter().map(Shard::cross_out).sum()
+        self.shards.iter().map(|s| s.cross_out).sum()
     }
 
     /// Per-shard execution counters — the raw material of the
@@ -907,14 +867,13 @@ impl ShardedNetwork {
             .iter()
             .enumerate()
             .map(|(i, sh)| {
-                let cross_out = sh.cross_out();
                 let s = sh.net.stats();
                 ShardStats {
                     shard: i,
                     devices: sh.devices,
                     events: s.events,
-                    frames_delivered: s.frames_delivered - cross_out,
-                    cross_out,
+                    frames_delivered: s.frames_delivered - sh.cross_out,
+                    cross_out: sh.cross_out,
                     cross_in: sh.cross_in,
                 }
             })
@@ -941,174 +900,72 @@ impl ShardedNetwork {
             while net.step_batch(bound) {}
             return;
         }
-        let nshards = self.shards.len();
         let sync = WindowSync {
             barrier: ExchangeBarrier::new(self.matrix.clone()),
-            poisoned: AtomicBool::new(false),
             bound,
             horizon_widen_ns: self.horizon_widen_ns,
         };
-        // Bounded frame-exchange channels, one per destination shard,
-        // sized from the window protocol and the partition's cut-link
-        // fan-in: a sender places at most one coalesced batch per
-        // destination per round, a batch lingers at most two rounds
-        // before the receiver has provably drained it (the `2·N`
-        // term), and one extra slot per incoming cut direction absorbs
-        // the exit flush on high-cut-degree fabrics (k=16's core
-        // shards). Capacity is a performance knob, not a correctness
-        // bound — a full channel leaves the batch pending on the
-        // sender, covered by its published `msg_min` row, which the
-        // capacity-1 regression test pins.
-        let caps: Vec<usize> = (0..nshards)
-            .map(|d| {
-                if self.channel_capacity > 0 {
-                    return self.channel_capacity;
-                }
-                let cut_in = self
-                    .links
-                    .iter()
-                    .filter(|l| {
-                        matches!(l.home, LinkHome::Cross { .. })
-                            && (self.assignment[l.a.node.0] == d
-                                || self.assignment[l.b.node.0] == d)
-                    })
-                    .count();
-                2 * nshards + cut_in
-            })
-            .collect();
-        let (txs, rxs): (Vec<BatchSender>, Vec<BatchReceiver>) =
-            caps.iter().map(|&c| sync_channel(c)).unzip();
-        let mut leftovers: Vec<RemoteMsg> = Vec::new();
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for ((i, shard), rx) in self.shards.iter_mut().enumerate().zip(rxs) {
-                let txs = txs.clone();
-                let sync = &sync;
-                handles.push(scope.spawn(move || shard_worker(i, shard, rx, txs, sync)));
-            }
+            let sync = &sync;
+            let handles: Vec<_> = self
+                .shards
+                .iter_mut()
+                .enumerate()
+                .map(|(i, shard)| scope.spawn(move || shard_worker(i, shard, sync)))
+                .collect();
             // Join everything before propagating any panic, so sibling
             // workers have all observed the abort.
             let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
             for r in results {
-                match r {
-                    Ok(left) => leftovers.extend(left),
-                    Err(panic) => resume_unwind(panic),
+                if let Err(panic) = r {
+                    resume_unwind(panic);
                 }
             }
         });
         self.sync_rounds += sync.barrier.rounds();
-        // Boundary frames a full channel kept pending at exit (their
-        // delivery times are past `bound`, or the run would not have
-        // ended): inject them directly, in the canonical order, so a
-        // later run picks them up exactly where a roomier channel
-        // would have.
-        leftovers.sort_unstable_by_key(RemoteMsg::order_key);
-        for msg in leftovers {
-            let frame = EthernetFrame::parse_bytes(&msg.bytes)
-                .expect("cross-shard frame bytes must re-parse");
-            let shard = &mut self.shards[msg.dst_shard];
-            shard.cross_in += 1;
-            shard.net.inject_at(msg.time, msg.node, msg.port, frame);
-        }
     }
 }
 
-/// One worker thread's life: rounds of (drain inbox → agree on a
-/// window at the single exchange barrier → execute it → flush boundary
-/// frames) until the global floor passes the bound. Returns the
-/// boundary frames a full channel kept pending at exit (the caller
-/// injects them directly). Panics from device code poison the sync
-/// state and abort the barrier so sibling workers exit instead of
-/// deadlocking, then propagate.
-fn shard_worker(
-    i: usize,
-    shard: &mut Shard,
-    rx: BatchReceiver,
-    txs: Vec<BatchSender>,
-    sync: &WindowSync,
-) -> Vec<RemoteMsg> {
-    let result = catch_unwind(AssertUnwindSafe(|| worker_rounds(i, shard, &rx, &txs, sync)));
-    match result {
-        Ok(leftover) => leftover,
-        Err(panic) => {
-            // Order matters: siblings released by the abort must
-            // observe the flag at their post-exchange check.
-            sync.poisoned.store(true, Ordering::SeqCst);
-            sync.barrier.abort();
-            resume_unwind(panic);
-        }
+/// One worker thread's life: rounds of (swap boundary frames and agree
+/// on a window at the single exchange barrier → ingest the inbox →
+/// execute the window) until the global floor passes the bound. Panics
+/// from device code abort the barrier so sibling workers exit instead
+/// of deadlocking, then propagate.
+fn shard_worker(i: usize, shard: &mut Shard, sync: &WindowSync) {
+    if let Err(panic) = catch_unwind(AssertUnwindSafe(|| worker_rounds(i, shard, sync))) {
+        sync.barrier.abort();
+        resume_unwind(panic);
     }
 }
 
-/// Ingest everything other shards have sent so far, in the canonical
-/// deterministic order.
-fn drain_inbox(shard: &mut Shard, rx: &BatchReceiver) {
-    let mut inbox: Vec<RemoteMsg> = rx.try_iter().flatten().collect();
-    if inbox.is_empty() {
-        return;
-    }
-    inbox.sort_unstable_by_key(RemoteMsg::order_key);
-    shard.cross_in += inbox.len() as u64;
-    for msg in inbox {
-        let frame =
-            EthernetFrame::parse_bytes(&msg.bytes).expect("cross-shard frame bytes must re-parse");
-        shard.net.inject_at(msg.time, msg.node, msg.port, frame);
-    }
-}
-
-fn worker_rounds(
-    i: usize,
-    shard: &mut Shard,
-    rx: &BatchReceiver,
-    txs: &[BatchSender],
-    sync: &WindowSync,
-) -> Vec<RemoteMsg> {
-    let nshards = txs.len();
-    // Boundary frames try_send could not place (channel briefly full),
-    // carried per destination and retried every flush. Always covered
-    // by the published `msg_min` row, so no horizon can run past them.
-    let mut pending: Vec<Vec<RemoteMsg>> = (0..nshards).map(|_| Vec::new()).collect();
-    // Earliest frame placed into each destination's channel at the
-    // last flush: the receiver may not have drained it when it
-    // publishes its own next-event time this round, so it stays
-    // covered for exactly one exchange.
-    let mut sent_min: Vec<u64> = vec![u64::MAX; nshards];
-    let mut msg_row: Vec<u64> = vec![u64::MAX; nshards];
+fn worker_rounds(i: usize, shard: &mut Shard, sync: &WindowSync) {
+    // The last window's boundary frames on the way into each exchange;
+    // the frames deposited for this shard on the way out.
+    let mut mail: Vec<RemoteMsg> = Vec::new();
     loop {
-        // Phase 1: ingest. Everything peers flushed before the
-        // previous exchange is visible; frames flushed after it are
-        // covered by their sender's msg_min row this round and
-        // ingested next round.
-        drain_inbox(shard, rx);
-
-        // Phase 2: one exchange agrees on the window floor and this
-        // shard's horizon (the last arriver runs `window_horizons`
-        // over the full matrix once).
+        // One exchange publishes this shard's next event, trades its
+        // outgoing frames for its inbox, and agrees on the window floor
+        // and this shard's horizon (the last arriver runs
+        // `window_horizons` over the full matrix once).
         let next = shard.net.next_event_time().map_or(u64::MAX, |t| t.0);
-        for (d, row) in msg_row.iter_mut().enumerate() {
-            let pend = pending[d].iter().map(|m| m.time.0).min().unwrap_or(u64::MAX);
-            *row = sent_min[d].min(pend);
-        }
-        let Some((w_start, horizon)) = sync.barrier.exchange(i, next, &msg_row) else {
-            return Vec::new(); // aborted: a sibling is propagating a panic
+        let Some((w_start, horizon)) = sync.barrier.exchange(i, next, &mut mail) else {
+            return; // aborted: a sibling is propagating a panic
         };
-        if sync.poisoned.load(Ordering::SeqCst) {
-            return Vec::new();
+
+        // Ingest in the canonical deterministic order before anything
+        // runs — at the final exchange too, so no frame outlives the run.
+        mail.sort_unstable_by_key(RemoteMsg::order_key);
+        shard.cross_in += mail.len() as u64;
+        for msg in mail.drain(..) {
+            shard.net.inject_at(msg.time, msg.node, msg.port, msg.frame);
         }
         if w_start == u64::MAX || w_start > sync.bound.0 {
-            // Identical snapshot at every worker: all exit this round.
-            // Every peer has passed the exchange, so every flush is
-            // visible — one final drain empties the channels, and any
-            // frames still pending on this side (delivery past the
-            // bound, or the floor would not have passed it) go back to
-            // the caller for direct injection.
-            drain_inbox(shard, rx);
-            return pending.into_iter().flatten().collect();
+            return; // identical snapshot at every worker: all exit this round
         }
 
-        // Phase 3: execute up to the horizon — the earliest instant
-        // anything can still arrive from outside (see
-        // `window_horizons` for the per-pair CMB argument).
+        // Execute up to the horizon — the earliest instant anything can
+        // still arrive from outside (see `window_horizons` for the
+        // per-pair CMB argument).
         //
         // Test-only fault injection: difftest's self-check widens the
         // horizon past what CMB permits to prove the harness catches
@@ -1117,37 +974,15 @@ fn worker_rounds(
         let run_bound = SimTime(horizon.saturating_sub(1).min(sync.bound.0));
         while shard.net.step_batch(run_bound) {}
 
-        // Phase 4: flush this window's boundary frames, coalesced into
-        // one batch per destination (retried pending frames first, in
-        // emission order). try_send never blocks: a full channel — the
-        // receiver is lagging — leaves the batch pending, and the
-        // msg_min row published next round keeps every horizon below
-        // its earliest frame.
-        let outgoing = std::mem::take(&mut *shard.outbox.lock().expect("outbox poisoned"));
-        for msg in outgoing {
-            debug_assert!(
-                msg.time.0 >= w_start.saturating_add(sync.barrier.matrix.between(i, msg.dst_shard)),
-                "boundary frame at t={} violates the lookahead promise {} + {}",
-                msg.time.0,
-                w_start,
-                sync.barrier.matrix.between(i, msg.dst_shard)
-            );
-            pending[msg.dst_shard].push(msg);
-        }
-        for (dst, batch) in pending.iter_mut().enumerate() {
-            sent_min[dst] = u64::MAX;
-            if batch.is_empty() {
-                continue;
-            }
-            let earliest = batch.iter().map(|m| m.time.0).min().unwrap_or(u64::MAX);
-            match txs[dst].try_send(std::mem::take(batch)) {
-                Ok(()) => sent_min[dst] = earliest,
-                Err(TrySendError::Full(returned)) => *batch = returned,
-                Err(TrySendError::Disconnected(_)) => {
-                    unreachable!("shard exchange channel closed mid-run")
-                }
-            }
-        }
+        // This window's boundary frames ride the next exchange.
+        mail.append(&mut shard.outbox.lock().expect("a worker panicked holding the outbox"));
+        shard.cross_out += mail.len() as u64;
+        debug_assert!(
+            mail.iter()
+                .all(|m| m.time.0
+                    >= w_start.saturating_add(sync.barrier.matrix.between(i, m.dst_shard))),
+            "a boundary frame violates the lookahead promise of window {w_start}"
+        );
     }
 }
 
@@ -1224,7 +1059,7 @@ mod tests {
     use crate::engine::NetworkBuilder;
     use arppath_wire::{ArpPacket, MacAddr};
     use std::net::Ipv4Addr;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A 3-shard matrix where every pair is connected at 1 µs — the
     /// uniform fixture the barrier tests run on.
@@ -1238,6 +1073,20 @@ mod tests {
         m
     }
 
+    /// A boundary frame from link `link` for shard `dst`.
+    fn remote(time: u64, link: usize, seq: u64, dst: usize) -> RemoteMsg {
+        RemoteMsg {
+            time: SimTime(time),
+            link,
+            dir: 0,
+            seq,
+            dst_shard: dst,
+            node: NodeId(0),
+            port: PortNo(0),
+            frame: test_frame(),
+        }
+    }
+
     #[test]
     fn exchange_barrier_cycles_generations_and_agrees_on_windows() {
         let barrier = Arc::new(ExchangeBarrier::new(uniform_matrix(3)));
@@ -1247,17 +1096,26 @@ mod tests {
             let barrier = Arc::clone(&barrier);
             let counter = Arc::clone(&counter);
             handles.push(std::thread::spawn(move || {
-                let row = [u64::MAX; 3];
                 for round in 0..10u64 {
                     counter.fetch_add(1, Ordering::SeqCst);
-                    // Shard `s` publishes next event at `100·round + s`:
-                    // every participant must agree the floor is shard
-                    // 0's time, and horizons derive from the same
-                    // snapshot no matter who computes them.
-                    let next = 100 * round + shard as u64;
-                    let (w, h) = barrier.exchange(shard, next, &row).expect("barrier not aborted");
+                    // Shard `s` publishes next event at `100·round + 50
+                    // + s` and deposits one frame at `100·round + s` for
+                    // shard `s + 1`: every participant must agree the
+                    // floor is shard 0's deposited frame, and horizons
+                    // derive from the same snapshot no matter who
+                    // computes them.
+                    let next = 100 * round + 50 + shard as u64;
+                    let mut mail =
+                        vec![remote(100 * round + shard as u64, shard, round, (shard + 1) % 3)];
+                    let (w, h) =
+                        barrier.exchange(shard, next, &mut mail).expect("barrier not aborted");
                     assert_eq!(w, 100 * round, "round {round} floor");
                     assert!(h > w, "horizon past the floor");
+                    // Each shard leaves with exactly the frame its
+                    // predecessor deposited this round.
+                    let from = (shard + 2) % 3;
+                    let got: Vec<_> = mail.iter().map(|m| (m.link, m.seq, m.dst_shard)).collect();
+                    assert_eq!(got, vec![(from, round, shard)], "round {round} inbox");
                     // Everyone passed this round's exchange, so every
                     // pre-exchange increment must be visible.
                     assert!(counter.load(Ordering::SeqCst) >= 3 * (round + 1));
@@ -1279,13 +1137,13 @@ mod tests {
         let barrier = Arc::new(ExchangeBarrier::new(uniform_matrix(2)));
         let stuck = {
             let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || barrier.exchange(0, 7, &[u64::MAX; 2]))
+            std::thread::spawn(move || barrier.exchange(0, 7, &mut vec![remote(9, 0, 0, 1)]))
         };
         // Give the waiter a moment to actually block before aborting.
         std::thread::sleep(std::time::Duration::from_millis(20));
         barrier.abort();
         assert_eq!(stuck.join().expect("aborted waiter panicked"), None);
-        assert_eq!(barrier.exchange(1, 7, &[u64::MAX; 2]), None);
+        assert_eq!(barrier.exchange(1, 7, &mut Vec::new()), None);
     }
 
     /// Deterministic xorshift for the horizon property sweep.
@@ -1302,7 +1160,8 @@ mod tests {
         // exchanged state, the per-pair horizon is >= the collapsed
         // global-L horizon (the matrix is never *less* parallel), and
         // both share the same window floor. Sweep random sparse
-        // matrices and random next/msg_min snapshots.
+        // matrices and random snapshots of next events with deposited
+        // frames folded in, exactly as the exchange barrier builds eff.
         let mut state = 0x0123_4567_89AB_CDEF_u64;
         for case in 0..500 {
             let n = 2 + (xorshift(&mut state) % 7) as usize;
@@ -1321,20 +1180,19 @@ mod tests {
             }
             let mut oracle = m.clone();
             oracle.collapse_to_global();
-            let next: Vec<u64> = (0..n)
+            let mut eff: Vec<u64> = (0..n)
                 .map(|_| match xorshift(&mut state) % 4 {
                     0 => u64::MAX,
                     _ => xorshift(&mut state) % 1_000_000,
                 })
                 .collect();
-            let msg_min: Vec<u64> = (0..n * n)
-                .map(|_| match xorshift(&mut state) % 5 {
-                    0 => xorshift(&mut state) % 1_000_000,
-                    _ => u64::MAX,
-                })
-                .collect();
-            let (w_pair, pair) = window_horizons(&m, &next, &msg_min);
-            let (w_global, global) = window_horizons(&oracle, &next, &msg_min);
+            for j in 0..n * n {
+                if xorshift(&mut state).is_multiple_of(5) {
+                    eff[j % n] = eff[j % n].min(xorshift(&mut state) % 1_000_000);
+                }
+            }
+            let (w_pair, pair) = window_horizons(&m, &eff);
+            let (w_global, global) = window_horizons(&oracle, &eff);
             assert_eq!(w_pair, w_global, "case {case}: floors must agree");
             for i in 0..n {
                 assert!(
@@ -1343,28 +1201,37 @@ mod tests {
                     pair[i],
                     global[i]
                 );
-                // Soundness floor for both: nothing may run past an
-                // undelivered frame bound for it.
-                let inbound = (0..n).map(|s| msg_min[s * n + i]).min().unwrap_or(u64::MAX);
-                assert!(pair[i] <= inbound, "case {case}: horizon past an inbound frame");
-                assert!(global[i] <= inbound, "case {case}: oracle past an inbound frame");
+                // Soundness ceiling for both: no shard may run past the
+                // earliest instant a neighbour's next action could reach
+                // it over that neighbour's cheapest cut toward it.
+                let reach = |m: &LookaheadMatrix| {
+                    (0..n)
+                        .filter(|&j| j != i && m.between(j, i) != u64::MAX)
+                        .map(|j| eff[j].saturating_add(m.between(j, i)))
+                        .min()
+                        .unwrap_or(u64::MAX)
+                };
+                assert!(pair[i] <= reach(&m), "case {case}: horizon past a neighbour's frame");
+                assert!(
+                    global[i] <= reach(&oracle),
+                    "case {case}: oracle past a neighbour's frame"
+                );
             }
         }
     }
 
     #[test]
     fn collapsed_matrix_reproduces_the_pr4_window_formula() {
-        // With every pair at the global L and no in-flight frames, the
-        // horizon must equal min(min_other, w + L) + L exactly.
+        // With every pair at the global L, the horizon must equal
+        // min(min_other, w + L) + L exactly.
         let mut m = uniform_matrix(3);
         m.collapse_to_global();
-        let next = [100u64, 450, 7_000];
-        let msg_min = [u64::MAX; 9];
-        let (w, h) = window_horizons(&m, &next, &msg_min);
+        let eff = [100u64, 450, 7_000];
+        let (w, h) = window_horizons(&m, &eff);
         assert_eq!(w, 100);
         let l = 1_000u64;
         for (i, &h_i) in h.iter().enumerate() {
-            let min_other = (0..3).filter(|&j| j != i).map(|j| next[j]).min().unwrap();
+            let min_other = (0..3).filter(|&j| j != i).map(|j| eff[j]).min().unwrap();
             assert_eq!(h_i, min_other.min(w + l) + l, "shard {i}");
         }
     }
@@ -1377,31 +1244,26 @@ mod tests {
         let mut m = LookaheadMatrix::new(3);
         m.observe_cut(0, 1, 1_000);
         m.observe_cut(1, 2, 30_000);
-        let next = [0u64, 500_000, 600_000];
-        let msg_min = [u64::MAX; 9];
-        let (w, h) = window_horizons(&m, &next, &msg_min);
+        let eff = [0u64, 500_000, 600_000];
+        let (w, h) = window_horizons(&m, &eff);
         assert_eq!(w, 0);
         // Shard 2 is bounded only by shard 1 emitting toward it:
-        // shard 1 acts no earlier than min(next[1], w + in(1)) = 1000,
+        // shard 1 acts no earlier than min(eff[1], w + in(1)) = 1000,
         // plus the 30 µs pair lookahead.
         assert_eq!(h[2], 1_000 + 30_000);
         let mut oracle = m.clone();
         oracle.collapse_to_global();
-        let (_, g) = window_horizons(&oracle, &next, &msg_min);
-        // min(min_other, w + L) + L with min_other = next[0] = 0.
+        let (_, g) = window_horizons(&oracle, &eff);
+        // min(min_other, w + L) + L with min_other = eff[0] = 0.
         assert_eq!(g[2], 1_000, "oracle collapses everything to 1 µs");
         assert!(h[2] > g[2]);
     }
 
     #[test]
-    fn tiny_exchange_channels_cannot_stall_or_diverge() {
-        // The PR 10 backpressure regression: with every exchange
-        // channel forced to a single slot, two shards flushing into
-        // the same destination in one round must take the pending
-        // carry-over path (the second try_send finds the channel
-        // full). The run must still complete — no deadlock between a
-        // full channel and the exchange barrier — and deliver the
-        // identical trace.
+    fn three_shard_fan_in_is_trace_identical() {
+        // Two shards deposit salvos for the same destination shard in
+        // the same rounds; the destination must ingest both in the
+        // canonical order and deliver the single engine's trace.
         struct Salvo {
             name: String,
             left: u32,
@@ -1443,12 +1305,49 @@ mod tests {
         };
         let reference = build(1);
         assert!(reference.len() >= 40, "both salvos must land: {}", reference.len());
-        set_channel_capacity_override(1);
-        let tiny = build(3);
-        set_channel_capacity_override(0);
-        assert_eq!(tiny, reference, "capacity-1 channels changed the trace");
-        let roomy = build(3);
-        assert_eq!(roomy, reference, "derived-capacity channels changed the trace");
+        assert_eq!(build(3), reference, "three shards changed the trace");
+    }
+
+    #[test]
+    fn worked_example_takes_three_exchanges() {
+        // docs/ARCHITECTURE.md's worked example: host A and bridge B0 on
+        // shard 0, bridge B1 and host B on shard 1, 500 ns intra-shard
+        // links and a 3 µs cut. The frame shard 0 deposits at exchange
+        // 2 is in shard 1's queue before shard 1's second window runs,
+        // so B hears the ARP in that window and exchange 3 ends the
+        // run. Capping shard 1's horizon at a frame it has not yet
+        // ingested would cost a fourth exchange.
+        struct Relay(&'static str);
+        impl Device for Relay {
+            fn name(&self) -> &str {
+                self.0
+            }
+            fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
+                for p in (0..ctx.num_ports()).filter(|&p| p != port.0) {
+                    ctx.send(PortNo(p), frame.clone());
+                }
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        let mut b = ShardedBuilder::new(2);
+        let host_a = b.add(Box::new(Shot { name: "A".into() }));
+        let b0 = b.add(Box::new(Relay("B0")));
+        let b1 = b.add(Box::new(Relay("B1")));
+        let host_b = b.add(Box::new(Probe::new("B", 0)));
+        let intra = LinkParams::gigabit(SimDuration::nanos(500));
+        b.link(host_a, 0, b0, 0, intra);
+        b.link(b0, 1, b1, 0, LinkParams::gigabit(SimDuration::micros(3)));
+        b.link(b1, 1, host_b, 0, intra);
+        let mut net = b.build(&[0, 0, 1, 1]);
+        assert!(net.run_until_idle(SimTime(u64::MAX)));
+        // 672 ns line time per hop: 672 + 500, + 672 + 3000, + 672 + 500.
+        assert_eq!(net.device::<Probe>(host_b).heard, vec![(SimTime(6_016), PortNo(0))]);
+        assert_eq!(net.sync_rounds(), 3);
     }
 
     #[test]

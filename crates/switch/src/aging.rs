@@ -1,6 +1,15 @@
-//! A deterministic aging map: the substrate under every forwarding
-//! table in the repository (learning switch FIB, ARP-Path lock table,
-//! host ARP caches).
+//! A deterministic aging map: the small-table type.
+//!
+//! The repository has two expiring-table types, split by role:
+//!
+//! * [`DLeftTable`](crate::DLeftTable) is the per-station,
+//!   hardware-shaped table — the ARP-Path path table and the
+//!   [`LearningSwitch`](crate::LearningSwitch) FIB.
+//! * [`AgingMap`] is the small-table type — the STP baseline's FIB,
+//!   host ARP caches, and the ARP-Path bridge's `recent_repairs`,
+//!   `seen_waves` and `proxy_cache`. It is also the oracle the
+//!   `DLeftTable` property suite (`tests/dleft_oracle.rs`) checks
+//!   against.
 //!
 //! Built on `BTreeMap` rather than `HashMap` deliberately: iteration
 //! order is part of the simulator's determinism contract (a flood that

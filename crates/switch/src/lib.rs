@@ -2,13 +2,15 @@
 //!
 //! Four pieces every bridge in the repository builds on:
 //!
-//! * [`AgingMap`] — deterministic expiring tables (host ARP caches,
-//!   small control tables) and the property-tested *reference oracle*
-//!   for the hardware-shaped table below;
-//! * [`DLeftTable`] — the hardware-faithful d-left hash table (fixed
-//!   geometry, multiply-shift hashing, [`wheel`] background aging)
-//!   backing the learning FIB and the ARP-Path lock table, mirroring
-//!   the NetFPGA implementation the paper measures;
+//! * [`AgingMap`] — the small-table type: deterministic expiring maps
+//!   for the STP baseline's FIB, host ARP caches and the ARP-Path
+//!   bridge's `recent_repairs`/`seen_waves`/`proxy_cache`, and the
+//!   oracle `tests/dleft_oracle.rs` checks the table below against;
+//! * [`DLeftTable`] — the per-station, hardware-shaped d-left hash
+//!   table (fixed geometry, multiply-shift hashing, [`wheel`]
+//!   background aging) backing the ARP-Path path table and the
+//!   [`LearningSwitch`] FIB, mirroring the NetFPGA implementation the
+//!   paper measures;
 //! * [`SwitchLogic`] — the decision-plane trait that separates a
 //!   bridge's forwarding algorithm from its timing model, so the same
 //!   ARP-Path FSM runs unmodified under the ideal (zero-latency) device
