@@ -13,7 +13,7 @@
 //!   conservative window protocol made the workers rendezvous; the
 //!   per-pair lookahead matrix (PR 10) exists to push this down;
 //! * **bytes per station** — the d-left path tables' heap footprint
-//!   (SoA planes of 8-byte cells plus the timer wheel) summed over
+//!   (SoA planes, 32 B per slot, plus the timer wheel) summed over
 //!   every bridge and divided by the attached host count, held under
 //!   an absolute ceiling ([`MAX_BYTES_PER_STATION`]) — and beside it
 //!   the event storage the single-engine run's scheduler ended up
@@ -25,12 +25,12 @@
 //! counts ([`verify_trace_identity`]; CI additionally diffs
 //! `--trace-out` files).
 
-use super::{host_ip, host_mac, rack_major, run_to};
-use arppath::ArpPathConfig;
-use arppath_host::{pairings, TrafficConfig, TrafficHost, TrafficPattern};
+use super::e8_fattree::{self, E8Params};
+use super::{rack_major, run_to};
+use arppath_host::TrafficPattern;
 use arppath_metrics::Table;
-use arppath_netsim::{Engine, SimDuration, SimTime};
-use arppath_topo::{generic, BridgeIx, BridgeKind, FatTree, TopoBuilder, Topology};
+use arppath_netsim::{Engine, SimTime};
+use arppath_topo::{BridgeIx, FatTree, TopoBuilder, Topology};
 use std::time::Instant;
 
 /// Parameters of one E12 sweep (one fabric, several worker counts).
@@ -111,10 +111,12 @@ pub struct E12Result {
 }
 
 /// Ceiling on [`E12Result::bytes_per_station`]: the quick geometry's
-/// figure (82,124 B at PR 14) plus 2 %. One station per rack is the
-/// worst case E12 runs — each bridge's fixed costs (minimum table
-/// geometry, wheel spine) are spread over the fewest stations — so
-/// fuller fabrics sit well under it (55,892 B at 16 hosts per edge).
+/// figure with 36-byte table slots (82,124 B) plus 2 %; packing a
+/// path-table value into 4 bytes (32-byte slots) brought it to
+/// 77,004 B. One station per rack is the worst case E12 runs — each
+/// bridge's fixed costs (minimum table geometry, wheel spine) are
+/// spread over the fewest stations — so fuller fabrics sit well under
+/// it (50,772 B at 16 hosts per edge).
 pub const MAX_BYTES_PER_STATION: f64 = 83_800.0;
 
 /// Ceiling on [`E12Result::scheduler_reserved_bytes`]. With drained
@@ -133,36 +135,20 @@ impl E12Result {
     }
 }
 
-/// Lay out one E12 scenario — the jittered k-ary fabric and the seeded
-/// permutation workload — shared by every sweep point and the trace
-/// capture, so all of them simulate the *same* network (E8's scenario
-/// discipline).
+/// Lay out one E12 scenario — E8's jittered k-ary fabric and seeded
+/// permutation workload at E12's size — shared by every sweep point
+/// and the trace capture, so all of them simulate the *same* network.
 fn scenario(params: &E12Params) -> (TopoBuilder, FatTree, SimTime) {
-    let mut t = TopoBuilder::new(BridgeKind::ArpPath(ArpPathConfig::default()));
-    let ft = generic::fat_tree_jittered(&mut t, params.k, params.seed.wrapping_add(0xFA7));
-    let n = ft.host_capacity(params.hosts_per_edge);
-    let pairs = pairings(n, TrafficPattern::Permutation, params.seed);
-    let warmup = SimDuration::millis(100);
-    let stagger = SimDuration::micros(137);
-    let interval = SimDuration::millis(5);
-    for (i, &dst) in pairs.iter().enumerate() {
-        let id = (i + 1) as u32;
-        let cfg = TrafficConfig {
-            target: host_ip((dst + 1) as u32),
-            start_at: warmup + stagger.times(i as u64),
-            interval,
-            count: params.datagrams,
-            payload_len: params.payload_len,
-            ..Default::default()
-        };
-        let host = TrafficHost::new(format!("h{id}"), host_mac(id), host_ip(id), cfg);
-        t.host(ft.edge_of_host(i, params.hosts_per_edge), Box::new(host));
-    }
-    let deadline = warmup
-        + stagger.times(n as u64)
-        + interval.times(params.datagrams)
-        + SimDuration::millis(200);
-    (t, ft, SimTime(deadline.as_nanos()))
+    let e8 = E8Params {
+        k: params.k,
+        hosts_per_edge: params.hosts_per_edge,
+        datagrams: params.datagrams,
+        payload_len: params.payload_len,
+        seed: params.seed,
+        ..E8Params::default()
+    };
+    let (t, ft, _pairs, deadline) = e8_fattree::scenario(&e8, TrafficPattern::Permutation);
+    (t, ft, deadline)
 }
 
 /// Run the sweep: one fresh instantiation of the same scenario per
@@ -205,12 +191,7 @@ pub fn run(params: &E12Params) -> E12Result {
 /// `(sent, delivered, (bridges, Σ path-table heap bytes))` off a
 /// finished run, on either engine.
 fn measure<N: Engine>(topo: &Topology<N>) -> (u64, u64, (usize, usize)) {
-    let (mut sent, mut delivered) = (0u64, 0u64);
-    for &h in &topo.host_nodes {
-        let host = topo.net.device::<TrafficHost>(h);
-        sent += host.sent();
-        delivered += host.rx_datagrams;
-    }
+    let (sent, delivered) = e8_fattree::sent_delivered(topo);
     let bridges = topo.bridge_nodes.len();
     let table_bytes = (0..bridges).map(|ix| topo.arppath(BridgeIx(ix)).table_heap_bytes()).sum();
     (sent, delivered, (bridges, table_bytes))
@@ -287,7 +268,7 @@ pub fn footprint_table(result: &E12Result) -> Table {
         &["what", "total bytes", "bytes/station"],
     );
     t.row(&[
-        "d-left path tables (SoA planes, 8-byte cells)".into(),
+        "d-left path tables (SoA planes, 32 B per slot)".into(),
         result.table_bytes.to_string(),
         format!("{:.0}", result.bytes_per_station()),
     ]);

@@ -12,7 +12,7 @@
 //!
 //! Both sweeps run the Fig-2 ping scenario and report delivery health.
 
-use super::{attach_ping_pair, host_mac};
+use super::attach_ping_pair;
 use arppath::ArpPathConfig;
 use arppath_host::{PingConfig, PingHost};
 use arppath_metrics::Table;
@@ -146,10 +146,4 @@ pub fn table(result: &E7Result) -> Table {
         ]);
     }
     t
-}
-
-/// Sanity handle used by tests: host MAC of the prober (kept here so
-/// the module's addressing convention has one source of truth).
-pub fn prober_mac() -> arppath_wire::MacAddr {
-    host_mac(1)
 }

@@ -166,8 +166,9 @@ impl<'a> PathWalker<'a> {
 /// Lay out one E8 scenario: the jittered fabric, the seeded workload's
 /// hosts, and the run deadline. Shared verbatim by the single-threaded
 /// path, the sharded path and the delivery-trace capture, so all three
-/// simulate the *same* network.
-fn scenario(
+/// simulate the *same* network — and by E12, whose k=16 sweep is this
+/// scenario's permutation pattern at a larger size.
+pub(crate) fn scenario(
     params: &E8Params,
     pattern: TrafficPattern,
 ) -> (TopoBuilder, FatTree, Vec<usize>, SimTime) {
@@ -239,14 +240,7 @@ fn measure<N: Engine>(
         / core_loads.len().max(1) as f64;
     let diversity = core_diversity(ft, params.hosts_per_edge, pairs, topo);
 
-    let mut sent = 0u64;
-    let mut delivered = 0u64;
-    for &h in &topo.host_nodes {
-        let host = topo.net.device::<TrafficHost>(h);
-        sent += host.sent();
-        delivered += host.rx_datagrams;
-    }
-
+    let (sent, delivered) = sent_delivered(topo);
     E8Row {
         pattern: pattern_label(pattern),
         k: params.k,
@@ -262,6 +256,15 @@ fn measure<N: Engine>(
         sent,
         histogram: UtilizationHistogram::from_loads(&core_loads),
     }
+}
+
+/// `(sent, delivered)` datagrams summed over every host of a finished
+/// run, on either engine.
+pub(crate) fn sent_delivered<N: Engine>(topo: &Topology<N>) -> (u64, u64) {
+    topo.host_nodes.iter().fold((0, 0), |(sent, delivered), &h| {
+        let host = topo.net.device::<TrafficHost>(h);
+        (sent + host.sent(), delivered + host.rx_datagrams)
+    })
 }
 
 /// Byte load of every core link (one endpoint on a core switch), both

@@ -33,9 +33,9 @@
 use crate::config::ArpPathConfig;
 use crate::counters::ArpPathCounters;
 use crate::entry::{EntryState, PackedEntry, PathEntry, MAX_PORTS};
-use arppath_netsim::{PortNo, SimTime, TimerToken};
+use arppath_netsim::{Ctx, PortNo, SimTime, TimerToken};
 use arppath_switch::{
-    AgingMap, DLeftTable, DropReason, LogicEnv, ProcessingClass, Slot, SwitchCounters, SwitchLogic,
+    AgingMap, DLeftTable, DropReason, ProcessingClass, Slot, SwitchCounters, SwitchLogic,
 };
 use arppath_wire::{ArpOp, ArpPacket, EthernetFrame, MacAddr, PathCtl, PathCtlKind, Payload};
 use std::net::Ipv4Addr;
@@ -43,15 +43,15 @@ use std::net::Ipv4Addr;
 /// Timer cookie: periodic BridgeHello beacon.
 const TOKEN_HELLO: TimerToken = TimerToken(0x4150_1001);
 
-/// How a discovery broadcast reached us.
+/// Where the path table sends a unicast frame ([`ArpPathBridge::next_hop`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DiscoveryKind {
-    /// Host-originated (ARP Request or other broadcast/multicast):
-    /// subject to the strict first-copy-wins rule.
-    HostBroadcast,
-    /// Repair flood with its nonce: may overwrite stale learnt state,
-    /// races only against copies of the same wave.
-    Repair(u32),
+enum NextHop {
+    /// Out this port.
+    Out(PortNo),
+    /// The entry points back out the ingress port: dropped.
+    Bounce,
+    /// No live entry.
+    Miss,
 }
 
 /// The ARP-Path (FastPath) bridge decision plane.
@@ -78,10 +78,12 @@ pub struct ArpPathBridge {
     recent_repairs: AgingMap<(MacAddr, MacAddr), u32>,
     /// First-arrival port of every repair wave seen recently, keyed by
     /// (source host, wave nonce). Duplicate suppression for repair
-    /// floods lives *here*, decoupled from the forwarding table: the
-    /// table entry a wave created may legitimately be rewritten by a
-    /// concurrent wave or its reply, but a late copy of an old wave
-    /// must still be recognized and discarded, or it re-floods.
+    /// floods lives *only* here, decoupled from the forwarding table
+    /// (path entries carry no wave stamp): the table entry a wave
+    /// created may legitimately be rewritten by a concurrent wave or
+    /// its reply, but a late copy of an old wave must still be
+    /// recognized and discarded, or it re-floods. A record lasts
+    /// `lock_time`, so a copy later than that is not recognized.
     seen_waves: AgingMap<(MacAddr, u32), PortNo>,
     /// Proxy cache: IP → MAC gleaned from ARP traffic. Filled only
     /// when [`ArpPathConfig::proxy`] is on — nothing else reads it.
@@ -237,49 +239,29 @@ impl ArpPathBridge {
 
     // ---- discovery ----
 
-    /// Apply the first-copy-wins acceptance rule for a flooded frame
-    /// from `src` arriving on `port`. Returns `true` when the copy won
+    /// Apply the first-copy-wins lock rule to a flooded frame from
+    /// `src` arriving on `port`; `wave` is a repair flood's nonce
+    /// (`None` for host broadcasts). Returns `true` when the copy won
     /// (caller floods / answers), `false` when it lost (caller drops).
     fn accept_discovery(
         &mut self,
         src: MacAddr,
         port: PortNo,
-        kind: DiscoveryKind,
+        wave: Option<u32>,
         now: SimTime,
     ) -> bool {
         let lock_expiry = now + self.config.lock_time;
-        // Repair waves resolve their race in the seen-waves table, not
-        // the forwarding table: the first copy of wave `n` records its
-        // port and wins; every other copy of the same wave loses,
-        // regardless of what concurrent waves or replies have since
-        // done to the forwarding entry.
-        if let DiscoveryKind::Repair(n) = kind {
+        // Repair waves resolve their race in `seen_waves`, not the
+        // forwarding table: the first copy of wave `n` records its port
+        // and may take the entry over; every other copy of the same
+        // wave loses, whatever concurrent waves or replies have since
+        // done to the forwarding entry. This dedup lasts `lock_time`.
+        let mut takeover = false;
+        if let Some(n) = wave {
             match self.seen_waves.get(&(src, n), now).copied() {
                 None => {
                     self.seen_waves.insert((src, n), port, lock_expiry);
-                    let lock = PathEntry::repair_locked(port, n);
-                    match self.probe(src, now) {
-                        Some((slot, e)) if e.port == port => {
-                            // The entry already points where this wave's
-                            // winner came from — possibly confirmed and
-                            // long-lived. Keep it (downgrading it to a
-                            // short lock would seed an expiry miss);
-                            // just make sure it survives the episode.
-                            self.table.touch_at(slot, self.refreshed_expiry(e, now));
-                        }
-                        // First copy: take the entry over, displacing
-                        // stale learnt state (the very thing repair
-                        // exists to fix) or older waves.
-                        Some((slot, _)) => {
-                            self.table.replace_at(slot, lock.into(), lock_expiry);
-                            self.ap.locks_created += 1;
-                        }
-                        None => {
-                            self.table.insert_absent(src, lock.into(), lock_expiry);
-                            self.ap.locks_created += 1;
-                        }
-                    }
-                    return true;
+                    takeover = true;
                 }
                 Some(p) if p == port => {
                     // Re-origination of the same episode (e.g. a second
@@ -287,37 +269,45 @@ impl ArpPathBridge {
                     self.seen_waves.touch(&(src, n), lock_expiry, now);
                     return true;
                 }
-                Some(_) => {
-                    self.ap.race_drops += 1;
-                    self.counters.drop_frame(DropReason::LostRace);
-                    return false;
-                }
+                Some(_) => return self.lose_race(),
             }
         }
         match self.probe(src, now) {
-            None => {
-                if self.has_room(now) {
-                    self.table.insert_absent(src, PathEntry::locked(port).into(), lock_expiry);
-                    self.ap.locks_created += 1;
-                    true
-                } else {
-                    self.counters.drop_frame(DropReason::TableFull);
-                    false
-                }
-            }
             Some((slot, e)) if e.port == port => {
                 // Same port as the standing entry: a retry or refresh.
+                // A repair wave keeps it too — downgrading a confirmed
+                // entry to a short lock would seed an expiry miss.
                 self.table.touch_at(slot, self.refreshed_expiry(e, now));
                 true
             }
-            Some(_) => {
-                // Lost the race (or off-path broadcast while a path
-                // stands): the paper's discard rule.
-                self.ap.race_drops += 1;
-                self.counters.drop_frame(DropReason::LostRace);
+            Some((slot, _)) if takeover => {
+                // A repair wave's first copy displaces stale learnt
+                // state (the very thing repair exists to fix) or an
+                // older wave's lock.
+                self.table.replace_at(slot, PathEntry::locked(port).into(), lock_expiry);
+                self.ap.locks_created += 1;
+                true
+            }
+            // Lost the race (or off-path broadcast while a path
+            // stands): the paper's discard rule.
+            Some(_) => self.lose_race(),
+            None if self.has_room(now) => {
+                self.table.insert_absent(src, PathEntry::locked(port).into(), lock_expiry);
+                self.ap.locks_created += 1;
+                true
+            }
+            None => {
+                self.counters.drop_frame(DropReason::TableFull);
                 false
             }
         }
+    }
+
+    /// Count a broadcast copy that lost the race; always `false`.
+    fn lose_race(&mut self) -> bool {
+        self.ap.race_drops += 1;
+        self.counters.drop_frame(DropReason::LostRace);
+        false
     }
 
     /// The expiry a standing entry is refreshed to: its own state's
@@ -334,10 +324,10 @@ impl ArpPathBridge {
         port: PortNo,
         frame: EthernetFrame,
         arp: ArpPacket,
-        env: &mut LogicEnv,
+        ctx: &mut Ctx,
     ) -> ProcessingClass {
-        let now = env.now();
-        if !self.accept_discovery(frame.src, port, DiscoveryKind::HostBroadcast, now) {
+        let now = ctx.now();
+        if !self.accept_discovery(frame.src, port, None, now) {
             return ProcessingClass::Hardware;
         }
         if self.config.proxy {
@@ -355,7 +345,7 @@ impl ArpPathBridge {
                     self.lookup(target_mac, now).is_some_and(|e| e.state == EntryState::Learnt);
                 if has_path {
                     let reply = ArpPacket::reply_to(&arp, target_mac, arp.tpa);
-                    env.transmit(port, EthernetFrame::arp_reply(reply));
+                    ctx.send(port, EthernetFrame::arp_reply(reply));
                     self.ap.proxy_replies += 1;
                     return ProcessingClass::Software;
                 }
@@ -364,65 +354,88 @@ impl ArpPathBridge {
         }
         self.counters.flooded += 1;
         self.ap.arp_request_floods += 1;
-        env.flood(&frame, port);
+        ctx.flood(&frame, port);
         ProcessingClass::Hardware
     }
 
-    /// Path-establishing unicast (ARP Reply, and PathReply via its own
-    /// handler): learn the sender's direction as confirmed, promote the
-    /// destination's lock, forward along it.
+    /// Path-establishing unicast (ARP Reply; PathReply has its own
+    /// handler): learn the sender's direction as confirmed, then
+    /// forward along the destination's entry, promoting it.
     fn handle_arp_reply(
         &mut self,
         port: PortNo,
         frame: EthernetFrame,
         arp: ArpPacket,
-        env: &mut LogicEnv,
+        ctx: &mut Ctx,
     ) -> ProcessingClass {
-        let now = env.now();
+        let now = ctx.now();
         if self.config.proxy && arp.sha.is_unicast() {
             self.proxy_cache.insert(arp.spa, arp.sha, now + self.config.proxy_cache_time);
         }
         // The replier D is reachable via the reply's ingress port.
         self.try_insert(frame.src, PathEntry::learnt(port), now + self.config.learn_time, now);
-        self.forward_establishing(port, frame, env)
+        self.forward_unicast(port, frame, true, ctx)
     }
 
-    /// Forward a path-establishing unicast toward its destination,
-    /// promoting the destination's entry on the way.
-    fn forward_establishing(
+    /// The one unicast forwarding rule: where a frame toward `dst` that
+    /// arrived on `ingress` goes. A hit pointing back out the ingress
+    /// port is a bounce. A path-establishing frame (`establishing`:
+    /// ARP Reply, PathReply) promotes a `Locked` entry; it and — with
+    /// `refresh_on_data` — any other hit refresh a `Learnt` one (the
+    /// hardware hit-bit: one-way flows keep their path alive).
+    fn next_hop(
+        &mut self,
+        dst: MacAddr,
+        ingress: PortNo,
+        establishing: bool,
+        now: SimTime,
+    ) -> NextHop {
+        let Some((slot, e)) = self.probe(dst, now) else { return NextHop::Miss };
+        if e.port == ingress {
+            return NextHop::Bounce;
+        }
+        let learnt_expiry = now + self.config.learn_time;
+        match e.state {
+            EntryState::Locked if establishing => {
+                self.table.replace_at(slot, PathEntry::learnt(e.port).into(), learnt_expiry);
+                self.ap.promotions += 1;
+            }
+            EntryState::Learnt if establishing || self.config.refresh_on_data => {
+                self.table.touch_at(slot, learnt_expiry);
+            }
+            _ => {}
+        }
+        NextHop::Out(e.port)
+    }
+
+    /// Forward a host unicast (data, or an ARP Reply when
+    /// `establishing`) along [`Self::next_hop`].
+    fn forward_unicast(
         &mut self,
         port: PortNo,
         frame: EthernetFrame,
-        env: &mut LogicEnv,
+        establishing: bool,
+        ctx: &mut Ctx,
     ) -> ProcessingClass {
-        let now = env.now();
-        let learnt_expiry = now + self.config.learn_time;
-        match self.probe(frame.dst, now) {
-            Some((_, e)) if e.port == port => {
+        match self.next_hop(frame.dst, port, establishing, ctx.now()) {
+            NextHop::Out(out) => {
+                self.counters.forwarded += 1;
+                ctx.send(out, frame);
+                ProcessingClass::Hardware
+            }
+            NextHop::Bounce => {
                 self.counters.drop_frame(DropReason::NoPath);
                 ProcessingClass::Hardware
             }
-            Some((slot, e)) => {
-                if e.state == EntryState::Locked {
-                    // Promote, preserving the wave stamp: a late copy
-                    // of the discovery flood that produced this reply
-                    // must still be recognized as a race loser.
-                    let promoted = PathEntry { state: EntryState::Learnt, ..e };
-                    self.table.replace_at(slot, promoted.into(), learnt_expiry);
-                    self.ap.promotions += 1;
-                } else {
-                    self.table.touch_at(slot, learnt_expiry);
-                }
-                self.counters.forwarded += 1;
-                env.transmit(e.port, frame);
-                ProcessingClass::Hardware
-            }
-            None => {
-                // The reverse lock evaporated (slow reply or failure):
-                // a miss like any other.
+            NextHop::Miss => {
+                // The paper's bridges do not flood unknown unicast —
+                // without a spanning tree that could loop. Drop and
+                // repair (§2.1.4); for an ARP Reply the reverse lock
+                // evaporated (slow reply or failure), a miss like any
+                // other.
                 self.ap.unicast_misses += 1;
                 self.counters.drop_frame(DropReason::NoPath);
-                self.maybe_repair(frame.src, frame.dst, env);
+                self.maybe_repair(frame.src, frame.dst, ctx);
                 ProcessingClass::Software
             }
         }
@@ -432,57 +445,31 @@ impl ArpPathBridge {
         &mut self,
         port: PortNo,
         frame: EthernetFrame,
-        env: &mut LogicEnv,
+        ctx: &mut Ctx,
     ) -> ProcessingClass {
-        let now = env.now();
-        let learnt_expiry = now + self.config.learn_time;
         if self.config.refresh_on_data {
             // A frame from S on S's own entry port proves the path is
             // in use: refresh confirmed entries.
+            let now = ctx.now();
             if let Some((slot, e)) = self.probe(frame.src, now) {
                 if e.port == port && e.state == EntryState::Learnt {
-                    self.table.touch_at(slot, learnt_expiry);
+                    self.table.touch_at(slot, now + self.config.learn_time);
                 }
             }
         }
-        match self.probe(frame.dst, now) {
-            Some((_, e)) if e.port == port => {
-                self.counters.drop_frame(DropReason::NoPath);
-                ProcessingClass::Hardware
-            }
-            Some((slot, e)) => {
-                if self.config.refresh_on_data && e.state == EntryState::Learnt {
-                    // A lookup hit refreshes the entry (the hardware
-                    // hit-bit): one-way flows keep their path alive in
-                    // both tables.
-                    self.table.touch_at(slot, learnt_expiry);
-                }
-                self.counters.forwarded += 1;
-                env.transmit(e.port, frame);
-                ProcessingClass::Hardware
-            }
-            None => {
-                // The paper's bridges do not flood unknown unicast —
-                // without a spanning tree that could loop. Drop and
-                // repair (§2.1.4).
-                self.ap.unicast_misses += 1;
-                self.counters.drop_frame(DropReason::NoPath);
-                self.maybe_repair(frame.src, frame.dst, env);
-                ProcessingClass::Software
-            }
-        }
+        self.forward_unicast(port, frame, false, ctx)
     }
 
     fn handle_other_broadcast(
         &mut self,
         port: PortNo,
         frame: EthernetFrame,
-        env: &mut LogicEnv,
+        ctx: &mut Ctx,
     ) -> ProcessingClass {
-        let now = env.now();
-        if self.accept_discovery(frame.src, port, DiscoveryKind::HostBroadcast, now) {
+        let now = ctx.now();
+        if self.accept_discovery(frame.src, port, None, now) {
             self.counters.flooded += 1;
-            env.flood(&frame, port);
+            ctx.flood(&frame, port);
         }
         ProcessingClass::Hardware
     }
@@ -500,18 +487,15 @@ impl ArpPathBridge {
 
     /// A unicast miss for `dst` in a frame from `src` happened here:
     /// start (or suppress) a repair episode.
-    fn maybe_repair(&mut self, src: MacAddr, dst: MacAddr, env: &mut LogicEnv) {
+    fn maybe_repair(&mut self, src: MacAddr, dst: MacAddr, ctx: &mut Ctx) {
         if !self.config.repair || !src.is_unicast() || !dst.is_unicast() {
             return;
         }
-        let now = env.now();
-        if self.recent_repairs.get(&(src, dst), now).is_some() {
-            self.ap.repairs_suppressed += 1;
+        let now = ctx.now();
+        let Some(nonce) = self.start_episode(src, dst, None, now) else {
             self.counters.drop_frame(DropReason::RepairPending);
             return;
-        }
-        let nonce = self.next_nonce();
-        self.recent_repairs.insert((src, dst), nonce, now + self.config.repair_hold);
+        };
         let Some(src_entry) = self.lookup(src, now) else {
             // We cannot even route a PathFail toward the source; give
             // up and let host-level timeouts recover.
@@ -521,12 +505,31 @@ impl ArpPathBridge {
         if self.is_edge_port(src_entry.port, now) {
             // We are the source's edge bridge: skip the PathFail leg
             // and flood the re-discovery directly.
-            self.originate_path_request(src, dst, nonce, src_entry.port, env);
+            self.originate_path_request(src, dst, nonce, src_entry.port, ctx);
         } else {
             let ctl = PathCtl::fail(src, dst, self.mac, nonce);
             let frame = EthernetFrame::new(src, self.mac, Payload::PathCtl(ctl));
-            env.transmit(src_entry.port, frame);
+            ctx.send(src_entry.port, frame);
         }
+    }
+
+    /// Open a repair episode for `(src, dst)` under `nonce` (a fresh
+    /// one when `None`) and return it — unless one is already pending
+    /// within `repair_hold`, which counts as suppressed.
+    fn start_episode(
+        &mut self,
+        src: MacAddr,
+        dst: MacAddr,
+        nonce: Option<u32>,
+        now: SimTime,
+    ) -> Option<u32> {
+        if self.recent_repairs.get(&(src, dst), now).is_some() {
+            self.ap.repairs_suppressed += 1;
+            return None;
+        }
+        let nonce = nonce.unwrap_or_else(|| self.next_nonce());
+        self.recent_repairs.insert((src, dst), nonce, now + self.config.repair_hold);
+        Some(nonce)
     }
 
     /// Flood a PathRequest on behalf of `src` (we are its edge bridge).
@@ -536,9 +539,9 @@ impl ArpPathBridge {
         dst: MacAddr,
         nonce: u32,
         src_port: PortNo,
-        env: &mut LogicEnv,
+        ctx: &mut Ctx,
     ) {
-        let now = env.now();
+        let now = ctx.now();
         if let Some(e) = self.lookup(dst, now) {
             if self.is_edge_port(e.port, now) {
                 // Source and destination are both our edge stations;
@@ -555,7 +558,7 @@ impl ArpPathBridge {
         // ARP Request from the host would.
         let frame = EthernetFrame::new(MacAddr::BROADCAST, src, Payload::PathCtl(ctl));
         self.ap.path_requests_originated += 1;
-        env.flood(&frame, src_port);
+        ctx.flood(&frame, src_port);
     }
 
     fn handle_path_fail(
@@ -563,10 +566,10 @@ impl ArpPathBridge {
         port: PortNo,
         frame: EthernetFrame,
         ctl: PathCtl,
-        env: &mut LogicEnv,
+        ctx: &mut Ctx,
     ) {
         self.ap.path_fails_rx += 1;
-        let now = env.now();
+        let now = ctx.now();
         let Some(src_entry) = self.lookup(ctl.src_host, now) else {
             self.counters.drop_frame(DropReason::NoPath);
             return;
@@ -579,22 +582,16 @@ impl ArpPathBridge {
         }
         if self.is_edge_port(src_entry.port, now) {
             // We are the source's edge bridge: convert to a flood.
-            if self.recent_repairs.get(&(ctl.src_host, ctl.dst_host), now).is_some() {
-                self.ap.repairs_suppressed += 1;
-                return;
+            if self.start_episode(ctl.src_host, ctl.dst_host, Some(ctl.nonce), now).is_some() {
+                self.ap.repairs_initiated += 1;
+                let src_port = src_entry.port;
+                self.originate_path_request(ctl.src_host, ctl.dst_host, ctl.nonce, src_port, ctx);
             }
-            self.recent_repairs.insert(
-                (ctl.src_host, ctl.dst_host),
-                ctl.nonce,
-                now + self.config.repair_hold,
-            );
-            self.ap.repairs_initiated += 1;
-            self.originate_path_request(ctl.src_host, ctl.dst_host, ctl.nonce, src_entry.port, env);
         } else if let Some(relayed) = ctl.decremented() {
             // Relay hop-by-hop toward the source's edge.
             let mut frame = frame;
             frame.payload = Payload::PathCtl(relayed);
-            env.transmit(src_entry.port, frame);
+            ctx.send(src_entry.port, frame);
         } else {
             self.counters.drop_frame(DropReason::NoPath);
         }
@@ -605,11 +602,11 @@ impl ArpPathBridge {
         port: PortNo,
         frame: EthernetFrame,
         ctl: PathCtl,
-        env: &mut LogicEnv,
+        ctx: &mut Ctx,
     ) {
         self.ap.path_requests_rx += 1;
-        let now = env.now();
-        if !self.accept_discovery(ctl.src_host, port, DiscoveryKind::Repair(ctl.nonce), now) {
+        let now = ctx.now();
+        if !self.accept_discovery(ctl.src_host, port, Some(ctl.nonce), now) {
             return;
         }
         // Are we the destination's edge bridge? Then answer on its
@@ -622,14 +619,14 @@ impl ArpPathBridge {
                 self.ap.path_replies_sent += 1;
                 // Back along the port this winning request came from —
                 // the freshly locked reverse path toward the source.
-                env.transmit(port, reply_frame);
+                ctx.send(port, reply_frame);
                 return;
             }
         }
         if let Some(relayed) = ctl.decremented() {
             let mut frame = frame;
             frame.payload = Payload::PathCtl(relayed);
-            env.flood(&frame, port);
+            ctx.flood(&frame, port);
         }
     }
 
@@ -638,73 +635,47 @@ impl ArpPathBridge {
         port: PortNo,
         frame: EthernetFrame,
         ctl: PathCtl,
-        env: &mut LogicEnv,
+        ctx: &mut Ctx,
     ) {
         self.ap.path_replies_rx += 1;
-        let now = env.now();
+        let now = ctx.now();
         // The destination host is reachable via this reply's ingress.
-        // The entry is stamped with the episode's nonce so that any
-        // still-circulating flood copy of a *concurrent* wave for the
-        // destination (e.g. the two sides of one failure repairing
-        // their opposite flows at once) cannot overwrite it and
-        // re-flood — that interleaving livelocked an early version.
-        self.try_insert(
-            ctl.dst_host,
-            PathEntry { port, state: EntryState::Learnt, flood_nonce: Some(ctl.nonce) },
-            now + self.config.learn_time,
-            now,
-        );
-        match self.probe(ctl.src_host, now) {
-            Some((_, e)) if e.port == port => {
-                self.counters.drop_frame(DropReason::NoPath);
-            }
-            Some((slot, e)) => {
-                if e.state == EntryState::Locked {
-                    let promoted = PathEntry {
-                        port: e.port,
-                        state: EntryState::Learnt,
-                        // Keep the wave stamp across promotion (see
-                        // above; the reply usually carries the same
-                        // nonce the lock already holds).
-                        flood_nonce: e.flood_nonce.or(Some(ctl.nonce)),
-                    };
-                    self.table.replace_at(slot, promoted.into(), now + self.config.learn_time);
-                    self.ap.promotions += 1;
-                } else {
-                    self.table.touch_at(slot, now + self.config.learn_time);
-                }
-                if self.is_edge_port(e.port, now) {
-                    // We are the source's edge: the repair is complete;
-                    // the host needs nothing (and would ignore it).
-                    self.counters.consumed += 1;
-                } else if let Some(relayed) = ctl.decremented() {
+        self.try_insert(ctl.dst_host, PathEntry::learnt(port), now + self.config.learn_time, now);
+        match self.next_hop(ctl.src_host, port, true, now) {
+            // We are the source's edge: the repair is complete; the
+            // host needs nothing (and would ignore it).
+            NextHop::Out(out) if self.is_edge_port(out, now) => self.counters.consumed += 1,
+            NextHop::Out(out) => match ctl.decremented() {
+                Some(relayed) => {
                     let mut frame = frame;
                     frame.payload = Payload::PathCtl(relayed);
-                    env.transmit(e.port, frame);
-                } else {
-                    self.counters.drop_frame(DropReason::NoPath);
+                    ctx.send(out, frame);
                 }
-            }
-            None => {
-                self.counters.drop_frame(DropReason::NoPath);
-            }
+                None => self.counters.drop_frame(DropReason::NoPath),
+            },
+            NextHop::Bounce | NextHop::Miss => self.counters.drop_frame(DropReason::NoPath),
         }
     }
 
-    fn handle_hello(&mut self, port: PortNo, env: &mut LogicEnv) {
+    fn handle_hello(&mut self, port: PortNo, ctx: &mut Ctx) {
         self.ap.hellos_rx += 1;
-        self.core_until[port.0] = env.now() + self.config.hello_hold;
+        self.core_until[port.0] = ctx.now() + self.config.hello_hold;
         self.counters.consumed += 1;
     }
 
-    fn send_hellos(&mut self, env: &mut LogicEnv) {
+    /// The next BridgeHello beacon, under a fresh sequence number.
+    fn next_hello(&mut self) -> EthernetFrame {
         self.hello_seq = self.hello_seq.wrapping_add(1);
         let ctl = PathCtl::hello(self.mac, self.hello_seq);
-        for p in 0..self.num_ports {
-            let port = PortNo(p);
-            if env.is_port_up(port) {
-                let frame = EthernetFrame::new(MacAddr::BROADCAST, self.mac, Payload::PathCtl(ctl));
-                env.transmit(port, frame);
+        EthernetFrame::new(MacAddr::BROADCAST, self.mac, Payload::PathCtl(ctl))
+    }
+
+    /// One beacon out of every up port.
+    fn send_hellos(&mut self, ctx: &mut Ctx) {
+        let hello = self.next_hello();
+        for port in (0..self.num_ports).map(PortNo) {
+            if ctx.is_port_up(port) {
+                ctx.send(port, hello.clone());
                 self.ap.hellos_tx += 1;
             }
         }
@@ -720,26 +691,21 @@ impl SwitchLogic for ArpPathBridge {
         self.num_ports
     }
 
-    fn on_start(&mut self, env: &mut LogicEnv) {
-        self.send_hellos(env);
-        env.schedule(self.config.hello_interval, TOKEN_HELLO);
+    fn on_start(&mut self, ctx: &mut Ctx) {
+        self.send_hellos(ctx);
+        ctx.schedule(self.config.hello_interval, TOKEN_HELLO);
     }
 
-    fn on_frame(
-        &mut self,
-        port: PortNo,
-        frame: EthernetFrame,
-        env: &mut LogicEnv,
-    ) -> ProcessingClass {
+    fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) -> ProcessingClass {
         // Control messages first: they may carry spoofed host source
         // addresses by design.
         if let Payload::PathCtl(ctl) = frame.payload {
             self.counters.consumed += 1;
             match ctl.kind {
-                PathCtlKind::BridgeHello => self.handle_hello(port, env),
-                PathCtlKind::PathFail => self.handle_path_fail(port, frame, ctl, env),
-                PathCtlKind::PathRequest => self.handle_path_request(port, frame, ctl, env),
-                PathCtlKind::PathReply => self.handle_path_reply(port, frame, ctl, env),
+                PathCtlKind::BridgeHello => self.handle_hello(port, ctx),
+                PathCtlKind::PathFail => self.handle_path_fail(port, frame, ctl, ctx),
+                PathCtlKind::PathRequest => self.handle_path_request(port, frame, ctl, ctx),
+                PathCtlKind::PathReply => self.handle_path_reply(port, frame, ctl, ctx),
             }
             return ProcessingClass::Software;
         }
@@ -750,31 +716,29 @@ impl SwitchLogic for ArpPathBridge {
         match (&frame.payload, frame.is_flooded()) {
             (Payload::Arp(arp), true) if arp.op == ArpOp::Request => {
                 let arp = *arp;
-                self.handle_arp_request(port, frame, arp, env)
+                self.handle_arp_request(port, frame, arp, ctx)
             }
             (Payload::Arp(arp), false) if arp.op == ArpOp::Reply => {
                 let arp = *arp;
-                self.handle_arp_reply(port, frame, arp, env)
+                self.handle_arp_reply(port, frame, arp, ctx)
             }
-            (_, true) => self.handle_other_broadcast(port, frame, env),
-            (_, false) => self.handle_unicast_data(port, frame, env),
+            (_, true) => self.handle_other_broadcast(port, frame, ctx),
+            (_, false) => self.handle_unicast_data(port, frame, ctx),
         }
     }
 
-    fn on_timer(&mut self, token: TimerToken, env: &mut LogicEnv) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
         if token == TOKEN_HELLO {
-            self.send_hellos(env);
-            env.schedule(self.config.hello_interval, TOKEN_HELLO);
+            self.send_hellos(ctx);
+            ctx.schedule(self.config.hello_interval, TOKEN_HELLO);
         }
     }
 
-    fn on_link_status(&mut self, port: PortNo, up: bool, env: &mut LogicEnv) {
+    fn on_link_status(&mut self, port: PortNo, up: bool, ctx: &mut Ctx) {
         if up {
             // Fast core re-detection on the revived segment.
-            self.hello_seq = self.hello_seq.wrapping_add(1);
-            let ctl = PathCtl::hello(self.mac, self.hello_seq);
-            let frame = EthernetFrame::new(MacAddr::BROADCAST, self.mac, Payload::PathCtl(ctl));
-            env.transmit(port, frame);
+            let hello = self.next_hello();
+            ctx.send(port, hello);
             self.ap.hellos_tx += 1;
         } else {
             // Hardware link-loss: flush every entry pointing at the
@@ -795,7 +759,7 @@ impl SwitchLogic for ArpPathBridge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arppath_netsim::{Command, SimDuration};
+    use arppath_netsim::{Command, NodeId, SimDuration};
     use bytes::Bytes;
 
     const N: usize = 4;
@@ -853,7 +817,7 @@ mod tests {
     ) -> Vec<(usize, EthernetFrame)> {
         let ports_up = vec![true; N];
         let mut commands = Vec::new();
-        br.on_frame(PortNo(port), f, &mut LogicEnv::new(now, &ports_up, N, &mut commands));
+        br.on_frame(PortNo(port), f, &mut Ctx::new(now, NodeId(0), &ports_up, &mut commands));
         commands.iter().filter_map(Command::as_send).map(|(p, f)| (p.0, f.clone())).collect()
     }
 
@@ -1146,8 +1110,8 @@ mod tests {
         feed(&mut br, 2, arp_request_frame(2, 1), SimTime(10));
         let ports_up = [true, false, true, true];
         let mut commands = Vec::new();
-        let mut env = LogicEnv::new(SimTime(100), &ports_up, N, &mut commands);
-        br.on_link_status(PortNo(1), false, &mut env);
+        let mut ctx = Ctx::new(SimTime(100), NodeId(0), &ports_up, &mut commands);
+        br.on_link_status(PortNo(1), false, &mut ctx);
         assert_eq!(br.entry_of(host(1), SimTime(101)), None, "flushed");
         assert!(br.entry_of(host(2), SimTime(101)).is_some(), "other port untouched");
         assert_eq!(br.ap_counters().link_down_flushes, 1);
@@ -1166,8 +1130,8 @@ mod tests {
 
         let ports_up = [true, false, true, true];
         let mut commands = Vec::new();
-        let mut env = LogicEnv::new(SimTime(10), &ports_up, N, &mut commands);
-        br.on_link_status(PortNo(1), false, &mut env);
+        let mut ctx = Ctx::new(SimTime(10), NodeId(0), &ports_up, &mut commands);
+        br.on_link_status(PortNo(1), false, &mut ctx);
         assert!(br.entry_of(host(1), SimTime(11)).is_none(), "slot released at once");
         assert_eq!(br.ap_counters().link_down_flushes, 1);
 
@@ -1209,6 +1173,52 @@ mod tests {
         assert!(out.is_empty(), "no lock space → frame dropped, not flooded unlocked");
         assert_eq!(br.ap_counters().table_full_rejections, 1);
         assert_eq!(br.counters().dropped(DropReason::TableFull), 1);
+    }
+
+    #[test]
+    fn repair_floods_respect_table_capacity() {
+        let mut br = mk(ArpPathConfig::default().with_table_capacity(1));
+        for i in 1..=6u32 {
+            let req = PathCtl::request(host(i), host(99), MacAddr::from_index(2, 50), i);
+            let f = EthernetFrame::new(MacAddr::BROADCAST, host(i), Payload::PathCtl(req));
+            let out = feed(&mut br, 1, f, SimTime(u64::from(i)));
+            assert_eq!(out.is_empty(), i > 1, "only the first wave finds room");
+        }
+        assert_eq!(br.table_len(), 1);
+        assert_eq!(br.counters().dropped(DropReason::TableFull), 5);
+    }
+
+    #[test]
+    fn unicast_toward_its_own_ingress_bounces_and_leaves_the_entry_alone() {
+        // Host 1 is locked (or, after host 2's reply, learnt) on port 1;
+        // each frame toward host 1 arrives on port 1 itself.
+        let path_reply = PathCtl::reply(host(1), host(2), MacAddr::from_index(2, 50), 7);
+        let cases = [
+            ("data", true, data_frame(2, 1)),
+            ("ARP reply", false, arp_reply_frame(2, 1)),
+            (
+                "PathReply",
+                false,
+                EthernetFrame::new(host(1), host(2), Payload::PathCtl(path_reply)),
+            ),
+        ];
+        for (case, learnt, frame) in cases {
+            let mut br = mk(ArpPathConfig::default());
+            feed(&mut br, 1, arp_request_frame(1, 2), SimTime(0));
+            if learnt {
+                feed(&mut br, 2, arp_reply_frame(2, 1), SimTime(10));
+            }
+            let now = SimTime(1_000);
+            let entry = |br: &ArpPathBridge| {
+                br.table.peek_aged(&host(1), now).map(|a| (a.value.unpack(), a.expires))
+            };
+            let before = entry(&br);
+            assert_eq!(before.map(|(e, _)| (e.port, e.is_locked())), Some((PortNo(1), !learnt)));
+            let no_path = br.counters().dropped(DropReason::NoPath);
+            assert!(feed(&mut br, 1, frame, now).is_empty(), "{case}: nothing sent");
+            assert_eq!(br.counters().dropped(DropReason::NoPath), no_path + 1, "{case}");
+            assert_eq!(entry(&br), before, "{case}: port, state and expiry unchanged");
+        }
     }
 
     #[test]
@@ -1275,14 +1285,14 @@ mod tests {
         let mut br = mk(ArpPathConfig::default());
         let ports_up = vec![true; N];
         let mut commands = Vec::new();
-        br.on_start(&mut LogicEnv::new(SimTime(0), &ports_up, N, &mut commands));
+        br.on_start(&mut Ctx::new(SimTime(0), NodeId(0), &ports_up, &mut commands));
         let sends = |commands: &[Command]| commands.iter().filter_map(Command::as_send).count();
         assert_eq!(sends(&commands), N, "hello on every up port");
         assert_eq!(commands.len(), N + 1, "periodic hello scheduled");
         commands.clear();
         br.on_timer(
             TOKEN_HELLO,
-            &mut LogicEnv::new(SimTime(1_000_000_000), &ports_up, N, &mut commands),
+            &mut Ctx::new(SimTime(1_000_000_000), NodeId(0), &ports_up, &mut commands),
         );
         assert_eq!(sends(&commands), N);
         assert_eq!(br.ap_counters().hellos_tx, 2 * N as u64);

@@ -28,8 +28,8 @@
 //!
 //! ```
 //! use arppath::{ArpPathBridge, ArpPathConfig, EntryState};
-//! use arppath_switch::{LogicEnv, SwitchLogic};
-//! use arppath_netsim::{PortNo, SimTime};
+//! use arppath_switch::SwitchLogic;
+//! use arppath_netsim::{Ctx, NodeId, PortNo, SimTime};
 //! use arppath_wire::{ArpPacket, EthernetFrame, MacAddr};
 //! use std::net::Ipv4Addr;
 //!
@@ -44,12 +44,12 @@
 //! let s = MacAddr::from_index(1, 1);
 //! let req = ArpPacket::request(s, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
 //! let frame = EthernetFrame::arp_request(s, req);
-//! // The bridge writes what it decides into the command buffer it is
-//! // lent — under `IdealSwitch`, the engine's own.
+//! // The bridge decides through a `Ctx`, writing into the command buffer
+//! // it lends — under `IdealSwitch`, the engine's own.
 //! let ports_up = [true; 4];
 //! let mut commands = Vec::new();
-//! let mut env = LogicEnv::new(SimTime::ZERO, &ports_up, 4, &mut commands);
-//! bridge.on_frame(PortNo(1), frame, &mut env);
+//! let mut ctx = Ctx::new(SimTime::ZERO, NodeId(0), &ports_up, &mut commands);
+//! bridge.on_frame(PortNo(1), frame, &mut ctx);
 //!
 //! // S is now locked to port 1; the request was flooded on 0, 2, 3.
 //! let entry = bridge.entry_of(s, SimTime(1)).unwrap();

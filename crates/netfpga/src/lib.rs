@@ -25,7 +25,7 @@
 #![warn(missing_docs)]
 
 use arppath_netsim::{Command, Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
-use arppath_switch::{LogicEnv, ProcessingClass, SwitchLogic};
+use arppath_switch::{ProcessingClass, SwitchLogic};
 use arppath_wire::EthernetFrame;
 use std::collections::BTreeMap;
 
@@ -137,21 +137,6 @@ impl<L: SwitchLogic> NetFpgaSwitch<L> {
         self.params
     }
 
-    /// Run a control-plane callback (start-up, timers, carrier changes).
-    /// Its traffic — hellos, BPDUs — originates at the CPU and does not
-    /// traverse the lookup path, so the logic writes straight into the
-    /// engine's command buffer and everything leaves at once.
-    fn run_direct<F>(&mut self, ctx: &mut Ctx, f: F)
-    where
-        F: FnOnce(&mut L, &mut LogicEnv),
-    {
-        let (now, num_ports) = (ctx.now(), self.logic.num_ports());
-        let (ports_up, commands) = ctx.parts();
-        let first = commands.len();
-        f(&mut self.logic, &mut LogicEnv::new(now, ports_up, num_ports, commands));
-        debug_assert!(commands[first..].iter().all(is_logic_command));
-    }
-
     /// Release `outputs` (the sends a frame's decision produced) after
     /// the latency implied by `class`.
     fn emit_delayed(
@@ -199,8 +184,12 @@ impl<L: SwitchLogic> Device for NetFpgaSwitch<L> {
         self.logic.name()
     }
 
+    // Control-plane callbacks (start-up, timers, carrier changes): their
+    // traffic — hellos, BPDUs — originates at the CPU and does not
+    // traverse the lookup path, so the logic decides through the
+    // engine's `Ctx` and everything leaves at once.
     fn on_start(&mut self, ctx: &mut Ctx) {
-        self.run_direct(ctx, |logic, env| logic.on_start(env));
+        self.logic.on_start(ctx);
     }
 
     fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
@@ -209,10 +198,9 @@ impl<L: SwitchLogic> Device for NetFpgaSwitch<L> {
         // gets a buffer of the card's to decide into; the timers it
         // arms start now and are handed on, what stays is held back.
         let mut held = Vec::new();
-        let (now, num_ports) = (ctx.now(), self.logic.num_ports());
-        let (ports_up, _) = ctx.parts();
-        let mut env = LogicEnv::new(now, ports_up, num_ports, &mut held);
-        let class = self.logic.on_frame(port, frame, &mut env);
+        let (now, node) = (ctx.now(), ctx.node());
+        let class =
+            self.logic.on_frame(port, frame, &mut Ctx::new(now, node, ctx.parts().0, &mut held));
         held.retain(|cmd| match *cmd {
             Command::Send { .. } => true,
             Command::Schedule { after, token } => {
@@ -231,11 +219,11 @@ impl<L: SwitchLogic> Device for NetFpgaSwitch<L> {
             }
             return;
         }
-        self.run_direct(ctx, |logic, env| logic.on_timer(token, env));
+        self.logic.on_timer(token, ctx);
     }
 
     fn on_link_status(&mut self, port: PortNo, up: bool, ctx: &mut Ctx) {
-        self.run_direct(ctx, |logic, env| logic.on_link_status(port, up, env));
+        self.logic.on_link_status(port, up, ctx);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

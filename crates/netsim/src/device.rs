@@ -107,15 +107,28 @@ impl<'a> Ctx<'a> {
         self.commands.push(Command::Send { port, frame });
     }
 
+    /// Transmit a copy of `frame` out of every up port except `except`,
+    /// in port order — the flood primitive. Returns how many copies
+    /// were queued.
+    pub fn flood(&mut self, frame: &EthernetFrame, except: PortNo) -> usize {
+        let before = self.commands.len();
+        for p in 0..self.ports_up.len() {
+            if p != except.0 && self.ports_up[p] {
+                self.send(PortNo(p), frame.clone());
+            }
+        }
+        self.commands.len() - before
+    }
+
     /// Schedule an `on_timer(token)` callback `after` from now.
     pub fn schedule(&mut self, after: SimDuration, token: TimerToken) {
         self.commands.push(Command::Schedule { after, token });
     }
 
     /// The port-state slice and the command buffer themselves, for a
-    /// device that hands its callback on to an inner environment (a
-    /// timing wrapper's decision plane) which should write its commands
-    /// where the engine reads them instead of into a buffer of its own.
+    /// device that lends an inner [`Ctx`] over a buffer of its own (a
+    /// timing wrapper holding a decision's sends back) or moves held
+    /// commands into the engine's buffer.
     pub fn parts(&mut self) -> (&[bool], &mut Vec<Command>) {
         (self.ports_up, self.commands)
     }
@@ -195,5 +208,21 @@ mod tests {
             Command::Schedule { token, .. } => assert_eq!(*token, TimerToken(7)),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn flood_skips_except_and_down_ports() {
+        use arppath_wire::{EtherType, MacAddr, Payload};
+        let frame = EthernetFrame::new(
+            MacAddr::BROADCAST,
+            MacAddr::from_index(1, 1),
+            Payload::Raw { ethertype: EtherType(0x88B6), data: Default::default() },
+        );
+        let ports = [true, true, false, true];
+        let mut cmds = Vec::new();
+        let mut ctx = Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds);
+        assert_eq!(ctx.flood(&frame, PortNo(0)), 2, "ports 1 and 3 (2 is down, 0 excepted)");
+        let out: Vec<usize> = cmds.iter().filter_map(Command::as_send).map(|(p, _)| p.0).collect();
+        assert_eq!(out, vec![1, 3]);
     }
 }

@@ -431,19 +431,9 @@ impl Network {
         self.links.iter().enumerate().map(|(i, l)| (LinkId(i), l))
     }
 
-    /// The device's trace name.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        self.devices[node.0].as_ref().expect("device in dispatch").name()
-    }
-
     /// Install (or replace) the tracer.
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
         self.tracer = Some(tracer);
-    }
-
-    /// Remove and return the tracer (to inspect collected data).
-    pub fn take_tracer(&mut self) -> Option<Box<dyn Tracer>> {
-        self.tracer.take()
     }
 
     /// The recorded deliveries, in emission order.

@@ -15,10 +15,8 @@
 //! independent of table sizes.
 
 use crate::port::{PortRole, PortState, StpPort};
-use arppath_netsim::{PortNo, SimDuration, SimTime, TimerToken};
-use arppath_switch::{
-    AgingMap, DropReason, LogicEnv, ProcessingClass, SwitchCounters, SwitchLogic,
-};
+use arppath_netsim::{Ctx, PortNo, SimDuration, SimTime, TimerToken};
+use arppath_switch::{AgingMap, DropReason, ProcessingClass, SwitchCounters, SwitchLogic};
 use arppath_wire::llc::BpduTime;
 use arppath_wire::{
     Bpdu, BpduFlags, BridgeId, ConfigBpdu, EthernetFrame, MacAddr, Payload, PortId16,
@@ -92,13 +90,6 @@ impl StpConfig {
             message_age_increment: ((std.message_age_increment as u64 / factor).max(1)) as u16,
             ..std
         }
-    }
-
-    /// Same profile with a specific bridge priority (root placement
-    /// sweeps in experiment E1).
-    pub fn with_priority(mut self, priority: u16) -> Self {
-        self.bridge_priority = priority;
-        self
     }
 }
 
@@ -216,11 +207,6 @@ impl StpBridge {
     /// STP protocol counters.
     pub fn stp_counters(&self) -> StpCounters {
         self.stp
-    }
-
-    /// Current FIB lookup (test access).
-    pub fn fib_lookup(&mut self, mac: MacAddr, now: SimTime) -> Option<PortNo> {
-        self.fib.get(&mac, now).copied()
     }
 
     // ---- spanning tree computation ----
@@ -369,7 +355,7 @@ impl StpBridge {
 
     // ---- BPDU handling ----
 
-    fn transmit_config(&mut self, p: usize, env: &mut LogicEnv) {
+    fn transmit_config(&mut self, p: usize, ctx: &mut Ctx) {
         let port = &mut self.ports[p];
         if port.state == PortState::Disabled {
             return;
@@ -401,25 +387,25 @@ impl StpBridge {
         });
         let frame =
             EthernetFrame::new(MacAddr::STP_MULTICAST, self.bridge_id.mac, Payload::Bpdu(bpdu));
-        env.transmit(PortNo(p), frame);
+        ctx.send(PortNo(p), frame);
         self.stp.config_tx += 1;
     }
 
-    fn transmit_tcn(&mut self, env: &mut LogicEnv) {
+    fn transmit_tcn(&mut self, ctx: &mut Ctx) {
         if let Some(rp) = self.root_port {
             let frame = EthernetFrame::new(
                 MacAddr::STP_MULTICAST,
                 self.bridge_id.mac,
                 Payload::Bpdu(Bpdu::Tcn),
             );
-            env.transmit(rp, frame);
+            ctx.send(rp, frame);
             self.stp.tcn_tx += 1;
         }
     }
 
-    fn process_config(&mut self, p: usize, cfg: ConfigBpdu, env: &mut LogicEnv) {
+    fn process_config(&mut self, p: usize, cfg: ConfigBpdu, ctx: &mut Ctx) {
         self.stp.config_rx += 1;
-        let now = env.now();
+        let now = ctx.now();
         let rx_vec = (cfg.root, cfg.root_path_cost, cfg.bridge, cfg.port);
         let port = &self.ports[p];
         let stored_vec = if port.info_is_own {
@@ -453,7 +439,7 @@ impl StpBridge {
             }
             let newly_designated = self.recompute(now);
             for np in &newly_designated {
-                self.transmit_config(np.0, env);
+                self.transmit_config(np.0, ctx);
             }
             if Some(PortNo(p)) == self.root_port {
                 // Information from the root: propagate downstream and
@@ -470,39 +456,39 @@ impl StpBridge {
                     if self.ports[q].role == PortRole::Designated
                         && !newly_designated.contains(&PortNo(q))
                     {
-                        self.transmit_config(q, env);
+                        self.transmit_config(q, ctx);
                     }
                 }
             }
         } else if self.ports[p].role == PortRole::Designated && rx_vec > stored_vec {
             // The neighbour is behind: correct it with our (better)
             // information.
-            self.transmit_config(p, env);
+            self.transmit_config(p, ctx);
         }
     }
 
-    fn process_tcn(&mut self, p: usize, env: &mut LogicEnv) {
+    fn process_tcn(&mut self, p: usize, ctx: &mut Ctx) {
         self.stp.tcn_rx += 1;
         if self.ports[p].role != PortRole::Designated {
             return;
         }
         // Acknowledge on the segment the TCN came from.
         self.ports[p].send_tca = true;
-        self.transmit_config(p, env);
+        self.transmit_config(p, ctx);
         if self.is_root() {
-            let now = env.now();
+            let now = ctx.now();
             self.tc_while = Some(now + self.config.max_age + self.config.forward_delay);
             self.fast_flush();
         } else {
             self.tcn_pending = true; // relay toward the root each hello
-            self.transmit_tcn(env);
+            self.transmit_tcn(ctx);
         }
     }
 
     // ---- housekeeping ----
 
-    fn tick(&mut self, env: &mut LogicEnv) {
-        let now = env.now();
+    fn tick(&mut self, ctx: &mut Ctx) {
+        let now = ctx.now();
         // Expire received information (max-age horizon).
         let mut expired_any = false;
         for p in 0..self.ports.len() {
@@ -518,7 +504,7 @@ impl StpBridge {
         if expired_any {
             let newly = self.recompute(now);
             for np in newly {
-                self.transmit_config(np.0, env);
+                self.transmit_config(np.0, ctx);
             }
             // Losing the root's heartbeat is itself a topology change.
             self.detect_topology_change(now);
@@ -549,26 +535,26 @@ impl StpBridge {
                 self.tc_while = None;
             }
         }
-        env.schedule(self.config.tick, TOKEN_TICK);
+        ctx.schedule(self.config.tick, TOKEN_TICK);
     }
 
-    fn hello(&mut self, env: &mut LogicEnv) {
+    fn hello(&mut self, ctx: &mut Ctx) {
         if self.is_root() {
             for p in 0..self.ports.len() {
                 if self.ports[p].role == PortRole::Designated {
-                    self.transmit_config(p, env);
+                    self.transmit_config(p, ctx);
                 }
             }
         } else if self.tcn_pending {
-            self.transmit_tcn(env);
+            self.transmit_tcn(ctx);
         }
-        env.schedule(self.config.hello_time, TOKEN_HELLO);
+        ctx.schedule(self.config.hello_time, TOKEN_HELLO);
     }
 
     // ---- data plane ----
 
-    fn forward_data(&mut self, ingress: PortNo, frame: EthernetFrame, env: &mut LogicEnv) {
-        let now = env.now();
+    fn forward_data(&mut self, ingress: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
+        let now = ctx.now();
         let in_state = self.ports[ingress.0].state;
         if !in_state.learns() {
             self.counters.drop_frame(DropReason::PortBlocked);
@@ -583,12 +569,12 @@ impl StpBridge {
         }
         let flood_to: Vec<PortNo> = (0..self.ports.len())
             .map(PortNo)
-            .filter(|&p| p != ingress && self.ports[p.0].state.forwards() && env.is_port_up(p))
+            .filter(|&p| p != ingress && self.ports[p.0].state.forwards() && ctx.is_port_up(p))
             .collect();
         if frame.is_flooded() {
             self.counters.flooded += 1;
             for p in flood_to {
-                env.transmit(p, frame.clone());
+                ctx.send(p, frame.clone());
             }
             return;
         }
@@ -598,20 +584,20 @@ impl StpBridge {
             }
             Some(out) if self.ports[out.0].state.forwards() => {
                 self.counters.forwarded += 1;
-                env.transmit(out, frame);
+                ctx.send(out, frame);
             }
             Some(_) => {
                 // Learned on a port that has since stopped forwarding;
                 // the entry is stale — treat as unknown.
                 self.counters.flooded += 1;
                 for p in flood_to {
-                    env.transmit(p, frame.clone());
+                    ctx.send(p, frame.clone());
                 }
             }
             None => {
                 self.counters.flooded += 1;
                 for p in flood_to {
-                    env.transmit(p, frame.clone());
+                    ctx.send(p, frame.clone());
                 }
             }
         }
@@ -627,11 +613,11 @@ impl SwitchLogic for StpBridge {
         self.ports.len()
     }
 
-    fn on_start(&mut self, env: &mut LogicEnv) {
+    fn on_start(&mut self, ctx: &mut Ctx) {
         self.started = true;
-        let now = env.now();
+        let now = ctx.now();
         for p in 0..self.ports.len() {
-            let up = env.is_port_up(PortNo(p));
+            let up = ctx.is_port_up(PortNo(p));
             self.ports[p] = StpPort::new(self.bridge_id, Self::port_id_of(p), up);
         }
         self.recompute(now);
@@ -640,19 +626,14 @@ impl SwitchLogic for StpBridge {
         // newly-designated list is empty here by construction).
         for p in 0..self.ports.len() {
             if self.ports[p].role == PortRole::Designated {
-                self.transmit_config(p, env);
+                self.transmit_config(p, ctx);
             }
         }
-        env.schedule(self.config.hello_time, TOKEN_HELLO);
-        env.schedule(self.config.tick, TOKEN_TICK);
+        ctx.schedule(self.config.hello_time, TOKEN_HELLO);
+        ctx.schedule(self.config.tick, TOKEN_TICK);
     }
 
-    fn on_frame(
-        &mut self,
-        port: PortNo,
-        frame: EthernetFrame,
-        env: &mut LogicEnv,
-    ) -> ProcessingClass {
+    fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) -> ProcessingClass {
         if self.ports[port.0].state == PortState::Disabled {
             self.counters.drop_frame(DropReason::PortBlocked);
             return ProcessingClass::Hardware;
@@ -661,8 +642,8 @@ impl SwitchLogic for StpBridge {
             if let Payload::Bpdu(bpdu) = frame.payload {
                 self.counters.consumed += 1;
                 match bpdu {
-                    Bpdu::Config(cfg) => self.process_config(port.0, cfg, env),
-                    Bpdu::Tcn => self.process_tcn(port.0, env),
+                    Bpdu::Config(cfg) => self.process_config(port.0, cfg, ctx),
+                    Bpdu::Tcn => self.process_tcn(port.0, ctx),
                 }
                 return ProcessingClass::Software;
             }
@@ -670,20 +651,20 @@ impl SwitchLogic for StpBridge {
             self.counters.drop_frame(DropReason::Malformed);
             return ProcessingClass::Hardware;
         }
-        self.forward_data(port, frame, env);
+        self.forward_data(port, frame, ctx);
         ProcessingClass::Hardware
     }
 
-    fn on_timer(&mut self, token: TimerToken, env: &mut LogicEnv) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
         match token {
-            TOKEN_HELLO => self.hello(env),
-            TOKEN_TICK => self.tick(env),
+            TOKEN_HELLO => self.hello(ctx),
+            TOKEN_TICK => self.tick(ctx),
             _ => {}
         }
     }
 
-    fn on_link_status(&mut self, port: PortNo, up: bool, env: &mut LogicEnv) {
-        let now = env.now();
+    fn on_link_status(&mut self, port: PortNo, up: bool, ctx: &mut Ctx) {
+        let now = ctx.now();
         let p = port.0;
         if up {
             self.ports[p] = StpPort::new(self.bridge_id, Self::port_id_of(p), true);
@@ -697,7 +678,7 @@ impl SwitchLogic for StpBridge {
         }
         let newly = self.recompute(now);
         for np in newly {
-            self.transmit_config(np.0, env);
+            self.transmit_config(np.0, ctx);
         }
     }
 
@@ -709,7 +690,7 @@ impl SwitchLogic for StpBridge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arppath_netsim::Command;
+    use arppath_netsim::{Command, NodeId};
 
     fn mk(name: &str, idx: u32, ports: usize, cfg: StpConfig) -> StpBridge {
         StpBridge::new(name, MacAddr::from_index(2, idx), ports, cfg)
@@ -720,10 +701,10 @@ mod tests {
     fn run<R>(
         ports_up: &[bool],
         now: SimTime,
-        f: impl FnOnce(&mut LogicEnv) -> R,
+        f: impl FnOnce(&mut Ctx) -> R,
     ) -> Vec<(PortNo, EthernetFrame)> {
         let mut commands = Vec::new();
-        f(&mut LogicEnv::new(now, ports_up, ports_up.len(), &mut commands));
+        f(&mut Ctx::new(now, NodeId(0), ports_up, &mut commands));
         commands.iter().filter_map(Command::as_send).map(|(p, f)| (p, f.clone())).collect()
     }
 
@@ -762,7 +743,7 @@ mod tests {
     fn isolated_bridge_elects_itself_root() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        let outputs = run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
+        let outputs = run(&ports_up, SimTime::ZERO, |ctx| br.on_start(ctx));
         assert!(br.is_root());
         assert_eq!(br.port_role(PortNo(0)), PortRole::Designated);
         assert_eq!(br.port_state(PortNo(0)), PortState::Listening);
@@ -774,10 +755,10 @@ mod tests {
     fn superior_bpdu_dethrones_self_elected_root() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
+        run(&ports_up, SimTime::ZERO, |ctx| br.on_start(ctx));
         // Root claim from bridge 1 (lower MAC → better) at cost 0.
-        run(&ports_up, SimTime(1000), |env| {
-            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), env)
+        run(&ports_up, SimTime(1000), |ctx| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), ctx)
         });
         assert!(!br.is_root());
         assert_eq!(br.root_bridge(), BridgeId::new(0x8000, MacAddr::from_index(2, 1)));
@@ -791,14 +772,14 @@ mod tests {
     fn worse_path_to_same_root_gets_blocked() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
+        run(&ports_up, SimTime::ZERO, |ctx| br.on_start(ctx));
         // Port 0: root at cost 0 (direct). Port 1: another bridge (idx 3,
         // better than us, worse than root) also offering the root at cost 0.
-        run(&ports_up, SimTime(1000), |env| {
-            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), env)
+        run(&ports_up, SimTime(1000), |ctx| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), ctx)
         });
-        run(&ports_up, SimTime(2000), |env| {
-            br.on_frame(PortNo(1), bpdu_frame(cfg_bpdu(1, 0, 3, 1)), env)
+        run(&ports_up, SimTime(2000), |ctx| {
+            br.on_frame(PortNo(1), bpdu_frame(cfg_bpdu(1, 0, 3, 1)), ctx)
         });
         assert_eq!(br.root_port(), Some(PortNo(0)), "lower bridge id wins tiebreak");
         assert_eq!(br.port_role(PortNo(1)), PortRole::Blocked);
@@ -809,11 +790,11 @@ mod tests {
     fn designated_port_corrects_inferior_neighbor() {
         let mut br = mk("b", 1, 2, StpConfig::default()); // lowest MAC: the root
         let ports_up = [true, true];
-        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
+        run(&ports_up, SimTime::ZERO, |ctx| br.on_start(ctx));
         let tx_before = br.stp_counters().config_tx;
         // Inferior claim arrives (bridge 9 thinks *it* is root).
-        let outputs = run(&ports_up, SimTime(1000), |env| {
-            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(9, 0, 9, 1)), env)
+        let outputs = run(&ports_up, SimTime(1000), |ctx| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(9, 0, 9, 1)), ctx)
         });
         assert!(br.is_root(), "inferior info must not displace us");
         assert_eq!(br.stp_counters().config_tx, tx_before + 1, "reply sent to correct them");
@@ -825,15 +806,15 @@ mod tests {
         let cfg = StpConfig::scaled_down(100); // fwd delay 150 ms
         let mut br = mk("b", 5, 1, cfg);
         let ports_up = [true];
-        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
+        run(&ports_up, SimTime::ZERO, |ctx| br.on_start(ctx));
         assert_eq!(br.port_state(PortNo(0)), PortState::Listening);
         // After one forward delay: Learning.
         let t1 = SimTime::ZERO + cfg.forward_delay + cfg.tick;
-        run(&ports_up, t1, |env| br.tick(env));
+        run(&ports_up, t1, |ctx| br.tick(ctx));
         assert_eq!(br.port_state(PortNo(0)), PortState::Learning);
         // After another: Forwarding.
         let t2 = t1 + cfg.forward_delay + cfg.tick;
-        run(&ports_up, t2, |env| br.tick(env));
+        run(&ports_up, t2, |ctx| br.tick(ctx));
         assert_eq!(br.port_state(PortNo(0)), PortState::Forwarding);
     }
 
@@ -842,14 +823,14 @@ mod tests {
         let cfg = StpConfig::scaled_down(100); // max age 200 ms
         let mut br = mk("b", 5, 1, cfg);
         let ports_up = [true];
-        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
-        run(&ports_up, SimTime(1000), |env| {
-            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu_with_timers(1, 0, 1, 1, cfg)), env)
+        run(&ports_up, SimTime::ZERO, |ctx| br.on_start(ctx));
+        run(&ports_up, SimTime(1000), |ctx| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu_with_timers(1, 0, 1, 1, cfg)), ctx)
         });
         assert!(!br.is_root());
         // No refreshing BPDUs: info expires after max_age.
         let expiry = SimTime(1000) + cfg.max_age + cfg.tick;
-        run(&ports_up, expiry, |env| br.tick(env));
+        run(&ports_up, expiry, |ctx| br.tick(ctx));
         assert!(br.is_root(), "root information must age out");
         assert_eq!(br.stp_counters().info_expiries, 1);
     }
@@ -858,7 +839,7 @@ mod tests {
     fn data_frames_blocked_until_forwarding() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
+        run(&ports_up, SimTime::ZERO, |ctx| br.on_start(ctx));
         // Ports are Listening: data must not pass.
         let data = EthernetFrame::new(
             MacAddr::BROADCAST,
@@ -868,14 +849,14 @@ mod tests {
                 data: bytes::Bytes::from(vec![0u8; 46]),
             },
         );
-        let outputs = run(&ports_up, SimTime(10), |env| br.on_frame(PortNo(0), data.clone(), env));
+        let outputs = run(&ports_up, SimTime(10), |ctx| br.on_frame(PortNo(0), data.clone(), ctx));
         assert!(outputs.is_empty());
         assert_eq!(br.counters().dropped(DropReason::PortBlocked), 1);
         // Force both ports Forwarding and retry.
         for p in 0..2 {
             br.ports[p].state = PortState::Forwarding;
         }
-        let outputs = run(&ports_up, SimTime(20), |env| br.on_frame(PortNo(0), data, env));
+        let outputs = run(&ports_up, SimTime(20), |ctx| br.on_frame(PortNo(0), data, ctx));
         assert_eq!(outputs.len(), 1, "flooded out the other forwarding port");
     }
 
@@ -883,10 +864,10 @@ mod tests {
     fn tcn_on_designated_port_is_acked_and_relayed() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
+        run(&ports_up, SimTime::ZERO, |ctx| br.on_start(ctx));
         // Make the bridge non-root with root via port 0.
-        run(&ports_up, SimTime(1000), |env| {
-            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), env)
+        run(&ports_up, SimTime(1000), |ctx| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), ctx)
         });
         // TCN arrives on designated port 1.
         let tcn = EthernetFrame::new(
@@ -894,7 +875,7 @@ mod tests {
             MacAddr::from_index(2, 9),
             Payload::Bpdu(Bpdu::Tcn),
         );
-        let outputs = run(&ports_up, SimTime(2000), |env| br.on_frame(PortNo(1), tcn, env));
+        let outputs = run(&ports_up, SimTime(2000), |ctx| br.on_frame(PortNo(1), tcn, ctx));
         assert_eq!(br.stp_counters().tcn_rx, 1);
         assert_eq!(br.stp_counters().tcn_tx, 1, "relayed toward root");
         // The ack config went out on port 1 with TCA set.
@@ -912,15 +893,15 @@ mod tests {
     fn root_sets_tc_flag_after_tcn() {
         let mut br = mk("b", 1, 2, StpConfig::default()); // root
         let ports_up = [true, true];
-        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
+        run(&ports_up, SimTime::ZERO, |ctx| br.on_start(ctx));
         let tcn = EthernetFrame::new(
             MacAddr::STP_MULTICAST,
             MacAddr::from_index(2, 9),
             Payload::Bpdu(Bpdu::Tcn),
         );
-        run(&ports_up, SimTime(1000), |env| br.on_frame(PortNo(0), tcn, env));
+        run(&ports_up, SimTime(1000), |ctx| br.on_frame(PortNo(0), tcn, ctx));
         // Next hello carries TC.
-        let outputs = run(&ports_up, SimTime(2000), |env| br.hello(env));
+        let outputs = run(&ports_up, SimTime(2000), |ctx| br.hello(ctx));
         let tc_set = outputs.iter().any(|(_, f)| {
             matches!(&f.payload, Payload::Bpdu(Bpdu::Config(c)) if c.flags.topology_change)
         });
@@ -931,14 +912,14 @@ mod tests {
     fn link_down_flushes_and_recomputes() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
-        run(&ports_up, SimTime(1000), |env| {
-            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), env)
+        run(&ports_up, SimTime::ZERO, |ctx| br.on_start(ctx));
+        run(&ports_up, SimTime(1000), |ctx| {
+            br.on_frame(PortNo(0), bpdu_frame(cfg_bpdu(1, 0, 1, 1)), ctx)
         });
         assert!(!br.is_root());
         // Root port's link dies.
         let ports_down = [false, true];
-        run(&ports_down, SimTime(2000), |env| br.on_link_status(PortNo(0), false, env));
+        run(&ports_down, SimTime(2000), |ctx| br.on_link_status(PortNo(0), false, ctx));
         assert!(br.is_root(), "lost the only path to the root");
         assert_eq!(br.port_state(PortNo(0)), PortState::Disabled);
     }
@@ -947,11 +928,11 @@ mod tests {
     fn message_age_relay_accumulates() {
         let mut br = mk("b", 5, 2, StpConfig::default());
         let ports_up = [true, true];
-        run(&ports_up, SimTime::ZERO, |env| br.on_start(env));
+        run(&ports_up, SimTime::ZERO, |ctx| br.on_start(ctx));
         let mut cfg = cfg_bpdu(1, 0, 1, 1);
         cfg.message_age = BpduTime(512); // 2 s old already
         let outputs =
-            run(&ports_up, SimTime(1000), |env| br.on_frame(PortNo(0), bpdu_frame(cfg), env));
+            run(&ports_up, SimTime(1000), |ctx| br.on_frame(PortNo(0), bpdu_frame(cfg), ctx));
         // The config relayed out port 1 must carry age 512 + 256.
         let relayed = outputs
             .iter()

@@ -3,8 +3,15 @@
 //! the instant its last bit arrives. Per-hop latency then consists of
 //! link serialization + propagation only, which matches the software
 //! (OMNeT++/Linux) ARP-Path implementations the paper cites.
+//!
+//! Every callback hands the engine's own [`Ctx`] straight to the logic:
+//! what the logic decides *is* what the engine applies, in the order
+//! decided. This runs once per frame hop and nine in ten flood copies
+//! are race losers that decide nothing, so it must cost nothing beyond
+//! the callback — no snapshot of the ports, no buffer of its own, no
+//! allocation (`tests/ideal_alloc.rs`).
 
-use crate::logic::{LogicEnv, SwitchLogic};
+use crate::logic::SwitchLogic;
 use arppath_netsim::{Ctx, Device, PortNo, TimerToken};
 use arppath_wire::EthernetFrame;
 
@@ -28,22 +35,6 @@ impl<L: SwitchLogic> IdealSwitch<L> {
     pub fn logic_mut(&mut self) -> &mut L {
         &mut self.logic
     }
-
-    /// Run one logic callback on the engine's own port-state slice and
-    /// command buffer: what the logic decides *is* what the engine
-    /// applies, in the order decided. This runs once per frame hop and
-    /// nine in ten flood copies are race losers that decide nothing, so
-    /// it must cost nothing beyond the callback — no snapshot of the
-    /// ports, no buffer of its own, no allocation
-    /// (`tests/ideal_alloc.rs`).
-    fn run<F>(&mut self, ctx: &mut Ctx, f: F)
-    where
-        F: FnOnce(&mut L, &mut LogicEnv),
-    {
-        let (now, num_ports) = (ctx.now(), self.logic.num_ports());
-        let (ports_up, commands) = ctx.parts();
-        f(&mut self.logic, &mut LogicEnv::new(now, ports_up, num_ports, commands));
-    }
 }
 
 impl<L: SwitchLogic> Device for IdealSwitch<L> {
@@ -52,21 +43,19 @@ impl<L: SwitchLogic> Device for IdealSwitch<L> {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
-        self.run(ctx, |logic, env| logic.on_start(env));
+        self.logic.on_start(ctx);
     }
 
     fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
-        self.run(ctx, |logic, env| {
-            logic.on_frame(port, frame, env);
-        });
+        self.logic.on_frame(port, frame, ctx);
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
-        self.run(ctx, |logic, env| logic.on_timer(token, env));
+        self.logic.on_timer(token, ctx);
     }
 
     fn on_link_status(&mut self, port: PortNo, up: bool, ctx: &mut Ctx) {
-        self.run(ctx, |logic, env| logic.on_link_status(port, up, env));
+        self.logic.on_link_status(port, up, ctx);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -8,8 +8,8 @@
 //! baseline in storm tests.
 
 use crate::dleft::DLeftTable;
-use crate::logic::{DropReason, LogicEnv, ProcessingClass, SwitchCounters, SwitchLogic};
-use arppath_netsim::{PortNo, SimDuration, SimTime};
+use crate::logic::{DropReason, ProcessingClass, SwitchCounters, SwitchLogic};
+use arppath_netsim::{Ctx, PortNo, SimDuration, SimTime};
 use arppath_wire::{EthernetFrame, MacAddr};
 
 /// Configuration of a learning switch.
@@ -105,13 +105,8 @@ impl SwitchLogic for LearningSwitch {
         self.num_ports
     }
 
-    fn on_frame(
-        &mut self,
-        port: PortNo,
-        frame: EthernetFrame,
-        env: &mut LogicEnv,
-    ) -> ProcessingClass {
-        let now = env.now();
+    fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) -> ProcessingClass {
+        let now = ctx.now();
         if !frame.src.is_unicast() {
             self.counters.drop_frame(DropReason::Malformed);
             return ProcessingClass::Hardware;
@@ -119,7 +114,7 @@ impl SwitchLogic for LearningSwitch {
         self.learn(frame.src, port, now);
         if frame.is_flooded() {
             self.counters.flooded += 1;
-            env.flood(&frame, port);
+            ctx.flood(&frame, port);
             return ProcessingClass::Hardware;
         }
         match self.lookup(frame.dst, now) {
@@ -130,17 +125,17 @@ impl SwitchLogic for LearningSwitch {
             }
             Some(out) => {
                 self.counters.forwarded += 1;
-                env.transmit(out, frame);
+                ctx.send(out, frame);
             }
             None => {
                 self.counters.flooded += 1;
-                env.flood(&frame, port);
+                ctx.flood(&frame, port);
             }
         }
         ProcessingClass::Hardware
     }
 
-    fn on_link_status(&mut self, port: PortNo, up: bool, _env: &mut LogicEnv) {
+    fn on_link_status(&mut self, port: PortNo, up: bool, _ctx: &mut Ctx) {
         if !up {
             self.flush_port(port);
         }
@@ -154,7 +149,7 @@ impl SwitchLogic for LearningSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arppath_netsim::Command;
+    use arppath_netsim::{Command, NodeId};
     use arppath_wire::{EtherType, Payload};
     use bytes::Bytes;
 
@@ -178,8 +173,7 @@ mod tests {
     ) -> Vec<usize> {
         let ports_up = vec![true; sw.num_ports()];
         let mut commands = Vec::new();
-        let mut env = LogicEnv::new(now, &ports_up, sw.num_ports(), &mut commands);
-        sw.on_frame(PortNo(port), f, &mut env);
+        sw.on_frame(PortNo(port), f, &mut Ctx::new(now, NodeId(0), &ports_up, &mut commands));
         commands.iter().filter_map(Command::as_send).map(|(p, _)| p.0).collect()
     }
 
@@ -252,8 +246,11 @@ mod tests {
         run_frame(&mut sw, 1, frame(mac(2), mac(9)), SimTime::ZERO);
         let ports_up = [true, true, true, true];
         let mut commands = Vec::new();
-        let mut env = LogicEnv::new(SimTime(5), &ports_up, 4, &mut commands);
-        sw.on_link_status(PortNo(0), false, &mut env);
+        sw.on_link_status(
+            PortNo(0),
+            false,
+            &mut Ctx::new(SimTime(5), NodeId(0), &ports_up, &mut commands),
+        );
         assert_eq!(sw.lookup(mac(1), SimTime(6)), None);
         assert_eq!(sw.lookup(mac(2), SimTime(6)), Some(PortNo(1)));
     }

@@ -32,4 +32,4 @@ pub use aging::{Aged, AgingMap};
 pub use dleft::{bucket_bits_for, DLeftKey, DLeftTable, Slot, TableStats, VICTIM_AGE_BUCKETS};
 pub use ideal::IdealSwitch;
 pub use learning::{LearningConfig, LearningSwitch};
-pub use logic::{DropReason, LogicEnv, ProcessingClass, SwitchCounters, SwitchLogic};
+pub use logic::{DropReason, ProcessingClass, SwitchCounters, SwitchLogic};

@@ -16,7 +16,7 @@ use arppath_netsim::{
     QueuePolicy, ShardedBuilder, ShardedNetwork, Tracer,
 };
 use arppath_stp::{StpBridge, StpConfig};
-use arppath_switch::{IdealSwitch, LearningConfig, LearningSwitch, SwitchCounters};
+use arppath_switch::{IdealSwitch, LearningConfig, LearningSwitch};
 use arppath_wire::MacAddr;
 use std::collections::BTreeMap;
 
@@ -420,29 +420,6 @@ impl<N: Engine> Topology<N> {
             BridgeKind::Stp(_) => self.net.device::<IdealSwitch<StpBridge>>(node).logic(),
             BridgeKind::StpNetFpga(..) => self.net.device::<NetFpgaSwitch<StpBridge>>(node).logic(),
             _ => panic!("topology does not run STP bridges"),
-        }
-    }
-
-    /// Generic forwarding counters of bridge `ix`, regardless of kind.
-    pub fn bridge_counters(&self, ix: BridgeIx) -> SwitchCounters {
-        use arppath_switch::SwitchLogic;
-        let node = self.bridge_nodes[ix.0];
-        match self.kind {
-            BridgeKind::ArpPath(_) => {
-                self.net.device::<IdealSwitch<ArpPathBridge>>(node).logic().counters().clone()
-            }
-            BridgeKind::ArpPathNetFpga(..) => {
-                self.net.device::<NetFpgaSwitch<ArpPathBridge>>(node).logic().counters().clone()
-            }
-            BridgeKind::Stp(_) => {
-                self.net.device::<IdealSwitch<StpBridge>>(node).logic().counters().clone()
-            }
-            BridgeKind::StpNetFpga(..) => {
-                self.net.device::<NetFpgaSwitch<StpBridge>>(node).logic().counters().clone()
-            }
-            BridgeKind::Learning(_) => {
-                self.net.device::<IdealSwitch<LearningSwitch>>(node).logic().counters().clone()
-            }
         }
     }
 }

@@ -3,10 +3,10 @@
 
 use arppath::{ArpPathBridge, ArpPathConfig};
 use arppath_host::{PingConfig, PingHost};
-use arppath_netsim::{PortNo, SimDuration, SimTime};
-use arppath_switch::{LogicEnv, SwitchLogic};
+use arppath_netsim::{Ctx, NodeId, PortNo, SimDuration, SimTime};
+use arppath_switch::SwitchLogic;
 use arppath_topo::{generic, BridgeIx, BridgeKind, TopoBuilder};
-use arppath_wire::{EthernetFrame, MacAddr};
+use arppath_wire::{EthernetFrame, MacAddr, PathCtl, Payload};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -61,10 +61,11 @@ proptest! {
     }
 
     /// A bounded table never exceeds its capacity, whatever traffic
-    /// arrives.
+    /// arrives: host ARP Requests and repair PathRequests (`Some` wave
+    /// nonce) alike.
     #[test]
     fn bounded_table_never_overflows(
-        events in proptest::collection::vec((0u32..20, 0usize..4), 1..200),
+        events in proptest::collection::vec((0u32..20, 0usize..4, any::<Option<u32>>()), 1..200),
         cap in 1usize..8,
     ) {
         let mut bridge = ArpPathBridge::new(
@@ -75,14 +76,26 @@ proptest! {
         );
         let ports_up = [true; 4];
         let mut now = SimTime::ZERO;
-        for (host, port) in events {
+        for (host, port, wave) in events {
             now += SimDuration::micros(10);
             let src = MacAddr::from_index(1, host + 1);
-            let arp = arppath_wire::ArpPacket::request(src, ip(host + 1), ip(99));
-            let frame = EthernetFrame::arp_request(src, arp);
+            let frame = match wave {
+                None => {
+                    let arp = arppath_wire::ArpPacket::request(src, ip(host + 1), ip(99));
+                    EthernetFrame::arp_request(src, arp)
+                }
+                Some(nonce) => {
+                    let dst = MacAddr::from_index(1, 99);
+                    let req = PathCtl::request(src, dst, MacAddr::from_index(2, 50), nonce);
+                    EthernetFrame::new(MacAddr::BROADCAST, src, Payload::PathCtl(req))
+                }
+            };
             let mut commands = Vec::new();
-            let mut env = LogicEnv::new(now, &ports_up, 4, &mut commands);
-            bridge.on_frame(PortNo(port), frame, &mut env);
+            bridge.on_frame(
+                PortNo(port),
+                frame,
+                &mut Ctx::new(now, NodeId(0), &ports_up, &mut commands),
+            );
             prop_assert!(
                 bridge.table_len() <= cap,
                 "table grew to {} with cap {}", bridge.table_len(), cap
@@ -115,8 +128,8 @@ proptest! {
                 },
             );
             let mut commands = Vec::new();
-            let mut env = LogicEnv::new(now, &ports_up, 4, &mut commands);
-            bridge.on_frame(PortNo(port), frame, &mut env);
+            let mut ctx = Ctx::new(now, NodeId(0), &ports_up, &mut commands);
+            bridge.on_frame(PortNo(port), frame, &mut ctx);
             // Outputs never echo out the ingress port.
             for (p, _) in commands.iter().filter_map(|c| c.as_send()) {
                 prop_assert_ne!(p.0, port, "frame reflected to its ingress");
