@@ -6,38 +6,37 @@
 //! cargo run --release -p arppath-bench --bin repro -- --quick # small params
 //! cargo run --release -p arppath-bench --bin repro -- e8 --shards 4
 //! cargo run --release -p arppath-bench --bin repro -- e8 --quick --trace-out e8.trace
-//! cargo run --release -p arppath-bench --bin repro -- --incast-gate
-//! cargo run --release -p arppath-bench --bin repro -- e9 --e9-watchdog-ms 0 --e9-cc fixed
+//! cargo run --release -p arppath-bench --bin repro -- difftest --seeds 40
+//! cargo run --release -p arppath-bench --bin repro -- micro
 //! ```
 //!
 //! Output is the markdown tables described in `docs/EXPERIMENTS.md`.
-//! `--shards N` runs E8 on the sharded parallel engine (N worker
-//! threads, rack-major partition); `--trace-out FILE` additionally
-//! writes the merged, timestamp-sorted delivery trace of the first E8
-//! fabric's permutation run — CI diffs a sharded trace against a
-//! single-threaded one to hold the equivalence contract.
+//! Every experiment derives its parameters from one flag set:
 //!
-//! `--incast-gate` runs just the k=8 PFC incast cells (the scenario
-//! that deadlocked before the pause watchdog existed) and exits
-//! nonzero unless every flow completes with zero drops.
-//! `--e9-watchdog-ms N` overrides the PFC pause-watchdog deadline
-//! (0 disables it); `--e9-cc fixed|aimd|both` restricts E9's
-//! congestion-controller axis.
+//! - `--quick` shrinks each selected experiment to CI size;
+//! - `--shards N` runs E8/E9/E11 on the sharded parallel engine (N
+//!   worker threads, rack-major partition) and picks the worker count
+//!   of E12's trace capture (E12's own sweep always covers 1/2/4/8).
+//!   N > 1 needs at least one of e8/e9/e11/e12 selected;
+//! - `--trace-out FILE` writes the merged, timestamp-sorted delivery
+//!   trace of the one selected traced experiment, on its first fabric:
+//!   E8's permutation run, E9's PFC incast, E11's undersized churn or
+//!   E12's sweep scenario. The bytes are identical at every shard
+//!   count — CI diffs a sharded capture against a single-threaded one.
+//!   It needs exactly one of e8/e9/e11/e12 selected.
 //!
-//! `repro -- e12` sweeps the k=16 fabric over 1/2/4/8 workers
-//! (wall clock, sync rounds per simulated ms, bytes per station) and
-//! verifies trace identity across the sweep; `--shards`/`--trace-out`
-//! capture the byte-comparable trace at one worker count.
-//!
-//! `repro micro` times the fast table and scheduler structures against
-//! the boring ones they replaced, prints every `key value` pair and
-//! checks the same-run ratios in `micro::GUARDS`.
+//! `repro difftest [--seeds N] [--self-check]` runs the differential
+//! shard-equivalence fuzzer. `repro micro` times the fast table and
+//! scheduler structures against the boring ones they replaced, prints
+//! every `key value` pair and checks the same-run ratios in
+//! `micro::GUARDS`.
 //!
 //! Exit codes: 0 when every headline verdict HOLDS; 1 when any is
-//! VIOLATED (or a `micro` guard, `difftest` or `--incast-gate` fails);
-//! 2 for a usage error — an unknown experiment name or flag, a flag
-//! missing its value, or a value that does not parse — reported as one
-//! `[repro]` line before anything runs.
+//! VIOLATED (or a `micro` guard or `difftest` fails); 2 for a usage
+//! error — an unknown experiment name or flag, a flag missing its
+//! value, a value that does not parse, a flag combination ruled out
+//! above, or a `--trace-out` file that cannot be created — reported as
+//! one `[repro]` line before anything runs.
 
 use arppath_bench::experiments::{
     e11_churn, e12_scale, e1_latency, e2_repair, e3_linerate, e5_load, e6_proxy, e7_ablation,
@@ -45,12 +44,17 @@ use arppath_bench::experiments::{
 };
 use arppath_bench::{difftest, micro};
 use arppath_host::TrafficPattern;
-use arppath_netsim::{PauseWatchdog, SimDuration};
+use arppath_netsim::SimDuration;
+use std::fs::File;
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// The names `repro` accepts as positional experiment selectors.
 const EXPERIMENTS: [&str; 10] = ["e1", "e2", "e3", "e5", "e6", "e7", "e8", "e9", "e11", "e12"];
+
+/// The experiments that `--shards` and `--trace-out` apply to.
+const TRACED: [&str; 4] = ["e8", "e9", "e11", "e12"];
 
 /// Set by the first headline verdict that fails.
 static VIOLATED: AtomicBool = AtomicBool::new(false);
@@ -111,8 +115,6 @@ fn micro_cmd(args: Vec<String>) -> ! {
 /// proof the harness detects the bug class it exists for.
 fn difftest_cmd(mut args: Vec<String>) -> ! {
     let seeds: u64 = take_parsed(&mut args, "--seeds", "a count").unwrap_or(32);
-    let first_seed: u64 = take_parsed(&mut args, "--start", "a seed").unwrap_or(0);
-    let budget: usize = take_parsed(&mut args, "--minimize-budget", "a count").unwrap_or(400);
     let self_check = args.iter().any(|a| a == "--self-check");
     args.retain(|a| a != "--self-check");
     if let Some(unknown) = args.first() {
@@ -136,10 +138,10 @@ fn difftest_cmd(mut args: Vec<String>) -> ! {
             }
         }
     }
-    match difftest::fuzz(first_seed, seeds, budget, &mut log) {
+    match difftest::fuzz(seeds, &mut log) {
         None => {
             eprintln!(
-                "[difftest] {seeds} seed(s) from {first_seed}: zero divergences ({} ms)",
+                "[difftest] {seeds} seed(s): zero divergences ({} ms)",
                 started.elapsed().as_millis()
             );
             std::process::exit(0);
@@ -157,11 +159,30 @@ fn difftest_cmd(mut args: Vec<String>) -> ! {
     }
 }
 
-/// Write a `--trace-out` file: one delivery per line.
-fn write_trace(path: &str, trace: &[String]) {
-    let mut body = trace.join("\n");
-    body.push('\n');
-    std::fs::write(path, body).expect("write --trace-out file");
+/// The `--trace-out` file. It is created before anything runs, so an
+/// unwritable path is a usage error rather than a panic after the run.
+struct TraceOut {
+    path: String,
+    file: File,
+}
+
+impl TraceOut {
+    fn create(path: String) -> TraceOut {
+        match File::create(&path) {
+            Ok(file) => TraceOut { path, file },
+            Err(e) => usage_error(&format!("--trace-out {path:?}: {e}")),
+        }
+    }
+
+    /// Write `what`'s delivery trace, one delivery per line.
+    fn write(mut self, what: &str, trace: &[String]) {
+        let mut body = trace.join("\n");
+        body.push('\n');
+        if let Err(e) = self.file.write_all(body.as_bytes()) {
+            usage_error(&format!("--trace-out {:?}: {e}", self.path));
+        }
+        eprintln!("[repro] wrote the {what} delivery trace -> {}", self.path);
+    }
 }
 
 /// Pull `--flag value` or `--flag=value` out of `args`, consuming it.
@@ -208,41 +229,9 @@ fn main() {
     if shards == 0 {
         usage_error("--shards must be at least 1");
     }
-    let trace_out = take_value(&mut args, "--trace-out");
-    // E9 knobs: `--e9-watchdog-ms N` overrides the PFC pause-watchdog
-    // deadline (0 disables it — reproduces the PR-6 incast deadlock);
-    // `--e9-cc fixed|aimd|both` restricts the controller axis.
-    let e9_watchdog: Option<u64> = take_parsed(&mut args, "--e9-watchdog-ms", "milliseconds");
-    let e9_ccs: Vec<e9_congestion::CcMode> = match take_value(&mut args, "--e9-cc").as_deref() {
-        None | Some("both") => e9_congestion::CcMode::ALL.to_vec(),
-        Some("fixed") => vec![e9_congestion::CcMode::Fixed],
-        Some("aimd") => vec![e9_congestion::CcMode::Aimd],
-        Some(other) => usage_error(&format!("--e9-cc expects fixed|aimd|both, got {other:?}")),
-    };
-    let e9_watchdog_param = |default: PauseWatchdog| match e9_watchdog {
-        Some(0) => PauseWatchdog::Off,
-        Some(ms) => PauseWatchdog::force_resume(SimDuration::millis(ms)),
-        None => default,
-    };
-    // `--e12-k K` overrides E12's fabric arity; with `--e12-shards
-    // a,b,...` it turns the sweep into an arbitrary measurement rig.
-    let e12_k: Option<usize> = take_parsed(&mut args, "--e12-k", "a number");
-    if e12_k.is_some_and(|k| k < 4 || k % 2 != 0) {
-        usage_error("--e12-k must be an even arity >= 4");
-    }
-    let e12_shard_counts: Option<Vec<usize>> = take_value(&mut args, "--e12-shards").map(|v| {
-        v.split(',')
-            .map(|s| match s.parse() {
-                Ok(n) if n >= 1 => n,
-                _ => usage_error(&format!("--e12-shards expects counts >= 1, got {v:?}")),
-            })
-            .collect()
-    });
-    let incast_gate = args.iter().any(|a| a == "--incast-gate");
+    let trace_path = take_value(&mut args, "--trace-out");
     let quick = args.iter().any(|a| a == "--quick");
-    if let Some(unknown) =
-        args.iter().find(|a| a.starts_with("--") && *a != "--quick" && *a != "--incast-gate")
-    {
+    if let Some(unknown) = args.iter().find(|a| a.starts_with("--") && *a != "--quick") {
         usage_error(&format!("unknown flag {unknown:?}"));
     }
     let selected: Vec<&str> =
@@ -254,54 +243,18 @@ fn main() {
         ));
     }
     let want = |name: &str| selected.is_empty() || selected.contains(&name);
-
-    if incast_gate {
-        // CI's tentpole gate, run in isolation: the k=8 PFC incast that
-        // deadlocked before PR 7, now required to finish every flow
-        // with zero drops under the pause watchdog (fires are fine —
-        // they are the mechanism, and the table reports them).
-        let mut params = e9_congestion::E9Params {
-            k: 8,
-            hosts_per_edge: 4,
-            segments: 16,
-            shards,
-            ..Default::default()
-        };
-        params.watchdog = e9_watchdog_param(params.watchdog);
-        let pattern = TrafficPattern::Hotspot { hot_receivers: params.hot_receivers };
-        eprintln!(
-            "[repro] incast gate: E9 k=8 hotspot, {} hosts, PFC + watchdog, {shards} shard(s)...",
-            params.k * params.k / 2 * params.hosts_per_edge
-        );
-        let started = Instant::now();
-        let rows = e9_ccs
-            .iter()
-            .map(|&cc| e9_congestion::run_cell(&params, e9_congestion::QueueMode::Pfc, cc, pattern))
-            .collect();
-        let results = [e9_congestion::E9Result { rows }];
-        eprintln!("[repro] incast gate took {} ms", started.elapsed().as_millis());
-        println!("{}", e9_congestion::table(&results).render_markdown());
-        verdict(
-            "incast k=8 under PFC + watchdog, all flows complete with zero drops",
-            e9_congestion::verify_pfc_lossless_completion(&results),
-        );
-        exit_with_verdicts();
+    let traced: Vec<&str> = TRACED.into_iter().filter(|name| want(name)).collect();
+    if shards > 1 && traced.is_empty() {
+        usage_error("--shards > 1 needs one of e8 e9 e11 e12 selected");
     }
-    // Both flags only act on E8/E9/E11/E12; warn instead of silently
-    // ignoring them when the selection excludes all four.
-    if !want("e8") && !want("e9") && !want("e11") && !want("e12") {
-        if shards > 1 {
-            eprintln!(
-                "[repro] warning: --shards only affects e8/e9/e11/e12, none of which is selected"
-            );
+    let mut trace_out = trace_path.map(|path| {
+        if traced.len() != 1 {
+            usage_error(&format!(
+                "--trace-out needs exactly one of e8 e9 e11 e12 selected, got {traced:?}"
+            ));
         }
-        if trace_out.is_some() {
-            eprintln!(
-                "[repro] warning: --trace-out only applies to e8/e9/e11/e12, \
-                 none of which is selected"
-            );
-        }
-    }
+        TraceOut::create(path)
+    });
 
     if want("e1") {
         eprintln!("[repro] running E1 (Fig. 2 latency, ARP-Path vs STP root sweep)...");
@@ -406,7 +359,7 @@ fn main() {
                 params.k,
                 params.k * params.k / 2 * params.hosts_per_edge
             );
-            let started = std::time::Instant::now();
+            let started = Instant::now();
             results.push(e8_fattree::run(&params));
             eprintln!(
                 "[repro] e8 k={} took {} ms (both patterns, {shards} shard(s))",
@@ -426,13 +379,9 @@ fn main() {
             results.iter().all(e8_fattree::verify_spread),
         );
         println!();
-        if let Some(path) = &trace_out {
-            // The canonical artifact: the first fabric's permutation
-            // delivery trace, re-run with tracing enabled. Identical
-            // bytes regardless of --shards.
-            eprintln!("[repro] capturing E8 delivery trace ({shards} shard(s)) -> {path}");
-            write_trace(
-                path,
+        if let Some(out) = trace_out.take() {
+            out.write(
+                "E8",
                 &e8_fattree::delivery_trace(&e8_params(&ks[0]), TrafficPattern::Permutation),
             );
         }
@@ -442,16 +391,12 @@ fn main() {
         // Congestion sweep: modest host counts (closed-loop flows cost
         // far more events per host than E8's open-loop blasts).
         let ks: &[(usize, usize)] = if quick { &[(4, 2)] } else { &[(4, 4), (6, 4), (8, 4)] };
-        let e9_params = |&(k, hosts_per_edge): &(usize, usize)| {
-            let mut params = e9_congestion::E9Params {
-                k,
-                hosts_per_edge,
-                segments: if quick { 16 } else { 32 },
-                shards,
-                ..Default::default()
-            };
-            params.watchdog = e9_watchdog_param(params.watchdog);
-            params
+        let e9_params = |&(k, hosts_per_edge): &(usize, usize)| e9_congestion::E9Params {
+            k,
+            hosts_per_edge,
+            segments: if quick { 16 } else { 32 },
+            shards,
+            ..Default::default()
         };
         let mut results = Vec::new();
         for kh in ks {
@@ -461,13 +406,12 @@ fn main() {
                 params.k,
                 params.k * params.k / 2 * params.hosts_per_edge
             );
-            let started = std::time::Instant::now();
-            results.push(e9_congestion::run_with(&params, &e9_ccs));
+            let started = Instant::now();
+            results.push(e9_congestion::run(&params));
             eprintln!(
-                "[repro] e9 k={} took {} ms (3 modes x 2 patterns x {} cc, {shards} shard(s))",
+                "[repro] e9 k={} took {} ms (3 modes x 2 patterns x 2 cc, {shards} shard(s))",
                 params.k,
-                started.elapsed().as_millis(),
-                e9_ccs.len()
+                started.elapsed().as_millis()
             );
         }
         println!("{}", e9_congestion::table(&results).render_markdown());
@@ -483,27 +427,18 @@ fn main() {
             "pfc completes every flow with zero drops (watchdog armed)",
             e9_congestion::verify_pfc_lossless_completion(&results),
         );
-        if e9_ccs.len() == e9_congestion::CcMode::ALL.len() {
-            verdict(
-                "aimd beats the fixed window's p99 in at least one congested regime",
-                e9_congestion::verify_aimd_beats_fixed_somewhere(&results),
-            );
-        }
+        verdict(
+            "aimd beats the fixed window's p99 in at least one congested regime",
+            e9_congestion::verify_aimd_beats_fixed_somewhere(&results),
+        );
         println!();
-        if let Some(path) = &trace_out {
-            // The canonical E9 artifact: the first fabric's PFC hotspot
-            // delivery trace — the run where pause/resume frames cross
-            // shard cuts. Identical bytes regardless of --shards. When
-            // E8 also ran (and owns `path`), this goes to `path.e9`.
-            let e9_path = if want("e8") { format!("{path}.e9") } else { path.clone() };
-            eprintln!("[repro] capturing E9 delivery trace ({shards} shard(s)) -> {e9_path}");
-            write_trace(
-                &e9_path,
-                &e9_congestion::delivery_trace(
-                    &e9_params(&ks[0]),
-                    e9_congestion::QueueMode::Pfc,
-                    TrafficPattern::Hotspot { hot_receivers: e9_params(&ks[0]).hot_receivers },
-                ),
+        if let Some(out) = trace_out.take() {
+            // The PFC hotspot run: pause/resume frames cross shard cuts.
+            let params = e9_params(&ks[0]);
+            let hotspot = TrafficPattern::Hotspot { hot_receivers: params.hot_receivers };
+            out.write(
+                "E9",
+                &e9_congestion::delivery_trace(&params, e9_congestion::QueueMode::Pfc, hotspot),
             );
         }
     }
@@ -528,7 +463,7 @@ fn main() {
                 "[repro] running E11 (station churn), k={}, {} stations, {shards} shard(s)...",
                 params.k, params.stations
             );
-            let started = std::time::Instant::now();
+            let started = Instant::now();
             results.push(e11_churn::run(&params));
             eprintln!(
                 "[repro] e11 k={} took {} ms (3 regimes, {shards} shard(s))",
@@ -551,17 +486,11 @@ fn main() {
             e11_churn::verify_correction(&results),
         );
         println!();
-        if let Some(path) = &trace_out {
-            // The canonical E11 artifact: the first fabric's undersized
-            // churn trace — carrier flaps, eviction churn, repair
-            // floods and all. Identical bytes regardless of --shards.
-            // When E8/E9 also ran (and own `path`), this goes to
-            // `path.e11`.
-            let e11_path =
-                if want("e8") || want("e9") { format!("{path}.e11") } else { path.clone() };
-            eprintln!("[repro] capturing E11 delivery trace ({shards} shard(s)) -> {e11_path}");
-            write_trace(
-                &e11_path,
+        if let Some(out) = trace_out.take() {
+            // The undersized regime: carrier flaps, eviction churn and
+            // repair floods all land in the trace.
+            out.write(
+                "E11",
                 &e11_churn::delivery_trace(&e11_params(&ks[0]), e11_churn::TableRegime::Undersized),
             );
         }
@@ -572,13 +501,7 @@ fn main() {
         // `--shards` does not pick the engine here (the sweep covers
         // 1/2/4/8 itself); it selects the worker count for the
         // `--trace-out` capture.
-        let mut params = if quick { e12_scale::E12Params::quick() } else { Default::default() };
-        if let Some(k) = e12_k {
-            params.k = k;
-        }
-        if let Some(counts) = e12_shard_counts.clone() {
-            params.shard_counts = counts;
-        }
+        let params = if quick { e12_scale::E12Params::quick() } else { Default::default() };
         eprintln!(
             "[repro] running E12 (shard scaling), k={}, {} hosts/edge, sweep {:?}...",
             params.k, params.hosts_per_edge, params.shard_counts
@@ -608,18 +531,8 @@ fn main() {
             e12_scale::verify_trace_identity(&params),
         );
         println!();
-        if let Some(path) = &trace_out {
-            // The canonical E12 artifact: the sweep scenario's trace at
-            // the `--shards` worker count. Identical bytes regardless
-            // of --shards; CI diffs shards=1 against shards=4. When
-            // E8/E9/E11 also ran (and own `path`), goes to `path.e12`.
-            let e12_path = if want("e8") || want("e9") || want("e11") {
-                format!("{path}.e12")
-            } else {
-                path.clone()
-            };
-            eprintln!("[repro] capturing E12 delivery trace ({shards} shard(s)) -> {e12_path}");
-            write_trace(&e12_path, &e12_scale::delivery_trace(&params, shards));
+        if let Some(out) = trace_out.take() {
+            out.write("E12", &e12_scale::delivery_trace(&params, shards));
         }
     }
 

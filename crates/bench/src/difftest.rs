@@ -314,15 +314,14 @@ impl DiffScenario for Spec {
     }
 }
 
-/// Run `seeds` generated scenarios; on the first failure, minimize and
-/// return the report. `log` receives one progress line per scenario.
-pub fn fuzz(
-    first_seed: u64,
-    seeds: u64,
-    minimize_budget: usize,
-    log: &mut dyn FnMut(&str),
-) -> Option<arppath_netsim::Minimized<Spec>> {
-    for seed in first_seed..first_seed + seeds {
+/// Shrink executions the minimizer may spend on one failure.
+const MINIMIZE_BUDGET: usize = 400;
+
+/// Run the scenarios generated from seeds `0..seeds`; on the first
+/// failure, minimize and return the report. `log` receives one
+/// progress line per scenario.
+pub fn fuzz(seeds: u64, log: &mut dyn FnMut(&str)) -> Option<arppath_netsim::Minimized<Spec>> {
+    for seed in 0..seeds {
         let spec = Spec::generate(seed);
         let outcome = arppath_netsim::difftest::check(&spec);
         match &outcome {
@@ -331,11 +330,11 @@ pub fn fuzz(
             }
             arppath_netsim::Outcome::Diverged(d) => {
                 log(&format!("seed {seed}: DIVERGED ({d}) — minimizing..."));
-                return arppath_netsim::difftest::minimize(spec, outcome, minimize_budget);
+                return arppath_netsim::difftest::minimize(spec, outcome, MINIMIZE_BUDGET);
             }
             arppath_netsim::Outcome::Crashed { engine, message } => {
                 log(&format!("seed {seed}: CRASHED in {engine} ({message}) — minimizing..."));
-                return arppath_netsim::difftest::minimize(spec, outcome, minimize_budget);
+                return arppath_netsim::difftest::minimize(spec, outcome, MINIMIZE_BUDGET);
             }
         }
     }
@@ -353,7 +352,7 @@ pub fn self_check(seeds: u64, log: &mut dyn FnMut(&str)) -> Result<(), String> {
     // 30 µs dwarfs every fabric propagation delay (1–10 µs), so some
     // cross-shard frame lands in a neighbour's already-executed past.
     arppath_netsim::sharded::set_unsound_horizon_widen(30_000);
-    let found = fuzz(0, seeds, 400, log);
+    let found = fuzz(seeds, log);
     arppath_netsim::sharded::set_unsound_horizon_widen(0);
     let report = match found {
         Some(r) => r,

@@ -96,12 +96,6 @@ impl Device for Blaster {
         }
     }
     fn on_frame(&mut self, _: PortNo, _: EthernetFrame, _: &mut Ctx) {}
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// Counts arrivals and records first/last arrival instants.
@@ -128,12 +122,6 @@ impl Device for Sink {
             self.first = Some(ctx.now());
         }
         self.last = Some(ctx.now());
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

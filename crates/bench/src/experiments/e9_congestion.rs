@@ -408,19 +408,13 @@ pub fn traced_run(
 /// Run all modes × both patterns × both controllers on one fabric
 /// size.
 pub fn run(params: &E9Params) -> E9Result {
-    run_with(params, &CcMode::ALL)
-}
-
-/// [`run`] restricted to the given controllers (the `repro` CLI's
-/// `--e9-cc` filter).
-pub fn run_with(params: &E9Params, ccs: &[CcMode]) -> E9Result {
     let mut rows = Vec::new();
     for pattern in [
         TrafficPattern::Permutation,
         TrafficPattern::Hotspot { hot_receivers: params.hot_receivers },
     ] {
         for mode in QueueMode::ALL {
-            for &cc in ccs {
+            for cc in CcMode::ALL {
                 rows.push(run_cell(params, mode, cc, pattern));
             }
         }

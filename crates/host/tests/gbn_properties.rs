@@ -73,12 +73,6 @@ impl Device for LossyGate {
             ctx.send(out, frame);
         }
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 struct Outcome {

@@ -225,14 +225,6 @@ impl<L: SwitchLogic> Device for NetFpgaSwitch<L> {
     fn on_link_status(&mut self, port: PortNo, up: bool, ctx: &mut Ctx) {
         self.logic.on_link_status(port, up, ctx);
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -256,12 +248,6 @@ mod tests {
         fn on_frame(&mut self, _: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
             self.heard.push((ctx.now(), frame));
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     struct OneShot {
@@ -279,12 +265,6 @@ mod tests {
             }
         }
         fn on_frame(&mut self, _: PortNo, _: EthernetFrame, _: &mut Ctx) {}
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     fn arp_broadcast() -> EthernetFrame {

@@ -141,7 +141,9 @@ impl<'a> Ctx<'a> {
 /// `Send` is a supertrait because the sharded engine
 /// ([`crate::sharded`]) moves whole per-shard [`crate::Network`]s onto
 /// worker threads; devices are plain simulation state, so this costs
-/// implementations nothing (no `Rc`/`RefCell` inside devices).
+/// implementations nothing (no `Rc`/`RefCell` inside devices). `Any`
+/// is a supertrait so [`crate::Network::device`] can downcast a
+/// `&dyn Device` to its concrete type.
 pub trait Device: Any + Send {
     /// Short stable name used in traces (e.g. `"NF1"`, `"hostA"`).
     fn name(&self) -> &str;
@@ -171,12 +173,6 @@ pub trait Device: Any + Send {
     fn forwards_control_frames(&self) -> bool {
         false
     }
-
-    /// Downcast support: return `self`.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Downcast support: return `self` mutably.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 #[cfg(test)]

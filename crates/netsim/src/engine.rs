@@ -105,8 +105,6 @@
 //!     fn name(&self) -> &str { "shot" }
 //!     fn on_start(&mut self, ctx: &mut Ctx) { ctx.send(PortNo(0), arp()); }
 //!     fn on_frame(&mut self, _: PortNo, _: EthernetFrame, _: &mut Ctx) {}
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! /// Records when every frame arrives.
@@ -116,8 +114,6 @@
 //!     fn on_frame(&mut self, _: PortNo, _: EthernetFrame, ctx: &mut Ctx) {
 //!         self.heard.push(ctx.now());
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! let mut b = NetworkBuilder::new();
@@ -140,6 +136,7 @@ use crate::pfc::{self, PfcOp};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DeliveryRecord, DeliveryTracer, TeeTracer, TraceEvent, Tracer};
 use arppath_wire::EthernetFrame;
+use std::any::Any;
 use std::sync::{Arc, Mutex};
 
 /// Bit position of the tier in a canonical order key (see
@@ -448,10 +445,8 @@ impl Network {
     /// # Panics
     /// If `node` does not hold a `T`.
     pub fn device<T: 'static>(&self, node: NodeId) -> &T {
-        self.devices[node.0]
-            .as_ref()
-            .expect("device in dispatch")
-            .as_any()
+        let dev = self.devices[node.0].as_deref().expect("device in dispatch");
+        (dev as &dyn Any)
             .downcast_ref::<T>()
             .unwrap_or_else(|| panic!("node {node:?} is not a {}", std::any::type_name::<T>()))
     }
@@ -461,10 +456,8 @@ impl Network {
     /// # Panics
     /// If `node` does not hold a `T`.
     pub fn device_mut<T: 'static>(&mut self, node: NodeId) -> &mut T {
-        self.devices[node.0]
-            .as_mut()
-            .expect("device in dispatch")
-            .as_any_mut()
+        let dev = self.devices[node.0].as_deref_mut().expect("device in dispatch");
+        (dev as &mut dyn Any)
             .downcast_mut::<T>()
             .unwrap_or_else(|| panic!("node {node:?} is not a {}", std::any::type_name::<T>()))
     }
@@ -1243,12 +1236,6 @@ mod tests {
         fn on_link_status(&mut self, port: PortNo, up: bool, _ctx: &mut Ctx) {
             self.link_events.push((port, up));
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// A device that sends `count` frames back-to-back at start.
@@ -1267,12 +1254,6 @@ mod tests {
             }
         }
         fn on_frame(&mut self, _: PortNo, _: EthernetFrame, _: &mut Ctx) {}
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     fn test_frame() -> EthernetFrame {
@@ -1453,12 +1434,6 @@ mod tests {
             fn on_timer(&mut self, token: TimerToken, _: &mut Ctx) {
                 self.fired.push(token.0);
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let mut b = NetworkBuilder::new();
         let n = b.add(Box::new(TimerDev { fired: Vec::new() }));
@@ -1531,12 +1506,6 @@ mod tests {
         }
         fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
             ctx.send(PortNo(1 - port.0), frame);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -1783,12 +1752,6 @@ mod tests {
         fn on_timer(&mut self, _: TimerToken, ctx: &mut Ctx) {
             self.log.push((ctx.now().as_nanos(), "timer"));
             ctx.send(PortNo(self.out), test_frame());
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

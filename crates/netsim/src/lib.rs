@@ -31,8 +31,6 @@
 //!     fn on_frame(&mut self, _: PortNo, _: EthernetFrame, _: &mut Ctx) {
 //!         self.got += 1;
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! let mut b = NetworkBuilder::new();

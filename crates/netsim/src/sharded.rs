@@ -82,8 +82,6 @@
 //!     fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
 //!         ctx.send(port, frame);
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! let mut b = ShardedBuilder::new(2);
@@ -317,14 +315,6 @@ impl Device for BoundaryStub {
     /// stub opts out of engine-side interception.
     fn forwards_control_frames(&self) -> bool {
         true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -1283,12 +1273,6 @@ mod tests {
                 }
             }
             fn on_frame(&mut self, _: PortNo, _: EthernetFrame, _: &mut Ctx) {}
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let build = |shards: usize| {
             let mut b = ShardedBuilder::new(shards);
@@ -1326,12 +1310,6 @@ mod tests {
                 for p in (0..ctx.num_ports()).filter(|&p| p != port.0) {
                     ctx.send(PortNo(p), frame.clone());
                 }
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         let mut b = ShardedBuilder::new(2);
@@ -1372,12 +1350,6 @@ mod tests {
             fn on_frame(&mut self, _port: PortNo, _frame: EthernetFrame, _ctx: &mut Ctx) {}
             fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Ctx) {
                 panic!("bomb device detonated");
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         // Only one shard's device panics; the other shard goes idle
@@ -1430,12 +1402,6 @@ mod tests {
                 ctx.send(port, frame);
             }
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// A device that sends one frame at start.
@@ -1451,12 +1417,6 @@ mod tests {
             ctx.send(PortNo(0), test_frame());
         }
         fn on_frame(&mut self, _: PortNo, _: EthernetFrame, _: &mut Ctx) {}
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[test]
@@ -1576,12 +1536,6 @@ mod tests {
                 }
             }
             fn on_frame(&mut self, _: PortNo, _: EthernetFrame, _: &mut Ctx) {}
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let mut b = ShardedBuilder::new(2);
         let tx = b.add(Box::new(Burst { name: "tx".into() }));

@@ -57,14 +57,6 @@ impl<L: SwitchLogic> Device for IdealSwitch<L> {
     fn on_link_status(&mut self, port: PortNo, up: bool, ctx: &mut Ctx) {
         self.logic.on_link_status(port, up, ctx);
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -104,12 +96,6 @@ mod tests {
         }
         fn on_frame(&mut self, _: PortNo, frame: EthernetFrame, _: &mut Ctx) {
             self.heard.push(frame);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

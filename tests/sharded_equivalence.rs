@@ -302,7 +302,7 @@ fn difftest_fuzz_smoke_finds_no_divergence() {
     // smoke job take. Any divergence fails with a minimized,
     // replayable spec line in the panic message.
     let mut lines = Vec::new();
-    let found = arppath_bench::difftest::fuzz(0, 6, 400, &mut |l| lines.push(l.to_string()));
+    let found = arppath_bench::difftest::fuzz(6, &mut |l| lines.push(l.to_string()));
     if let Some(report) = found {
         panic!(
             "fuzzer found a divergence ({:?}); minimized reproducer: {}",
