@@ -30,7 +30,6 @@
 use crate::stack::{HostStack, Upcall};
 use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
 use arppath_wire::{EthernetFrame, MacAddr};
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
@@ -269,6 +268,8 @@ pub struct ChurnHost {
     pub correction_ns: Vec<u64>,
     /// Receive instant of every matched reply (epoch bucketing).
     pub reply_times: Vec<SimTime>,
+    /// The constant echo payload every probe carries.
+    probe: Box<[u8]>,
 }
 
 impl ChurnHost {
@@ -290,6 +291,7 @@ impl ChurnHost {
             activations: 0,
             correction_ns: Vec::new(),
             reply_times: Vec::new(),
+            probe: vec![0x11; config.payload_len].into(),
         }
     }
 
@@ -342,8 +344,8 @@ impl Device for ChurnHost {
             return;
         }
         self.stack.retry_pending_arp(ctx);
-        let payload = Bytes::from(vec![0x11u8; self.config.payload_len]);
-        self.stack.send_echo_request(self.config.target, self.config.ident, self.seq, payload, ctx);
+        let (target, ident) = (self.config.target, self.config.ident);
+        self.stack.send_echo_request(target, ident, self.seq, &self.probe, ctx);
         self.seq = self.seq.wrapping_add(1);
         self.probes_tx += 1;
         ctx.schedule(self.config.interval, TOKEN_PROBE);
@@ -490,15 +492,8 @@ mod tests {
     }
 
     fn reply_frame(to: &ChurnHost, ident: u16, seq: u16) -> EthernetFrame {
-        let echo = IcmpEcho { is_request: false, ident, seq, payload: Bytes::from_static(b"p") };
-        let mut buf = Vec::new();
-        echo.emit(&mut buf);
-        let pkt = Ipv4Packet::new(
-            Ipv4Addr::new(10, 0, 0, 2),
-            to.stack.ip(),
-            IpProto::Icmp,
-            Bytes::from(buf),
-        );
+        let echo = IcmpEcho::encode(false, ident, seq, b"p");
+        let pkt = Ipv4Packet::new(Ipv4Addr::new(10, 0, 0, 2), to.stack.ip(), IpProto::Icmp, echo);
         EthernetFrame::new(to.stack.mac(), MacAddr::from_index(1, 2), Payload::Ipv4(pkt))
     }
 

@@ -26,7 +26,6 @@
 use crate::stack::{HostStack, Upcall};
 use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
 use arppath_wire::MacAddr;
-use bytes::Bytes;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -185,19 +184,29 @@ impl Default for FlowConfig {
 struct RecvFlow {
     /// Next in-order sequence number this receiver will accept.
     next_expected: u64,
-    /// FNV-1a over every accepted payload byte, in delivery order —
-    /// the "every byte, in order" witness the property suite checks.
+    /// [`fnv1a`] over every accepted payload, in delivery order — the
+    /// "every byte, in order" witness the property suite checks.
     digest: u64,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// FNV-1a over `bytes`, one 8-byte little-endian word per step, then
+/// the tail bytes one at a time. Each step (`xor`, then multiply by an
+/// odd prime) is a bijection of the running hash, word or byte alike,
+/// so changing any one byte changes the digest with certainty; eight
+/// bytes per step cut the dependent multiply chain eightfold.
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     if hash == 0 {
         hash = FNV_OFFSET;
     }
-    for &b in bytes {
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        hash ^= u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    for &b in words.remainder() {
         hash ^= b as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
     }
@@ -208,6 +217,15 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 /// digest prove payload integrity, not just sequencing.
 fn fill_byte(seq: u64) -> u8 {
     (seq as u8).wrapping_mul(31).wrapping_add(7)
+}
+
+/// Write DATA segment `seq` into `buf`, reusing its allocation:
+/// `len` bytes (clamped up to fit the header) of fill behind the header.
+fn write_segment(buf: &mut Vec<u8>, seq: u64, len: usize) {
+    buf.clear();
+    buf.resize(len.max(HEADER_LEN), fill_byte(seq));
+    buf[0] = TAG_DATA;
+    buf[1..HEADER_LEN].copy_from_slice(&seq.to_be_bytes());
 }
 
 /// A host running one sized go-back-N flow (and accepting any number of
@@ -241,6 +259,8 @@ pub struct FlowHost {
     pub data_sent: u64,
     /// Go-back-N retransmissions.
     pub retransmits: u64,
+    /// The DATA segment under construction, reused across sends.
+    segment: Vec<u8>,
     // ---- receiver state ----
     flows: HashMap<(Ipv4Addr, u16), RecvFlow>,
     /// In-order segments accepted across all inbound flows.
@@ -281,6 +301,7 @@ impl FlowHost {
             fct: None,
             data_sent: 0,
             retransmits: 0,
+            segment: Vec::new(),
             flows: HashMap::new(),
             rx_segments: 0,
             rx_bytes: 0,
@@ -304,27 +325,19 @@ impl FlowHost {
     /// uncorrupted `segments`-long flow at `segment_len` — what a test
     /// compares a receiver against.
     pub fn expected_digest(segments: u64, segment_len: usize) -> u64 {
-        let len = segment_len.max(HEADER_LEN);
+        let mut segment = Vec::new();
         let mut digest = 0u64;
         for seq in 0..segments {
-            let payload = Self::segment_payload(seq, len);
-            digest = fnv1a(digest, &payload);
+            write_segment(&mut segment, seq, segment_len);
+            digest = fnv1a(digest, &segment);
         }
         digest
     }
 
-    fn segment_payload(seq: u64, segment_len: usize) -> Vec<u8> {
-        let len = segment_len.max(HEADER_LEN);
-        let mut payload = vec![fill_byte(seq); len];
-        payload[0] = TAG_DATA;
-        payload[1..HEADER_LEN].copy_from_slice(&seq.to_be_bytes());
-        payload
-    }
-
     fn send_segment(&mut self, seq: u64, ctx: &mut Ctx) {
         let Some(target) = self.config.target else { return };
-        let payload = Bytes::from(Self::segment_payload(seq, self.config.segment_len));
-        self.stack.send_udp(target, self.config.port, self.config.port, payload, ctx);
+        write_segment(&mut self.segment, seq, self.config.segment_len);
+        self.stack.send_udp(target, self.config.port, self.config.port, &self.segment, ctx);
         self.data_sent += 1;
     }
 
@@ -394,8 +407,10 @@ impl FlowHost {
         let seq = u64::from_be_bytes(payload[1..HEADER_LEN].try_into().expect("header"));
         let flow = self.flows.entry((from, src_port)).or_default();
         if seq == flow.next_expected {
-            let good = payload[HEADER_LEN..].iter().all(|&b| b == fill_byte(seq));
-            if !good {
+            // Every fill byte is compared: OR together their differences
+            // from the expected fill, with no early exit.
+            let fill = fill_byte(seq);
+            if payload[HEADER_LEN..].iter().fold(0, |diff, &b| diff | (b ^ fill)) != 0 {
                 self.corrupt += 1;
             }
             flow.next_expected += 1;
@@ -405,11 +420,9 @@ impl FlowHost {
         }
         // Ack cumulatively on every DATA — duplicates included; the
         // ack clock is what reopens a stalled sender window.
-        let cumulative = self.flows[&(from, src_port)].next_expected;
-        let mut ack = Vec::with_capacity(HEADER_LEN);
-        ack.push(TAG_ACK);
-        ack.extend_from_slice(&cumulative.to_be_bytes());
-        self.stack.send_udp(from, self.config.port, src_port, Bytes::from(ack), ctx);
+        let mut ack = [TAG_ACK; HEADER_LEN];
+        ack[1..].copy_from_slice(&flow.next_expected.to_be_bytes());
+        self.stack.send_udp(from, self.config.port, src_port, &ack, ctx);
     }
 }
 
@@ -661,6 +674,62 @@ mod tests {
     }
 
     #[test]
+    fn digest_catches_every_flipped_bit_and_a_swap() {
+        // 61 bytes: seven 8-byte words and a 5-byte tail, so both the
+        // word steps and the tail steps are exercised.
+        const LEN: usize = 61;
+        let peer = Ipv4Addr::new(10, 0, 0, 1);
+        let expected = FlowHost::expected_digest(3, LEN);
+        let clean: Vec<Vec<u8>> = (0..3)
+            .map(|seq| {
+                let mut segment = Vec::new();
+                write_segment(&mut segment, seq, LEN);
+                segment
+            })
+            .collect();
+        let receive = |segments: &[Vec<u8>]| {
+            let mut h = FlowHost::new(
+                "r",
+                MacAddr::from_index(1, 2),
+                Ipv4Addr::new(10, 0, 0, 2),
+                FlowConfig::default(),
+            );
+            let (ports, mut cmds) = ctx_bits();
+            let mut ctx = Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds);
+            for segment in segments {
+                h.on_data(peer, 9100, segment, &mut ctx);
+            }
+            h.inbound(peer, 9100).map(|(_, digest)| digest)
+        };
+        assert_eq!(receive(&clean), Some(expected));
+        for seg in 0..clean.len() {
+            for byte in 0..LEN {
+                for bit in 0..8 {
+                    let mut flipped = clean.clone();
+                    flipped[seg][byte] ^= 1 << bit;
+                    assert_ne!(
+                        receive(&flipped),
+                        Some(expected),
+                        "segment {seg} byte {byte} bit {bit} flipped unseen"
+                    );
+                }
+            }
+        }
+        // Whole segments out of order: go-back-N accepts a prefix only.
+        let mut swapped = clean.clone();
+        swapped.swap(1, 2);
+        assert_ne!(receive(&swapped), Some(expected));
+        // Bodies swapped behind intact headers: every segment is
+        // accepted in order, and only the digest's order witness sees it.
+        let mut bodies = clean.clone();
+        let body_1 = bodies[1][HEADER_LEN..].to_vec();
+        let body_2 = bodies[2][HEADER_LEN..].to_vec();
+        bodies[1][HEADER_LEN..].copy_from_slice(&body_2);
+        bodies[2][HEADER_LEN..].copy_from_slice(&body_1);
+        assert_ne!(receive(&bodies), Some(expected));
+    }
+
+    #[test]
     fn receiver_accepts_in_order_only_and_always_acks() {
         let mut h = FlowHost::new(
             "r",
@@ -670,7 +739,11 @@ mod tests {
         );
         let peer = Ipv4Addr::new(10, 0, 0, 1);
         let (ports, mut cmds) = ctx_bits();
-        let seg = |seq| FlowHost::segment_payload(seq, 64);
+        let seg = |seq| {
+            let mut segment = Vec::new();
+            write_segment(&mut segment, seq, 64);
+            segment
+        };
         // Out-of-order first: discarded, but acked with cum = 0.
         h.on_data(peer, 9100, &seg(1), &mut Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds));
         assert_eq!(h.rx_segments, 0);

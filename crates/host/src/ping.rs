@@ -5,7 +5,6 @@ use crate::stack::{HostStack, Upcall};
 use arppath_metrics::LatencyStats;
 use arppath_netsim::{Ctx, Device, PortNo, SimDuration, TimerToken};
 use arppath_wire::{EthernetFrame, MacAddr};
-use bytes::Bytes;
 use std::net::Ipv4Addr;
 
 const TOKEN_PING: TimerToken = TimerToken(0x4849_0001);
@@ -60,6 +59,9 @@ pub struct PingHost {
     pub received: u64,
     /// Replies that could not be matched to this prober.
     pub mismatched: u64,
+    /// The echo payload, reused across probes: the send timestamp in
+    /// the first 8 bytes, fill behind it.
+    probe: Box<[u8]>,
 }
 
 impl PingHost {
@@ -83,6 +85,7 @@ impl PingHost {
             rtt: LatencyStats::new(),
             received: 0,
             mismatched: 0,
+            probe: vec![0xA5; config.payload_len.max(8)].into(),
         }
     }
 
@@ -100,18 +103,10 @@ impl PingHost {
     }
 
     fn fire_probe(&mut self, ctx: &mut Ctx) {
-        let mut payload = Vec::with_capacity(self.config.payload_len.max(8));
-        payload.extend_from_slice(&ctx.now().as_nanos().to_be_bytes());
-        payload.resize(self.config.payload_len.max(8), 0xA5);
+        self.probe[..8].copy_from_slice(&ctx.now().as_nanos().to_be_bytes());
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        self.stack.send_echo_request(
-            self.config.target,
-            self.ident,
-            seq,
-            Bytes::from(payload),
-            ctx,
-        );
+        self.stack.send_echo_request(self.config.target, self.ident, seq, &self.probe, ctx);
         self.sent += 1;
     }
 }

@@ -136,33 +136,30 @@ impl HostStack {
     }
 
     /// Send a UDP datagram (convenience over [`HostStack::send_ip`]).
+    /// `payload` is copied once, into the datagram's single allocation,
+    /// so callers pass slices of reused or constant buffers.
     pub fn send_udp(
         &mut self,
         dst: Ipv4Addr,
         src_port: u16,
         dst_port: u16,
-        payload: Bytes,
+        payload: &[u8],
         ctx: &mut Ctx,
     ) {
-        let d = UdpDatagram::new(src_port, dst_port, payload);
-        let mut buf = Vec::with_capacity(d.wire_len());
-        d.emit(&mut buf);
-        self.send_ip(dst, IpProto::Udp, Bytes::from(buf), ctx);
+        self.send_ip(dst, IpProto::Udp, UdpDatagram::encode(src_port, dst_port, payload), ctx);
     }
 
-    /// Send an ICMP echo request.
+    /// Send an ICMP echo request; `payload` is copied as in
+    /// [`HostStack::send_udp`].
     pub fn send_echo_request(
         &mut self,
         dst: Ipv4Addr,
         ident: u16,
         seq: u16,
-        payload: Bytes,
+        payload: &[u8],
         ctx: &mut Ctx,
     ) {
-        let echo = IcmpEcho::request(ident, seq, payload);
-        let mut buf = Vec::with_capacity(echo.wire_len());
-        echo.emit(&mut buf);
-        self.send_ip(dst, IpProto::Icmp, Bytes::from(buf), ctx);
+        self.send_ip(dst, IpProto::Icmp, IcmpEcho::encode(true, ident, seq, payload), ctx);
     }
 
     /// Retry ARP for destinations still pending (drive from a periodic
@@ -276,11 +273,10 @@ impl HostStack {
             },
             IpProto::Icmp => match IcmpEcho::parse(&pkt.payload) {
                 Ok(echo) if echo.is_request => {
-                    // The stack answers pings by itself, like a kernel.
-                    let reply = IcmpEcho::reply_to(&echo);
-                    let mut buf = Vec::with_capacity(reply.wire_len());
-                    reply.emit(&mut buf);
-                    self.send_ip(pkt.src, IpProto::Icmp, Bytes::from(buf), ctx);
+                    // The stack answers pings by itself, like a kernel,
+                    // echoing identifier, sequence and payload (RFC 792).
+                    let reply = IcmpEcho::encode(false, echo.ident, echo.seq, &echo.payload);
+                    self.send_ip(pkt.src, IpProto::Icmp, reply, ctx);
                     self.counters.echo_replies_tx += 1;
                     None
                 }
@@ -333,7 +329,7 @@ mod tests {
         let mut cmds = Vec::new();
         let ports = [true];
         let mut ctx = ctx_with(&mut cmds, &ports, SimTime(0));
-        stack.send_udp(dst_ip, 1000, 2000, Bytes::from_static(b"hi"), &mut ctx);
+        stack.send_udp(dst_ip, 1000, 2000, b"hi", &mut ctx);
         let frames = sent_frames(&cmds);
         assert_eq!(frames.len(), 1, "only the ARP request goes out");
         assert!(matches!(&frames[0].payload, Payload::Arp(a) if a.op == ArpOp::Request));
@@ -348,8 +344,8 @@ mod tests {
         let ports = [true];
         let mut cmds = Vec::new();
         let mut ctx = ctx_with(&mut cmds, &ports, SimTime(0));
-        stack.send_udp(dst_ip, 1000, 2000, Bytes::from_static(b"one"), &mut ctx);
-        stack.send_udp(dst_ip, 1000, 2000, Bytes::from_static(b"two"), &mut ctx);
+        stack.send_udp(dst_ip, 1000, 2000, b"one", &mut ctx);
+        stack.send_udp(dst_ip, 1000, 2000, b"two", &mut ctx);
         cmds.clear();
         // The reply arrives.
         let reply = ArpPacket { op: ArpOp::Reply, sha: dst_mac, spa: dst_ip, tha: mac, tpa: ip };
@@ -374,7 +370,7 @@ mod tests {
         stack.handle_frame(EthernetFrame::arp_reply(reply), &mut ctx);
         cmds.clear();
         let mut ctx = ctx_with(&mut cmds, &ports, SimTime(10));
-        stack.send_udp(dst_ip, 5, 6, Bytes::from_static(b"x"), &mut ctx);
+        stack.send_udp(dst_ip, 5, 6, b"x", &mut ctx);
         let frames = sent_frames(&cmds);
         assert_eq!(frames.len(), 1);
         assert!(matches!(&frames[0].payload, Payload::Ipv4(_)));
@@ -523,7 +519,7 @@ mod tests {
         let mut cmds = Vec::new();
         let mut ctx = ctx_with(&mut cmds, &ports, SimTime(0));
         for i in 0..PENDING_PER_DST + 3 {
-            stack.send_udp(dst_ip, 1, 2, Bytes::from(vec![i as u8]), &mut ctx);
+            stack.send_udp(dst_ip, 1, 2, &[i as u8], &mut ctx);
         }
         assert_eq!(stack.counters().pending_overflow, 3);
     }

@@ -13,7 +13,6 @@ use crate::stack::{HostStack, Upcall};
 use arppath_metrics::{LatencyStats, TimeSeries};
 use arppath_netsim::{Ctx, Device, PortNo, SimDuration, TimerToken};
 use arppath_wire::{EthernetFrame, MacAddr};
-use bytes::Bytes;
 use std::net::Ipv4Addr;
 
 const TOKEN_CHUNK: TimerToken = TimerToken(0x5354_0001);
@@ -64,6 +63,9 @@ pub struct StreamServer {
     pub sent: u64,
     /// Receiver reports heard (reverse-path liveness signal).
     pub reports_rx: u64,
+    /// The chunk payload, reused across sends: sequence number and send
+    /// timestamp in the first 16 bytes, video fill behind them.
+    chunk: Box<[u8]>,
 }
 
 impl StreamServer {
@@ -76,6 +78,7 @@ impl StreamServer {
             next_seq: 0,
             sent: 0,
             reports_rx: 0,
+            chunk: vec![0x56; config.chunk_len.max(16)].into(), // 'V' for video
         }
     }
 
@@ -84,17 +87,9 @@ impl StreamServer {
     }
 
     fn send_chunk(&mut self, ctx: &mut Ctx) {
-        let mut payload = Vec::with_capacity(self.config.chunk_len.max(16));
-        payload.extend_from_slice(&self.next_seq.to_be_bytes());
-        payload.extend_from_slice(&ctx.now().as_nanos().to_be_bytes());
-        payload.resize(self.config.chunk_len.max(16), 0x56); // 'V' for video
-        self.stack.send_udp(
-            self.config.client,
-            STREAM_PORT,
-            STREAM_PORT,
-            Bytes::from(payload),
-            ctx,
-        );
+        self.chunk[..8].copy_from_slice(&self.next_seq.to_be_bytes());
+        self.chunk[8..16].copy_from_slice(&ctx.now().as_nanos().to_be_bytes());
+        self.stack.send_udp(self.config.client, STREAM_PORT, STREAM_PORT, &self.chunk, ctx);
         self.next_seq += 1;
         self.sent += 1;
     }
@@ -221,15 +216,8 @@ impl Device for StreamClient {
         }
         // Report the high-water mark; its real job is keeping the
         // reverse path's entries fresh.
-        let mut payload = Vec::with_capacity(8);
-        payload.extend_from_slice(&self.highest_seq.unwrap_or(0).to_be_bytes());
-        self.stack.send_udp(
-            self.config.server,
-            REPORT_PORT,
-            REPORT_PORT,
-            Bytes::from(payload),
-            ctx,
-        );
+        let report = self.highest_seq.unwrap_or(0).to_be_bytes();
+        self.stack.send_udp(self.config.server, REPORT_PORT, REPORT_PORT, &report, ctx);
         self.reports_tx += 1;
         ctx.schedule(self.config.report_interval, TOKEN_REPORT);
     }
@@ -313,7 +301,7 @@ mod tests {
                 from: Ipv4Addr::new(10, 0, 0, 1),
                 src_port: STREAM_PORT,
                 dst_port: STREAM_PORT,
-                payload: Bytes::from(p),
+                payload: p.into(),
             }
         };
         // Drive the accounting directly (bypassing frame decode, which

@@ -20,13 +20,17 @@
 
 use crate::stack::{HostStack, Upcall};
 use arppath_netsim::{Ctx, Device, PortNo, SimDuration, TimerToken};
-use arppath_wire::{EthernetFrame, MacAddr};
-use bytes::Bytes;
+use arppath_wire::{EthernetFrame, MacAddr, UdpDatagram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
 
 const TOKEN_SEND: TimerToken = TimerToken(0x5747_0001);
+
+/// What every datagram carries: its first `payload_len` bytes. One
+/// shared constant, so a fabric of thousands of hosts keeps no payload
+/// copy per host and touches only the pages its payload length spans.
+static PAYLOAD: [u8; UdpDatagram::MAX_PAYLOAD] = [0x45; UdpDatagram::MAX_PAYLOAD];
 
 /// Which shape the source→destination assignment takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,8 +174,8 @@ impl Device for TrafficHost {
             return;
         }
         self.stack.retry_pending_arp(ctx);
-        let payload = Bytes::from(vec![0x45u8; self.config.payload_len]);
-        self.stack.send_udp(self.config.target, self.config.port, self.config.port, payload, ctx);
+        let TrafficConfig { target, port, payload_len, .. } = self.config;
+        self.stack.send_udp(target, port, port, &PAYLOAD[..payload_len], ctx);
         self.sent += 1;
         if self.sent < self.config.count {
             ctx.schedule(self.config.interval, TOKEN_SEND);
@@ -281,10 +285,8 @@ mod tests {
 
         // A datagram from a peer lands and is counted.
         use arppath_wire::{IpProto, Ipv4Packet, Payload, UdpDatagram};
-        let udp = UdpDatagram::new(9000, 9000, Bytes::from_static(b"abcdef"));
-        let mut buf = Vec::new();
-        udp.emit(&mut buf);
-        let pkt = Ipv4Packet::new(Ipv4Addr::new(10, 0, 0, 2), ip, IpProto::Udp, Bytes::from(buf));
+        let udp = UdpDatagram::encode(9000, 9000, b"abcdef");
+        let pkt = Ipv4Packet::new(Ipv4Addr::new(10, 0, 0, 2), ip, IpProto::Udp, udp);
         let frame = EthernetFrame::new(mac, MacAddr::from_index(1, 2), Payload::Ipv4(pkt));
         host.on_frame(PortNo(0), frame, &mut Ctx::new(SimTime(5), NodeId(0), &ports, &mut cmds));
         assert_eq!(host.rx_datagrams, 1);
@@ -299,10 +301,8 @@ mod tests {
         let ports = [true];
         let mut cmds = Vec::new();
         use arppath_wire::{IpProto, Ipv4Packet, Payload, UdpDatagram};
-        let udp = UdpDatagram::new(1234, 1234, Bytes::from_static(b"x"));
-        let mut buf = Vec::new();
-        udp.emit(&mut buf);
-        let pkt = Ipv4Packet::new(Ipv4Addr::new(10, 0, 0, 2), ip, IpProto::Udp, Bytes::from(buf));
+        let udp = UdpDatagram::encode(1234, 1234, b"x");
+        let pkt = Ipv4Packet::new(Ipv4Addr::new(10, 0, 0, 2), ip, IpProto::Udp, udp);
         let frame = EthernetFrame::new(mac, MacAddr::from_index(1, 2), Payload::Ipv4(pkt));
         host.on_frame(PortNo(0), frame, &mut Ctx::new(SimTime(5), NodeId(0), &ports, &mut cmds));
         assert_eq!(host.rx_datagrams, 0, "wrong port: ignored by the app");

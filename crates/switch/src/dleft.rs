@@ -17,8 +17,9 @@
 //!   plane for the single matched slot; values are read only on a hit.
 //!   Key cells are padded to 8 bytes and a bucket's cells to a 16-byte
 //!   boundary, so a MAC-keyed bucket is one aligned 16-byte block that
-//!   never straddles a line. With a one-word value (the bridge packs
-//!   its `PathEntry`) a slot costs 36 bytes across all planes;
+//!   never straddles a line. With the bridge's one-word value (its
+//!   `PathEntry` packed into a `NonZeroU32`, so the `Option` around it
+//!   is 4 bytes too) a slot costs 32 bytes across all planes;
 //!   [`heap_bytes`](DLeftTable::heap_bytes) reports the resulting
 //!   footprint so bytes-per-station is a measured number, not a guess.
 //!   (PR 14 measured this layout against one 64-byte line per bucket

@@ -3,7 +3,7 @@
 
 use crate::ipv4::internet_checksum;
 use crate::{be16, ParseError, ParseResult};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use std::fmt;
 
 /// An ICMP echo request or reply.
@@ -39,8 +39,9 @@ impl IcmpEcho {
         Self::HEADER_LEN + self.payload.len()
     }
 
-    /// Decode and verify the ICMP checksum.
-    pub fn parse(buf: &[u8]) -> ParseResult<Self> {
+    /// Decode and verify the ICMP checksum. The payload is a
+    /// [`Bytes::slice`] view into `buf`'s allocation, not a copy.
+    pub fn parse(buf: &Bytes) -> ParseResult<Self> {
         crate::need(buf, Self::HEADER_LEN, "icmp")?;
         let is_request = match buf[0] {
             8 => true,
@@ -63,21 +64,36 @@ impl IcmpEcho {
             is_request,
             ident: be16(buf, 4),
             seq: be16(buf, 6),
-            payload: Bytes::copy_from_slice(&buf[Self::HEADER_LEN..]),
+            payload: buf.slice(Self::HEADER_LEN..),
         })
     }
 
     /// Encode onto `out`, computing the checksum over header + payload.
     pub fn emit(&self, out: &mut Vec<u8>) {
         let start = out.len();
-        out.push(if self.is_request { 8 } else { 0 });
-        out.push(0); // code
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.ident.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        let csum = internet_checksum(&out[start..]);
-        out[start + 2..start + 4].copy_from_slice(&csum.to_be_bytes());
+        out.resize(start + self.wire_len(), 0);
+        Self::write_into(self.is_request, self.ident, self.seq, &self.payload, &mut out[start..]);
+    }
+
+    /// Encode an echo from its parts straight into one freshly allocated
+    /// buffer — the send path's single allocation and single copy of
+    /// `payload`.
+    pub fn encode(is_request: bool, ident: u16, seq: u16, payload: &[u8]) -> Bytes {
+        let mut out = BytesMut::zeroed(Self::HEADER_LEN + payload.len());
+        Self::write_into(is_request, ident, seq, payload, &mut out);
+        out.freeze()
+    }
+
+    /// The one encoder: writes header and `payload` into `out`, which is
+    /// exactly [`IcmpEcho::HEADER_LEN`] + `payload.len()` bytes long.
+    fn write_into(is_request: bool, ident: u16, seq: u16, payload: &[u8], out: &mut [u8]) {
+        // Type, code 0, and a zero checksum placeholder.
+        out[..4].copy_from_slice(&[if is_request { 8 } else { 0 }, 0, 0, 0]);
+        out[4..6].copy_from_slice(&ident.to_be_bytes());
+        out[6..8].copy_from_slice(&seq.to_be_bytes());
+        out[Self::HEADER_LEN..].copy_from_slice(payload);
+        let csum = internet_checksum(out);
+        out[2..4].copy_from_slice(&csum.to_be_bytes());
     }
 }
 
@@ -104,7 +120,18 @@ mod tests {
         let mut buf = Vec::new();
         e.emit(&mut buf);
         assert_eq!(buf.len(), e.wire_len());
-        assert_eq!(IcmpEcho::parse(&buf).unwrap(), e);
+        assert_eq!(IcmpEcho::parse(&Bytes::from(buf)).unwrap(), e);
+    }
+
+    #[test]
+    fn encode_is_emit_in_one_buffer() {
+        let e = IcmpEcho::request(42, 7, Bytes::from_static(b"timestamp:123456"));
+        let mut buf = Vec::new();
+        e.emit(&mut buf);
+        let wire = IcmpEcho::encode(true, 42, 7, b"timestamp:123456");
+        assert_eq!(wire, buf);
+        let parsed = IcmpEcho::parse(&wire).unwrap();
+        assert!(parsed.payload.shares_allocation_with(&wire), "payload must not be copied");
     }
 
     #[test]
@@ -123,7 +150,7 @@ mod tests {
         let mut buf = Vec::new();
         e.emit(&mut buf);
         buf[6] ^= 0x40;
-        assert!(matches!(IcmpEcho::parse(&buf), Err(ParseError::BadChecksum { .. })));
+        assert!(matches!(IcmpEcho::parse(&Bytes::from(buf)), Err(ParseError::BadChecksum { .. })));
     }
 
     #[test]
@@ -132,7 +159,10 @@ mod tests {
         let mut buf = Vec::new();
         e.emit(&mut buf);
         buf[0] = 3; // destination unreachable
-        assert!(matches!(IcmpEcho::parse(&buf), Err(ParseError::BadField { field: "type", .. })));
+        assert!(matches!(
+            IcmpEcho::parse(&Bytes::from(buf)),
+            Err(ParseError::BadField { field: "type", .. })
+        ));
     }
 
     proptest! {
@@ -144,12 +174,12 @@ mod tests {
             let e = IcmpEcho { is_request, ident, seq, payload: Bytes::from(payload) };
             let mut buf = Vec::new();
             e.emit(&mut buf);
-            prop_assert_eq!(IcmpEcho::parse(&buf).unwrap(), e);
+            prop_assert_eq!(IcmpEcho::parse(&Bytes::from(buf)).unwrap(), e);
         }
 
         #[test]
         fn parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-            let _ = IcmpEcho::parse(&bytes);
+            let _ = IcmpEcho::parse(&Bytes::from(bytes));
         }
     }
 }

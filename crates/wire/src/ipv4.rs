@@ -40,17 +40,19 @@ impl IpProto {
 
 /// The RFC 1071 internet checksum over `data`.
 ///
-/// Exposed because UDP and ICMP reuse it; implemented with the classic
-/// 32-bit accumulator + fold.
+/// Exposed because UDP and ICMP reuse it. Sums 32-bit big-endian words
+/// (a short tail is zero-padded on the right) into a `u64` and folds
+/// once at the end: 2^16 ≡ 1 modulo 0xffff, so a 32-bit word adds the
+/// same ones'-complement value as its two 16-bit halves (RFC 1071
+/// §2(B)), and the result is bit-identical to the 16-bit loop.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for chunk in &mut chunks {
-        sum += u16::from_be_bytes([chunk[0], chunk[1]]) as u32;
-    }
-    if let [last] = chunks.remainder() {
-        sum += (*last as u32) << 8;
-    }
+    let mut words = data.chunks_exact(4);
+    let mut sum: u64 = (&mut words)
+        .map(|w| u64::from(u32::from_be_bytes(w.try_into().expect("4-byte chunk"))))
+        .sum();
+    let mut tail = [0u8; 4];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    sum += u64::from(u32::from_be_bytes(tail));
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
@@ -174,11 +176,17 @@ impl Ipv4Packet {
     }
 
     /// Encode onto `out`, computing the header checksum.
+    ///
+    /// # Panics
+    /// If the packet is longer than the 16-bit total length field can
+    /// state (a payload of 65,516 bytes or more).
     pub fn emit(&self, out: &mut Vec<u8>) {
+        let total_len = u16::try_from(self.wire_len())
+            .expect("IPv4 packet longer than 65,535 bytes: the caller built an oversized payload");
         let start = out.len();
         out.push(0x45); // version 4, IHL 5
         out.push(self.dscp_ecn);
-        out.extend_from_slice(&(self.wire_len() as u16).to_be_bytes());
+        out.extend_from_slice(&total_len.to_be_bytes());
         out.extend_from_slice(&self.ident.to_be_bytes());
         out.extend_from_slice(&0x4000u16.to_be_bytes()); // DF, offset 0
         out.push(self.ttl);
@@ -231,6 +239,55 @@ mod tests {
     fn checksum_handles_odd_length() {
         // Odd final byte is padded with zero on the right.
         assert_eq!(internet_checksum(&[0xff]), !0xff00u16);
+    }
+
+    /// The classic 16-bit accumulator loop, kept as the reference the
+    /// word-wide [`internet_checksum`] must match bit for bit.
+    fn checksum_16bit_reference(data: &[u8]) -> u16 {
+        let mut sum: u32 = 0;
+        let mut chunks = data.chunks_exact(2);
+        for chunk in &mut chunks {
+            sum += u16::from_be_bytes([chunk[0], chunk[1]]) as u32;
+        }
+        if let [last] = chunks.remainder() {
+            sum += (*last as u32) << 8;
+        }
+        while sum > 0xffff {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    #[test]
+    fn checksum_matches_the_reference_on_constant_inputs() {
+        // All-zero sums to 0 (checksum 0xffff); all-0xFF sums to a
+        // nonzero multiple of 0xffff, which must fold to 0xffff (checksum
+        // 0), never to 0 — the one case a sloppy fold gets wrong.
+        for len in 0..=2048 {
+            for fill in [0x00, 0xff] {
+                let data = vec![fill; len];
+                assert_eq!(
+                    internet_checksum(&data),
+                    checksum_16bit_reference(&data),
+                    "len {len} fill {fill:#04x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn emit_fits_the_largest_total_length() {
+        let max = Ipv4Packet { payload: Bytes::from(vec![0; 65_515]), ..sample() };
+        let mut buf = Vec::new();
+        max.emit(&mut buf);
+        assert_eq!(Ipv4Packet::parse(&buf).unwrap(), max);
+    }
+
+    #[test]
+    #[should_panic(expected = "IPv4 packet longer than 65,535 bytes")]
+    fn emit_refuses_a_total_length_that_would_wrap() {
+        let over = Ipv4Packet { payload: Bytes::from(vec![0; 65_516]), ..sample() };
+        over.emit(&mut Vec::new());
     }
 
     #[test]
@@ -316,6 +373,17 @@ mod tests {
         #[test]
         fn parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
             let _ = Ipv4Packet::parse(&bytes);
+        }
+
+        #[test]
+        fn checksum_matches_the_16bit_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..=2048),
+            cut in 0usize..4,
+        ) {
+            // `cut` trims the tail so every residue mod 4 — odd lengths
+            // included — is drawn for each generated buffer.
+            let data = &data[..data.len().saturating_sub(cut)];
+            prop_assert_eq!(internet_checksum(data), checksum_16bit_reference(data));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! UDP datagrams (RFC 768), the transport of the streaming workload.
 
 use crate::{be16, ParseError, ParseResult};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use std::fmt;
 
 /// A UDP datagram. The checksum is carried but computed over the payload
@@ -22,6 +22,9 @@ impl UdpDatagram {
     /// Fixed header length.
     pub const HEADER_LEN: usize = 8;
 
+    /// The largest payload the 16-bit length field can state.
+    pub const MAX_PAYLOAD: usize = u16::MAX as usize - Self::HEADER_LEN;
+
     /// Construct a datagram.
     pub fn new(src_port: u16, dst_port: u16, payload: Bytes) -> Self {
         UdpDatagram { src_port, dst_port, payload }
@@ -33,8 +36,10 @@ impl UdpDatagram {
     }
 
     /// Decode from `buf`, honouring the declared length (trailing bytes
-    /// beyond it — Ethernet padding — are ignored).
-    pub fn parse(buf: &[u8]) -> ParseResult<Self> {
+    /// beyond it — Ethernet padding — are ignored). The checksum is
+    /// verified, and the payload is a [`Bytes::slice`] view into `buf`'s
+    /// allocation, not a copy.
+    pub fn parse(buf: &Bytes) -> ParseResult<Self> {
         crate::need(buf, Self::HEADER_LEN, "udp")?;
         let len = be16(buf, 4) as usize;
         if len < Self::HEADER_LEN || len > buf.len() {
@@ -44,27 +49,55 @@ impl UdpDatagram {
                 actual: buf.len(),
             });
         }
-        let payload = Bytes::copy_from_slice(&buf[Self::HEADER_LEN..len]);
         let declared = be16(buf, 6);
-        if declared != 0 {
-            let computed = crate::ipv4::internet_checksum(&payload);
-            let computed = if computed == 0 { 0xffff } else { computed };
-            if computed != declared {
-                return Err(ParseError::BadChecksum { what: "udp" });
-            }
+        if declared != 0 && declared != Self::checksum(&buf[Self::HEADER_LEN..len]) {
+            return Err(ParseError::BadChecksum { what: "udp" });
         }
-        Ok(UdpDatagram { src_port: be16(buf, 0), dst_port: be16(buf, 2), payload })
+        Ok(UdpDatagram {
+            src_port: be16(buf, 0),
+            dst_port: be16(buf, 2),
+            payload: buf.slice(Self::HEADER_LEN..len),
+        })
     }
 
     /// Encode onto `out` with a payload checksum.
     pub fn emit(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&(self.wire_len() as u16).to_be_bytes());
-        let csum = crate::ipv4::internet_checksum(&self.payload);
-        let csum = if csum == 0 { 0xffff } else { csum };
-        out.extend_from_slice(&csum.to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        let start = out.len();
+        out.resize(start + self.wire_len(), 0);
+        Self::write_into(self.src_port, self.dst_port, &self.payload, &mut out[start..]);
+    }
+
+    /// Encode a datagram from its parts straight into one freshly
+    /// allocated buffer — the send path's single allocation and single
+    /// copy of `payload`.
+    pub fn encode(src_port: u16, dst_port: u16, payload: &[u8]) -> Bytes {
+        let mut out = BytesMut::zeroed(Self::HEADER_LEN + payload.len());
+        Self::write_into(src_port, dst_port, payload, &mut out);
+        out.freeze()
+    }
+
+    /// The one encoder: writes header and `payload` into `out`, which is
+    /// exactly [`UdpDatagram::HEADER_LEN`] + `payload.len()` bytes long.
+    ///
+    /// # Panics
+    /// If the payload is longer than [`UdpDatagram::MAX_PAYLOAD`].
+    fn write_into(src_port: u16, dst_port: u16, payload: &[u8], out: &mut [u8]) {
+        let len = u16::try_from(out.len())
+            .expect("UDP datagram longer than 65,535 bytes: the caller built an oversized payload");
+        out[0..2].copy_from_slice(&src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&dst_port.to_be_bytes());
+        out[4..6].copy_from_slice(&len.to_be_bytes());
+        out[6..8].copy_from_slice(&Self::checksum(payload).to_be_bytes());
+        out[Self::HEADER_LEN..].copy_from_slice(payload);
+    }
+
+    /// The payload checksum as carried on the wire: a computed 0 is sent
+    /// as 0xffff, because 0 means "no checksum".
+    fn checksum(payload: &[u8]) -> u16 {
+        match crate::ipv4::internet_checksum(payload) {
+            0 => 0xffff,
+            csum => csum,
+        }
     }
 }
 
@@ -85,7 +118,35 @@ mod tests {
         let mut buf = Vec::new();
         d.emit(&mut buf);
         assert_eq!(buf.len(), d.wire_len());
-        assert_eq!(UdpDatagram::parse(&buf).unwrap(), d);
+        assert_eq!(UdpDatagram::parse(&Bytes::from(buf)).unwrap(), d);
+    }
+
+    #[test]
+    fn encode_is_emit_in_one_buffer() {
+        let d = UdpDatagram::new(5004, 5005, Bytes::from_static(b"gop-frame-0001"));
+        let mut buf = Vec::new();
+        d.emit(&mut buf);
+        assert_eq!(UdpDatagram::encode(5004, 5005, b"gop-frame-0001"), buf);
+    }
+
+    #[test]
+    fn parse_hands_back_a_view_of_the_buffer() {
+        let wire = UdpDatagram::encode(1, 2, b"payload");
+        let d = UdpDatagram::parse(&wire).unwrap();
+        assert_eq!(d.payload, b"payload"[..]);
+        assert!(d.payload.shares_allocation_with(&wire), "payload must not be copied");
+    }
+
+    #[test]
+    fn encode_fits_the_largest_length() {
+        let wire = UdpDatagram::encode(1, 2, &vec![0; UdpDatagram::MAX_PAYLOAD]);
+        assert_eq!(UdpDatagram::parse(&wire).unwrap().payload.len(), 65_527);
+    }
+
+    #[test]
+    #[should_panic(expected = "UDP datagram longer than 65,535 bytes")]
+    fn encode_refuses_a_length_that_would_wrap() {
+        UdpDatagram::encode(1, 2, &vec![0; UdpDatagram::MAX_PAYLOAD + 1]);
     }
 
     #[test]
@@ -93,7 +154,7 @@ mod tests {
         let d = UdpDatagram::new(1, 2, Bytes::new());
         let mut buf = Vec::new();
         d.emit(&mut buf);
-        assert_eq!(UdpDatagram::parse(&buf).unwrap(), d);
+        assert_eq!(UdpDatagram::parse(&Bytes::from(buf)).unwrap(), d);
     }
 
     #[test]
@@ -103,7 +164,10 @@ mod tests {
         d.emit(&mut buf);
         let last = buf.len() - 1;
         buf[last] ^= 0x01;
-        assert!(matches!(UdpDatagram::parse(&buf), Err(ParseError::BadChecksum { .. })));
+        assert!(matches!(
+            UdpDatagram::parse(&Bytes::from(buf)),
+            Err(ParseError::BadChecksum { .. })
+        ));
     }
 
     #[test]
@@ -113,7 +177,7 @@ mod tests {
         d.emit(&mut buf);
         buf[6] = 0;
         buf[7] = 0;
-        assert_eq!(UdpDatagram::parse(&buf).unwrap(), d);
+        assert_eq!(UdpDatagram::parse(&Bytes::from(buf)).unwrap(), d);
     }
 
     #[test]
@@ -122,7 +186,10 @@ mod tests {
         let mut buf = Vec::new();
         d.emit(&mut buf);
         buf[5] = 4; // declared len < header
-        assert!(matches!(UdpDatagram::parse(&buf), Err(ParseError::LengthMismatch { .. })));
+        assert!(matches!(
+            UdpDatagram::parse(&Bytes::from(buf)),
+            Err(ParseError::LengthMismatch { .. })
+        ));
     }
 
     proptest! {
@@ -134,12 +201,12 @@ mod tests {
             let d = UdpDatagram::new(sp, dp, Bytes::from(payload));
             let mut buf = Vec::new();
             d.emit(&mut buf);
-            prop_assert_eq!(UdpDatagram::parse(&buf).unwrap(), d);
+            prop_assert_eq!(UdpDatagram::parse(&Bytes::from(buf)).unwrap(), d);
         }
 
         #[test]
         fn parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-            let _ = UdpDatagram::parse(&bytes);
+            let _ = UdpDatagram::parse(&Bytes::from(bytes));
         }
     }
 }
