@@ -34,9 +34,10 @@
 //! Exit codes: 0 when every headline verdict HOLDS; 1 when any is
 //! VIOLATED (or a `micro` guard or `difftest` fails); 2 for a usage
 //! error — an unknown experiment name or flag, a flag missing its
-//! value, a value that does not parse, a flag combination ruled out
-//! above, or a `--trace-out` file that cannot be created — reported as
-//! one `[repro]` line before anything runs.
+//! value, a value that does not parse, a zero `--shards` or `--seeds`,
+//! a flag combination ruled out above, or a `--trace-out` file that
+//! cannot be created — reported as one `[repro]` line before anything
+//! runs.
 
 use arppath_bench::experiments::{
     e11_churn, e12_scale, e1_latency, e2_repair, e3_linerate, e5_load, e6_proxy, e7_ablation,
@@ -115,6 +116,9 @@ fn micro_cmd(args: Vec<String>) -> ! {
 /// proof the harness detects the bug class it exists for.
 fn difftest_cmd(mut args: Vec<String>) -> ! {
     let seeds: u64 = take_parsed(&mut args, "--seeds", "a count").unwrap_or(32);
+    if seeds == 0 {
+        usage_error("--seeds must be at least 1");
+    }
     let self_check = args.iter().any(|a| a == "--self-check");
     args.retain(|a| a != "--self-check");
     if let Some(unknown) = args.first() {
@@ -258,11 +262,7 @@ fn main() {
 
     if want("e1") {
         eprintln!("[repro] running E1 (Fig. 2 latency, ARP-Path vs STP root sweep)...");
-        let params = if quick {
-            e1_latency::E1Params { probes: 20, ..Default::default() }
-        } else {
-            Default::default()
-        };
+        let params = if quick { e1_latency::E1Params { probes: 20 } } else { Default::default() };
         let result = e1_latency::run(&params);
         println!("{}", e1_latency::table(&result).render_markdown());
         verdict(
@@ -293,11 +293,8 @@ fn main() {
 
     if want("e3") {
         eprintln!("[repro] running E3 (line-rate frame-size sweep)...");
-        let params = if quick {
-            e3_linerate::E3Params { frames_per_size: 500, ..Default::default() }
-        } else {
-            Default::default()
-        };
+        let params =
+            if quick { e3_linerate::E3Params { frames_per_size: 500 } } else { Default::default() };
         let result = e3_linerate::run(&params);
         println!("{}", e3_linerate::table(&result).render_markdown());
         verdict("line rate sustained at every size", e3_linerate::verify_linerate(&result));
@@ -330,11 +327,7 @@ fn main() {
 
     if want("e7") {
         eprintln!("[repro] running E7 (lock timer / table capacity ablations)...");
-        let params = if quick {
-            e7_ablation::E7Params { probes: 20, ..Default::default() }
-        } else {
-            Default::default()
-        };
+        let params = if quick { e7_ablation::E7Params { probes: 20 } } else { Default::default() };
         let result = e7_ablation::run(&params);
         println!("{}", e7_ablation::table(&result).render_markdown());
     }

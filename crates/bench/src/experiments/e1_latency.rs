@@ -10,33 +10,27 @@ use super::{attach_ping_pair, stp_convergence_time};
 use arppath::ArpPathConfig;
 use arppath_host::{PingConfig, PingHost};
 use arppath_metrics::{LatencyStats, Table};
-use arppath_netfpga::NetFpgaParams;
 use arppath_netsim::{SimDuration, SimTime};
 use arppath_stp::StpConfig;
 use arppath_topo::{BridgeKind, Fig2, TopoBuilder};
 
-/// Parameters of one E1 run.
+/// Per-link propagation delays (µs) in Fig-2 wiring order.
+/// Heterogeneous delays: the minimum-latency A↔B route is
+/// NICA—NF2—NF3—NICB (1+2+1 µs); the NICA—NF1 and NICB—NF4 "short-cut
+/// looking" links are actually slow (5 µs).
+const LINK_DELAYS_US: [u64; 8] = [5, 1, 1, 1, 2, 1, 1, 5];
+
+/// Parameters of one E1 run. Every bridge runs in the NetFPGA pipeline
+/// model, the demo's configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct E1Params {
     /// Ping probes per configuration.
     pub probes: u64,
-    /// Per-link propagation delays (µs) in Fig-2 wiring order.
-    pub link_delays_us: [u64; 8],
-    /// Use the NetFPGA pipeline timing (the demo's configuration) or
-    /// the ideal model.
-    pub netfpga_timing: bool,
 }
 
 impl Default for E1Params {
     fn default() -> Self {
-        E1Params {
-            probes: 100,
-            // Heterogeneous delays: the minimum-latency A↔B route is
-            // NICA—NF2—NF3—NICB (1+2+1 µs); the NICA—NF1 and NICB—NF4
-            // "short-cut looking" links are actually slow (5 µs).
-            link_delays_us: [5, 1, 1, 1, 2, 1, 1, 5],
-            netfpga_timing: true,
-        }
+        E1Params { probes: 100 }
     }
 }
 
@@ -60,12 +54,12 @@ pub struct E1Result {
 
 fn run_one(kind: BridgeKind, params: &E1Params, root: Option<usize>) -> E1Row {
     let mut t = TopoBuilder::new(kind);
-    let fig = Fig2::build_with_delays(&mut t, &params.link_delays_us);
+    let fig = Fig2::build_with_delays(&mut t, &LINK_DELAYS_US);
     if let Some(r) = root {
         t.stp_priority(fig.all_bridges()[r], 0x1000);
     }
     let warmup = match kind {
-        BridgeKind::Stp(_) | BridgeKind::StpNetFpga(..) => stp_convergence_time(),
+        BridgeKind::StpNetFpga(_) => stp_convergence_time(),
         _ => SimDuration::millis(100),
     };
     let ping_cfg = PingConfig {
@@ -92,21 +86,10 @@ fn run_one(kind: BridgeKind, params: &E1Params, root: Option<usize>) -> E1Row {
 
 /// Run the full experiment.
 pub fn run(params: &E1Params) -> E1Result {
-    let ap_kind = if params.netfpga_timing {
-        BridgeKind::ArpPathNetFpga(ArpPathConfig::default(), NetFpgaParams::default())
-    } else {
-        BridgeKind::ArpPath(ArpPathConfig::default())
-    };
-    let stp_kind = |_: usize| {
-        if params.netfpga_timing {
-            BridgeKind::StpNetFpga(StpConfig::standard(), NetFpgaParams::default())
-        } else {
-            BridgeKind::Stp(StpConfig::standard())
-        }
-    };
-    let mut rows = vec![run_one(ap_kind, params, None)];
+    let mut rows =
+        vec![run_one(BridgeKind::ArpPathNetFpga(ArpPathConfig::default()), params, None)];
     for root in 0..6 {
-        rows.push(run_one(stp_kind(root), params, Some(root)));
+        rows.push(run_one(BridgeKind::StpNetFpga(StpConfig::default()), params, Some(root)));
     }
     E1Result { rows }
 }

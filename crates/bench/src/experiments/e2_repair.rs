@@ -12,7 +12,6 @@
 use arppath::ArpPathConfig;
 use arppath_host::{StreamClient, StreamClientConfig, StreamConfig, StreamServer};
 use arppath_metrics::Table;
-use arppath_netfpga::NetFpgaParams;
 use arppath_netsim::{SimDuration, SimTime};
 use arppath_stp::StpConfig;
 use arppath_topo::{fig3_topology, BridgeKind};
@@ -58,9 +57,10 @@ pub struct E2Params {
     /// use a larger divisor to keep wall-clock small; the shipped
     /// harness uses 1.
     pub stp_timer_divisor: u64,
-    /// A stall is a gap longer than this.
-    pub stall_threshold: SimDuration,
 }
+
+/// A stall is a gap longer than this.
+const STALL_THRESHOLD: SimDuration = SimDuration::millis(50);
 
 impl Default for E2Params {
     fn default() -> Self {
@@ -70,7 +70,6 @@ impl Default for E2Params {
             duration: SimDuration::secs(60),
             failures: [SimDuration::secs(10), SimDuration::secs(30)],
             stp_timer_divisor: 1,
-            stall_threshold: SimDuration::millis(50),
         }
     }
 }
@@ -105,20 +104,17 @@ pub struct E2Result {
 /// Run one variant.
 pub fn run_variant(variant: E2Variant, params: &E2Params) -> E2Row {
     let kind = match variant {
-        E2Variant::ArpPath => {
-            BridgeKind::ArpPathNetFpga(ArpPathConfig::default(), NetFpgaParams::default())
+        E2Variant::ArpPath => BridgeKind::ArpPathNetFpga(ArpPathConfig::default()),
+        E2Variant::ArpPathNoRepair => {
+            BridgeKind::ArpPathNetFpga(ArpPathConfig::default().without_repair())
         }
-        E2Variant::ArpPathNoRepair => BridgeKind::ArpPathNetFpga(
-            ArpPathConfig::default().without_repair(),
-            NetFpgaParams::default(),
-        ),
         E2Variant::Stp => {
             let cfg = if params.stp_timer_divisor > 1 {
                 StpConfig::scaled_down(params.stp_timer_divisor)
             } else {
-                StpConfig::standard()
+                StpConfig::default()
             };
-            BridgeKind::StpNetFpga(cfg, NetFpgaParams::default())
+            BridgeKind::StpNetFpga(cfg)
         }
     };
     let (mut t, fig) = fig3_topology(kind);
@@ -135,7 +131,7 @@ pub fn run_variant(variant: E2Variant, params: &E2Params) -> E2Row {
             let cfg = if params.stp_timer_divisor > 1 {
                 StpConfig::scaled_down(params.stp_timer_divisor)
             } else {
-                StpConfig::standard()
+                StpConfig::default()
             };
             SimDuration::nanos(cfg.forward_delay.as_nanos() * 2 + cfg.hello_time.as_nanos() * 4)
         }
@@ -193,7 +189,7 @@ pub fn run_variant(variant: E2Variant, params: &E2Params) -> E2Row {
                 .map(|&(t, _)| SimDuration::nanos(t - f.as_nanos()))
         })
         .collect();
-    let stalls = client.stalls_over(params.stall_threshold);
+    let stalls = client.stalls_over(STALL_THRESHOLD);
     E2Row {
         variant: variant.label(),
         sent,

@@ -11,7 +11,7 @@
 use super::{host_ip, host_mac};
 use arppath::{ArpPathBridge, ArpPathConfig};
 use arppath_metrics::Table;
-use arppath_netfpga::{NetFpgaParams, NetFpgaSwitch};
+use arppath_netfpga::{hardware_latency, NetFpgaSwitch};
 use arppath_netsim::{
     Ctx, Device, LinkParams, NetworkBuilder, PortNo, QueuePolicy, SimDuration, SimTime, TimerToken,
 };
@@ -20,18 +20,19 @@ use arppath_wire::{
 };
 use bytes::Bytes;
 
+/// Link rate under test: the NetFPGA-1G's ports.
+const BANDWIDTH_BPS: u64 = 1_000_000_000;
+
 /// Parameters of one E3 run.
 #[derive(Debug, Clone, Copy)]
 pub struct E3Params {
     /// Frames per size point.
     pub frames_per_size: u64,
-    /// Link rate under test.
-    pub bandwidth_bps: u64,
 }
 
 impl Default for E3Params {
     fn default() -> Self {
-        E3Params { frames_per_size: 2_000, bandwidth_bps: 1_000_000_000 }
+        E3Params { frames_per_size: 2_000 }
     }
 }
 
@@ -139,9 +140,8 @@ fn run_size(frame_len: usize, params: &E3Params) -> E3Row {
     // Ethernet header 14 + IP header 20 + payload = frame_len.
     let payload_len = frame_len - 14 - 20;
     let wire_bits = ((frame_len + WIRE_OVERHEAD) * 8) as u64;
-    let interval = SimDuration::nanos(wire_bits * 1_000_000_000 / params.bandwidth_bps);
+    let interval = SimDuration::nanos(wire_bits * 1_000_000_000 / BANDWIDTH_BPS);
 
-    let nf_params = NetFpgaParams::default();
     let src = host_mac(1);
     let dst = host_mac(2);
     let mut b = NetworkBuilder::new();
@@ -154,13 +154,15 @@ fn run_size(frame_len: usize, params: &E3Params) -> E3Row {
         sent: 0,
         interval,
     }));
-    let bridge = b.add(Box::new(NetFpgaSwitch::new(
-        ArpPathBridge::new("nf", MacAddr::from_index(2, 1), 2, ArpPathConfig::default()),
-        nf_params,
-    )));
+    let bridge = b.add(Box::new(NetFpgaSwitch::new(ArpPathBridge::new(
+        "nf",
+        MacAddr::from_index(2, 1),
+        2,
+        ArpPathConfig::default(),
+    ))));
     let rx = b.add(Box::new(Sink { name: "rx".into(), received: 0, first: None, last: None }));
     let lp = LinkParams {
-        bandwidth_bps: params.bandwidth_bps,
+        bandwidth_bps: BANDWIDTH_BPS,
         propagation: SimDuration::ZERO,
         queue: QueuePolicy::drop_tail(1 << 20),
         ..Default::default()
@@ -197,14 +199,14 @@ fn run_size(frame_len: usize, params: &E3Params) -> E3Row {
     // Rate over the inter-arrival span of n frames = n-1 intervals.
     let measured_pps =
         if span > 0 { (delivered.saturating_sub(1)) as f64 * 1e9 / span as f64 } else { 0.0 };
-    let theoretical_pps = params.bandwidth_bps as f64 / wire_bits as f64;
+    let theoretical_pps = BANDWIDTH_BPS as f64 / wire_bits as f64;
     E3Row {
         frame_len,
         offered: params.frames_per_size,
         delivered,
         theoretical_pps,
         measured_pps,
-        pipeline_latency_ns: nf_params.hardware_latency(frame_len).as_nanos(),
+        pipeline_latency_ns: hardware_latency(frame_len).as_nanos(),
     }
 }
 

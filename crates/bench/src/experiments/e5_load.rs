@@ -146,7 +146,7 @@ pub fn run(params: &E5Params) -> E5Result {
     let stp_cfg = if params.stp_timer_divisor > 1 {
         StpConfig::scaled_down(params.stp_timer_divisor)
     } else {
-        StpConfig::standard()
+        StpConfig::default()
     };
     E5Result {
         rows: vec![

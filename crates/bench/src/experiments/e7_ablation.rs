@@ -16,33 +16,29 @@ use super::attach_ping_pair;
 use arppath::ArpPathConfig;
 use arppath_host::{PingConfig, PingHost};
 use arppath_metrics::Table;
-use arppath_netfpga::NetFpgaParams;
 use arppath_netsim::{SimDuration, SimTime};
 use arppath_topo::{BridgeIx, BridgeKind, Fig2, TopoBuilder};
+
+/// Lock timer values to sweep (µs). The Fig-2 ARP RTT is ~20 µs; a
+/// 10 µs lock dies before the reply returns.
+const LOCK_US: [u64; 5] = [10, 50, 500, 50_000, 500_000];
+
+/// Hardware table capacities to sweep.
+const CAPACITIES: [usize; 4] = [2, 8, 64, 512];
+
+/// Extra host pairs for the capacity sweep (table pressure).
+const PRESSURE_PAIRS: u32 = 6;
 
 /// Parameters of the ablation sweeps.
 #[derive(Debug, Clone, Copy)]
 pub struct E7Params {
     /// Ping probes per configuration.
     pub probes: u64,
-    /// Lock timer values to sweep (µs).
-    pub lock_us: [u64; 5],
-    /// Hardware table capacities to sweep.
-    pub capacities: [usize; 4],
-    /// Extra host pairs for the capacity sweep (table pressure).
-    pub pressure_pairs: u32,
 }
 
 impl Default for E7Params {
     fn default() -> Self {
-        E7Params {
-            probes: 50,
-            // The Fig-2 ARP RTT is ~20 µs; a 10 µs lock dies before
-            // the reply returns.
-            lock_us: [10, 50, 500, 50_000, 500_000],
-            capacities: [2, 8, 64, 512],
-            pressure_pairs: 6,
-        }
+        E7Params { probes: 50 }
     }
 }
 
@@ -71,7 +67,7 @@ pub struct E7Result {
 }
 
 fn run_point(cfg: ArpPathConfig, label: String, probes: u64, pressure_pairs: u32) -> E7Row {
-    let mut t = TopoBuilder::new(BridgeKind::ArpPathNetFpga(cfg, NetFpgaParams::default()));
+    let mut t = TopoBuilder::new(BridgeKind::ArpPathNetFpga(cfg));
     let fig = Fig2::build(&mut t);
     let ping_cfg = PingConfig {
         start_at: SimDuration::millis(100),
@@ -118,13 +114,13 @@ fn run_point(cfg: ArpPathConfig, label: String, probes: u64, pressure_pairs: u32
 /// Run both sweeps.
 pub fn run(params: &E7Params) -> E7Result {
     let mut rows = Vec::new();
-    for &us in &params.lock_us {
+    for us in LOCK_US {
         let cfg = ArpPathConfig { lock_time: SimDuration::micros(us), ..Default::default() };
         rows.push(run_point(cfg, format!("lock={us}us"), params.probes, 0));
     }
-    for &cap in &params.capacities {
+    for cap in CAPACITIES {
         let cfg = ArpPathConfig::default().with_table_capacity(cap);
-        rows.push(run_point(cfg, format!("table={cap}"), params.probes, params.pressure_pairs));
+        rows.push(run_point(cfg, format!("table={cap}"), params.probes, PRESSURE_PAIRS));
     }
     E7Result { rows }
 }

@@ -27,6 +27,8 @@ fn malformed_arguments_exit_2_with_one_line_before_running_anything() {
         &["e8", "--shards"],
         &["e8", "--shards", "0"],
         &["difftest", "--seeds", "x"],
+        &["difftest", "--seeds", "0"],
+        &["difftest", "--seeds", "0", "--self-check"],
         &["difftest", "--bogus"],
         &["e1", "--quick", "--bogus-flag"],
         // Per-experiment knobs and modes that no longer exist.

@@ -16,7 +16,7 @@
 //!   locked chain back to `S`, promoting each lock to a long-lived
 //!   `Learnt` entry and simultaneously learning `D`'s direction.
 //! * **Data** — unicast frames follow `Learnt` entries; use refreshes
-//!   them (configurable).
+//!   them, as in the Linux/OpenFlow implementations.
 //! * **Other broadcast/multicast** — accepted only on the port that
 //!   heard the source's first broadcast (same race rule), flooded, but
 //!   never promoted to paths.
@@ -27,13 +27,13 @@
 //!   a `PathReply` (processed like an ARP Reply). Hosts see none of it.
 //!
 //! Edge-vs-core port classification uses one-hop `BridgeHello` beacons
-//! (see `arppath_wire::pathctl` and DESIGN.md §5 for why this is
-//! faithful to the paper's transparency claims).
+//! (see [`arppath_wire::pathctl`] for why this is faithful to the
+//! paper's transparency claims).
 
 use crate::config::ArpPathConfig;
 use crate::counters::ArpPathCounters;
 use crate::entry::{EntryState, PackedEntry, PathEntry, MAX_PORTS};
-use arppath_netsim::{Ctx, PortNo, SimTime, TimerToken};
+use arppath_netsim::{Ctx, PortNo, SimDuration, SimTime, TimerToken};
 use arppath_switch::{
     AgingMap, DLeftTable, DropReason, ProcessingClass, Slot, SwitchCounters, SwitchLogic,
 };
@@ -42,6 +42,17 @@ use std::net::Ipv4Addr;
 
 /// Timer cookie: periodic BridgeHello beacon.
 const TOKEN_HELLO: TimerToken = TimerToken(0x4150_1001);
+
+/// Interval between one-hop `BridgeHello` beacons used for core/edge
+/// port classification.
+const HELLO_INTERVAL: SimDuration = SimDuration::secs(1);
+
+/// How long after the last heard beacon a port is still considered
+/// core (survives a couple of lost hellos).
+const HELLO_HOLD: SimDuration = SimDuration::millis(3500);
+
+/// Lifetime of proxy IP→MAC cache entries.
+const PROXY_CACHE_TIME: SimDuration = SimDuration::secs(60);
 
 /// Where the path table sends a unicast frame ([`ArpPathBridge::next_hop`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,7 +344,7 @@ impl ArpPathBridge {
         if self.config.proxy {
             // Snoop the sender mapping for the proxy cache.
             if arp.sha.is_unicast() {
-                self.proxy_cache.insert(arp.spa, arp.sha, now + self.config.proxy_cache_time);
+                self.proxy_cache.insert(arp.spa, arp.sha, now + PROXY_CACHE_TIME);
             }
             // Answer locally iff we know the mapping *and* hold a live
             // confirmed path to the target — the ARP-Path + EtherProxy
@@ -370,7 +381,7 @@ impl ArpPathBridge {
     ) -> ProcessingClass {
         let now = ctx.now();
         if self.config.proxy && arp.sha.is_unicast() {
-            self.proxy_cache.insert(arp.spa, arp.sha, now + self.config.proxy_cache_time);
+            self.proxy_cache.insert(arp.spa, arp.sha, now + PROXY_CACHE_TIME);
         }
         // The replier D is reachable via the reply's ingress port.
         self.try_insert(frame.src, PathEntry::learnt(port), now + self.config.learn_time, now);
@@ -380,9 +391,9 @@ impl ArpPathBridge {
     /// The one unicast forwarding rule: where a frame toward `dst` that
     /// arrived on `ingress` goes. A hit pointing back out the ingress
     /// port is a bounce. A path-establishing frame (`establishing`:
-    /// ARP Reply, PathReply) promotes a `Locked` entry; it and — with
-    /// `refresh_on_data` — any other hit refresh a `Learnt` one (the
-    /// hardware hit-bit: one-way flows keep their path alive).
+    /// ARP Reply, PathReply) promotes a `Locked` entry; any hit
+    /// refreshes a `Learnt` one (the hardware hit-bit: one-way flows
+    /// keep their path alive).
     fn next_hop(
         &mut self,
         dst: MacAddr,
@@ -400,10 +411,8 @@ impl ArpPathBridge {
                 self.table.replace_at(slot, PathEntry::learnt(e.port).into(), learnt_expiry);
                 self.ap.promotions += 1;
             }
-            EntryState::Learnt if establishing || self.config.refresh_on_data => {
-                self.table.touch_at(slot, learnt_expiry);
-            }
-            _ => {}
+            EntryState::Learnt => self.table.touch_at(slot, learnt_expiry),
+            EntryState::Locked => {}
         }
         NextHop::Out(e.port)
     }
@@ -447,14 +456,12 @@ impl ArpPathBridge {
         frame: EthernetFrame,
         ctx: &mut Ctx,
     ) -> ProcessingClass {
-        if self.config.refresh_on_data {
-            // A frame from S on S's own entry port proves the path is
-            // in use: refresh confirmed entries.
-            let now = ctx.now();
-            if let Some((slot, e)) = self.probe(frame.src, now) {
-                if e.port == port && e.state == EntryState::Learnt {
-                    self.table.touch_at(slot, now + self.config.learn_time);
-                }
+        // A frame from S on S's own entry port proves the path is in
+        // use: refresh confirmed entries.
+        let now = ctx.now();
+        if let Some((slot, e)) = self.probe(frame.src, now) {
+            if e.port == port && e.state == EntryState::Learnt {
+                self.table.touch_at(slot, now + self.config.learn_time);
             }
         }
         self.forward_unicast(port, frame, false, ctx)
@@ -659,7 +666,7 @@ impl ArpPathBridge {
 
     fn handle_hello(&mut self, port: PortNo, ctx: &mut Ctx) {
         self.ap.hellos_rx += 1;
-        self.core_until[port.0] = ctx.now() + self.config.hello_hold;
+        self.core_until[port.0] = ctx.now() + HELLO_HOLD;
         self.counters.consumed += 1;
     }
 
@@ -693,7 +700,7 @@ impl SwitchLogic for ArpPathBridge {
 
     fn on_start(&mut self, ctx: &mut Ctx) {
         self.send_hellos(ctx);
-        ctx.schedule(self.config.hello_interval, TOKEN_HELLO);
+        ctx.schedule(HELLO_INTERVAL, TOKEN_HELLO);
     }
 
     fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) -> ProcessingClass {
@@ -730,7 +737,7 @@ impl SwitchLogic for ArpPathBridge {
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
         if token == TOKEN_HELLO {
             self.send_hellos(ctx);
-            ctx.schedule(self.config.hello_interval, TOKEN_HELLO);
+            ctx.schedule(HELLO_INTERVAL, TOKEN_HELLO);
         }
     }
 
@@ -1098,7 +1105,7 @@ mod tests {
         assert!(br.is_edge_port(PortNo(1), SimTime(0)));
         make_core(&mut br, 1, SimTime(0));
         assert!(br.is_core_port(PortNo(1), SimTime(1)));
-        let past_hold = SimTime(0) + ArpPathConfig::default().hello_hold + SimDuration::nanos(1);
+        let past_hold = SimTime(0) + HELLO_HOLD + SimDuration::nanos(1);
         assert!(br.is_edge_port(PortNo(1), past_hold), "core status must decay");
         assert_eq!(br.ap_counters().hellos_rx, 1);
     }

@@ -19,16 +19,6 @@ pub struct ArpPathConfig {
     pub lock_time: SimDuration,
     /// Lifetime of a `Learnt` (confirmed) entry; refreshed by use.
     pub learn_time: SimDuration,
-    /// Whether unicast data refreshes the source's `Learnt` entry —
-    /// keeps active flows' paths alive indefinitely (on by default, as
-    /// in the Linux/OpenFlow implementations).
-    pub refresh_on_data: bool,
-    /// Interval between one-hop `BridgeHello` beacons used for
-    /// core/edge port classification (DESIGN.md §5).
-    pub hello_interval: SimDuration,
-    /// How long after the last heard beacon a port is still considered
-    /// core (survives a couple of lost hellos).
-    pub hello_hold: SimDuration,
     /// Enable the PathFail/PathRequest/PathReply repair protocol
     /// (§2.1.4). Disabling it is the E7 ablation: failures then heal
     /// only by entry expiry.
@@ -38,8 +28,6 @@ pub struct ArpPathConfig {
     pub repair_hold: SimDuration,
     /// Enable the in-switch ARP proxy (§2.2 "Scalability", ref \[5\]).
     pub proxy: bool,
-    /// Lifetime of proxy IP→MAC cache entries.
-    pub proxy_cache_time: SimDuration,
     /// Optional hardware table capacity (entries). `None` models an
     /// unbounded software table; `Some(n)` models the NetFPGA's bounded
     /// SRAM table — when full, new locks are refused and the frame is
@@ -49,9 +37,9 @@ pub struct ArpPathConfig {
     /// log2 of d-left buckets per way for the path table's physical
     /// geometry (see `arppath_switch::dleft`). `None` derives it: from
     /// `table_capacity` when set (4× slot headroom over the capacity),
-    /// the library default otherwise. Deployments expecting many
-    /// stations (E8's fat-tree fabrics) set it from the host count,
-    /// the way a NetFPGA build sizes its BRAM for the target network.
+    /// the library default otherwise. `TopoBuilder` sets it from the
+    /// host count through
+    /// [`autosize_for_stations`](ArpPathConfig::autosize_for_stations).
     pub table_bucket_bits: Option<u32>,
 }
 
@@ -60,13 +48,9 @@ impl Default for ArpPathConfig {
         ArpPathConfig {
             lock_time: SimDuration::millis(500),
             learn_time: SimDuration::secs(120),
-            refresh_on_data: true,
-            hello_interval: SimDuration::secs(1),
-            hello_hold: SimDuration::millis(3500),
             repair: true,
             repair_hold: SimDuration::millis(100),
             proxy: false,
-            proxy_cache_time: SimDuration::secs(60),
             table_capacity: None,
             table_bucket_bits: None,
         }
@@ -92,13 +76,6 @@ impl ArpPathConfig {
         self
     }
 
-    /// Size the path table's physical geometry for an expected station
-    /// count (4× slot headroom; see `arppath_switch::bucket_bits_for`).
-    pub fn with_expected_stations(mut self, stations: usize) -> Self {
-        self.table_bucket_bits = Some(arppath_switch::bucket_bits_for(stations));
-        self
-    }
-
     /// Derive the physical geometry from a declared station count when
     /// neither [`table_bucket_bits`](ArpPathConfig::table_bucket_bits)
     /// nor [`table_capacity`](ArpPathConfig::table_capacity) was set
@@ -108,9 +85,7 @@ impl ArpPathConfig {
     ///
     /// `TopoBuilder` calls this at build time with the number of
     /// attached hosts — the way a NetFPGA build sizes its BRAM for the
-    /// target network — so fabric experiments no longer have to
-    /// remember [`with_expected_stations`](ArpPathConfig::with_expected_stations)
-    /// by hand.
+    /// target network — so fabric experiments never size it by hand.
     pub fn autosize_for_stations(mut self, stations: usize) -> Self {
         if self.table_bucket_bits.is_none() && self.table_capacity.is_none() {
             self.table_bucket_bits = Some(
@@ -155,7 +130,7 @@ mod tests {
     fn autosize_derives_only_when_nothing_is_explicit() {
         // Small fabrics keep the library default geometry (and thus the
         // exact pre-autosizing traces); big ones grow with the station
-        // count, matching what with_expected_stations would have set.
+        // count (4x slot headroom, `bucket_bits_for`).
         let small = ArpPathConfig::default().autosize_for_stations(2);
         assert_eq!(small.geometry_bits(), arppath_switch::dleft::DEFAULT_BUCKET_BITS);
         let big = ArpPathConfig::default().autosize_for_stations(10_000);
@@ -163,8 +138,11 @@ mod tests {
         assert!(big.geometry_bits() > small.geometry_bits());
 
         // Explicit knobs win: autosizing is a no-op on top of either.
-        let manual =
-            ArpPathConfig::default().with_expected_stations(64).autosize_for_stations(10_000);
+        let manual = ArpPathConfig {
+            table_bucket_bits: Some(arppath_switch::bucket_bits_for(64)),
+            ..ArpPathConfig::default()
+        }
+        .autosize_for_stations(10_000);
         assert_eq!(manual.geometry_bits(), arppath_switch::bucket_bits_for(64));
         let capped =
             ArpPathConfig::default().with_table_capacity(512).autosize_for_stations(10_000);

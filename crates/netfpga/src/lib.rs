@@ -33,50 +33,31 @@ use std::collections::BTreeMap;
 /// protocol crates in this workspace all use small constants).
 const WRAPPER_TOKEN_BIT: u64 = 1 << 63;
 
-/// Timing parameters of the card.
-#[derive(Debug, Clone, Copy)]
-pub struct NetFpgaParams {
-    /// Core clock (125 MHz on the NetFPGA-1G).
-    pub core_clock_hz: u64,
-    /// Datapath width in bytes per cycle (64-bit = 8).
-    pub datapath_bytes_per_cycle: u64,
-    /// Fixed pipeline cost in cycles: input arbiter hand-off, the
-    /// output-port-lookup stage (including the table lookup), and
-    /// output-queue insertion.
-    pub fixed_pipeline_cycles: u64,
-    /// One-way cost of punting a frame to the host CPU and acting on
-    /// its verdict: PCI/DMA transfer, interrupt, kernel, process.
-    pub software_exception_latency: SimDuration,
-}
+/// Core clock (125 MHz on the NetFPGA-1G).
+const CORE_CLOCK_HZ: u64 = 125_000_000;
 
-impl Default for NetFpgaParams {
-    fn default() -> Self {
-        NetFpgaParams {
-            core_clock_hz: 125_000_000,
-            datapath_bytes_per_cycle: 8,
-            // ~40 cycles ≈ 320 ns of register stages — the ballpark the
-            // reference switch reports.
-            fixed_pipeline_cycles: 40,
-            // Tens of microseconds is what a PCI round trip plus kernel
-            // scheduling cost on the demo-era hosts.
-            software_exception_latency: SimDuration::micros(60),
-        }
-    }
-}
+/// Datapath width in bytes per cycle (64-bit = 8).
+const DATAPATH_BYTES_PER_CYCLE: u64 = 8;
 
-impl NetFpgaParams {
-    /// Nanoseconds per core cycle.
-    fn cycle_ns(&self) -> f64 {
-        1e9 / self.core_clock_hz as f64
-    }
+/// Fixed pipeline cost in cycles: input arbiter hand-off, the
+/// output-port-lookup stage (including the table lookup), and
+/// output-queue insertion. ~40 cycles ≈ 320 ns of register stages — the
+/// ballpark the reference switch reports.
+const FIXED_PIPELINE_CYCLES: u64 = 40;
 
-    /// Hardware pipeline latency for a frame of `len` bytes: fixed
-    /// stages plus the datapath walk.
-    pub fn hardware_latency(&self, len: usize) -> SimDuration {
-        let walk_cycles = (len as u64).div_ceil(self.datapath_bytes_per_cycle);
-        let cycles = self.fixed_pipeline_cycles + walk_cycles;
-        SimDuration::nanos((cycles as f64 * self.cycle_ns()).round() as u64)
-    }
+/// One-way cost of punting a frame to the host CPU and acting on its
+/// verdict: PCI/DMA transfer, interrupt, kernel, process. Tens of
+/// microseconds is what a PCI round trip plus kernel scheduling cost on
+/// the demo-era hosts.
+const SOFTWARE_EXCEPTION_LATENCY: SimDuration = SimDuration::micros(60);
+
+/// Hardware pipeline latency for a frame of `len` bytes: fixed stages
+/// plus the datapath walk.
+pub fn hardware_latency(len: usize) -> SimDuration {
+    let cycle_ns = 1e9 / CORE_CLOCK_HZ as f64;
+    let walk_cycles = (len as u64).div_ceil(DATAPATH_BYTES_PER_CYCLE);
+    let cycles = FIXED_PIPELINE_CYCLES + walk_cycles;
+    SimDuration::nanos((cycles as f64 * cycle_ns).round() as u64)
 }
 
 /// Per-card counters.
@@ -94,7 +75,6 @@ pub struct NetFpgaCounters {
 /// A NetFPGA card running `logic` in its lookup stage.
 pub struct NetFpgaSwitch<L: SwitchLogic> {
     logic: L,
-    params: NetFpgaParams,
     /// Frames decided but still "in the pipeline": token → the sends
     /// held back.
     pending: BTreeMap<u64, Vec<Command>>,
@@ -105,11 +85,10 @@ pub struct NetFpgaSwitch<L: SwitchLogic> {
 }
 
 impl<L: SwitchLogic> NetFpgaSwitch<L> {
-    /// Put `logic` onto a card with `params`.
-    pub fn new(logic: L, params: NetFpgaParams) -> Self {
+    /// Put `logic` onto a card.
+    pub fn new(logic: L) -> Self {
         NetFpgaSwitch {
             logic,
-            params,
             pending: BTreeMap::new(),
             next_token: 0,
             cpu_busy_until: SimTime::ZERO,
@@ -122,19 +101,9 @@ impl<L: SwitchLogic> NetFpgaSwitch<L> {
         &self.logic
     }
 
-    /// Mutable access to the decision plane.
-    pub fn logic_mut(&mut self) -> &mut L {
-        &mut self.logic
-    }
-
     /// Card counters.
     pub fn nf_counters(&self) -> NetFpgaCounters {
         self.counters
-    }
-
-    /// The card's timing parameters.
-    pub fn params(&self) -> NetFpgaParams {
-        self.params
     }
 
     /// Release `outputs` (the sends a frame's decision produced) after
@@ -147,7 +116,7 @@ impl<L: SwitchLogic> NetFpgaSwitch<L> {
         ctx: &mut Ctx,
     ) {
         let now = ctx.now();
-        let hw = self.params.hardware_latency(frame_len);
+        let hw = hardware_latency(frame_len);
         let release_at = match class {
             ProcessingClass::Hardware => {
                 self.counters.hw_frames += 1;
@@ -158,7 +127,7 @@ impl<L: SwitchLogic> NetFpgaSwitch<L> {
                 // The CPU is a FIFO server: exceptions queue behind the
                 // one in service.
                 let start = self.cpu_busy_until.max(now + hw);
-                let done = start + self.params.software_exception_latency;
+                let done = start + SOFTWARE_EXCEPTION_LATENCY;
                 self.cpu_busy_until = done;
                 self.counters.sw_queueing_ns += (start - (now + hw)).as_nanos();
                 done
@@ -280,23 +249,22 @@ mod tests {
 
     #[test]
     fn hardware_latency_math() {
-        let p = NetFpgaParams::default();
         // 60-byte frame: 40 fixed + ceil(60/8)=8 cycles = 48 cycles @ 8 ns.
-        assert_eq!(p.hardware_latency(60), SimDuration::nanos(384));
+        assert_eq!(hardware_latency(60), SimDuration::nanos(384));
         // 1514-byte frame: 40 + 190 = 230 cycles.
-        assert_eq!(p.hardware_latency(1514), SimDuration::nanos(1840));
+        assert_eq!(hardware_latency(1514), SimDuration::nanos(1840));
     }
 
     #[test]
     fn pipeline_adds_hardware_latency_to_forwarding() {
         // Learning switch on a card between two stations.
-        let params = NetFpgaParams::default();
         let mut b = NetworkBuilder::new();
         let tx = b.add(Box::new(OneShot { name: "tx".into(), frame: Some(arp_broadcast()) }));
-        let card = b.add(Box::new(NetFpgaSwitch::new(
-            LearningSwitch::new("nf", 2, LearningConfig::default()),
-            params,
-        )));
+        let card = b.add(Box::new(NetFpgaSwitch::new(LearningSwitch::new(
+            "nf",
+            2,
+            LearningConfig::default(),
+        ))));
         let rx = b.add(Box::new(Probe { name: "rx".into(), heard: Vec::new() }));
         let lp = LinkParams { propagation: SimDuration::ZERO, ..Default::default() };
         b.link(tx, 0, card, 0, lp);
@@ -315,7 +283,6 @@ mod tests {
     #[test]
     fn control_messages_pay_the_software_path() {
         // An ARP-Path bridge consumes a BridgeHello: software class.
-        let params = NetFpgaParams::default();
         let hello_frame = {
             use arppath_wire::PathCtl;
             let ctl = PathCtl::hello(MacAddr::from_index(2, 9), 1);
@@ -323,10 +290,12 @@ mod tests {
         };
         let mut b = NetworkBuilder::new();
         let tx = b.add(Box::new(OneShot { name: "tx".into(), frame: Some(hello_frame) }));
-        let card = b.add(Box::new(NetFpgaSwitch::new(
-            ArpPathBridge::new("nf", MacAddr::from_index(2, 1), 2, ArpPathConfig::default()),
-            params,
-        )));
+        let card = b.add(Box::new(NetFpgaSwitch::new(ArpPathBridge::new(
+            "nf",
+            MacAddr::from_index(2, 1),
+            2,
+            ArpPathConfig::default(),
+        ))));
         let lp = LinkParams { propagation: SimDuration::ZERO, ..Default::default() };
         b.link(tx, 0, card, 0, lp);
         let mut net = b.build();
@@ -340,9 +309,7 @@ mod tests {
     fn cpu_serializes_back_to_back_exceptions() {
         // Two control frames arriving at the same instant: the second
         // waits for the first's CPU service.
-        let params = NetFpgaParams::default();
-        let mut card =
-            NetFpgaSwitch::new(LearningSwitch::new("nf", 2, LearningConfig::default()), params);
+        let mut card = NetFpgaSwitch::new(LearningSwitch::new("nf", 2, LearningConfig::default()));
         let ports = [true, true];
         let mut cmds = Vec::new();
         let mut ctx = Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds);
@@ -360,7 +327,7 @@ mod tests {
             .collect();
         assert_eq!(delays.len(), 2);
         assert!(delays[1] > delays[0]);
-        assert_eq!(delays[1] - delays[0], params.software_exception_latency.as_nanos());
+        assert_eq!(delays[1] - delays[0], SOFTWARE_EXCEPTION_LATENCY.as_nanos());
     }
 
     #[test]
@@ -375,7 +342,7 @@ mod tests {
             let mut b = NetworkBuilder::new();
             let tx = b.add(Box::new(OneShot { name: "tx".into(), frame: Some(arp_broadcast()) }));
             let card: NodeId = if use_nf {
-                b.add(Box::new(NetFpgaSwitch::new(mk_logic(), NetFpgaParams::default())))
+                b.add(Box::new(NetFpgaSwitch::new(mk_logic())))
             } else {
                 b.add(Box::new(IdealSwitch::new(mk_logic())))
             };

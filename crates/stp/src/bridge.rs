@@ -27,6 +27,12 @@ const TOKEN_HELLO: TimerToken = TimerToken(0x5354_5001);
 /// Timer cookie: housekeeping tick (age expiry, state transitions).
 const TOKEN_TICK: TimerToken = TimerToken(0x5354_5002);
 
+/// Cost contributed by each port (4 = 1 Gbit/s in 802.1D-1998).
+const PORT_PATH_COST: u32 = 4;
+
+/// Normal FIB aging (802.1D: 300 s).
+const AGING_TIME: SimDuration = SimDuration::secs(300);
+
 /// Spanning-tree and data-plane configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct StpConfig {
@@ -39,10 +45,6 @@ pub struct StpConfig {
     pub max_age: SimDuration,
     /// Time spent in each of Listening and Learning (15 s).
     pub forward_delay: SimDuration,
-    /// Cost contributed by each port (4 = 1 Gbit/s in 802.1D-1998).
-    pub port_path_cost: u32,
-    /// Normal FIB aging (300 s).
-    pub aging_time: SimDuration,
     /// Housekeeping granularity.
     pub tick: SimDuration,
     /// Added to message age on each relay hop, in 1/256 s units
@@ -50,6 +52,7 @@ pub struct StpConfig {
     pub message_age_increment: u16,
 }
 
+/// The standard 802.1D timer profile.
 impl Default for StpConfig {
     fn default() -> Self {
         StpConfig {
@@ -57,8 +60,6 @@ impl Default for StpConfig {
             hello_time: SimDuration::secs(2),
             max_age: SimDuration::secs(20),
             forward_delay: SimDuration::secs(15),
-            port_path_cost: 4,
-            aging_time: SimDuration::secs(300),
             tick: SimDuration::millis(50),
             message_age_increment: 256,
         }
@@ -66,11 +67,6 @@ impl Default for StpConfig {
 }
 
 impl StpConfig {
-    /// The standard 802.1D timer profile.
-    pub fn standard() -> Self {
-        Self::default()
-    }
-
     /// A profile with every protocol timer divided by `factor` —
     /// used by unit tests to converge quickly. The *ratios* between
     /// hello/max-age/forward-delay (1:10:7.5) are preserved, so the
@@ -225,7 +221,7 @@ impl StpBridge {
         }
         Some((
             port.designated_root,
-            port.designated_cost.saturating_add(self.config.port_path_cost),
+            port.designated_cost.saturating_add(PORT_PATH_COST),
             port.designated_bridge,
             port.designated_port,
             Self::port_id_of(p),
@@ -349,7 +345,7 @@ impl StpBridge {
         if self.tc_received || self.tc_while.is_some() || self.tcn_pending {
             self.config.forward_delay
         } else {
-            self.config.aging_time
+            AGING_TIME
         }
     }
 

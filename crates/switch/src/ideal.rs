@@ -30,11 +30,6 @@ impl<L: SwitchLogic> IdealSwitch<L> {
     pub fn logic(&self) -> &L {
         &self.logic
     }
-
-    /// Mutable access to the decision plane (test configuration).
-    pub fn logic_mut(&mut self) -> &mut L {
-        &mut self.logic
-    }
 }
 
 impl<L: SwitchLogic> Device for IdealSwitch<L> {

@@ -17,27 +17,11 @@ use arppath_wire::{EthernetFrame, MacAddr};
 pub struct LearningConfig {
     /// Aging time of learned entries (802.1D default: 300 s).
     pub aging_time: SimDuration,
-    /// log2 of d-left buckets per way for the FIB's physical geometry
-    /// (see [`crate::dleft`]). `None` takes the library default
-    /// (512 slots, comfortable to ~128 stations); deployments
-    /// expecting more stations size it with
-    /// [`LearningConfig::with_expected_stations`], or watch
-    /// [`LearningSwitch::fib_evictions`] for silent overflow.
-    pub table_bucket_bits: Option<u32>,
 }
 
 impl Default for LearningConfig {
     fn default() -> Self {
-        LearningConfig { aging_time: SimDuration::secs(300), table_bucket_bits: None }
-    }
-}
-
-impl LearningConfig {
-    /// Size the FIB's physical geometry for an expected station count
-    /// (4× slot headroom; see [`crate::bucket_bits_for`]).
-    pub fn with_expected_stations(mut self, stations: usize) -> Self {
-        self.table_bucket_bits = Some(crate::dleft::bucket_bits_for(stations));
-        self
+        LearningConfig { aging_time: SimDuration::secs(300) }
     }
 }
 
@@ -47,7 +31,9 @@ pub struct LearningSwitch {
     num_ports: usize,
     config: LearningConfig,
     /// MAC → port, aged — the hardware-shaped d-left FIB (the paper's
-    /// learning bridges use the same NetFPGA table as ARP-Path).
+    /// learning bridges use the same NetFPGA table as ARP-Path), at the
+    /// library default geometry (512 slots, comfortable to ~128
+    /// stations).
     fib: DLeftTable<MacAddr, PortNo>,
     counters: SwitchCounters,
 }
@@ -55,12 +41,11 @@ pub struct LearningSwitch {
 impl LearningSwitch {
     /// Create a switch with `num_ports` ports.
     pub fn new(name: impl Into<String>, num_ports: usize, config: LearningConfig) -> Self {
-        let bits = config.table_bucket_bits.unwrap_or(crate::dleft::DEFAULT_BUCKET_BITS);
         LearningSwitch {
             name: name.into(),
             num_ports,
             config,
-            fib: DLeftTable::with_bucket_bits(bits),
+            fib: DLeftTable::new(),
             counters: SwitchCounters::default(),
         }
     }
@@ -85,14 +70,6 @@ impl LearningSwitch {
     /// Forget everything learned on `port` (cable pulled).
     pub fn flush_port(&mut self, port: PortNo) {
         self.fib.retain(|_, &p| p != port);
-    }
-
-    /// FIB bucket-overflow evictions — nonzero means the fabric holds
-    /// more stations than the configured geometry and the switch is
-    /// silently forgetting live entries; resize with
-    /// [`LearningConfig::with_expected_stations`].
-    pub fn fib_evictions(&self) -> u64 {
-        self.fib.evictions()
     }
 }
 
@@ -206,7 +183,7 @@ mod tests {
 
     #[test]
     fn entries_age_out_back_to_flooding() {
-        let cfg = LearningConfig { aging_time: SimDuration::millis(1), ..Default::default() };
+        let cfg = LearningConfig { aging_time: SimDuration::millis(1) };
         let mut sw = LearningSwitch::new("sw", 3, cfg);
         run_frame(&mut sw, 0, frame(mac(1), mac(2)), SimTime::ZERO);
         let now = SimTime::ZERO + SimDuration::millis(2);

@@ -10,7 +10,7 @@
 
 use crate::partition::Partition;
 use arppath::{ArpPathBridge, ArpPathConfig};
-use arppath_netfpga::{NetFpgaParams, NetFpgaSwitch};
+use arppath_netfpga::NetFpgaSwitch;
 use arppath_netsim::{
     Device, Engine, LinkId, LinkParams, Network, NetworkBuilder, NodeId, PauseWatchdog,
     QueuePolicy, ShardedBuilder, ShardedNetwork, Tracer,
@@ -27,11 +27,11 @@ pub enum BridgeKind {
     ArpPath(ArpPathConfig),
     /// ARP-Path logic inside the NetFPGA pipeline model — the paper's
     /// actual demo configuration.
-    ArpPathNetFpga(ArpPathConfig, NetFpgaParams),
+    ArpPathNetFpga(ArpPathConfig),
     /// 802.1D STP baseline under the ideal model.
     Stp(StpConfig),
     /// 802.1D STP baseline inside the NetFPGA pipeline model.
-    StpNetFpga(StpConfig, NetFpgaParams),
+    StpNetFpga(StpConfig),
     /// Plain learning switch (no loop protection!) — the storm foil.
     Learning(LearningConfig),
 }
@@ -163,14 +163,14 @@ impl TopoBuilder {
         let n = self.bridge_names.len();
         // ARP-Path kinds with no explicit table geometry get one derived
         // from the declared host count — the builder knows exactly how
-        // many stations the fabric will learn, so nobody has to
-        // remember `with_expected_stations` when scaling a topology up.
+        // many stations the fabric will learn, so nobody sizes it by
+        // hand when scaling a topology up.
         let kind = match self.kind {
             BridgeKind::ArpPath(cfg) => {
                 BridgeKind::ArpPath(cfg.autosize_for_stations(self.hosts.len()))
             }
-            BridgeKind::ArpPathNetFpga(cfg, nf) => {
-                BridgeKind::ArpPathNetFpga(cfg.autosize_for_stations(self.hosts.len()), nf)
+            BridgeKind::ArpPathNetFpga(cfg) => {
+                BridgeKind::ArpPathNetFpga(cfg.autosize_for_stations(self.hosts.len()))
             }
             other => other,
         };
@@ -339,8 +339,8 @@ fn make_bridge(
         BridgeKind::ArpPath(cfg) => {
             Box::new(IdealSwitch::new(ArpPathBridge::new(name, mac, ports, cfg)))
         }
-        BridgeKind::ArpPathNetFpga(cfg, nf) => {
-            Box::new(NetFpgaSwitch::new(ArpPathBridge::new(name, mac, ports, cfg), nf))
+        BridgeKind::ArpPathNetFpga(cfg) => {
+            Box::new(NetFpgaSwitch::new(ArpPathBridge::new(name, mac, ports, cfg)))
         }
         BridgeKind::Stp(mut cfg) => {
             if let Some(p) = priority {
@@ -348,11 +348,11 @@ fn make_bridge(
             }
             Box::new(IdealSwitch::new(StpBridge::new(name, mac, ports, cfg)))
         }
-        BridgeKind::StpNetFpga(mut cfg, nf) => {
+        BridgeKind::StpNetFpga(mut cfg) => {
             if let Some(p) = priority {
                 cfg.bridge_priority = p;
             }
-            Box::new(NetFpgaSwitch::new(StpBridge::new(name, mac, ports, cfg), nf))
+            Box::new(NetFpgaSwitch::new(StpBridge::new(name, mac, ports, cfg)))
         }
         BridgeKind::Learning(cfg) => {
             Box::new(IdealSwitch::new(LearningSwitch::new(name, ports, cfg)))

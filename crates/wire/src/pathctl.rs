@@ -6,8 +6,8 @@
 //! 0x88B5): unmodified hosts drop them silently, preserving the
 //! protocol's transparency guarantee.
 //!
-//! A fourth message, `BridgeHello`, is our documented realization detail
-//! (DESIGN.md §5): a one-hop periodic beacon that lets a bridge classify
+//! A fourth message, `BridgeHello`, is our documented realization
+//! detail: a one-hop periodic beacon that lets a bridge classify
 //! each port as *core* (another ARP-Path bridge answers) or *edge*
 //! (hosts only). Edge knowledge is what lets the source edge bridge
 //! convert a `PathFail` into a flooded `PathRequest`, and the destination

@@ -63,7 +63,7 @@ fn main() {
     println!("  {label:<16} {ap:7.2} us   <- the race's choice");
     for root in 0..6 {
         let (label, rtt) = run_once(
-            BridgeKind::Stp(StpConfig::standard()),
+            BridgeKind::Stp(StpConfig::default()),
             Some(root),
             SimDuration::secs(35), // let the tree converge
         );

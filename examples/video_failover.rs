@@ -9,7 +9,6 @@
 
 use arppath::ArpPathConfig;
 use arppath_host::{StreamClient, StreamClientConfig, StreamConfig, StreamServer};
-use arppath_netfpga::NetFpgaParams;
 use arppath_netsim::{SimDuration, SimTime};
 use arppath_topo::{fig3_topology, BridgeIx, BridgeKind};
 use arppath_wire::MacAddr;
@@ -18,7 +17,7 @@ use std::net::Ipv4Addr;
 fn main() {
     // The paper's demo configuration: ARP-Path inside the NetFPGA
     // pipeline model.
-    let kind = BridgeKind::ArpPathNetFpga(ArpPathConfig::default(), NetFpgaParams::default());
+    let kind = BridgeKind::ArpPathNetFpga(ArpPathConfig::default());
     let (mut t, fig) = fig3_topology(kind);
 
     let ip_a = Ipv4Addr::new(10, 0, 0, 1);

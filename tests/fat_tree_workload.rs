@@ -169,9 +169,8 @@ fn default_seed_paths_are_canonical() {
 }
 
 /// The builder-derived d-left geometry (TopoBuilder autosizes ARP-Path
-/// tables from the declared host count — no manual
-/// `with_expected_stations` anywhere in the E8/E9 scenarios anymore)
-/// must absorb the full station load of the default fabric with zero
+/// tables from the declared host count; no E8/E9 scenario sizes one
+/// by hand) must absorb the full station load of the default fabric with zero
 /// bucket-overflow evictions and keep the 4× slot headroom contract.
 #[test]
 fn autosized_tables_fit_the_fabric_with_zero_evictions() {

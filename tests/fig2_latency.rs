@@ -8,7 +8,7 @@ use arppath_bench::experiments::e1_latency::{run, verify_headline, E1Params};
 #[test]
 fn arppath_beats_or_matches_every_stp_root() {
     // Small probe count (CI time); the full harness uses 100.
-    let params = E1Params { probes: 10, ..Default::default() };
+    let params = E1Params { probes: 10 };
     let mut result = run(&params);
     assert_eq!(result.rows.len(), 7, "arp-path + 6 root placements");
     for row in &result.rows {
@@ -28,7 +28,7 @@ fn arppath_beats_or_matches_every_stp_root() {
 
 #[test]
 fn arppath_rtt_is_close_to_physical_minimum() {
-    let params = E1Params { probes: 10, ..Default::default() };
+    let params = E1Params { probes: 10 };
     let mut result = run(&params);
     let ap = &mut result.rows[0];
     // Physical floor on the fastest route (NICA—NF2—NF3—NICB):

@@ -13,7 +13,6 @@ fn quick_params() -> E2Params {
         duration: SimDuration::secs(10),
         failures: [SimDuration::secs(3), SimDuration::secs(6)],
         stp_timer_divisor: 20, // fwd delay 750 ms
-        stall_threshold: SimDuration::millis(50),
     }
 }
 
