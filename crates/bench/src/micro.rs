@@ -37,7 +37,8 @@ pub struct Guard {
 /// The guards `repro micro` enforces.
 pub const GUARDS: [Guard; 4] = [
     // The calendar queue stays only while it beats a `BinaryHeap` on
-    // the measured `k16_perm` flood schedule (ROADMAP 1(a)).
+    // the measured `k16_perm` flood schedule (BASELINES.md, "Scheduler
+    // verdict").
     Guard { key: "calq_dense_ns", max_ratio: 1.0, baseline: "heap_dense_ns" },
     // Hit-then-refresh through one probe stays >= 1.3x faster than
     // through two key walks (1 / 1.3 = 0.77).
@@ -262,7 +263,7 @@ fn calq_dense() -> DenseChurn<CalendarQueue<DensePayload>> {
 
 /// The dense schedule on a `BinaryHeap` with the engine's same-instant
 /// pop loop — the boring scheduler the calendar queue has to beat on
-/// this schedule to stay (ROADMAP 1(a)).
+/// this schedule to stay (BASELINES.md, "Scheduler verdict").
 fn heap_dense() -> DenseChurn<BinaryHeap<Reverse<ByOrd>>> {
     DenseChurn::new(BinaryHeap::new(), SimTime(64))
 }

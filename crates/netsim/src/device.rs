@@ -56,6 +56,18 @@ impl Command {
     }
 }
 
+/// A flood the engine's [`Ctx`] logged instead of expanding into one
+/// [`Command::Send`] per port: the engine fans it out itself, with the
+/// frame lent to every copy (see `Network::fan_out`).
+#[derive(Debug)]
+pub(crate) struct Flood {
+    /// Commands issued before the flood: its copies go out after
+    /// exactly these and before the next.
+    pub(crate) at: usize,
+    pub(crate) frame: EthernetFrame,
+    pub(crate) except: PortNo,
+}
+
 /// Per-callback context handed to devices: the clock, link state, and a
 /// command sink.
 pub struct Ctx<'a> {
@@ -63,6 +75,9 @@ pub struct Ctx<'a> {
     node: NodeId,
     ports_up: &'a [bool],
     commands: &'a mut Vec<Command>,
+    /// The engine's flood log; `None` under [`Ctx::new`], whose floods
+    /// are `Send`s in `commands`.
+    floods: Option<&'a mut Vec<Flood>>,
 }
 
 impl<'a> Ctx<'a> {
@@ -75,7 +90,18 @@ impl<'a> Ctx<'a> {
         ports_up: &'a [bool],
         commands: &'a mut Vec<Command>,
     ) -> Self {
-        Ctx { now, node, ports_up, commands }
+        Ctx { now, node, ports_up, commands, floods: None }
+    }
+
+    /// The engine's context: floods go to `floods`, one entry each.
+    pub(crate) fn with_flood_log(
+        now: SimTime,
+        node: NodeId,
+        ports_up: &'a [bool],
+        commands: &'a mut Vec<Command>,
+        floods: &'a mut Vec<Flood>,
+    ) -> Self {
+        Ctx { now, node, ports_up, commands, floods: Some(floods) }
     }
 
     /// The current simulated instant.
@@ -110,7 +136,20 @@ impl<'a> Ctx<'a> {
     /// Transmit a copy of `frame` out of every up port except `except`,
     /// in port order — the flood primitive. Returns how many copies
     /// were queued.
+    ///
+    /// A context built with [`Ctx::new`] queues one [`Command::Send`]
+    /// per copy. The engine's own context logs the flood once instead
+    /// and sends the copies itself, in the same order relative to the
+    /// other commands.
     pub fn flood(&mut self, frame: &EthernetFrame, except: PortNo) -> usize {
+        if let Some(floods) = self.floods.as_deref_mut() {
+            let copies =
+                self.ports_up.iter().enumerate().filter(|&(p, &up)| up && p != except.0).count();
+            if copies > 0 {
+                floods.push(Flood { at: self.commands.len(), frame: frame.clone(), except });
+            }
+            return copies;
+        }
         let before = self.commands.len();
         for p in 0..self.ports_up.len() {
             if p != except.0 && self.ports_up[p] {
@@ -128,7 +167,9 @@ impl<'a> Ctx<'a> {
     /// The port-state slice and the command buffer themselves, for a
     /// device that lends an inner [`Ctx`] over a buffer of its own (a
     /// timing wrapper holding a decision's sends back) or moves held
-    /// commands into the engine's buffer.
+    /// commands into the engine's buffer. Append to the buffer only:
+    /// the engine places each logged flood by how many commands
+    /// preceded it.
     pub fn parts(&mut self) -> (&[bool], &mut Vec<Command>) {
         (self.ports_up, self.commands)
     }

@@ -32,16 +32,18 @@
 //! cannot borrow the engine, so their side effects are *deferred
 //! commands*: each dispatch lends the device one reused scratch vector,
 //! and the engine applies the commands (sends, timer schedules)
-//! immediately after the callback returns — a flood out of N ports is
-//! N commands in that one buffer. A frame hop allocates nothing after
-//! warm-up, for two reasons: the scratch vector, the batch buffer and
+//! immediately after the callback returns. A flood is not N commands:
+//! the engine's [`Ctx`] logs it once, in a second reused buffer, and
+//! the engine fans it out itself (see *Flood fan-out* below). A frame
+//! hop allocates nothing after warm-up, for two reasons: the scratch
+//! vector, the flood log, the fan target lists, the batch buffer and
 //! the scheduler's bucket storage are each owned once and recycled (the
 //! calendar shelves a drained bucket's `Vec` and hands it to the next
 //! bucket that opens — see [`crate::calq`]); and the callback writes
-//! where the engine reads ([`Ctx::parts`] lets a wrapper such as
-//! `arppath_switch::IdealSwitch` point its decision plane at the
-//! scratch vector itself, so there is no second output list to grow
-//! and copy, and no snapshot of the port states).
+//! where the engine reads (a wrapper such as
+//! `arppath_switch::IdealSwitch` hands the engine's own [`Ctx`] to its
+//! decision plane, so there is no second output list to grow and copy,
+//! and no snapshot of the port states).
 //! `crates/switch/tests/ideal_alloc.rs` counts allocations per frame at
 //! the device and at the fabric level; what a flooding run still
 //! allocates is per host, not per hop — datagram building and first
@@ -82,6 +84,36 @@
 //! Nothing happens "between" events, which is what makes runs
 //! reproducible and what lets the sharded engine ([`crate::sharded`])
 //! cut the graph at link boundaries.
+//!
+//! # Flood fan-out
+//!
+//! Most deliveries of a flooding run are flood copies bound for hosts.
+//! The engine fans a logged flood out port by port, in port order,
+//! through the ordinary send path with the frame lent: `Sent` records,
+//! counters, and the queueing of an owned clone on a busy or paused
+//! link are exactly what N `Send`s would have produced. A copy that
+//! starts transmitting toward a device with exactly one cabled port is
+//! set aside, and the set-aside copies that arrive in the same instant
+//! become one `Fan` event. It carries the frame once, sorts at its
+//! smallest target wire key, and runs the ordinary per-delivery code
+//! for each target in wire-key order. `NetworkStats::events` still
+//! counts one per delivery.
+//!
+//! This is exact. A single-port device has one link and one direction
+//! into it, and two frames on one direction arrive at least one
+//! serialization time apart, so it receives at most one arrival per
+//! instant, and its delivery commutes with every other arrival of that
+//! instant. Every device sees the same callbacks in the same order, and
+//! the sorted delivery trace is unchanged; only the emission order of
+//! `Delivered` records of *different* devices within one instant can
+//! change, which is what a raw tracer (a pcap writer) sees. Copies that
+//! take no line time keep their own event, since the one-arrival
+//! argument needs serialization; the engine's own sends (PFC pause and
+//! resume) and frames started from a queue are never fanned. One corner
+//! is outside the argument: a harness `inject`/`inject_at` into a
+//! fanned device's cabled port at the very instant a fan copy lands
+//! there. The sharded engine's ingress never does that, because a cut
+//! link's receiving end is never the target of a local transmission.
 //!
 //! # Example
 //!
@@ -130,7 +162,7 @@
 //! ```
 
 use crate::calq::CalendarQueue;
-use crate::device::{Command, Ctx, Device, NodeId, PortNo, TimerToken};
+use crate::device::{Command, Ctx, Device, Flood, NodeId, PortNo, TimerToken};
 use crate::link::{Admission, Dir, DirStats, Endpoint, Link, LinkId, LinkParams, PauseWatchdog};
 use crate::pfc::{self, PfcOp};
 use crate::time::{SimDuration, SimTime};
@@ -152,6 +184,13 @@ enum EventKind {
     TxDone { link: LinkId, dir: Dir, epoch: u64 },
     /// The last bit of `frame` reached the far end of `link`/`dir`.
     Deliver { link: LinkId, dir: Dir, epoch: u64, frame: EthernetFrame },
+    /// Copies of one flood reached several single-port devices in the
+    /// same instant: one `Deliver` per target in `Network::fan_lists
+    /// [list]`, with the frame carried once (see `Network::fan_out`).
+    /// The targets live off the event so this variant is no wider than
+    /// `Deliver`: every pending event costs the widest variant in the
+    /// scheduler.
+    Fan { frame: EthernetFrame, list: usize },
     /// A device timer fires.
     Timer { node: NodeId, token: TimerToken },
     /// The harness flips a link's state (cable cut / re-plug).
@@ -161,6 +200,40 @@ enum EventKind {
     Watchdog { link: LinkId, dir: Dir, gen: u64 },
     /// Test hook: hand a frame directly to a device's ingress.
     Inject { node: NodeId, port: PortNo, frame: EthernetFrame },
+}
+
+/// One delivery of a [`EventKind::Fan`]: the fields of its `Deliver`
+/// but the frame.
+#[derive(Debug, Clone, Copy)]
+struct FanTarget {
+    link: LinkId,
+    dir: Dir,
+    epoch: u64,
+}
+
+/// A frame entering the send path: owned by a device's `Send`, or lent
+/// by a flood the engine fans out. A lent frame is cloned only where a
+/// copy must outlive the send: in a transmit queue, or in a delivery
+/// that is not fanned.
+enum Outgoing<'f> {
+    Owned(EthernetFrame),
+    Lent(&'f EthernetFrame),
+}
+
+impl Outgoing<'_> {
+    fn frame(&self) -> &EthernetFrame {
+        match self {
+            Outgoing::Owned(frame) => frame,
+            Outgoing::Lent(frame) => frame,
+        }
+    }
+
+    fn into_owned(self) -> EthernetFrame {
+        match self {
+            Outgoing::Owned(frame) => frame,
+            Outgoing::Lent(frame) => frame.clone(),
+        }
+    }
 }
 
 /// Network-wide counters.
@@ -180,8 +253,9 @@ pub struct NetworkStats {
     pub watchdog_fires: u64,
     /// Frames discarded by `DrainAndDrop` watchdog fires.
     pub drops_watchdog: u64,
-    /// Scheduler events processed: one per frame hop (its delivery),
-    /// plus a transmit completion only where one had work to do — a
+    /// Scheduler events processed: one per frame hop (its delivery,
+    /// also when a fan event carries it with others), plus a transmit
+    /// completion only where one had work to do — a
     /// queued successor to start or a PFC release to check — plus
     /// timers, link-admin flips, watchdog deadlines and injections.
     pub events: u64,
@@ -317,6 +391,8 @@ impl NetworkBuilder {
             }
         }
         let n = self.devices.len();
+        let single_port =
+            self.port_map.iter().map(|row| row.iter().flatten().count() == 1).collect();
         let delivery = self.delivery.map(|d| Arc::new(Mutex::new(d)));
         let tracer: Option<Box<dyn Tracer>> = match (self.tracer, &delivery) {
             (tracer, None) => tracer,
@@ -339,6 +415,11 @@ impl NetworkBuilder {
             tracer,
             delivery,
             scratch: Vec::new(),
+            floods: Vec::new(),
+            single_port,
+            fan: Vec::new(),
+            fan_lists: Vec::new(),
+            fan_free: Vec::new(),
             batch: Vec::new(),
             cur_key: 0,
             unsettled: Vec::new(),
@@ -370,13 +451,32 @@ pub struct Network {
     /// The delivery recorder the tracer feeds, when recording is on.
     delivery: Option<Arc<Mutex<DeliveryTracer>>>,
     /// Reused command buffer lent to device callbacks; bridge logic
-    /// writes its sends and timers straight into it (a flood is N
-    /// commands here and nowhere else).
+    /// writes its sends and timers straight into it.
     scratch: Vec<Command>,
+    /// Reused flood log lent to device callbacks beside `scratch`: a
+    /// flood is one entry here, not N commands.
+    floods: Vec<Flood>,
+    /// Per node: exactly one port is cabled. Such a device receives at
+    /// most one frame per instant, which is what lets a flood's copies
+    /// to several of them share one event.
+    single_port: Vec<bool>,
+    /// The flood being fanned out: copies bound for single-port
+    /// devices, as (arrival, wire key, target), until `fan_out` files
+    /// them as events.
+    fan: Vec<(SimTime, u64, FanTarget)>,
+    /// The targets of pending fan events, each list in wire-key order
+    /// and indexed by its event's `list`.
+    fan_lists: Vec<Vec<FanTarget>>,
+    /// Indices of `fan_lists` whose event has run: emptied lists, kept
+    /// with their storage for the next fans.
+    fan_free: Vec<usize>,
     /// Reused buffer holding the events of the batch being processed.
     batch: Vec<EventKind>,
-    /// Canonical order key of the event being processed: with `now`,
-    /// the position elided completions are settled against.
+    /// Where the event being processed sits among same-instant transmit
+    /// completions: with `now`, the position elided completions are
+    /// settled against. The exact canonical key for a completion, the
+    /// one tier whose keys `settle` compares; for every other event its
+    /// tier alone, which orders the same against every completion key.
     cur_key: u64,
     /// Directions with an elided completion that nothing has read past
     /// yet; the run loops settle them on the way out so link counters
@@ -581,11 +681,31 @@ impl Network {
 
     /// Apply one event's effect at the already-advanced clock.
     fn process(&mut self, kind: EventKind) {
-        self.cur_key = self.order_key(&kind);
+        self.cur_key = match kind {
+            EventKind::TxDone { link, dir, .. } => {
+                Self::tx_done_key(&self.link_order_keys, link, dir)
+            }
+            EventKind::Deliver { .. } | EventKind::Fan { .. } | EventKind::Inject { .. } => 0,
+            EventKind::Timer { .. } => 2 << TIER,
+            EventKind::LinkAdmin { .. } => 3 << TIER,
+            EventKind::Watchdog { .. } => 4 << TIER,
+        };
         match kind {
             EventKind::TxDone { link, dir, epoch } => self.on_tx_done(link, dir, epoch),
             EventKind::Deliver { link, dir, epoch, frame } => {
                 self.on_deliver(link, dir, epoch, frame)
+            }
+            EventKind::Fan { frame, list } => {
+                let mut targets = std::mem::take(&mut self.fan_lists[list]);
+                // Each target is one delivery, counted as one event.
+                self.stats.events += targets.len() as u64 - 1;
+                let last = targets.pop().expect("a fan has targets");
+                for t in targets.drain(..) {
+                    self.on_deliver(t.link, t.dir, t.epoch, frame.clone());
+                }
+                self.on_deliver(last.link, last.dir, last.epoch, frame);
+                self.fan_lists[list] = targets;
+                self.fan_free.push(list);
             }
             EventKind::Timer { node, token } => {
                 self.trace(TraceEvent::TimerFired { node, token });
@@ -637,6 +757,11 @@ impl Network {
         let wire = |link: &LinkId, dir: Dir| self.link_order_keys[link.0][dir.index()];
         match kind {
             EventKind::Deliver { link, dir, .. } => wire(link, *dir),
+            // Targets are in wire-key order: the fan sorts at its first.
+            EventKind::Fan { list, .. } => {
+                let first = self.fan_lists[*list][0];
+                wire(&first.link, first.dir)
+            }
             EventKind::Inject { node, port, .. } => {
                 match self.port_table[node.0].get(port.0).copied().flatten() {
                     // An injected frame is an arrival travelling *into*
@@ -684,24 +809,94 @@ impl Network {
         let mut dev = self.devices[node.0].take().expect("re-entrant dispatch");
         let mut commands = std::mem::take(&mut self.scratch);
         {
-            let mut ctx = Ctx::new(self.now, node, &self.ports_up[node.0], &mut commands);
+            let ports_up = &self.ports_up[node.0];
+            let floods = &mut self.floods;
+            let mut ctx = Ctx::with_flood_log(self.now, node, ports_up, &mut commands, floods);
             f(&mut dev, &mut ctx);
         }
         self.devices[node.0] = Some(dev);
-        for cmd in commands.drain(..) {
-            match cmd {
-                Command::Send { port, frame } => self.handle_send(node, port, frame),
-                Command::Schedule { after, token } => {
-                    self.push_at(self.now + after, EventKind::Timer { node, token });
-                }
+        if self.floods.is_empty() {
+            for cmd in commands.drain(..) {
+                self.apply(node, cmd);
             }
+        } else {
+            // Each flood goes out where its `Send`s would have stood.
+            let mut floods = std::mem::take(&mut self.floods);
+            let mut floods_due = floods.drain(..).peekable();
+            for (i, cmd) in commands.drain(..).enumerate() {
+                while let Some(flood) = floods_due.next_if(|flood| flood.at == i) {
+                    self.fan_out(node, flood);
+                }
+                self.apply(node, cmd);
+            }
+            for flood in floods_due {
+                self.fan_out(node, flood);
+            }
+            self.floods = floods;
         }
         self.scratch = commands;
     }
 
-    fn handle_send(&mut self, node: NodeId, port: PortNo, frame: EthernetFrame) {
+    fn apply(&mut self, node: NodeId, cmd: Command) {
+        match cmd {
+            Command::Send { port, frame } => self.handle_send(node, port, Outgoing::Owned(frame)),
+            Command::Schedule { after, token } => {
+                self.push_at(self.now + after, EventKind::Timer { node, token });
+            }
+        }
+    }
+
+    /// Send one copy of a logged flood out of every up port of `node`
+    /// but the excepted one, in port order, through the ordinary send
+    /// path with the frame lent — what its `Send`s would have done,
+    /// command for command. The copies `start_tx` set aside for
+    /// single-port devices are then filed: those arriving in the same
+    /// instant as one [`EventKind::Fan`] carrying the frame once, a
+    /// lone one as a plain `Deliver`.
+    ///
+    /// This reorders nothing a device can see. A single-port device
+    /// has one link and one direction into it, and two frames on one
+    /// direction arrive at least one serialization time apart, so it
+    /// receives at most one frame per instant and its delivery
+    /// commutes with every other arrival of that instant. Only the
+    /// emission order of `Delivered` trace records of different
+    /// devices within one instant can change.
+    fn fan_out(&mut self, node: NodeId, Flood { frame, except, .. }: Flood) {
+        for p in 0..self.ports_up[node.0].len() {
+            if p != except.0 && self.ports_up[node.0][p] {
+                self.handle_send(node, PortNo(p), Outgoing::Lent(&frame));
+            }
+        }
+        if self.fan.is_empty() {
+            return;
+        }
+        let mut fan = std::mem::take(&mut self.fan);
+        fan.sort_unstable_by_key(|&(at, key, _)| (at, key));
+        let mut frame = Some(frame);
+        let mut runs = fan.chunk_by(|a, b| a.0 == b.0).peekable();
+        while let Some(run) = runs.next() {
+            let copy = if runs.peek().is_some() { frame.clone() } else { frame.take() };
+            let frame = copy.expect("the last run takes the flood's frame");
+            let at = run[0].0;
+            if let [(.., FanTarget { link, dir, epoch })] = *run {
+                self.push_at(at, EventKind::Deliver { link, dir, epoch, frame });
+            } else {
+                let list = self.fan_free.pop().unwrap_or_else(|| {
+                    self.fan_lists.push(Vec::new());
+                    self.fan_lists.len() - 1
+                });
+                self.fan_lists[list].extend(run.iter().map(|&(.., target)| target));
+                self.push_at(at, EventKind::Fan { frame, list });
+            }
+        }
+        fan.clear();
+        self.fan = fan;
+    }
+
+    fn handle_send(&mut self, node: NodeId, port: PortNo, out: Outgoing<'_>) {
         self.stats.frames_sent += 1;
-        self.trace(TraceEvent::Sent { node, port, frame: &frame });
+        let frame = out.frame();
+        self.trace(TraceEvent::Sent { node, port, frame });
         let Some((link_id, dir)) = self.port_table[node.0].get(port.0).copied().flatten() else {
             self.stats.drops_no_cable += 1;
             self.trace(TraceEvent::DropNoCable { node, port });
@@ -711,7 +906,7 @@ impl Network {
         if !link.up {
             self.stats.drops_link_down += 1;
             link.dirs[dir.index()].stats.dropped_link_down += 1;
-            self.trace(TraceEvent::DropLinkDown { link: link_id, frame: &frame });
+            self.trace(TraceEvent::DropLinkDown { link: link_id, frame });
             return;
         }
         self.settle(link_id, dir);
@@ -720,7 +915,7 @@ impl Network {
         let epoch = link.epoch;
         let state = &mut link.dirs[dir.index()];
         if state.transmitting || state.paused {
-            match state.queue.try_enqueue(frame) {
+            match state.queue.try_enqueue(out.into_owned()) {
                 Admission::Dropped(frame) => {
                     self.stats.drops_queue_full += 1;
                     state.stats.dropped_queue_full += 1;
@@ -748,7 +943,7 @@ impl Network {
                 }
             }
         } else {
-            self.start_tx(link_id, dir, frame);
+            self.start_tx(link_id, dir, out);
         }
     }
 
@@ -821,7 +1016,7 @@ impl Network {
             if p == at.port.0 || self.port_table[at.node.0][p].is_none() {
                 continue;
             }
-            self.handle_send(at.node, PortNo(p), frame.clone());
+            self.handle_send(at.node, PortNo(p), Outgoing::Owned(frame.clone()));
         }
     }
 
@@ -867,7 +1062,7 @@ impl Network {
                     let state = &mut self.links[link_id.0].dirs[dir.index()];
                     if !state.transmitting {
                         if let Some(next) = state.queue.pop() {
-                            self.start_tx(link_id, dir, next);
+                            self.start_tx(link_id, dir, Outgoing::Owned(next));
                         }
                     }
                 }
@@ -927,7 +1122,7 @@ impl Network {
             frame: &pfc::watchdog_resume_frame(),
         });
         if let Some(frame) = resume_next {
-            self.start_tx(link_id, dir, frame);
+            self.start_tx(link_id, dir, Outgoing::Owned(frame));
         }
     }
 
@@ -937,12 +1132,19 @@ impl Network {
     /// `busy_until` gets an event only if it has work to do: a queued
     /// successor to start, or an asserted PFC pause whose release it
     /// must check. Otherwise it is elided and settled lazily.
-    fn start_tx(&mut self, link_id: LinkId, dir: Dir, frame: EthernetFrame) {
+    ///
+    /// A lent flood copy bound for a single-port device is set aside
+    /// for `fan_out` instead of getting its own event, unless it takes
+    /// no line time: two zero-length frames on one direction could
+    /// arrive in the same instant.
+    fn start_tx(&mut self, link_id: LinkId, dir: Dir, out: Outgoing<'_>) {
         let link = &mut self.links[link_id.0];
-        let ser = link.params.serialization(&frame);
+        let frame = out.frame();
+        let ser = link.params.serialization(frame);
         let done_at = self.now + ser;
         let arrives_at = done_at + link.params.propagation;
         let epoch = link.epoch;
+        let to = link.receiver(dir).node;
         let state = &mut link.dirs[dir.index()];
         debug_assert!(!state.transmitting, "start_tx on a busy transmitter");
         state.transmitting = true;
@@ -956,7 +1158,16 @@ impl Network {
             state.listed = true;
             self.unsettled.push((link_id, dir));
         }
-        self.push_at(arrives_at, EventKind::Deliver { link: link_id, dir, epoch, frame });
+        match out {
+            Outgoing::Lent(_) if ser > SimDuration::ZERO && self.single_port[to.0] => {
+                let key = self.link_order_keys[link_id.0][dir.index()];
+                self.fan.push((arrives_at, key, FanTarget { link: link_id, dir, epoch }));
+            }
+            out => {
+                let frame = out.into_owned();
+                self.push_at(arrives_at, EventKind::Deliver { link: link_id, dir, epoch, frame });
+            }
+        }
     }
 
     /// A scheduled completion: free the transmitter, pull the next
@@ -980,7 +1191,7 @@ impl Network {
         // waits for resume).
         if !state.paused {
             if let Some(next) = state.queue.pop() {
-                self.start_tx(link_id, dir, next);
+                self.start_tx(link_id, dir, Outgoing::Owned(next));
             }
         }
         // PFC: a queue that drained back to the resume threshold
@@ -1091,7 +1302,7 @@ impl Network {
                     }
                 };
                 if let Some(frame) = next {
-                    self.start_tx(link_id, dir, frame);
+                    self.start_tx(link_id, dir, Outgoing::Owned(frame));
                 }
             }
         }
@@ -1939,5 +2150,52 @@ mod tests {
         let mut net = b.build();
         net.run_until_idle(SimTime(u64::MAX));
         assert_eq!(net.device::<Scripted>(rx).log, vec![(672, "frame"), (672, "timer")]);
+    }
+
+    #[test]
+    fn one_event_carries_a_flood_to_its_single_port_stations() {
+        /// Floods one frame out of every port at start.
+        struct Flooder;
+        impl Device for Flooder {
+            fn name(&self) -> &str {
+                "flooder"
+            }
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                assert_eq!(ctx.flood(&test_frame(), PortNo(usize::MAX)), 4);
+            }
+            fn on_frame(&mut self, _: PortNo, _: EthernetFrame, _: &mut Ctx) {}
+        }
+        let mut b = NetworkBuilder::new();
+        let hub = b.add(Box::new(Flooder));
+        let relay = b.add(Box::new(Forwarder { name: "relay".into() }));
+        let far = b.add(Box::new(Probe::new("far", false)));
+        b.link(relay, 1, far, 0, LinkParams::default());
+        let stations: Vec<NodeId> =
+            (0..3).map(|i| b.add(Box::new(Probe::new(&format!("s{i}"), false)))).collect();
+        for (p, &s) in stations.iter().enumerate() {
+            b.link(hub, p, s, 0, LinkParams::default());
+        }
+        b.link(hub, 3, relay, 0, LinkParams::default());
+        let mut net = b.build();
+        // The three stations share one event; the two-port relay keeps
+        // its own.
+        assert_eq!(net.queue.len(), 2);
+        net.run_until_idle(SimTime(u64::MAX));
+        for s in stations {
+            assert_eq!(net.device::<Probe>(s).heard.len(), 1);
+        }
+        assert_eq!(net.device::<Probe>(far).heard.len(), 1);
+        let stats = net.stats();
+        assert_eq!((stats.frames_sent, stats.frames_delivered), (5, 5));
+        assert_eq!(stats.events, 5, "one event per delivery, fanned or not");
+        assert_eq!(net.fan_free, vec![0], "the target list is kept for the next fan");
+    }
+
+    #[test]
+    fn a_fan_event_is_no_wider_than_a_delivery() {
+        // Every pending event costs the widest variant in the
+        // scheduler: `Deliver`'s link, epoch and direction beside the
+        // frame, the tag sharing the direction's word.
+        assert_eq!(std::mem::size_of::<EventKind>(), std::mem::size_of::<EthernetFrame>() + 24);
     }
 }

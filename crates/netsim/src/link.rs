@@ -322,9 +322,15 @@ impl LinkParams {
     /// Serialization time of `frame` on this link, including preamble,
     /// FCS and inter-frame gap.
     pub fn serialization(&self, frame: &EthernetFrame) -> SimDuration {
-        // bits * 1e9 / bps, in u128 to avoid overflow for slow links.
-        let ns = (frame.wire_bits() as u128 * 1_000_000_000) / self.bandwidth_bps as u128;
-        SimDuration::nanos(ns as u64)
+        // bits · 10⁹ / bps. The product fits in u64 for any frame short
+        // of ~2 GB, so the u128 division (a library call, not an
+        // instruction) is only the overflow fallback.
+        let bits = frame.wire_bits();
+        let ns = match bits.checked_mul(1_000_000_000) {
+            Some(scaled) => scaled / self.bandwidth_bps,
+            None => (u128::from(bits) * 1_000_000_000 / u128::from(self.bandwidth_bps)) as u64,
+        };
+        SimDuration::nanos(ns)
     }
 }
 
@@ -548,7 +554,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arppath_wire::{ArpPacket, MacAddr};
+    use arppath_wire::{ArpPacket, EtherType, MacAddr, Payload};
     use std::net::Ipv4Addr;
 
     fn min_frame() -> EthernetFrame {
@@ -648,6 +654,30 @@ mod tests {
         let slow = LinkParams { bandwidth_bps: 100_000_000, ..Default::default() };
         assert_eq!(fast.serialization(&min_frame()), SimDuration::nanos(67)); // truncated
         assert_eq!(slow.serialization(&min_frame()), SimDuration::nanos(6720));
+    }
+
+    #[test]
+    fn serialization_matches_the_u128_formula_for_every_frame_length() {
+        for bps in [100_000_000, 1_000_000_000, 2_500_000_000, 10_000_000_000, 999_999_937u64] {
+            let params = LinkParams { bandwidth_bps: bps, ..Default::default() };
+            for len in 60..=1518 {
+                let frame = EthernetFrame::new(
+                    MacAddr::BROADCAST,
+                    MacAddr::from_index(1, 1),
+                    Payload::Raw {
+                        ethertype: EtherType(0x88B6),
+                        data: vec![0; len - EthernetFrame::HEADER_LEN].into(),
+                    },
+                );
+                assert_eq!(frame.wire_len(), len);
+                let exact = u128::from(frame.wire_bits()) * 1_000_000_000 / u128::from(bps);
+                assert_eq!(
+                    u128::from(params.serialization(&frame).as_nanos()),
+                    exact,
+                    "{len} B at {bps} b/s"
+                );
+            }
+        }
     }
 
     #[test]

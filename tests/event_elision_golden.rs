@@ -14,6 +14,10 @@
 //! `NetworkStats::events` is the one counter left out: it falls by
 //! design. Everything a device, a link counter or the delivery trace
 //! can observe is pinned.
+//!
+//! One pin is younger: E8 with 16 hosts per edge, captured before the
+//! engine fanned floods out itself (see its comment). It pins the
+//! event count too, which the fan must not move.
 
 use arppath_bench::experiments::e11_churn::{self, E11Params, TableRegime};
 use arppath_bench::experiments::e8_fattree::{self, E8Params};
@@ -95,6 +99,39 @@ fn e8_k4_quick_matches_the_two_event_engine() {
             ..Default::default()
         };
         e8_fattree::traced_run(&params, TrafficPattern::Permutation)
+    });
+}
+
+#[test]
+fn e8_k4_sixteen_hosts_per_edge_matches_the_per_copy_engine() {
+    // Every other pin hangs 2 hosts off each edge bridge, so an edge
+    // bridge's flood reaches at most two single-port stations. This
+    // one hangs 16, so it fans out to 15 or 16 stations in one
+    // instant. Captured from the engine as it stood before floods were
+    // fanned out in the engine, when every copy was its own `Send` and
+    // its own `Deliver` event: run this test there with a placeholder
+    // `Pin` and copy the `left` side of the failure message (the event
+    // count was printed from `run.stats.events` the same way).
+    let golden = Pin {
+        trace_digest: 15908368135742582439,
+        trace_lines: 24209,
+        net: [24209, 24209, 0, 0, 0, 0, 0],
+        links: [24209, 2385516, 0, 0, 23732256, 0, 0, 742, 0, 0],
+    };
+    assert_pinned("E8 k=4, 16 hosts per edge", &golden, |shards| {
+        let params = E8Params {
+            k: 4,
+            hosts_per_edge: 16,
+            datagrams: 2,
+            hot_receivers: 2,
+            shards,
+            ..Default::default()
+        };
+        let run = e8_fattree::traced_run(&params, TrafficPattern::Permutation);
+        // Captured with the rest: a fanned flood still counts one
+        // scheduler event per delivery, on both engines.
+        assert_eq!(run.stats.events, 24_467, "scheduler events at {shards} shard(s)");
+        run
     });
 }
 

@@ -85,13 +85,19 @@ fn discovery_locks_trace_the_reverse_path() {
     // B2's host port is its last allocated port (after links to B1, B3).
     assert_eq!(e_b2.port, PortNo(2), "B2 locked S on the host port");
 
-    // Rival copies were discarded somewhere (B1 and B3 flood into each
-    // other; B4 and B5 likewise).
+    // Rival copies were discarded (B1 and B3 flood into each other; B4
+    // and B5 likewise), exactly as many as the flood oracle says: one
+    // isolated broadcast loses 2·(E − B + 1) copies, twice the fabric's
+    // cyclomatic number, whatever the link delays. Fig. 1 has E = 6
+    // bridge links (every bridge link of this topology is Fig. 1's) and
+    // B = 5 bridges, so 4.
+    let (e, b) = (w.built.bridge_links.len() as u64, w.fig.bridges.len() as u64);
     let total_race_drops: u64 =
         [b1, b2, b3, b4, b5].iter().map(|&b| w.built.arppath(b).ap_counters().race_drops).sum();
-    assert!(
-        total_race_drops >= 4,
-        "duplicate flood copies must lose the race (saw {total_race_drops})"
+    assert_eq!(
+        total_race_drops,
+        2 * (e - b + 1),
+        "each duplicate flood copy loses the race exactly once (E = {e}, B = {b})"
     );
 }
 
