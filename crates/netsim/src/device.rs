@@ -142,21 +142,21 @@ impl<'a> Ctx<'a> {
     /// and sends the copies itself, in the same order relative to the
     /// other commands.
     pub fn flood(&mut self, frame: &EthernetFrame, except: PortNo) -> usize {
-        if let Some(floods) = self.floods.as_deref_mut() {
-            let copies =
-                self.ports_up.iter().enumerate().filter(|&(p, &up)| up && p != except.0).count();
-            if copies > 0 {
-                floods.push(Flood { at: self.commands.len(), frame: frame.clone(), except });
+        let ports_up = self.ports_up;
+        let out = (0..ports_up.len()).filter(|&p| p != except.0 && ports_up[p]).map(PortNo);
+        let Some(floods) = self.floods.as_deref_mut() else {
+            let mut copies = 0;
+            for p in out {
+                self.send(p, frame.clone());
+                copies += 1;
             }
             return copies;
+        };
+        let copies = out.count();
+        if copies > 0 {
+            floods.push(Flood { at: self.commands.len(), frame: frame.clone(), except });
         }
-        let before = self.commands.len();
-        for p in 0..self.ports_up.len() {
-            if p != except.0 && self.ports_up[p] {
-                self.send(PortNo(p), frame.clone());
-            }
-        }
-        self.commands.len() - before
+        copies
     }
 
     /// Schedule an `on_timer(token)` callback `after` from now.

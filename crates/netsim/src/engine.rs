@@ -169,6 +169,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{DeliveryRecord, DeliveryTracer, TeeTracer, TraceEvent, Tracer};
 use arppath_wire::EthernetFrame;
 use std::any::Any;
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// Bit position of the tier in a canonical order key (see
@@ -209,31 +210,6 @@ struct FanTarget {
     link: LinkId,
     dir: Dir,
     epoch: u64,
-}
-
-/// A frame entering the send path: owned by a device's `Send`, or lent
-/// by a flood the engine fans out. A lent frame is cloned only where a
-/// copy must outlive the send: in a transmit queue, or in a delivery
-/// that is not fanned.
-enum Outgoing<'f> {
-    Owned(EthernetFrame),
-    Lent(&'f EthernetFrame),
-}
-
-impl Outgoing<'_> {
-    fn frame(&self) -> &EthernetFrame {
-        match self {
-            Outgoing::Owned(frame) => frame,
-            Outgoing::Lent(frame) => frame,
-        }
-    }
-
-    fn into_owned(self) -> EthernetFrame {
-        match self {
-            Outgoing::Owned(frame) => frame,
-            Outgoing::Lent(frame) => frame.clone(),
-        }
-    }
 }
 
 /// Network-wide counters.
@@ -839,7 +815,7 @@ impl Network {
 
     fn apply(&mut self, node: NodeId, cmd: Command) {
         match cmd {
-            Command::Send { port, frame } => self.handle_send(node, port, Outgoing::Owned(frame)),
+            Command::Send { port, frame } => self.handle_send(node, port, Cow::Owned(frame)),
             Command::Schedule { after, token } => {
                 self.push_at(self.now + after, EventKind::Timer { node, token });
             }
@@ -852,19 +828,12 @@ impl Network {
     /// command for command. The copies `start_tx` set aside for
     /// single-port devices are then filed: those arriving in the same
     /// instant as one [`EventKind::Fan`] carrying the frame once, a
-    /// lone one as a plain `Deliver`.
-    ///
-    /// This reorders nothing a device can see. A single-port device
-    /// has one link and one direction into it, and two frames on one
-    /// direction arrive at least one serialization time apart, so it
-    /// receives at most one frame per instant and its delivery
-    /// commutes with every other arrival of that instant. Only the
-    /// emission order of `Delivered` trace records of different
-    /// devices within one instant can change.
+    /// lone one as a plain `Deliver`. Why this reorders nothing a
+    /// device can see: the module docs, *Flood fan-out*.
     fn fan_out(&mut self, node: NodeId, Flood { frame, except, .. }: Flood) {
         for p in 0..self.ports_up[node.0].len() {
             if p != except.0 && self.ports_up[node.0][p] {
-                self.handle_send(node, PortNo(p), Outgoing::Lent(&frame));
+                self.handle_send(node, PortNo(p), Cow::Borrowed(&frame));
             }
         }
         if self.fan.is_empty() {
@@ -893,9 +862,13 @@ impl Network {
         self.fan = fan;
     }
 
-    fn handle_send(&mut self, node: NodeId, port: PortNo, out: Outgoing<'_>) {
+    /// Transmit `out` from `node`'s `port`. The frame is borrowed when
+    /// a flood lends it (`fan_out`), and cloned only where a copy must
+    /// outlive the send: in a transmit queue, or in a delivery that is
+    /// not fanned.
+    fn handle_send(&mut self, node: NodeId, port: PortNo, out: Cow<'_, EthernetFrame>) {
         self.stats.frames_sent += 1;
-        let frame = out.frame();
+        let frame = &*out;
         self.trace(TraceEvent::Sent { node, port, frame });
         let Some((link_id, dir)) = self.port_table[node.0].get(port.0).copied().flatten() else {
             self.stats.drops_no_cable += 1;
@@ -1016,7 +989,7 @@ impl Network {
             if p == at.port.0 || self.port_table[at.node.0][p].is_none() {
                 continue;
             }
-            self.handle_send(at.node, PortNo(p), Outgoing::Owned(frame.clone()));
+            self.handle_send(at.node, PortNo(p), Cow::Owned(frame.clone()));
         }
     }
 
@@ -1062,7 +1035,7 @@ impl Network {
                     let state = &mut self.links[link_id.0].dirs[dir.index()];
                     if !state.transmitting {
                         if let Some(next) = state.queue.pop() {
-                            self.start_tx(link_id, dir, Outgoing::Owned(next));
+                            self.start_tx(link_id, dir, Cow::Owned(next));
                         }
                     }
                 }
@@ -1122,7 +1095,7 @@ impl Network {
             frame: &pfc::watchdog_resume_frame(),
         });
         if let Some(frame) = resume_next {
-            self.start_tx(link_id, dir, Outgoing::Owned(frame));
+            self.start_tx(link_id, dir, Cow::Owned(frame));
         }
     }
 
@@ -1137,9 +1110,9 @@ impl Network {
     /// for `fan_out` instead of getting its own event, unless it takes
     /// no line time: two zero-length frames on one direction could
     /// arrive in the same instant.
-    fn start_tx(&mut self, link_id: LinkId, dir: Dir, out: Outgoing<'_>) {
+    fn start_tx(&mut self, link_id: LinkId, dir: Dir, out: Cow<'_, EthernetFrame>) {
         let link = &mut self.links[link_id.0];
-        let frame = out.frame();
+        let frame = &*out;
         let ser = link.params.serialization(frame);
         let done_at = self.now + ser;
         let arrives_at = done_at + link.params.propagation;
@@ -1159,7 +1132,7 @@ impl Network {
             self.unsettled.push((link_id, dir));
         }
         match out {
-            Outgoing::Lent(_) if ser > SimDuration::ZERO && self.single_port[to.0] => {
+            Cow::Borrowed(_) if ser > SimDuration::ZERO && self.single_port[to.0] => {
                 let key = self.link_order_keys[link_id.0][dir.index()];
                 self.fan.push((arrives_at, key, FanTarget { link: link_id, dir, epoch }));
             }
@@ -1191,7 +1164,7 @@ impl Network {
         // waits for resume).
         if !state.paused {
             if let Some(next) = state.queue.pop() {
-                self.start_tx(link_id, dir, Outgoing::Owned(next));
+                self.start_tx(link_id, dir, Cow::Owned(next));
             }
         }
         // PFC: a queue that drained back to the resume threshold
@@ -1302,7 +1275,7 @@ impl Network {
                     }
                 };
                 if let Some(frame) = next {
-                    self.start_tx(link_id, dir, Outgoing::Owned(frame));
+                    self.start_tx(link_id, dir, Cow::Owned(frame));
                 }
             }
         }
