@@ -65,6 +65,9 @@ enum NextHop {
     Miss,
 }
 
+/// A flood copy that lost the discovery race ([`ArpPathBridge::race_probe`]).
+struct LostRace;
+
 /// The ARP-Path (FastPath) bridge decision plane.
 pub struct ArpPathBridge {
     name: String,
@@ -262,28 +265,37 @@ impl ArpPathBridge {
         now: SimTime,
     ) -> bool {
         let lock_expiry = now + self.config.lock_time;
-        // Repair waves resolve their race in `seen_waves`, not the
-        // forwarding table: the first copy of wave `n` records its port
-        // and may take the entry over; every other copy of the same
-        // wave loses, whatever concurrent waves or replies have since
-        // done to the forwarding entry. This dedup lasts `lock_time`.
-        let mut takeover = false;
-        if let Some(n) = wave {
-            match self.seen_waves.get(&(src, n), now).copied() {
-                None => {
-                    self.seen_waves.insert((src, n), port, lock_expiry);
-                    takeover = true;
+        let standing = match wave {
+            // A host flood races in the forwarding table.
+            None => match self.race_probe(src, port, now) {
+                Ok(standing) => standing,
+                Err(LostRace) => return false,
+            },
+            // Repair waves resolve their race in `seen_waves`, not the
+            // forwarding table: the first copy of wave `n` records its
+            // port and may take the entry over; every other copy of the
+            // same wave loses, whatever concurrent waves or replies have
+            // since done to the forwarding entry. This dedup lasts
+            // `lock_time`.
+            Some(n) => {
+                match self.seen_waves.get(&(src, n), now).copied() {
+                    None => self.seen_waves.insert((src, n), port, lock_expiry),
+                    Some(p) if p == port => {
+                        // Re-origination of the same episode (e.g. a
+                        // second PathFail converted after the hold
+                        // expired): refresh.
+                        self.seen_waves.touch(&(src, n), lock_expiry, now);
+                        return true;
+                    }
+                    Some(_) => {
+                        self.lose_race();
+                        return false;
+                    }
                 }
-                Some(p) if p == port => {
-                    // Re-origination of the same episode (e.g. a second
-                    // PathFail converted after the hold expired): refresh.
-                    self.seen_waves.touch(&(src, n), lock_expiry, now);
-                    return true;
-                }
-                Some(_) => return self.lose_race(),
+                self.probe(src, now)
             }
-        }
-        match self.probe(src, now) {
+        };
+        match standing {
             Some((slot, e)) if e.port == port => {
                 // Same port as the standing entry: a retry or refresh.
                 // A repair wave keeps it too — downgrading a confirmed
@@ -291,17 +303,15 @@ impl ArpPathBridge {
                 self.table.touch_at(slot, self.refreshed_expiry(e, now));
                 true
             }
-            Some((slot, _)) if takeover => {
-                // A repair wave's first copy displaces stale learnt
-                // state (the very thing repair exists to fix) or an
-                // older wave's lock.
+            Some((slot, _)) => {
+                // Only a repair wave's first copy gets here (a host
+                // flood on another port lost in `race_probe`): it
+                // displaces stale learnt state (the very thing repair
+                // exists to fix) or an older wave's lock.
                 self.table.replace_at(slot, PathEntry::locked(port).into(), lock_expiry);
                 self.ap.locks_created += 1;
                 true
             }
-            // Lost the race (or off-path broadcast while a path
-            // stands): the paper's discard rule.
-            Some(_) => self.lose_race(),
             None if self.has_room(now) => {
                 self.table.insert_absent(src, PathEntry::locked(port).into(), lock_expiry);
                 self.ap.locks_created += 1;
@@ -314,11 +324,32 @@ impl ArpPathBridge {
         }
     }
 
-    /// Count a broadcast copy that lost the race; always `false`.
-    fn lose_race(&mut self) -> bool {
+    /// The forwarding-table race of a host flood from `src` arriving on
+    /// `port`: `Err` when `src`'s live entry names another port — the
+    /// copy lost the race (the paper's discard rule) and is counted
+    /// here — and otherwise `src`'s live entry on this port, if any.
+    /// [`SwitchLogic::try_drop`] and `accept_discovery` both decide
+    /// through this, so a loser settled before `on_frame` is counted
+    /// exactly as `on_frame` would count it.
+    fn race_probe(
+        &mut self,
+        src: MacAddr,
+        port: PortNo,
+        now: SimTime,
+    ) -> Result<Option<(Slot, PathEntry)>, LostRace> {
+        match self.probe(src, now) {
+            Some((_, e)) if e.port != port => {
+                self.lose_race();
+                Err(LostRace)
+            }
+            standing => Ok(standing),
+        }
+    }
+
+    /// Count a broadcast copy that lost the race.
+    fn lose_race(&mut self) {
         self.ap.race_drops += 1;
         self.counters.drop_frame(DropReason::LostRace);
-        false
     }
 
     /// The expiry a standing entry is refreshed to: its own state's
@@ -732,6 +763,16 @@ impl SwitchLogic for ArpPathBridge {
             (_, true) => self.handle_other_broadcast(port, frame, ctx),
             (_, false) => self.handle_unicast_data(port, frame, ctx),
         }
+    }
+
+    /// A host flood — what `on_frame` hands `accept_discovery` without
+    /// a wave: flooded, not path control, from a unicast source — that
+    /// lost the race.
+    fn try_drop(&mut self, port: PortNo, frame: &EthernetFrame, now: SimTime) -> bool {
+        frame.is_flooded()
+            && frame.src.is_unicast()
+            && !matches!(frame.payload, Payload::PathCtl(_))
+            && self.race_probe(frame.src, port, now).is_err()
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {

@@ -352,6 +352,10 @@ impl Device for ChurnHost {
         self.timer_armed = true;
     }
 
+    fn try_drop(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> bool {
+        self.stack.try_drop(frame)
+    }
+
     fn on_frame(&mut self, _port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
         if let Some(Upcall::EchoReply { ident, .. }) = self.stack.handle_frame(frame, ctx) {
             if ident == self.config.ident {

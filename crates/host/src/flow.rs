@@ -447,6 +447,15 @@ impl Device for FlowHost {
         }
     }
 
+    fn try_drop(
+        &mut self,
+        _port: PortNo,
+        frame: &arppath_netsim::EthernetFrame,
+        _now: SimTime,
+    ) -> bool {
+        self.stack.try_drop(frame)
+    }
+
     fn on_frame(&mut self, _port: PortNo, frame: arppath_netsim::EthernetFrame, ctx: &mut Ctx) {
         let Some(Upcall::Udp { from, src_port, dst_port, payload }) =
             self.stack.handle_frame(frame, ctx)

@@ -3,7 +3,7 @@
 
 use crate::stack::{HostStack, Upcall};
 use arppath_metrics::LatencyStats;
-use arppath_netsim::{Ctx, Device, PortNo, SimDuration, TimerToken};
+use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
 use arppath_wire::{EthernetFrame, MacAddr};
 use std::net::Ipv4Addr;
 
@@ -133,6 +133,10 @@ impl Device for PingHost {
         if self.sent < self.config.count {
             ctx.schedule(self.config.interval, TOKEN_PING);
         }
+    }
+
+    fn try_drop(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> bool {
+        self.stack.try_drop(frame)
     }
 
     fn on_frame(&mut self, _port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {

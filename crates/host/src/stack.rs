@@ -233,6 +233,27 @@ impl HostStack {
         }
     }
 
+    /// Whether [`HostStack::handle_frame`] would ignore `frame` — the
+    /// NIC filter refuses it, it is an ARP packet for another address
+    /// (a foreign ARP request: most of what a host hears in a flooding
+    /// fabric), another host's IP, or a payload the stack does not
+    /// speak — counting it as `handle_frame` would. This mirrors
+    /// `handle_frame`'s ignore arms, so a host device can settle such a
+    /// frame without a callback ([`arppath_netsim::Device::try_drop`]).
+    /// `false` changes nothing.
+    pub fn try_drop(&mut self, frame: &EthernetFrame) -> bool {
+        let for_us = (frame.dst == self.mac || frame.dst.is_multicast())
+            && match &frame.payload {
+                Payload::Arp(arp) => arp.tpa == self.ip,
+                Payload::Ipv4(pkt) => pkt.dst == self.ip,
+                _ => false,
+            };
+        if !for_us {
+            self.counters.ignored += 1;
+        }
+        !for_us
+    }
+
     fn handle_arp(&mut self, arp: ArpPacket, ctx: &mut Ctx) {
         match arp.op {
             ArpOp::Request => {

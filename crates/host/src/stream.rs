@@ -11,7 +11,7 @@
 
 use crate::stack::{HostStack, Upcall};
 use arppath_metrics::{LatencyStats, TimeSeries};
-use arppath_netsim::{Ctx, Device, PortNo, SimDuration, TimerToken};
+use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
 use arppath_wire::{EthernetFrame, MacAddr};
 use std::net::Ipv4Addr;
 
@@ -117,6 +117,10 @@ impl Device for StreamServer {
         }
     }
 
+    fn try_drop(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> bool {
+        self.stack.try_drop(frame)
+    }
+
     fn on_frame(&mut self, _port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
         if let Some(Upcall::Udp { dst_port, .. }) = self.stack.handle_frame(frame, ctx) {
             if dst_port == REPORT_PORT {
@@ -220,6 +224,10 @@ impl Device for StreamClient {
         self.stack.send_udp(self.config.server, REPORT_PORT, REPORT_PORT, &report, ctx);
         self.reports_tx += 1;
         ctx.schedule(self.config.report_interval, TOKEN_REPORT);
+    }
+
+    fn try_drop(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> bool {
+        self.stack.try_drop(frame)
     }
 
     fn on_frame(&mut self, _port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {

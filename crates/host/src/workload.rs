@@ -19,7 +19,7 @@
 //! nothing here knows ARP-Path exists.
 
 use crate::stack::{HostStack, Upcall};
-use arppath_netsim::{Ctx, Device, PortNo, SimDuration, TimerToken};
+use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
 use arppath_wire::{EthernetFrame, MacAddr, UdpDatagram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -180,6 +180,10 @@ impl Device for TrafficHost {
         if self.sent < self.config.count {
             ctx.schedule(self.config.interval, TOKEN_SEND);
         }
+    }
+
+    fn try_drop(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> bool {
+        self.stack.try_drop(frame)
     }
 
     fn on_frame(&mut self, _port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {

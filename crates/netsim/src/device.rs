@@ -197,6 +197,22 @@ pub trait Device: Any + Send {
     /// the last bit has arrived).
     fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx);
 
+    /// Settle a received frame without a callback, if that is all
+    /// [`Device::on_frame`] would do with it: a bridge's race loser, a
+    /// host's copy of someone else's ARP request. Return `true` only
+    /// when `on_frame(port, frame)` at `now` would send, schedule and
+    /// flood nothing, after bumping exactly the counters it would have
+    /// bumped; the engine then skips `on_frame`. `false` (the default)
+    /// leaves the frame to `on_frame` and must change nothing that
+    /// `on_frame` would not change the same way.
+    ///
+    /// The engine asks before it checks the device out or builds a
+    /// [`Ctx`], so a frame settled here costs one virtual call and
+    /// whatever lookup decides it.
+    fn try_drop(&mut self, _port: PortNo, _frame: &EthernetFrame, _now: SimTime) -> bool {
+        false
+    }
+
     /// A previously scheduled timer fired.
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Ctx) {}
 

@@ -96,8 +96,8 @@
 //! set aside, and the set-aside copies that arrive in the same instant
 //! become one `Fan` event. It carries the frame once, sorts at its
 //! smallest target wire key, and runs the ordinary per-delivery code
-//! for each target in wire-key order. `NetworkStats::events` still
-//! counts one per delivery.
+//! for each target in wire-key order, with the frame lent.
+//! `NetworkStats::events` still counts one per delivery.
 //!
 //! This is exact. A single-port device has one link and one direction
 //! into it, and two frames on one direction arrive at least one
@@ -114,6 +114,24 @@
 //! fanned device's cabled port at the very instant a fan copy lands
 //! there. The sharded engine's ingress never does that, because a cut
 //! link's receiving end is never the target of a local transmission.
+//!
+//! # Settling a frame before the callback
+//!
+//! Most frames a flooding run delivers change nothing but a counter: a
+//! bridge's copy of a flood that lost the race to another port, a
+//! host's copy of someone else's ARP request. Every delivery — a
+//! `Deliver`, each target of a `Fan`, an injection — ends in one tail
+//! (`Network::deliver`): count it, trace it as `Delivered`, let the
+//! engine consume a PFC control frame, then ask the device
+//! [`Device::try_drop`]. A device that answers `true` has bumped the
+//! counters `on_frame` would have bumped and promises that `on_frame`
+//! would have sent, scheduled and flooded nothing, so the engine skips
+//! it: no device checkout, no [`Ctx`], no clone of a lent frame. Only
+//! a frame that goes on to `on_frame` is cloned out of a fan. The
+//! default answers `false`, so a device that does not implement it
+//! sees every frame, as before. Traces, counters and event counts are
+//! the same either way: `crates/netsim/tests/try_drop_twin.rs` runs
+//! twin networks, one with `try_drop` hidden, to hold that.
 //!
 //! # Example
 //!
@@ -669,17 +687,19 @@ impl Network {
         match kind {
             EventKind::TxDone { link, dir, epoch } => self.on_tx_done(link, dir, epoch),
             EventKind::Deliver { link, dir, epoch, frame } => {
-                self.on_deliver(link, dir, epoch, frame)
+                self.on_deliver(link, dir, epoch, Cow::Owned(frame))
             }
             EventKind::Fan { frame, list } => {
                 let mut targets = std::mem::take(&mut self.fan_lists[list]);
                 // Each target is one delivery, counted as one event.
                 self.stats.events += targets.len() as u64 - 1;
+                // The frame is lent to each target; only one that goes
+                // on to `on_frame` clones it, and the last takes it.
                 let last = targets.pop().expect("a fan has targets");
                 for t in targets.drain(..) {
-                    self.on_deliver(t.link, t.dir, t.epoch, frame.clone());
+                    self.on_deliver(t.link, t.dir, t.epoch, Cow::Borrowed(&frame));
                 }
-                self.on_deliver(last.link, last.dir, last.epoch, frame);
+                self.on_deliver(last.link, last.dir, last.epoch, Cow::Owned(frame));
                 self.fan_lists[list] = targets;
                 self.fan_free.push(list);
             }
@@ -705,16 +725,7 @@ impl Network {
                 return;
             }
         }
-        self.stats.frames_delivered += 1;
-        self.trace(TraceEvent::Delivered { node, port, frame: &frame });
-        if let Some(op) = pfc::classify(&frame) {
-            let dev = self.devices[node.0].as_ref().expect("device in dispatch");
-            if !dev.forwards_control_frames() {
-                self.apply_pfc(node, port, op);
-                return;
-            }
-        }
-        self.dispatch(node, |dev, ctx| dev.on_frame(port, frame, ctx));
+        self.deliver(node, port, Cow::Owned(frame));
     }
 
     /// The canonical same-instant ordering key of an event: a tier (what
@@ -1112,8 +1123,8 @@ impl Network {
     /// arrive in the same instant.
     fn start_tx(&mut self, link_id: LinkId, dir: Dir, out: Cow<'_, EthernetFrame>) {
         let link = &mut self.links[link_id.0];
-        let frame = &*out;
-        let ser = link.params.serialization(frame);
+        let wire_len = out.wire_len();
+        let ser = link.params.serialization_of(wire_len);
         let done_at = self.now + ser;
         let arrives_at = done_at + link.params.propagation;
         let epoch = link.epoch;
@@ -1122,7 +1133,7 @@ impl Network {
         debug_assert!(!state.transmitting, "start_tx on a busy transmitter");
         state.transmitting = true;
         state.busy_until = done_at;
-        state.in_flight_len = frame.wire_len() as u32;
+        state.in_flight_len = wire_len as u32;
         state.busy = state.busy + ser;
         state.done_scheduled = !state.queue.is_empty() || state.pause_asserted;
         if state.done_scheduled {
@@ -1178,7 +1189,9 @@ impl Network {
         }
     }
 
-    fn on_deliver(&mut self, link_id: LinkId, dir: Dir, epoch: u64, frame: EthernetFrame) {
+    /// The last bit of a frame reached the far end of `link_id`/`dir`:
+    /// delivered, unless the carrier it left on is gone.
+    fn on_deliver(&mut self, link_id: LinkId, dir: Dir, epoch: u64, frame: Cow<'_, EthernetFrame>) {
         let link = &self.links[link_id.0];
         if epoch != link.epoch || !link.up {
             self.stats.drops_link_down += 1;
@@ -1186,20 +1199,35 @@ impl Network {
             return;
         }
         let Endpoint { node, port } = link.receiver(dir);
+        self.deliver(node, port, frame);
+    }
+
+    /// The one delivery tail, shared by a `Deliver`, each target of a
+    /// `Fan` and an injection: count and trace the delivery, consume a
+    /// PFC control frame, let the device settle the frame with
+    /// [`Device::try_drop`], and only then check the device out and
+    /// build a [`Ctx`] for `on_frame`. A lent frame is cloned only for
+    /// that callback.
+    fn deliver(&mut self, node: NodeId, port: PortNo, frame: Cow<'_, EthernetFrame>) {
         self.stats.frames_delivered += 1;
         self.trace(TraceEvent::Delivered { node, port, frame: &frame });
+        let now = self.now;
+        let dev = self.devices[node.0].as_deref_mut().expect("device in deliver");
         // PFC control frames terminate at the port: the engine pauses or
         // resumes the transmitter pointing back at the emitter, and the
         // device never sees the frame. The one exception is a shard
         // boundary stub, which must relay the frame across the cut so it
         // takes effect in the shard that owns the real transmitter.
         if let Some(op) = pfc::classify(&frame) {
-            let dev = self.devices[node.0].as_ref().expect("device in deliver");
             if !dev.forwards_control_frames() {
                 self.apply_pfc(node, port, op);
                 return;
             }
         }
+        if dev.try_drop(port, &frame, now) {
+            return;
+        }
+        let frame = frame.into_owned();
         self.dispatch(node, |dev, ctx| dev.on_frame(port, frame, ctx));
     }
 

@@ -6,13 +6,17 @@
 //!
 //! Every callback hands the engine's own [`Ctx`] straight to the logic:
 //! what the logic decides *is* what the engine applies, in the order
-//! decided. This runs once per frame hop and nine in ten flood copies
-//! are race losers that decide nothing, so it must cost nothing beyond
-//! the callback — no snapshot of the ports, no buffer of its own, no
-//! allocation (`tests/ideal_alloc.rs`).
+//! decided. Before a frame's callback the engine asks
+//! [`Device::try_drop`], which this wrapper forwards to
+//! [`SwitchLogic::try_drop`]: a flood copy that lost the race — nine in
+//! ten bridge receptions on a large fat-tree — is settled there by one
+//! table probe, with no `Ctx` built and no frame cloned. A frame that
+//! does reach `on_frame` costs nothing beyond the callback: no snapshot
+//! of the ports, no buffer of its own, no allocation
+//! (`tests/ideal_alloc.rs`).
 
 use crate::logic::SwitchLogic;
-use arppath_netsim::{Ctx, Device, PortNo, TimerToken};
+use arppath_netsim::{Ctx, Device, PortNo, SimTime, TimerToken};
 use arppath_wire::EthernetFrame;
 
 /// Device adapter with no added processing delay.
@@ -45,6 +49,10 @@ impl<L: SwitchLogic> Device for IdealSwitch<L> {
         self.logic.on_frame(port, frame, ctx);
     }
 
+    fn try_drop(&mut self, port: PortNo, frame: &EthernetFrame, now: SimTime) -> bool {
+        self.logic.try_drop(port, frame, now)
+    }
+
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
         self.logic.on_timer(token, ctx);
     }
@@ -58,7 +66,7 @@ impl<L: SwitchLogic> Device for IdealSwitch<L> {
 mod tests {
     use super::*;
     use crate::learning::{LearningConfig, LearningSwitch};
-    use arppath_netsim::{LinkParams, NetworkBuilder, SimTime};
+    use arppath_netsim::{LinkParams, NetworkBuilder};
     use arppath_wire::{EtherType, MacAddr, Payload};
     use bytes::Bytes;
 

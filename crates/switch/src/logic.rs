@@ -16,7 +16,7 @@
 //! copy and no allocation; a wrapper that adds latency lends a `Ctx`
 //! over a buffer of its own and holds the sends back.
 
-use arppath_netsim::{Ctx, PortNo, TimerToken};
+use arppath_netsim::{Ctx, PortNo, SimTime, TimerToken};
 use arppath_wire::EthernetFrame;
 
 /// How the frame's forwarding decision was reached, which the timing
@@ -108,6 +108,16 @@ pub trait SwitchLogic: 'static + Send {
     /// Process one received frame; returns which path (hardware or
     /// software) made the decision, for the timing wrapper.
     fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) -> ProcessingClass;
+
+    /// Settle a received frame without [`SwitchLogic::on_frame`] when
+    /// that is all it would do: the contract of
+    /// [`arppath_netsim::Device::try_drop`], which a wrapper with no
+    /// timing of its own forwards here. `true` only if `on_frame` would
+    /// send, schedule and flood nothing, with its counters already
+    /// bumped; the default settles nothing.
+    fn try_drop(&mut self, _port: PortNo, _frame: &EthernetFrame, _now: SimTime) -> bool {
+        false
+    }
 
     /// A requested timer fired.
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Ctx) {}
