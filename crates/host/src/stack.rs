@@ -213,9 +213,7 @@ impl HostStack {
     /// Process a received frame. Returns an [`Upcall`] when an
     /// application-layer datagram arrived.
     pub fn handle_frame(&mut self, frame: EthernetFrame, ctx: &mut Ctx) -> Option<Upcall> {
-        // NIC filter: our MAC or broadcast/multicast.
-        if frame.dst != self.mac && !frame.dst.is_multicast() {
-            self.counters.ignored += 1;
+        if self.try_drop(&frame) {
             return None;
         }
         match frame.payload {
@@ -223,57 +221,47 @@ impl HostStack {
                 self.handle_arp(arp, ctx);
                 None
             }
-            Payload::Ipv4(pkt) if pkt.dst == self.ip => self.handle_ipv4(pkt, ctx),
-            _ => {
-                // Unknown EtherTypes (including ARP-Path control) and
-                // other hosts' IP: silently ignored — transparency.
-                self.counters.ignored += 1;
-                None
-            }
+            Payload::Ipv4(pkt) => self.handle_ipv4(pkt, ctx),
+            // `is_for_us` admits nothing else.
+            _ => None,
         }
     }
 
-    /// Whether [`HostStack::handle_frame`] would ignore `frame` — the
-    /// NIC filter refuses it, it is an ARP packet for another address
-    /// (a foreign ARP request: most of what a host hears in a flooding
-    /// fabric), another host's IP, or a payload the stack does not
-    /// speak — counting it as `handle_frame` would. This mirrors
-    /// `handle_frame`'s ignore arms, so a host device can settle such a
-    /// frame without a callback ([`arppath_netsim::Device::try_drop`]).
-    /// `false` changes nothing.
+    /// Whether [`HostStack::handle_frame`] would ignore `frame`, counting
+    /// it as ignored if so. `handle_frame` decides through this too, so
+    /// a host device can settle such a frame without a callback
+    /// ([`arppath_netsim::Device::try_drop`]). `false` changes nothing.
     pub fn try_drop(&mut self, frame: &EthernetFrame) -> bool {
-        let for_us = (frame.dst == self.mac || frame.dst.is_multicast())
+        let drop = !self.is_for_us(frame);
+        if drop {
+            self.counters.ignored += 1;
+        }
+        drop
+    }
+
+    /// The stack's one receive filter: the NIC takes our MAC or a
+    /// broadcast/multicast, and the stack handles only ARP and IPv4
+    /// addressed to our IP. Everything else — foreign ARP requests (most
+    /// of what a host hears in a flooding fabric), other hosts' IP,
+    /// unknown EtherTypes including ARP-Path control — is ignored:
+    /// transparency.
+    fn is_for_us(&self, frame: &EthernetFrame) -> bool {
+        (frame.dst == self.mac || frame.dst.is_multicast())
             && match &frame.payload {
                 Payload::Arp(arp) => arp.tpa == self.ip,
                 Payload::Ipv4(pkt) => pkt.dst == self.ip,
                 _ => false,
-            };
-        if !for_us {
-            self.counters.ignored += 1;
-        }
-        !for_us
+            }
     }
 
+    /// An ARP packet for our IP (see [`HostStack::is_for_us`]).
     fn handle_arp(&mut self, arp: ArpPacket, ctx: &mut Ctx) {
-        match arp.op {
-            ArpOp::Request => {
-                if arp.tpa == self.ip {
-                    // RFC 826 merge: remember who asked, then answer.
-                    self.learn(arp.spa, arp.sha, ctx);
-                    let reply = ArpPacket::reply_to(&arp, self.mac, self.ip);
-                    ctx.send(PortNo(0), EthernetFrame::arp_reply(reply));
-                    self.counters.arp_replies_tx += 1;
-                } else {
-                    self.counters.ignored += 1;
-                }
-            }
-            ArpOp::Reply => {
-                if arp.tpa == self.ip {
-                    self.learn(arp.spa, arp.sha, ctx);
-                } else {
-                    self.counters.ignored += 1;
-                }
-            }
+        // RFC 826 merge: remember the sender, then answer a request.
+        self.learn(arp.spa, arp.sha, ctx);
+        if arp.op == ArpOp::Request {
+            let reply = ArpPacket::reply_to(&arp, self.mac, self.ip);
+            ctx.send(PortNo(0), EthernetFrame::arp_reply(reply));
+            self.counters.arp_replies_tx += 1;
         }
     }
 

@@ -6,11 +6,16 @@
 //! first and calls `handle_frame` only when that declines. The other
 //! only ever calls `handle_frame`. After every step both must have
 //! issued the same commands, returned the same upcall and hold the same
-//! `HostCounters`. The sequence covers the NIC filter (our MAC, another
-//! host's, broadcast, multicast), ARP requests and replies for us and
-//! for others, UDP and ICMP for us and for others, a corrupt datagram,
-//! path-control frames and unknown EtherTypes, with the stack sending
-//! now and then so that replies drain parked packets.
+//! `HostCounters`. `handle_frame` filters through `try_drop` itself, so
+//! the lockstep alone cannot see a filter that is wrong in both; each
+//! frame's verdict is also checked against the receive rule as the
+//! generator built the frame: a frame for our MAC or a group, carrying
+//! ARP or IPv4 for our IP, is for us, and nothing else is. The sequence
+//! covers the NIC filter (our MAC, another host's, broadcast,
+//! multicast), ARP requests and replies for us and for others, UDP and
+//! ICMP for us and for others, a corrupt datagram, path-control frames
+//! and unknown EtherTypes, with the stack sending now and then so that
+//! replies drain parked packets.
 
 use arppath_host::HostStack;
 use arppath_netsim::{Ctx, NodeId, SimDuration, SimTime};
@@ -51,10 +56,12 @@ fn ip(i: u32) -> Ipv4Addr {
 /// Host 1 runs the stacks; hosts 2–4 are its peers.
 const ME: u32 = 1;
 
-fn next_frame(rng: &mut Rng) -> EthernetFrame {
+/// A frame, and whether it is for us by the stack's receive rule.
+fn next_frame(rng: &mut Rng) -> (EthernetFrame, bool) {
     let peer = 2 + rng.below(3) as u32;
     // Addressed to us, to a peer, or to a group.
-    let dst = match rng.below(4) {
+    let nic = rng.below(4);
+    let dst = match nic {
         0 => mac(peer),
         1 => MacAddr::BROADCAST,
         2 => MacAddr([0x01, 0x00, 0x5e, 0, 0, 1]),
@@ -65,7 +72,8 @@ fn next_frame(rng: &mut Rng) -> EthernetFrame {
     let ipv4 = |proto, payload: Bytes| {
         Payload::Ipv4(Ipv4Packet::new(ip(peer), ip(target), proto, payload))
     };
-    let payload = match rng.below(8) {
+    let kind = rng.below(8);
+    let payload = match kind {
         0 | 1 => Payload::Arp(ArpPacket::request(mac(peer), ip(peer), ip(target))),
         2 => {
             let req = ArpPacket::request(mac(target), ip(target), ip(peer));
@@ -78,7 +86,9 @@ fn next_frame(rng: &mut Rng) -> EthernetFrame {
         6 => Payload::PathCtl(PathCtl::request(mac(peer), mac(target), mac(9), 1)),
         _ => Payload::Raw { ethertype: EtherType(0x88B6), data: vec![0u8; 46].into() },
     };
-    EthernetFrame::new(dst, mac(peer), payload)
+    // Every ARP and IPv4 payload above (kinds 0–5) is about `target`.
+    let for_us = nic != 0 && kind <= 5 && target == ME;
+    (EthernetFrame::new(dst, mac(peer), payload), for_us)
 }
 
 #[test]
@@ -102,8 +112,10 @@ fn try_drop_then_handle_frame_equals_handle_frame_alone() {
                     stack.send_udp(to, 7, 7, b"parked", &mut ctx);
                 }
             }
-            let frame = next_frame(&mut rng);
-            let fast_up = if fast.try_drop(&frame) {
+            let (frame, for_us) = next_frame(&mut rng);
+            let settled = fast.try_drop(&frame);
+            assert_eq!(settled, !for_us, "seed {seed} step {step}: {frame:?}");
+            let fast_up = if settled {
                 dropped += 1;
                 None
             } else {

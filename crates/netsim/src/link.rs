@@ -25,7 +25,6 @@
 
 use crate::device::{NodeId, PortNo};
 use crate::time::{SimDuration, SimTime};
-use arppath_wire::frame::WIRE_OVERHEAD;
 use arppath_wire::EthernetFrame;
 use std::collections::VecDeque;
 
@@ -323,26 +322,13 @@ impl LinkParams {
     /// Serialization time of `frame` on this link, including preamble,
     /// FCS and inter-frame gap.
     pub fn serialization(&self, frame: &EthernetFrame) -> SimDuration {
-        self.serialization_of(frame.wire_len())
-    }
-
-    /// [`LinkParams::serialization`] of a frame whose
-    /// [`EthernetFrame::wire_len`] the caller already has.
-    #[inline]
-    pub(crate) fn serialization_of(&self, wire_len: usize) -> SimDuration {
-        // The bits `EthernetFrame::wire_bits` counts. At 1 Gbit/s a bit
-        // takes exactly one nanosecond. Otherwise bits · 10⁹ / bps: the
-        // product fits in u64 for any frame short of ~2 GB, so the u128
-        // division (a library call, not an instruction) is only the
-        // overflow fallback.
-        let bits = ((wire_len + WIRE_OVERHEAD) * 8) as u64;
-        let ns = if self.bandwidth_bps == 1_000_000_000 {
-            bits
-        } else {
-            match bits.checked_mul(1_000_000_000) {
-                Some(scaled) => scaled / self.bandwidth_bps,
-                None => (u128::from(bits) * 1_000_000_000 / u128::from(self.bandwidth_bps)) as u64,
-            }
+        // bits · 10⁹ / bps. The product fits in u64 for any frame short
+        // of ~2 GB, so the u128 division (a library call, not an
+        // instruction) is only the overflow fallback.
+        let bits = frame.wire_bits();
+        let ns = match bits.checked_mul(1_000_000_000) {
+            Some(scaled) => scaled / self.bandwidth_bps,
+            None => (u128::from(bits) * 1_000_000_000 / u128::from(self.bandwidth_bps)) as u64,
         };
         SimDuration::nanos(ns)
     }

@@ -65,7 +65,6 @@ impl Payload {
     }
 
     /// Length in bytes of the encoded payload (before frame padding).
-    #[inline]
     pub fn wire_len(&self) -> usize {
         match self {
             Payload::Arp(_) => ArpPacket::LEN,
@@ -115,7 +114,6 @@ impl EthernetFrame {
 
     /// True when the destination is broadcast or multicast — frames that
     /// bridges flood rather than forward point-to-point.
-    #[inline]
     pub fn is_flooded(&self) -> bool {
         self.dst.is_multicast()
     }
@@ -123,7 +121,6 @@ impl EthernetFrame {
     /// Frame length on the wire: header (+ tag) + payload, padded to the
     /// 60-byte minimum, excluding FCS (add [`WIRE_OVERHEAD`] for the full
     /// line occupancy including preamble/FCS/IFG).
-    #[inline]
     pub fn wire_len(&self) -> usize {
         let len =
             Self::HEADER_LEN + if self.vlan.is_some() { 4 } else { 0 } + self.payload.wire_len();
@@ -134,7 +131,6 @@ impl EthernetFrame {
     /// the mandatory inter-frame gap. This is the quantity that divides
     /// into link bandwidth to yield serialization delay — the term that
     /// decides the ARP races at the heart of the protocol.
-    #[inline]
     pub fn wire_bits(&self) -> u64 {
         ((self.wire_len() + WIRE_OVERHEAD) * 8) as u64
     }

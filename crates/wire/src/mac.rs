@@ -46,13 +46,11 @@ impl MacAddr {
 
     /// True when the group bit (I/G, least significant bit of the first
     /// octet) is set — multicast and broadcast addresses.
-    #[inline]
     pub fn is_multicast(&self) -> bool {
         self.0[0] & 0x01 != 0
     }
 
     /// True for addresses usable as a unicast source.
-    #[inline]
     pub fn is_unicast(&self) -> bool {
         !self.is_multicast() && *self != Self::ZERO
     }
