@@ -33,7 +33,7 @@
 use crate::config::ArpPathConfig;
 use crate::counters::ArpPathCounters;
 use crate::entry::{EntryState, PackedEntry, PathEntry, MAX_PORTS};
-use arppath_netsim::{Ctx, PortNo, SimDuration, SimTime, TimerToken};
+use arppath_netsim::{Ctx, PortNo, SimDuration, SimTime, TimerToken, Verdict};
 use arppath_switch::{
     AgingMap, DLeftTable, DropReason, ProcessingClass, Slot, SwitchCounters, SwitchLogic,
 };
@@ -152,6 +152,11 @@ impl ArpPathBridge {
     /// Live path-table entry for `mac` (inspection; does not mutate).
     pub fn entry_of(&self, mac: MacAddr, now: SimTime) -> Option<PathEntry> {
         self.table.peek(&mac, now).map(|packed| packed.unpack())
+    }
+
+    /// When `mac`'s live entry expires (inspection; does not mutate).
+    pub fn expiry_of(&self, mac: MacAddr, now: SimTime) -> Option<SimTime> {
+        self.table.peek_aged(&mac, now).map(|aged| aged.expires)
     }
 
     /// Number of (possibly stale) table entries.
@@ -328,8 +333,8 @@ impl ArpPathBridge {
     /// `port`: `Err` when `src`'s live entry names another port — the
     /// copy lost the race (the paper's discard rule) and is counted
     /// here — and otherwise `src`'s live entry on this port, if any.
-    /// [`SwitchLogic::try_drop`] and `accept_discovery` both decide
-    /// through this, so a loser settled before `on_frame` is counted
+    /// [`SwitchLogic::lookup_stage`] and `accept_discovery` both decide
+    /// through this, so a loser dropped before `on_frame` is counted
     /// exactly as `on_frame` would count it.
     fn race_probe(
         &mut self,
@@ -416,7 +421,8 @@ impl ArpPathBridge {
         }
         // The replier D is reachable via the reply's ingress port.
         self.try_insert(frame.src, PathEntry::learnt(port), now + self.config.learn_time, now);
-        self.forward_unicast(port, frame, true, ctx)
+        let hop = self.next_hop(frame.dst, port, true, now);
+        self.forward_unicast(hop, frame, ctx)
     }
 
     /// The one unicast forwarding rule: where a frame toward `dst` that
@@ -448,16 +454,33 @@ impl ArpPathBridge {
         NextHop::Out(e.port)
     }
 
-    /// Forward a host unicast (data, or an ARP Reply when
-    /// `establishing`) along [`Self::next_hop`].
+    /// The unicast data rule: a frame from `src` on `src`'s own
+    /// `Learnt` port proves the path is in use and refreshes that
+    /// entry, then [`Self::next_hop`] decides. `handle_unicast_data` and
+    /// [`SwitchLogic::lookup_stage`] both decide through this, so a hit
+    /// forwarded before `on_frame` is refreshed and counted exactly as
+    /// `on_frame` would have. A `Bounce` or `Miss` changes nothing
+    /// that a second call at the same instant would not repeat
+    /// identically (the refresh extends to the same expiry), so the
+    /// stage leaves those to `on_frame`.
+    fn unicast_hop(&mut self, port: PortNo, src: MacAddr, dst: MacAddr, now: SimTime) -> NextHop {
+        if let Some((slot, e)) = self.probe(src, now) {
+            if e.port == port && e.state == EntryState::Learnt {
+                self.table.touch_at(slot, now + self.config.learn_time);
+            }
+        }
+        self.next_hop(dst, port, false, now)
+    }
+
+    /// Forward a host unicast (data, or an ARP Reply) along the
+    /// [`NextHop`] its rule decided.
     fn forward_unicast(
         &mut self,
-        port: PortNo,
+        hop: NextHop,
         frame: EthernetFrame,
-        establishing: bool,
         ctx: &mut Ctx,
     ) -> ProcessingClass {
-        match self.next_hop(frame.dst, port, establishing, ctx.now()) {
+        match hop {
             NextHop::Out(out) => {
                 self.counters.forwarded += 1;
                 ctx.send(out, frame);
@@ -487,15 +510,8 @@ impl ArpPathBridge {
         frame: EthernetFrame,
         ctx: &mut Ctx,
     ) -> ProcessingClass {
-        // A frame from S on S's own entry port proves the path is in
-        // use: refresh confirmed entries.
-        let now = ctx.now();
-        if let Some((slot, e)) = self.probe(frame.src, now) {
-            if e.port == port && e.state == EntryState::Learnt {
-                self.table.touch_at(slot, now + self.config.learn_time);
-            }
-        }
-        self.forward_unicast(port, frame, false, ctx)
+        let hop = self.unicast_hop(port, frame.src, frame.dst, ctx.now());
+        self.forward_unicast(hop, frame, ctx)
     }
 
     fn handle_other_broadcast(
@@ -765,14 +781,32 @@ impl SwitchLogic for ArpPathBridge {
         }
     }
 
-    /// A host flood — what `on_frame` hands `accept_discovery` without
-    /// a wave: flooded, not path control, from a unicast source — that
-    /// lost the race.
-    fn try_drop(&mut self, port: PortNo, frame: &EthernetFrame, now: SimTime) -> bool {
-        frame.is_flooded()
-            && frame.src.is_unicast()
-            && !matches!(frame.payload, Payload::PathCtl(_))
-            && self.race_probe(frame.src, port, now).is_err()
+    /// Drops a host flood that lost the race and forwards unicast data
+    /// whose [`NextHop`] is `Out`, deciding each through the helper its
+    /// `on_frame` arm uses. Path control, non-unicast sources, ARP
+    /// Replies (which promote), bounces and misses (which may repair)
+    /// go to `on_frame`.
+    fn lookup_stage(&mut self, port: PortNo, frame: &EthernetFrame, now: SimTime) -> Verdict {
+        if matches!(frame.payload, Payload::PathCtl(_)) || !frame.src.is_unicast() {
+            return Verdict::Callback;
+        }
+        if frame.is_flooded() {
+            // What `on_frame` hands `accept_discovery` without a wave.
+            return match self.race_probe(frame.src, port, now) {
+                Err(LostRace) => Verdict::Dropped,
+                Ok(_) => Verdict::Callback,
+            };
+        }
+        if matches!(&frame.payload, Payload::Arp(arp) if arp.op == ArpOp::Reply) {
+            return Verdict::Callback;
+        }
+        match self.unicast_hop(port, frame.src, frame.dst, now) {
+            NextHop::Out(out) => {
+                self.counters.forwarded += 1;
+                Verdict::Forward(out)
+            }
+            NextHop::Bounce | NextHop::Miss => Verdict::Callback,
+        }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {

@@ -28,7 +28,7 @@
 //! shard-local.
 
 use crate::stack::{HostStack, Upcall};
-use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
+use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken, Verdict};
 use arppath_wire::{EthernetFrame, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -352,8 +352,8 @@ impl Device for ChurnHost {
         self.timer_armed = true;
     }
 
-    fn try_drop(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> bool {
-        self.stack.try_drop(frame)
+    fn lookup_stage(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> Verdict {
+        self.stack.lookup_stage(frame)
     }
 
     fn on_frame(&mut self, _port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {

@@ -24,7 +24,7 @@
 //! duplicates — the ack clock is what reopens a stalled window.
 
 use crate::stack::{HostStack, Upcall};
-use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
+use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken, Verdict};
 use arppath_wire::MacAddr;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -38,10 +38,11 @@ const HEADER_LEN: usize = 9;
 
 /// Timer cookie for the flow start.
 const TOKEN_START: TimerToken = TimerToken(0x6B4E_0000_0000_0000);
-/// Timer cookie base for retransmit timers; the low 32 bits carry the
-/// arming generation, which is how a timer that cannot be cancelled is
-/// invalidated: stale generations are ignored on fire.
-const TOKEN_RETX_BASE: u64 = 0x6B4E_0001_0000_0000;
+/// Timer cookie of every retransmit fire. A fire cannot be cancelled,
+/// so it carries nothing: it retransmits only if the flow's deadline
+/// has come, and otherwise files the next fire at the deadline (see
+/// [`FlowHost::file_fire`]).
+const TOKEN_RETX: TimerToken = TimerToken(0x6B4E_0001_0000_0000);
 
 /// Cap on the exponential RTO backoff exponent (64x the base RTO).
 const MAX_BACKOFF: u32 = 6;
@@ -124,7 +125,8 @@ impl CongestionControl for Aimd {
     }
 }
 
-/// The armed retransmit timer: its deadline plus the arming generation.
+/// The armed retransmit timer: the instant the flow retransmits at
+/// unless an ack re-arms it first.
 ///
 /// The expiry predicate deliberately mirrors the switch table's
 /// `Aged::is_live` convention (`expires <= now` means dead): a timer
@@ -132,10 +134,8 @@ impl CongestionControl for Aimd {
 /// is pinned by a twin test here and in `arppath_switch`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetxTimer {
-    /// Absolute instant the timer fires at.
+    /// Absolute instant the timer expires at.
     pub deadline: SimTime,
-    /// Generation this timer was armed under.
-    pub generation: u64,
 }
 
 impl RetxTimer {
@@ -241,10 +241,12 @@ pub struct FlowHost {
     base: u64,
     /// Next sequence number to send fresh.
     next_seq: u64,
-    /// Arming generation of the retransmit timer.
-    generation: u64,
     /// The armed timer, if any.
     retx: Option<RetxTimer>,
+    /// The earliest retransmit fire still pending, if known: an ack
+    /// that moves the deadline later files nothing while this is at or
+    /// before it.
+    fire_at: Option<SimTime>,
     /// Exponential RTO backoff exponent: consecutive timeouts double
     /// the effective RTO (capped), ack progress resets it. Without
     /// this, a paused (PFC) or deeply queued fabric triggers timeouts
@@ -294,8 +296,8 @@ impl FlowHost {
             cc,
             base: 0,
             next_seq: 0,
-            generation: 0,
             retx: None,
+            fire_at: None,
             backoff: 0,
             started_at: None,
             fct: None,
@@ -359,13 +361,24 @@ impl FlowHost {
         SimDuration::nanos(self.config.rto.as_nanos().saturating_mul(factor))
     }
 
-    /// Arm (re-arm) the retransmit timer under a fresh generation.
+    /// Arm (re-arm) the retransmit timer one RTO from now.
     fn arm_retx(&mut self, ctx: &mut Ctx) {
-        let rto = self.current_rto();
-        self.generation += 1;
-        self.retx = Some(RetxTimer { deadline: ctx.now() + rto, generation: self.generation });
-        let token = TOKEN_RETX_BASE | (self.generation & 0xFFFF_FFFF);
-        ctx.schedule(rto, TimerToken(token));
+        let deadline = ctx.now() + self.current_rto();
+        self.retx = Some(RetxTimer { deadline });
+        self.file_fire(deadline, ctx);
+    }
+
+    /// Make sure a fire is pending at or before `deadline`: file one at
+    /// `deadline` unless one already is. An earlier fire finds the
+    /// deadline ahead of it and files the next one then, so every ack
+    /// inside one RTO costs no timer, and a retransmission still lands
+    /// exactly on its deadline.
+    fn file_fire(&mut self, deadline: SimTime, ctx: &mut Ctx) {
+        if self.fire_at.is_some_and(|at| at <= deadline) {
+            return;
+        }
+        self.fire_at = Some(deadline);
+        ctx.schedule(SimDuration::nanos(deadline.0 - ctx.now().0), TOKEN_RETX);
     }
 
     fn on_ack(&mut self, cumulative: u64, ctx: &mut Ctx) {
@@ -387,10 +400,15 @@ impl FlowHost {
         }
     }
 
-    fn on_retx_timer(&mut self, generation: u64, ctx: &mut Ctx) {
+    fn on_retx_fire(&mut self, ctx: &mut Ctx) {
+        if self.fire_at == Some(ctx.now()) {
+            self.fire_at = None;
+        }
         let Some(timer) = self.retx else { return };
-        if timer.generation != generation || !timer.expired(ctx.now()) {
-            return; // superseded arming: ignore the stale fire
+        if !timer.expired(ctx.now()) {
+            // Acks moved the deadline on since this fire was filed.
+            self.file_fire(timer.deadline, ctx);
+            return;
         }
         self.cc.on_timeout();
         self.backoff = (self.backoff + 1).min(MAX_BACKOFF);
@@ -442,18 +460,18 @@ impl Device for FlowHost {
             self.started_at = Some(ctx.now());
             self.pump(ctx);
             self.arm_retx(ctx);
-        } else if token.0 & !0xFFFF_FFFF == TOKEN_RETX_BASE {
-            self.on_retx_timer(token.0 & 0xFFFF_FFFF, ctx);
+        } else if token == TOKEN_RETX {
+            self.on_retx_fire(ctx);
         }
     }
 
-    fn try_drop(
+    fn lookup_stage(
         &mut self,
         _port: PortNo,
         frame: &arppath_netsim::EthernetFrame,
         _now: SimTime,
-    ) -> bool {
-        self.stack.try_drop(frame)
+    ) -> Verdict {
+        self.stack.lookup_stage(frame)
     }
 
     fn on_frame(&mut self, _port: PortNo, frame: arppath_netsim::EthernetFrame, ctx: &mut Ctx) {
@@ -490,7 +508,7 @@ mod tests {
         // Twin of `arppath_switch`'s `Aged::is_live` boundary pin:
         // `expires <= now` is dead there, so `deadline <= now` is
         // expired here. A timer read at exactly its deadline fires.
-        let t = RetxTimer { deadline: SimTime(100), generation: 1 };
+        let t = RetxTimer { deadline: SimTime(100) };
         assert!(!t.expired(SimTime(99)));
         assert!(t.expired(SimTime(100)), "the boundary instant is expired");
         assert!(t.expired(SimTime(101)));
@@ -546,26 +564,107 @@ mod tests {
         assert!(h.retx.is_none(), "completion disarms the timer");
     }
 
-    #[test]
-    fn stale_timer_generations_are_ignored() {
+    /// A sender with `segments` to send under a fixed window of 4 and a
+    /// 1 ms base RTO.
+    fn sender(segments: u64) -> FlowHost {
         let config = FlowConfig {
             target: Some(Ipv4Addr::new(10, 0, 0, 2)),
-            segments: 8,
+            segments,
+            rto: SimDuration::millis(1),
             ..Default::default()
         };
-        let mut h =
-            FlowHost::new("s", MacAddr::from_index(1, 1), Ipv4Addr::new(10, 0, 0, 1), config);
+        let mac = MacAddr::from_index(1, 1);
+        let ip = Ipv4Addr::new(10, 0, 0, 1);
+        FlowHost::with_controller("s", mac, ip, config, Box::new(FixedWindow(4)))
+    }
+
+    /// The delays of the timers `cmds` filed.
+    fn fires(cmds: &[Command]) -> Vec<u64> {
+        cmds.iter()
+            .filter_map(|cmd| match cmd {
+                Command::Schedule { after, token } if *token == TOKEN_RETX => {
+                    Some(after.as_nanos())
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    const RTO: u64 = 1_000_000;
+
+    #[test]
+    fn acks_inside_one_rto_leave_one_pending_fire() {
+        let mut h = sender(64);
         let (ports, mut cmds) = ctx_bits();
         h.on_timer(TOKEN_START, &mut Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds));
-        let first_gen = h.generation;
-        // An ack re-arms under a new generation; the old timer's fire
-        // must be a no-op.
+        assert_eq!(fires(&cmds), [RTO], "the start files the first fire");
+        cmds.clear();
+        for (i, at) in [100, 2_000, 30_000, 999_999].into_iter().enumerate() {
+            h.on_ack(i as u64 + 1, &mut Ctx::new(SimTime(at), NodeId(0), &ports, &mut cmds));
+            assert_eq!(h.retx.unwrap().deadline, SimTime(at + RTO), "each ack re-arms");
+        }
+        assert_eq!(fires(&cmds), [0u64; 0], "the fire at 1 ms still covers every deadline");
+    }
+
+    #[test]
+    fn a_fire_before_the_live_deadline_retransmits_nothing() {
+        let mut h = sender(8);
+        let (ports, mut cmds) = ctx_bits();
+        h.on_timer(TOKEN_START, &mut Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds));
         h.on_ack(2, &mut Ctx::new(SimTime(1000), NodeId(0), &ports, &mut cmds));
         let sent_before = h.data_sent;
-        let stale = TimerToken(TOKEN_RETX_BASE | first_gen);
-        h.on_timer(stale, &mut Ctx::new(SimTime(u64::MAX), NodeId(0), &ports, &mut cmds));
-        assert_eq!(h.data_sent, sent_before, "stale generation retransmitted");
+        h.on_timer(TOKEN_RETX, &mut Ctx::new(SimTime(RTO), NodeId(0), &ports, &mut cmds));
+        assert_eq!(h.data_sent, sent_before, "an early fire retransmitted");
         assert_eq!(h.retransmits, 0);
+    }
+
+    #[test]
+    fn an_early_fire_files_one_fire_at_the_deadline() {
+        let mut h = sender(8);
+        let (ports, mut cmds) = ctx_bits();
+        h.on_timer(TOKEN_START, &mut Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds));
+        h.on_ack(2, &mut Ctx::new(SimTime(1000), NodeId(0), &ports, &mut cmds));
+        cmds.clear();
+        h.on_timer(TOKEN_RETX, &mut Ctx::new(SimTime(RTO), NodeId(0), &ports, &mut cmds));
+        assert_eq!(cmds.len(), 1, "nothing but the next fire: {cmds:?}");
+        assert_eq!(fires(&cmds), [1000], "filed at the deadline, 1000 + RTO");
+    }
+
+    #[test]
+    fn a_backoff_reset_that_pulls_the_deadline_earlier_files_the_earlier_fire() {
+        let mut h = sender(8);
+        let (ports, mut cmds) = ctx_bits();
+        h.on_timer(TOKEN_START, &mut Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds));
+        // Two timeouts: the deadline is now 4 RTOs past the second.
+        h.on_timer(TOKEN_RETX, &mut Ctx::new(SimTime(RTO), NodeId(0), &ports, &mut cmds));
+        h.on_timer(TOKEN_RETX, &mut Ctx::new(SimTime(3 * RTO), NodeId(0), &ports, &mut cmds));
+        assert_eq!(h.retransmits, 8);
+        assert_eq!(h.retx.unwrap().deadline, SimTime(7 * RTO));
+        cmds.clear();
+        // Progress resets the backoff: the deadline comes before the
+        // pending fire, so it needs one of its own.
+        let at = 3 * RTO + 500;
+        h.on_ack(1, &mut Ctx::new(SimTime(at), NodeId(0), &ports, &mut cmds));
+        assert_eq!(h.retx.unwrap().deadline, SimTime(at + RTO));
+        assert_eq!(fires(&cmds), [RTO]);
+    }
+
+    #[test]
+    fn the_retransmission_lands_exactly_on_the_deadline() {
+        let mut h = sender(8);
+        let (ports, mut cmds) = ctx_bits();
+        h.on_timer(TOKEN_START, &mut Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds));
+        h.on_ack(2, &mut Ctx::new(SimTime(1000), NodeId(0), &ports, &mut cmds));
+        let deadline = h.retx.unwrap().deadline;
+        let fire = |h: &mut FlowHost, at: SimTime, cmds: &mut Vec<Command>| {
+            h.on_timer(TOKEN_RETX, &mut Ctx::new(at, NodeId(0), &ports, cmds));
+        };
+        fire(&mut h, SimTime(deadline.0 - 1), &mut cmds);
+        assert_eq!(h.retransmits, 0, "one nanosecond early");
+        fire(&mut h, deadline, &mut cmds);
+        assert_eq!(h.retransmits, 4, "the whole window, at the deadline");
+        fire(&mut h, deadline, &mut cmds);
+        assert_eq!(h.retransmits, 4, "a second fire at the same instant finds the timer re-armed");
     }
 
     #[test]
@@ -586,15 +685,11 @@ mod tests {
         let (ports, mut cmds) = ctx_bits();
         h.on_timer(TOKEN_START, &mut Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds));
         assert_eq!(h.data_sent, 3);
-        let gen = h.generation;
         let fire_at = SimTime(SimDuration::millis(1).as_nanos());
-        h.on_timer(
-            TimerToken(TOKEN_RETX_BASE | gen),
-            &mut Ctx::new(fire_at, NodeId(0), &ports, &mut cmds),
-        );
+        h.on_timer(TOKEN_RETX, &mut Ctx::new(fire_at, NodeId(0), &ports, &mut cmds));
         assert_eq!(h.data_sent, 6, "the whole window went again");
         assert_eq!(h.retransmits, 3);
-        assert!(h.retx.unwrap().generation > gen, "timer re-armed fresh");
+        assert!(h.retx.unwrap().deadline > fire_at, "timer re-armed fresh");
     }
 
     #[test]
@@ -620,8 +715,7 @@ mod tests {
                 "fire #{fired} armed at 2^{exp} x base, saturating at the cap"
             );
             now = timer.deadline;
-            let token = TimerToken(TOKEN_RETX_BASE | timer.generation);
-            h.on_timer(token, &mut Ctx::new(now, NodeId(0), &ports, &mut cmds));
+            h.on_timer(TOKEN_RETX, &mut Ctx::new(now, NodeId(0), &ports, &mut cmds));
         }
         // Ack progress snaps the RTO back to base.
         h.on_ack(2, &mut Ctx::new(now, NodeId(0), &ports, &mut cmds));

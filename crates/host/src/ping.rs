@@ -3,7 +3,7 @@
 
 use crate::stack::{HostStack, Upcall};
 use arppath_metrics::LatencyStats;
-use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
+use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken, Verdict};
 use arppath_wire::{EthernetFrame, MacAddr};
 use std::net::Ipv4Addr;
 
@@ -135,8 +135,8 @@ impl Device for PingHost {
         }
     }
 
-    fn try_drop(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> bool {
-        self.stack.try_drop(frame)
+    fn lookup_stage(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> Verdict {
+        self.stack.lookup_stage(frame)
     }
 
     fn on_frame(&mut self, _port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {

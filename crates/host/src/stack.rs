@@ -6,7 +6,7 @@
 //! configuration"), and it is load-bearing: the host's ordinary ARP
 //! Request is the frame whose flood race discovers the path.
 
-use arppath_netsim::{Ctx, PortNo, SimDuration};
+use arppath_netsim::{Ctx, PortNo, SimDuration, Verdict};
 use arppath_switch::AgingMap;
 use arppath_wire::{
     ArpOp, ArpPacket, EthernetFrame, IcmpEcho, IpProto, Ipv4Packet, MacAddr, Payload, UdpDatagram,
@@ -213,7 +213,7 @@ impl HostStack {
     /// Process a received frame. Returns an [`Upcall`] when an
     /// application-layer datagram arrived.
     pub fn handle_frame(&mut self, frame: EthernetFrame, ctx: &mut Ctx) -> Option<Upcall> {
-        if self.try_drop(&frame) {
+        if self.lookup_stage(&frame) == Verdict::Dropped {
             return None;
         }
         match frame.payload {
@@ -227,16 +227,18 @@ impl HostStack {
         }
     }
 
-    /// Whether [`HostStack::handle_frame`] would ignore `frame`, counting
-    /// it as ignored if so. `handle_frame` decides through this too, so
-    /// a host device can settle such a frame without a callback
-    /// ([`arppath_netsim::Device::try_drop`]). `false` changes nothing.
-    pub fn try_drop(&mut self, frame: &EthernetFrame) -> bool {
-        let drop = !self.is_for_us(frame);
-        if drop {
-            self.counters.ignored += 1;
+    /// `Dropped`, counting `frame` as ignored, if
+    /// [`HostStack::handle_frame`] would ignore it; `Callback`, changing
+    /// nothing, otherwise. `handle_frame` decides through this too, so a
+    /// host device's lookup stage
+    /// ([`arppath_netsim::Device::lookup_stage`]) can drop such a frame
+    /// without a callback. A host forwards nothing.
+    pub fn lookup_stage(&mut self, frame: &EthernetFrame) -> Verdict {
+        if self.is_for_us(frame) {
+            return Verdict::Callback;
         }
-        drop
+        self.counters.ignored += 1;
+        Verdict::Dropped
     }
 
     /// The stack's one receive filter: the NIC takes our MAC or a

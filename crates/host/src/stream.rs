@@ -11,7 +11,7 @@
 
 use crate::stack::{HostStack, Upcall};
 use arppath_metrics::{LatencyStats, TimeSeries};
-use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
+use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken, Verdict};
 use arppath_wire::{EthernetFrame, MacAddr};
 use std::net::Ipv4Addr;
 
@@ -117,8 +117,8 @@ impl Device for StreamServer {
         }
     }
 
-    fn try_drop(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> bool {
-        self.stack.try_drop(frame)
+    fn lookup_stage(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> Verdict {
+        self.stack.lookup_stage(frame)
     }
 
     fn on_frame(&mut self, _port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
@@ -226,8 +226,8 @@ impl Device for StreamClient {
         ctx.schedule(self.config.report_interval, TOKEN_REPORT);
     }
 
-    fn try_drop(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> bool {
-        self.stack.try_drop(frame)
+    fn lookup_stage(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> Verdict {
+        self.stack.lookup_stage(frame)
     }
 
     fn on_frame(&mut self, _port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {

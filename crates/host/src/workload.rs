@@ -19,7 +19,7 @@
 //! nothing here knows ARP-Path exists.
 
 use crate::stack::{HostStack, Upcall};
-use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken};
+use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken, Verdict};
 use arppath_wire::{EthernetFrame, MacAddr, UdpDatagram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -182,8 +182,8 @@ impl Device for TrafficHost {
         }
     }
 
-    fn try_drop(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> bool {
-        self.stack.try_drop(frame)
+    fn lookup_stage(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> Verdict {
+        self.stack.lookup_stage(frame)
     }
 
     fn on_frame(&mut self, _port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {

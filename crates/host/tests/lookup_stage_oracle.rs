@@ -1,12 +1,12 @@
-//! `HostStack::try_drop` settles exactly the frames `handle_frame`
+//! `HostStack::lookup_stage` drops exactly the frames `handle_frame`
 //! would only count as ignored.
 //!
 //! Two stacks step in lockstep through one seeded frame sequence. One
-//! does what the engine does for a host device: it asks `try_drop`
-//! first and calls `handle_frame` only when that declines. The other
+//! does what the engine does for a host device: it asks `lookup_stage`
+//! first and calls `handle_frame` only on `Callback`. The other
 //! only ever calls `handle_frame`. After every step both must have
 //! issued the same commands, returned the same upcall and hold the same
-//! `HostCounters`. `handle_frame` filters through `try_drop` itself, so
+//! `HostCounters`. `handle_frame` filters through `lookup_stage` itself, so
 //! the lockstep alone cannot see a filter that is wrong in both; each
 //! frame's verdict is also checked against the receive rule as the
 //! generator built the frame: a frame for our MAC or a group, carrying
@@ -18,7 +18,7 @@
 //! replies drain parked packets.
 
 use arppath_host::HostStack;
-use arppath_netsim::{Ctx, NodeId, SimDuration, SimTime};
+use arppath_netsim::{Ctx, NodeId, SimDuration, SimTime, Verdict};
 use arppath_wire::{
     ArpPacket, EtherType, EthernetFrame, IcmpEcho, IpProto, Ipv4Packet, MacAddr, PathCtl, Payload,
     UdpDatagram,
@@ -92,7 +92,7 @@ fn next_frame(rng: &mut Rng) -> (EthernetFrame, bool) {
 }
 
 #[test]
-fn try_drop_then_handle_frame_equals_handle_frame_alone() {
+fn lookup_stage_then_handle_frame_equals_handle_frame_alone() {
     for seed in [1u64, 2, 3] {
         let mut fast = HostStack::new(mac(ME), ip(ME));
         let mut oracle = HostStack::new(mac(ME), ip(ME));
@@ -113,7 +113,11 @@ fn try_drop_then_handle_frame_equals_handle_frame_alone() {
                 }
             }
             let (frame, for_us) = next_frame(&mut rng);
-            let settled = fast.try_drop(&frame);
+            let settled = match fast.lookup_stage(&frame) {
+                Verdict::Dropped => true,
+                Verdict::Callback => false,
+                Verdict::Forward(port) => panic!("a host forwarded to {port:?}: {frame:?}"),
+            };
             assert_eq!(settled, !for_us, "seed {seed} step {step}: {frame:?}");
             let fast_up = if settled {
                 dropped += 1;
@@ -134,7 +138,7 @@ fn try_drop_then_handle_frame_equals_handle_frame_alone() {
             fast_cmds.clear();
             oracle_cmds.clear();
         }
-        assert!(dropped > STEPS / 10, "only {dropped} of {STEPS} frames settled in try_drop");
+        assert!(dropped > STEPS / 10, "only {dropped} of {STEPS} frames dropped in lookup_stage");
         assert!(passed > STEPS / 10, "only {passed} of {STEPS} frames reached handle_frame");
     }
 }

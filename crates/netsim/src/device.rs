@@ -56,6 +56,23 @@ impl Command {
     }
 }
 
+/// What a device's lookup stage ([`Device::lookup_stage`]) decided
+/// about a received frame before any callback: the part of a
+/// hardware bridge's datapath that settles a frame without its CPU.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The frame needs [`Device::on_frame`]; the stage changed nothing
+    /// `on_frame` would not change the same way.
+    Callback,
+    /// `on_frame` would only have counted the frame, and the stage
+    /// counted it.
+    Dropped,
+    /// `on_frame` would have sent the frame, unchanged, out of this
+    /// port and done nothing else, and the stage did everything else it
+    /// would have done (counters, table refreshes).
+    Forward(PortNo),
+}
+
 /// A flood the engine's [`Ctx`] logged instead of expanding into one
 /// [`Command::Send`] per port: the engine fans it out itself, with the
 /// frame lent to every copy (see `Network::fan_out`).
@@ -197,20 +214,24 @@ pub trait Device: Any + Send {
     /// the last bit has arrived).
     fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx);
 
-    /// Settle a received frame without a callback, if that is all
-    /// [`Device::on_frame`] would do with it: a bridge's race loser, a
-    /// host's copy of someone else's ARP request. Return `true` only
-    /// when `on_frame(port, frame)` at `now` would send, schedule and
-    /// flood nothing, after bumping exactly the counters it would have
-    /// bumped; the engine then skips `on_frame`. `false` (the default)
-    /// leaves the frame to `on_frame` and must change nothing that
-    /// `on_frame` would not change the same way.
+    /// The lookup stage: decide a received frame without a callback
+    /// where that is all [`Device::on_frame`] would do with it — a
+    /// bridge's race loser or unicast table hit, a host's copy of
+    /// someone else's ARP request. [`Verdict::Dropped`] promises that
+    /// `on_frame(port, frame)` at `now` would send, schedule and flood
+    /// nothing; [`Verdict::Forward`] that it would send exactly one
+    /// unchanged copy out of the given port and nothing else. Either
+    /// way the stage has already done whatever else `on_frame` would
+    /// have done, and the engine skips it. [`Verdict::Callback`] (the
+    /// default) leaves the frame to `on_frame` and must change nothing
+    /// that `on_frame` would not change the same way.
     ///
     /// The engine asks before it checks the device out or builds a
-    /// [`Ctx`], so a frame settled here costs one virtual call and
-    /// whatever lookup decides it.
-    fn try_drop(&mut self, _port: PortNo, _frame: &EthernetFrame, _now: SimTime) -> bool {
-        false
+    /// [`Ctx`], so a frame decided here costs one virtual call and
+    /// whatever lookup decides it; a forwarded one then goes straight
+    /// to the egress link.
+    fn lookup_stage(&mut self, _port: PortNo, _frame: &EthernetFrame, _now: SimTime) -> Verdict {
+        Verdict::Callback
     }
 
     /// A previously scheduled timer fired.

@@ -115,23 +115,30 @@
 //! there. The sharded engine's ingress never does that, because a cut
 //! link's receiving end is never the target of a local transmission.
 //!
-//! # Settling a frame before the callback
+//! # The lookup stage
 //!
-//! Most frames a flooding run delivers change nothing but a counter: a
-//! bridge's copy of a flood that lost the race to another port, a
-//! host's copy of someone else's ARP request. Every delivery — a
-//! `Deliver`, each target of a `Fan`, an injection — ends in one tail
-//! (`Network::deliver`): count it, trace it as `Delivered`, let the
-//! engine consume a PFC control frame, then ask the device
-//! [`Device::try_drop`]. A device that answers `true` has bumped the
-//! counters `on_frame` would have bumped and promises that `on_frame`
-//! would have sent, scheduled and flooded nothing, so the engine skips
-//! it: no device checkout, no [`Ctx`], no clone of a lent frame. Only
-//! a frame that goes on to `on_frame` is cloned out of a fan. The
-//! default answers `false`, so a device that does not implement it
-//! sees every frame, as before. Traces, counters and event counts are
-//! the same either way: `crates/netsim/tests/try_drop_twin.rs` runs
-//! twin networks, one with `try_drop` hidden, to hold that.
+//! A hardware bridge decides most frames in its lookup stage and hands
+//! only exceptions to its CPU; the engine mirrors that. Every delivery
+//! — a `Deliver`, each target of a `Fan`, an injection — ends in one
+//! tail (`Network::deliver`): count it, trace it as `Delivered`, let
+//! the engine consume a PFC control frame, then ask the device
+//! [`Device::lookup_stage`] for a [`Verdict`]:
+//!
+//! - `Dropped`: the device counted the frame, and `on_frame` would
+//!   have done nothing else — a bridge's flood copy that lost the race,
+//!   a host's copy of someone else's ARP request. Done.
+//! - `Forward(port)`: the device did its counting and table refreshes,
+//!   and `on_frame` would have sent the frame, unchanged, out of
+//!   `port` and nothing else — a bridge's unicast table hit. The engine
+//!   sends it as `apply` would have sent that one `Send`.
+//! - `Callback`: everything else goes to `on_frame` as before.
+//!
+//! The first two skip the device checkout, the [`Ctx`] and the command
+//! buffer, and a lent frame is cloned only when it goes on. The default
+//! answers `Callback`, so a device that does not implement the stage
+//! sees every frame. Traces, counters and event counts are the same
+//! either way: `crates/netsim/tests/lookup_stage_twin.rs` runs twin
+//! networks, one with the stage hidden, to hold that.
 //!
 //! # Example
 //!
@@ -180,7 +187,7 @@
 //! ```
 
 use crate::calq::CalendarQueue;
-use crate::device::{Command, Ctx, Device, Flood, NodeId, PortNo, TimerToken};
+use crate::device::{Command, Ctx, Device, Flood, NodeId, PortNo, TimerToken, Verdict};
 use crate::link::{Admission, Dir, DirStats, Endpoint, Link, LinkId, LinkParams, PauseWatchdog};
 use crate::pfc::{self, PfcOp};
 use crate::time::{SimDuration, SimTime};
@@ -1234,11 +1241,14 @@ impl Network {
 
     /// The one delivery tail, shared by a `Deliver`, each target of a
     /// `Fan` and an injection: count and trace the delivery, consume a
-    /// PFC control frame, let the device settle the frame with
-    /// [`Device::try_drop`], and only then check the device out and
-    /// build a [`Ctx`] for `on_frame`. A lent frame is cloned only for
-    /// that callback. Inlined into each caller: left a call of its own,
-    /// the tail cost `k8_unicast` about 5 % (BASELINES.md).
+    /// PFC control frame, and ask the device's lookup stage
+    /// ([`Device::lookup_stage`]). A dropped frame is done; a forwarded
+    /// one goes straight to `handle_send`, with no checkout, no [`Ctx`]
+    /// and no [`Command`]; only a frame the stage leaves to the callback
+    /// checks the device out and builds a `Ctx` for `on_frame`. A lent
+    /// frame is cloned only when it goes on. Inlined into each caller:
+    /// left a call of its own, the tail cost `k8_unicast` about 5 %
+    /// (BASELINES.md).
     #[inline(always)]
     fn deliver<F: Arrival>(&mut self, node: NodeId, port: PortNo, frame: F) {
         self.stats.frames_delivered += 1;
@@ -1256,11 +1266,17 @@ impl Network {
                 return;
             }
         }
-        if dev.try_drop(port, frame.frame(), now) {
-            return;
+        match dev.lookup_stage(port, frame.frame(), now) {
+            Verdict::Dropped => {}
+            // What `apply` does with the one `Send` `on_frame` would
+            // have issued. Owned, because `start_tx` would set a lent
+            // frame aside as a flood copy for `fan_out`.
+            Verdict::Forward(out) => self.handle_send(node, out, Cow::Owned(frame.into_frame())),
+            Verdict::Callback => {
+                let frame = frame.into_frame();
+                self.dispatch(node, |dev, ctx| dev.on_frame(port, frame, ctx));
+            }
         }
-        let frame = frame.into_frame();
-        self.dispatch(node, |dev, ctx| dev.on_frame(port, frame, ctx));
     }
 
     fn on_link_admin(&mut self, link_id: LinkId, up: bool) {

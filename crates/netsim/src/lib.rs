@@ -56,7 +56,7 @@ pub mod time;
 pub mod trace;
 
 pub use calq::CalendarQueue;
-pub use device::{Command, Ctx, Device, NodeId, PortNo, TimerToken};
+pub use device::{Command, Ctx, Device, NodeId, PortNo, TimerToken, Verdict};
 pub use difftest::{DiffScenario, Divergence, Minimized, Outcome};
 pub use engine::{Engine, Network, NetworkBuilder, NetworkStats};
 pub use link::{

@@ -1,28 +1,33 @@
-//! Settling frames in `Device::try_drop` changes nothing a run can
+//! Deciding frames in `Device::lookup_stage` changes nothing a run can
 //! observe.
 //!
 //! Twin networks run the same scenario: in one every device is as
-//! built, so the engine settles race losers and foreign ARP requests in
-//! `try_drop`; in the other every device is wrapped so `try_drop` is
-//! hidden and every delivered frame reaches `on_frame`, as it did
-//! before the engine asked. Both must agree on the sorted delivery
-//! trace, every `NetworkStats` field, every link direction's
-//! `DirStats` and every device counter, on one engine and on a 2-shard
-//! split.
+//! built, so the engine drops race losers and foreign ARP requests and
+//! forwards unicast table hits in the lookup stage; in the other every
+//! device is wrapped so the stage is hidden and every delivered frame
+//! reaches `on_frame`, as it did before the engine asked. Both must
+//! agree on the sorted delivery trace, every `NetworkStats` field,
+//! every link direction's `DirStats` (pause events, paused time and
+//! peak queue bytes included) and every device counter, on one engine
+//! and on a 2-shard split.
 //!
-//! Two scenarios: an E8-shaped k=4 fat-tree (jittered links, a seeded
-//! UDP permutation, ARP-Path bridges under the ideal timing model) and
-//! an E11-style churn fabric on the same tree (undersized path tables,
-//! short locks, stations whose access links go down and come back, and
-//! a bridge link cut and restored under traffic).
+//! Three scenarios on a k=4 fat-tree: an E8-shaped one (jittered links,
+//! a seeded UDP permutation, ARP-Path bridges under the ideal timing
+//! model); an E11-style churn fabric (undersized path tables, short
+//! locks, stations whose access links go down and come back, and a
+//! bridge link cut and restored under traffic); and an E9-shaped PFC
+//! incast (AIMD go-back-N flows toward two hot receivers over 16 KiB
+//! PFC queues with a force-resume watchdog), where queues, pauses and
+//! retransmit timers decide when each forwarded frame leaves.
 
 use arppath::{ArpPathBridge, ArpPathConfig, ArpPathCounters};
 use arppath_host::{
-    pairings, ChurnConfig, ChurnHost, HostCounters, TrafficConfig, TrafficHost, TrafficPattern,
+    pairings, Aimd, ChurnConfig, ChurnHost, FlowConfig, FlowHost, HostCounters, TrafficConfig,
+    TrafficHost, TrafficPattern,
 };
 use arppath_netsim::{
     Ctx, Device, Dir, DirStats, Engine, LinkId, LinkParams, NetworkBuilder, NetworkStats, NodeId,
-    PortNo, ShardedBuilder, SimDuration, SimTime, TimerToken,
+    PauseWatchdog, PortNo, QueuePolicy, ShardedBuilder, SimDuration, SimTime, TimerToken,
 };
 use arppath_switch::{IdealSwitch, SwitchCounters, SwitchLogic};
 use arppath_wire::{EthernetFrame, MacAddr};
@@ -30,7 +35,8 @@ use std::net::Ipv4Addr;
 
 type Bridge = IdealSwitch<ArpPathBridge>;
 
-/// A device with `try_drop` hidden: every frame reaches `on_frame`.
+/// A device with its lookup stage hidden: every frame reaches
+/// `on_frame`.
 struct Hidden<D>(D);
 
 impl<D: Device> Device for Hidden<D> {
@@ -164,6 +170,17 @@ impl Plan {
         Plan { ports, links, shard_of }
     }
 
+    /// Every link with E9's PFC queues (pause at 16 KiB) and a
+    /// force-resume watchdog. Its 100 µs deadline is far below E9's, so
+    /// some pauses end by the watchdog and some by draining.
+    fn pfc(mut self) -> Plan {
+        let watchdog = PauseWatchdog::force_resume(SimDuration::micros(100));
+        for link in &mut self.links {
+            link.4 = link.4.with_queue(QueuePolicy::pfc(16 * 1024)).with_watchdog(watchdog);
+        }
+        self
+    }
+
     /// The bridges, as built or hidden.
     fn bridges(&self, config: ArpPathConfig, hide: bool) -> Vec<Box<dyn Device>> {
         (0..BRIDGES)
@@ -225,6 +242,27 @@ impl Host for ChurnHost {
         seen.extend(&self.correction_ns);
         seen.extend(self.reply_times.iter().map(|t| t.as_nanos()));
         (self.stack.counters(), seen)
+    }
+}
+
+impl Host for FlowHost {
+    fn make(h: usize) -> Self {
+        let pairs = pairings(HOSTS, TrafficPattern::Hotspot { hot_receivers: 2 }, 9);
+        let config = FlowConfig {
+            target: Some(host_ip(pairs[h])),
+            start_at: SimDuration::millis(100) + SimDuration::micros(11).times(h as u64),
+            segments: 64,
+            segment_len: 700,
+            rto: SimDuration::micros(300),
+            ..FlowConfig::default()
+        };
+        let cc = Box::new(Aimd::new(2, 64));
+        FlowHost::with_controller(format!("f{h}"), host_mac(h), host_ip(h), config, cc)
+    }
+    fn counters(&self) -> (HostCounters, Vec<u64>) {
+        let fct = self.fct.map_or(u64::MAX, |fct| fct.as_nanos());
+        let seen = [self.data_sent, self.retransmits, self.rx_segments, self.rx_bytes, fct];
+        (self.stack.counters(), seen.to_vec())
     }
 }
 
@@ -302,18 +340,19 @@ fn observe<H: Host>(net: &impl Engine, plan: &Plan, hide: bool) -> Observed {
 /// observation for the caller's own checks.
 fn assert_twins_agree<H: Host>(
     name: &str,
+    plan: Plan,
     config: ArpPathConfig,
     admin: &[Admin],
     until: SimTime,
 ) -> Observed {
-    let plan = Plan::fat_tree(0xFA7);
-    let built = run::<H>(&plan, config, 1, false, admin, until);
+    let plan = &plan;
+    let built = run::<H>(plan, config, 1, false, admin, until);
     for shards in [1, 2] {
-        let hidden = run::<H>(&plan, config, shards, true, admin, until);
+        let hidden = run::<H>(plan, config, shards, true, admin, until);
         let as_built = if shards == 1 {
             None
         } else {
-            Some(run::<H>(&plan, config, shards, false, admin, until))
+            Some(run::<H>(plan, config, shards, false, admin, until))
         };
         let as_built = as_built.as_ref().unwrap_or(&built);
         assert_eq!(
@@ -337,24 +376,27 @@ fn assert_twins_agree<H: Host>(
 }
 
 #[test]
-fn e8_shaped_permutation_is_unchanged_by_try_drop() {
+fn e8_shaped_permutation_is_unchanged_by_the_lookup_stage() {
     let until = at_ms(400);
     let run = assert_twins_agree::<TrafficHost>(
         "e8 k=4",
+        Plan::fat_tree(0xFA7),
         ArpPathConfig::default().autosize_for_stations(HOSTS),
         &[],
         until,
     );
-    // The frames `try_drop` settles were there to settle.
+    // The frames the stage decides were there to decide.
     let race_drops: u64 = run.bridges.iter().map(|(_, ap, _)| ap.race_drops).sum();
+    let forwarded: u64 = run.bridges.iter().map(|(c, ..)| c.forwarded).sum();
     let ignored: u64 = run.hosts.iter().map(|(c, _)| c.ignored).sum();
     assert!(race_drops > 0 && ignored > 0, "{race_drops} race drops, {ignored} ignored");
+    assert!(forwarded > 0, "no unicast was forwarded");
     let delivered: u64 = run.hosts.iter().map(|(_, seen)| seen[1]).sum();
     assert_eq!(delivered, 3 * HOSTS as u64, "every datagram arrives");
 }
 
 #[test]
-fn churn_fabric_is_unchanged_by_try_drop() {
+fn churn_fabric_is_unchanged_by_the_lookup_stage() {
     // E11's short timers, and tables with no headroom (4 ways × 2
     // buckets × 2 slots for 16 stations), so entries expire, collide
     // and are evicted under traffic, and misses start repairs. (With
@@ -381,10 +423,29 @@ fn churn_fabric_is_unchanged_by_try_drop() {
     // Pod 0's first edge–aggregation link, cut and restored under
     // traffic (both ends on shard 0).
     admin.extend([(LinkId(0), at_ms(45), false), (LinkId(0), at_ms(75), true)]);
-    let run = assert_twins_agree::<ChurnHost>("churn", config, &admin, at_ms(150));
+    let run =
+        assert_twins_agree::<ChurnHost>("churn", Plan::fat_tree(0xFA7), config, &admin, at_ms(150));
     let evictions: u64 = run.bridges.iter().map(|&(_, _, e)| e).sum();
     let race_drops: u64 = run.bridges.iter().map(|(_, ap, _)| ap.race_drops).sum();
     let repairs: u64 = run.bridges.iter().map(|(_, ap, _)| ap.repairs_initiated).sum();
     assert!(evictions > 0, "the churn fabric must evict");
     assert!(race_drops > 0 && repairs > 0, "{race_drops} race drops, {repairs} repairs");
+}
+
+#[test]
+fn pfc_incast_is_unchanged_by_the_lookup_stage() {
+    let plan = Plan::fat_tree(0xFA7).pfc();
+    let config = ArpPathConfig::default().autosize_for_stations(HOSTS);
+    let run = assert_twins_agree::<FlowHost>("pfc incast", plan, config, &[], at_ms(500));
+    // Pauses, forced resumes and go-back-N timeouts (a 300 µs RTO under
+    // the queueing) all happen, and every flow still completes.
+    let pauses: u64 = run.dirs.iter().map(|d| d.pause_events).sum();
+    let forced: u64 = run.dirs.iter().map(|d| d.watchdog_fires).sum();
+    let retransmits: u64 = run.hosts.iter().map(|(_, seen)| seen[1]).sum();
+    let unfinished = run.hosts.iter().filter(|(_, seen)| seen[4] == u64::MAX).count();
+    assert!(forced > 0 && pauses > forced, "{pauses} pauses, {forced} forced resumes");
+    assert!(retransmits > 0, "the incast must time out");
+    assert_eq!(unfinished, 0, "every flow completes");
+    let forwarded: u64 = run.bridges.iter().map(|(c, ..)| c.forwarded).sum();
+    assert!(forwarded > 0, "no unicast was forwarded");
 }

@@ -6,17 +6,21 @@
 //!
 //! Every callback hands the engine's own [`Ctx`] straight to the logic:
 //! what the logic decides *is* what the engine applies, in the order
-//! decided. Before a frame's callback the engine asks
-//! [`Device::try_drop`], which this wrapper forwards to
-//! [`SwitchLogic::try_drop`]: a flood copy that lost the race — nine in
-//! ten bridge receptions on a large fat-tree — is settled there by one
-//! table probe, with no `Ctx` built and no frame cloned. A frame that
-//! does reach `on_frame` costs nothing beyond the callback: no snapshot
-//! of the ports, no buffer of its own, no allocation
+//! decided. Before a frame's callback the engine asks the device's
+//! lookup stage ([`Device::lookup_stage`]), which this wrapper forwards
+//! to [`SwitchLogic::lookup_stage`]: a flood copy that lost the race —
+//! nine in ten bridge receptions on a large fat-tree — is dropped
+//! there, and a unicast table hit is forwarded there, each by the
+//! table probes `on_frame` would have made, with no `Ctx` built and no
+//! command issued. Having no timing of its own is what lets this
+//! wrapper pass a `Forward` straight on: the engine sends the frame
+//! the instant it arrives, as `on_frame`'s `Send` would have. A frame
+//! that does reach `on_frame` costs nothing beyond the callback: no
+//! snapshot of the ports, no buffer of its own, no allocation
 //! (`tests/ideal_alloc.rs`).
 
 use crate::logic::SwitchLogic;
-use arppath_netsim::{Ctx, Device, PortNo, SimTime, TimerToken};
+use arppath_netsim::{Ctx, Device, PortNo, SimTime, TimerToken, Verdict};
 use arppath_wire::EthernetFrame;
 
 /// Device adapter with no added processing delay.
@@ -49,8 +53,8 @@ impl<L: SwitchLogic> Device for IdealSwitch<L> {
         self.logic.on_frame(port, frame, ctx);
     }
 
-    fn try_drop(&mut self, port: PortNo, frame: &EthernetFrame, now: SimTime) -> bool {
-        self.logic.try_drop(port, frame, now)
+    fn lookup_stage(&mut self, port: PortNo, frame: &EthernetFrame, now: SimTime) -> Verdict {
+        self.logic.lookup_stage(port, frame, now)
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {

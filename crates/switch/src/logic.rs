@@ -16,7 +16,7 @@
 //! copy and no allocation; a wrapper that adds latency lends a `Ctx`
 //! over a buffer of its own and holds the sends back.
 
-use arppath_netsim::{Ctx, PortNo, SimTime, TimerToken};
+use arppath_netsim::{Ctx, PortNo, SimTime, TimerToken, Verdict};
 use arppath_wire::EthernetFrame;
 
 /// How the frame's forwarding decision was reached, which the timing
@@ -109,14 +109,16 @@ pub trait SwitchLogic: 'static + Send {
     /// software) made the decision, for the timing wrapper.
     fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) -> ProcessingClass;
 
-    /// Settle a received frame without [`SwitchLogic::on_frame`] when
-    /// that is all it would do: the contract of
-    /// [`arppath_netsim::Device::try_drop`], which a wrapper with no
-    /// timing of its own forwards here. `true` only if `on_frame` would
-    /// send, schedule and flood nothing, with its counters already
-    /// bumped; the default settles nothing.
-    fn try_drop(&mut self, _port: PortNo, _frame: &EthernetFrame, _now: SimTime) -> bool {
-        false
+    /// The lookup stage: decide a received frame without
+    /// [`SwitchLogic::on_frame`] where that is all it would do — the
+    /// contract of [`arppath_netsim::Device::lookup_stage`], which a
+    /// wrapper with no timing of its own forwards here. `Dropped` only
+    /// if `on_frame` would send, schedule and flood nothing; `Forward`
+    /// only if it would send exactly the unchanged frame out of that
+    /// port; either way with its counters already bumped and its table
+    /// refreshes done. The default leaves every frame to `on_frame`.
+    fn lookup_stage(&mut self, _port: PortNo, _frame: &EthernetFrame, _now: SimTime) -> Verdict {
+        Verdict::Callback
     }
 
     /// A requested timer fired.
