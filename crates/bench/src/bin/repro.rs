@@ -14,10 +14,10 @@
 //! Every experiment derives its parameters from one flag set:
 //!
 //! - `--quick` shrinks each selected experiment to CI size;
-//! - `--shards N` runs E8/E9/E11 on the sharded parallel engine (N
-//!   worker threads, rack-major partition) and picks the worker count
-//!   of E12's trace capture (E12's own sweep always covers 1/2/4/8).
-//!   N > 1 needs at least one of e8/e9/e11/e12 selected;
+//! - `--shards N` runs E8/E9/E11 on the sharded engine (N worker
+//!   threads, rack-major partition) and picks the worker count of
+//!   E12's trace capture (E12's own sweep always covers 1/2/4). N > 1
+//!   needs at least one of e8/e9/e11/e12 selected;
 //! - `--trace-out FILE` writes the merged, timestamp-sorted delivery
 //!   trace of the one selected traced experiment, on its first fabric:
 //!   E8's permutation run, E9's PFC incast, E11's undersized churn or
@@ -363,9 +363,6 @@ fn main() {
         println!("{}", e8_fattree::table(&results).render_markdown());
         for r in &results {
             println!("{}", e8_fattree::utilization_table(r).render_markdown());
-            if let Some(shard_summary) = &r.shard_summary {
-                println!("{}", shard_summary.render_markdown());
-            }
         }
         verdict(
             "permutation spreads over a majority of cores (jain > 0.5, lossless)",
@@ -490,13 +487,13 @@ fn main() {
     }
 
     if want("e12") {
-        // Shard-scaling sweep on the k=16 fabric. Unlike e8/e9/e11,
+        // The k=16 fabric at every worker count. Unlike e8/e9/e11,
         // `--shards` does not pick the engine here (the sweep covers
-        // 1/2/4/8 itself); it selects the worker count for the
+        // 1/2/4 itself); it selects the worker count for the
         // `--trace-out` capture.
         let params = if quick { e12_scale::E12Params::quick() } else { Default::default() };
         eprintln!(
-            "[repro] running E12 (shard scaling), k={}, {} hosts/edge, sweep {:?}...",
+            "[repro] running E12 (k=16 scale), k={}, {} hosts/edge, sweep {:?}...",
             params.k, params.hosts_per_edge, params.shard_counts
         );
         let started = Instant::now();

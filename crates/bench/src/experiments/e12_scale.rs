@@ -1,29 +1,24 @@
-//! **E12 — shard-scaling push: the k=16 fabric on 1/2/4/8 workers.**
+//! **E12 — the k=16 fabric: footprint and trace identity at scale.**
 //!
 //! The All-Path scalability question (arXiv:1703.08744) is ultimately
-//! about how far per-host-pair path state and the machinery simulating
-//! it scale. E8 stops at k=8; this experiment instantiates the k=16
-//! jittered fat-tree — 320 switches, 128 edge racks, up to 16k hosts
-//! (`hosts_per_edge` ≤ 128; geometry auto-derived per PR 8's
-//! autosizing) — and sweeps the sharded engine's worker count,
-//! reporting three numbers per point:
+//! about how far per-host-pair path state scales. E8 stops at k=8; this
+//! experiment instantiates the k=16 jittered fat-tree — 320 switches,
+//! 128 edge racks, up to 16k hosts (`hosts_per_edge` ≤ 128; table
+//! geometry auto-sized to the fabric) — and reports:
 //!
-//! * **wall clock** per shard count (the scaling curve itself);
-//! * **sync rounds per simulated millisecond** — how often the
-//!   conservative window protocol made the workers rendezvous; the
-//!   per-pair lookahead matrix (PR 10) exists to push this down;
 //! * **bytes per station** — the d-left path tables' heap footprint
 //!   (SoA planes, 32 B per slot, plus the timer wheel) summed over
 //!   every bridge and divided by the attached host count, held under
 //!   an absolute ceiling ([`MAX_BYTES_PER_STATION`]) — and beside it
 //!   the event storage the single-engine run's scheduler ended up
 //!   holding ([`MAX_SCHEDULER_RESERVED_BYTES`]): the other memory every
-//!   frame hop writes.
-//!
-//! Correctness rides along: every run must deliver every datagram, and
-//! the merged delivery trace must be byte-identical across *all* shard
-//! counts ([`verify_trace_identity`]; CI additionally diffs
-//! `--trace-out` files).
+//!   frame hop writes;
+//! * **delivery** on the single engine and on the sharded twin at 2
+//!   and 4 workers: every run must deliver every datagram;
+//! * **trace identity**: the merged delivery trace must be
+//!   byte-identical across *all* worker counts
+//!   ([`verify_trace_identity`]; CI additionally diffs `--trace-out`
+//!   files).
 
 use super::e8_fattree::{self, E8Params};
 use super::{rack_major, run_to};
@@ -31,7 +26,6 @@ use arppath_host::TrafficPattern;
 use arppath_metrics::Table;
 use arppath_netsim::{Engine, SimTime};
 use arppath_topo::{BridgeIx, FatTree, TopoBuilder, Topology};
-use std::time::Instant;
 
 /// Parameters of one E12 sweep (one fabric, several worker counts).
 #[derive(Debug, Clone)]
@@ -59,7 +53,7 @@ impl Default for E12Params {
             datagrams: 5,
             payload_len: 700,
             seed: 0xE12,
-            shard_counts: vec![1, 2, 4, 8],
+            shard_counts: vec![1, 2, 4],
         }
     }
 }
@@ -67,7 +61,7 @@ impl Default for E12Params {
 impl E12Params {
     /// The CI-sized configuration: same k=16 fabric shape, one host
     /// per rack (128 hosts), two datagrams each — small enough to
-    /// sweep all four shard counts and diff traces in seconds.
+    /// sweep every worker count and diff traces in seconds.
     pub fn quick() -> Self {
         E12Params { hosts_per_edge: 1, datagrams: 2, ..Default::default() }
     }
@@ -78,13 +72,6 @@ impl E12Params {
 pub struct E12Row {
     /// Worker count actually used (requested, clamped to `k`).
     pub shards: usize,
-    /// Wall-clock milliseconds for the run.
-    pub wall_ms: f64,
-    /// Exchange-barrier rounds the window protocol executed (0 for the
-    /// single-threaded engine).
-    pub sync_rounds: u64,
-    /// `sync_rounds` per simulated millisecond.
-    pub rounds_per_sim_ms: f64,
     /// Datagrams delivered fabric-wide.
     pub delivered: u64,
     /// Datagrams sent fabric-wide.
@@ -152,8 +139,8 @@ fn scenario(params: &E12Params) -> (TopoBuilder, FatTree, SimTime) {
 }
 
 /// Run the sweep: one fresh instantiation of the same scenario per
-/// worker count, wall-clocked; the table footprint is read off the
-/// first run's bridges (the geometry is identical at every point).
+/// worker count; the table footprint is read off the first run's
+/// bridges (the geometry is identical at every point).
 pub fn run(params: &E12Params) -> E12Result {
     let mut rows = Vec::new();
     let mut footprint: Option<(usize, usize)> = None; // (bridges, table bytes)
@@ -163,26 +150,16 @@ pub fn run(params: &E12Params) -> E12Result {
         let (t, ft, deadline) = scenario(params);
         hosts = ft.host_capacity(params.hosts_per_edge);
         let shards = requested.min(ft.k);
-        let started = Instant::now();
-        let (sync_rounds, (sent, delivered, tables)) = if shards > 1 {
+        let (sent, delivered, tables) = if shards > 1 {
             let partition = rack_major(&ft, params.hosts_per_edge, shards);
-            let topo = run_to(t.build_sharded(&partition, false), deadline);
-            (topo.net.sync_rounds(), measure(&topo))
+            measure(&run_to(t.build_sharded(&partition, false), deadline))
         } else {
             let topo = run_to(t.build(), deadline);
             scheduler_reserved_bytes = Some(topo.net.scheduler_reserved_bytes());
-            (0, measure(&topo))
+            measure(&topo)
         };
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         footprint.get_or_insert(tables);
-        rows.push(E12Row {
-            shards,
-            wall_ms,
-            sync_rounds,
-            rounds_per_sim_ms: sync_rounds as f64 / (deadline.0 as f64 / 1e6),
-            delivered,
-            sent,
-        });
+        rows.push(E12Row { shards, delivered, sent });
     }
     let (bridges, table_bytes) = footprint.expect("shard_counts must be nonempty");
     E12Result { k: params.k, hosts, bridges, rows, table_bytes, scheduler_reserved_bytes }
@@ -239,23 +216,17 @@ pub fn verify_scheduler(result: &E12Result) -> Option<bool> {
     result.scheduler_reserved_bytes.map(|bytes| bytes <= MAX_SCHEDULER_RESERVED_BYTES)
 }
 
-/// Render the scaling table.
+/// Render the delivery table, one row per worker count.
 pub fn table(result: &E12Result) -> Table {
     let mut t = Table::new(
         format!(
-            "E12 (shard scaling): k={} fat-tree, {} hosts, {} bridges",
+            "E12 (scale): k={} fat-tree, {} hosts, {} bridges",
             result.k, result.hosts, result.bridges
         ),
-        &["shards", "wall ms", "sync rounds", "rounds/sim ms", "delivered"],
+        &["shards", "delivered"],
     );
     for r in &result.rows {
-        t.row(&[
-            r.shards.to_string(),
-            format!("{:.0}", r.wall_ms),
-            r.sync_rounds.to_string(),
-            format!("{:.1}", r.rounds_per_sim_ms),
-            format!("{}/{}", r.delivered, r.sent),
-        ]);
+        t.row(&[r.shards.to_string(), format!("{}/{}", r.delivered, r.sent)]);
     }
     t
 }

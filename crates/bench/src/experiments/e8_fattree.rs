@@ -24,7 +24,7 @@ use super::{host_ip, host_mac, pattern_label, rack_major, run_to, TracedRun};
 use arppath::{ArpPathBridge, ArpPathConfig};
 use arppath_host::{pairings, TrafficConfig, TrafficHost, TrafficPattern};
 use arppath_metrics::{jain_index, DiversityCounter, Table, UtilizationHistogram};
-use arppath_netsim::{Dir, Engine, NodeId, PortNo, ShardStats, SimDuration, SimTime};
+use arppath_netsim::{Dir, Engine, NodeId, PortNo, SimDuration, SimTime};
 use arppath_topo::{generic, BridgeIx, BridgeKind, FatTree, TopoBuilder, Topology};
 use arppath_wire::MacAddr;
 use std::collections::BTreeMap;
@@ -110,9 +110,6 @@ pub struct E8Row {
 pub struct E8Result {
     /// Permutation row then hotspot row.
     pub rows: Vec<E8Row>,
-    /// Per-shard utilization report (sharded runs only; from the
-    /// permutation pattern's run).
-    pub shard_summary: Option<Table>,
 }
 
 /// Walks learned unicast paths over one built topology. The fabric
@@ -213,16 +210,14 @@ pub(crate) fn scenario(
     (t, ft, pairs, SimTime(deadline.as_nanos()))
 }
 
-fn run_pattern(params: &E8Params, pattern: TrafficPattern) -> (E8Row, Option<Table>) {
+fn run_pattern(params: &E8Params, pattern: TrafficPattern) -> E8Row {
     let (t, ft, pairs, deadline) = scenario(params, pattern);
     let shards = params.shards.min(ft.k);
     if shards > 1 {
         let partition = rack_major(&ft, params.hosts_per_edge, shards);
-        let topo = run_to(t.build_sharded(&partition, false), deadline);
-        let summary = shard_table(params.k, &topo.net.shard_stats(), topo.net.lookahead());
-        (measure(params, pattern, &ft, &pairs, &topo), Some(summary))
+        measure(params, pattern, &ft, &pairs, &run_to(t.build_sharded(&partition, false), deadline))
     } else {
-        (measure(params, pattern, &ft, &pairs, &run_to(t.build(), deadline)), None)
+        measure(params, pattern, &ft, &pairs, &run_to(t.build(), deadline))
     }
 }
 
@@ -306,34 +301,6 @@ pub(crate) fn core_diversity<N: Engine>(
     diversity
 }
 
-/// Render the per-shard utilization report of a sharded run: how many
-/// devices and events each worker carried, how much of its delivery
-/// work crossed shard boundaries, and each shard's share of the total
-/// event load (1/N everywhere = a perfectly balanced partition).
-fn shard_table(k: usize, stats: &[ShardStats], lookahead: Option<SimDuration>) -> Table {
-    let total_events: u64 = stats.iter().map(|s| s.events).sum();
-    let la = lookahead.map_or("∞".to_string(), |l| l.to_string());
-    let mut t = Table::new(
-        format!(
-            "E8 per-shard utilization, k={k} fat-tree ({} shards, lookahead {la})",
-            stats.len()
-        ),
-        &["shard", "devices", "events", "event share", "delivered", "cross out", "cross in"],
-    );
-    for s in stats {
-        t.row(&[
-            s.shard.to_string(),
-            s.devices.to_string(),
-            s.events.to_string(),
-            format!("{:.0}%", s.events as f64 / total_events.max(1) as f64 * 100.0),
-            s.frames_delivered.to_string(),
-            s.cross_out.to_string(),
-            s.cross_in.to_string(),
-        ]);
-    }
-    t
-}
-
 /// The merged, timestamp-sorted delivery trace of one pattern's run —
 /// the canonical byte-comparable artifact. A sharded run
 /// (`params.shards ≥ 2`) and a single-threaded run (`shards = 1`) of
@@ -358,10 +325,10 @@ pub fn traced_run(params: &E8Params, pattern: TrafficPattern) -> TracedRun {
 
 /// Run both patterns on one fabric size.
 pub fn run(params: &E8Params) -> E8Result {
-    let (permutation, shard_summary) = run_pattern(params, TrafficPattern::Permutation);
-    let hotspot = TrafficPattern::Hotspot { hot_receivers: params.hot_receivers };
-    let (hotspot, _) = run_pattern(params, hotspot);
-    E8Result { rows: vec![permutation, hotspot], shard_summary }
+    let permutation = run_pattern(params, TrafficPattern::Permutation);
+    let hotspot =
+        run_pattern(params, TrafficPattern::Hotspot { hot_receivers: params.hot_receivers });
+    E8Result { rows: vec![permutation, hotspot] }
 }
 
 /// Render the load-distribution summary over any number of runs (one

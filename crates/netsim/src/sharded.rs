@@ -21,27 +21,20 @@
 //!    propagation), in its shard's outbox. Nothing is encoded: the
 //!    destination shard schedules the very object the single engine
 //!    would have delivered, with [`Network::inject_at`].
-//! 3. The **lookahead matrix** holds, per ordered shard pair `(s, d)`,
-//!    the minimum propagation delay over cut links that can carry a
-//!    frame from `s` to `d` (`∞` when no cut joins the pair). Shard
-//!    `j` cannot *act* before `eff(j)` — the earlier of its own next
-//!    event and the earliest boundary frame deposited for it — and
-//!    cannot *react* to this window's traffic before the global floor
-//!    `W` plus its cheapest incoming cut `in(j)`. So nothing from `j`
-//!    reaches `i` before `min(eff(j), W + in(j)) + pair[j][i]`, and
-//!    shard `i`'s *horizon* is the minimum of that bound over the
-//!    neighbours that can actually reach it (null-message style: an
-//!    idle or unreachable pair stops bounding a busy one). Collapsing
-//!    every pair to the global minimum `L` recovers the global
-//!    window `min(min_other, W + L) + L`, which the horizon property tests
-//!    keep as their oracle. The **exchange barrier** is the only
-//!    channel between shards: at each round every worker publishes its
-//!    next-event time and deposits the boundary frames its last window
-//!    produced, the last arriver computes every horizon once, and each
-//!    worker leaves with its window and its inbox, injects the inbox in
-//!    canonical order, and only then runs to its horizon — so a frame
-//!    sent in one window is in its destination's queue before the next
-//!    window runs. Rounds repeat until the floor passes the run bound.
+//! 3. The **lookahead** `L` is the minimum propagation delay over all
+//!    cut links. Shard `j` cannot *act* before `eff(j)` — the earlier
+//!    of its own next event and the earliest boundary frame deposited
+//!    for it — and cannot *react* to this window's traffic before the
+//!    global floor `W` plus `L`. So nothing reaches shard `i` before
+//!    its *horizon* `min(min over j ≠ i of eff(j), W + L) + L`.
+//! 4. The **exchange barrier** is the only channel between shards: at
+//!    each round every worker publishes its next-event time and
+//!    deposits the boundary frames its last window produced, the last
+//!    arriver computes every horizon once, and each worker leaves with
+//!    its window and its inbox, injects the inbox in canonical order,
+//!    and only then runs to its horizon — so a frame sent in one window
+//!    is in its destination's queue before the next window runs. Rounds
+//!    repeat until the floor passes the run bound.
 //!
 //! # Determinism
 //!
@@ -92,7 +85,6 @@
 //!
 //! // One device per shard: the link is cut and 5 µs is the lookahead.
 //! let mut net = b.build(&[0, 1]);
-//! assert_eq!(net.lookahead(), Some(SimDuration::micros(5)));
 //!
 //! let arp = ArpPacket::request(
 //!     MacAddr::from_index(1, 1),
@@ -137,107 +129,29 @@ pub fn set_unsound_horizon_widen(ns: u64) {
     UNSOUND_HORIZON_WIDEN_NS.set(ns);
 }
 
-/// Per-shard-pair conservative lookahead. `pair[src * n + dst]` is the
-/// minimum propagation delay (nanoseconds) over cut links that can
-/// carry a frame from shard `src` to shard `dst`, `u64::MAX` when no
-/// cut link joins the pair — such a source can never reach the
-/// destination directly and contributes nothing to its horizon.
-///
-/// Public (hidden) so property tests can drive [`window_horizons`].
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub struct LookaheadMatrix {
-    n: usize,
-    pair: Vec<u64>,
-    /// Per-destination minimum over all sources (`u64::MAX`: no cut
-    /// link reaches the shard at all).
-    in_min: Vec<u64>,
-}
-
-impl LookaheadMatrix {
-    /// A matrix over `n` shards with every pair unreachable.
-    pub fn new(n: usize) -> Self {
-        LookaheadMatrix { n, pair: vec![u64::MAX; n * n], in_min: vec![u64::MAX; n] }
-    }
-
-    /// Record a cut link between shards `a` and `b` with the given
-    /// propagation delay; frames cross it in both directions.
-    pub fn observe_cut(&mut self, a: usize, b: usize, propagation_ns: u64) {
-        debug_assert!(a != b && propagation_ns > 0);
-        for (s, d) in [(a, b), (b, a)] {
-            let p = &mut self.pair[s * self.n + d];
-            *p = (*p).min(propagation_ns);
-            let q = &mut self.in_min[d];
-            *q = (*q).min(propagation_ns);
-        }
-    }
-
-    /// Lookahead from shard `src` to shard `dst` (`u64::MAX` when
-    /// unreachable).
-    pub fn between(&self, src: usize, dst: usize) -> u64 {
-        self.pair[src * self.n + dst]
-    }
-
-    /// Collapse every off-diagonal pair to the global minimum — the
-    /// PR 4 window computation (every shard bounds every other at the
-    /// cheapest cut anywhere), kept as the horizon property tests'
-    /// oracle.
-    #[cfg(test)]
-    fn collapse_to_global(&mut self) {
-        let l = self.pair.iter().copied().min().unwrap_or(u64::MAX);
-        if l == u64::MAX {
-            return;
-        }
-        for s in 0..self.n {
-            for d in 0..self.n {
-                if s != d {
-                    self.pair[s * self.n + d] = l;
-                }
-            }
-        }
-        for d in 0..self.n {
-            self.in_min[d] = if self.n > 1 { l } else { u64::MAX };
-        }
-    }
-}
-
 /// One window agreement as a pure function of the exchanged state:
 /// `eff[j]` is the earliest instant shard `j` can act — the earlier of
 /// its next pending event and the earliest boundary frame deposited for
-/// it this exchange (`u64::MAX` when neither exists). Returns
-/// `(w_start, horizons)` — the global window floor and every shard's
-/// exclusive execution horizon.
+/// it this exchange (`u64::MAX` when neither exists) — and `lookahead`
+/// is the cheapest cut link's propagation delay `L` (`u64::MAX` when
+/// nothing is cut). Returns `(w_start, horizons)`: the global window
+/// floor `W` and every shard's exclusive execution horizon.
 ///
-/// The Chandy–Misra–Bryant argument, per pair: shard `j` cannot *act*
-/// before `eff(j)`, and cannot *react* to this window's traffic before
-/// `w + in(j)` (a frame needs at least `j`'s cheapest incoming cut to
-/// reach it). So `j` emits nothing before `min(eff(j), w + in(j))`,
-/// and nothing from `j` reaches `i` before that plus `pair[j][i]`;
-/// unreachable pairs contribute nothing. Every deposited frame is in its
-/// destination's queue before the window runs, so no frame bound for
-/// `i` needs a cap of its own. With every pair collapsed to the global
-/// `L` this reduces exactly to the global `min(min_other, w + L) + L`,
-/// which the property suite pins as a lower bound: per-pair horizons
-/// are never smaller (never less parallel) than the global-`L`
-/// oracle's.
-#[doc(hidden)]
-pub fn window_horizons(m: &LookaheadMatrix, eff: &[u64]) -> (u64, Vec<u64>) {
-    let n = m.n;
-    debug_assert_eq!(eff.len(), n);
+/// The Chandy–Misra–Bryant argument with one global `L`: another shard
+/// `j` cannot *act* before `eff(j)`, and cannot *react* to this
+/// window's traffic before `W + L`, so nothing it emits reaches shard
+/// `i` before `min(eff(j), W + L) + L`. Shard `i`'s horizon is
+/// `min(min over j ≠ i of eff(j), W + L) + L`. Every deposited frame is
+/// in its destination's queue before the window runs, so no frame bound
+/// for `i` needs a cap of its own. Saturating arithmetic makes an idle
+/// fabric and an uncut one run unbounded.
+fn global_window(lookahead: u64, eff: &[u64]) -> (u64, Vec<u64>) {
     let w = eff.iter().copied().min().unwrap_or(u64::MAX);
-    if w == u64::MAX {
-        return (w, vec![u64::MAX; n]);
-    }
-    let horizons = (0..n)
+    let react = w.saturating_add(lookahead);
+    let horizons = (0..eff.len())
         .map(|i| {
-            (0..n)
-                .filter(|&j| j != i && m.pair[j * n + i] != u64::MAX)
-                .map(|j| {
-                    let emit = eff[j].min(w.saturating_add(m.in_min[j]));
-                    emit.saturating_add(m.pair[j * n + i])
-                })
-                .min()
-                .unwrap_or(u64::MAX)
+            let min_other = eff.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &e)| e).min();
+            min_other.unwrap_or(u64::MAX).min(react).saturating_add(lookahead)
         })
         .collect();
     (w, horizons)
@@ -346,7 +260,7 @@ struct Shard {
     cross_in: u64,
 }
 
-/// Per-shard execution counters, for the per-shard utilization report.
+/// Per-shard execution counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard index.
@@ -460,11 +374,9 @@ impl ShardedBuilder {
             counts[s] += 1;
         }
 
-        // Conservative lookahead: per ordered shard pair, the cheapest
-        // cut link that can carry a frame between them bounds how far
-        // the destination may run ahead of the source.
-        let mut lookahead: Option<SimDuration> = None;
-        let mut matrix = LookaheadMatrix::new(shards);
+        // Conservative lookahead: the cheapest cut link bounds how far
+        // any shard may run ahead of the others.
+        let mut lookahead = u64::MAX;
         for &(ea, eb, params) in &self.links {
             let (sa, sb) = (assignment[ea.node.0], assignment[eb.node.0]);
             if sa != sb {
@@ -475,9 +387,7 @@ impl ShardedBuilder {
                     ea.node,
                     eb.node
                 );
-                matrix.observe_cut(sa, sb, params.propagation.as_nanos());
-                lookahead =
-                    Some(lookahead.map_or(params.propagation, |l| l.min(params.propagation)));
+                lookahead = lookahead.min(params.propagation.as_nanos());
             }
         }
 
@@ -591,7 +501,6 @@ impl ShardedBuilder {
             local_id,
             links,
             lookahead,
-            matrix,
             horizon_widen_ns: UNSOUND_HORIZON_WIDEN_NS.get(),
             sync_rounds: 0,
             now: SimTime::ZERO,
@@ -604,7 +513,7 @@ impl ShardedBuilder {
 /// publish their next-event time and deposit their outgoing boundary
 /// frames; the last arriver folds each destination's earliest deposited
 /// frame into that shard's `eff` and computes the window
-/// ([`window_horizons`]) once, and every waiter leaves with the agreed
+/// ([`global_window`]) once, and every waiter leaves with the agreed
 /// `(w_start, horizon)` for its shard and the frames deposited for it.
 ///
 /// `abort` releases every current *and future* waiter immediately.
@@ -618,7 +527,11 @@ impl ShardedBuilder {
 struct ExchangeBarrier {
     state: Mutex<ExchangeState>,
     cv: Condvar,
-    matrix: LookaheadMatrix,
+    /// Participants (shards).
+    n: usize,
+    /// The cheapest cut's propagation delay in nanoseconds
+    /// (`u64::MAX`: nothing is cut).
+    lookahead: u64,
 }
 
 struct ExchangeState {
@@ -641,8 +554,7 @@ struct ExchangeState {
 }
 
 impl ExchangeBarrier {
-    fn new(matrix: LookaheadMatrix) -> Self {
-        let n = matrix.n;
+    fn new(n: usize, lookahead: u64) -> Self {
         let mailboxes = || (0..n).map(|_| Vec::new()).collect();
         ExchangeBarrier {
             state: Mutex::new(ExchangeState {
@@ -655,7 +567,8 @@ impl ExchangeBarrier {
                 window: [(u64::MAX, vec![u64::MAX; n]), (u64::MAX, vec![u64::MAX; n])],
             }),
             cv: Condvar::new(),
-            matrix,
+            n,
+            lookahead,
         }
     }
 
@@ -675,14 +588,14 @@ impl ExchangeBarrier {
             s.mail[slot][msg.dst_shard].push(msg);
         }
         s.arrived += 1;
-        if s.arrived == self.matrix.n {
+        if s.arrived == self.n {
             s.arrived = 0;
             s.rounds += 1;
             let ExchangeState { eff, mail: boxes, .. } = &mut *s;
             for (eff_j, inbox) in eff[slot].iter_mut().zip(&boxes[slot]) {
                 *eff_j = inbox.iter().map(|m| m.time.0).fold(*eff_j, u64::min);
             }
-            s.window[slot] = window_horizons(&self.matrix, &s.eff[slot]);
+            s.window[slot] = global_window(self.lookahead, &s.eff[slot]);
             s.generation += 1;
             self.cv.notify_all();
         } else {
@@ -742,10 +655,9 @@ pub struct ShardedNetwork {
     local_id: Vec<NodeId>,
     /// Global link table, in builder insertion order.
     links: Vec<GlobalLink>,
-    /// Minimum cross-shard propagation delay (`None`: nothing is cut).
-    lookahead: Option<SimDuration>,
-    /// Per-pair lookahead.
-    matrix: LookaheadMatrix,
+    /// Minimum cross-shard propagation delay in nanoseconds
+    /// (`u64::MAX`: nothing is cut).
+    lookahead: u64,
     /// Test-only horizon widening captured at build time.
     horizon_widen_ns: u64,
     /// Synchronization rounds (window exchanges) across all runs.
@@ -754,17 +666,10 @@ pub struct ShardedNetwork {
 }
 
 impl ShardedNetwork {
-    /// The conservative lookahead: the minimum propagation delay over
-    /// cross-shard links, or `None` when the partition cuts nothing.
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.lookahead
-    }
-
     /// Total synchronization rounds (one window exchange each) the run
     /// loops have performed, across all [`ShardedNetwork::run_until`] /
-    /// [`ShardedNetwork::run_until_idle`] calls. The E12 scale
-    /// experiment reports this per simulated millisecond — the direct
-    /// measure of how often the workers had to meet.
+    /// [`ShardedNetwork::run_until_idle`] calls: how often the workers
+    /// had to meet.
     pub fn sync_rounds(&self) -> u64 {
         self.sync_rounds
     }
@@ -850,8 +755,7 @@ impl ShardedNetwork {
         self.shards.iter().map(|s| s.cross_out).sum()
     }
 
-    /// Per-shard execution counters — the raw material of the
-    /// per-shard utilization report (`repro -- e8 --shards N`).
+    /// Per-shard execution counters, in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
@@ -891,7 +795,7 @@ impl ShardedNetwork {
             return;
         }
         let sync = WindowSync {
-            barrier: ExchangeBarrier::new(self.matrix.clone()),
+            barrier: ExchangeBarrier::new(self.shards.len(), self.lookahead),
             bound,
             horizon_widen_ns: self.horizon_widen_ns,
         };
@@ -936,7 +840,7 @@ fn worker_rounds(i: usize, shard: &mut Shard, sync: &WindowSync) {
         // One exchange publishes this shard's next event, trades its
         // outgoing frames for its inbox, and agrees on the window floor
         // and this shard's horizon (the last arriver runs
-        // `window_horizons` over the full matrix once).
+        // `global_window` once).
         let next = shard.net.next_event_time().map_or(u64::MAX, |t| t.0);
         let Some((w_start, horizon)) = sync.barrier.exchange(i, next, &mut mail) else {
             return; // aborted: a sibling is propagating a panic
@@ -954,8 +858,8 @@ fn worker_rounds(i: usize, shard: &mut Shard, sync: &WindowSync) {
         }
 
         // Execute up to the horizon — the earliest instant anything can
-        // still arrive from outside (see `window_horizons` for the
-        // per-pair CMB argument).
+        // still arrive from outside (see `global_window` for the CMB
+        // argument).
         //
         // Test-only fault injection: difftest's self-check widens the
         // horizon past what CMB permits to prove the harness catches
@@ -968,9 +872,7 @@ fn worker_rounds(i: usize, shard: &mut Shard, sync: &WindowSync) {
         mail.append(&mut shard.outbox.lock().expect("a worker panicked holding the outbox"));
         shard.cross_out += mail.len() as u64;
         debug_assert!(
-            mail.iter()
-                .all(|m| m.time.0
-                    >= w_start.saturating_add(sync.barrier.matrix.between(i, m.dst_shard))),
+            mail.iter().all(|m| m.time.0 >= w_start.saturating_add(sync.barrier.lookahead)),
             "a boundary frame violates the lookahead promise of window {w_start}"
         );
     }
@@ -1051,18 +953,6 @@ mod tests {
     use std::net::Ipv4Addr;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// A 3-shard matrix where every pair is connected at 1 µs — the
-    /// uniform fixture the barrier tests run on.
-    fn uniform_matrix(n: usize) -> LookaheadMatrix {
-        let mut m = LookaheadMatrix::new(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                m.observe_cut(a, b, 1_000);
-            }
-        }
-        m
-    }
-
     /// A boundary frame from link `link` for shard `dst`.
     fn remote(time: u64, link: usize, seq: u64, dst: usize) -> RemoteMsg {
         RemoteMsg {
@@ -1079,7 +969,7 @@ mod tests {
 
     #[test]
     fn exchange_barrier_cycles_generations_and_agrees_on_windows() {
-        let barrier = Arc::new(ExchangeBarrier::new(uniform_matrix(3)));
+        let barrier = Arc::new(ExchangeBarrier::new(3, 1_000));
         let counter = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for shard in 0..3usize {
@@ -1124,7 +1014,7 @@ mod tests {
         // One waiter blocks (the barrier wants 2 arrivals); abort from
         // the main thread must release it, and a later exchange must
         // return None immediately. A deadlock here fails via timeout.
-        let barrier = Arc::new(ExchangeBarrier::new(uniform_matrix(2)));
+        let barrier = Arc::new(ExchangeBarrier::new(2, 1_000));
         let stuck = {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || barrier.exchange(0, 7, &mut vec![remote(9, 0, 0, 1)]))
@@ -1136,117 +1026,38 @@ mod tests {
         assert_eq!(barrier.exchange(1, 7, &mut Vec::new()), None);
     }
 
-    /// Deterministic xorshift for the horizon property sweep.
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
-    }
-
     #[test]
-    fn per_pair_horizons_never_undercut_the_global_oracle() {
-        // The satellite property: for any reachable topology and any
-        // exchanged state, the per-pair horizon is >= the collapsed
-        // global-L horizon (the matrix is never *less* parallel), and
-        // both share the same window floor. Sweep random sparse
-        // matrices and random snapshots of next events with deposited
-        // frames folded in, exactly as the exchange barrier builds eff.
-        let mut state = 0x0123_4567_89AB_CDEF_u64;
-        for case in 0..500 {
-            let n = 2 + (xorshift(&mut state) % 7) as usize;
-            let mut m = LookaheadMatrix::new(n);
-            let mut cuts = 0;
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    if !xorshift(&mut state).is_multiple_of(3) {
-                        m.observe_cut(a, b, 1 + xorshift(&mut state) % 50_000);
-                        cuts += 1;
-                    }
-                }
-            }
-            if cuts == 0 {
-                m.observe_cut(0, 1, 1 + xorshift(&mut state) % 50_000);
-            }
-            let mut oracle = m.clone();
-            oracle.collapse_to_global();
-            let mut eff: Vec<u64> = (0..n)
-                .map(|_| match xorshift(&mut state) % 4 {
-                    0 => u64::MAX,
-                    _ => xorshift(&mut state) % 1_000_000,
-                })
-                .collect();
-            for j in 0..n * n {
-                if xorshift(&mut state).is_multiple_of(5) {
-                    eff[j % n] = eff[j % n].min(xorshift(&mut state) % 1_000_000);
-                }
-            }
-            let (w_pair, pair) = window_horizons(&m, &eff);
-            let (w_global, global) = window_horizons(&oracle, &eff);
-            assert_eq!(w_pair, w_global, "case {case}: floors must agree");
-            for i in 0..n {
-                assert!(
-                    pair[i] >= global[i],
-                    "case {case}: shard {i} per-pair horizon {} undercuts global {}",
-                    pair[i],
-                    global[i]
-                );
-                // Soundness ceiling for both: no shard may run past the
-                // earliest instant a neighbour's next action could reach
-                // it over that neighbour's cheapest cut toward it.
-                let reach = |m: &LookaheadMatrix| {
-                    (0..n)
-                        .filter(|&j| j != i && m.between(j, i) != u64::MAX)
-                        .map(|j| eff[j].saturating_add(m.between(j, i)))
-                        .min()
-                        .unwrap_or(u64::MAX)
-                };
-                assert!(pair[i] <= reach(&m), "case {case}: horizon past a neighbour's frame");
-                assert!(
-                    global[i] <= reach(&oracle),
-                    "case {case}: oracle past a neighbour's frame"
-                );
-            }
+    fn global_window_bounds_every_shard_at_the_cheapest_cut() {
+        // Chain 0—1—2 cut at 1 µs and 30 µs: shards 0 and 2 share no
+        // cut, yet the builder's one lookahead is the cheaper cut.
+        let mut b = ShardedBuilder::new(3);
+        let chain: Vec<_> =
+            (0..3).map(|i| b.add(Box::new(Probe::new(&format!("c{i}"), 0)))).collect();
+        b.link(chain[0], 0, chain[1], 0, LinkParams::gigabit(SimDuration::micros(1)));
+        b.link(chain[1], 1, chain[2], 0, LinkParams::gigabit(SimDuration::micros(30)));
+        let chain_l = b.build(&[0, 1, 2]).lookahead;
+        assert_eq!(chain_l, 1_000);
+
+        const MAX: u64 = u64::MAX;
+        let cases = [
+            // Shard 1 has nothing pending: it emits no earlier than
+            // W + L, so shard 0 runs to W + 2L.
+            ("an idle neighbour bounds at W + L", 1_000, vec![100, MAX], 100, vec![2_100, 1_100]),
+            ("nothing pending anywhere", 1_000, vec![MAX, MAX, MAX], MAX, vec![MAX, MAX, MAX]),
+            ("no cut link", MAX, vec![100, 450], 100, vec![MAX, MAX]),
+            // Shard 0's event at 0 bounds shard 2 at L even though no
+            // cut joins them.
+            (
+                "shard 0 bounds shard 2",
+                chain_l,
+                vec![0, 500_000, 600_000],
+                0,
+                vec![2_000, 1_000, 1_000],
+            ),
+        ];
+        for (case, lookahead, eff, w, horizons) in cases {
+            assert_eq!(global_window(lookahead, &eff), (w, horizons), "{case}");
         }
-    }
-
-    #[test]
-    fn collapsed_matrix_reproduces_the_pr4_window_formula() {
-        // With every pair at the global L, the horizon must equal
-        // min(min_other, w + L) + L exactly.
-        let mut m = uniform_matrix(3);
-        m.collapse_to_global();
-        let eff = [100u64, 450, 7_000];
-        let (w, h) = window_horizons(&m, &eff);
-        assert_eq!(w, 100);
-        let l = 1_000u64;
-        for (i, &h_i) in h.iter().enumerate() {
-            let min_other = (0..3).filter(|&j| j != i).map(|j| eff[j]).min().unwrap();
-            assert_eq!(h_i, min_other.min(w + l) + l, "shard {i}");
-        }
-    }
-
-    #[test]
-    fn unreachable_pairs_do_not_bound_the_horizon() {
-        // Chain 0—1—2 (no 0↔2 cut): shard 2's horizon ignores shard
-        // 0's early event except through the two-hop relay bound, so
-        // it strictly exceeds the collapsed oracle's.
-        let mut m = LookaheadMatrix::new(3);
-        m.observe_cut(0, 1, 1_000);
-        m.observe_cut(1, 2, 30_000);
-        let eff = [0u64, 500_000, 600_000];
-        let (w, h) = window_horizons(&m, &eff);
-        assert_eq!(w, 0);
-        // Shard 2 is bounded only by shard 1 emitting toward it:
-        // shard 1 acts no earlier than min(eff[1], w + in(1)) = 1000,
-        // plus the 30 µs pair lookahead.
-        assert_eq!(h[2], 1_000 + 30_000);
-        let mut oracle = m.clone();
-        oracle.collapse_to_global();
-        let (_, g) = window_horizons(&oracle, &eff);
-        // min(min_other, w + L) + L with min_other = eff[0] = 0.
-        assert_eq!(g[2], 1_000, "oracle collapses everything to 1 µs");
-        assert!(h[2] > g[2]);
     }
 
     #[test]
@@ -1429,7 +1240,7 @@ mod tests {
         let rx = b.add(Box::new(Probe::new("rx", 0)));
         b.link(tx, 0, rx, 0, params);
         let mut net = b.build(&[0, 1]);
-        assert_eq!(net.lookahead(), Some(SimDuration::micros(3)));
+        assert_eq!(net.lookahead, 3_000);
         assert!(net.run_until_idle(SimTime(u64::MAX)));
         assert_eq!(net.device::<Probe>(rx).heard, vec![(SimTime(3672), PortNo(0))]);
         let stats = net.stats();
@@ -1600,7 +1411,7 @@ mod tests {
         let rx = b.add(Box::new(Probe::new("rx", 0)));
         b.link(tx, 0, rx, 0, LinkParams::default());
         let mut net = b.build(&[0, 0]);
-        assert_eq!(net.lookahead(), None);
+        assert_eq!(net.lookahead, u64::MAX);
         assert!(net.run_until_idle(SimTime(u64::MAX)));
         assert_eq!(net.stats().frames_delivered, 1);
         assert!(net.shard_stats()[0].cross_out == 0);

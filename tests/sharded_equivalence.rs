@@ -344,8 +344,6 @@ fn e8_metrics_match_across_engines() {
     };
     let single = e8_fattree::run(&params(1));
     let sharded = e8_fattree::run(&params(2));
-    assert!(single.shard_summary.is_none());
-    assert!(sharded.shard_summary.is_some(), "sharded run must report per-shard stats");
     for (a, b) in single.rows.iter().zip(&sharded.rows) {
         assert_eq!(a.pattern, b.pattern);
         assert_eq!(a.delivered, b.delivered, "{}: delivered diverged", a.pattern);
