@@ -14,8 +14,8 @@
 //! Every experiment derives its parameters from one flag set:
 //!
 //! - `--quick` shrinks each selected experiment to CI size;
-//! - `--shards N` runs E8/E9/E11 on the sharded engine (N worker
-//!   threads, rack-major partition) and picks the worker count of
+//! - `--shards N` runs E8/E9/E11 on the sharded twin engine (N shards
+//!   run in turn, rack-major partition) and picks the shard count of
 //!   E12's trace capture (E12's own sweep always covers 1/2/4). N > 1
 //!   needs at least one of e8/e9/e11/e12 selected;
 //! - `--trace-out FILE` writes the merged, timestamp-sorted delivery
@@ -487,21 +487,28 @@ fn main() {
     }
 
     if want("e12") {
-        // The k=16 fabric at every worker count. Unlike e8/e9/e11,
+        // The k=16 fabric at every shard count. Unlike e8/e9/e11,
         // `--shards` does not pick the engine here (the sweep covers
-        // 1/2/4 itself); it selects the worker count for the
-        // `--trace-out` capture.
+        // 1/2/4 itself); it selects the shard count for the
+        // `--trace-out` capture, written from the matching sweep point.
         let params = if quick { e12_scale::E12Params::quick() } else { Default::default() };
         eprintln!(
             "[repro] running E12 (k=16 scale), k={}, {} hosts/edge, sweep {:?}...",
             params.k, params.hosts_per_edge, params.shard_counts
         );
         let started = Instant::now();
-        let result = e12_scale::run(&params);
+        let mut capture = trace_out.take();
+        let result = e12_scale::run(&params, |swept, trace| {
+            if swept == shards.min(params.k) {
+                if let Some(out) = capture.take() {
+                    out.write("E12", trace);
+                }
+            }
+        });
         eprintln!("[repro] e12 sweep took {} ms", started.elapsed().as_millis());
         println!("{}", e12_scale::table(&result).render_markdown());
         println!("{}", e12_scale::footprint_table(&result).render_markdown());
-        verdict("every worker count delivers every datagram", e12_scale::verify_delivery(&result));
+        verdict("every shard count delivers every datagram", e12_scale::verify_delivery(&result));
         verdict(
             &format!("path tables ≤ {} B/station", e12_scale::MAX_BYTES_PER_STATION),
             e12_scale::verify_footprint(&result),
@@ -515,13 +522,13 @@ fn main() {
                 holds,
             );
         }
-        eprintln!("[repro] e12: comparing merged traces across {:?}...", params.shard_counts);
         verdict(
-            "merged delivery trace byte-identical at every worker count",
-            e12_scale::verify_trace_identity(&params),
+            "merged delivery trace byte-identical at every shard count",
+            e12_scale::verify_trace_identity(&result),
         );
         println!();
-        if let Some(out) = trace_out.take() {
+        // A `--shards` value the sweep does not cover gets a run of its own.
+        if let Some(out) = capture {
             out.write("E12", &e12_scale::delivery_trace(&params, shards));
         }
     }

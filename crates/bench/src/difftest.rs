@@ -461,7 +461,7 @@ mod tests {
     #[test]
     fn injected_unsound_horizon_is_detected_and_minimized() {
         // The fuzzer's own regression test: `self_check` widens every
-        // worker past its conservative (CMB) lookahead bound — the bug
+        // shard past its conservative (CMB) lookahead bound — the bug
         // class the fuzzer exists to catch — requires a detected and
         // minimized failure, then a clean replay once sound again. The
         // widening is scoped to this thread, so sibling tests' sharded

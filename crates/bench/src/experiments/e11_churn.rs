@@ -161,7 +161,7 @@ pub struct E11Params {
     pub mobility_per_mille: u32,
     /// Script + jitter seed.
     pub seed: u64,
-    /// Worker threads; `1` = single-threaded engine, `≥ 2` = sharded
+    /// Shards; `1` = single engine, `≥ 2` = sharded
     /// (rack-major, clamped to `k` like E8/E9).
     pub shards: usize,
 }

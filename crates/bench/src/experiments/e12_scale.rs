@@ -14,11 +14,15 @@
 //!   holding ([`MAX_SCHEDULER_RESERVED_BYTES`]): the other memory every
 //!   frame hop writes;
 //! * **delivery** on the single engine and on the sharded twin at 2
-//!   and 4 workers: every run must deliver every datagram;
+//!   and 4 shards: every run must deliver every datagram;
 //! * **trace identity**: the merged delivery trace must be
-//!   byte-identical across *all* worker counts
+//!   byte-identical across *all* shard counts
 //!   ([`verify_trace_identity`]; CI additionally diffs `--trace-out`
 //!   files).
+//!
+//! Each sweep point is simulated once, with delivery tracing on: the
+//! same run yields its delivery counts, its footprint and the trace
+//! the identity check compares.
 
 use super::e8_fattree::{self, E8Params};
 use super::{rack_major, run_to};
@@ -27,7 +31,7 @@ use arppath_metrics::Table;
 use arppath_netsim::{Engine, SimTime};
 use arppath_topo::{BridgeIx, FatTree, TopoBuilder, Topology};
 
-/// Parameters of one E12 sweep (one fabric, several worker counts).
+/// Parameters of one E12 sweep (one fabric, several shard counts).
 #[derive(Debug, Clone)]
 pub struct E12Params {
     /// Fat-tree arity (even). The headline configuration is 16.
@@ -41,7 +45,7 @@ pub struct E12Params {
     pub payload_len: usize,
     /// Workload + jitter seed.
     pub seed: u64,
-    /// Worker counts to sweep (each clamped to the pod count `k`).
+    /// Shard counts to sweep (each clamped to the pod count `k`).
     pub shard_counts: Vec<usize>,
 }
 
@@ -61,16 +65,16 @@ impl Default for E12Params {
 impl E12Params {
     /// The CI-sized configuration: same k=16 fabric shape, one host
     /// per rack (128 hosts), two datagrams each — small enough to
-    /// sweep every worker count and diff traces in seconds.
+    /// sweep every shard count and diff traces in seconds.
     pub fn quick() -> Self {
         E12Params { hosts_per_edge: 1, datagrams: 2, ..Default::default() }
     }
 }
 
-/// One worker count's measurements.
+/// One shard count's measurements.
 #[derive(Debug, Clone)]
 pub struct E12Row {
-    /// Worker count actually used (requested, clamped to `k`).
+    /// Shard count actually used (requested, clamped to `k`).
     pub shards: usize,
     /// Datagrams delivered fabric-wide.
     pub delivered: u64,
@@ -87,14 +91,17 @@ pub struct E12Result {
     pub hosts: usize,
     /// Bridges in the fabric.
     pub bridges: usize,
-    /// One row per swept worker count.
+    /// One row per swept shard count.
     pub rows: Vec<E12Row>,
     /// Σ path-table heap bytes over every bridge.
     pub table_bytes: usize,
     /// `Network::scheduler_reserved_bytes` at the end of the
-    /// single-engine run (the 1-worker sweep point), if the sweep had
+    /// single-engine run (the 1-shard sweep point), if the sweep had
     /// one.
     pub scheduler_reserved_bytes: Option<usize>,
+    /// Whether the first sweep point's merged delivery trace is
+    /// nonempty and every later point's equals it byte for byte.
+    pub traces_identical: bool,
 }
 
 /// Ceiling on [`E12Result::bytes_per_station`]: the quick geometry's
@@ -138,31 +145,79 @@ fn scenario(params: &E12Params) -> (TopoBuilder, FatTree, SimTime) {
     (t, ft, deadline)
 }
 
-/// Run the sweep: one fresh instantiation of the same scenario per
-/// worker count; the table footprint is read off the first run's
-/// bridges (the geometry is identical at every point).
-pub fn run(params: &E12Params) -> E12Result {
+/// Run the sweep: one fresh, traced instantiation of the same scenario
+/// per shard count. The table footprint is read off the first run's
+/// bridges (the geometry is identical at every point). Each point's
+/// merged delivery trace is handed to `on_trace` with its shard count,
+/// then compared with the first point's; at most two traces are held
+/// at once.
+pub fn run(params: &E12Params, mut on_trace: impl FnMut(usize, &[String])) -> E12Result {
     let mut rows = Vec::new();
     let mut footprint: Option<(usize, usize)> = None; // (bridges, table bytes)
     let mut scheduler_reserved_bytes = None;
     let mut hosts = 0;
+    let mut reference: Option<Vec<String>> = None;
+    let mut traces_identical = false;
     for &requested in &params.shard_counts {
-        let (t, ft, deadline) = scenario(params);
-        hosts = ft.host_capacity(params.hosts_per_edge);
-        let shards = requested.min(ft.k);
-        let (sent, delivered, tables) = if shards > 1 {
-            let partition = rack_major(&ft, params.hosts_per_edge, shards);
-            measure(&run_to(t.build_sharded(&partition, false), deadline))
-        } else {
-            let topo = run_to(t.build(), deadline);
-            scheduler_reserved_bytes = Some(topo.net.scheduler_reserved_bytes());
-            measure(&topo)
-        };
-        footprint.get_or_insert(tables);
-        rows.push(E12Row { shards, delivered, sent });
+        let point = run_point(params, requested);
+        hosts = point.hosts;
+        footprint.get_or_insert(point.tables);
+        scheduler_reserved_bytes = point.scheduler_reserved_bytes.or(scheduler_reserved_bytes);
+        on_trace(point.row.shards, &point.trace);
+        rows.push(point.row);
+        match &reference {
+            Some(first) => traces_identical &= point.trace == *first,
+            None => {
+                traces_identical = !point.trace.is_empty();
+                reference = Some(point.trace);
+            }
+        }
     }
     let (bridges, table_bytes) = footprint.expect("shard_counts must be nonempty");
-    E12Result { k: params.k, hosts, bridges, rows, table_bytes, scheduler_reserved_bytes }
+    E12Result {
+        k: params.k,
+        hosts,
+        bridges,
+        rows,
+        table_bytes,
+        scheduler_reserved_bytes,
+        traces_identical,
+    }
+}
+
+/// One sweep point's traced run.
+struct Point {
+    row: E12Row,
+    hosts: usize,
+    /// `(bridges, Σ path-table heap bytes)`.
+    tables: (usize, usize),
+    /// The single engine's scheduler reservation (1-shard points only).
+    scheduler_reserved_bytes: Option<usize>,
+    trace: Vec<String>,
+}
+
+/// Run the scenario once at `shards` (clamped to `k`) with delivery
+/// tracing on, and measure it.
+fn run_point(params: &E12Params, shards: usize) -> Point {
+    let (t, ft, deadline) = scenario(params);
+    let hosts = ft.host_capacity(params.hosts_per_edge);
+    let shards = shards.min(ft.k);
+    let (measured, scheduler_reserved_bytes, trace) = if shards > 1 {
+        let partition = rack_major(&ft, params.hosts_per_edge, shards);
+        let topo = run_to(t.build_sharded(&partition, true), deadline);
+        (measure(&topo), None, topo.net.delivery_trace())
+    } else {
+        let topo = run_to(t.build_single(true), deadline);
+        (measure(&topo), Some(topo.net.scheduler_reserved_bytes()), topo.net.delivery_trace())
+    };
+    let (sent, delivered, tables) = measured;
+    Point {
+        row: E12Row { shards, delivered, sent },
+        hosts,
+        tables,
+        scheduler_reserved_bytes,
+        trace,
+    }
 }
 
 /// `(sent, delivered, (bridges, Σ path-table heap bytes))` off a
@@ -175,30 +230,20 @@ fn measure<N: Engine>(topo: &Topology<N>) -> (u64, u64, (usize, usize)) {
 }
 
 /// The merged, timestamp-sorted delivery trace of one run at `shards`
-/// workers — the byte-comparable artifact CI diffs across shard
-/// counts (`repro -- e12 --quick --shards N --trace-out FILE`).
+/// shards — the byte-comparable artifact CI diffs across shard counts
+/// (`repro -- e12 --quick --shards N --trace-out FILE`); [`run`] hands
+/// the same trace to its `on_trace` at each sweep point.
 pub fn delivery_trace(params: &E12Params, shards: usize) -> Vec<String> {
-    let (t, ft, deadline) = scenario(params);
-    let shards = shards.min(ft.k);
-    if shards > 1 {
-        let partition = rack_major(&ft, params.hosts_per_edge, shards);
-        run_to(t.build_sharded(&partition, true), deadline).net.delivery_trace()
-    } else {
-        run_to(t.build_single(true), deadline).net.delivery_trace()
-    }
+    run_point(params, shards).trace
 }
 
 /// The equivalence half of the acceptance bar: every swept shard count
-/// produces the byte-identical merged trace. Runs the scenario once
-/// per count with tracing on — call on quick geometry unless you mean
-/// to pay full-scale runs twice.
-pub fn verify_trace_identity(params: &E12Params) -> bool {
-    let mut traces = params.shard_counts.iter().map(|&shards| delivery_trace(params, shards));
-    let Some(reference) = traces.next() else { return false };
-    !reference.is_empty() && traces.all(|trace| trace == reference)
+/// produced the byte-identical merged trace.
+pub fn verify_trace_identity(result: &E12Result) -> bool {
+    result.traces_identical
 }
 
-/// Delivery sanity over the sweep: nothing lost at any worker count.
+/// Delivery sanity over the sweep: nothing lost at any shard count.
 pub fn verify_delivery(result: &E12Result) -> bool {
     !result.rows.is_empty() && result.rows.iter().all(|r| r.sent > 0 && r.delivered == r.sent)
 }
@@ -211,12 +256,12 @@ pub fn verify_footprint(result: &E12Result) -> bool {
 
 /// The transient-memory half: the single-engine scheduler's reserved
 /// event storage stays under [`MAX_SCHEDULER_RESERVED_BYTES`]. `None`
-/// when the sweep had no 1-worker point to read it from.
+/// when the sweep had no 1-shard point to read it from.
 pub fn verify_scheduler(result: &E12Result) -> Option<bool> {
     result.scheduler_reserved_bytes.map(|bytes| bytes <= MAX_SCHEDULER_RESERVED_BYTES)
 }
 
-/// Render the delivery table, one row per worker count.
+/// Render the delivery table, one row per shard count.
 pub fn table(result: &E12Result) -> Table {
     let mut t = Table::new(
         format!(
@@ -245,7 +290,7 @@ pub fn footprint_table(result: &E12Result) -> Table {
     ]);
     if let Some(bytes) = result.scheduler_reserved_bytes {
         t.row(&[
-            "scheduler events, reserved (1 worker)".into(),
+            "scheduler events, reserved (1 shard)".into(),
             bytes.to_string(),
             format!("{:.0}", bytes as f64 / result.hosts.max(1) as f64),
         ]);

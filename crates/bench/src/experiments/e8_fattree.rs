@@ -47,13 +47,11 @@ pub struct E8Params {
     /// Hot receivers for the hotspot pattern (clamped to the host
     /// count).
     pub hot_receivers: usize,
-    /// Worker threads for the simulation. `1` runs the classic
-    /// single-threaded engine; `≥ 2` runs
-    /// [`arppath_netsim::ShardedNetwork`] under the rack-major
-    /// partition ([`arppath_topo::Partition::rack_major`]), clamped to the fabric's
-    /// pod count `k` — same scenario, same results
-    /// (`tests/sharded_equivalence.rs` pins trace identity),
-    /// different wall clock.
+    /// Shards for the simulation. `1` runs the single engine; `≥ 2`
+    /// runs [`arppath_netsim::ShardedNetwork`] under the rack-major
+    /// partition ([`arppath_topo::Partition::rack_major`]), clamped to
+    /// the fabric's pod count `k` — same scenario, same results
+    /// (`tests/sharded_equivalence.rs` pins trace identity).
     pub shards: usize,
 }
 
@@ -392,4 +390,41 @@ pub fn verify_spread(result: &E8Result) -> bool {
         .iter()
         .filter(|r| r.pattern == "permutation")
         .all(|r| r.distinct_cores * 2 > r.total_cores && r.jain_core > 0.5 && r.delivered == r.sent)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arppath_topo::Partition;
+
+    /// The window agreement, pinned: how many exchange rounds the
+    /// sharded twin needs and how many frames cross its cuts on the
+    /// quick E8 fabric (`repro e8 --quick`'s permutation run), under
+    /// both partitions and at 2, 3 and 4 shards. A change to how shards
+    /// agree on windows moves these counts even when traces still
+    /// match.
+    #[test]
+    fn quick_fabric_sync_rounds_and_cross_frames_are_pinned() {
+        let params = E8Params { k: 4, hosts_per_edge: 2, datagrams: 5, ..Default::default() };
+        let cases = [
+            ("rack-major", 2, 924, 229),
+            ("rack-major", 3, 972, 310),
+            ("rack-major", 4, 1020, 384),
+            ("round-robin", 2, 1269, 728),
+            ("round-robin", 3, 1441, 1072),
+            ("round-robin", 4, 1470, 1230),
+        ];
+        for (partition, shards, rounds, cross) in cases {
+            let (t, ft, _pairs, deadline) = scenario(&params, TrafficPattern::Permutation);
+            let partition_of = if partition == "rack-major" {
+                rack_major(&ft, params.hosts_per_edge, shards)
+            } else {
+                let hosts = ft.host_capacity(params.hosts_per_edge);
+                Partition::round_robin(t.bridge_count(), hosts, shards)
+            };
+            let topo = run_to(t.build_sharded(&partition_of, false), deadline);
+            let got = (topo.net.sync_rounds(), topo.net.cross_frames());
+            assert_eq!(got, (rounds, cross), "{partition} partition, {shards} shards");
+        }
+    }
 }

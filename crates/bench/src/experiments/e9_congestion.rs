@@ -128,7 +128,7 @@ pub struct E9Params {
     pub seed: u64,
     /// Hot receivers for the incast pattern.
     pub hot_receivers: usize,
-    /// Worker threads; `1` = single-threaded engine, `≥ 2` = sharded
+    /// Shards; `1` = single engine, `≥ 2` = sharded
     /// (rack-major, clamped to `k` like E8).
     pub shards: usize,
     /// Pause watchdog stamped over the PFC regime's links (the other

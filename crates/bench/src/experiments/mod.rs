@@ -63,9 +63,9 @@ impl TracedRun {
 }
 
 /// The rack-major partition of a fat-tree with `hosts_per_edge` hosts
-/// per rack over `shards` workers. Rack-major assigns whole pods, so
+/// per rack over `shards` shards. Rack-major assigns whole pods, so
 /// callers clamp `shards` to the pod count `k` (a k=4 fabric can use at
-/// most 4 workers even when a sweep's larger fabrics use more).
+/// most 4 shards even when a sweep's larger fabrics use more).
 pub(crate) fn rack_major(ft: &FatTree, hosts_per_edge: usize, shards: usize) -> Partition {
     Partition::rack_major(ft, hosts_per_edge, ft.host_capacity(hosts_per_edge), shards)
 }

@@ -782,7 +782,7 @@ impl SwitchLogic for ArpPathBridge {
     }
 
     /// Drops a host flood that lost the race and forwards unicast data
-    /// whose [`NextHop`] is `Out`, deciding each through the helper its
+    /// whose `NextHop` is `Out`, deciding each through the helper its
     /// `on_frame` arm uses. Path control, non-unicast sources, ARP
     /// Replies (which promote), bounces and misses (which may repair)
     /// go to `on_frame`.

@@ -51,7 +51,7 @@ const MAX_BACKOFF: u32 = 6;
 ///
 /// E9 ships [`FixedWindow`]; the trait boundary is where a later AIMD
 /// controller plugs in without touching the go-back-N machinery.
-pub trait CongestionControl: Send {
+pub trait CongestionControl {
     /// Current window, in segments (values below 1 are treated as 1).
     fn window(&self) -> u64;
     /// `newly_acked` segments were cumulatively acknowledged.

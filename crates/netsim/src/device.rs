@@ -196,13 +196,9 @@ impl<'a> Ctx<'a> {
 /// identical callback sequences must produce identical command
 /// sequences (seed any internal randomness at construction).
 ///
-/// `Send` is a supertrait because the sharded engine
-/// ([`crate::sharded`]) moves whole per-shard [`crate::Network`]s onto
-/// worker threads; devices are plain simulation state, so this costs
-/// implementations nothing (no `Rc`/`RefCell` inside devices). `Any`
-/// is a supertrait so [`crate::Network::device`] can downcast a
+/// `Any` is a supertrait so [`crate::Network::device`] can downcast a
 /// `&dyn Device` to its concrete type.
-pub trait Device: Any + Send {
+pub trait Device: Any {
     /// Short stable name used in traces (e.g. `"NF1"`, `"hostA"`).
     fn name(&self) -> &str;
 

@@ -1,13 +1,15 @@
-//! Sharded parallel simulation: the network partitioned across worker
-//! threads, synchronized by **conservative lookahead** on link delays.
+//! Sharded simulation: the network partitioned into shards that run
+//! in turn, synchronized by **conservative lookahead** on link delays.
 //!
 //! # Design
 //!
-//! The single-threaded [`crate::Network`] processes one global event
-//! heap. This module splits the device graph into `N` shards, each a
-//! complete `Network` of its own (own heap, own clock, own links), and
-//! runs them on scoped worker threads in lock-step *windows* — the
-//! Chandy–Misra–Bryant discipline specialized to fixed link delays:
+//! The single [`crate::Network`] processes one global event heap. This
+//! module splits the device graph into `N` shards, each a complete
+//! `Network` of its own (own heap, own clock, own links), and runs them
+//! one after another in lock-step *windows* — the Chandy–Misra–Bryant
+//! discipline specialized to fixed link delays. It is the single
+//! engine's test twin: what it proves is that cutting the graph, the
+//! boundary exchange and the window agreement change no delivery.
 //!
 //! 1. Every link whose two endpoints land in different shards is cut
 //!    in half. The **sender-side half** keeps the link's bandwidth and
@@ -18,7 +20,7 @@
 //! 2. When a frame finishes serializing, the stub receives it at
 //!    exactly its `TxDone` instant and queues the typed
 //!    [`EthernetFrame`] itself, with its delivery time (`TxDone` +
-//!    propagation), in its shard's outbox. Nothing is encoded: the
+//!    propagation), in its own outbox. Nothing is encoded: the
 //!    destination shard schedules the very object the single engine
 //!    would have delivered, with [`Network::inject_at`].
 //! 3. The **lookahead** `L` is the minimum propagation delay over all
@@ -27,18 +29,18 @@
 //!    for it — and cannot *react* to this window's traffic before the
 //!    global floor `W` plus `L`. So nothing reaches shard `i` before
 //!    its *horizon* `min(min over j ≠ i of eff(j), W + L) + L`.
-//! 4. The **exchange barrier** is the only channel between shards: at
-//!    each round every worker publishes its next-event time and
-//!    deposits the boundary frames its last window produced, the last
-//!    arriver computes every horizon once, and each worker leaves with
-//!    its window and its inbox, injects the inbox in canonical order,
-//!    and only then runs to its horizon — so a frame sent in one window
-//!    is in its destination's queue before the next window runs. Rounds
-//!    repeat until the floor passes the run bound.
+//! 4. Each **round** is one exchange: every shard's `eff` is its next
+//!    event folded with the earliest frame in its inbox, the horizons
+//!    are computed once from those, and every inbox is injected in
+//!    canonical order. Then the shards run to their horizons in index
+//!    order, and each shard's stubs hand their frames to the
+//!    destinations' inboxes — so a frame sent in one window is in its
+//!    destination's queue before the next window runs. Rounds repeat
+//!    until the floor passes the run bound.
 //!
 //! # Determinism
 //!
-//! Every engine — single-threaded or shard-local — orders same-instant
+//! Every engine — the single one or a shard — orders same-instant
 //! events by the canonical `(time, key, seq)` rule of
 //! [`crate::calq::CalendarQueue`], where the key encodes the event's
 //! *global* physical identity (wire direction, device id; see
@@ -50,12 +52,12 @@
 //! boundary each event came from. Incoming cross-shard frames are
 //! additionally sorted by `(delivery time, global link id, direction,
 //! per-link sequence)` before injection, so the merged execution is a
-//! pure function of the scenario — thread scheduling never reorders
-//! anything. The observable contract, which
+//! pure function of the scenario — the order the shards run in within
+//! a window never reorders anything. The observable contract, which
 //! `tests/sharded_equivalence.rs` pins and `difftest` fuzzes, is
 //! **trace identity**: the merged, timestamp-sorted delivery trace
 //! ([`DeliveryTracer`]) of a sharded run is byte-for-byte identical to
-//! the single-threaded engine's on the same scenario.
+//! the single engine's on the same scenario.
 //!
 //! One caveat bounds the contract: cross-shard link-admin events
 //! (cable cuts) are rejected — frames already deposited for the other
@@ -108,8 +110,6 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::DeliveryTracer;
 use arppath_wire::EthernetFrame;
 use std::cell::Cell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
 
 // Test-only fault knob, per thread; `ShardedBuilder::build` copies it
 // into the network it returns, so no other thread sees it.
@@ -188,8 +188,8 @@ impl RemoteMsg {
 }
 
 /// The sender-side terminator of a cut link: receives frames at their
-/// `TxDone` instant (the half-link has zero propagation) and queues
-/// them for the cross-shard exchange.
+/// `TxDone` instant (the half-link has zero propagation) and keeps
+/// them until the round loop moves them to their destination's inbox.
 struct BoundaryStub {
     name: String,
     link: usize,
@@ -199,8 +199,8 @@ struct BoundaryStub {
     dst_node: NodeId,
     dst_port: PortNo,
     seq: u64,
-    /// Shared with the owning shard; drained after every window.
-    outbox: Arc<Mutex<Vec<RemoteMsg>>>,
+    /// This window's frames; drained after every window.
+    outbox: Vec<RemoteMsg>,
 }
 
 impl Device for BoundaryStub {
@@ -220,7 +220,7 @@ impl Device for BoundaryStub {
             frame,
         };
         self.seq += 1;
-        self.outbox.lock().expect("a worker panicked holding the outbox").push(msg);
+        self.outbox.push(msg);
     }
 
     /// PFC pause/resume frames must cross the cut as ordinary frames
@@ -250,8 +250,10 @@ struct GlobalLink {
 /// One shard: a complete [`Network`] plus its boundary machinery.
 struct Shard {
     net: Network,
-    /// Cross-shard frames produced by this shard's stubs this window.
-    outbox: Arc<Mutex<Vec<RemoteMsg>>>,
+    /// Local ids of this shard's boundary stubs.
+    stubs: Vec<NodeId>,
+    /// Cross-shard frames for this shard, injected at the next round.
+    inbox: Vec<RemoteMsg>,
     /// Real (non-stub) devices in this shard.
     devices: usize,
     /// Cross-shard frames sent over the whole run.
@@ -281,7 +283,7 @@ pub struct ShardStats {
 /// Assembles a [`ShardedNetwork`]: add devices and links exactly like
 /// [`NetworkBuilder`], then [`ShardedBuilder::build`] with a shard
 /// assignment. Global [`NodeId`]s/[`LinkId`]s are handed out in the
-/// same insertion order as the single-threaded builder, so a scenario
+/// same insertion order as the single engine's builder, so a scenario
 /// built both ways gets identical ids — which is what makes the two
 /// engines' traces directly comparable.
 pub struct ShardedBuilder {
@@ -292,7 +294,7 @@ pub struct ShardedBuilder {
 }
 
 impl ShardedBuilder {
-    /// An empty builder targeting `shards` worker threads.
+    /// An empty builder that will split its network into `shards`.
     ///
     /// # Panics
     /// If `shards` is zero.
@@ -350,8 +352,7 @@ impl ShardedBuilder {
     ///
     /// `assignment[node] = shard` for every global node id. The
     /// network keeps this thread's test-only fault knob
-    /// ([`set_unsound_horizon_widen`]) as it is now; its worker threads
-    /// read only that copy.
+    /// ([`set_unsound_horizon_widen`]) as it is now.
     ///
     /// # Panics
     /// If the assignment's length or shard indices are out of range, or
@@ -400,20 +401,19 @@ impl ShardedBuilder {
             let lid = builders[s].add(dev);
             debug_assert_eq!(lid, local_id[g]);
             // Same-instant events at this device must sort by its
-            // *global* identity, as the single-threaded engine would.
+            // *global* identity, as the single engine would.
             builders[s].set_node_order_key(lid, g as u64);
             local2global[s].push(Some(NodeId(g)));
         }
         let device_counts = counts;
 
-        let outboxes: Vec<Arc<Mutex<Vec<RemoteMsg>>>> =
-            (0..shards).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
+        let mut stubs: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
         let mut links = Vec::with_capacity(self.links.len());
         let mut stub_count = 0usize;
         for (gid, &(ea, eb, params)) in self.links.iter().enumerate() {
             let (sa, sb) = (assignment[ea.node.0], assignment[eb.node.0]);
             // The canonical wire ids of this link's two directions,
-            // exactly as the single-threaded engine derives them from
+            // exactly as the single engine derives them from
             // the global link id: same-instant arrivals sort on these.
             let wire = [2 * gid as u64, 2 * gid as u64 + 1];
             let home = if sa == sb {
@@ -441,8 +441,9 @@ impl ShardedBuilder {
                         dst_node: local_id[dst.node.0],
                         dst_port: dst.port,
                         seq: 0,
-                        outbox: Arc::clone(&outboxes[ss]),
+                        outbox: Vec::new(),
                     }));
+                    stubs[ss].push(stub);
                     // Stubs never own timers; any collision-free key
                     // beyond the real id space keeps them canonical.
                     builders[ss].set_node_order_key(stub, (n + stub_count) as u64);
@@ -461,7 +462,7 @@ impl ShardedBuilder {
                     // global direction. Mapping both keeps
                     // `inject_at`'s arrival-key lookup — which reads
                     // the *opposite* of the port's send direction —
-                    // identical to the single-threaded Deliver key.
+                    // identical to the single engine's Deliver key.
                     let keys = match dir {
                         Dir::AtoB => wire,
                         Dir::BtoA => [wire[1], wire[0]],
@@ -484,11 +485,12 @@ impl ShardedBuilder {
 
         let shard_nets: Vec<Shard> = builders
             .into_iter()
-            .zip(outboxes)
+            .zip(stubs)
             .zip(device_counts)
-            .map(|((builder, outbox), devices)| Shard {
+            .map(|((builder, stubs), devices)| Shard {
                 net: builder.build(),
-                outbox,
+                stubs,
+                inbox: Vec::new(),
                 devices,
                 cross_out: 0,
                 cross_in: 0,
@@ -508,145 +510,10 @@ impl ShardedBuilder {
     }
 }
 
-/// The per-round synchronization point and the only channel between
-/// shards: an abortable cyclic barrier that *carries data*. Arrivers
-/// publish their next-event time and deposit their outgoing boundary
-/// frames; the last arriver folds each destination's earliest deposited
-/// frame into that shard's `eff` and computes the window
-/// ([`global_window`]) once, and every waiter leaves with the agreed
-/// `(w_start, horizon)` for its shard and the frames deposited for it.
-///
-/// `abort` releases every current *and future* waiter immediately.
-/// `std::sync::Barrier` has no such escape hatch, and the panic path
-/// needs one: a panicking worker cannot know which generation its
-/// healthy siblings will reach next. If it joins "one more" generation
-/// while a sibling exits right after its own release without waiting
-/// again, the panicking worker is stranded at a barrier that never
-/// fills (the difftest fault-injection self-check deadlocked on exactly
-/// that race).
-struct ExchangeBarrier {
-    state: Mutex<ExchangeState>,
-    cv: Condvar,
-    /// Participants (shards).
-    n: usize,
-    /// The cheapest cut's propagation delay in nanoseconds
-    /// (`u64::MAX`: nothing is cut).
-    lookahead: u64,
-}
-
-struct ExchangeState {
-    arrived: usize,
-    generation: u64,
-    aborted: bool,
-    /// Completed exchanges — the run's synchronization-round count.
-    rounds: u64,
-    /// Double-buffered by generation parity: arrivers at generation
-    /// `g` write `eff[g % 2]` and `mail[g % 2]`, and the buffers are
-    /// not rewritten before generation `g + 2` — which cannot start
-    /// until every waiter of `g` has read its window and taken its
-    /// inbox (readers hold the state lock when they wake from the
-    /// condvar).
-    eff: [Vec<u64>; 2],
-    /// Deposited boundary frames, per destination shard.
-    mail: [Vec<Vec<RemoteMsg>>; 2],
-    /// The agreed window per parity: `(w_start, horizons)`.
-    window: [(u64, Vec<u64>); 2],
-}
-
-impl ExchangeBarrier {
-    fn new(n: usize, lookahead: u64) -> Self {
-        let mailboxes = || (0..n).map(|_| Vec::new()).collect();
-        ExchangeBarrier {
-            state: Mutex::new(ExchangeState {
-                arrived: 0,
-                generation: 0,
-                aborted: false,
-                rounds: 0,
-                eff: [vec![u64::MAX; n], vec![u64::MAX; n]],
-                mail: [mailboxes(), mailboxes()],
-                window: [(u64::MAX, vec![u64::MAX; n]), (u64::MAX, vec![u64::MAX; n])],
-            }),
-            cv: Condvar::new(),
-            n,
-            lookahead,
-        }
-    }
-
-    /// Publish this shard's next event time, deposit every frame in
-    /// `mail` for its destination, and block until every participant
-    /// has done the same. Returns the agreed `(w_start,
-    /// horizon-for-this-shard)` with `mail` refilled by the frames
-    /// deposited for this shard, or `None` if the barrier was aborted.
-    fn exchange(&self, shard: usize, next: u64, mail: &mut Vec<RemoteMsg>) -> Option<(u64, u64)> {
-        let mut s = self.state.lock().expect("a worker panicked holding the exchange barrier");
-        if s.aborted {
-            return None;
-        }
-        let slot = (s.generation % 2) as usize;
-        s.eff[slot][shard] = next;
-        for msg in mail.drain(..) {
-            s.mail[slot][msg.dst_shard].push(msg);
-        }
-        s.arrived += 1;
-        if s.arrived == self.n {
-            s.arrived = 0;
-            s.rounds += 1;
-            let ExchangeState { eff, mail: boxes, .. } = &mut *s;
-            for (eff_j, inbox) in eff[slot].iter_mut().zip(&boxes[slot]) {
-                *eff_j = inbox.iter().map(|m| m.time.0).fold(*eff_j, u64::min);
-            }
-            s.window[slot] = global_window(self.lookahead, &s.eff[slot]);
-            s.generation += 1;
-            self.cv.notify_all();
-        } else {
-            let generation = s.generation;
-            while s.generation == generation && !s.aborted {
-                s = self.cv.wait(s).expect("a worker panicked holding the exchange barrier");
-            }
-            if s.aborted {
-                return None;
-            }
-        }
-        std::mem::swap(mail, &mut s.mail[slot][shard]);
-        let (w, ref horizons) = s.window[slot];
-        Some((w, horizons[shard]))
-    }
-
-    /// Completed exchange rounds so far.
-    fn rounds(&self) -> u64 {
-        self.state.lock().expect("a worker panicked holding the exchange barrier").rounds
-    }
-
-    /// Permanently release everyone: current waiters wake now, future
-    /// [`exchange`](ExchangeBarrier::exchange) calls return `None`
-    /// immediately.
-    fn abort(&self) {
-        let mut s = self.state.lock().expect("a worker panicked holding the exchange barrier");
-        s.aborted = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Shared per-run synchronization state for the worker threads.
-struct WindowSync {
-    /// The single per-round synchronization point.
-    barrier: ExchangeBarrier,
-    /// Run bound (inclusive): no event past it is executed.
-    bound: SimTime,
-    /// Test-only fault injection ([`set_unsound_horizon_widen`]):
-    /// nanoseconds every horizon is widened by. Zero in production.
-    horizon_widen_ns: u64,
-}
-
-/// A partitioned network running its shards on worker threads. Its
-/// clock, counters, devices, link counters and link admin are its
-/// [`Engine`] surface, shared with the single-threaded [`Network`]
-/// (link admin on a cut link panics; see the module docs).
-///
-/// Construction and all accessors happen on the caller's thread; only
-/// the run loops ([`ShardedNetwork::run_until`] /
-/// [`ShardedNetwork::run_until_idle`]) spawn workers, and they join
-/// before returning — the type is externally single-threaded.
+/// A partitioned network running its shards in turn on the caller's
+/// thread. Its clock, counters, devices, link counters and link admin
+/// are its [`Engine`] surface, shared with the single [`Network`] (link
+/// admin on a cut link panics; see the module docs).
 pub struct ShardedNetwork {
     shards: Vec<Shard>,
     /// Global node id → shard.
@@ -668,8 +535,8 @@ pub struct ShardedNetwork {
 impl ShardedNetwork {
     /// Total synchronization rounds (one window exchange each) the run
     /// loops have performed, across all [`ShardedNetwork::run_until`] /
-    /// [`ShardedNetwork::run_until_idle`] calls: how often the workers
-    /// had to meet.
+    /// [`ShardedNetwork::run_until_idle`] calls: how often the shards
+    /// had to agree on a window.
     pub fn sync_rounds(&self) -> u64 {
         self.sync_rounds
     }
@@ -724,7 +591,7 @@ impl ShardedNetwork {
 
     /// Run every event up to and including `until`, then set the clock
     /// to `until`. Equivalent to [`Network::run_until`], executed in
-    /// parallel lookahead windows.
+    /// lookahead windows.
     pub fn run_until(&mut self, until: SimTime) {
         self.run_windows(until);
         for shard in &mut self.shards {
@@ -777,7 +644,7 @@ impl ShardedNetwork {
     /// The merged, timestamp-sorted delivery trace: one canonical line
     /// per frame delivery across all shards, in `(time, node, port,
     /// length, digest)` order — byte-for-byte comparable with a
-    /// single-threaded [`DeliveryTracer`]'s rendering of the same
+    /// single engine's [`DeliveryTracer`] rendering of the same
     /// scenario. Empty unless
     /// [`ShardedBuilder::record_delivery_trace`] was enabled.
     pub fn delivery_trace(&self) -> Vec<String> {
@@ -787,94 +654,72 @@ impl ShardedNetwork {
     }
 
     /// Drive all shards through lookahead windows until nothing at or
-    /// before `bound` remains anywhere.
+    /// before `bound` remains anywhere. Each round agrees on the window
+    /// and injects every inbox, then runs the shards in index order,
+    /// each to its horizon, and moves their boundary frames into the
+    /// destinations' inboxes for the next round.
     fn run_windows(&mut self, bound: SimTime) {
         if self.shards.len() == 1 {
             let net = &mut self.shards[0].net;
             while net.step_batch(bound) {}
             return;
         }
-        let sync = WindowSync {
-            barrier: ExchangeBarrier::new(self.shards.len(), self.lookahead),
-            bound,
-            horizon_widen_ns: self.horizon_widen_ns,
-        };
-        std::thread::scope(|scope| {
-            let sync = &sync;
-            let handles: Vec<_> = self
+        let mut mail: Vec<RemoteMsg> = Vec::new();
+        loop {
+            let eff: Vec<u64> = self
                 .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, shard)| scope.spawn(move || shard_worker(i, shard, sync)))
+                .iter()
+                .map(|s| {
+                    let next = s.net.next_event_time().map_or(u64::MAX, |t| t.0);
+                    s.inbox.iter().map(|m| m.time.0).fold(next, u64::min)
+                })
                 .collect();
-            // Join everything before propagating any panic, so sibling
-            // workers have all observed the abort.
-            let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            for r in results {
-                if let Err(panic) = r {
-                    resume_unwind(panic);
+            let (w_start, horizons) = global_window(self.lookahead, &eff);
+            self.sync_rounds += 1;
+
+            // Ingest in the canonical deterministic order before
+            // anything runs — at the final round too, so no frame
+            // outlives the run.
+            for shard in &mut self.shards {
+                shard.inbox.sort_unstable_by_key(RemoteMsg::order_key);
+                shard.cross_in += shard.inbox.len() as u64;
+                for msg in shard.inbox.drain(..) {
+                    shard.net.inject_at(msg.time, msg.node, msg.port, msg.frame);
                 }
             }
-        });
-        self.sync_rounds += sync.barrier.rounds();
-    }
-}
+            if w_start == u64::MAX || w_start > bound.0 {
+                return;
+            }
 
-/// One worker thread's life: rounds of (swap boundary frames and agree
-/// on a window at the single exchange barrier → ingest the inbox →
-/// execute the window) until the global floor passes the bound. Panics
-/// from device code abort the barrier so sibling workers exit instead
-/// of deadlocking, then propagate.
-fn shard_worker(i: usize, shard: &mut Shard, sync: &WindowSync) {
-    if let Err(panic) = catch_unwind(AssertUnwindSafe(|| worker_rounds(i, shard, sync))) {
-        sync.barrier.abort();
-        resume_unwind(panic);
-    }
-}
+            for (i, horizon) in horizons.into_iter().enumerate() {
+                // Execute up to the horizon — the earliest instant
+                // anything can still arrive from outside (see
+                // `global_window` for the CMB argument).
+                //
+                // Test-only fault injection: difftest's self-check
+                // widens the horizon past what CMB permits to prove the
+                // harness catches unsound lookahead. Always zero in
+                // production.
+                let horizon = horizon.saturating_add(self.horizon_widen_ns);
+                let run_bound = SimTime(horizon.saturating_sub(1).min(bound.0));
+                let shard = &mut self.shards[i];
+                while shard.net.step_batch(run_bound) {}
 
-fn worker_rounds(i: usize, shard: &mut Shard, sync: &WindowSync) {
-    // The last window's boundary frames on the way into each exchange;
-    // the frames deposited for this shard on the way out.
-    let mut mail: Vec<RemoteMsg> = Vec::new();
-    loop {
-        // One exchange publishes this shard's next event, trades its
-        // outgoing frames for its inbox, and agrees on the window floor
-        // and this shard's horizon (the last arriver runs
-        // `global_window` once).
-        let next = shard.net.next_event_time().map_or(u64::MAX, |t| t.0);
-        let Some((w_start, horizon)) = sync.barrier.exchange(i, next, &mut mail) else {
-            return; // aborted: a sibling is propagating a panic
-        };
-
-        // Ingest in the canonical deterministic order before anything
-        // runs — at the final exchange too, so no frame outlives the run.
-        mail.sort_unstable_by_key(RemoteMsg::order_key);
-        shard.cross_in += mail.len() as u64;
-        for msg in mail.drain(..) {
-            shard.net.inject_at(msg.time, msg.node, msg.port, msg.frame);
+                // This window's boundary frames wait in their
+                // destinations' inboxes for the next round.
+                for &stub in &shard.stubs {
+                    mail.append(&mut shard.net.device_mut::<BoundaryStub>(stub).outbox);
+                }
+                shard.cross_out += mail.len() as u64;
+                debug_assert!(
+                    mail.iter().all(|m| m.time.0 >= w_start.saturating_add(self.lookahead)),
+                    "a boundary frame violates the lookahead promise of window {w_start}"
+                );
+                for msg in mail.drain(..) {
+                    self.shards[msg.dst_shard].inbox.push(msg);
+                }
+            }
         }
-        if w_start == u64::MAX || w_start > sync.bound.0 {
-            return; // identical snapshot at every worker: all exit this round
-        }
-
-        // Execute up to the horizon — the earliest instant anything can
-        // still arrive from outside (see `global_window` for the CMB
-        // argument).
-        //
-        // Test-only fault injection: difftest's self-check widens the
-        // horizon past what CMB permits to prove the harness catches
-        // unsound lookahead. Always zero in production.
-        let horizon = horizon.saturating_add(sync.horizon_widen_ns);
-        let run_bound = SimTime(horizon.saturating_sub(1).min(sync.bound.0));
-        while shard.net.step_batch(run_bound) {}
-
-        // This window's boundary frames ride the next exchange.
-        mail.append(&mut shard.outbox.lock().expect("a worker panicked holding the outbox"));
-        shard.cross_out += mail.len() as u64;
-        debug_assert!(
-            mail.iter().all(|m| m.time.0 >= w_start.saturating_add(sync.barrier.lookahead)),
-            "a boundary frame violates the lookahead promise of window {w_start}"
-        );
     }
 }
 
@@ -891,7 +736,7 @@ impl Engine for ShardedNetwork {
     /// machinery: a frame crossing a cut link is delivered once to its
     /// boundary stub and once (as an injected event) to its real
     /// destination, so one delivery and one event per cross-shard
-    /// frame are subtracted to match the single-threaded accounting.
+    /// frame are subtracted to match the single engine's accounting.
     fn stats(&self) -> NetworkStats {
         let mut total = NetworkStats::default();
         for shard in &self.shards {
@@ -951,80 +796,7 @@ mod tests {
     use crate::engine::NetworkBuilder;
     use arppath_wire::{ArpPacket, MacAddr};
     use std::net::Ipv4Addr;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// A boundary frame from link `link` for shard `dst`.
-    fn remote(time: u64, link: usize, seq: u64, dst: usize) -> RemoteMsg {
-        RemoteMsg {
-            time: SimTime(time),
-            link,
-            dir: 0,
-            seq,
-            dst_shard: dst,
-            node: NodeId(0),
-            port: PortNo(0),
-            frame: test_frame(),
-        }
-    }
-
-    #[test]
-    fn exchange_barrier_cycles_generations_and_agrees_on_windows() {
-        let barrier = Arc::new(ExchangeBarrier::new(3, 1_000));
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for shard in 0..3usize {
-            let barrier = Arc::clone(&barrier);
-            let counter = Arc::clone(&counter);
-            handles.push(std::thread::spawn(move || {
-                for round in 0..10u64 {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    // Shard `s` publishes next event at `100·round + 50
-                    // + s` and deposits one frame at `100·round + s` for
-                    // shard `s + 1`: every participant must agree the
-                    // floor is shard 0's deposited frame, and horizons
-                    // derive from the same snapshot no matter who
-                    // computes them.
-                    let next = 100 * round + 50 + shard as u64;
-                    let mut mail =
-                        vec![remote(100 * round + shard as u64, shard, round, (shard + 1) % 3)];
-                    let (w, h) =
-                        barrier.exchange(shard, next, &mut mail).expect("barrier not aborted");
-                    assert_eq!(w, 100 * round, "round {round} floor");
-                    assert!(h > w, "horizon past the floor");
-                    // Each shard leaves with exactly the frame its
-                    // predecessor deposited this round.
-                    let from = (shard + 2) % 3;
-                    let got: Vec<_> = mail.iter().map(|m| (m.link, m.seq, m.dst_shard)).collect();
-                    assert_eq!(got, vec![(from, round, shard)], "round {round} inbox");
-                    // Everyone passed this round's exchange, so every
-                    // pre-exchange increment must be visible.
-                    assert!(counter.load(Ordering::SeqCst) >= 3 * (round + 1));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("exchange worker panicked");
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 30);
-        assert_eq!(barrier.rounds(), 10);
-    }
-
-    #[test]
-    fn exchange_barrier_abort_releases_current_and_future_waiters() {
-        // One waiter blocks (the barrier wants 2 arrivals); abort from
-        // the main thread must release it, and a later exchange must
-        // return None immediately. A deadlock here fails via timeout.
-        let barrier = Arc::new(ExchangeBarrier::new(2, 1_000));
-        let stuck = {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || barrier.exchange(0, 7, &mut vec![remote(9, 0, 0, 1)]))
-        };
-        // Give the waiter a moment to actually block before aborting.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        barrier.abort();
-        assert_eq!(stuck.join().expect("aborted waiter panicked"), None);
-        assert_eq!(barrier.exchange(1, 7, &mut Vec::new()), None);
-    }
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn global_window_bounds_every_shard_at_the_cheapest_cut() {
@@ -1141,11 +913,8 @@ mod tests {
 
     #[test]
     fn worker_panic_aborts_run_instead_of_deadlocking() {
-        // A device that panics mid-run on one shard while the other
-        // shard may be anywhere in its round: the poison + abort
-        // protocol must propagate the panic, never hang. This is the
-        // race the difftest self-check exposed (panicking worker
-        // stranded at a barrier its exiting sibling never rejoins).
+        // A device that panics mid-run on one shard: the panic must
+        // propagate out of `run_until`, never hang or be swallowed.
         struct Bomb {
             armed: bool,
         }
@@ -1163,9 +932,7 @@ mod tests {
                 panic!("bomb device detonated");
             }
         }
-        // Only one shard's device panics; the other shard goes idle
-        // and takes the normal-exit path — the asymmetric case that
-        // used to strand the panicking worker at the poison barrier.
+        // Only one shard's device panics; the other shard goes idle.
         let mut b = ShardedBuilder::new(2);
         let x = b.add(Box::new(Bomb { armed: true }));
         let y = b.add(Box::new(Bomb { armed: false }));
@@ -1174,8 +941,7 @@ mod tests {
         let result = catch_unwind(AssertUnwindSafe(|| {
             net.run_until(SimTime(1_000_000));
         }));
-        // scope::join re-panics with its own payload; what matters is
-        // that the call RETURNS (no deadlock) and returns Err.
+        // What matters is that the call RETURNS and returns Err.
         result.expect_err("device panic must propagate, not be swallowed");
     }
 

@@ -71,11 +71,7 @@ pub enum TraceEvent<'a> {
 /// A sink for trace records. The engine calls this for every observable
 /// event when a tracer is installed; with none installed tracing costs
 /// nothing.
-///
-/// `Send` is a supertrait so a traced [`crate::Network`] can move onto
-/// a sharded worker thread; keep shared handles as `Arc<Mutex<T>>`
-/// (see the blanket impl below), not `Rc<RefCell<T>>`.
-pub trait Tracer: Send {
+pub trait Tracer {
     /// Record one event at `now`.
     fn record(&mut self, now: SimTime, event: TraceEvent<'_>);
 }
@@ -178,7 +174,7 @@ impl<W: Write> PcapTracer<W> {
     }
 }
 
-impl<W: Write + Send> Tracer for PcapTracer<W> {
+impl<W: Write> Tracer for PcapTracer<W> {
     fn record(&mut self, now: SimTime, event: TraceEvent<'_>) {
         if let TraceEvent::Delivered { node, frame, .. } = event {
             if self.only_node.is_none_or(|n| n == node) {
@@ -192,10 +188,8 @@ impl<W: Write + Send> Tracer for PcapTracer<W> {
 
 /// Shared-handle tracing: install `Arc<Mutex<T>>` as the network's
 /// tracer while keeping a clone outside to read results after the run.
-/// (`Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` because tracers must
-/// be `Send` — a traced network can run on a sharded worker thread.
-/// The lock is uncontended in a single-threaded run, so the cost is a
-/// few nanoseconds per event.)
+/// (The lock is uncontended, so the cost is a few nanoseconds per
+/// event.)
 impl<T: Tracer> Tracer for std::sync::Arc<std::sync::Mutex<T>> {
     fn record(&mut self, now: SimTime, event: TraceEvent<'_>) {
         self.lock().expect("tracer mutex poisoned").record(now, event);

@@ -90,12 +90,7 @@ impl SwitchCounters {
 
 /// A bridge decision plane. See the module docs for the role split
 /// between logic and timing wrapper.
-///
-/// `Send` is required because the timing wrappers implement the
-/// simulator's `Device` trait, and devices may be moved onto sharded
-/// worker threads; logics are plain tables and counters, so this is
-/// free.
-pub trait SwitchLogic: 'static + Send {
+pub trait SwitchLogic: 'static {
     /// Name for traces.
     fn name(&self) -> &str;
 

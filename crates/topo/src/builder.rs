@@ -259,7 +259,7 @@ impl TopoBuilder {
         plan.instantiated(nb.build(), nodes, links)
     }
 
-    /// Instantiate everything on the sharded parallel engine, devices
+    /// Instantiate everything on the sharded twin engine, devices
     /// distributed per `partition`. Node and link ids match what
     /// [`TopoBuilder::build`] would assign for the same description.
     ///
@@ -269,8 +269,9 @@ impl TopoBuilder {
     ///
     /// # Panics
     /// If the partition's bridge/host counts disagree with the
-    /// topology, or a tracer was installed (global tracers cannot span
-    /// worker threads — use the delivery trace instead).
+    /// topology, or a tracer was installed (each shard is a network of
+    /// its own, with its own clock and local ids, so one tracer cannot
+    /// see the run in order — use the delivery trace instead).
     pub fn build_sharded(
         self,
         partition: &Partition,
@@ -279,8 +280,9 @@ impl TopoBuilder {
         let mut plan = self.plan();
         assert!(
             plan.tracer.is_none(),
-            "global tracers are not supported on sharded builds; \
-             use record_delivery_trace / per-shard counters instead"
+            "global tracers are not supported on sharded builds: each shard runs its own \
+             network with its own clock and local ids; use record_delivery_trace / \
+             per-shard counters instead"
         );
         assert_eq!(partition.bridge_count(), plan.n_bridges, "partition bridge count mismatch");
         assert_eq!(
@@ -384,7 +386,7 @@ pub struct Topology<N> {
 /// A topology on the single-threaded engine ([`TopoBuilder::build`]).
 pub type BuiltTopology = Topology<Network>;
 
-/// A topology on the sharded parallel engine
+/// A topology on the sharded twin engine
 /// ([`TopoBuilder::build_sharded`]).
 pub type ShardedTopology = Topology<ShardedNetwork>;
 

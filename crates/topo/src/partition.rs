@@ -1,11 +1,11 @@
-//! Shard assignment strategies for the parallel simulation engine.
+//! Shard assignment strategies for the sharded simulation engine.
 //!
 //! A [`Partition`] maps every bridge and every host of a topology to a
-//! shard (worker thread) of [`arppath_netsim::ShardedNetwork`]. The
-//! quality of the assignment decides both correctness *bounds* and
-//! speed: the sharded engine's lookahead is the minimum propagation
-//! delay over **cut** links, so a good partition cuts only links with
-//! generous delays and keeps chatty neighbours together.
+//! shard of [`arppath_netsim::ShardedNetwork`]. The assignment decides
+//! how many windows a run takes: the sharded engine's lookahead is the
+//! minimum propagation delay over **cut** links, so a good partition
+//! cuts only links with generous delays and keeps chatty neighbours
+//! together.
 //!
 //! Two strategies cover the repository's workloads:
 //!

@@ -315,8 +315,8 @@ fn difftest_fuzz_smoke_finds_no_divergence() {
 
 #[test]
 fn sharded_runs_are_reproducible() {
-    // Parallel execution must not cost the determinism contract:
-    // thread scheduling never leaks into the trace.
+    // Sharded execution must not cost the determinism contract: two
+    // identical sharded runs give identical traces and counters.
     let horizon = SimTime(SimDuration::millis(150).as_nanos());
     let sharded_run = || {
         let (t, bridges) = fig1_scenario();
