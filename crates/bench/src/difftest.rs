@@ -112,7 +112,7 @@ impl Spec {
         // axis (CI's seed range fuzzes the fabrics it always has).
         let _ = rng.gen_range(0..2u32);
         // One in four scenarios exercises the churn family instead:
-        // link flaps, evictions and timer-wheel sweeps replace queue
+        // link flaps, evictions and aging sweeps replace queue
         // pressure as the thing the engines must order identically.
         if rng.gen_range(0..4u32) == 0 {
             spec.churn = [10, 25, 50][rng.gen_range(0..3usize)];

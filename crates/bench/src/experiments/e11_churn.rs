@@ -108,7 +108,7 @@ impl TableRegime {
     /// re-discovery floods race-lose against the fabric's stale
     /// `Learnt` entries until those age out (repair only fires on
     /// unicast *misses*, and a stale entry is a hit), and departed
-    /// stations' entries must mass-expire through the timer wheel
+    /// stations' entries must mass-expire through the aging scrubber
     /// within the run instead of lingering past it.
     fn config(self, hosts: usize, stations: usize) -> ArpPathConfig {
         let base = ArpPathConfig {

@@ -7,8 +7,8 @@
 //! geometry auto-sized to the fabric) — and reports:
 //!
 //! * **bytes per station** — the d-left path tables' heap footprint
-//!   (SoA planes, 32 B per slot, plus the timer wheel) summed over
-//!   every bridge and divided by the attached host count, held under
+//!   (SoA planes, 32 B per slot, plus pending aging deadlines) summed
+//!   over every bridge and divided by the attached host count, held under
 //!   an absolute ceiling ([`MAX_BYTES_PER_STATION`]) — and beside it
 //!   the event storage the single-engine run's scheduler ended up
 //!   holding ([`MAX_SCHEDULER_RESERVED_BYTES`]): the other memory every
@@ -105,13 +105,11 @@ pub struct E12Result {
 }
 
 /// Ceiling on [`E12Result::bytes_per_station`]: the quick geometry's
-/// figure with 36-byte table slots (82,124 B) plus 2 %; packing a
-/// path-table value into 4 bytes (32-byte slots) brought it to
-/// 77,004 B. One station per rack is the worst case E12 runs — each
-/// bridge's fixed costs (minimum table geometry, wheel spine) are
-/// spread over the fewest stations — so fuller fabrics sit well under
-/// it (50,772 B at 16 hosts per edge).
-pub const MAX_BYTES_PER_STATION: f64 = 83_800.0;
+/// figure (46,080 B: 32-byte table slots plus one 16-byte pending
+/// deadline per entry) plus 2 %. One station per rack is the worst
+/// case E12 runs — each bridge's fixed cost, its minimum table
+/// geometry, is spread over the fewest stations.
+pub const MAX_BYTES_PER_STATION: f64 = 47_000.0;
 
 /// Ceiling on [`E12Result::scheduler_reserved_bytes`]. With drained
 /// calendar buckets recycled the ring reserves what was pending at

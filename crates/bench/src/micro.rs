@@ -5,8 +5,8 @@
 //! boring one it replaced in the same process, so the ratio survives a
 //! change of machine where an absolute time would not: the rows are the
 //! evidence that the calendar queue, the d-left table's probe path and
-//! the timer wheel's idle advance still pay their rent. End-to-end
-//! speed is `benchmark/`'s job, not this module's.
+//! the aging scrubber's idle look at its deadlines still pay their
+//! rent. End-to-end speed is `benchmark/`'s job, not this module's.
 //!
 //! Methodology: time a full pass over the working set, repeat for
 //! `SAMPLES` samples, report the median per-operation nanoseconds.
@@ -14,7 +14,7 @@
 //! sequential-locality charity.
 
 use arppath_netsim::{CalendarQueue, SimDuration, SimTime};
-use arppath_switch::wheel::{TimerEntry, TimerWheel, DEFAULT_TICK_SHIFT};
+use arppath_switch::wheel::DeadlineHeap;
 use arppath_switch::{bucket_bits_for, AgingMap, DLeftTable};
 use arppath_wire::MacAddr;
 use std::cmp::Reverse;
@@ -43,8 +43,8 @@ pub const GUARDS: [Guard; 4] = [
     // Hit-then-refresh through one probe stays >= 1.3x faster than
     // through two key walks (1 / 1.3 = 0.77).
     Guard { key: "dleft_probe_refresh_ns", max_ratio: 0.77, baseline: "dleft_get_touch_ns" },
-    // Looking at an idle wheel costs no more than four deadline filings.
-    Guard { key: "wheel_idle_advance_ns", max_ratio: 4.0, baseline: "wheel_insert_ns" },
+    // Finding nothing due costs no more than four deadline filings.
+    Guard { key: "deadline_idle_pop_ns", max_ratio: 4.0, baseline: "deadline_file_ns" },
     // d-left hit lookups stay >= 2x faster than the `BTreeMap` oracle
     // at 10k entries.
     Guard { key: "dleft_get_hit_10k_ns", max_ratio: 0.5, baseline: "btree_get_hit_10k_ns" },
@@ -311,65 +311,64 @@ fn dleft_probe_refresh(t: &mut DLeftTable<MacAddr, u32>, keys: &[MacAddr], now: 
     acc
 }
 
-/// Deadlines standing in the wheel fixtures: one lock per station of a
-/// `k16_perm` bridge.
-const WHEEL_DEADLINES: u32 = 1_024;
+/// Deadlines standing in the aging fixtures: one lock per station of
+/// a `k16_perm` bridge.
+const AGING_DEADLINES: u32 = 1_024;
 /// How far out they sit: the default lock time.
-const WHEEL_HORIZON: SimDuration = SimDuration::millis(500);
-/// Ticks per idle advance: the 137 µs between one host's ARP flood
-/// and the next reaching a `k16_perm` bridge. At that step an advance
-/// covers ~72 buckets — all of level 0, three of level 1, the cursor's
-/// own on each level above — and on the measured run found every one
-/// of them empty, 335 k times.
-const WHEEL_IDLE_STEP_TICKS: u64 = 134;
+const AGING_HORIZON: SimDuration = SimDuration::millis(500);
+/// Time between idle scrubs: the 137 µs between one host's ARP flood
+/// and the next reaching a `k16_perm` bridge.
+const AGING_IDLE_STEP: SimDuration = SimDuration::micros(137);
 
-/// A wheel holding [`WHEEL_DEADLINES`] deadlines half a second out,
-/// stepped forward [`WHEEL_IDLE_STEP_TICKS`] at a time: the scrub a
-/// flooding bridge runs before every insert, which has nothing to
-/// deliver until the locks start expiring.
-struct IdleWheel {
-    wheel: TimerWheel,
-    tick: u64,
-    due: Vec<TimerEntry>,
+/// A deadline heap holding [`AGING_DEADLINES`] deadlines half a
+/// second out, scrubbed every [`AGING_IDLE_STEP`]: the scrub a flooding
+/// bridge runs before every insert, which has nothing to pop until the
+/// locks start expiring.
+struct IdleAging {
+    deadlines: DeadlineHeap,
+    now: SimTime,
 }
 
-impl IdleWheel {
-    /// The wheel at t = 0 with its deadlines filed.
+impl IdleAging {
+    /// The heap at t = 0 with its deadlines filed.
     fn new() -> Self {
-        let mut wheel = TimerWheel::default();
-        wheel_insert(&mut wheel, SimTime::ZERO);
-        IdleWheel { wheel, tick: 0, due: Vec::new() }
+        let mut deadlines = DeadlineHeap::default();
+        file_deadlines(&mut deadlines, SimTime::ZERO);
+        IdleAging { deadlines, now: SimTime::ZERO }
     }
 
-    /// Advance `calls` steps; returns how many entries came due (none,
+    /// Scrub `calls` steps; returns how many deadlines came due (none,
     /// while the fixture stays inside its horizon — see
-    /// [`IdleWheel::calls_left`]).
+    /// [`IdleAging::calls_left`]).
     fn run(&mut self, calls: u64) -> u64 {
+        let mut due = 0;
         for _ in 0..calls {
-            self.tick += WHEEL_IDLE_STEP_TICKS;
-            self.wheel.advance(SimTime(self.tick << DEFAULT_TICK_SHIFT), &mut self.due);
+            self.now += AGING_IDLE_STEP;
+            while self.deadlines.pop_due(self.now).is_some() {
+                due += 1;
+            }
         }
-        self.due.len() as u64
+        due
     }
 
     /// Steps left before the first deadline comes due.
     fn calls_left(&self) -> u64 {
-        let horizon = WHEEL_HORIZON.as_nanos() >> DEFAULT_TICK_SHIFT;
-        horizon.saturating_sub(self.tick) / WHEEL_IDLE_STEP_TICKS
+        let horizon = AGING_HORIZON.as_nanos();
+        horizon.saturating_sub(self.now.as_nanos() + 1) / AGING_IDLE_STEP.as_nanos()
     }
 }
 
-/// Empty `wheel` and file [`WHEEL_DEADLINES`] deadlines
-/// `WHEEL_HORIZON` past `now`, a nanosecond apart — the yardstick an
-/// idle advance is held against: looking at an idle wheel must not
-/// cost more than a few filings into it.
-fn wheel_insert(wheel: &mut TimerWheel, now: SimTime) -> u64 {
-    wheel.clear();
-    let first = now + WHEEL_HORIZON;
-    for i in 0..WHEEL_DEADLINES {
-        wheel.insert(first + SimDuration::nanos(u64::from(i)), i, 0);
+/// Empty `deadlines` and file [`AGING_DEADLINES`] deadlines
+/// `AGING_HORIZON` past `now`, a nanosecond apart — the yardstick an
+/// idle scrub is held against: finding nothing due must not cost more
+/// than a few filings.
+fn file_deadlines(deadlines: &mut DeadlineHeap, now: SimTime) -> u64 {
+    deadlines.clear();
+    let first = now + AGING_HORIZON;
+    for i in 0..AGING_DEADLINES {
+        deadlines.insert(first + SimDuration::nanos(u64::from(i)), i, 0);
     }
-    wheel.len() as u64
+    deadlines.len() as u64
 }
 
 /// Every key [`GUARDS`] reads, as `(key, median ns/op)` pairs.
@@ -407,16 +406,16 @@ pub fn measure_all() -> Vec<(&'static str, f64)> {
         "dleft_probe_refresh_ns",
         median_ns_per_op(keys.len(), || dleft_probe_refresh(&mut table, &keys, now)),
     ));
-    // O(1) idle aging: an advance over ~72 empty buckets against the
-    // cost of filing one deadline. Every sample must stay idle.
-    let mut wheel = TimerWheel::default();
+    // O(1) idle aging: one look at the heap's top against the cost of
+    // filing one deadline. Every sample must stay idle.
+    let mut deadlines = DeadlineHeap::default();
     out.push((
-        "wheel_insert_ns",
-        median_ns_per_op(WHEEL_DEADLINES as usize, || wheel_insert(&mut wheel, now)),
+        "deadline_file_ns",
+        median_ns_per_op(AGING_DEADLINES as usize, || file_deadlines(&mut deadlines, now)),
     ));
-    let mut idle = IdleWheel::new();
+    let mut idle = IdleAging::new();
     let calls = idle.calls_left() / (SAMPLES as u64 + 1);
-    out.push(("wheel_idle_advance_ns", median_ns_per_op(calls as usize, || idle.run(calls))));
+    out.push(("deadline_idle_pop_ns", median_ns_per_op(calls as usize, || idle.run(calls))));
     assert_eq!(idle.run(0), 0, "the idle-advance fixture ran past its horizon");
     out
 }
@@ -518,13 +517,13 @@ mod tests {
     }
 
     #[test]
-    fn idle_wheel_stays_idle_for_its_whole_horizon() {
-        let mut idle = IdleWheel::new();
+    fn idle_aging_stays_idle_for_its_whole_horizon() {
+        let mut idle = IdleAging::new();
         let calls = idle.calls_left();
         assert!(calls > 3_000, "room for the warm-up and every sample: {calls}");
         assert_eq!(idle.run(calls), 0, "nothing due inside the horizon");
         assert_eq!(idle.calls_left(), 0);
-        assert_eq!(idle.run(1), u64::from(WHEEL_DEADLINES), "and everything just past it");
+        assert_eq!(idle.run(1), u64::from(AGING_DEADLINES), "and everything just past it");
     }
 
     /// A calendar queue that notes every drained cohort's instant and

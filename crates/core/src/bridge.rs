@@ -179,9 +179,10 @@ impl ArpPathBridge {
     }
 
     /// Heap bytes the path table spends (SoA planes + generation
-    /// stamps + timer wheel). Summed across a fabric's bridges and
-    /// divided by the station count this is the bytes-per-station
-    /// figure experiment E12 reports and holds under its ceiling.
+    /// stamps + pending aging deadlines). Summed across a fabric's
+    /// bridges and divided by the station count this is the
+    /// bytes-per-station figure experiment E12 reports and holds under
+    /// its ceiling.
     pub fn table_heap_bytes(&self) -> usize {
         self.table.heap_bytes()
     }

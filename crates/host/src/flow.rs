@@ -26,7 +26,8 @@
 use crate::stack::{HostStack, Upcall};
 use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken, Verdict};
 use arppath_wire::MacAddr;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 
 /// First payload byte of a data segment.
@@ -243,10 +244,10 @@ pub struct FlowHost {
     next_seq: u64,
     /// The armed timer, if any.
     retx: Option<RetxTimer>,
-    /// The earliest retransmit fire still pending, if known: an ack
-    /// that moves the deadline later files nothing while this is at or
+    /// Every retransmit fire still pending, earliest on top: an ack
+    /// that moves the deadline later files nothing while one is at or
     /// before it.
-    fire_at: Option<SimTime>,
+    pending_fires: BinaryHeap<Reverse<SimTime>>,
     /// Exponential RTO backoff exponent: consecutive timeouts double
     /// the effective RTO (capped), ack progress resets it. Without
     /// this, a paused (PFC) or deeply queued fabric triggers timeouts
@@ -297,7 +298,7 @@ impl FlowHost {
             base: 0,
             next_seq: 0,
             retx: None,
-            fire_at: None,
+            pending_fires: BinaryHeap::new(),
             backoff: 0,
             started_at: None,
             fct: None,
@@ -371,13 +372,13 @@ impl FlowHost {
     /// Make sure a fire is pending at or before `deadline`: file one at
     /// `deadline` unless one already is. An earlier fire finds the
     /// deadline ahead of it and files the next one then, so every ack
-    /// inside one RTO costs no timer, and a retransmission still lands
-    /// exactly on its deadline.
+    /// inside one RTO costs no timer, a retransmission still lands
+    /// exactly on its deadline, and no instant is filed twice.
     fn file_fire(&mut self, deadline: SimTime, ctx: &mut Ctx) {
-        if self.fire_at.is_some_and(|at| at <= deadline) {
+        if self.pending_fires.peek().is_some_and(|&Reverse(at)| at <= deadline) {
             return;
         }
-        self.fire_at = Some(deadline);
+        self.pending_fires.push(Reverse(deadline));
         ctx.schedule(SimDuration::nanos(deadline.0 - ctx.now().0), TOKEN_RETX);
     }
 
@@ -401,8 +402,8 @@ impl FlowHost {
     }
 
     fn on_retx_fire(&mut self, ctx: &mut Ctx) {
-        if self.fire_at == Some(ctx.now()) {
-            self.fire_at = None;
+        while self.pending_fires.peek().is_some_and(|&Reverse(at)| at <= ctx.now()) {
+            self.pending_fires.pop();
         }
         let Some(timer) = self.retx else { return };
         if !timer.expired(ctx.now()) {
@@ -647,6 +648,38 @@ mod tests {
         h.on_ack(1, &mut Ctx::new(SimTime(at), NodeId(0), &ports, &mut cmds));
         assert_eq!(h.retx.unwrap().deadline, SimTime(at + RTO));
         assert_eq!(fires(&cmds), [RTO]);
+    }
+
+    #[test]
+    fn a_fire_superseded_by_an_earlier_one_is_not_filed_again() {
+        let mut h = sender(8);
+        let (ports, mut cmds) = ctx_bits();
+        // Every fire filed, as an absolute instant.
+        let mut filed = Vec::new();
+        let mut step = |h: &mut FlowHost, at: u64, ack: Option<u64>| {
+            let mut ctx = Ctx::new(SimTime(at), NodeId(0), &ports, &mut cmds);
+            match ack {
+                Some(cumulative) => h.on_ack(cumulative, &mut ctx),
+                None => h.on_timer(if at == 0 { TOKEN_START } else { TOKEN_RETX }, &mut ctx),
+            }
+            filed.extend(fires(&cmds).into_iter().map(|after| at + after));
+            cmds.clear();
+        };
+        step(&mut h, 0, None);
+        // A timeout backs off: the next fire is 2 RTOs out, at 3 RTO.
+        step(&mut h, RTO, None);
+        // Progress resets the backoff and files an earlier fire...
+        step(&mut h, RTO + 500, Some(1));
+        // ...and the next ack moves the deadline onto the 3 RTO fire.
+        step(&mut h, 2 * RTO, Some(2));
+        assert_eq!(h.retx.unwrap().deadline, SimTime(3 * RTO));
+        // The earlier fire finds the deadline ahead of it, which the
+        // 3 RTO fire still covers.
+        step(&mut h, 2 * RTO + 500, None);
+        let before = h.retransmits;
+        step(&mut h, 3 * RTO, None);
+        assert_eq!(h.retransmits - before, 4, "the window went again on the deadline");
+        assert_eq!(filed, [RTO, 3 * RTO, 2 * RTO + 500, 5 * RTO], "one filing per instant");
     }
 
     #[test]

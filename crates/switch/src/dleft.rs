@@ -38,13 +38,16 @@
 //!   fingerprint with its own odd multiplier; insertion takes the
 //!   least-loaded candidate bucket (leftmost way on ties), the classic
 //!   d-left rule that keeps occupancy near-uniform.
-//! * **Background aging**: every slot's expiry is filed in a
-//!   [`TimerWheel`]; [`sweep`](DLeftTable::sweep) advances the wheel
-//!   and touches only entries actually due — O(expired), not O(table),
-//!   and a handful of word tests when nothing is.
-//!   Inserts opportunistically advance the wheel to the latest
-//!   observed instant, mirroring the hardware scrubber that runs
-//!   whether or not anyone asks.
+//! * **Background aging**: every occupied slot has a deadline pending
+//!   in one [`DeadlineHeap`]; [`sweep`](DLeftTable::sweep) pops the
+//!   deadlines that are due and touches only those slots — O(expired
+//!   × log n), not O(table), and one look at the heap's top when
+//!   nothing is due. A deadline is filed only when a slot is keyed or
+//!   re-keyed, or when a write shortens its expiry; a write or touch
+//!   that extends it leaves the earlier deadline to fire, revalidate
+//!   and re-file at the live expiry. Inserts opportunistically scrub
+//!   to the latest observed instant, mirroring the hardware scrubber
+//!   that runs whether or not anyone asks.
 //!
 //! # Overflow and eviction — the divergence from a real CAM
 //!
@@ -74,7 +77,7 @@
 //! shared boundary tests so the two implementations cannot drift.
 
 use crate::aging::Aged;
-use crate::wheel::{TimerEntry, TimerWheel};
+use crate::wheel::DeadlineHeap;
 use arppath_netsim::SimTime;
 use arppath_wire::MacAddr;
 
@@ -261,12 +264,13 @@ pub struct DLeftTable<K: DLeftKey, V> {
     /// probe path — read only after a key-plane hit.
     values: Vec<Option<V>>,
     /// Per-slot generation stamps; bumped on every vacate so stale
-    /// wheel entries fail revalidation.
+    /// deadlines fail revalidation.
     gens: Vec<u32>,
     /// Occupied slots (live or not-yet-scrubbed).
     len: usize,
-    /// The background aging scrubber.
-    wheel: TimerWheel,
+    /// The background aging scrubber's pending deadlines: at least one
+    /// per occupied slot, filed at or before the slot's expiry.
+    deadlines: DeadlineHeap,
     /// Latest instant any accessor has reported; inserts scrub up to
     /// here.
     observed_now: SimTime,
@@ -275,8 +279,6 @@ pub struct DLeftTable<K: DLeftKey, V> {
     /// Churn instrumentation (high-water, sweep shape, victim ages);
     /// `stats.evictions` mirrors the standalone counter.
     stats: TableStats,
-    /// Reused buffer for wheel deliveries.
-    due: Vec<TimerEntry>,
 }
 
 impl<K: DLeftKey, V> Default for DLeftTable<K, V> {
@@ -306,11 +308,10 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
             values: (0..total).map(|_| None).collect(),
             gens: vec![0; total],
             len: 0,
-            wheel: TimerWheel::default(),
+            deadlines: DeadlineHeap::default(),
             observed_now: SimTime::ZERO,
             evictions: 0,
             stats: TableStats::default(),
-            due: Vec::new(),
         }
     }
 
@@ -320,18 +321,24 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     }
 
     /// Heap footprint of the table in bytes: every SoA plane, the
-    /// generation stamps, the timer wheel, and the reused delivery
-    /// buffer. Geometry dominates — the planes are allocated in full
-    /// at construction — so dividing by the station count gives the
-    /// bytes-per-station figure experiment E12 reports.
+    /// generation stamps and the pending deadlines. Geometry dominates
+    /// — the planes are allocated in full at construction — so dividing
+    /// by the station count gives the bytes-per-station figure
+    /// experiment E12 reports.
     pub fn heap_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<KeyBucket<K>>()
             + self.expires.capacity() * std::mem::size_of::<SimTime>()
             + self.born.capacity() * std::mem::size_of::<SimTime>()
             + self.values.capacity() * std::mem::size_of::<Option<V>>()
             + self.gens.capacity() * std::mem::size_of::<u32>()
-            + self.wheel.heap_bytes()
-            + self.due.capacity() * std::mem::size_of::<TimerEntry>()
+            + self.deadlines.heap_bytes()
+    }
+
+    /// Deadlines filed with the scrubber, stale ones included: never
+    /// more than the slots keyed plus the writes that shortened an
+    /// expiry, since extensions file nothing.
+    pub fn pending_deadlines(&self) -> usize {
+        self.deadlines.len()
     }
 
     /// Bucket-overflow evictions since construction (see the module
@@ -409,7 +416,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         Aged { value: (), expires: self.expires[idx] }.is_live(now)
     }
 
-    /// Empty the slot and strand its wheel entries.
+    /// Empty the slot and strand its pending deadlines.
     fn vacate(&mut self, idx: usize) {
         debug_assert!(self.key(idx).is_some());
         *self.key_mut(idx) = None;
@@ -427,32 +434,24 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     }
 
     /// Advance the scrubber to `now`, vacating every entry whose expiry
-    /// has passed; returns how many were vacated. Wheel deliveries are
+    /// has passed; returns how many were vacated. Each due deadline is
     /// revalidated against the live slot (generation + current expiry)
-    /// and re-filed when the deadline moved.
+    /// and re-filed when the expiry moved later.
     fn scrub(&mut self, now: SimTime) -> usize {
-        let mut due = std::mem::take(&mut self.due);
-        debug_assert!(due.is_empty());
-        self.wheel.advance(now, &mut due);
         let mut removed = 0;
-        for entry in due.drain(..) {
+        while let Some(entry) = self.deadlines.pop_due(now) {
             let idx = entry.slot as usize;
-            if self.gens[idx] != entry.gen {
+            if self.gens[idx] != entry.gen || self.key(idx).is_none() {
                 continue; // vacated or re-keyed since filing
             }
-            if self.key(idx).is_none() {
-                continue;
-            }
             if self.slot_live(idx, now) {
-                // Deadline was extended after filing: re-file at the
-                // live expiry.
-                self.wheel.insert(self.expires[idx], entry.slot, entry.gen);
+                // The expiry was extended after filing: re-file at it.
+                self.deadlines.insert(self.expires[idx], entry.slot, entry.gen);
             } else {
                 self.vacate(idx);
                 removed += 1;
             }
         }
-        self.due = due;
         if removed > 0 {
             self.stats.expiry_sweeps += 1;
             self.stats.swept_total += removed as u64;
@@ -495,8 +494,8 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     }
 
     /// Extend a probed slot's expiry to `expires`; never shortens. The
-    /// stale wheel entry is left to revalidate at the old deadline, so
-    /// a refresh costs one store.
+    /// pending deadline is left to revalidate at the old instant, so a
+    /// refresh costs one store.
     #[inline]
     pub fn touch_at(&mut self, slot: Slot, expires: SimTime) {
         let idx = slot.0 as usize;
@@ -513,7 +512,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         let watermark = self.scrub_to_watermark();
         let idx = slot.0 as usize;
         assert!(self.key(idx).is_some(), "slot handle outlived its entry");
-        self.write_slot(idx, value, expires, watermark);
+        self.rewrite_slot(idx, value, expires, watermark);
     }
 
     /// Insert a key the caller has just [`probe`](DLeftTable::probe)d
@@ -527,12 +526,22 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         self.place(key, value, expires, watermark)
     }
 
-    /// Store `value` in the occupied slot `idx` and file its deadline.
+    /// Store `value` in the occupied slot `idx`, filing nothing.
     fn write_slot(&mut self, idx: usize, value: V, expires: SimTime, watermark: SimTime) {
         self.values[idx] = Some(value);
         self.expires[idx] = expires;
         self.born[idx] = watermark;
-        self.wheel.insert(expires, idx as u32, self.gens[idx]);
+    }
+
+    /// Overwrite the entry a live slot already holds. Its pending
+    /// deadline fires at or before the old expiry, so only a shorter
+    /// expiry needs one of its own; a later one is picked up when that
+    /// deadline revalidates.
+    fn rewrite_slot(&mut self, idx: usize, value: V, expires: SimTime, watermark: SimTime) {
+        if expires < self.expires[idx] {
+            self.deadlines.insert(expires, idx as u32, self.gens[idx]);
+        }
+        self.write_slot(idx, value, expires, watermark);
     }
 
     /// Give an absent `key` a slot and store its entry.
@@ -584,6 +593,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         };
         *self.key_mut(idx) = Some(key);
         self.write_slot(idx, value, expires, watermark);
+        self.deadlines.insert(expires, idx as u32, self.gens[idx]);
         evicted
     }
 
@@ -596,7 +606,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         let watermark = self.scrub_to_watermark();
         match self.probe(&key, watermark) {
             Some(slot) => {
-                self.write_slot(slot.0 as usize, value, expires, watermark);
+                self.rewrite_slot(slot.0 as usize, value, expires, watermark);
                 None
             }
             None => self.place(key, value, expires, watermark),
@@ -669,8 +679,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     }
 
     /// Remove entries expired at `now`; returns how many were removed.
-    /// O(expired + non-empty wheel buckets passed), driven by the
-    /// timer wheel.
+    /// O(due deadlines × log pending), driven by the deadline heap.
     pub fn sweep(&mut self, now: SimTime) -> usize {
         self.observe(now);
         self.scrub(now)
@@ -679,7 +688,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// Remove everything. The geometry (and slot generations) survive.
     pub fn clear(&mut self) {
         self.retain(|_, _| false);
-        self.wheel.clear();
+        self.deadlines.clear();
     }
 
     /// Iterate live entries at `now`, in key order (collected and
@@ -731,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_wheel_driven_and_counts() {
+    fn sweep_is_deadline_driven_and_counts() {
         let mut m = DLeftTable::new();
         m.insert(1u32, "a", t(10));
         m.insert(2u32, "b", t(20));
@@ -748,7 +757,7 @@ mod tests {
         let mut m = DLeftTable::new();
         m.insert(1u32, "x", t(1_000));
         assert!(m.touch(&1, t(5_000_000), t(500)));
-        // Sweep past the original deadline: the stale wheel entry must
+        // Sweep past the original deadline: the stale deadline must
         // revalidate and re-file, not kill the entry.
         assert_eq!(m.sweep(t(2_000_000)), 0);
         assert_eq!(m.peek(&1, t(2_000_000)), Some(&"x"));
@@ -852,9 +861,9 @@ mod tests {
     }
 
     #[test]
-    fn removed_then_reinserted_key_survives_stale_wheel_deadline() {
+    fn removed_then_reinserted_key_survives_stale_deadline() {
         // Churn shape (E11): a station departs — the link-down flush
-        // removes its entry, which must also strand the pending wheel
+        // removes its entry, which must also strand the pending
         // deadline via the generation bump — and re-arrives with a
         // later expiry. The stale deadline must not kill the new
         // incarnation.
@@ -886,7 +895,7 @@ mod tests {
         assert!(m.is_empty());
         m.insert(7u32, 7, t(2_000));
         assert_eq!(m.peek(&7, t(1_500)), Some(&7));
-        assert_eq!(m.sweep(t(3_000)), 1, "stale pre-clear wheel entries must not miscount");
+        assert_eq!(m.sweep(t(3_000)), 1, "stale pre-clear deadlines must not miscount");
     }
 
     #[test]
@@ -895,15 +904,15 @@ mod tests {
         let empty: DLeftTable<MacAddr, u32> = DLeftTable::new();
         assert!(m.heap_bytes() > empty.heap_bytes(), "footprint follows geometry");
         // 8 (key cell) + 8 (expiry) + 8 (birth) + 8 (Option<u32>) + 4
-        // (generation) bytes a slot, plus the wheel's bucket spine.
-        assert_eq!(m.heap_bytes() - m.wheel.heap_bytes(), 36 * m.capacity());
+        // (generation) bytes a slot, and nothing else while empty.
+        assert_eq!(m.heap_bytes(), 36 * m.capacity());
         let mut filled = DLeftTable::with_bucket_bits(bucket_bits_for(16_384));
-        let before = filled.heap_bytes();
         for i in 0..1024u32 {
             filled.insert(MacAddr::from_index(1, i), i, t(1_000_000));
         }
-        // Wheel buckets grow, but the plane cost is fixed at build.
-        assert!(filled.heap_bytes() >= before);
+        // One 16-byte deadline per keyed slot; the plane cost is fixed.
+        assert_eq!(filled.pending_deadlines(), 1024);
+        assert_eq!(filled.heap_bytes(), 36 * filled.capacity() + 16 * 1024);
     }
 
     #[test]

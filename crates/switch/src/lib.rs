@@ -7,10 +7,10 @@
 //!   bridge's `recent_repairs`/`seen_waves`/`proxy_cache`, and the
 //!   oracle `tests/dleft_oracle.rs` checks the table below against;
 //! * [`DLeftTable`] — the per-station, hardware-shaped d-left hash
-//!   table (fixed geometry, multiply-shift hashing, [`wheel`]
-//!   background aging) backing the ARP-Path path table and the
-//!   [`LearningSwitch`] FIB, mirroring the NetFPGA implementation the
-//!   paper measures;
+//!   table (fixed geometry, multiply-shift hashing, background aging
+//!   off one [`wheel::DeadlineHeap`]) backing the ARP-Path path table
+//!   and the [`LearningSwitch`] FIB, mirroring the NetFPGA
+//!   implementation the paper measures;
 //! * [`SwitchLogic`] — the decision-plane trait that separates a
 //!   bridge's forwarding algorithm from its timing model, so the same
 //!   ARP-Path FSM runs unmodified under the ideal (zero-latency) device

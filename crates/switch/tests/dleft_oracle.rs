@@ -1,8 +1,8 @@
 //! The d-left table against its reference oracle.
 //!
 //! [`AgingMap`] (BTreeMap, lazy expiry) is the executable
-//! specification; [`DLeftTable`] (fixed-geometry d-left hashing, timer
-//! wheel) must be observationally equivalent through every API call on
+//! specification; [`DLeftTable`] (fixed-geometry d-left hashing, one
+//! deadline heap for aging) must be observationally equivalent through every API call on
 //! every op schedule — as long as it does not evict, which the
 //! in-repo workloads never trigger (pinned below). Divergences the
 //! equivalence deliberately ignores: raw `len()` (the d-left scrubber
@@ -215,10 +215,10 @@ proptest! {
         }
     }
 
-    /// Timer-wheel stress: long-lived entries repeatedly touched across
-    /// many sweep horizons must behave exactly like the oracle — the
-    /// re-filing path (stale wheel entries revalidating against
-    /// extended deadlines) is the part a naive wheel gets wrong.
+    /// Aging stress: long-lived entries repeatedly touched across many
+    /// sweep horizons must behave exactly like the oracle — the
+    /// re-filing path (stale deadlines revalidating against extended
+    /// expiries) is the part a naive scrubber gets wrong.
     #[test]
     fn touch_extension_across_sweeps_matches_oracle(
         schedule in proptest::collection::vec((0u32..8, 1u64..5_000_000), 1..60),
@@ -248,6 +248,69 @@ proptest! {
             prop_assert_eq!(oracle.len(), dleft.len());
             let o: Vec<u32> = oracle.iter_live(now).map(|(k, _)| *k).collect();
             let d: Vec<u32> = dleft.iter_live(now).map(|(k, _)| *k).collect();
+            prop_assert_eq!(o, d);
+        }
+    }
+
+    /// The scrubber's deadlines against the oracle, on seeded
+    /// sequences of inserts (which key a slot, extend its expiry or
+    /// shorten it), touches, removes, retains and sweeps. A sweep
+    /// vacates exactly the occupied keys that have expired, and a
+    /// deadline is filed only by a write that keys a slot or shortens
+    /// its expiry: no operation adds more than one pending deadline,
+    /// and none but those adds any, so the pending count never exceeds
+    /// the keying writes plus the shortening ones.
+    #[test]
+    fn sweeps_vacate_exactly_the_expired_and_only_keyings_and_shortenings_file(
+        raw_ops in proptest::collection::vec((0u8..7, 0u32..24, 1u64..400, 0u64..200), 1..160),
+    ) {
+        let mut oracle: AgingMap<u32, u32> = AgingMap::new();
+        let mut dleft: DLeftTable<u32, u32> = DLeftTable::new();
+        let mut now = SimTime::ZERO;
+        let mut filing_writes = 0;
+        for (sel, key, ttl, dt) in raw_ops {
+            now += SimDuration::nanos(dt);
+            let expires = now + SimDuration::nanos(ttl);
+            let pending = dleft.pending_deadlines();
+            let mut files = false;
+            match sel {
+                // Insert: keys an absent key, else extends or shortens.
+                0..=2 => {
+                    files = oracle.peek_aged(&key, now).is_none_or(|a| expires < a.expires);
+                    oracle.insert(key, key, expires);
+                    prop_assert_eq!(dleft.insert(key, key, expires), None);
+                }
+                3 => {
+                    prop_assert_eq!(oracle.touch(&key, expires, now), dleft.touch(&key, expires, now));
+                }
+                4 => {
+                    // The results may differ on an expired key that
+                    // the d-left scrubber has already vacated.
+                    oracle.remove(&key);
+                    dleft.remove(&key);
+                }
+                5 => {
+                    oracle.retain(|k, _| k % 2 == 1);
+                    dleft.retain(|k, _| k % 2 == 1);
+                }
+                _ => {
+                    let live = oracle.iter_live(now).count();
+                    let expired = dleft.len() - live;
+                    prop_assert_eq!(dleft.sweep(now), expired, "swept other than the expired");
+                    prop_assert_eq!(dleft.len(), live, "an expired entry survived the sweep");
+                    oracle.sweep(now);
+                }
+            }
+            filing_writes += usize::from(files);
+            prop_assert!(
+                dleft.pending_deadlines() <= pending + usize::from(files),
+                "op {} at {:?} filed a deadline it did not need", sel, now
+            );
+            prop_assert!(dleft.pending_deadlines() <= filing_writes);
+            let o: Vec<(u32, SimTime)> =
+                oracle.iter_live(now).map(|(k, _)| (*k, oracle.peek_aged(k, now).unwrap().expires)).collect();
+            let d: Vec<(u32, SimTime)> =
+                dleft.iter_live(now).map(|(k, _)| (*k, dleft.peek_aged(k, now).unwrap().expires)).collect();
             prop_assert_eq!(o, d);
         }
     }

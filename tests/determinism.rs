@@ -96,7 +96,7 @@ fn e9_congested_runs_are_seed_stable() {
 #[test]
 fn e11_churned_runs_are_seed_stable() {
     // E11 adds the churn event sources — scheduled host link flips,
-    // d-left eviction storms in the undersized regime, timer-wheel
+    // d-left eviction storms in the undersized regime, aging
     // mass-expiry sweeps — and the whole stack must replay
     // bit-identically from the seed, with the seed actually steering
     // the script (different arrivals, departures and rack moves).

@@ -220,7 +220,7 @@ fn churned_fabrics_are_trace_identical_across_shards() {
     // congestion machinery, each with its own reordering hazard: host
     // link-admin flips (carrier edges must land between the same two
     // frames on every engine), d-left eviction storms (which entry a
-    // storm displaces depends on exact insert order), and timer-wheel
+    // storm displaces depends on exact insert order), and aging
     // mass-expiry sweeps (a sweep racing an arriving refresh flips a
     // learn into a re-flood). The undersized regime reaches all three;
     // byte-identity pins them to one schedule. Rack-major keeps every
