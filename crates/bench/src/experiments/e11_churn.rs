@@ -16,18 +16,20 @@
 //! The same script runs under three **table regimes**:
 //!
 //! * **undersized** — `table_bucket_bits = 2` (32 slots), well under
-//!   the active population: eviction storms and victim-age churn are
-//!   the *expected* behavior;
-//! * **headroom** — the builder's autosized default (≥ 4× headroom):
+//!   the active population: eviction storms are the *expected*
+//!   behavior;
+//! * **headroom** — the builder's autosized default (≥ 2× headroom):
 //!   the zero-eviction contract must survive churn;
 //! * **oversized** — autosize + 2 bits: control for the control.
 //!
 //! Per (k, regime) the harness reports eviction counts, occupancy
-//! high-water marks, mass-expiry sweep shapes, the victim-age
-//! histogram, the **stale-path correction latency** distribution (per
-//! mover: activation behind the new rack → first echo reply back —
-//! the fabric's flush + re-learn + re-lock time), and a per-epoch Jain
-//! fairness series over station deliveries ([`ChurnEpochs`]).
+//! high-water marks, mass-expiry sweep shapes, the median life the
+//! eviction victims had left (near zero when the earliest-expiry rule
+//! only throws away nearly-dead state), the **stale-path correction
+//! latency** distribution (per mover: activation behind the new rack
+//! → first echo reply back — the fabric's flush + re-learn + re-lock
+//! time), and a per-epoch Jain fairness series over station
+//! deliveries ([`ChurnEpochs`]).
 //!
 //! Everything is a pure function of [`E11Params`]; the delivery trace
 //! is byte-identical between the single-threaded and sharded engines
@@ -39,7 +41,7 @@ use arppath::ArpPathConfig;
 use arppath_host::{ChurnConfig, ChurnHost, ChurnSpec, ChurnWorkload};
 use arppath_metrics::{ChurnEpochs, LatencyStats, Table};
 use arppath_netsim::{Engine, SimDuration, SimTime};
-use arppath_switch::{bucket_bits_for, TableStats, VICTIM_AGE_BUCKETS};
+use arppath_switch::{bucket_bits_for, TableStats, VICTIM_LIFE_BUCKETS};
 use arppath_topo::{
     generic, BridgeIx, BridgeKind, ChurnGrid, FatTree, GridRole, StationLife, TopoBuilder, Topology,
 };
@@ -74,10 +76,10 @@ pub enum TableRegime {
     /// — a livelock, tens of millions of evictions in tens of
     /// simulated milliseconds).
     Undersized,
-    /// The builder's autosized default (≥ 4× headroom over attached
+    /// The builder's autosized default (≥ 2× headroom over attached
     /// hosts); PR 8's zero-eviction contract must hold here.
     Headroom,
-    /// Autosize + 2 bits (16× headroom): the sanity control.
+    /// Autosize + 2 bits (≥ 8× headroom): the sanity control.
     Oversized,
 }
 
@@ -392,7 +394,7 @@ fn measure<N: Engine>(
         table.swept_total += s.swept_total;
         table.swept_max = table.swept_max.max(s.swept_max);
         table.occupancy_high_water = table.occupancy_high_water.max(s.occupancy_high_water);
-        for (acc, n) in table.victim_age_histogram.iter_mut().zip(s.victim_age_histogram) {
+        for (acc, n) in table.victim_life_histogram.iter_mut().zip(s.victim_life_histogram) {
             *acc += n;
         }
     }
@@ -467,20 +469,20 @@ pub fn run(params: &E11Params) -> E11Result {
     E11Result { rows: TableRegime::ALL.iter().map(|&r| run_cell(params, r)).collect() }
 }
 
-/// Median victim age from the histogram, as a human-readable bucket
-/// label (`-` when nothing was evicted).
-fn victim_age_p50(stats: &TableStats) -> String {
+/// Median life the eviction victims had left, from the histogram, as
+/// a human-readable bucket label (`-` when nothing was evicted).
+fn victim_life_p50(stats: &TableStats) -> String {
     let total = stats.victims_total();
     if total == 0 {
         return "-".into();
     }
     let mut seen = 0u64;
-    for (b, &n) in stats.victim_age_histogram.iter().enumerate() {
+    for (b, &n) in stats.victim_life_histogram.iter().enumerate() {
         seen += n;
         if seen * 2 >= total {
             return if b == 0 {
                 "<1us".into()
-            } else if b + 1 == VICTIM_AGE_BUCKETS {
+            } else if b + 1 == VICTIM_LIFE_BUCKETS {
                 format!(">={}us", 1u64 << (b - 1))
             } else {
                 format!("{}-{}us", 1u64 << (b - 1), 1u64 << b)
@@ -502,7 +504,7 @@ pub fn table(results: &[E11Result]) -> Table {
             "evictions",
             "sweeps",
             "max sweep",
-            "victim age p50",
+            "victim life left p50",
             "arr/dep/moves",
             "corr p50 (us)",
             "corr p99 (us)",
@@ -527,7 +529,7 @@ pub fn table(results: &[E11Result]) -> Table {
                 r.table.evictions.to_string(),
                 r.table.expiry_sweeps.to_string(),
                 r.table.swept_max.to_string(),
-                victim_age_p50(&r.table),
+                victim_life_p50(&r.table),
                 format!("{}/{}/{}", r.arrivals, r.departures, r.moves),
                 p50,
                 p99,

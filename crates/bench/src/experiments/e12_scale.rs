@@ -7,7 +7,7 @@
 //! geometry auto-sized to the fabric) — and reports:
 //!
 //! * **bytes per station** — the d-left path tables' heap footprint
-//!   (SoA planes, 32 B per slot, plus pending aging deadlines) summed
+//!   (SoA planes, 24 B per slot, plus pending aging deadlines) summed
 //!   over every bridge and divided by the attached host count, held under
 //!   an absolute ceiling ([`MAX_BYTES_PER_STATION`]) — and beside it
 //!   the event storage the single-engine run's scheduler ended up
@@ -105,11 +105,12 @@ pub struct E12Result {
 }
 
 /// Ceiling on [`E12Result::bytes_per_station`]: the quick geometry's
-/// figure (46,080 B: 32-byte table slots plus one 16-byte pending
-/// deadline per entry) plus 2 %. One station per rack is the worst
-/// case E12 runs — each bridge's fixed cost, its minimum table
-/// geometry, is spread over the fewest stations.
-pub const MAX_BYTES_PER_STATION: f64 = 47_000.0;
+/// figure (35,840 B: a 512-slot floor geometry of 24-byte slots plus
+/// one 16-byte pending deadline per entry) plus 2 %. One station per
+/// rack is the worst case E12 runs — each bridge's fixed cost, its
+/// minimum table geometry, is spread over the fewest stations; the
+/// full sweep reads 20,480 B.
+pub const MAX_BYTES_PER_STATION: f64 = 36_560.0;
 
 /// Ceiling on [`E12Result::scheduler_reserved_bytes`]. With drained
 /// calendar buckets recycled the ring reserves what was pending at
@@ -282,7 +283,7 @@ pub fn footprint_table(result: &E12Result) -> Table {
         &["what", "total bytes", "bytes/station"],
     );
     t.row(&[
-        "d-left path tables (SoA planes, 32 B per slot)".into(),
+        "d-left path tables (SoA planes, 24 B per slot)".into(),
         result.table_bytes.to_string(),
         format!("{:.0}", result.bytes_per_station()),
     ]);

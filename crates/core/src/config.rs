@@ -36,7 +36,7 @@ pub struct ArpPathConfig {
     pub table_capacity: Option<usize>,
     /// log2 of d-left buckets per way for the path table's physical
     /// geometry (see `arppath_switch::dleft`). `None` derives it: from
-    /// `table_capacity` when set (4× slot headroom over the capacity),
+    /// `table_capacity` when set (2× slot headroom over the capacity),
     /// the library default otherwise. `TopoBuilder` sets it from the
     /// host count through
     /// [`autosize_for_stations`](ArpPathConfig::autosize_for_stations).
@@ -130,7 +130,7 @@ mod tests {
     fn autosize_derives_only_when_nothing_is_explicit() {
         // Small fabrics keep the library default geometry (and thus the
         // exact pre-autosizing traces); big ones grow with the station
-        // count (4x slot headroom, `bucket_bits_for`).
+        // count (2x slot headroom, `bucket_bits_for`).
         let small = ArpPathConfig::default().autosize_for_stations(2);
         assert_eq!(small.geometry_bits(), arppath_switch::dleft::DEFAULT_BUCKET_BITS);
         let big = ArpPathConfig::default().autosize_for_stations(10_000);

@@ -16,7 +16,7 @@
 //! walks table entries must walk them in the same order every run).
 
 use arppath_netsim::SimTime;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// One stored value plus its expiry instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,24 +68,21 @@ impl<K: Ord + Copy, V> AgingMap<K, V> {
     /// Live value for `key` at `now`; expired entries are removed on
     /// the way.
     pub fn get(&mut self, key: &K, now: SimTime) -> Option<&V> {
-        if let Some(aged) = self.entries.get(key) {
-            if !aged.is_live(now) {
-                self.entries.remove(key);
-                return None;
-            }
-        }
-        self.entries.get(key).map(|a| &a.value)
+        self.get_mut(key, now).map(|v| &*v)
     }
 
-    /// Mutable live value for `key` at `now`.
+    /// Mutable live value for `key` at `now`. One walk of the tree
+    /// decides liveness and returns the value (or removes the dead
+    /// entry).
     pub fn get_mut(&mut self, key: &K, now: SimTime) -> Option<&mut V> {
-        if let Some(aged) = self.entries.get(key) {
-            if !aged.is_live(now) {
-                self.entries.remove(key);
-                return None;
+        match self.entries.entry(*key) {
+            Entry::Occupied(e) if e.get().is_live(now) => Some(&mut e.into_mut().value),
+            Entry::Occupied(e) => {
+                e.remove();
+                None
             }
+            Entry::Vacant(_) => None,
         }
-        self.entries.get_mut(key).map(|a| &mut a.value)
     }
 
     /// Peek without removing expired entries (for read-only inspection

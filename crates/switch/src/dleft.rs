@@ -11,15 +11,15 @@
 //!   [`SLOTS_PER_BUCKET`] slots — no per-entry heap allocation, no
 //!   pointer chasing. The slots are stored **struct-of-arrays**: the
 //!   key plane (which doubles as the occupancy map), expiry plane,
-//!   birth plane, and value plane are separate flat arrays indexed by
-//!   the same flat slot index. A probe walks only the key plane — one
+//!   value plane and generation plane are separate flat arrays indexed
+//!   by the same flat slot index. A probe walks only the key plane — one
 //!   cache line per way even when `V` is fat — and touches the expiry
 //!   plane for the single matched slot; values are read only on a hit.
 //!   Key cells are padded to 8 bytes and a bucket's cells to a 16-byte
 //!   boundary, so a MAC-keyed bucket is one aligned 16-byte block that
 //!   never straddles a line. With the bridge's one-word value (its
 //!   `PathEntry` packed into a `NonZeroU32`, so the `Option` around it
-//!   is 4 bytes too) a slot costs 32 bytes across all planes;
+//!   is 4 bytes too) a slot costs 24 bytes across all planes;
 //!   [`heap_bytes`](DLeftTable::heap_bytes) reports the resulting
 //!   footprint so bytes-per-station is a measured number, not a guess.
 //!   (PR 14 measured this layout against one 64-byte line per bucket
@@ -54,20 +54,21 @@
 //! The NetFPGA tables reject or overwrite on hash-set overflow and the
 //! paper sizes them so that effectively never happens. This table makes
 //! the policy explicit: when all `WAYS × SLOTS_PER_BUCKET` candidate
-//! slots for a new key are *occupied* (live, or expired but not yet
-//! scrubbed — inserts scrub to the last observed instant first, so in
-//! steady use occupants are live), the entry closest to its natural
-//! death (earliest expiry; lowest slot index on ties) is evicted and
-//! returned to the caller, and [`evictions`](DLeftTable::evictions)
-//! counts the event — including the benign case where the victim was
-//! already dead. Eviction is
+//! slots for a new key are *occupied* (inserts scrub to the last
+//! observed instant first, so every occupant is live then), the entry
+//! closest to its natural death (earliest expiry; lowest slot index on
+//! ties) is evicted and returned to the caller,
+//! [`evictions`](DLeftTable::evictions) counts the event, and
+//! [`TableStats`] records the life the victim had left. Eviction is
 //! fully deterministic. Protocol-level capacity limits (the paper's
 //! table-size ablation) stay where they always were — in the caller's
 //! capacity check — this policy only governs physical bucket overflow.
 //! Every in-repo deployment sizes its geometry with
-//! [`bucket_bits_for`] to stay under ~25 % occupancy, where d-left
-//! makes overflow vanishingly rare; `crates/switch/tests/dleft_oracle.rs` pins that
-//! the repository's workloads never evict.
+//! [`bucket_bits_for`] to stay at or under 50 % occupancy, where
+//! d-left placement over 4 ways × 2 slots makes overflow vanishingly
+//! rare; `crates/switch/tests/dleft_headroom.rs` proves the rule's
+//! worst case never evicts, and `crates/switch/tests/dleft_oracle.rs`
+//! pins that the repository's workloads never do.
 //!
 //! # Expiry boundary
 //!
@@ -86,21 +87,24 @@ pub const WAYS: usize = 4;
 /// Slots per bucket within a way.
 pub const SLOTS_PER_BUCKET: usize = 2;
 /// Default log2 of buckets per way: 64 buckets × 4 ways × 2 slots =
-/// 512 slots — comfortable for the ≤ ~128-station fabrics most
-/// experiments build, and cheap to zero at construction. Deployments
-/// that learn more stations size their geometry explicitly with
+/// 512 slots — 50 % load at 256 stations, room for the ≤ ~128-station
+/// fabrics most experiments build, and cheap to zero at construction.
+/// Deployments that learn more stations size their geometry with
 /// [`bucket_bits_for`], exactly as the NetFPGA build sizes its BRAM
 /// table for the target network.
 pub const DEFAULT_BUCKET_BITS: u32 = 6;
 
 /// The smallest `bucket_bits` whose geometry keeps `expected_entries`
-/// at or under 25 % occupancy (4× slot headroom), floored at
-/// [`DEFAULT_BUCKET_BITS`]. At ≤ 25 % load, d-left placement makes
-/// bucket overflow (and therefore eviction) vanishingly rare — the
-/// sizing rule every in-repo deployment uses.
+/// at or under 50 % occupancy (2× slot headroom), floored at
+/// [`DEFAULT_BUCKET_BITS`]. At ≤ 50 % load, least-loaded placement
+/// over 4 ways × 2 slots makes bucket overflow (and therefore
+/// eviction) vanishingly rare — the sizing rule every in-repo
+/// deployment uses. `tests/dleft_headroom.rs` fills every
+/// power-of-two station count from 128 to 16,384 (exactly 50 % load)
+/// with sequential and random MACs without one eviction.
 pub fn bucket_bits_for(expected_entries: usize) -> u32 {
     let mut bits = DEFAULT_BUCKET_BITS;
-    while ((WAYS * SLOTS_PER_BUCKET) << bits) < expected_entries.saturating_mul(4) {
+    while ((WAYS * SLOTS_PER_BUCKET) << bits) < expected_entries.saturating_mul(2) {
         bits += 1;
     }
     bits
@@ -156,18 +160,20 @@ impl<A: DLeftKey, B: DLeftKey> DLeftKey for (A, B) {
     }
 }
 
-/// Number of log2-microsecond buckets in the eviction-victim age
-/// histogram: bucket 0 counts victims younger than 1 µs, bucket `b ≥ 1`
-/// counts ages in `[2^(b-1), 2^b)` µs, and the last bucket absorbs
-/// everything older (2^30 µs ≈ 18 minutes — far past any in-repo
-/// learning timer).
-pub const VICTIM_AGE_BUCKETS: usize = 32;
+/// Number of log2-microsecond buckets in the eviction-victim
+/// life-left histogram: bucket 0 counts victims with less than 1 µs
+/// left (already dead ones included), bucket `b ≥ 1` counts life left
+/// in `[2^(b-1), 2^b)` µs, and the last bucket absorbs everything
+/// longer (2^30 µs ≈ 18 minutes — far past any in-repo learning
+/// timer).
+pub const VICTIM_LIFE_BUCKETS: usize = 32;
 
 /// Churn/aging instrumentation snapshot of a [`DLeftTable`] — the
 /// observables experiment E11 drives past sizing headroom: overflow
-/// evictions (with a victim-age histogram: was the table throwing away
-/// fresh state or nearly-dead state?), the occupancy high-water mark
-/// against the physical slot capacity, and mass-expiry sweep shape.
+/// evictions (with a histogram of the victims' remaining life: was the
+/// table throwing away long-lived state or nearly-dead state?), the
+/// occupancy high-water mark against the physical slot capacity, and
+/// mass-expiry sweep shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableStats {
     /// Bucket-overflow evictions since construction (same counter as
@@ -185,9 +191,11 @@ pub struct TableStats {
     /// Largest single scrubber run — the mass-expiry spike a Poisson
     /// departure burst produces.
     pub swept_max: usize,
-    /// Eviction-victim ages (eviction instant minus the victim's last
-    /// insert), log2-microsecond buckets; see [`VICTIM_AGE_BUCKETS`].
-    pub victim_age_histogram: [u64; VICTIM_AGE_BUCKETS],
+    /// Eviction victims' remaining life (the victim's expiry minus the
+    /// eviction instant, zero when already past — the quantity the
+    /// earliest-expiry eviction rule minimises), log2-microsecond
+    /// buckets; see [`VICTIM_LIFE_BUCKETS`].
+    pub victim_life_histogram: [u64; VICTIM_LIFE_BUCKETS],
 }
 
 impl Default for TableStats {
@@ -198,25 +206,27 @@ impl Default for TableStats {
             expiry_sweeps: 0,
             swept_total: 0,
             swept_max: 0,
-            victim_age_histogram: [0; VICTIM_AGE_BUCKETS],
+            victim_life_histogram: [0; VICTIM_LIFE_BUCKETS],
         }
     }
 }
 
 impl TableStats {
-    /// The histogram bucket for a victim age in nanoseconds.
-    pub fn age_bucket(age_nanos: u64) -> usize {
-        let age_us = age_nanos / 1_000;
-        if age_us == 0 {
+    /// The histogram bucket of a victim expiring at `expires` and
+    /// evicted at `at`: its remaining life, zero when `at` is at or
+    /// past the expiry.
+    pub fn life_bucket(expires: SimTime, at: SimTime) -> usize {
+        let life_us = expires.as_nanos().saturating_sub(at.as_nanos()) / 1_000;
+        if life_us == 0 {
             0
         } else {
-            ((64 - age_us.leading_zeros()) as usize).min(VICTIM_AGE_BUCKETS - 1)
+            ((64 - life_us.leading_zeros()) as usize).min(VICTIM_LIFE_BUCKETS - 1)
         }
     }
 
-    /// Victims counted across the whole age histogram.
+    /// Victims counted across the whole life-left histogram.
     pub fn victims_total(&self) -> u64 {
-        self.victim_age_histogram.iter().sum()
+        self.victim_life_histogram.iter().sum()
     }
 }
 
@@ -255,11 +265,6 @@ pub struct DLeftTable<K: DLeftKey, V> {
     keys: Vec<KeyBucket<K>>,
     /// SoA expiry plane; meaningful only while the slot is occupied.
     expires: Vec<SimTime>,
-    /// SoA birth plane: instant of the insert that created (or
-    /// re-keyed) the slot's current entry — the baseline for the
-    /// eviction-victim age histogram. Touches extend the expiry plane
-    /// but not this one.
-    born: Vec<SimTime>,
     /// SoA value plane; `Some` exactly where the key plane is. Off the
     /// probe path — read only after a key-plane hit.
     values: Vec<Option<V>>,
@@ -276,7 +281,7 @@ pub struct DLeftTable<K: DLeftKey, V> {
     observed_now: SimTime,
     /// Bucket-overflow evictions since construction.
     evictions: u64,
-    /// Churn instrumentation (high-water, sweep shape, victim ages);
+    /// Churn instrumentation (high-water, sweep shape, victim life left);
     /// `stats.evictions` mirrors the standalone counter.
     stats: TableStats,
 }
@@ -304,7 +309,6 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
             bucket_bits,
             keys: vec![KeyBucket([KeyCell(None); SLOTS_PER_BUCKET]); buckets],
             expires: vec![SimTime::ZERO; total],
-            born: vec![SimTime::ZERO; total],
             values: (0..total).map(|_| None).collect(),
             gens: vec![0; total],
             len: 0,
@@ -328,7 +332,6 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     pub fn heap_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<KeyBucket<K>>()
             + self.expires.capacity() * std::mem::size_of::<SimTime>()
-            + self.born.capacity() * std::mem::size_of::<SimTime>()
             + self.values.capacity() * std::mem::size_of::<Option<V>>()
             + self.gens.capacity() * std::mem::size_of::<u32>()
             + self.deadlines.heap_bytes()
@@ -504,15 +507,15 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     }
 
     /// Overwrite a probed slot's value and expiry in place (the expiry
-    /// may move either way) and restart its age. Scrubs to the observed
-    /// watermark first, as every insert does — so the handle must come
-    /// from a probe at the latest instant the table has been shown,
-    /// which guarantees the scrub cannot expire the slot under it.
+    /// may move either way). Scrubs to the observed watermark first,
+    /// as every insert does — so the handle must come from a probe at
+    /// the latest instant the table has been shown, which guarantees
+    /// the scrub cannot expire the slot under it.
     pub fn replace_at(&mut self, slot: Slot, value: V, expires: SimTime) {
-        let watermark = self.scrub_to_watermark();
+        self.scrub_to_watermark();
         let idx = slot.0 as usize;
         assert!(self.key(idx).is_some(), "slot handle outlived its entry");
-        self.rewrite_slot(idx, value, expires, watermark);
+        self.rewrite_slot(idx, value, expires);
     }
 
     /// Insert a key the caller has just [`probe`](DLeftTable::probe)d
@@ -527,24 +530,25 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     }
 
     /// Store `value` in the occupied slot `idx`, filing nothing.
-    fn write_slot(&mut self, idx: usize, value: V, expires: SimTime, watermark: SimTime) {
+    fn write_slot(&mut self, idx: usize, value: V, expires: SimTime) {
         self.values[idx] = Some(value);
         self.expires[idx] = expires;
-        self.born[idx] = watermark;
     }
 
     /// Overwrite the entry a live slot already holds. Its pending
     /// deadline fires at or before the old expiry, so only a shorter
     /// expiry needs one of its own; a later one is picked up when that
     /// deadline revalidates.
-    fn rewrite_slot(&mut self, idx: usize, value: V, expires: SimTime, watermark: SimTime) {
+    fn rewrite_slot(&mut self, idx: usize, value: V, expires: SimTime) {
         if expires < self.expires[idx] {
             self.deadlines.insert(expires, idx as u32, self.gens[idx]);
         }
-        self.write_slot(idx, value, expires, watermark);
+        self.write_slot(idx, value, expires);
     }
 
-    /// Give an absent `key` a slot and store its entry.
+    /// Give an absent `key` a slot and store its entry. `watermark` is
+    /// the instant the caller scrubbed to: an eviction measures its
+    /// victim's remaining life from it.
     fn place(&mut self, key: K, value: V, expires: SimTime, watermark: SimTime) -> Option<(K, V)> {
         let fp = mix64(key.fingerprint());
         // d-left placement: the least-loaded candidate bucket wins,
@@ -585,14 +589,14 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
                 self.evictions += 1;
                 let old_key = self.key_mut(victim).take().expect("victim vanished");
                 let old_value = self.values[victim].take().expect("victim value vanished");
-                let age = watermark.as_nanos().saturating_sub(self.born[victim].as_nanos());
-                self.stats.victim_age_histogram[TableStats::age_bucket(age)] += 1;
+                self.stats.victim_life_histogram
+                    [TableStats::life_bucket(victim_expires, watermark)] += 1;
                 self.gens[victim] = self.gens[victim].wrapping_add(1);
                 (victim, Some((old_key, old_value)))
             }
         };
         *self.key_mut(idx) = Some(key);
-        self.write_slot(idx, value, expires, watermark);
+        self.write_slot(idx, value, expires);
         self.deadlines.insert(expires, idx as u32, self.gens[idx]);
         evicted
     }
@@ -606,7 +610,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         let watermark = self.scrub_to_watermark();
         match self.probe(&key, watermark) {
             Some(slot) => {
-                self.rewrite_slot(slot.0 as usize, value, expires, watermark);
+                self.rewrite_slot(slot.0 as usize, value, expires);
                 None
             }
             None => self.place(key, value, expires, watermark),
@@ -794,7 +798,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_high_water_sweeps_and_victim_ages() {
+    fn stats_track_high_water_sweeps_and_victim_life_left() {
         let mut m: DLeftTable<u64, u64> = DLeftTable::with_bucket_bits(0);
         for i in 0..8u64 {
             m.insert(i, i, t(1_000_000 + i));
@@ -803,33 +807,44 @@ mod tests {
         assert_eq!(s.occupancy_high_water, 8);
         assert_eq!(s.evictions, 0);
         assert_eq!(s.victims_total(), 0);
-        // Observe t=500µs so the eviction sees a 500µs-old victim
-        // (born at the t=0 watermark), then overflow the geometry.
+        // Observe t=500µs, then overflow the geometry: the victim (key
+        // 0, expiring at 1 ms) has exactly 500 µs left, which is in the
+        // [2^8, 2^9) µs bucket.
         assert_eq!(m.get(&99, t(500_000)), None);
         assert_eq!(m.insert(99, 99, t(50_000_000)), Some((0, 0)));
         let s = m.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.victims_total(), 1);
-        // 500 µs is in the [2^8, 2^9) µs bucket.
-        assert_eq!(s.victim_age_histogram[TableStats::age_bucket(500_000)], 1);
-        assert_eq!(TableStats::age_bucket(500_000), 9);
-        // Mass expiry: everything but key 99 dies at t=1ms+8ns.
+        assert_eq!(s.victim_life_histogram[9], 1);
+        // At t=999.6µs the next victim (key 1, expiring at 1 ms + 1 ns)
+        // has 401 ns left, which is bucket 0.
+        assert_eq!(m.get(&98, t(999_600)), None);
+        assert_eq!(m.insert(98, 98, t(50_000_000)), Some((1, 1)));
+        let s = m.stats();
+        assert_eq!((s.evictions, s.victims_total()), (2, 2));
+        assert_eq!((s.victim_life_histogram[0], s.victim_life_histogram[9]), (1, 1));
+        // Mass expiry: the six survivors of the t=0 fill die by 1 ms + 7 ns.
         let removed = m.sweep(t(1_000_100));
-        assert_eq!(removed, 7);
+        assert_eq!(removed, 6);
         let s = m.stats();
         assert_eq!(s.expiry_sweeps, 1);
-        assert_eq!(s.swept_total, 7);
-        assert_eq!(s.swept_max, 7);
+        assert_eq!(s.swept_total, 6);
+        assert_eq!(s.swept_max, 6);
         assert_eq!(s.occupancy_high_water, 8, "high water survives the sweep");
     }
 
     #[test]
-    fn age_bucket_edges() {
-        assert_eq!(TableStats::age_bucket(0), 0);
-        assert_eq!(TableStats::age_bucket(999), 0, "sub-µs ages share bucket 0");
-        assert_eq!(TableStats::age_bucket(1_000), 1, "[1, 2) µs");
-        assert_eq!(TableStats::age_bucket(2_000), 2, "[2, 4) µs");
-        assert_eq!(TableStats::age_bucket(u64::MAX), VICTIM_AGE_BUCKETS - 1);
+    fn life_bucket_edges() {
+        // An insert scrubs to its watermark before it places, so a live
+        // table only ever evicts a victim with time left; a victim at
+        // or past its expiry still lands in bucket 0, never wraps.
+        assert_eq!(TableStats::life_bucket(t(5_000), t(5_000)), 0, "at expiry");
+        assert_eq!(TableStats::life_bucket(t(5_000), t(9_000_000)), 0, "past expiry");
+        assert_eq!(TableStats::life_bucket(t(999), t(0)), 0, "sub-µs life shares bucket 0");
+        assert_eq!(TableStats::life_bucket(t(1_000), t(0)), 1, "[1, 2) µs");
+        assert_eq!(TableStats::life_bucket(t(3_500), t(1_500)), 2, "[2, 4) µs");
+        assert_eq!(TableStats::life_bucket(t(501_000), t(1_000)), 9, "[256, 512) µs");
+        assert_eq!(TableStats::life_bucket(t(u64::MAX), t(0)), VICTIM_LIFE_BUCKETS - 1);
     }
 
     #[test]
@@ -903,16 +918,22 @@ mod tests {
         let m: DLeftTable<MacAddr, u32> = DLeftTable::with_bucket_bits(bucket_bits_for(16_384));
         let empty: DLeftTable<MacAddr, u32> = DLeftTable::new();
         assert!(m.heap_bytes() > empty.heap_bytes(), "footprint follows geometry");
-        // 8 (key cell) + 8 (expiry) + 8 (birth) + 8 (Option<u32>) + 4
-        // (generation) bytes a slot, and nothing else while empty.
-        assert_eq!(m.heap_bytes(), 36 * m.capacity());
+        // 16,384 stations at 50 % load: 32,768 slots of 8 (key cell) +
+        // 8 (expiry) + 8 (Option<u32>) + 4 (generation) bytes, and
+        // nothing else while empty.
+        assert_eq!(m.capacity(), 32_768);
+        assert_eq!(m.heap_bytes(), 28 * 32_768);
+        // The bridge's one-word value makes it 24 bytes a slot.
+        let bridge: DLeftTable<MacAddr, std::num::NonZeroU32> =
+            DLeftTable::with_bucket_bits(bucket_bits_for(16_384));
+        assert_eq!(bridge.heap_bytes(), 24 * 32_768);
         let mut filled = DLeftTable::with_bucket_bits(bucket_bits_for(16_384));
         for i in 0..1024u32 {
             filled.insert(MacAddr::from_index(1, i), i, t(1_000_000));
         }
         // One 16-byte deadline per keyed slot; the plane cost is fixed.
         assert_eq!(filled.pending_deadlines(), 1024);
-        assert_eq!(filled.heap_bytes(), 36 * filled.capacity() + 16 * 1024);
+        assert_eq!(filled.heap_bytes(), 28 * 32_768 + 16 * 1024);
     }
 
     #[test]

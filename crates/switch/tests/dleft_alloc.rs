@@ -10,7 +10,7 @@
 //! configuration, not per-frame work.)
 
 use arppath_netsim::{SimDuration, SimTime};
-use arppath_switch::DLeftTable;
+use arppath_switch::{bucket_bits_for, DLeftTable};
 use arppath_wire::MacAddr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -52,8 +52,9 @@ fn alloc_count() -> u64 {
 #[test]
 fn steady_state_lookup_path_is_allocation_free() {
     const N: u32 = 4_000;
-    // Geometry holding N entries at ~25 % load, same margin as prod.
-    let mut table: DLeftTable<MacAddr, u32> = DLeftTable::with_bucket_bits(11);
+    // Geometry holding N entries at ~50 % load, same margin as prod.
+    let mut table: DLeftTable<MacAddr, u32> =
+        DLeftTable::with_bucket_bits(bucket_bits_for(N as usize));
     let mut now = SimTime::ZERO;
     let ttl = SimDuration::millis(100);
     for i in 0..N {

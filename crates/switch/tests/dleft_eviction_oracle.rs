@@ -205,7 +205,7 @@ proptest! {
         prop_assert_eq!(dleft.evictions(), oracle.evictions);
         prop_assert_eq!(
             dleft.stats().victims_total(), oracle.evictions,
-            "every eviction lands in the victim-age histogram"
+            "every eviction lands in the victim life-left histogram"
         );
     }
 

@@ -28,12 +28,13 @@ struct World {
     pairs: Vec<usize>,
 }
 
-/// Build a jittered k=4 fabric, run a permutation workload to
-/// completion, and hand back the learned state.
-fn run_workload(seed: u64) -> World {
+/// Build a jittered k=4 fabric with `hosts_per_edge` stations on every
+/// edge, run a permutation workload to completion, and hand back the
+/// learned state.
+fn run_workload(seed: u64, hosts_per_edge: usize) -> World {
     let mut t = TopoBuilder::new(BridgeKind::ArpPath(ArpPathConfig::default()));
     let ft = generic::fat_tree_jittered(&mut t, K, seed);
-    let n = ft.host_capacity(HOSTS_PER_EDGE);
+    let n = ft.host_capacity(hosts_per_edge);
     let pairs = pairings(n, TrafficPattern::Permutation, seed);
     for (i, &dst) in pairs.iter().enumerate() {
         let id = (i + 1) as u32;
@@ -45,7 +46,7 @@ fn run_workload(seed: u64) -> World {
             ..Default::default()
         };
         let host = TrafficHost::new(format!("h{id}"), host_mac(id), host_ip(id), cfg);
-        t.host(ft.edge_of_host(i, HOSTS_PER_EDGE), Box::new(host));
+        t.host(ft.edge_of_host(i, hosts_per_edge), Box::new(host));
     }
     let mut built = t.build();
     built.net.run_until(SimTime(SimDuration::millis(400).as_nanos()));
@@ -148,7 +149,7 @@ fn check_delivery(w: &World, seed: u64) {
 #[test]
 fn default_seed_paths_are_canonical() {
     let seed = E8Params::default().seed;
-    let w = run_workload(seed);
+    let w = run_workload(seed, HOSTS_PER_EDGE);
     let now = w.built.net.now();
     check_structure(&w, seed);
     check_delivery(&w, seed);
@@ -170,12 +171,16 @@ fn default_seed_paths_are_canonical() {
 
 /// The builder-derived d-left geometry (TopoBuilder autosizes ARP-Path
 /// tables from the declared host count; no E8/E9 scenario sizes one
-/// by hand) must absorb the full station load of the default fabric with zero
-/// bucket-overflow evictions and keep the 4× slot headroom contract.
+/// by hand) must absorb the full station load of the fabric with zero
+/// bucket-overflow evictions, and be the smallest geometry with 2× slot
+/// headroom. 40 stations per edge make 320, above the 256 the 512-slot
+/// floor would hold at 50 % load, so the floor cannot satisfy the rule
+/// on its behalf.
 #[test]
 fn autosized_tables_fit_the_fabric_with_zero_evictions() {
-    let w = run_workload(E8Params::default().seed);
+    let w = run_workload(E8Params::default().seed, 40);
     let stations = w.pairs.len();
+    assert_eq!(stations, 320);
     for b in 0..w.built.bridge_nodes.len() {
         let bridge = w.built.arppath(BridgeIx(b));
         assert_eq!(
@@ -183,10 +188,12 @@ fn autosized_tables_fit_the_fabric_with_zero_evictions() {
             0,
             "bridge {b}: autosized geometry evicted a live path entry"
         );
+        let capacity = bridge.table_slot_capacity();
+        assert_eq!(capacity, 8 << arppath_switch::bucket_bits_for(stations), "bridge {b}");
         assert!(
-            bridge.table_slot_capacity() >= 4 * stations,
-            "bridge {b}: {} slots for {stations} stations breaks the 4× headroom rule",
-            bridge.table_slot_capacity()
+            (2 * stations..4 * stations).contains(&capacity),
+            "bridge {b}: {capacity} slots for {stations} stations is not the smallest \
+             geometry with 2× headroom"
         );
         // Core bridges learn every station; nobody learns more.
         assert!(
@@ -238,7 +245,7 @@ proptest! {
     /// edge/aggregation/core structure and nothing is lost.
     #[test]
     fn any_seed_resolves_through_the_layers(seed in 0u64..1_000_000) {
-        let w = run_workload(seed);
+        let w = run_workload(seed, HOSTS_PER_EDGE);
         check_structure(&w, seed);
         check_delivery(&w, seed);
     }

@@ -397,7 +397,7 @@ fn e9_metrics_match_across_engines() {
 #[test]
 fn e11_metrics_match_across_engines() {
     // E11's whole measured row under the undersized regime: aggregated
-    // table statistics (evictions, sweeps, victim ages), peak
+    // table statistics (evictions, sweeps, victim life left), peak
     // occupancy, probes and replies, stale-path corrections and the
     // per-epoch fairness series — every bridge's table read through
     // the sharded engine's `arppath()` accessor.
