@@ -5,8 +5,8 @@
 //! boring one it replaced in the same process, so the ratio survives a
 //! change of machine where an absolute time would not: the rows are the
 //! evidence that the calendar queue, the d-left table's probe path and
-//! the aging scrubber's idle look at its deadlines still pay their
-//! rent. End-to-end speed is `benchmark/`'s job, not this module's.
+//! the aging scrubber's idle sweep still pay their rent. End-to-end
+//! speed is `benchmark/`'s job, not this module's.
 //!
 //! Methodology: time a full pass over the working set, repeat for
 //! `SAMPLES` samples, report the median per-operation nanoseconds.
@@ -14,7 +14,6 @@
 //! sequential-locality charity.
 
 use arppath_netsim::{CalendarQueue, SimDuration, SimTime};
-use arppath_switch::wheel::DeadlineHeap;
 use arppath_switch::{bucket_bits_for, AgingMap, DLeftTable};
 use arppath_wire::MacAddr;
 use std::cmp::Reverse;
@@ -43,8 +42,10 @@ pub const GUARDS: [Guard; 4] = [
     // Hit-then-refresh through one probe stays >= 1.3x faster than
     // through two key walks (1 / 1.3 = 0.77).
     Guard { key: "dleft_probe_refresh_ns", max_ratio: 0.77, baseline: "dleft_get_touch_ns" },
-    // Finding nothing due costs no more than four deadline filings.
-    Guard { key: "deadline_idle_pop_ns", max_ratio: 4.0, baseline: "deadline_file_ns" },
+    // A sweep with nothing due is one compare against the table's
+    // earliest block bound: it costs at most half a hit lookup, which
+    // a walk over the 512 bounds of the 10k-entry geometry would not.
+    Guard { key: "dleft_idle_sweep_ns", max_ratio: 0.5, baseline: "dleft_get_hit_10k_ns" },
     // d-left hit lookups stay >= 2x faster than the `BTreeMap` oracle
     // at 10k entries.
     Guard { key: "dleft_get_hit_10k_ns", max_ratio: 0.5, baseline: "btree_get_hit_10k_ns" },
@@ -311,65 +312,44 @@ fn dleft_probe_refresh(t: &mut DLeftTable<MacAddr, u32>, keys: &[MacAddr], now: 
     acc
 }
 
-/// Deadlines standing in the aging fixtures: one lock per station of
-/// a `k16_perm` bridge.
-const AGING_DEADLINES: u32 = 1_024;
-/// How far out they sit: the default lock time.
-const AGING_HORIZON: SimDuration = SimDuration::millis(500);
-/// Time between idle scrubs: the 137 µs between one host's ARP flood
+/// Time between idle sweeps: the 137 µs between one host's ARP flood
 /// and the next reaching a `k16_perm` bridge.
 const AGING_IDLE_STEP: SimDuration = SimDuration::micros(137);
 
-/// A deadline heap holding [`AGING_DEADLINES`] deadlines half a
-/// second out, scrubbed every [`AGING_IDLE_STEP`]: the scrub a flooding
-/// bridge runs before every insert, which has nothing to pop until the
-/// locks start expiring.
+/// The 10k-entry fixture swept every [`AGING_IDLE_STEP`]: the scrub a
+/// flooding bridge runs before every insert, which has nothing to
+/// vacate until its entries start expiring at `far()`.
 struct IdleAging {
-    deadlines: DeadlineHeap,
+    table: DLeftTable<MacAddr, u32>,
     now: SimTime,
 }
 
 impl IdleAging {
-    /// The heap at t = 0 with its deadlines filed.
+    /// The fixture at t = 0.
     fn new() -> Self {
-        let mut deadlines = DeadlineHeap::default();
-        file_deadlines(&mut deadlines, SimTime::ZERO);
-        IdleAging { deadlines, now: SimTime::ZERO }
+        IdleAging { table: dleft_fixture(TABLE_ENTRIES), now: SimTime::ZERO }
     }
 
-    /// Scrub `calls` steps; returns how many deadlines came due (none,
-    /// while the fixture stays inside its horizon — see
+    /// Sweep `calls` steps; returns how many entries were vacated
+    /// (none, while the fixture stays inside its horizon — see
     /// [`IdleAging::calls_left`]).
     fn run(&mut self, calls: u64) -> u64 {
-        let mut due = 0;
+        let mut swept = 0;
         for _ in 0..calls {
             self.now += AGING_IDLE_STEP;
-            while self.deadlines.pop_due(self.now).is_some() {
-                due += 1;
-            }
+            swept += self.table.sweep(self.now) as u64;
         }
-        due
+        swept
     }
 
-    /// Steps left before the first deadline comes due.
+    /// Steps left before the entries expire.
     fn calls_left(&self) -> u64 {
-        let horizon = AGING_HORIZON.as_nanos();
-        horizon.saturating_sub(self.now.as_nanos() + 1) / AGING_IDLE_STEP.as_nanos()
+        far().as_nanos().saturating_sub(self.now.as_nanos() + 1) / AGING_IDLE_STEP.as_nanos()
     }
 }
 
-/// Empty `deadlines` and file [`AGING_DEADLINES`] deadlines
-/// `AGING_HORIZON` past `now`, a nanosecond apart — the yardstick an
-/// idle scrub is held against: finding nothing due must not cost more
-/// than a few filings.
-fn file_deadlines(deadlines: &mut DeadlineHeap, now: SimTime) -> u64 {
-    deadlines.clear();
-    let first = now + AGING_HORIZON;
-    for i in 0..AGING_DEADLINES {
-        deadlines.insert(first + SimDuration::nanos(u64::from(i)), i, 0);
-    }
-    deadlines.len() as u64
-}
+/// Idle sweeps per timed sample.
+const IDLE_SWEEPS: u64 = 100_000;
 
 /// Every key [`GUARDS`] reads, as `(key, median ns/op)` pairs.
 pub fn measure_all() -> Vec<(&'static str, f64)> {
@@ -406,17 +386,15 @@ pub fn measure_all() -> Vec<(&'static str, f64)> {
         "dleft_probe_refresh_ns",
         median_ns_per_op(keys.len(), || dleft_probe_refresh(&mut table, &keys, now)),
     ));
-    // O(1) idle aging: one look at the heap's top against the cost of
-    // filing one deadline. Every sample must stay idle.
-    let mut deadlines = DeadlineHeap::default();
-    out.push((
-        "deadline_file_ns",
-        median_ns_per_op(AGING_DEADLINES as usize, || file_deadlines(&mut deadlines, now)),
-    ));
+    // O(1) idle aging: a sweep with nothing due against a hit lookup
+    // on the same geometry. Every sample must stay idle.
     let mut idle = IdleAging::new();
-    let calls = idle.calls_left() / (SAMPLES as u64 + 1);
-    out.push(("deadline_idle_pop_ns", median_ns_per_op(calls as usize, || idle.run(calls))));
-    assert_eq!(idle.run(0), 0, "the idle-advance fixture ran past its horizon");
+    assert!(idle.calls_left() > (SAMPLES as u64 + 1) * IDLE_SWEEPS);
+    out.push((
+        "dleft_idle_sweep_ns",
+        median_ns_per_op(IDLE_SWEEPS as usize, || idle.run(IDLE_SWEEPS)),
+    ));
+    assert_eq!(idle.table.len(), TABLE_ENTRIES, "an idle sweep vacated an entry");
     out
 }
 
@@ -438,14 +416,28 @@ mod tests {
 
     #[test]
     fn every_guard_row_reports_its_breach() {
-        // Every key at a tenth of its baseline: inside every bound.
-        let clean: Vec<(&str, f64)> =
-            GUARDS.iter().flat_map(|g| [(g.key, 10.0), (g.baseline, 100.0)]).collect();
+        // Every key at most a tenth of its baseline: inside every
+        // bound. A key may be another guard's baseline, so raise each
+        // baseline to ten times its key until that holds everywhere.
+        // Lookups read a name's first entry, so repeats are harmless.
+        let mut clean: Vec<(&str, f64)> =
+            GUARDS.iter().flat_map(|g| [(g.key, 1.0), (g.baseline, 1.0)]).collect();
+        let value = |values: &[(&str, f64)], name: &str| {
+            values.iter().find(|(k, _)| *k == name).map(|&(_, v)| v).unwrap()
+        };
+        for _ in 0..GUARDS.len() {
+            for g in &GUARDS {
+                let floor = 10.0 * value(&clean, g.key);
+                let slot = clean.iter_mut().find(|(k, _)| *k == g.baseline).unwrap();
+                slot.1 = slot.1.max(floor);
+            }
+        }
         assert!(GUARDS.iter().all(|g| g.holds(&clean)));
         for breached in &GUARDS {
             let mut values = clean.clone();
+            let bound = value(&values, breached.baseline) * breached.max_ratio;
             let slot = values.iter_mut().find(|(k, _)| *k == breached.key).unwrap();
-            slot.1 = 100.0 * breached.max_ratio * 1.01;
+            slot.1 = bound * 1.01;
             let failing: Vec<&str> =
                 GUARDS.iter().filter(|g| !g.holds(&values)).map(|g| g.key).collect();
             assert_eq!(failing, [breached.key]);
@@ -520,10 +512,15 @@ mod tests {
     fn idle_aging_stays_idle_for_its_whole_horizon() {
         let mut idle = IdleAging::new();
         let calls = idle.calls_left();
-        assert!(calls > 3_000, "room for the warm-up and every sample: {calls}");
-        assert_eq!(idle.run(calls), 0, "nothing due inside the horizon");
+        assert!(calls > (SAMPLES as u64 + 1) * IDLE_SWEEPS, "room for every sample: {calls}");
+        // The measured stretch, then a jump to the last few thousand
+        // steps of the horizon: nothing is due anywhere in it.
+        assert_eq!(idle.run((SAMPLES as u64 + 1) * IDLE_SWEEPS), 0, "nothing due early on");
+        idle.now =
+            SimTime(idle.now.as_nanos() + (idle.calls_left() - 3_000) * AGING_IDLE_STEP.as_nanos());
+        assert_eq!(idle.run(3_000), 0, "nothing due up to the horizon");
         assert_eq!(idle.calls_left(), 0);
-        assert_eq!(idle.run(1), u64::from(AGING_DEADLINES), "and everything just past it");
+        assert_eq!(idle.run(1), TABLE_ENTRIES as u64, "and everything just past it");
     }
 
     /// A calendar queue that notes every drained cohort's instant and

@@ -178,8 +178,8 @@ impl ArpPathBridge {
         self.table.capacity()
     }
 
-    /// Heap bytes the path table spends (SoA planes + generation
-    /// stamps + pending aging deadlines). Summed across a fabric's
+    /// Heap bytes the path table spends (SoA planes + per-block aging
+    /// bounds, all fixed at construction). Summed across a fabric's
     /// bridges and divided by the station count this is the
     /// bytes-per-station figure experiment E12 reports and holds under
     /// its ceiling.

@@ -8,7 +8,7 @@
 //!   oracle `tests/dleft_oracle.rs` checks the table below against;
 //! * [`DLeftTable`] — the per-station, hardware-shaped d-left hash
 //!   table (fixed geometry, multiply-shift hashing, background aging
-//!   off one [`wheel::DeadlineHeap`]) backing the ARP-Path path table
+//!   by per-block expiry bounds) backing the ARP-Path path table
 //!   and the [`LearningSwitch`] FIB, mirroring the NetFPGA
 //!   implementation the paper measures;
 //! * [`SwitchLogic`] — the decision-plane trait that separates a

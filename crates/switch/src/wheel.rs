@@ -1,33 +1,18 @@
-//! The aging scrubber's deadline queue: the software analogue of the
-//! NetFPGA background aging scrubber.
+//! A binary min-heap of deadlines, kept for `benchmark/` alone.
 //!
-//! The paper's hardware ages table entries with a scrubber that walks
-//! the table continuously in the background, so expiry work never sits
-//! on the lookup path. A `BTreeMap` sweep is the opposite: O(table) per
-//! sweep, all of it on the caller. [`DeadlineHeap`] keeps the scrubber's
-//! shape with the plainest structure that has it: one binary min-heap
-//! of [`TimerEntry`] deadlines ordered by `(fires, slot, gen)`. Filing
-//! is O(log n), each due entry is one pop, and finding that nothing is
-//! due — the common case on a flooding bridge whose deadlines are all
-//! half a second out — is one look at the heap's top.
+//! No table in the repository ages off this module any more: the d-left
+//! tables keep one earliest-expiry bound per block of slots and scan
+//! the blocks whose bound has passed (see
+//! [`DLeftTable`](crate::dleft::DLeftTable)), which holds no per-entry
+//! aging state at all. [`DeadlineHeap`] (under its old name
+//! [`TimerWheel`]) stays because `benchmark/src/layers.rs` imports it
+//! with [`TimerEntry`] and times `default`/`insert`/`advance` on it for
+//! its `switch.wheel.*` per-layer metrics; `tests/wheel_oracle.rs`
+//! keeps it honest until those metrics and this module go together.
 //!
-//! The heap holds one entry per pending deadline and nothing else: no
-//! fixed spine, no bucket storage left behind after a drain, no delivery
-//! buffer. It replaced a hierarchical timer wheel (8 levels × 64
-//! buckets) whose spine and drained-bucket storage were most of a small
-//! table's bytes and which timed no faster end to end (BASELINES.md,
-//! "Aging with one deadline heap").
-//!
-//! # Lazy revalidation
-//!
-//! Entries are *hints*, not authority. Each carries the flat slot index
-//! it was filed for and the slot's generation stamp at filing time; the
-//! table owning the slots revalidates on delivery (wrong generation →
-//! the slot was vacated or re-keyed since, ignore; expiry extended
-//! since → re-file at the new instant). This is what lets
-//! [`touch`](crate::dleft::DLeftTable::touch) extend a deadline without
-//! finding and moving the old entry — the stale entry fires early,
-//! fails revalidation against the live expiry, and is re-filed.
+//! The heap holds one entry per filed deadline, ordered by
+//! `(fires, slot, gen)`: filing is O(log n), each due entry is one pop,
+//! and finding that nothing is due is one look at the heap's top.
 
 use arppath_netsim::SimTime;
 use std::cmp::Reverse;
@@ -68,9 +53,7 @@ impl DeadlineHeap {
         self.heap.is_empty()
     }
 
-    /// Heap footprint in bytes: the entry storage. Folded into
-    /// [`DLeftTable::heap_bytes`](crate::DLeftTable::heap_bytes) for
-    /// the bytes-per-station accounting.
+    /// Heap footprint in bytes: the entry storage.
     pub fn heap_bytes(&self) -> usize {
         self.heap.capacity() * std::mem::size_of::<TimerEntry>()
     }

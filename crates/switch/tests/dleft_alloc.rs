@@ -3,11 +3,10 @@
 //! The whole point of the fixed-geometry table is that the hot path is
 //! flat-array probing — the hardware has no allocator, so the software
 //! model's lookup path must not have one either. A counting global
-//! allocator asserts it: once the table is warmed, `get`/`peek`/
-//! `touch`/ replacement-`insert` perform **zero** heap allocations.
-//! (Cold-path operations — first inserts growing the deadline heap —
-//! are allowed to allocate; they are the analogue of device
-//! configuration, not per-frame work.)
+//! allocator asserts it: a table allocates every plane and its aging
+//! bounds at construction — the analogue of device configuration —
+//! and nothing after, so `get`/`peek`/`touch`, replacement and fresh
+//! inserts alike perform **zero** heap allocations.
 
 use arppath_netsim::{SimDuration, SimTime};
 use arppath_switch::{bucket_bits_for, DLeftTable};
@@ -141,11 +140,29 @@ fn soa_vacate_and_accounting_paths_are_allocation_free() {
 }
 
 #[test]
-fn replacement_insert_files_no_deadline_and_allocates_nothing() {
+fn fresh_inserts_allocate_nothing() {
+    // Keying a slot writes the flat planes and lowers one aging bound:
+    // filling a table from empty never reaches the allocator.
+    const N: u32 = 1_024;
+    let mut table: DLeftTable<MacAddr, u32> =
+        DLeftTable::with_bucket_bits(bucket_bits_for(N as usize));
+    let ttl = SimDuration::millis(100);
+    let before = alloc_count();
+    for i in 0..N {
+        let now = SimTime::ZERO + SimDuration::nanos(u64::from(i));
+        assert_eq!(table.insert(MacAddr::from_index(1, i), i, now + ttl), None);
+    }
+    let after = alloc_count();
+    assert_eq!(table.len(), N as usize);
+    assert_eq!(after - before, 0, "fresh inserts made {} heap allocations", after - before);
+}
+
+#[test]
+fn replacement_inserts_allocate_nothing() {
     // Slot placement never allocates (flat arrays), and a replacement
-    // that extends an entry's expiry files no deadline: the pending one
-    // fires early, revalidates and re-files. So rewriting every live
-    // entry, by key or through a probed slot, touches no allocator.
+    // that extends an entry's expiry writes no aging state at all. So
+    // rewriting every live entry, by key or through a probed slot,
+    // touches no allocator.
     const N: u32 = 1_000;
     let mut table: DLeftTable<MacAddr, u32> = DLeftTable::with_bucket_bits(9);
     let mut now = SimTime::ZERO;
@@ -166,5 +183,4 @@ fn replacement_insert_files_no_deadline_and_allocates_nothing() {
     }
     let after = alloc_count();
     assert_eq!(after - before, 0, "replacement inserts allocated");
-    assert_eq!(table.pending_deadlines(), N as usize, "one deadline per entry");
 }

@@ -1,8 +1,8 @@
 //! The d-left table against its reference oracle.
 //!
 //! [`AgingMap`] (BTreeMap, lazy expiry) is the executable
-//! specification; [`DLeftTable`] (fixed-geometry d-left hashing, one
-//! deadline heap for aging) must be observationally equivalent through every API call on
+//! specification; [`DLeftTable`] (fixed-geometry d-left hashing, aged
+//! by per-block expiry bounds) must be observationally equivalent through every API call on
 //! every op schedule — as long as it does not evict, which the
 //! in-repo workloads never trigger (pinned below). Divergences the
 //! equivalence deliberately ignores: raw `len()` (the d-left scrubber
@@ -216,9 +216,9 @@ proptest! {
     }
 
     /// Aging stress: long-lived entries repeatedly touched across many
-    /// sweep horizons must behave exactly like the oracle — the
-    /// re-filing path (stale deadlines revalidating against extended
-    /// expiries) is the part a naive scrubber gets wrong.
+    /// sweep horizons must behave exactly like the oracle — a block
+    /// bound left stale by an extension passes while the entry still
+    /// lives, which is the part a naive scrubber gets wrong.
     #[test]
     fn touch_extension_across_sweeps_matches_oracle(
         schedule in proptest::collection::vec((0u32..8, 1u64..5_000_000), 1..60),
@@ -252,31 +252,25 @@ proptest! {
         }
     }
 
-    /// The scrubber's deadlines against the oracle, on seeded
+    /// The scrubber's block bounds against the oracle, on seeded
     /// sequences of inserts (which key a slot, extend its expiry or
     /// shorten it), touches, removes, retains and sweeps. A sweep
-    /// vacates exactly the occupied keys that have expired, and a
-    /// deadline is filed only by a write that keys a slot or shortens
-    /// its expiry: no operation adds more than one pending deadline,
-    /// and none but those adds any, so the pending count never exceeds
-    /// the keying writes plus the shortening ones.
+    /// vacates exactly the occupied keys that have expired — so every
+    /// write that keys a slot or shortens its expiry must have lowered
+    /// its block's bound, and no stale bound may kill a live entry.
     #[test]
-    fn sweeps_vacate_exactly_the_expired_and_only_keyings_and_shortenings_file(
+    fn sweeps_vacate_exactly_the_expired(
         raw_ops in proptest::collection::vec((0u8..7, 0u32..24, 1u64..400, 0u64..200), 1..160),
     ) {
         let mut oracle: AgingMap<u32, u32> = AgingMap::new();
         let mut dleft: DLeftTable<u32, u32> = DLeftTable::new();
         let mut now = SimTime::ZERO;
-        let mut filing_writes = 0;
         for (sel, key, ttl, dt) in raw_ops {
             now += SimDuration::nanos(dt);
             let expires = now + SimDuration::nanos(ttl);
-            let pending = dleft.pending_deadlines();
-            let mut files = false;
             match sel {
                 // Insert: keys an absent key, else extends or shortens.
                 0..=2 => {
-                    files = oracle.peek_aged(&key, now).is_none_or(|a| expires < a.expires);
                     oracle.insert(key, key, expires);
                     prop_assert_eq!(dleft.insert(key, key, expires), None);
                 }
@@ -301,17 +295,48 @@ proptest! {
                     oracle.sweep(now);
                 }
             }
-            filing_writes += usize::from(files);
-            prop_assert!(
-                dleft.pending_deadlines() <= pending + usize::from(files),
-                "op {} at {:?} filed a deadline it did not need", sel, now
-            );
-            prop_assert!(dleft.pending_deadlines() <= filing_writes);
             let o: Vec<(u32, SimTime)> =
                 oracle.iter_live(now).map(|(k, _)| (*k, oracle.peek_aged(k, now).unwrap().expires)).collect();
             let d: Vec<(u32, SimTime)> =
                 dleft.iter_live(now).map(|(k, _)| (*k, dleft.peek_aged(k, now).unwrap().expires)).collect();
             prop_assert_eq!(o, d);
+        }
+    }
+
+    /// Shortening writes against the oracle. Every entry starts long-
+    /// or short-lived; a sweep past the short ones leaves every
+    /// scanned block's bound at its longest survivors' expiries. Then
+    /// entries are cut short, by key or through a probed slot (keys
+    /// already swept are keyed afresh), and each later sweep must
+    /// vacate exactly what the oracle's does: a cut that left its
+    /// block's bound where it was would outlive its expiry.
+    #[test]
+    fn shortened_entries_expire_on_time(
+        lives in proptest::collection::vec((any::<bool>(), 1u64..1_000), 1..64),
+        cuts in proptest::collection::vec((0usize..64, any::<bool>(), 1u64..300), 1..64),
+    ) {
+        let mut oracle: AgingMap<u32, u32> = AgingMap::new();
+        let mut dleft: DLeftTable<u32, u32> = DLeftTable::new();
+        for (key, &(short, ttl)) in (0u32..).zip(&lives) {
+            let expires = if short { t(ttl) } else { t(10_000 + ttl) };
+            oracle.insert(key, key, expires);
+            dleft.insert(key, key, expires);
+        }
+        let mut now = t(1_000);
+        prop_assert_eq!(dleft.sweep(now), oracle.sweep(now));
+        for (pick, by_slot, ttl) in cuts {
+            let key = (pick % lives.len()) as u32;
+            let expires = now + SimDuration::nanos(ttl);
+            oracle.insert(key, key, expires);
+            match dleft.probe(&key, now) {
+                Some(slot) if by_slot => dleft.replace_at(slot, key, expires),
+                _ => prop_assert_eq!(dleft.insert(key, key, expires), None),
+            }
+        }
+        for _ in 0..6 {
+            now += SimDuration::nanos(50);
+            prop_assert_eq!(dleft.sweep(now), oracle.sweep(now), "at {:?}", now);
+            prop_assert_eq!(dleft.len(), oracle.len());
         }
     }
 }
