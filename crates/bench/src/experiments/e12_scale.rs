@@ -7,7 +7,7 @@
 //! geometry auto-sized to the fabric) — and reports:
 //!
 //! * **bytes per station** — the d-left path tables' heap footprint
-//!   (SoA planes, 20 B per slot, plus one 8-byte aging bound per 64
+//!   (SoA planes, 16 B per slot, plus one 8-byte aging bound per 64
 //!   slots) summed
 //!   over every bridge and divided by the attached host count, held under
 //!   an absolute ceiling ([`MAX_BYTES_PER_STATION`]) — and beside it
@@ -106,12 +106,12 @@ pub struct E12Result {
 }
 
 /// Ceiling on [`E12Result::bytes_per_station`]: the quick geometry's
-/// figure (25,760 B: a 512-slot floor geometry of 20-byte slots and
+/// figure (20,640 B: a 512-slot floor geometry of 16-byte slots and
 /// eight 8-byte aging bounds per bridge) plus 2 %. One station per
 /// rack is the worst case E12 runs — each bridge's fixed cost, its
 /// minimum table geometry, is spread over the fewest stations; the
-/// full sweep reads 12,880 B.
-pub const MAX_BYTES_PER_STATION: f64 = 26_280.0;
+/// full sweep reads 10,320 B.
+pub const MAX_BYTES_PER_STATION: f64 = 21_060.0;
 
 /// Ceiling on [`E12Result::scheduler_reserved_bytes`]. With drained
 /// calendar buckets recycled the ring reserves what was pending at
@@ -284,7 +284,7 @@ pub fn footprint_table(result: &E12Result) -> Table {
         &["what", "total bytes", "bytes/station"],
     );
     t.row(&[
-        "d-left path tables (SoA planes, 20 B per slot + 8 B per 64)".into(),
+        "d-left path tables (SoA planes, 16 B per slot + 8 B per 64)".into(),
         result.table_bytes.to_string(),
         format!("{:.0}", result.bytes_per_station()),
     ]);

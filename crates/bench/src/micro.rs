@@ -19,6 +19,7 @@ use arppath_wire::MacAddr;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
+use std::num::NonZeroU16;
 use std::time::Instant;
 
 /// One same-run ratio guard: `key` must measure at most `max_ratio ×
@@ -97,21 +98,31 @@ fn key_schedule(n: usize) -> Vec<MacAddr> {
     order.into_iter().map(|i| MacAddr::from_index(1, i)).collect()
 }
 
+/// The value every table fixture stores: as wide as the bridge's
+/// packed path entry, so a d-left cell is the 8-byte cell a bridge
+/// probes.
+type Value = NonZeroU16;
+
+/// The value stored for the `i`-th station: `i + 1`.
+fn value(i: u32) -> Value {
+    u16::try_from(i + 1).ok().and_then(NonZeroU16::new).expect("fixture fits 16 bits")
+}
+
 /// A populated d-left table of `n` live entries.
-fn dleft_fixture(n: usize) -> DLeftTable<MacAddr, u32> {
+fn dleft_fixture(n: usize) -> DLeftTable<MacAddr, Value> {
     let mut t = DLeftTable::with_bucket_bits(TABLE_BUCKET_BITS);
     for i in 0..n as u32 {
-        t.insert(MacAddr::from_index(1, i), i, far());
+        t.insert(MacAddr::from_index(1, i), value(i), far());
     }
     assert_eq!(t.evictions(), 0, "fixture geometry must not evict");
     t
 }
 
 /// A populated `AgingMap` oracle of `n` live entries.
-fn btree_fixture(n: usize) -> AgingMap<MacAddr, u32> {
+fn btree_fixture(n: usize) -> AgingMap<MacAddr, Value> {
     let mut t = AgingMap::new();
     for i in 0..n as u32 {
-        t.insert(MacAddr::from_index(1, i), i, far());
+        t.insert(MacAddr::from_index(1, i), value(i), far());
     }
     t
 }
@@ -276,22 +287,22 @@ const REFRESH_ENTRIES: usize = 1_000;
 /// A table of [`REFRESH_ENTRIES`] live MACs and the shuffled order to
 /// visit them in — the unicast data path's working set, where every
 /// frame hits and then refreshes an entry.
-fn refresh_fixture() -> (DLeftTable<MacAddr, u32>, Vec<MacAddr>) {
+fn refresh_fixture() -> (DLeftTable<MacAddr, Value>, Vec<MacAddr>) {
     let mut t = DLeftTable::with_bucket_bits(bucket_bits_for(REFRESH_ENTRIES));
     for i in 0..REFRESH_ENTRIES as u32 {
-        t.insert(MacAddr::from_index(1, i), i, far());
+        t.insert(MacAddr::from_index(1, i), value(i), far());
     }
     (t, key_schedule(REFRESH_ENTRIES))
 }
 
 /// Hit-then-refresh by key, the way the bridge did it before slot
 /// handles: `get` finds the entry, `touch` finds it again.
-fn dleft_get_touch(t: &mut DLeftTable<MacAddr, u32>, keys: &[MacAddr], now: SimTime) -> u64 {
+fn dleft_get_touch(t: &mut DLeftTable<MacAddr, Value>, keys: &[MacAddr], now: SimTime) -> u64 {
     let expires = now + SimDuration::secs(120);
     let mut acc = 0;
     for k in keys {
         if let Some(&v) = t.get(k, now) {
-            acc += u64::from(v);
+            acc += u64::from(v.get());
             t.touch(k, expires, now);
         }
     }
@@ -300,12 +311,12 @@ fn dleft_get_touch(t: &mut DLeftTable<MacAddr, u32>, keys: &[MacAddr], now: SimT
 
 /// The same hit-then-refresh on one probe: find the slot once, read
 /// and extend it through the handle.
-fn dleft_probe_refresh(t: &mut DLeftTable<MacAddr, u32>, keys: &[MacAddr], now: SimTime) -> u64 {
+fn dleft_probe_refresh(t: &mut DLeftTable<MacAddr, Value>, keys: &[MacAddr], now: SimTime) -> u64 {
     let expires = now + SimDuration::secs(120);
     let mut acc = 0;
     for k in keys {
         if let Some(slot) = t.probe(k, now) {
-            acc += u64::from(*t.value_at(slot));
+            acc += u64::from(t.value_at(slot).get());
             t.touch_at(slot, expires);
         }
     }
@@ -320,7 +331,7 @@ const AGING_IDLE_STEP: SimDuration = SimDuration::micros(137);
 /// flooding bridge runs before every insert, which has nothing to
 /// vacate until its entries start expiring at `far()`.
 struct IdleAging {
-    table: DLeftTable<MacAddr, u32>,
+    table: DLeftTable<MacAddr, Value>,
     now: SimTime,
 }
 
@@ -363,13 +374,13 @@ pub fn measure_all() -> Vec<(&'static str, f64)> {
     out.push((
         "dleft_get_hit_10k_ns",
         median_ns_per_op(n, || {
-            hits.iter().filter_map(|k| dleft.get(k, now).copied()).map(u64::from).sum()
+            hits.iter().filter_map(|k| dleft.get(k, now).map(|v| u64::from(v.get()))).sum()
         }),
     ));
     out.push((
         "btree_get_hit_10k_ns",
         median_ns_per_op(n, || {
-            hits.iter().filter_map(|k| btree.get(k, now).copied()).map(u64::from).sum()
+            hits.iter().filter_map(|k| btree.get(k, now).map(|v| u64::from(v.get()))).sum()
         }),
     ));
     let dense_ops = 1024 * DENSE_COHORT as usize;
@@ -497,7 +508,7 @@ mod tests {
         let (mut keyed, keys) = refresh_fixture();
         let (mut probed, _) = refresh_fixture();
         let now = SimTime(5);
-        let sum: u64 = (0..REFRESH_ENTRIES as u64).sum();
+        let sum: u64 = (1..=REFRESH_ENTRIES as u64).sum();
         assert_eq!(dleft_get_touch(&mut keyed, &keys, now), sum);
         assert_eq!(dleft_probe_refresh(&mut probed, &keys, now), sum);
         let refreshed = now + SimDuration::secs(120);

@@ -79,7 +79,8 @@ pub struct ArpPathBridge {
     /// the structure the paper implements in NetFPGA block RAM: a
     /// fixed-geometry d-left hash table with background aging, checked
     /// against the [`AgingMap`] oracle by the `DLeftTable` property
-    /// suite. Entries are stored packed, one word each.
+    /// suite. Entries are stored packed, 16 bits each, in the MAC
+    /// key's cell.
     table: DLeftTable<MacAddr, PackedEntry>,
     /// Per-port instant until which the port counts as *core*
     /// (a neighbouring bridge's hello was heard recently).
@@ -113,8 +114,8 @@ impl ArpPathBridge {
     ///
     /// # Panics
     ///
-    /// With more than 65,536 ports: a path-table entry names its port
-    /// in 16 bits.
+    /// With more than 16,384 ports: a path-table entry names its port
+    /// in 14 bits.
     pub fn new(
         name: impl Into<String>,
         mac: MacAddr,
@@ -1360,7 +1361,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "do not fit a path-table entry")]
     fn more_ports_than_an_entry_can_name_are_refused() {
-        ArpPathBridge::new("wide", bridge_mac(), 65_537, ArpPathConfig::default());
+        ArpPathBridge::new("wide", bridge_mac(), 16_385, ArpPathConfig::default());
+    }
+
+    #[test]
+    fn a_path_table_slot_costs_sixteen_bytes() {
+        // 1,024 stations at 50 % load: 2,048 slots of an 8-byte cell
+        // (MAC and packed entry) and an 8-byte expiry, plus one 8-byte
+        // aging bound per 64 slots. E12's k = 16 fabric spends 320 of
+        // these on 1,024 stations: 10,320 bytes a station.
+        let config = ArpPathConfig::default().autosize_for_stations(1_024);
+        let br = ArpPathBridge::new("sized", bridge_mac(), 16, config);
+        assert_eq!(br.table_slot_capacity(), 2_048);
+        assert_eq!(br.table_heap_bytes(), 33_024);
     }
 
     #[test]

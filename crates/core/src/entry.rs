@@ -2,12 +2,13 @@
 //!
 //! [`PathEntry`] is what the protocol code reads and writes;
 //! `PackedEntry` is what the path table stores — the same entry in
-//! one non-zero 32-bit word, so an occupied-or-empty value cell is
-//! 4 bytes and a table probe drags as little memory as possible
-//! through the cache.
+//! one non-zero 16-bit word, whose niche fills the padding of the
+//! 6-byte MAC beside it: an occupied-or-empty table cell holds key and
+//! entry in 8 bytes, so a table probe drags as little memory as
+//! possible through the cache.
 
 use arppath_netsim::PortNo;
-use std::num::NonZeroU32;
+use std::num::NonZeroU16;
 
 /// The state of a path-table entry (paper §2.1.1–§2.1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,24 +50,25 @@ impl PathEntry {
     }
 }
 
-/// Ports a packed entry can name (the port field is 16 bits wide);
+/// Ports a packed entry can name (the port field is 14 bits wide);
 /// [`ArpPathBridge::new`](crate::ArpPathBridge::new) refuses bridges
 /// with more.
-pub(crate) const MAX_PORTS: usize = 1 << 16;
+pub(crate) const MAX_PORTS: usize = 1 << 14;
 
-/// A [`PathEntry`] in one word: port in bits 0–15, bit 16 set for
-/// `Learnt`, bit 17 always set (so the word is never zero and
+/// A [`PathEntry`] in 16 bits: port in bits 0–13, bit 14 set for
+/// `Learnt`, bit 15 always set (so the word is never zero and
 /// `Option<PackedEntry>` needs no tag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PackedEntry(NonZeroU32);
+pub(crate) struct PackedEntry(NonZeroU16);
 
 impl PackedEntry {
-    const LEARNT: u32 = 1 << 16;
-    const OCCUPIED: u32 = 1 << 17;
+    const PORT: u16 = (1 << 14) - 1;
+    const LEARNT: u16 = 1 << 14;
+    const OCCUPIED: u16 = 1 << 15;
 
     /// The port field alone — all the link-down flush needs.
     pub(crate) fn port(self) -> PortNo {
-        PortNo((self.0.get() & 0xffff) as usize)
+        PortNo(usize::from(self.0.get() & Self::PORT))
     }
 
     pub(crate) fn unpack(self) -> PathEntry {
@@ -78,13 +80,17 @@ impl PackedEntry {
 
 impl From<PathEntry> for PackedEntry {
     fn from(entry: PathEntry) -> Self {
-        let port = u16::try_from(entry.port.0).expect("ArpPathBridge::new bounds the port count");
+        let port = u16::try_from(entry.port.0)
+            .ok()
+            .filter(|&port| port <= Self::PORT)
+            .expect("ArpPathBridge::new bounds the port count");
         let state = match entry.state {
             EntryState::Locked => 0,
             EntryState::Learnt => Self::LEARNT,
         };
-        let word = Self::OCCUPIED | u32::from(port) | state;
-        PackedEntry(NonZeroU32::new(word).expect("the occupied bit is set"))
+        PackedEntry(
+            NonZeroU16::new(Self::OCCUPIED | port | state).expect("the occupied bit is set"),
+        )
     }
 }
 
@@ -93,8 +99,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn packed_entry_fills_one_word_with_no_tag() {
-        assert_eq!(std::mem::size_of::<Option<PackedEntry>>(), 4);
+    fn packed_entry_fills_two_bytes_with_no_tag() {
+        assert_eq!(std::mem::size_of::<Option<PackedEntry>>(), 2);
+        // Beside a MAC, the niche fills the key's padding: 8 bytes a pair.
+        assert_eq!(std::mem::size_of::<Option<(arppath_wire::MacAddr, PackedEntry)>>(), 8);
     }
 
     #[test]
@@ -112,6 +120,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bounds the port count")]
     fn a_port_past_the_field_is_refused_not_truncated() {
+        assert_eq!(MAX_PORTS, 16_384);
         let _ = PackedEntry::from(PathEntry::locked(PortNo(MAX_PORTS)));
     }
 

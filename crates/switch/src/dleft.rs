@@ -9,25 +9,27 @@
 //!
 //! * **d = [`WAYS`] ways**, each a flat array of buckets holding
 //!   [`SLOTS_PER_BUCKET`] slots — no per-entry heap allocation, no
-//!   pointer chasing. The slots are stored **struct-of-arrays**: the
-//!   key plane (which doubles as the occupancy map), expiry plane and
-//!   value plane are separate flat arrays indexed by the same flat slot
-//!   index. A probe walks only the key plane — one cache line per way
-//!   even when `V` is fat — and touches the expiry plane for the
-//!   single matched slot; values are read only on a hit.
-//!   Key cells are padded to 8 bytes and a bucket's cells to a 16-byte
-//!   boundary, so a MAC-keyed bucket is one aligned 16-byte block that
-//!   never straddles a line. With the bridge's one-word value (its
-//!   `PathEntry` packed into a `NonZeroU32`, so the `Option` around it
-//!   is 4 bytes too) a slot costs 20 bytes across all planes, plus
-//!   one 8-byte aging bound per 64 slots;
+//!   pointer chasing. The slots are stored **struct-of-arrays** in two
+//!   planes indexed by the same flat slot index: the cell plane, whose
+//!   cells hold a slot's key and value together (`None` marks a free
+//!   slot, so the plane doubles as the occupancy map), and the expiry
+//!   plane. A probe walks only the cell plane — one cache line per way
+//!   — and touches the expiry plane for the single matched slot; a
+//!   hit's value comes from the line the key compare already loaded.
+//!   Cells are padded to 8 bytes and a bucket's cells to a 16-byte
+//!   boundary. With the bridge's 16-bit value (its `PathEntry` packed
+//!   into a `NonZeroU16`, whose niche fills the MAC's padding, so the
+//!   `Option` around the pair needs no tag) a cell is 8 bytes, a
+//!   bucket one aligned 16-byte block that never straddles a line,
+//!   and a slot costs 16 bytes across both planes, plus one 8-byte
+//!   aging bound per 64 slots;
 //!   [`heap_bytes`](DLeftTable::heap_bytes) reports the resulting
 //!   footprint so bytes-per-station is a measured number, not a guess.
 //!   (PR 14 measured this layout against one 64-byte line per bucket
 //!   holding both slots' key, expiry, value and stamps; the verdict is
 //!   in `BASELINES.md`.)
 //! * **One probe primitive**: [`probe`](DLeftTable::probe) walks the
-//!   key plane once and returns a [`Slot`] handle;
+//!   cell plane once and returns a [`Slot`] handle;
 //!   [`value_at`](DLeftTable::value_at), [`touch_at`](DLeftTable::touch_at)
 //!   and [`replace_at`](DLeftTable::replace_at) then work on the slot,
 //!   and [`insert_absent`](DLeftTable::insert_absent) places a key the
@@ -240,20 +242,21 @@ impl TableStats {
     }
 }
 
-/// One cell of the key plane: `Some` iff the slot is occupied. Padded
-/// to an 8-byte stride so that cells never share a word and — for
-/// keys of up to 7 bytes, MACs included — a bucket is one aligned
-/// 16-byte read (see [`KeyBucket`]).
+/// One cell of the cell plane: the slot's key and value, `Some` iff
+/// the slot is occupied. Padded to an 8-byte stride so that cells never
+/// share a word and — for a MAC key with a value of up to two bytes
+/// that has a niche, the bridge's packed entry included — a bucket is
+/// one aligned 16-byte read (see [`Bucket`]).
 #[derive(Debug, Clone, Copy)]
 #[repr(align(8))]
-struct KeyCell<K>(Option<K>);
+struct Cell<K, V>(Option<(K, V)>);
 
-/// The key cells of one bucket. 16-byte alignment makes a MAC-keyed
-/// bucket exactly one aligned 16-byte block, so probing a way never
-/// straddles a cache line.
+/// The cells of one bucket. 16-byte alignment makes a bridge bucket
+/// exactly one aligned 16-byte block, so probing a way never straddles
+/// a cache line.
 #[derive(Debug, Clone, Copy)]
 #[repr(align(16))]
-struct KeyBucket<K>([KeyCell<K>; SLOTS_PER_BUCKET]);
+struct Bucket<K, V>([Cell<K, V>; SLOTS_PER_BUCKET]);
 
 /// Handle to an occupied slot, returned by [`DLeftTable::probe`]. It
 /// names a physical slot, not a key: it stays valid until the next
@@ -269,15 +272,12 @@ pub struct Slot(u32);
 pub struct DLeftTable<K: DLeftKey, V> {
     /// log2 of buckets per way.
     bucket_bits: u32,
-    /// SoA key plane, way-major then bucket; a cell is `Some` iff the
-    /// slot is occupied (the plane doubles as the occupancy map, so a
-    /// probe never leaves it until a key matches).
-    keys: Vec<KeyBucket<K>>,
+    /// SoA cell plane, way-major then bucket: each slot's key and
+    /// value, `Some` iff the slot is occupied (the plane doubles as the
+    /// occupancy map, so a probe never leaves it until a key matches).
+    cells: Vec<Bucket<K, V>>,
     /// SoA expiry plane; meaningful only while the slot is occupied.
     expires: Vec<SimTime>,
-    /// SoA value plane; `Some` exactly where the key plane is. Off the
-    /// probe path — read only after a key-plane hit.
-    values: Vec<Option<V>>,
     /// The aging scrubber's per-block bounds: no occupied slot in block
     /// `b` (flat slots `b × BLOCK_SLOTS ..`) expires before `bounds[b]`.
     bounds: Vec<SimTime>,
@@ -316,9 +316,8 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         let total = buckets * SLOTS_PER_BUCKET;
         DLeftTable {
             bucket_bits,
-            keys: vec![KeyBucket([KeyCell(None); SLOTS_PER_BUCKET]); buckets],
+            cells: (0..buckets).map(|_| Bucket(std::array::from_fn(|_| Cell(None)))).collect(),
             expires: vec![SimTime::ZERO; total],
-            values: (0..total).map(|_| None).collect(),
             bounds: vec![NEVER; total.div_ceil(BLOCK_SLOTS)],
             next_due: NEVER,
             len: 0,
@@ -330,18 +329,17 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
 
     /// Total physical slot count of the fixed geometry.
     pub fn capacity(&self) -> usize {
-        self.values.len()
+        self.expires.len()
     }
 
-    /// Heap footprint of the table in bytes: every SoA plane and the
+    /// Heap footprint of the table in bytes: both SoA planes and the
     /// aging bounds. All of it is allocated at construction and none
     /// after, so it follows the geometry alone, and dividing by the
     /// station count gives the bytes-per-station figure experiment E12
     /// reports.
     pub fn heap_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<KeyBucket<K>>()
+        self.cells.capacity() * std::mem::size_of::<Bucket<K, V>>()
             + self.expires.capacity() * std::mem::size_of::<SimTime>()
-            + self.values.capacity() * std::mem::size_of::<Option<V>>()
             + self.bounds.capacity() * std::mem::size_of::<SimTime>()
     }
 
@@ -371,19 +369,25 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         self.len == 0
     }
 
-    /// The key cell of flat slot `idx`.
+    /// The cell of flat slot `idx`.
     #[inline]
-    fn key(&self, idx: usize) -> &Option<K> {
-        &self.keys[idx / SLOTS_PER_BUCKET].0[idx % SLOTS_PER_BUCKET].0
+    fn cell(&self, idx: usize) -> &Option<(K, V)> {
+        &self.cells[idx / SLOTS_PER_BUCKET].0[idx % SLOTS_PER_BUCKET].0
     }
 
-    /// The key cell of flat slot `idx`, mutably.
+    /// The cell of flat slot `idx`, mutably.
     #[inline]
-    fn key_mut(&mut self, idx: usize) -> &mut Option<K> {
-        &mut self.keys[idx / SLOTS_PER_BUCKET].0[idx % SLOTS_PER_BUCKET].0
+    fn cell_mut(&mut self, idx: usize) -> &mut Option<(K, V)> {
+        &mut self.cells[idx / SLOTS_PER_BUCKET].0[idx % SLOTS_PER_BUCKET].0
     }
 
-    /// Index into the key plane of `key`'s candidate bucket in `way`:
+    /// The entry in the occupied slot `idx`.
+    #[inline]
+    fn entry(&self, idx: usize) -> &(K, V) {
+        self.cell(idx).as_ref().expect("slot handle outlived its entry")
+    }
+
+    /// Index into the cell plane of `key`'s candidate bucket in `way`:
     /// multiply-shift — the top `bucket_bits` bits of a per-way odd
     /// multiple of the mixed fingerprint — under the way's base.
     /// Times [`SLOTS_PER_BUCKET`] it is the bucket's first flat slot.
@@ -394,18 +398,17 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         way << self.bucket_bits | ((h >> 1) >> (63 - self.bucket_bits)) as usize
     }
 
-    /// Flat index of the slot holding `key`, if any. Walks the key
+    /// Flat index of the slot holding `key`, if any. Walks the cell
     /// plane only — the whole point of the SoA layout. The one probe
     /// loop: every keyed operation goes through it.
     #[inline]
     fn find(&self, key: &K) -> Option<usize> {
         let fp = mix64(key.fingerprint());
-        let wanted = Some(*key);
         for way in 0..WAYS {
             let bucket = self.way_bucket(fp, way);
-            let cells = &self.keys[bucket].0;
+            let cells = &self.cells[bucket].0;
             for (i, cell) in cells.iter().enumerate() {
-                if cell.0 == wanted {
+                if matches!(&cell.0, Some((k, _)) if k == key) {
                     return Some(bucket * SLOTS_PER_BUCKET + i);
                 }
             }
@@ -420,13 +423,12 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         Aged { value: (), expires: self.expires[idx] }.is_live(now)
     }
 
-    /// Empty the slot. Its block's bound stays a valid lower bound, so
-    /// it is left as it is.
-    fn vacate(&mut self, idx: usize) {
-        debug_assert!(self.key(idx).is_some());
-        *self.key_mut(idx) = None;
-        self.values[idx] = None;
+    /// Empty the slot and hand back its entry. Its block's bound stays
+    /// a valid lower bound, so it is left as it is.
+    fn vacate(&mut self, idx: usize) -> (K, V) {
+        let entry = self.cell_mut(idx).take().expect("vacated an empty slot");
         self.len -= 1;
+        entry
     }
 
     /// Lower the bound of `idx`'s block to `expires`, a new expiry of
@@ -453,10 +455,17 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// has passed; returns how many were vacated. Scans only the blocks
     /// whose bound has passed and leaves each scanned bound at the
     /// exact earliest expiry left in its block.
+    #[inline]
     fn scrub(&mut self, now: SimTime) -> usize {
         if now < self.next_due {
             return 0;
         }
+        self.scrub_due_blocks(now)
+    }
+
+    /// The scan behind [`scrub`](DLeftTable::scrub), once `now` has
+    /// reached `next_due`.
+    fn scrub_due_blocks(&mut self, now: SimTime) -> usize {
         let mut removed = 0;
         let mut next_due = NEVER;
         for block in 0..self.bounds.len() {
@@ -464,7 +473,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
                 let mut bound = NEVER;
                 let first = block * BLOCK_SLOTS;
                 for idx in first..(first + BLOCK_SLOTS).min(self.capacity()) {
-                    if self.key(idx).is_none() {
+                    if self.cell(idx).is_none() {
                         continue;
                     }
                     if self.slot_live(idx, now) {
@@ -501,7 +510,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// The lookup every keyed accessor is built on: the slot holding
     /// `key` if it is live at `now`. An expired entry is vacated on the
     /// way (the lookup path double-checks timestamps, as the hardware
-    /// does) and reported absent. One walk of the key plane; the
+    /// does) and reported absent. One walk of the cell plane; the
     /// `*_at` accessors then read or write the slot without another.
     #[inline]
     pub fn probe(&mut self, key: &K, now: SimTime) -> Option<Slot> {
@@ -517,7 +526,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// The value in a probed slot.
     #[inline]
     pub fn value_at(&self, slot: Slot) -> &V {
-        self.values[slot.0 as usize].as_ref().expect("slot handle outlived its entry")
+        &self.entry(slot.0 as usize).1
     }
 
     /// Extend a probed slot's expiry to `expires`; never shortens. The
@@ -526,7 +535,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     #[inline]
     pub fn touch_at(&mut self, slot: Slot, expires: SimTime) {
         let idx = slot.0 as usize;
-        debug_assert!(self.key(idx).is_some(), "slot handle outlived its entry");
+        debug_assert!(self.cell(idx).is_some(), "slot handle outlived its entry");
         self.expires[idx] = self.expires[idx].max(expires);
     }
 
@@ -538,7 +547,6 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     pub fn replace_at(&mut self, slot: Slot, value: V, expires: SimTime) {
         self.scrub_to_watermark();
         let idx = slot.0 as usize;
-        assert!(self.key(idx).is_some(), "slot handle outlived its entry");
         self.rewrite_slot(idx, value, expires);
     }
 
@@ -553,19 +561,13 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         self.place(key, value, expires, watermark)
     }
 
-    /// Store `value` in the occupied slot `idx`, leaving its block's
-    /// bound alone.
-    fn write_slot(&mut self, idx: usize, value: V, expires: SimTime) {
-        self.values[idx] = Some(value);
-        self.expires[idx] = expires;
-    }
-
     /// Overwrite the entry a live slot already holds. Its block's bound
     /// is at or below the old expiry, so only a shorter expiry lowers
     /// it; a later one is picked up when the block is next scanned.
     fn rewrite_slot(&mut self, idx: usize, value: V, expires: SimTime) {
+        self.cell_mut(idx).as_mut().expect("slot handle outlived its entry").1 = value;
+        self.expires[idx] = expires;
         self.lower_bound(idx, expires);
-        self.write_slot(idx, value, expires);
     }
 
     /// Give an absent `key` a slot and store its entry. `watermark` is
@@ -578,7 +580,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         let mut best: Option<(usize, usize)> = None; // (load, free idx)
         for way in 0..WAYS {
             let bucket = self.way_bucket(fp, way);
-            let cells = &self.keys[bucket].0;
+            let cells = &self.cells[bucket].0;
             let load = cells.iter().filter(|cell| cell.0.is_some()).count();
             if let Some(free) = cells.iter().position(|cell| cell.0.is_none()) {
                 if best.is_none_or(|(l, _)| load < l) {
@@ -586,11 +588,11 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
                 }
             }
         }
-        let (idx, evicted) = match best {
+        let idx = match best {
             Some((_, idx)) => {
                 self.len += 1;
                 self.stats.occupancy_high_water = self.stats.occupancy_high_water.max(self.len);
-                (idx, None)
+                idx
             }
             None => {
                 // Physical overflow: every candidate slot is occupied.
@@ -601,7 +603,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
                 for way in 0..WAYS {
                     let base = self.way_bucket(fp, way) * SLOTS_PER_BUCKET;
                     for idx in base..base + SLOTS_PER_BUCKET {
-                        debug_assert!(self.key(idx).is_some(), "overflow bucket has hole");
+                        debug_assert!(self.cell(idx).is_some(), "overflow bucket has hole");
                         if self.expires[idx] < victim_expires {
                             victim_expires = self.expires[idx];
                             victim = idx;
@@ -609,15 +611,14 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
                     }
                 }
                 self.evictions += 1;
-                let old_key = self.key_mut(victim).take().expect("victim vanished");
-                let old_value = self.values[victim].take().expect("victim value vanished");
                 self.stats.victim_life_histogram
                     [TableStats::life_bucket(victim_expires, watermark)] += 1;
-                (victim, Some((old_key, old_value)))
+                victim
             }
         };
-        *self.key_mut(idx) = Some(key);
-        self.write_slot(idx, value, expires);
+        // A free slot holds `None`; a victim's cell hands back its pair.
+        let evicted = self.cell_mut(idx).replace((key, value));
+        self.expires[idx] = expires;
         self.lower_bound(idx, expires);
         evicted
     }
@@ -648,7 +649,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// Mutable live value for `key` at `now`.
     pub fn get_mut(&mut self, key: &K, now: SimTime) -> Option<&mut V> {
         let slot = self.probe(key, now)?;
-        self.values[slot.0 as usize].as_mut()
+        self.cell_mut(slot.0 as usize).as_mut().map(|(_, value)| value)
     }
 
     /// Peek without removing expired entries (read-only inspection).
@@ -664,7 +665,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
         if !self.slot_live(idx, now) {
             return None;
         }
-        self.values[idx].as_ref().map(|v| Aged { value: v, expires: self.expires[idx] })
+        Some(Aged { value: &self.entry(idx).1, expires: self.expires[idx] })
     }
 
     /// Extend the expiry of `key` to `expires` if present and live;
@@ -683,9 +684,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// not).
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let idx = self.find(key)?;
-        let value = self.values[idx].take().expect("find returned empty slot");
-        self.vacate(idx);
-        Some(value)
+        Some(self.vacate(idx).1)
     }
 
     /// Drop every entry for which `pred` fails (live ones included) —
@@ -694,11 +693,8 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// oracle; observable only through `pred`'s side effects).
     pub fn retain<F: FnMut(&K, &V) -> bool>(&mut self, mut pred: F) {
         for idx in 0..self.capacity() {
-            if let Some(key) = *self.key(idx) {
-                let value = self.values[idx].as_ref().expect("occupied slot lost its value");
-                if !pred(&key, value) {
-                    self.vacate(idx);
-                }
+            if self.cell(idx).as_ref().is_some_and(|(key, value)| !pred(key, value)) {
+                self.vacate(idx);
             }
         }
     }
@@ -725,7 +721,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     pub fn iter_live(&self, now: SimTime) -> impl Iterator<Item = (&K, &V)> {
         let mut live: Vec<(&K, &V)> = (0..self.capacity())
             .filter(|&idx| self.slot_live(idx, now))
-            .filter_map(|idx| Some((self.key(idx).as_ref()?, self.values[idx].as_ref()?)))
+            .filter_map(|idx| self.cell(idx).as_ref().map(|(key, value)| (key, value)))
             .collect();
         live.sort_unstable_by(|a, b| a.0.cmp(b.0));
         live.into_iter()
@@ -967,15 +963,16 @@ mod tests {
         let m: DLeftTable<MacAddr, u32> = DLeftTable::with_bucket_bits(bucket_bits_for(16_384));
         let empty: DLeftTable<MacAddr, u32> = DLeftTable::new();
         assert!(m.heap_bytes() > empty.heap_bytes(), "footprint follows geometry");
-        // 16,384 stations at 50 % load: 32,768 slots of 8 (key cell) +
-        // 8 (expiry) + 8 (Option<u32>) bytes, plus one 8-byte aging
+        // 16,384 stations at 50 % load: 32,768 slots of 16 (a tagged
+        // key-and-u32 cell) + 8 (expiry) bytes, plus one 8-byte aging
         // bound per 64 slots.
         assert_eq!(m.capacity(), 32_768);
         assert_eq!(m.heap_bytes(), 24 * 32_768 + 8 * 512);
-        // The bridge's one-word value makes it 20 bytes a slot.
-        let bridge: DLeftTable<MacAddr, std::num::NonZeroU32> =
+        // The bridge's 16-bit value fits the MAC cell's padding: 16
+        // bytes a slot.
+        let bridge: DLeftTable<MacAddr, std::num::NonZeroU16> =
             DLeftTable::with_bucket_bits(bucket_bits_for(16_384));
-        assert_eq!(bridge.heap_bytes(), 20 * 32_768 + 8 * 512);
+        assert_eq!(bridge.heap_bytes(), 16 * 32_768 + 8 * 512);
         let mut filled = DLeftTable::with_bucket_bits(bucket_bits_for(16_384));
         for i in 0..1024u32 {
             filled.insert(MacAddr::from_index(1, i), i, t(1_000_000));
@@ -987,13 +984,16 @@ mod tests {
     #[test]
     fn mac_key_bucket_is_one_aligned_sixteen_byte_block() {
         use std::mem::{align_of, size_of};
-        assert_eq!((size_of::<KeyCell<MacAddr>>(), align_of::<KeyCell<MacAddr>>()), (8, 8));
-        assert_eq!((size_of::<KeyBucket<MacAddr>>(), align_of::<KeyBucket<MacAddr>>()), (16, 16));
-        // Wider keys keep the cell alignment; only the stride grows.
-        assert_eq!(align_of::<KeyCell<(MacAddr, u32)>>(), 8);
-        let m: DLeftTable<MacAddr, u32> = DLeftTable::new();
+        use std::num::NonZeroU16;
+        type BridgeCell = Cell<MacAddr, NonZeroU16>;
+        type BridgeBucket = Bucket<MacAddr, NonZeroU16>;
+        assert_eq!((size_of::<BridgeCell>(), align_of::<BridgeCell>()), (8, 8));
+        assert_eq!((size_of::<BridgeBucket>(), align_of::<BridgeBucket>()), (16, 16));
+        // Wider entries keep the cell alignment; only the stride grows.
+        assert_eq!(align_of::<Cell<(MacAddr, u32), u32>>(), 8);
+        let m: DLeftTable<MacAddr, NonZeroU16> = DLeftTable::new();
         assert_eq!(
-            m.keys.as_ptr() as usize % 16,
+            m.cells.as_ptr() as usize % 16,
             0,
             "the plane itself starts on a bucket boundary"
         );

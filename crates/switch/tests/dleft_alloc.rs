@@ -101,8 +101,8 @@ fn soa_vacate_and_accounting_paths_are_allocation_free() {
     // PR 10's SoA repack must not sneak allocations into paths the AoS
     // layout ran flat: `peek_aged` now builds its `Aged<&V>` on the
     // stack (there is no contiguous Aged to borrow), lazy-expiry
-    // vacates on `get` clear two plane cells, `remove` takes from the
-    // value plane, and the `heap_bytes()` accounting walk only reads
+    // vacates on `get` clear one cell, `remove` takes the pair out
+    // of it, and the `heap_bytes()` accounting walk only reads
     // capacities.
     const N: u32 = 2_000;
     let mut table: DLeftTable<MacAddr, u32> = DLeftTable::with_bucket_bits(10);
