@@ -87,8 +87,8 @@ fn micro_cmd(args: Vec<String>) -> ! {
     if !args.is_empty() {
         usage_error(&format!("micro takes no arguments, got {args:?}"));
     }
-    let values = micro::measure_all();
-    for (key, value) in &values {
+    let readings = micro::measure_all();
+    for (key, value) in &readings.medians {
         println!("{key} {value:.3}");
     }
     for guard in &micro::GUARDS {
@@ -97,9 +97,9 @@ fn micro_cmd(args: Vec<String>) -> ! {
             guard.key,
             guard.max_ratio,
             guard.baseline,
-            guard.ratio(&values)
+            guard.ratio(&readings)
         );
-        verdict(&label, guard.holds(&values));
+        verdict(&label, guard.holds(&readings));
     }
     exit_with_verdicts()
 }
@@ -494,7 +494,9 @@ fn main() {
         let params = if quick { e12_scale::E12Params::quick() } else { Default::default() };
         eprintln!(
             "[repro] running E12 (k=16 scale), k={}, {} hosts/edge, sweep {:?}...",
-            params.k, params.hosts_per_edge, params.shard_counts
+            params.k,
+            params.hosts_per_edge,
+            e12_scale::SHARD_COUNTS
         );
         let started = Instant::now();
         let mut capture = trace_out.take();
@@ -513,15 +515,10 @@ fn main() {
             &format!("path tables ≤ {} B/station", e12_scale::MAX_BYTES_PER_STATION),
             e12_scale::verify_footprint(&result),
         );
-        if let Some(holds) = e12_scale::verify_scheduler(&result) {
-            verdict(
-                &format!(
-                    "scheduler reserved ≤ {} MB",
-                    e12_scale::MAX_SCHEDULER_RESERVED_BYTES >> 20
-                ),
-                holds,
-            );
-        }
+        verdict(
+            &format!("scheduler reserved ≤ {} MB", e12_scale::MAX_SCHEDULER_RESERVED_BYTES >> 20),
+            e12_scale::verify_scheduler(&result),
+        );
         verdict(
             "merged delivery trace byte-identical at every shard count",
             e12_scale::verify_trace_identity(&result),

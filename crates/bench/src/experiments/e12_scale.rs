@@ -32,7 +32,7 @@ use arppath_metrics::Table;
 use arppath_netsim::{Engine, SimTime};
 use arppath_topo::{BridgeIx, FatTree, TopoBuilder, Topology};
 
-/// Parameters of one E12 sweep (one fabric, several shard counts).
+/// Parameters of one E12 sweep (one fabric at every [`SHARD_COUNTS`]).
 #[derive(Debug, Clone)]
 pub struct E12Params {
     /// Fat-tree arity (even). The headline configuration is 16.
@@ -46,20 +46,15 @@ pub struct E12Params {
     pub payload_len: usize,
     /// Workload + jitter seed.
     pub seed: u64,
-    /// Shard counts to sweep (each clamped to the pod count `k`).
-    pub shard_counts: Vec<usize>,
 }
+
+/// Shard counts every sweep runs (each clamped to the pod count `k`);
+/// the first, the single engine, supplies the scheduler reading.
+pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 impl Default for E12Params {
     fn default() -> Self {
-        E12Params {
-            k: 16,
-            hosts_per_edge: 16,
-            datagrams: 5,
-            payload_len: 700,
-            seed: 0xE12,
-            shard_counts: vec![1, 2, 4],
-        }
+        E12Params { k: 16, hosts_per_edge: 16, datagrams: 5, payload_len: 700, seed: 0xE12 }
     }
 }
 
@@ -97,9 +92,8 @@ pub struct E12Result {
     /// Σ path-table heap bytes over every bridge.
     pub table_bytes: usize,
     /// `Network::scheduler_reserved_bytes` at the end of the
-    /// single-engine run (the 1-shard sweep point), if the sweep had
-    /// one.
-    pub scheduler_reserved_bytes: Option<usize>,
+    /// single-engine run (the 1-shard sweep point).
+    pub scheduler_reserved_bytes: usize,
     /// Whether the first sweep point's merged delivery trace is
     /// nonempty and every later point's equals it byte for byte.
     pub traces_identical: bool,
@@ -158,7 +152,7 @@ pub fn run(params: &E12Params, mut on_trace: impl FnMut(usize, &[String])) -> E1
     let mut hosts = 0;
     let mut reference: Option<Vec<String>> = None;
     let mut traces_identical = false;
-    for &requested in &params.shard_counts {
+    for requested in SHARD_COUNTS {
         let point = run_point(params, requested);
         hosts = point.hosts;
         footprint.get_or_insert(point.tables);
@@ -173,14 +167,15 @@ pub fn run(params: &E12Params, mut on_trace: impl FnMut(usize, &[String])) -> E1
             }
         }
     }
-    let (bridges, table_bytes) = footprint.expect("shard_counts must be nonempty");
+    let (bridges, table_bytes) = footprint.expect("SHARD_COUNTS is nonempty");
     E12Result {
         k: params.k,
         hosts,
         bridges,
         rows,
         table_bytes,
-        scheduler_reserved_bytes,
+        scheduler_reserved_bytes: scheduler_reserved_bytes
+            .expect("SHARD_COUNTS runs the single engine"),
         traces_identical,
     }
 }
@@ -255,10 +250,9 @@ pub fn verify_footprint(result: &E12Result) -> bool {
 }
 
 /// The transient-memory half: the single-engine scheduler's reserved
-/// event storage stays under [`MAX_SCHEDULER_RESERVED_BYTES`]. `None`
-/// when the sweep had no 1-shard point to read it from.
-pub fn verify_scheduler(result: &E12Result) -> Option<bool> {
-    result.scheduler_reserved_bytes.map(|bytes| bytes <= MAX_SCHEDULER_RESERVED_BYTES)
+/// event storage stays under [`MAX_SCHEDULER_RESERVED_BYTES`].
+pub fn verify_scheduler(result: &E12Result) -> bool {
+    result.scheduler_reserved_bytes <= MAX_SCHEDULER_RESERVED_BYTES
 }
 
 /// Render the delivery table, one row per shard count.
@@ -288,12 +282,11 @@ pub fn footprint_table(result: &E12Result) -> Table {
         result.table_bytes.to_string(),
         format!("{:.0}", result.bytes_per_station()),
     ]);
-    if let Some(bytes) = result.scheduler_reserved_bytes {
-        t.row(&[
-            "scheduler events, reserved (1 shard)".into(),
-            bytes.to_string(),
-            format!("{:.0}", bytes as f64 / result.hosts.max(1) as f64),
-        ]);
-    }
+    let bytes = result.scheduler_reserved_bytes;
+    t.row(&[
+        "scheduler events, reserved (1 shard)".into(),
+        bytes.to_string(),
+        format!("{:.0}", bytes as f64 / result.hosts.max(1) as f64),
+    ]);
     t
 }

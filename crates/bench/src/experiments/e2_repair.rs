@@ -10,7 +10,7 @@
 //! expiry.
 
 use arppath::ArpPathConfig;
-use arppath_host::{StreamClient, StreamClientConfig, StreamConfig, StreamServer};
+use arppath_host::{StreamClient, StreamConfig, StreamServer};
 use arppath_metrics::Table;
 use arppath_netsim::{SimDuration, SimTime};
 use arppath_stp::StpConfig;
@@ -151,12 +151,7 @@ pub fn run_variant(variant: E2Variant, params: &E2Params) -> E2Row {
             total_chunks,
         },
     );
-    let client = StreamClient::new(
-        "B",
-        host_mac(2),
-        host_ip(2),
-        StreamClientConfig { server: host_ip(1), report_interval: SimDuration::millis(500) },
-    );
+    let client = StreamClient::new("B", host_mac(2), host_ip(2), host_ip(1));
     let a_ix = t.host(fig.host_a_bridge(), Box::new(server));
     let b_ix = t.host(fig.host_b_bridge(), Box::new(client));
     let mut built = t.build();

@@ -11,7 +11,11 @@
 //! Methodology: time a full pass over the working set, repeat for
 //! `SAMPLES` samples, report the median per-operation nanoseconds.
 //! Accesses walk a pre-shuffled key schedule so neither table gets
-//! sequential-locality charity.
+//! sequential-locality charity. The two refresh paths, whose guard
+//! reads a ratio close to its bound, are timed in alternating samples
+//! on one warm table and held on the median of the per-sample ratios
+//! ([`Readings::paired`]), so a slow moment on a noisy box slows both
+//! sides of a sample instead of one side's median.
 
 use arppath_netsim::{CalendarQueue, SimDuration, SimTime};
 use arppath_switch::{bucket_bits_for, AgingMap, DLeftTable};
@@ -41,7 +45,7 @@ pub const GUARDS: [Guard; 4] = [
     // verdict").
     Guard { key: "calq_dense_ns", max_ratio: 1.0, baseline: "heap_dense_ns" },
     // Hit-then-refresh through one probe stays >= 1.3x faster than
-    // through two key walks (1 / 1.3 = 0.77).
+    // through two key walks (1 / 1.3 = 0.77). Timed as a pair.
     Guard { key: "dleft_probe_refresh_ns", max_ratio: 0.77, baseline: "dleft_get_touch_ns" },
     // A sweep with nothing due is one compare against the table's
     // earliest block bound: it costs at most half a hit lookup, which
@@ -52,11 +56,28 @@ pub const GUARDS: [Guard; 4] = [
     Guard { key: "dleft_get_hit_10k_ns", max_ratio: 0.5, baseline: "btree_get_hit_10k_ns" },
 ];
 
+/// What one [`measure_all`] run read.
+#[derive(Debug)]
+pub struct Readings {
+    /// `(key, median ns/op)` for every timed row.
+    pub medians: Vec<(&'static str, f64)>,
+    /// `(key, baseline, ratio)` for rows timed in alternating samples:
+    /// the median of the per-sample `key / baseline` ratios.
+    pub paired: Vec<(&'static str, &'static str, f64)>,
+}
+
 impl Guard {
-    /// `key / baseline` in `values` (as returned by [`measure_all`]).
-    pub fn ratio(&self, values: &[(&str, f64)]) -> f64 {
+    /// `key / baseline` in `readings`: the paired ratio when the two
+    /// were timed as a pair, else the ratio of their medians.
+    pub fn ratio(&self, readings: &Readings) -> f64 {
+        if let Some(&(.., ratio)) =
+            readings.paired.iter().find(|&&(k, b, _)| k == self.key && b == self.baseline)
+        {
+            return ratio;
+        }
         let get = |key: &str| {
-            values
+            readings
+                .medians
                 .iter()
                 .find(|(k, _)| *k == key)
                 .map(|&(_, v)| v)
@@ -65,9 +86,9 @@ impl Guard {
         get(self.key) / get(self.baseline)
     }
 
-    /// Whether `values` stays within this guard's bound.
-    pub fn holds(&self, values: &[(&str, f64)]) -> bool {
-        self.ratio(values) <= self.max_ratio
+    /// Whether `readings` stays within this guard's bound.
+    pub fn holds(&self, readings: &Readings) -> bool {
+        self.ratio(readings) <= self.max_ratio
     }
 }
 
@@ -127,20 +148,57 @@ fn btree_fixture(n: usize) -> AgingMap<MacAddr, Value> {
     t
 }
 
+/// Per-op nanoseconds of one call of `pass`, which performs `ops`
+/// operations.
+fn ns_per_op(ops: usize, pass: impl FnOnce() -> u64) -> f64 {
+    let started = Instant::now();
+    black_box(pass());
+    started.elapsed().as_nanos() as f64 / ops as f64
+}
+
+/// The median of `values`.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+    values[values.len() / 2]
+}
+
 /// Median per-op nanoseconds of `pass` (which performs `ops`
 /// operations per call) over [`SAMPLES`] timed samples.
 fn median_ns_per_op<F: FnMut() -> u64>(ops: usize, mut pass: F) -> f64 {
     // One warm-up pass outside the samples.
     black_box(pass());
-    let mut samples: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let started = Instant::now();
-            black_box(pass());
-            started.elapsed().as_nanos() as f64 / ops as f64
+    median((0..SAMPLES).map(|_| ns_per_op(ops, &mut pass)).collect())
+}
+
+/// `a` and `b` (each performing `ops` operations per call on `state`)
+/// timed in [`SAMPLES`] alternating samples, the order within a sample
+/// swapped every sample: `(median a, median b, median of the
+/// per-sample a / b)`.
+fn paired_ns_per_op<S>(
+    ops: usize,
+    state: &mut S,
+    mut a: impl FnMut(&mut S) -> u64,
+    mut b: impl FnMut(&mut S) -> u64,
+) -> (f64, f64, f64) {
+    // One warm-up pass of each outside the samples.
+    black_box(a(state));
+    black_box(b(state));
+    let samples: Vec<(f64, f64)> = (0..SAMPLES)
+        .map(|i| {
+            if i % 2 == 0 {
+                let ta = ns_per_op(ops, || a(state));
+                (ta, ns_per_op(ops, || b(state)))
+            } else {
+                let tb = ns_per_op(ops, || b(state));
+                (ns_per_op(ops, || a(state)), tb)
+            }
         })
         .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
+    (
+        median(samples.iter().map(|s| s.0).collect()),
+        median(samples.iter().map(|s| s.1).collect()),
+        median(samples.iter().map(|s| s.0 / s.1).collect()),
+    )
 }
 
 /// Events per instant in the dense schedule: what `k16_perm` drains
@@ -362,14 +420,15 @@ impl IdleAging {
 /// Idle sweeps per timed sample.
 const IDLE_SWEEPS: u64 = 100_000;
 
-/// Every key [`GUARDS`] reads, as `(key, median ns/op)` pairs.
-pub fn measure_all() -> Vec<(&'static str, f64)> {
+/// Every key [`GUARDS`] reads.
+pub fn measure_all() -> Readings {
     let n = TABLE_ENTRIES;
     let hits = key_schedule(n);
     let mut dleft = dleft_fixture(n);
     let mut btree = btree_fixture(n);
     let now = SimTime(1);
     let mut out = Vec::new();
+    let mut paired = Vec::new();
 
     out.push((
         "dleft_get_hit_10k_ns",
@@ -387,16 +446,18 @@ pub fn measure_all() -> Vec<(&'static str, f64)> {
     let (mut calq, mut heap) = (calq_dense(), heap_dense());
     out.push(("calq_dense_ns", median_ns_per_op(dense_ops, || calq.run(1024))));
     out.push(("heap_dense_ns", median_ns_per_op(dense_ops, || heap.run(1024))));
-    // One probe per frame against two: the unicast hit-then-refresh.
+    // One probe per frame against two: the unicast hit-then-refresh,
+    // timed as a pair on one warm table.
     let (mut table, keys) = refresh_fixture();
-    out.push((
-        "dleft_get_touch_ns",
-        median_ns_per_op(keys.len(), || dleft_get_touch(&mut table, &keys, now)),
-    ));
-    out.push((
-        "dleft_probe_refresh_ns",
-        median_ns_per_op(keys.len(), || dleft_probe_refresh(&mut table, &keys, now)),
-    ));
+    let (probe_refresh, get_touch, ratio) = paired_ns_per_op(
+        keys.len(),
+        &mut table,
+        |t| dleft_probe_refresh(t, &keys, now),
+        |t| dleft_get_touch(t, &keys, now),
+    );
+    out.push(("dleft_get_touch_ns", get_touch));
+    out.push(("dleft_probe_refresh_ns", probe_refresh));
+    paired.push(("dleft_probe_refresh_ns", "dleft_get_touch_ns", ratio));
     // O(1) idle aging: a sweep with nothing due against a hit lookup
     // on the same geometry. Every sample must stay idle.
     let mut idle = IdleAging::new();
@@ -406,7 +467,7 @@ pub fn measure_all() -> Vec<(&'static str, f64)> {
         median_ns_per_op(IDLE_SWEEPS as usize, || idle.run(IDLE_SWEEPS)),
     ));
     assert_eq!(idle.table.len(), TABLE_ENTRIES, "an idle sweep vacated an entry");
-    out
+    Readings { medians: out, paired }
 }
 
 #[cfg(test)]
@@ -443,16 +504,31 @@ mod tests {
                 slot.1 = slot.1.max(floor);
             }
         }
-        assert!(GUARDS.iter().all(|g| g.holds(&clean)));
+        let readings = |medians: Vec<(&'static str, f64)>| Readings { medians, paired: Vec::new() };
+        assert!(GUARDS.iter().all(|g| g.holds(&readings(clean.clone()))));
         for breached in &GUARDS {
             let mut values = clean.clone();
             let bound = value(&values, breached.baseline) * breached.max_ratio;
             let slot = values.iter_mut().find(|(k, _)| *k == breached.key).unwrap();
             slot.1 = bound * 1.01;
+            let values = readings(values);
             let failing: Vec<&str> =
                 GUARDS.iter().filter(|g| !g.holds(&values)).map(|g| g.key).collect();
             assert_eq!(failing, [breached.key]);
         }
+    }
+
+    #[test]
+    fn a_paired_ratio_decides_its_guard_over_the_medians() {
+        let guard = &GUARDS[1];
+        let medians = vec![(guard.key, 1.0), (guard.baseline, 1.0)];
+        let paired = |ratio| Readings {
+            medians: medians.clone(),
+            paired: vec![(guard.key, guard.baseline, ratio)],
+        };
+        assert!(!guard.holds(&Readings { medians: medians.clone(), paired: Vec::new() }));
+        assert!(guard.holds(&paired(guard.max_ratio)));
+        assert!(!guard.holds(&paired(guard.max_ratio * 1.01)));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! partitions never cut a host link, so every lifecycle event stays
 //! shard-local.
 
-use crate::stack::{HostStack, Upcall};
+use crate::stack::{HostStack, Upcall, WORKLOAD_ARP_TIMEOUT};
 use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken, Verdict};
 use arppath_wire::{EthernetFrame, MacAddr};
 use rand::rngs::StdRng;
@@ -35,6 +35,8 @@ use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
 
 const TOKEN_PROBE: TimerToken = TimerToken(0x4348_0001);
+/// Echo payload bytes of every probe.
+const PROBE_LEN: usize = 32;
 
 /// Parameters of a seeded churn script. Rates are per-mille
 /// probabilities applied independently per station per
@@ -221,10 +223,6 @@ pub struct ChurnConfig {
     /// Echo identifier (use the station index: replies are matched on
     /// it).
     pub ident: u16,
-    /// Echo payload bytes.
-    pub payload_len: usize,
-    /// Host ARP cache lifetime.
-    pub arp_timeout: SimDuration,
     /// Whether the station is present (link up, probing) from the
     /// start; otherwise it stays silent until its first link-up.
     pub active_at_start: bool,
@@ -237,8 +235,6 @@ impl Default for ChurnConfig {
             start_at: SimDuration::millis(1),
             interval: SimDuration::millis(2),
             ident: 0,
-            payload_len: 32,
-            arp_timeout: SimDuration::secs(120),
             active_at_start: false,
         }
     }
@@ -276,7 +272,7 @@ impl ChurnHost {
     /// Create a churn host with address `ip` behind `mac`.
     pub fn new(name: impl Into<String>, mac: MacAddr, ip: Ipv4Addr, config: ChurnConfig) -> Self {
         let mut stack = HostStack::new(mac, ip);
-        stack.set_arp_timeout(config.arp_timeout);
+        stack.set_arp_timeout(WORKLOAD_ARP_TIMEOUT);
         ChurnHost {
             name: name.into(),
             stack,
@@ -291,7 +287,7 @@ impl ChurnHost {
             activations: 0,
             correction_ns: Vec::new(),
             reply_times: Vec::new(),
-            probe: vec![0x11; config.payload_len].into(),
+            probe: vec![0x11; PROBE_LEN].into(),
         }
     }
 

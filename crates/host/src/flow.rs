@@ -23,7 +23,7 @@
 //! out-of-order arrivals) and ack cumulatively on every DATA, including
 //! duplicates — the ack clock is what reopens a stalled window.
 
-use crate::stack::{HostStack, Upcall};
+use crate::stack::{HostStack, Upcall, WORKLOAD_ARP_TIMEOUT};
 use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken, Verdict};
 use arppath_wire::MacAddr;
 use std::cmp::Reverse;
@@ -162,8 +162,6 @@ pub struct FlowConfig {
     pub port: u16,
     /// Retransmit timeout (go-back-N resends the whole window).
     pub rto: SimDuration,
-    /// Host ARP cache lifetime.
-    pub arp_timeout: SimDuration,
 }
 
 impl Default for FlowConfig {
@@ -175,7 +173,6 @@ impl Default for FlowConfig {
             segment_len: 700,
             port: 9100,
             rto: SimDuration::millis(3),
-            arp_timeout: SimDuration::secs(120),
         }
     }
 }
@@ -289,7 +286,7 @@ impl FlowHost {
         cc: Box<dyn CongestionControl>,
     ) -> Self {
         let mut stack = HostStack::new(mac, ip);
-        stack.set_arp_timeout(config.arp_timeout);
+        stack.set_arp_timeout(WORKLOAD_ARP_TIMEOUT);
         FlowHost {
             name: name.into(),
             stack,

@@ -33,7 +33,5 @@ pub use churn::{ChurnConfig, ChurnHost, ChurnSpec, ChurnWorkload, StationPlan};
 pub use flow::{Aimd, CongestionControl, FixedWindow, FlowConfig, FlowHost, RetxTimer};
 pub use ping::{PingConfig, PingHost};
 pub use stack::{HostCounters, HostStack, Upcall};
-pub use stream::{
-    StreamClient, StreamClientConfig, StreamConfig, StreamServer, REPORT_PORT, STREAM_PORT,
-};
+pub use stream::{StreamClient, StreamConfig, StreamServer, REPORT_PORT, STREAM_PORT};
 pub use workload::{pairings, TrafficConfig, TrafficHost, TrafficPattern};

@@ -94,14 +94,6 @@ impl PingHost {
         self.sent
     }
 
-    /// Loss fraction over completed probes.
-    pub fn loss_fraction(&self) -> f64 {
-        if self.sent == 0 {
-            return 0.0;
-        }
-        1.0 - self.received as f64 / self.sent as f64
-    }
-
     fn fire_probe(&mut self, ctx: &mut Ctx) {
         self.probe[..8].copy_from_slice(&ctx.now().as_nanos().to_be_bytes());
         let seq = self.next_seq;
@@ -192,13 +184,5 @@ mod tests {
         let mut cmds = Vec::new();
         host.on_start(&mut Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds));
         assert!(cmds.is_empty());
-    }
-
-    #[test]
-    fn loss_fraction_counts_unanswered() {
-        let mut host = mk_host(4);
-        host.sent = 4;
-        host.received = 3;
-        assert!((host.loss_fraction() - 0.25).abs() < 1e-12);
     }
 }

@@ -67,6 +67,9 @@ pub enum Upcall {
     },
 }
 
+/// ARP cache lifetime of the traffic, flow and churn hosts.
+pub(crate) const WORKLOAD_ARP_TIMEOUT: SimDuration = SimDuration::secs(120);
+
 /// The host stack state machine. Owns the single NIC (`PortNo(0)`).
 pub struct HostStack {
     mac: MacAddr,

@@ -130,23 +130,8 @@ impl Device for StreamServer {
     }
 }
 
-/// Client-side stream accounting.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamClientConfig {
-    /// The server's address (receiver reports go there).
-    pub server: Ipv4Addr,
-    /// Interval between receiver reports.
-    pub report_interval: SimDuration,
-}
-
-impl Default for StreamClientConfig {
-    fn default() -> Self {
-        StreamClientConfig {
-            server: Ipv4Addr::UNSPECIFIED,
-            report_interval: SimDuration::millis(500),
-        }
-    }
-}
+/// Interval between the client's receiver reports.
+const REPORT_INTERVAL: SimDuration = SimDuration::millis(500);
 
 /// The streaming client ("B will connect to it and start streaming a
 /// video"): records every chunk arrival for stall analysis.
@@ -154,7 +139,8 @@ pub struct StreamClient {
     name: String,
     /// The network stack.
     pub stack: HostStack,
-    config: StreamClientConfig,
+    /// The server's address (receiver reports go there).
+    server: Ipv4Addr,
     /// Arrival time series: `(arrival_ns, seq)` per chunk.
     pub arrivals: TimeSeries,
     /// One-way chunk latency samples (simulation clock, exact).
@@ -170,17 +156,12 @@ pub struct StreamClient {
 }
 
 impl StreamClient {
-    /// Create the client.
-    pub fn new(
-        name: impl Into<String>,
-        mac: MacAddr,
-        ip: Ipv4Addr,
-        config: StreamClientConfig,
-    ) -> Self {
+    /// Create the client of the stream `server` sends.
+    pub fn new(name: impl Into<String>, mac: MacAddr, ip: Ipv4Addr, server: Ipv4Addr) -> Self {
         StreamClient {
             name: name.into(),
             stack: HostStack::new(mac, ip),
-            config,
+            server,
             arrivals: TimeSeries::new(),
             latency: LatencyStats::new(),
             received: 0,
@@ -211,7 +192,7 @@ impl Device for StreamClient {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.schedule(self.config.report_interval, TOKEN_REPORT);
+        ctx.schedule(REPORT_INTERVAL, TOKEN_REPORT);
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
@@ -221,9 +202,9 @@ impl Device for StreamClient {
         // Report the high-water mark; its real job is keeping the
         // reverse path's entries fresh.
         let report = self.highest_seq.unwrap_or(0).to_be_bytes();
-        self.stack.send_udp(self.config.server, REPORT_PORT, REPORT_PORT, &report, ctx);
+        self.stack.send_udp(self.server, REPORT_PORT, REPORT_PORT, &report, ctx);
         self.reports_tx += 1;
-        ctx.schedule(self.config.report_interval, TOKEN_REPORT);
+        ctx.schedule(REPORT_INTERVAL, TOKEN_REPORT);
     }
 
     fn lookup_stage(&mut self, _port: PortNo, frame: &EthernetFrame, _now: SimTime) -> Verdict {
@@ -297,7 +278,7 @@ mod tests {
             "cli",
             MacAddr::from_index(1, 2),
             Ipv4Addr::new(10, 0, 0, 2),
-            StreamClientConfig { server: Ipv4Addr::new(10, 0, 0, 1), ..Default::default() },
+            Ipv4Addr::new(10, 0, 0, 1),
         );
         // Feed chunks 0,1,2, then 5 (3,4 lost), then a duplicate 5.
         let mk_chunk = |seq: u64, t: u64| {
@@ -341,7 +322,7 @@ mod tests {
             "cli",
             MacAddr::from_index(1, 2),
             Ipv4Addr::new(10, 0, 0, 2),
-            StreamClientConfig::default(),
+            Ipv4Addr::new(10, 0, 0, 1),
         );
         for t in [0u64, 1_000_000, 2_000_000, 52_000_000, 53_000_000] {
             client.arrivals.push(t, 0.0);

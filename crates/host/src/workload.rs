@@ -18,7 +18,7 @@
 //! Hosts stay standard network citizens exactly like [`crate::PingHost`]:
 //! nothing here knows ARP-Path exists.
 
-use crate::stack::{HostStack, Upcall};
+use crate::stack::{HostStack, Upcall, WORKLOAD_ARP_TIMEOUT};
 use arppath_netsim::{Ctx, Device, PortNo, SimDuration, SimTime, TimerToken, Verdict};
 use arppath_wire::{EthernetFrame, MacAddr, UdpDatagram};
 use rand::rngs::StdRng;
@@ -107,8 +107,6 @@ pub struct TrafficConfig {
     pub payload_len: usize,
     /// Source and destination UDP port.
     pub port: u16,
-    /// Host ARP cache lifetime.
-    pub arp_timeout: SimDuration,
 }
 
 impl Default for TrafficConfig {
@@ -120,7 +118,6 @@ impl Default for TrafficConfig {
             count: 0,
             payload_len: 700,
             port: 9000,
-            arp_timeout: SimDuration::secs(120),
         }
     }
 }
@@ -148,7 +145,7 @@ impl TrafficHost {
     /// Create a traffic host with address `ip` behind `mac`.
     pub fn new(name: impl Into<String>, mac: MacAddr, ip: Ipv4Addr, config: TrafficConfig) -> Self {
         let mut stack = HostStack::new(mac, ip);
-        stack.set_arp_timeout(config.arp_timeout);
+        stack.set_arp_timeout(WORKLOAD_ARP_TIMEOUT);
         TrafficHost { name: name.into(), stack, config, sent: 0, rx_datagrams: 0, rx_bytes: 0 }
     }
 

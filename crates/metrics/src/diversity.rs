@@ -57,19 +57,6 @@ impl DiversityCounter {
         self.per_key.values().flatten().collect::<BTreeSet<_>>().len()
     }
 
-    /// Distinct items observed for `key` (0 if never recorded).
-    pub fn items_of(&self, key: u64) -> usize {
-        self.per_key.get(&key).map_or(0, BTreeSet::len)
-    }
-
-    /// Mean distinct items per key; 0.0 with no keys.
-    pub fn mean_items_per_key(&self) -> f64 {
-        if self.per_key.is_empty() {
-            return 0.0;
-        }
-        self.per_key.values().map(BTreeSet::len).sum::<usize>() as f64 / self.per_key.len() as f64
-    }
-
     /// How many keys use each distinct item, in item order — feed to
     /// [`crate::jain_index`] for a spread measure (1.0 = keys divide
     /// evenly over the items in use).
@@ -94,8 +81,6 @@ mod tests {
         let d = DiversityCounter::new();
         assert_eq!(d.keys(), 0);
         assert_eq!(d.distinct_items(), 0);
-        assert_eq!(d.items_of(7), 0);
-        assert_eq!(d.mean_items_per_key(), 0.0);
         assert!(d.keys_per_item().is_empty());
     }
 
@@ -106,9 +91,7 @@ mod tests {
         d.record(1, 5);
         d.record(1, 6);
         assert_eq!(d.keys(), 1);
-        assert_eq!(d.items_of(1), 2);
         assert_eq!(d.distinct_items(), 2);
-        assert_eq!(d.mean_items_per_key(), 2.0);
     }
 
     #[test]

@@ -51,24 +51,6 @@ impl LatencyStats {
         self.samples.iter().map(|&s| s as f64).sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Population standard deviation, or 0.0 with fewer than 2 samples.
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self
-            .samples
-            .iter()
-            .map(|&s| {
-                let d = s as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        var.sqrt()
-    }
-
     /// Exact percentile by the nearest-rank method. `p` in [0, 100].
     /// Returns 0 when empty.
     pub fn percentile(&self, p: f64) -> u64 {
@@ -179,12 +161,6 @@ mod tests {
         s.record(1);
         s.record(2);
         assert_eq!(s.median(), 5); // sorted: 1 2 5 10 20, rank ceil(2.5)=3
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        let s: LatencyStats = [7u64, 7, 7].into_iter().collect();
-        assert_eq!(s.stddev(), 0.0);
     }
 
     #[test]

@@ -72,32 +72,6 @@ impl TimeSeries {
             .filter(|&(_, gap)| gap > threshold_ns)
             .collect()
     }
-
-    /// Mean of the values.
-    pub fn mean_value(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-
-    /// Observations per second across the full span; 0 for fewer than
-    /// two points.
-    pub fn rate_per_sec(&self) -> f64 {
-        if self.points.len() < 2 {
-            return 0.0;
-        }
-        let span = self.points.last().unwrap().0 - self.points.first().unwrap().0;
-        if span == 0 {
-            return 0.0;
-        }
-        (self.points.len() - 1) as f64 * 1e9 / span as f64
-    }
-
-    /// Count of observations within `[from_ns, to_ns)`.
-    pub fn count_in(&self, from_ns: u64, to_ns: u64) -> usize {
-        self.points.iter().filter(|&&(t, _)| t >= from_ns && t < to_ns).count()
-    }
 }
 
 #[cfg(test)]
@@ -130,30 +104,5 @@ mod tests {
         let s = series(&[0, 10, 110, 120, 220, 230]);
         let stalls = s.gaps_over(50);
         assert_eq!(stalls, vec![(10, 100), (120, 100)]);
-    }
-
-    #[test]
-    fn rate_per_sec_of_uniform_arrivals() {
-        // 11 points over 10us → 10 intervals / 10_000ns = 1 per us.
-        let ts: Vec<u64> = (0..=10).map(|i| i * 1000).collect();
-        let s = series(&ts);
-        assert!((s.rate_per_sec() - 1_000_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn count_in_window() {
-        let s = series(&[0, 10, 20, 30, 40]);
-        assert_eq!(s.count_in(10, 40), 3);
-        assert_eq!(s.count_in(0, 1), 1);
-        assert_eq!(s.count_in(41, 100), 0);
-    }
-
-    #[test]
-    fn mean_value_averages() {
-        let mut s = TimeSeries::new();
-        s.push(0, 2.0);
-        s.push(1, 4.0);
-        assert_eq!(s.mean_value(), 3.0);
-        assert_eq!(TimeSeries::new().mean_value(), 0.0);
     }
 }

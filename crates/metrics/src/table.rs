@@ -1,7 +1,6 @@
 //! Plain-text table rendering: the harness's replacement for the demo
 //! GUI's graphs. Markdown output is what `repro` prints (see
-//! `docs/EXPERIMENTS.md` for the expected tables); CSV
-//! output feeds external plotting.
+//! `docs/EXPERIMENTS.md` for the expected tables).
 
 use std::fmt;
 
@@ -17,7 +16,6 @@ use std::fmt;
 /// let md = t.render_markdown();
 /// assert!(md.starts_with("### E1: latency"));
 /// assert!(md.contains("| A→B  | 12.3us |"));
-/// assert_eq!(t.render_csv().lines().count(), 2); // header + one row
 /// ```
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -51,12 +49,6 @@ impl Table {
             self.headers.len()
         );
         self.rows.push(cells.to_vec());
-    }
-
-    /// Convenience: append a row of displayable values.
-    pub fn row_display(&mut self, cells: &[&dyn fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
     }
 
     /// Number of data rows.
@@ -100,26 +92,6 @@ impl Table {
         out.push_str(&format!("| {} |\n", dashes.join(" | ")));
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
-        }
-        out
-    }
-
-    /// Render as CSV (headers first; fields containing commas or quotes
-    /// are quoted).
-    pub fn render_csv(&self) -> String {
-        let escape = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&self.headers.iter().map(|h| escape(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
         }
         out
     }
@@ -167,25 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(&["1,2".into(), "say \"hi\"".into()]);
-        let csv = t.render_csv();
-        assert_eq!(csv.lines().nth(1).unwrap(), "\"1,2\",\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
     #[should_panic(expected = "row has 1 cells")]
     fn ragged_row_panics() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn row_display_stringifies() {
-        let mut t = Table::new("x", &["n", "f"]);
-        t.row_display(&[&42u64, &1.5f64]);
-        assert_eq!(t.len(), 1);
-        assert!(t.render_csv().contains("42,1.5"));
     }
 }

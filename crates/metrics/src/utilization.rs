@@ -28,7 +28,6 @@ const RATIO_EDGES: [f64; 7] = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0];
 /// // One hot link, three idle: a zero spike and a ≥2× outlier.
 /// let skewed = UtilizationHistogram::from_loads(&[40.0, 0.0, 0.0, 0.0]);
 /// assert_eq!(skewed.count_in_range(0.0, 0.25), 3);
-/// assert_eq!(skewed.count_at_least(2.0), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UtilizationHistogram {
@@ -78,12 +77,6 @@ impl UtilizationHistogram {
             .filter(|&(blo, bhi, _)| blo >= lo && bhi.is_some_and(|b| b <= hi))
             .map(|(_, _, c)| c)
             .sum()
-    }
-
-    /// Links in the open-ended tail at or above `ratio` (a bucket
-    /// edge).
-    pub fn count_at_least(&self, ratio: f64) -> u64 {
-        self.buckets().filter(|&(blo, _, _)| blo >= ratio).map(|(_, _, c)| c).sum()
     }
 
     /// Iterate buckets as `(lo_edge, hi_edge, count)`; `hi_edge` is
@@ -148,7 +141,7 @@ mod tests {
         // mean = 10; ratios: 4.0, 0, 0, 0.
         let h = UtilizationHistogram::from_loads(&[40.0, 0.0, 0.0, 0.0]);
         assert_eq!(h.count_in_range(0.0, 0.25), 3);
-        assert_eq!(h.count_at_least(2.0), 1);
+        assert_eq!(h.buckets().last(), Some((2.0, None, 1)));
     }
 
     #[test]

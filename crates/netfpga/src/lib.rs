@@ -201,7 +201,7 @@ mod tests {
     use super::*;
     use arppath::{ArpPathBridge, ArpPathConfig};
     use arppath_netsim::{LinkParams, NetworkBuilder, NodeId, SimTime};
-    use arppath_switch::{LearningConfig, LearningSwitch};
+    use arppath_switch::LearningSwitch;
     use arppath_wire::{ArpPacket, MacAddr, Payload};
     use std::net::Ipv4Addr;
 
@@ -260,11 +260,7 @@ mod tests {
         // Learning switch on a card between two stations.
         let mut b = NetworkBuilder::new();
         let tx = b.add(Box::new(OneShot { name: "tx".into(), frame: Some(arp_broadcast()) }));
-        let card = b.add(Box::new(NetFpgaSwitch::new(LearningSwitch::new(
-            "nf",
-            2,
-            LearningConfig::default(),
-        ))));
+        let card = b.add(Box::new(NetFpgaSwitch::new(LearningSwitch::new("nf", 2))));
         let rx = b.add(Box::new(Probe { name: "rx".into(), heard: Vec::new() }));
         let lp = LinkParams { propagation: SimDuration::ZERO, ..Default::default() };
         b.link(tx, 0, card, 0, lp);
@@ -309,7 +305,7 @@ mod tests {
     fn cpu_serializes_back_to_back_exceptions() {
         // Two control frames arriving at the same instant: the second
         // waits for the first's CPU service.
-        let mut card = NetFpgaSwitch::new(LearningSwitch::new("nf", 2, LearningConfig::default()));
+        let mut card = NetFpgaSwitch::new(LearningSwitch::new("nf", 2));
         let ports = [true, true];
         let mut cmds = Vec::new();
         let mut ctx = Ctx::new(SimTime(0), NodeId(0), &ports, &mut cmds);

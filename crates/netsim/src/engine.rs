@@ -1336,24 +1336,13 @@ impl Network {
                 self.emit_pfc(ep, PfcOp::Resume);
             }
         } else {
-            // Re-plug: re-evaluate admission. Queues were drained at
-            // cut time and pause state died with the carrier, so
-            // normally nothing is pending — but any frame parked across
-            // the outage must restart the transmitter here rather than
-            // wait for the next send to arrive.
-            for dir in [Dir::AtoB, Dir::BtoA] {
-                let next = {
-                    let state = &mut self.links[link_id.0].dirs[dir.index()];
-                    if !state.transmitting && !state.paused {
-                        state.queue.pop()
-                    } else {
-                        None
-                    }
-                };
-                if let Some(frame) = next {
-                    self.start_tx(link_id, dir, Cow::Owned(frame));
-                }
-            }
+            // Re-plug: the cut drained both queues and cleared their
+            // pause state, and a down link admits nothing (`handle_send`
+            // drops at the carrier check), so there is nothing to restart.
+            debug_assert!(
+                link.dirs.iter().all(|d| d.queue.is_empty() && !d.transmitting && !d.paused),
+                "a re-plugged link holds no frame"
+            );
         }
         for ep in [a, b] {
             let v = &mut self.ports_up[ep.node.0];
@@ -1944,6 +1933,37 @@ mod tests {
             20,
             "every parked frame must leave the feeder after the release"
         );
+    }
+
+    #[test]
+    fn a_replugged_link_sends_nothing_until_the_next_send() {
+        // Five frames parked behind a pause on tx's transmitter; the
+        // cut loses all of them and the pause with the carrier, so the
+        // re-plug restarts nothing. Only a fresh send leaves.
+        let mut b = NetworkBuilder::new();
+        let tx = b.add(Box::new(Probe::new("tx", true))); // echoes what it hears
+        let rx = b.add(Box::new(Probe::new("rx", false)));
+        let l = b.link(tx, 0, rx, 0, LinkParams::default());
+        let mut net = b.build();
+        net.inject(tx, PortNo(0), crate::pfc::pause_frame());
+        for _ in 0..5 {
+            net.inject(tx, PortNo(0), test_frame());
+        }
+        net.run_until(SimTime(SimDuration::micros(10).as_nanos()));
+        assert!(net.link(l).is_paused(Dir::AtoB), "precondition: tx is paused");
+        assert_eq!(net.link(l).queue_depth(Dir::AtoB).0, 5, "precondition: a backlog");
+        net.schedule_link_down(l, SimTime(SimDuration::micros(20).as_nanos()));
+        net.schedule_link_up(l, SimTime(SimDuration::micros(30).as_nanos()));
+        net.run_until_idle(SimTime(u64::MAX));
+        assert!(net.link(l).up && !net.link(l).is_paused(Dir::AtoB));
+        assert_eq!(net.link(l).queue_depth(Dir::AtoB), (0, 0));
+        assert_eq!(net.stats().drops_link_down, 5);
+        assert_eq!(net.link(l).stats(Dir::AtoB).tx_frames, 0, "nothing left on re-plug");
+        assert!(net.device::<Probe>(rx).heard.is_empty());
+        net.inject(tx, PortNo(0), test_frame());
+        net.run_until_idle(SimTime(u64::MAX));
+        assert_eq!(net.link(l).stats(Dir::AtoB).tx_frames, 1);
+        assert_eq!(net.device::<Probe>(rx).heard.len(), 1);
     }
 
     #[test]

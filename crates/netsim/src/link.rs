@@ -540,15 +540,6 @@ impl Link {
     pub fn total_tx_frames(&self) -> u64 {
         self.dirs[0].tx_frames + self.dirs[1].tx_frames
     }
-
-    /// Utilization of the busier direction over `elapsed`, in [0, 1].
-    pub fn peak_utilization(&self, elapsed: SimDuration) -> f64 {
-        if elapsed == SimDuration::ZERO {
-            return 0.0;
-        }
-        let busiest = self.dirs.iter().map(|d| d.busy.as_nanos()).max().unwrap_or(0);
-        busiest as f64 / elapsed.as_nanos() as f64
-    }
 }
 
 #[cfg(test)]
@@ -690,14 +681,6 @@ mod tests {
         assert_eq!(link.sender(Dir::AtoB), a);
         assert_eq!(link.sender(Dir::BtoA), b);
         assert_eq!(Dir::AtoB.flip(), Dir::BtoA);
-    }
-
-    #[test]
-    fn utilization_is_zero_before_time_passes() {
-        let a = Endpoint { node: NodeId(0), port: PortNo(0) };
-        let b = Endpoint { node: NodeId(1), port: PortNo(0) };
-        let link = Link::new(a, b, LinkParams::default());
-        assert_eq!(link.peak_utilization(SimDuration::ZERO), 0.0);
     }
 
     #[test]

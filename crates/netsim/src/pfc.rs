@@ -48,7 +48,6 @@ fn control_frame(quanta: u16) -> EthernetFrame {
     EthernetFrame {
         dst: PAUSE_DST,
         src: PAUSE_SRC,
-        vlan: None,
         payload: Payload::Raw {
             ethertype: FLOW_CONTROL_ETHERTYPE,
             data: Bytes::copy_from_slice(&data),
@@ -83,7 +82,6 @@ pub fn watchdog_resume_frame() -> EthernetFrame {
     EthernetFrame {
         dst: PAUSE_DST,
         src: PAUSE_SRC,
-        vlan: None,
         payload: Payload::Raw {
             ethertype: FLOW_CONTROL_ETHERTYPE,
             data: Bytes::copy_from_slice(&data),

@@ -69,7 +69,7 @@ impl<L: SwitchLogic> Device for IdealSwitch<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learning::{LearningConfig, LearningSwitch};
+    use crate::learning::LearningSwitch;
     use arppath_netsim::{LinkParams, NetworkBuilder};
     use arppath_wire::{EtherType, MacAddr, Payload};
     use bytes::Bytes;
@@ -111,11 +111,7 @@ mod tests {
         let mac_a = MacAddr::from_index(1, 1);
         let mac_b = MacAddr::from_index(1, 2);
         let mut b = NetworkBuilder::new();
-        let sw = b.add(Box::new(IdealSwitch::new(LearningSwitch::new(
-            "sw",
-            3,
-            LearningConfig::default(),
-        ))));
+        let sw = b.add(Box::new(IdealSwitch::new(LearningSwitch::new("sw", 3))));
         let a = b.add(Box::new(Station {
             name: "a".into(),
             mac: mac_a,

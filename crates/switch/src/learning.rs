@@ -12,24 +12,13 @@ use crate::logic::{DropReason, ProcessingClass, SwitchCounters, SwitchLogic};
 use arppath_netsim::{Ctx, PortNo, SimDuration, SimTime};
 use arppath_wire::{EthernetFrame, MacAddr};
 
-/// Configuration of a learning switch.
-#[derive(Debug, Clone, Copy)]
-pub struct LearningConfig {
-    /// Aging time of learned entries (802.1D default: 300 s).
-    pub aging_time: SimDuration,
-}
-
-impl Default for LearningConfig {
-    fn default() -> Self {
-        LearningConfig { aging_time: SimDuration::secs(300) }
-    }
-}
+/// Aging time of learned entries (the 802.1D default).
+const AGING_TIME: SimDuration = SimDuration::secs(300);
 
 /// The learning-switch decision plane.
 pub struct LearningSwitch {
     name: String,
     num_ports: usize,
-    config: LearningConfig,
     /// MAC → port, aged — the hardware-shaped d-left FIB (the paper's
     /// learning bridges use the same NetFPGA table as ARP-Path), at the
     /// library default geometry (512 slots, comfortable to ~128
@@ -40,11 +29,10 @@ pub struct LearningSwitch {
 
 impl LearningSwitch {
     /// Create a switch with `num_ports` ports.
-    pub fn new(name: impl Into<String>, num_ports: usize, config: LearningConfig) -> Self {
+    pub fn new(name: impl Into<String>, num_ports: usize) -> Self {
         LearningSwitch {
             name: name.into(),
             num_ports,
-            config,
             fib: DLeftTable::new(),
             counters: SwitchCounters::default(),
         }
@@ -53,7 +41,7 @@ impl LearningSwitch {
     /// Learn (or refresh) `src → port`.
     fn learn(&mut self, src: MacAddr, port: PortNo, now: SimTime) {
         if src.is_unicast() {
-            self.fib.insert(src, port, now + self.config.aging_time);
+            self.fib.insert(src, port, now + AGING_TIME);
         }
     }
 
@@ -156,14 +144,14 @@ mod tests {
 
     #[test]
     fn unknown_unicast_floods() {
-        let mut sw = LearningSwitch::new("sw", 4, LearningConfig::default());
+        let mut sw = LearningSwitch::new("sw", 4);
         let out = run_frame(&mut sw, 0, frame(mac(1), mac(2)), SimTime::ZERO);
         assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]
     fn learned_unicast_forwards_point_to_point() {
-        let mut sw = LearningSwitch::new("sw", 4, LearningConfig::default());
+        let mut sw = LearningSwitch::new("sw", 4);
         run_frame(&mut sw, 0, frame(mac(1), mac(2)), SimTime::ZERO);
         // mac(1) is now on port 0; traffic to it goes straight there.
         let out = run_frame(&mut sw, 3, frame(mac(2), mac(1)), SimTime(1));
@@ -173,7 +161,7 @@ mod tests {
 
     #[test]
     fn frames_back_toward_origin_are_filtered() {
-        let mut sw = LearningSwitch::new("sw", 4, LearningConfig::default());
+        let mut sw = LearningSwitch::new("sw", 4);
         run_frame(&mut sw, 0, frame(mac(1), mac(2)), SimTime::ZERO);
         // From port 0 toward a MAC learned on port 0: filtered.
         let out = run_frame(&mut sw, 0, frame(mac(3), mac(1)), SimTime(1));
@@ -183,17 +171,16 @@ mod tests {
 
     #[test]
     fn entries_age_out_back_to_flooding() {
-        let cfg = LearningConfig { aging_time: SimDuration::millis(1) };
-        let mut sw = LearningSwitch::new("sw", 3, cfg);
+        let mut sw = LearningSwitch::new("sw", 3);
         run_frame(&mut sw, 0, frame(mac(1), mac(2)), SimTime::ZERO);
-        let now = SimTime::ZERO + SimDuration::millis(2);
+        let now = SimTime::ZERO + AGING_TIME + SimDuration::millis(1);
         let out = run_frame(&mut sw, 1, frame(mac(2), mac(1)), now);
         assert_eq!(out, vec![0, 2], "aged entry floods again");
     }
 
     #[test]
     fn relearning_moves_the_station() {
-        let mut sw = LearningSwitch::new("sw", 4, LearningConfig::default());
+        let mut sw = LearningSwitch::new("sw", 4);
         run_frame(&mut sw, 0, frame(mac(1), mac(9)), SimTime::ZERO);
         run_frame(&mut sw, 2, frame(mac(1), mac(9)), SimTime(10));
         assert_eq!(sw.lookup(mac(1), SimTime(20)), Some(PortNo(2)));
@@ -201,7 +188,7 @@ mod tests {
 
     #[test]
     fn multicast_source_is_rejected() {
-        let mut sw = LearningSwitch::new("sw", 4, LearningConfig::default());
+        let mut sw = LearningSwitch::new("sw", 4);
         let out = run_frame(&mut sw, 0, frame(MacAddr::BROADCAST, mac(2)), SimTime::ZERO);
         assert!(out.is_empty());
         assert_eq!(sw.counters().dropped(DropReason::Malformed), 1);
@@ -209,7 +196,7 @@ mod tests {
 
     #[test]
     fn broadcast_floods_and_learns_source() {
-        let mut sw = LearningSwitch::new("sw", 4, LearningConfig::default());
+        let mut sw = LearningSwitch::new("sw", 4);
         let out = run_frame(&mut sw, 1, frame(mac(7), MacAddr::BROADCAST), SimTime::ZERO);
         assert_eq!(out, vec![0, 2, 3]);
         assert_eq!(sw.lookup(mac(7), SimTime(1)), Some(PortNo(1)));
@@ -218,7 +205,7 @@ mod tests {
 
     #[test]
     fn link_down_flushes_that_port_only() {
-        let mut sw = LearningSwitch::new("sw", 4, LearningConfig::default());
+        let mut sw = LearningSwitch::new("sw", 4);
         run_frame(&mut sw, 0, frame(mac(1), mac(9)), SimTime::ZERO);
         run_frame(&mut sw, 1, frame(mac(2), mac(9)), SimTime::ZERO);
         let ports_up = [true, true, true, true];

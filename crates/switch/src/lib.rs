@@ -31,5 +31,5 @@ pub mod wheel;
 pub use aging::{Aged, AgingMap};
 pub use dleft::{bucket_bits_for, DLeftKey, DLeftTable, Slot, TableStats, VICTIM_LIFE_BUCKETS};
 pub use ideal::IdealSwitch;
-pub use learning::{LearningConfig, LearningSwitch};
+pub use learning::LearningSwitch;
 pub use logic::{DropReason, ProcessingClass, SwitchCounters, SwitchLogic};

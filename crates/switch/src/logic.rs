@@ -81,11 +81,6 @@ impl SwitchCounters {
     pub fn dropped(&self, reason: DropReason) -> u64 {
         self.drops[reason as usize]
     }
-
-    /// Total drops across reasons.
-    pub fn total_dropped(&self) -> u64 {
-        self.drops.iter().sum()
-    }
 }
 
 /// A bridge decision plane. See the module docs for the role split
@@ -139,6 +134,5 @@ mod tests {
         assert_eq!(c.dropped(DropReason::LostRace), 2);
         assert_eq!(c.dropped(DropReason::NoPath), 1);
         assert_eq!(c.dropped(DropReason::PortBlocked), 0);
-        assert_eq!(c.total_dropped(), 3);
     }
 }

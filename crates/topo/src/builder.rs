@@ -16,7 +16,7 @@ use arppath_netsim::{
     QueuePolicy, ShardedBuilder, ShardedNetwork, Tracer,
 };
 use arppath_stp::{StpBridge, StpConfig};
-use arppath_switch::{IdealSwitch, LearningConfig, LearningSwitch};
+use arppath_switch::{IdealSwitch, LearningSwitch};
 use arppath_wire::MacAddr;
 use std::collections::BTreeMap;
 
@@ -33,7 +33,7 @@ pub enum BridgeKind {
     /// 802.1D STP baseline inside the NetFPGA pipeline model.
     StpNetFpga(StpConfig),
     /// Plain learning switch (no loop protection!) — the storm foil.
-    Learning(LearningConfig),
+    Learning,
 }
 
 /// Index of a bridge within one topology (not a [`NodeId`]; the node
@@ -356,9 +356,7 @@ fn make_bridge(
             }
             Box::new(NetFpgaSwitch::new(StpBridge::new(name, mac, ports, cfg)))
         }
-        BridgeKind::Learning(cfg) => {
-            Box::new(IdealSwitch::new(LearningSwitch::new(name, ports, cfg)))
-        }
+        BridgeKind::Learning => Box::new(IdealSwitch::new(LearningSwitch::new(name, ports))),
     }
 }
 

@@ -1,8 +1,8 @@
 //! Station-churn placement for the table-pressure study (E11): lay a
 //! set of station lifecycles (arrive / move racks / depart) out on a
-//! built fat-tree as a **rack × slot grid** of host attachments, and
-//! derive the administrative link-carrier schedule that drives the
-//! whole churn.
+//! built fat-tree as a **rack × slot grid** of host attachments, each
+//! with the carrier-up and carrier-down instants that drive the churn
+//! (E11 schedules them itself).
 //!
 //! Two constraints shape the design:
 //!
@@ -81,17 +81,6 @@ pub struct GridInstance {
     pub up_at: Option<SimDuration>,
     /// Scheduled carrier-down instant, if any.
     pub down_at: Option<SimDuration>,
-}
-
-/// One scheduled carrier change on a host access link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkAdminEvent {
-    /// Host attachment index the event applies to.
-    pub host_index: usize,
-    /// Experiment-relative instant.
-    pub at: SimDuration,
-    /// `true` = carrier up, `false` = carrier down.
-    pub up: bool,
 }
 
 /// The laid-out churn grid: a uniform `racks × slots_per_rack` host
@@ -201,30 +190,6 @@ impl ChurnGrid {
             GridRole::Filler => None,
         }
     }
-
-    /// The full carrier schedule, time-sorted (carrier-down sorts
-    /// before carrier-up at equal instants, so a cell that arrives at
-    /// t = 0 is downed and re-raised in a consistent order).
-    pub fn admin_events(&self) -> Vec<LinkAdminEvent> {
-        let mut events = Vec::new();
-        for inst in &self.instances {
-            if inst.starts_down {
-                events.push(LinkAdminEvent {
-                    host_index: inst.host_index,
-                    at: SimDuration::nanos(0),
-                    up: false,
-                });
-            }
-            if let Some(at) = inst.up_at {
-                events.push(LinkAdminEvent { host_index: inst.host_index, at, up: true });
-            }
-            if let Some(at) = inst.down_at {
-                events.push(LinkAdminEvent { host_index: inst.host_index, at, up: false });
-            }
-        }
-        events.sort_by_key(|e| (e.at, e.host_index, e.up));
-        events
-    }
 }
 
 #[cfg(test)]
@@ -298,28 +263,6 @@ mod tests {
         // Fillers never come up.
         let filler = g.instances[3];
         assert!(filler.starts_down && filler.up_at.is_none() && filler.down_at.is_none());
-    }
-
-    #[test]
-    fn admin_schedule_is_sorted_and_complete() {
-        let g = ChurnGrid::layout(3, &lives());
-        let ev = g.admin_events();
-        // t=0 downs: host 1 (arrival), 3 (filler), 4 (target), 5
-        // (filler); then up@10 (host 1), down@30 (host 1), up@30
-        // (host 4), down@50 (host 2), down@90 (host 4).
-        let expect = vec![
-            LinkAdminEvent { host_index: 1, at: ms(0), up: false },
-            LinkAdminEvent { host_index: 3, at: ms(0), up: false },
-            LinkAdminEvent { host_index: 4, at: ms(0), up: false },
-            LinkAdminEvent { host_index: 5, at: ms(0), up: false },
-            LinkAdminEvent { host_index: 1, at: ms(10), up: true },
-            LinkAdminEvent { host_index: 1, at: ms(30), up: false },
-            LinkAdminEvent { host_index: 4, at: ms(30), up: true },
-            LinkAdminEvent { host_index: 2, at: ms(50), up: false },
-            LinkAdminEvent { host_index: 4, at: ms(90), up: false },
-        ];
-        assert_eq!(ev, expect);
-        assert!(ev.windows(2).all(|w| w[0].at <= w[1].at), "time-sorted");
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub mod generic;
 pub mod partition;
 
 pub use builder::{BridgeIx, BridgeKind, BuiltTopology, ShardedTopology, TopoBuilder, Topology};
-pub use churn::{ChurnGrid, GridInstance, GridRole, LinkAdminEvent, StationLife};
+pub use churn::{ChurnGrid, GridInstance, GridRole, StationLife};
 pub use figures::{fig2_topology, fig3_topology, Fig1, Fig2, Fig3};
 pub use generic::{
     fat_tree, fat_tree_jittered, full_mesh, grid, line, random_connected, ring, FatTree,

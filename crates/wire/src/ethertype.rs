@@ -12,8 +12,6 @@ impl EtherType {
     pub const IPV4: EtherType = EtherType(0x0800);
     /// ARP, RFC 826.
     pub const ARP: EtherType = EtherType(0x0806);
-    /// 802.1Q VLAN tag protocol identifier.
-    pub const VLAN: EtherType = EtherType(0x8100);
     /// IEEE local-experimental EtherType 1 (0x88B5), carrying the
     /// ARP-Path control messages. Unmodified hosts drop it, which is how
     /// the protocol stays transparent (paper §2.2 "zero configuration").
@@ -33,7 +31,6 @@ impl fmt::Display for EtherType {
         match *self {
             EtherType::IPV4 => write!(f, "ipv4"),
             EtherType::ARP => write!(f, "arp"),
-            EtherType::VLAN => write!(f, "vlan"),
             EtherType::ARPPATH_CTL => write!(f, "arppath-ctl"),
             EtherType(other) => write!(f, "ethertype({other:#06x})"),
         }
@@ -60,7 +57,6 @@ mod tests {
     fn known_values() {
         assert_eq!(EtherType::IPV4.0, 0x0800);
         assert_eq!(EtherType::ARP.0, 0x0806);
-        assert_eq!(EtherType::VLAN.0, 0x8100);
         assert_eq!(EtherType::ARPPATH_CTL.0, 0x88B5);
     }
 

@@ -2,7 +2,6 @@
 
 use crate::{
     be16, ArpPacket, Bpdu, EtherType, Ipv4Packet, MacAddr, ParseError, ParseResult, PathCtl,
-    VlanTag,
 };
 use bytes::Bytes;
 use std::fmt;
@@ -76,7 +75,7 @@ impl Payload {
     }
 }
 
-/// An Ethernet II frame (optionally 802.1Q tagged) with a typed payload.
+/// An untagged Ethernet II frame with a typed payload.
 ///
 /// This is the unit the simulator moves across links. It is owned and
 /// cheaply cloneable: flooding a frame out of N ports clones the struct
@@ -87,19 +86,17 @@ pub struct EthernetFrame {
     pub dst: MacAddr,
     /// Source MAC address.
     pub src: MacAddr,
-    /// Optional 802.1Q tag.
-    pub vlan: Option<VlanTag>,
     /// Typed payload.
     pub payload: Payload,
 }
 
 impl EthernetFrame {
-    /// Ethernet header length (untagged).
+    /// Ethernet header length.
     pub const HEADER_LEN: usize = 14;
 
-    /// Build an untagged frame.
+    /// Build a frame.
     pub fn new(dst: MacAddr, src: MacAddr, payload: Payload) -> Self {
-        EthernetFrame { dst, src, vlan: None, payload }
+        EthernetFrame { dst, src, payload }
     }
 
     /// Build the broadcast ARP Request frame host `src` floods.
@@ -118,13 +115,11 @@ impl EthernetFrame {
         self.dst.is_multicast()
     }
 
-    /// Frame length on the wire: header (+ tag) + payload, padded to the
+    /// Frame length on the wire: header + payload, padded to the
     /// 60-byte minimum, excluding FCS (add [`WIRE_OVERHEAD`] for the full
     /// line occupancy including preamble/FCS/IFG).
     pub fn wire_len(&self) -> usize {
-        let len =
-            Self::HEADER_LEN + if self.vlan.is_some() { 4 } else { 0 } + self.payload.wire_len();
-        len.max(MIN_FRAME_LEN)
+        (Self::HEADER_LEN + self.payload.wire_len()).max(MIN_FRAME_LEN)
     }
 
     /// Bits this frame occupies on a link, including preamble, FCS and
@@ -167,15 +162,8 @@ impl EthernetFrame {
         crate::need(buf, Self::HEADER_LEN, "ethernet")?;
         let dst = MacAddr::parse(&buf[0..6])?;
         let src = MacAddr::parse(&buf[6..12])?;
-        let mut ethertype = EtherType(be16(buf, 12));
-        let mut offset = 14;
-        let mut vlan = None;
-        if ethertype == EtherType::VLAN {
-            crate::need(buf, offset + 4, "ethernet-vlan")?;
-            vlan = Some(VlanTag::parse(&buf[offset..])?);
-            ethertype = EtherType(be16(buf, offset + 2));
-            offset += 4;
-        }
+        let ethertype = EtherType(be16(buf, 12));
+        let offset = Self::HEADER_LEN;
         let body = &buf[offset..];
         // The whole body as a payload buffer: sliced from the shared
         // allocation when available, copied otherwise.
@@ -223,7 +211,7 @@ impl EthernetFrame {
         } else {
             raw_body(ethertype)
         };
-        Ok(EthernetFrame { dst, src, vlan, payload })
+        Ok(EthernetFrame { dst, src, payload })
     }
 
     /// Encode the frame, padding to the 60-byte minimum.
@@ -231,10 +219,6 @@ impl EthernetFrame {
         let start = out.len();
         self.dst.emit(out);
         self.src.emit(out);
-        if let Some(tag) = self.vlan {
-            out.extend_from_slice(&EtherType::VLAN.0.to_be_bytes());
-            tag.emit(out);
-        }
         out.extend_from_slice(&self.payload.ethertype().0.to_be_bytes());
         match &self.payload {
             Payload::Arp(a) => a.emit(out),
@@ -337,14 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_vlan_tagged() {
-        let mut f = sample_arp_frame();
-        f.vlan = Some(VlanTag::new(3, false, 42));
-        let parsed = EthernetFrame::parse(&f.to_bytes()).unwrap();
-        assert_eq!(parsed, f);
-    }
-
-    #[test]
     fn roundtrip_bpdu_llc_framing() {
         let bpdu = Bpdu::Config(ConfigBpdu {
             flags: BpduFlags::default(),
@@ -408,7 +384,7 @@ mod tests {
             data in proptest::collection::vec(any::<u8>(), 46..200),
         ) {
             // Skip ethertypes that trigger typed decoding.
-            prop_assume!(![0x0800, 0x0806, 0x8100, 0x88B5].contains(&et));
+            prop_assume!(![0x0800, 0x0806, 0x88B5].contains(&et));
             let f = EthernetFrame::new(
                 MacAddr(dst),
                 MacAddr(src),

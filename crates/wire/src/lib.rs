@@ -3,7 +3,7 @@
 //! This crate provides owned, validated representations of every frame
 //! format the simulated network carries:
 //!
-//! * [`EthernetFrame`] — Ethernet II framing with optional 802.1Q tag.
+//! * [`EthernetFrame`] — Ethernet II framing (untagged).
 //! * [`ArpPacket`] — RFC 826 ARP over Ethernet/IPv4.
 //! * [`Ipv4Packet`] / [`UdpDatagram`] / [`IcmpEcho`] — the minimal IP stack
 //!   the host model speaks (enough for ping and UDP streaming workloads).
@@ -39,7 +39,6 @@ pub mod mac;
 pub mod pathctl;
 pub mod pcap;
 pub mod udp;
-pub mod vlan;
 
 pub use arp::{ArpOp, ArpPacket};
 pub use ethertype::EtherType;
@@ -50,7 +49,6 @@ pub use llc::{Bpdu, BpduFlags, BridgeId, ConfigBpdu, PortId16};
 pub use mac::MacAddr;
 pub use pathctl::{PathCtl, PathCtlKind};
 pub use udp::UdpDatagram;
-pub use vlan::VlanTag;
 
 use std::fmt;
 

@@ -5,7 +5,6 @@
 //! 802.3 length framing with the `0x42/0x42/0x03` LLC header.
 
 use crate::{be16, be32, MacAddr, ParseError, ParseResult};
-use std::cmp::Ordering;
 use std::fmt;
 
 /// The three LLC octets in front of every BPDU.
@@ -126,11 +125,6 @@ impl BpduTime {
         BpduTime((s * 256).min(u16::MAX as u32) as u16)
     }
 
-    /// The value in seconds, rounded down.
-    pub fn as_secs(&self) -> u32 {
-        self.0 as u32 / 256
-    }
-
     /// The value in nanoseconds (exact; 1/256 s = 3_906_250 ns).
     pub fn as_nanos(&self) -> u64 {
         self.0 as u64 * 3_906_250
@@ -168,19 +162,6 @@ pub struct ConfigBpdu {
 impl ConfigBpdu {
     /// Wire length of the BPDU body (after LLC).
     pub const LEN: usize = 35;
-
-    /// The standard's "priority vector" comparison: returns `Less` when
-    /// `self` carries *better* (more preferable) spanning-tree
-    /// information than `other`, per 802.1D §8.6.2 — root id, then root
-    /// path cost, then transmitting bridge id, then port id.
-    pub fn compare_priority(&self, other: &ConfigBpdu) -> Ordering {
-        (self.root, self.root_path_cost, self.bridge, self.port).cmp(&(
-            other.root,
-            other.root_path_cost,
-            other.bridge,
-            other.port,
-        ))
-    }
 }
 
 /// Any BPDU the baseline speaks.
@@ -310,27 +291,8 @@ mod tests {
     }
 
     #[test]
-    fn priority_vector_comparison_follows_8_6_2() {
-        let base = sample_config();
-        let mut better_root = base;
-        better_root.root = BridgeId::new(0x4000, base.root.mac);
-        assert_eq!(better_root.compare_priority(&base), Ordering::Less);
-
-        let mut cheaper = base;
-        cheaper.root_path_cost = 4;
-        assert_eq!(cheaper.compare_priority(&base), Ordering::Less);
-
-        let mut lower_bridge = base;
-        lower_bridge.bridge = BridgeId::new(0x8000, MacAddr::from_index(2, 2));
-        assert_eq!(lower_bridge.compare_priority(&base), Ordering::Less);
-
-        assert_eq!(base.compare_priority(&base), Ordering::Equal);
-    }
-
-    #[test]
     fn bpdu_time_conversions() {
         assert_eq!(BpduTime::from_secs(2).0, 512);
-        assert_eq!(BpduTime::from_secs(2).as_secs(), 2);
         assert_eq!(BpduTime::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(BpduTime::from_nanos(2_000_000_000).0, 512);
         // Rounding to nearest tick.

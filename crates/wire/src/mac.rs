@@ -39,11 +39,6 @@ impl MacAddr {
         MacAddr([0x02, kind, ix[0], ix[1], ix[2], ix[3]])
     }
 
-    /// True for the all-ones broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
     /// True when the group bit (I/G, least significant bit of the first
     /// octet) is set — multicast and broadcast addresses.
     pub fn is_multicast(&self) -> bool {
@@ -53,11 +48,6 @@ impl MacAddr {
     /// True for addresses usable as a unicast source.
     pub fn is_unicast(&self) -> bool {
         !self.is_multicast() && *self != Self::ZERO
-    }
-
-    /// True when the locally-administered bit (U/L) is set.
-    pub fn is_local_admin(&self) -> bool {
-        self.0[0] & 0x02 != 0
     }
 
     /// Parse from a 6-byte slice.
@@ -131,7 +121,6 @@ mod tests {
 
     #[test]
     fn broadcast_is_multicast() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
         assert!(MacAddr::BROADCAST.is_multicast());
         assert!(!MacAddr::BROADCAST.is_unicast());
     }
@@ -139,7 +128,7 @@ mod tests {
     #[test]
     fn stp_group_address_is_multicast_not_broadcast() {
         assert!(MacAddr::STP_MULTICAST.is_multicast());
-        assert!(!MacAddr::STP_MULTICAST.is_broadcast());
+        assert_ne!(MacAddr::STP_MULTICAST, MacAddr::BROADCAST);
     }
 
     #[test]
@@ -154,7 +143,7 @@ mod tests {
         let b = MacAddr::from_index(0xaa, 2);
         let c = MacAddr::from_index(0xbb, 1);
         assert!(a.is_unicast());
-        assert!(a.is_local_admin());
+        assert_eq!(a.0[0] & 0x02, 0x02, "locally administered");
         assert_ne!(a, b);
         assert_ne!(a, c);
     }

@@ -8,7 +8,7 @@
 //! ```
 
 use arppath::ArpPathConfig;
-use arppath_host::{StreamClient, StreamClientConfig, StreamConfig, StreamServer};
+use arppath_host::{StreamClient, StreamConfig, StreamServer};
 use arppath_netsim::{SimDuration, SimTime};
 use arppath_topo::{fig3_topology, BridgeIx, BridgeKind};
 use arppath_wire::MacAddr;
@@ -34,12 +34,7 @@ fn main() {
             total_chunks: 15_000, // 30 s of video
         },
     );
-    let client = StreamClient::new(
-        "B",
-        MacAddr::from_index(1, 2),
-        ip_b,
-        StreamClientConfig { server: ip_a, report_interval: SimDuration::millis(500) },
-    );
+    let client = StreamClient::new("B", MacAddr::from_index(1, 2), ip_b, ip_a);
     let a_ix = t.host(fig.host_a_bridge(), Box::new(server));
     let b_ix = t.host(fig.host_b_bridge(), Box::new(client));
     let mut built = t.build();

@@ -80,5 +80,5 @@ pub use arppath_switch as switch;
 /// Topology builders for the paper's figures and generic fabrics.
 pub use arppath_topo as topo;
 
-/// Wire formats: Ethernet, ARP, IPv4, UDP, ICMP, VLAN, LLC, pcap.
+/// Wire formats: Ethernet, ARP, IPv4, UDP, ICMP, LLC, pcap.
 pub use arppath_wire as wire;

@@ -8,7 +8,6 @@
 use arppath::ArpPathConfig;
 use arppath_host::{PingConfig, PingHost};
 use arppath_netsim::{SimDuration, SimTime};
-use arppath_switch::LearningConfig;
 use arppath_topo::{generic, BridgeKind, TopoBuilder};
 use arppath_wire::MacAddr;
 use std::net::Ipv4Addr;
@@ -77,7 +76,7 @@ fn learning_switch_storms_on_the_same_graphs() {
     // The control: identical topology, no loop protection. The single
     // broadcast ARP request multiplies forever.
     let (frames, _) = run_broadcast_workload(
-        BridgeKind::Learning(LearningConfig::default()),
+        BridgeKind::Learning,
         42,
         50, // even a short horizon melts
     );
@@ -113,7 +112,7 @@ fn arppath_floods_terminate_on_fat_trees() {
 fn learning_switch_storms_on_fat_trees_too() {
     // The control again: the same k=4 fabric with no loop protection
     // melts down on the very first broadcast.
-    let (frames, _) = run_fat_tree_workload(BridgeKind::Learning(LearningConfig::default()), 4, 50);
+    let (frames, _) = run_fat_tree_workload(BridgeKind::Learning, 4, 50);
     assert!(frames > 100_000, "expected a storm on the k=4 fat-tree, saw {frames} frames");
 }
 
