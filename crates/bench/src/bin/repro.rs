@@ -520,6 +520,10 @@ fn main() {
             e12_scale::verify_scheduler(&result),
         );
         verdict(
+            &format!("link state ≤ {} B/station", e12_scale::MAX_LINK_STATE_BYTES_PER_STATION),
+            e12_scale::verify_link_state(&result),
+        );
+        verdict(
             "merged delivery trace byte-identical at every shard count",
             e12_scale::verify_trace_identity(&result),
         );

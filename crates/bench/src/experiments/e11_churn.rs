@@ -36,7 +36,7 @@
 //! (churn events stay shard-local under rack-major partitions —
 //! `tests/sharded_equivalence.rs` pins it).
 
-use super::{host_ip, host_mac, rack_major, run_to, TracedRun};
+use super::{host_ip, host_mac, rack_major, TracedRun};
 use arppath::ArpPathConfig;
 use arppath_host::{ChurnConfig, ChurnHost, ChurnSpec, ChurnWorkload};
 use arppath_metrics::{ChurnEpochs, LatencyStats, Table};
@@ -344,12 +344,19 @@ pub(crate) fn scenario(
 /// the settling window); lifecycle instants are offset by `base`. Host
 /// access links are intra-shard under rack-major partitions, so this
 /// is legal on both engines.
+///
+/// The run goes in [`EPOCH_MS`] slices, each to the last nanosecond of
+/// its epoch (the last one to `deadline`). At each slice's end every
+/// station instance's reply counter is read, and what it gained in the
+/// slice is that station's deliveries in the epoch: a reply at `t`
+/// lands in epoch `t / EPOCH_MS`. Slicing a run changes none of its
+/// events, on either engine.
 fn run_churned<N: Engine>(
     mut topo: Topology<N>,
     grid: &ChurnGrid,
     base: SimDuration,
     deadline: SimTime,
-) -> Topology<N> {
+) -> (Topology<N>, ChurnEpochs) {
     for inst in &grid.instances {
         let link = topo.host_links[inst.host_index];
         if inst.starts_down {
@@ -362,7 +369,26 @@ fn run_churned<N: Engine>(
             topo.net.schedule_link_down(link, SimTime((base + at).as_nanos()));
         }
     }
-    run_to(topo, deadline)
+    let epoch_ns = SimDuration::millis(EPOCH_MS).as_nanos();
+    let mut epochs = ChurnEpochs::new(epoch_ns);
+    // Each instance's reply count at the end of the previous slice.
+    let mut counted = vec![0u64; grid.instances.len()];
+    for index in 0.. {
+        let end = SimTime(((index + 1) * epoch_ns - 1).min(deadline.0));
+        topo.net.run_until(end);
+        for (inst, counted) in grid.instances.iter().zip(&mut counted) {
+            if let Some(station) = grid.station_of(inst.host_index) {
+                let replies =
+                    topo.net.device::<ChurnHost>(topo.host_nodes[inst.host_index]).replies_rx;
+                epochs.record_n(station, index, replies - *counted);
+                *counted = replies;
+            }
+        }
+        if end == deadline {
+            break;
+        }
+    }
+    (topo, epochs)
 }
 
 /// Measure one (k, regime) cell.
@@ -371,9 +397,9 @@ pub fn run_cell(params: &E11Params, regime: TableRegime) -> E11Row {
     let shards = params.shards.min(ft.k);
     if shards > 1 {
         let topo = t.build_sharded(&rack_major(&ft, grid.slots_per_rack, shards), false);
-        measure(params, regime, &grid, &wl, &run_churned(topo, &grid, base, deadline))
+        measure(params, regime, &grid, &wl, run_churned(topo, &grid, base, deadline))
     } else {
-        measure(params, regime, &grid, &wl, &run_churned(t.build(), &grid, base, deadline))
+        measure(params, regime, &grid, &wl, run_churned(t.build(), &grid, base, deadline))
     }
 }
 
@@ -383,7 +409,7 @@ fn measure<N: Engine>(
     regime: TableRegime,
     grid: &ChurnGrid,
     wl: &ChurnWorkload,
-    topo: &Topology<N>,
+    (topo, epochs): (Topology<N>, ChurnEpochs),
 ) -> E11Row {
     // Table pressure, aggregated over every bridge.
     let mut table = TableStats::default();
@@ -400,23 +426,17 @@ fn measure<N: Engine>(
     }
     let table_capacity = topo.arppath(BridgeIx(0)).table_slot_capacity();
 
-    // Station-side observables: probe/reply totals, the per-epoch
-    // fairness series, and — from each mover's post-move instance —
-    // the stale-path correction latency.
+    // Station-side observables: probe/reply totals and — from each
+    // mover's post-move instance — the stale-path correction latency.
+    // The per-epoch fairness series was counted during the run.
     let mut probes_tx = 0u64;
     let mut replies_rx = 0u64;
     let mut corrections = LatencyStats::new();
     let mut movers_activated = 0usize;
-    let mut epochs = ChurnEpochs::new(SimDuration::millis(EPOCH_MS).as_nanos());
     for inst in &grid.instances {
         let host = topo.net.device::<ChurnHost>(topo.host_nodes[inst.host_index]);
         probes_tx += host.probes_tx;
         replies_rx += host.replies_rx;
-        if let Some(station) = grid.station_of(inst.host_index) {
-            for &at in &host.reply_times {
-                epochs.record(station, at.as_nanos());
-            }
-        }
         if matches!(inst.role, GridRole::MoveTarget { .. }) && host.activations > 0 {
             movers_activated += 1;
             if let Some(&first) = host.correction_ns.first() {
@@ -458,9 +478,9 @@ pub fn traced_run(params: &E11Params, regime: TableRegime) -> TracedRun {
     let shards = params.shards.min(ft.k);
     if shards > 1 {
         let topo = t.build_sharded(&rack_major(&ft, grid.slots_per_rack, shards), true);
-        TracedRun::of(&run_churned(topo, &grid, base, deadline))
+        TracedRun::of(&run_churned(topo, &grid, base, deadline).0)
     } else {
-        TracedRun::of(&run_churned(t.build_single(true), &grid, base, deadline))
+        TracedRun::of(&run_churned(t.build_single(true), &grid, base, deadline).0)
     }
 }
 

@@ -13,7 +13,8 @@
 //!   an absolute ceiling ([`MAX_BYTES_PER_STATION`]) — and beside it
 //!   the event storage the single-engine run's scheduler ended up
 //!   holding ([`MAX_SCHEDULER_RESERVED_BYTES`]): the other memory every
-//!   frame hop writes;
+//!   frame hop writes, and the links' state
+//!   ([`MAX_LINK_STATE_BYTES_PER_STATION`]);
 //! * **delivery** on the single engine and on the sharded twin at 2
 //!   and 4 shards: every run must deliver every datagram;
 //! * **trace identity**: the merged delivery trace must be
@@ -94,6 +95,11 @@ pub struct E12Result {
     /// `Network::scheduler_reserved_bytes` at the end of the
     /// single-engine run (the 1-shard sweep point).
     pub scheduler_reserved_bytes: usize,
+    /// `Network::link_state_bytes` at the end of the single-engine
+    /// run.
+    pub link_state_bytes: usize,
+    /// Links in the fabric, host links included.
+    pub links: usize,
     /// Whether the first sweep point's merged delivery trace is
     /// nonempty and every later point's equals it byte for byte.
     pub traces_identical: bool,
@@ -115,11 +121,25 @@ pub const MAX_BYTES_PER_STATION: f64 = 21_060.0;
 /// events pending in steady state, and cycled through all of it.
 pub const MAX_SCHEDULER_RESERVED_BYTES: usize = 6 << 20;
 
+/// Ceiling on [`E12Result::link_state_bytes_per_station`]: the quick
+/// geometry's figure (4,352 B: 2,176 links of 256 B, 17 per station,
+/// and no direction that ever queued, dropped or paused) plus 2 %. At
+/// the 640 B a link took while every direction carried its queue and
+/// rare counters inline, the quick run reads 10,880 B; the full sweep
+/// reads 556 B (4,096 links and 620 out-of-line records over 2,048
+/// stations).
+pub const MAX_LINK_STATE_BYTES_PER_STATION: f64 = 4_440.0;
+
 impl E12Result {
     /// The headline footprint figure: table heap bytes per attached
     /// station.
     pub fn bytes_per_station(&self) -> f64 {
         self.table_bytes as f64 / self.hosts.max(1) as f64
+    }
+
+    /// Link state bytes per attached station.
+    pub fn link_state_bytes_per_station(&self) -> f64 {
+        self.link_state_bytes as f64 / self.hosts.max(1) as f64
     }
 }
 
@@ -148,7 +168,7 @@ fn scenario(params: &E12Params) -> (TopoBuilder, FatTree, SimTime) {
 pub fn run(params: &E12Params, mut on_trace: impl FnMut(usize, &[String])) -> E12Result {
     let mut rows = Vec::new();
     let mut footprint: Option<(usize, usize)> = None; // (bridges, table bytes)
-    let mut scheduler_reserved_bytes = None;
+    let mut single_engine = None;
     let mut hosts = 0;
     let mut reference: Option<Vec<String>> = None;
     let mut traces_identical = false;
@@ -156,7 +176,7 @@ pub fn run(params: &E12Params, mut on_trace: impl FnMut(usize, &[String])) -> E1
         let point = run_point(params, requested);
         hosts = point.hosts;
         footprint.get_or_insert(point.tables);
-        scheduler_reserved_bytes = point.scheduler_reserved_bytes.or(scheduler_reserved_bytes);
+        single_engine = point.single_engine.or(single_engine);
         on_trace(point.row.shards, &point.trace);
         rows.push(point.row);
         match &reference {
@@ -168,14 +188,16 @@ pub fn run(params: &E12Params, mut on_trace: impl FnMut(usize, &[String])) -> E1
         }
     }
     let (bridges, table_bytes) = footprint.expect("SHARD_COUNTS is nonempty");
+    let memory = single_engine.expect("SHARD_COUNTS runs the single engine");
     E12Result {
         k: params.k,
         hosts,
         bridges,
         rows,
         table_bytes,
-        scheduler_reserved_bytes: scheduler_reserved_bytes
-            .expect("SHARD_COUNTS runs the single engine"),
+        scheduler_reserved_bytes: memory.scheduler_reserved_bytes,
+        link_state_bytes: memory.link_state_bytes,
+        links: memory.links,
         traces_identical,
     }
 }
@@ -186,9 +208,17 @@ struct Point {
     hosts: usize,
     /// `(bridges, Σ path-table heap bytes)`.
     tables: (usize, usize),
-    /// The single engine's scheduler reservation (1-shard points only).
-    scheduler_reserved_bytes: Option<usize>,
+    /// The single engine's memory readings (1-shard points only).
+    single_engine: Option<SingleEngine>,
     trace: Vec<String>,
+}
+
+/// What the single engine reports of its own memory.
+#[derive(Debug, Clone, Copy)]
+struct SingleEngine {
+    scheduler_reserved_bytes: usize,
+    link_state_bytes: usize,
+    links: usize,
 }
 
 /// Run the scenario once at `shards` (clamped to `k`) with delivery
@@ -197,22 +227,21 @@ fn run_point(params: &E12Params, shards: usize) -> Point {
     let (t, ft, deadline) = scenario(params);
     let hosts = ft.host_capacity(params.hosts_per_edge);
     let shards = shards.min(ft.k);
-    let (measured, scheduler_reserved_bytes, trace) = if shards > 1 {
+    let (measured, single_engine, trace) = if shards > 1 {
         let partition = rack_major(&ft, params.hosts_per_edge, shards);
         let topo = run_to(t.build_sharded(&partition, true), deadline);
         (measure(&topo), None, topo.net.delivery_trace())
     } else {
         let topo = run_to(t.build_single(true), deadline);
-        (measure(&topo), Some(topo.net.scheduler_reserved_bytes()), topo.net.delivery_trace())
+        let memory = SingleEngine {
+            scheduler_reserved_bytes: topo.net.scheduler_reserved_bytes(),
+            link_state_bytes: topo.net.link_state_bytes(),
+            links: topo.net.link_count(),
+        };
+        (measure(&topo), Some(memory), topo.net.delivery_trace())
     };
     let (sent, delivered, tables) = measured;
-    Point {
-        row: E12Row { shards, delivered, sent },
-        hosts,
-        tables,
-        scheduler_reserved_bytes,
-        trace,
-    }
+    Point { row: E12Row { shards, delivered, sent }, hosts, tables, single_engine, trace }
 }
 
 /// `(sent, delivered, (bridges, Σ path-table heap bytes))` off a
@@ -255,6 +284,12 @@ pub fn verify_scheduler(result: &E12Result) -> bool {
     result.scheduler_reserved_bytes <= MAX_SCHEDULER_RESERVED_BYTES
 }
 
+/// The link half: the single engine's link state stays under
+/// [`MAX_LINK_STATE_BYTES_PER_STATION`].
+pub fn verify_link_state(result: &E12Result) -> bool {
+    result.link_state_bytes_per_station() <= MAX_LINK_STATE_BYTES_PER_STATION
+}
+
 /// Render the delivery table, one row per shard count.
 pub fn table(result: &E12Result) -> Table {
     let mut t = Table::new(
@@ -271,7 +306,7 @@ pub fn table(result: &E12Result) -> Table {
 }
 
 /// Render the memory report: path tables, and the scheduler's reserved
-/// event storage beside them.
+/// event storage and the link state beside them.
 pub fn footprint_table(result: &E12Result) -> Table {
     let mut t = Table::new(
         format!("E12: memory footprint, k={} ({} stations)", result.k, result.hosts),
@@ -287,6 +322,11 @@ pub fn footprint_table(result: &E12Result) -> Table {
         "scheduler events, reserved (1 shard)".into(),
         bytes.to_string(),
         format!("{:.0}", bytes as f64 / result.hosts.max(1) as f64),
+    ]);
+    t.row(&[
+        format!("link state, {} links (1 shard)", result.links),
+        result.link_state_bytes.to_string(),
+        format!("{:.0}", result.link_state_bytes_per_station()),
     ]);
     t
 }

@@ -427,4 +427,24 @@ mod tests {
             assert_eq!(got, (rounds, cross), "{partition} partition, {shards} shards");
         }
     }
+
+    /// A link's queue, pause bookkeeping and rare counters are
+    /// allocated only when a direction first queues, drops or pauses.
+    /// On the k=4 fabric with one host per rack no flood copy ever
+    /// waits for a transmitter, so every link stays at its inline size
+    /// while the ARP floods and datagrams cross it.
+    #[test]
+    fn a_k4_flood_without_queueing_allocates_no_link_record() {
+        let params = E8Params { k: 4, hosts_per_edge: 1, datagrams: 2, ..Default::default() };
+        let (t, _ft, _pairs, deadline) = scenario(&params, TrafficPattern::Permutation);
+        let topo = run_to(t.build(), deadline);
+        let (sent, delivered) = sent_delivered(&topo);
+        assert!(sent > 0 && delivered == sent, "{delivered}/{sent} datagrams");
+        let net = &topo.net;
+        // Eight hosts, each ARPing once: most deliveries are flood copies.
+        let other = net.stats().frames_delivered - delivered;
+        assert!(other > 10 * delivered, "{other} deliveries besides the datagrams");
+        let inline = net.link_count() * std::mem::size_of::<arppath_netsim::Link>();
+        assert_eq!(net.link_state_bytes(), inline);
+    }
 }

@@ -244,6 +244,11 @@ impl Default for ChurnConfig {
 /// which measures, per activation, how long the fabric takes to carry
 /// an echo round trip again — the stale-path correction latency when
 /// the activation is a re-arrival behind a new rack.
+///
+/// It keeps one correction sample per activation and nothing per
+/// reply: a reply bumps [`ChurnHost::replies_rx`]. A harness that wants
+/// replies per time window reads that counter at the window's edges
+/// (E11 runs the engine in epoch slices and differences it).
 pub struct ChurnHost {
     name: String,
     /// The network stack (public for post-run counter inspection).
@@ -262,8 +267,6 @@ pub struct ChurnHost {
     pub activations: u32,
     /// Per-activation latency to the first echo reply, nanoseconds.
     pub correction_ns: Vec<u64>,
-    /// Receive instant of every matched reply (epoch bucketing).
-    pub reply_times: Vec<SimTime>,
     /// The constant echo payload every probe carries.
     probe: Box<[u8]>,
 }
@@ -286,7 +289,6 @@ impl ChurnHost {
             replies_rx: 0,
             activations: 0,
             correction_ns: Vec::new(),
-            reply_times: Vec::new(),
             probe: vec![0x11; PROBE_LEN].into(),
         }
     }
@@ -356,7 +358,6 @@ impl Device for ChurnHost {
         if let Some(Upcall::EchoReply { ident, .. }) = self.stack.handle_frame(frame, ctx) {
             if ident == self.config.ident {
                 self.replies_rx += 1;
-                self.reply_times.push(ctx.now());
                 if self.awaiting_first_reply {
                     self.awaiting_first_reply = false;
                     self.correction_ns
@@ -532,6 +533,5 @@ mod tests {
         let f = reply_frame(&host, 8, 3);
         host.on_frame(PortNo(0), f, &mut Ctx::new(SimTime(12_000), NodeId(0), &ports, &mut cmds));
         assert_eq!(host.replies_rx, 3, "foreign ident is not counted");
-        assert_eq!(host.reply_times.len(), 3);
     }
 }

@@ -205,8 +205,14 @@ impl HostStack {
         if fresh {
             self.counters.arp_resolved += 1;
         }
-        // Drain everything parked for this destination.
+        // Drain everything parked for this destination. A `BTreeMap`
+        // keeps its root node when its last entry goes, so the emptied
+        // map is replaced: a host that waited on ARP once holds no
+        // pending storage for the rest of the run.
         if let Some(q) = self.pending.remove(&ip) {
+            if self.pending.is_empty() {
+                self.pending = BTreeMap::new();
+            }
             for (proto, payload) in q {
                 self.transmit_ip(mac, ip, proto, payload, ctx);
             }

@@ -35,8 +35,9 @@ pub struct EpochRow {
 
 /// Per-epoch, per-station delivery counts with Jain fairness scoring.
 ///
-/// Feed it `(station, instant)` pairs in any order; epochs materialize
-/// lazily, so quiet stretches cost nothing and the report skips them.
+/// Feed it `(station, instant)` pairs, or per-epoch counts, in any
+/// order; epochs materialize lazily, so quiet stretches cost nothing
+/// and the report skips them.
 #[derive(Debug, Clone)]
 pub struct ChurnEpochs {
     epoch_ns: u64,
@@ -56,8 +57,17 @@ impl ChurnEpochs {
 
     /// Record one delivery for `station` at `at_ns`.
     pub fn record(&mut self, station: usize, at_ns: u64) {
-        let index = at_ns / self.epoch_ns;
-        *self.counts.entry(index).or_default().entry(station).or_insert(0) += 1;
+        self.record_n(station, at_ns / self.epoch_ns, 1);
+    }
+
+    /// Record `n` deliveries for `station` in epoch `index` — the same
+    /// as `n` calls of [`ChurnEpochs::record`] at instants inside that
+    /// epoch. `n = 0` records nothing: a station enters an epoch's
+    /// fairness score only with a delivery in it.
+    pub fn record_n(&mut self, station: usize, index: u64, n: u64) {
+        if n > 0 {
+            *self.counts.entry(index).or_default().entry(station).or_insert(0) += n;
+        }
     }
 
     /// Total deliveries across all epochs.
@@ -114,6 +124,21 @@ mod tests {
         assert_eq!(rows[1].start_ns, 200);
         assert_eq!(e.total(), 6);
         assert!((e.worst_jain() - rows[1].jain).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_n_equals_n_single_records() {
+        let mut singles = ChurnEpochs::new(100);
+        let mut counted = ChurnEpochs::new(100);
+        for (station, index, n) in [(0, 0, 3), (1, 0, 1), (0, 2, 5), (2, 2, 0), (1, 7, 2)] {
+            for i in 0..n {
+                singles.record(station, index * 100 + i * 7);
+            }
+            counted.record_n(station, index, n);
+        }
+        assert_eq!(counted.rows(), singles.rows());
+        assert_eq!(counted.total(), 11);
+        assert_eq!(counted.rows()[1].stations, 1, "a zero count does not join the epoch");
     }
 
     #[test]

@@ -422,6 +422,10 @@ impl NetworkBuilder {
             }
         }
         let n = self.devices.len();
+        // Cabling grew the link table by doubling; the run keeps one
+        // slot per link, not the slack.
+        let mut links = self.links;
+        links.shrink_to_fit();
         let single_port =
             self.port_map.iter().map(|row| row.iter().flatten().count() == 1).collect();
         let delivery = self.delivery.map(|d| Arc::new(Mutex::new(d)));
@@ -432,7 +436,7 @@ impl NetworkBuilder {
         };
         let mut net = Network {
             devices: self.devices.into_iter().map(Some).collect(),
-            links: self.links,
+            links,
             // The builder's egress map is already the dense per-node,
             // per-port table the hot path indexes: move it as-is.
             port_table: self.port_map,
@@ -532,6 +536,14 @@ impl Network {
     /// cost in memory at their high-water mark.
     pub fn scheduler_reserved_bytes(&self) -> usize {
         self.queue.reserved_bytes()
+    }
+
+    /// Bytes of link state: every [`Link`]'s inline size, plus the
+    /// out-of-line record each direction allocates the first time it
+    /// queues, drops or pauses (not the frames a queue holds).
+    pub fn link_state_bytes(&self) -> usize {
+        let inline = self.links.len() * std::mem::size_of::<Link>();
+        inline + self.links.iter().map(Link::out_of_line_bytes).sum::<usize>()
     }
 
     /// Engine-wide counters.
@@ -926,7 +938,7 @@ impl Network {
         let link = &mut self.links[link_id.0];
         if !link.up {
             self.stats.drops_link_down += 1;
-            link.dirs[dir.index()].stats.dropped_link_down += 1;
+            link.dirs[dir.index()].record(link.params.queue).stats.dropped_link_down += 1;
             self.trace(TraceEvent::DropLinkDown { link: link_id, frame });
             return;
         }
@@ -934,17 +946,16 @@ impl Network {
         let link = &mut self.links[link_id.0];
         let sender = link.sender(dir);
         let epoch = link.epoch;
+        let policy = link.params.queue;
         let state = &mut link.dirs[dir.index()];
         if state.transmitting || state.paused {
-            match state.queue.try_enqueue(out.into_owned()) {
+            match state.enqueue(out.into_owned(), policy) {
                 Admission::Dropped(frame) => {
                     self.stats.drops_queue_full += 1;
-                    state.stats.dropped_queue_full += 1;
+                    state.record(policy).stats.dropped_queue_full += 1;
                     self.trace(TraceEvent::DropQueueFull { link: link_id, dir, frame: &frame });
                 }
                 Admission::Queued => {
-                    let depth = state.queue.bytes() as u64;
-                    state.stats.peak_queue_bytes = state.stats.peak_queue_bytes.max(depth);
                     // The frame in flight now has a successor to start:
                     // its completion, elided so far, becomes an event.
                     let schedule_done = state.transmitting && !state.done_scheduled;
@@ -953,7 +964,7 @@ impl Network {
                     // PFC: crossing the pause threshold asserts pause
                     // toward every device feeding this queue — i.e. out
                     // of all the congested device's *other* ports.
-                    let assert_pause = !state.pause_asserted && state.queue.above_pause();
+                    let assert_pause = !state.pause_asserted && state.above_pause();
                     state.pause_asserted |= assert_pause;
                     if schedule_done {
                         self.push_at(done_at, EventKind::TxDone { link: link_id, dir, epoch });
@@ -1050,20 +1061,21 @@ impl Network {
         };
         let now = self.now;
         let link = &mut self.links[link_id.0];
-        let watchdog = link.params.watchdog;
+        let (policy, watchdog) = (link.params.queue, link.params.watchdog);
         let state = &mut link.dirs[dir.index()];
         match op {
             PfcOp::Pause => {
                 if !state.paused {
                     state.paused = true;
-                    state.pause_started = Some(now);
-                    state.stats.pause_events += 1;
+                    let rec = state.record(policy);
+                    rec.pause_started = Some(now);
+                    rec.stats.pause_events += 1;
                     // Arm the deadlock watchdog for *this* pause. The
                     // generation stamp lets the fire handler tell a
                     // pause that was released (and possibly replaced)
                     // in the meantime from one that is genuinely stuck.
-                    state.pause_gen += 1;
-                    let gen = state.pause_gen;
+                    rec.pause_gen += 1;
+                    let gen = rec.pause_gen;
                     if let Some(deadline) = watchdog.deadline() {
                         self.push_at(
                             now + deadline,
@@ -1075,14 +1087,11 @@ impl Network {
             PfcOp::Resume => {
                 if state.paused {
                     state.paused = false;
-                    if let Some(started) = state.pause_started.take() {
-                        state.stats.paused_for =
-                            state.stats.paused_for + SimDuration::nanos(now.0 - started.0);
-                    }
+                    state.end_pause(now);
                     self.settle(link_id, dir);
                     let state = &mut self.links[link_id.0].dirs[dir.index()];
                     if !state.transmitting {
-                        if let Some(next) = state.queue.pop() {
+                        if let Some(next) = state.pop() {
                             self.start_tx(link_id, dir, Cow::Owned(next));
                         }
                     }
@@ -1108,31 +1117,30 @@ impl Network {
         }
         self.settle(link_id, dir);
         let link = &mut self.links[link_id.0];
-        let policy = link.params.watchdog;
+        let (queue, watchdog) = (link.params.queue, link.params.watchdog);
         let ep = link.sender(dir);
         let state = &mut link.dirs[dir.index()];
-        if !state.paused || state.pause_gen != gen {
+        // A paused direction has its record: the pause wrote it.
+        if !state.paused || state.record(queue).pause_gen != gen {
             return; // released before the deadline: not stuck
         }
         state.paused = false;
-        if let Some(started) = state.pause_started.take() {
-            state.stats.paused_for = state.stats.paused_for + SimDuration::nanos(now.0 - started.0);
-        }
-        state.stats.watchdog_fires += 1;
+        state.end_pause(now);
+        state.record(queue).stats.watchdog_fires += 1;
         self.stats.watchdog_fires += 1;
         let mut resume_next = None;
-        match policy {
+        match watchdog {
             // Unreachable in practice: fires are only armed when a
             // deadline exists. Harmless if params ever become mutable.
             PauseWatchdog::Off => {}
             PauseWatchdog::ForceResume { .. } => {
                 if !state.transmitting {
-                    resume_next = state.queue.pop();
+                    resume_next = state.pop();
                 }
             }
             PauseWatchdog::DrainAndDrop { .. } => {
-                let lost = state.queue.clear() as u64;
-                state.stats.dropped_watchdog += lost;
+                let lost = state.clear_queue() as u64;
+                state.record(queue).stats.dropped_watchdog += lost;
                 self.stats.drops_watchdog += lost;
             }
         }
@@ -1172,7 +1180,7 @@ impl Network {
         state.busy_until = done_at;
         state.in_flight_len = frame.wire_len() as u32;
         state.busy = state.busy + ser;
-        state.done_scheduled = !state.queue.is_empty() || state.pause_asserted;
+        state.done_scheduled = state.queued_bytes != 0 || state.pause_asserted;
         if state.done_scheduled {
             self.push_at(done_at, EventKind::TxDone { link: link_id, dir, epoch });
         } else if !state.listed {
@@ -1211,7 +1219,7 @@ impl Network {
         // direction (the in-flight frame always finishes; the next one
         // waits for resume).
         if !state.paused {
-            if let Some(next) = state.queue.pop() {
+            if let Some(next) = state.pop() {
                 self.start_tx(link_id, dir, Cow::Owned(next));
             }
         }
@@ -1220,7 +1228,7 @@ impl Network {
         let link = &mut self.links[link_id.0];
         let sender = link.sender(dir);
         let state = &mut link.dirs[dir.index()];
-        if state.pause_asserted && state.queue.below_resume() {
+        if state.pause_asserted && state.below_resume() {
             state.pause_asserted = false;
             self.emit_pfc(sender, PfcOp::Resume);
         }
@@ -1296,12 +1304,15 @@ impl Network {
             // state dies with the carrier (a re-plugged link starts
             // unpaused, like real hardware renegotiating flow control).
             let now = self.now;
+            let policy = link.params.queue;
             let mut release: Vec<Endpoint> = Vec::new();
             for dir in [Dir::AtoB, Dir::BtoA] {
                 let sender = link.sender(dir);
                 let state = &mut link.dirs[dir.index()];
-                let lost = state.queue.clear() as u64;
-                state.stats.dropped_link_down += lost;
+                let lost = state.clear_queue() as u64;
+                if lost > 0 {
+                    state.record(policy).stats.dropped_link_down += lost;
+                }
                 self.stats.drops_link_down += lost;
                 if state.transmitting {
                     // Cut mid-serialization: the frame never completes.
@@ -1312,7 +1323,7 @@ impl Network {
                     // instant.
                     state.transmitting = false;
                     state.done_scheduled = false;
-                    state.stats.dropped_link_down += 1;
+                    state.record(policy).stats.dropped_link_down += 1;
                 }
                 if state.pause_asserted {
                     state.pause_asserted = false;
@@ -1320,10 +1331,7 @@ impl Network {
                 }
                 if state.paused {
                     state.paused = false;
-                    if let Some(started) = state.pause_started.take() {
-                        state.stats.paused_for =
-                            state.stats.paused_for + SimDuration::nanos(now.0 - started.0);
-                    }
+                    state.end_pause(now);
                 }
             }
             // A drained queue can never cross its resume threshold, so
@@ -1340,7 +1348,7 @@ impl Network {
             // pause state, and a down link admits nothing (`handle_send`
             // drops at the carrier check), so there is nothing to restart.
             debug_assert!(
-                link.dirs.iter().all(|d| d.queue.is_empty() && !d.transmitting && !d.paused),
+                link.dirs.iter().all(|d| d.queued_bytes == 0 && !d.transmitting && !d.paused),
                 "a re-plugged link holds no frame"
             );
         }
@@ -1994,6 +2002,45 @@ mod tests {
         assert_eq!(s.tx_bytes, 4 * 60);
         assert_eq!(s.busy, SimDuration::nanos(4 * 672));
         assert_eq!(net.link(l).total_tx_frames(), 4);
+    }
+
+    #[test]
+    fn a_direction_allocates_its_record_once_and_keeps_every_counter() {
+        // tx's transmitter (A→B) drops into a dead link, then queues
+        // one frame and drops one at a one-frame cap, then sits paused
+        // for 1 ms — in that order and in the reverse one. Whichever
+        // event writes the record first, the others add to it.
+        let params = LinkParams { queue: QueuePolicy::drop_tail(60), ..Default::default() };
+        let inline = std::mem::size_of::<Link>();
+        let us = |n: u64| SimTime(SimDuration::micros(n).as_nanos());
+        for reverse in [false, true] {
+            // (dead-link drop, queue + overflow, pause) start times, µs.
+            let (dead, burst, pause) = if reverse { (1030, 1020, 10) } else { (10, 40, 50) };
+            let sends = [dead + 10, burst, burst, burst].map(|t| SimDuration::micros(t).as_nanos());
+            let mut b = NetworkBuilder::new();
+            let tx = b.add(Scripted::new(0, &sends, false));
+            let rx = b.add(Box::new(Probe::new("rx", false)));
+            let l = b.link(tx, 0, rx, 0, params);
+            let mut net = b.build();
+            net.run_until(SimTime(0));
+            assert_eq!(net.link_state_bytes(), inline, "no record before the first event");
+            net.schedule_link_down(l, us(dead));
+            net.schedule_link_up(l, us(dead + 20));
+            net.inject_at(us(pause), tx, PortNo(0), crate::pfc::pause_frame());
+            net.inject_at(us(pause + 1000), tx, PortNo(0), crate::pfc::resume_frame());
+            net.run_until_idle(SimTime(u64::MAX));
+            let s = net.link(l).stats(Dir::AtoB);
+            assert_eq!(
+                (s.dropped_link_down, s.dropped_queue_full, s.peak_queue_bytes),
+                (1, 1, 60),
+                "reverse = {reverse}"
+            );
+            assert_eq!((s.pause_events, s.paused_for), (1, SimDuration::millis(1)));
+            assert_eq!(s.tx_frames, 2);
+            assert_eq!(net.link(l).stats(Dir::BtoA), DirStats::default());
+            let one_record = net.link_state_bytes() - inline;
+            assert!(one_record > 0 && one_record < std::mem::size_of::<Link>());
+        }
     }
 
     // ---- elided transmit completions: the corners of the settle rule ----

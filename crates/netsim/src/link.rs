@@ -7,21 +7,28 @@
 //!
 //! Every frame hop reads link state twice — once to send, once to
 //! deliver — and a fabric has thousands of links, so each read is a
-//! cache miss. [`Link`] and its per-direction state are therefore laid
-//! out (`repr(C)`, 64-byte aligned) so that a hop touches as few lines
-//! as it can:
+//! cache miss. A [`Link`] is four 64-byte lines (`repr(C)`, 64-byte
+//! aligned), laid out so that a hop touches as few as it can:
 //!
-//! * the link's **shared line** — `a`, `b`, `epoch`, `up`, bandwidth,
+//! * the **shared line** — `a`, `b`, `epoch`, `up`, bandwidth,
 //!   propagation — is all a delivery reads, and the first of the two
 //!   lines a send reads;
+//! * the second line holds the rest of [`LinkParams`], the queue policy
+//!   and the pause watchdog, read only when a direction first queues,
+//!   drops or pauses, and when a pause arms the watchdog;
 //! * each direction's **hot line** — `busy_until`, the busy/frame/byte
-//!   counters every transmission bumps, the in-flight length, the five
-//!   state flags and the queued byte count — is the other.
+//!   counters every transmission bumps, the queued byte count, the
+//!   in-flight length and the five state flags — is the other line a
+//!   send reads.
 //!
-//! The queue's `VecDeque`, its policy, the pause bookkeeping and the
-//! counters that only move on drops and pauses sit behind those and
-//! are touched only when a frame actually queues, drops or pauses. The
-//! `layout` tests pin the offsets.
+//! The transmit queue, the pause bookkeeping and the counters that only
+//! move on drops and pauses live out of line, in a per-direction record
+//! allocated the first time that direction queues, drops or pauses;
+//! the hot line holds the pointer and mirrors the queue's byte count,
+//! so a send that finds the transmitter idle and the queue empty never
+//! follows it. Most directions of a fabric never allocate a record
+//! ([`crate::Network::link_state_bytes`] counts those that do). The
+//! `layout` tests pin the offsets and the four-line size.
 
 use crate::device::{NodeId, PortNo};
 use crate::time::{SimDuration, SimTime};
@@ -172,16 +179,11 @@ pub enum Admission {
 
 /// One direction's transmit queue, admission policy included.
 ///
-/// This is the exact structure the engine uses inside [`Link`]; it is
+/// This is the exact structure the engine uses behind [`Link`]; it is
 /// public so the drop-tail property suite
 /// (`crates/netsim/tests/queue_oracle.rs`) can exercise the real
 /// admission logic against a naive reference model.
-///
-/// The byte count comes first so that it lands on the owning
-/// direction's hot line (see the module docs): emptiness is read from
-/// it, not from the `VecDeque` behind it.
 #[derive(Debug, Default)]
-#[repr(C)]
 pub struct PortQueue {
     bytes: usize,
     peak_bytes: usize,
@@ -205,9 +207,8 @@ impl PortQueue {
         self.queue.len()
     }
 
-    /// True when no frames are queued. Read off the byte count — every
-    /// frame is at least 60 bytes on the wire — so the check stays on
-    /// the line the transmitter state shares.
+    /// True when no frames are queued. Read off the byte count: every
+    /// frame is at least 60 bytes on the wire.
     pub fn is_empty(&self) -> bool {
         self.bytes == 0
     }
@@ -370,21 +371,39 @@ pub struct DirStats {
 }
 
 /// The [`DirStats`] counters that move only when a frame drops or a
-/// pause starts, ends or times out — kept off the direction's hot
-/// line. (`busy`, `tx_frames` and `tx_bytes` move on every frame and
-/// live on it; [`Link::stats`] puts the two halves back together.)
+/// pause starts, ends or times out. (`busy`, `tx_frames` and
+/// `tx_bytes` move on every frame and live on the direction's hot
+/// line; the peak queue depth is the queue's own
+/// [`PortQueue::peak_bytes`]; [`Link::stats`] puts them together.)
 #[derive(Debug, Default)]
 pub(crate) struct RareStats {
     pub dropped_queue_full: u64,
     pub dropped_link_down: u64,
     pub pause_events: u64,
     pub paused_for: SimDuration,
-    pub peak_queue_bytes: u64,
     pub watchdog_fires: u64,
     pub dropped_watchdog: u64,
 }
 
-/// One direction's transmit state.
+/// What one direction needs only once it has queued, dropped or been
+/// paused: the transmit queue, the pause bookkeeping and the rare
+/// counters. Allocated the first time any of them is written; most
+/// directions of a fabric never allocate one.
+#[derive(Debug, Default)]
+pub(crate) struct DirRecord {
+    /// Frames awaiting the transmitter, under the link's queue policy.
+    pub queue: PortQueue,
+    /// When the current pause began (for `DirStats::paused_for`).
+    pub pause_started: Option<SimTime>,
+    /// Bumped every time a pause takes hold; a pending watchdog event
+    /// carries the generation it was armed under and is ignored if the
+    /// pause it guarded has since been released (or replaced).
+    pub pause_gen: u64,
+    /// The drop and pause counters.
+    pub stats: RareStats,
+}
+
+/// One direction's transmit state: exactly one cache line.
 ///
 /// A frame in flight is `transmitting` from `start_tx` until its
 /// completion is *applied*, which the engine does lazily: a completion
@@ -393,8 +412,11 @@ pub(crate) struct RareStats {
 /// reads this state at or after its canonical position
 /// `(busy_until, TxDone key)`, or at the next run boundary.
 ///
-/// Field order is the layout (see the module docs): everything down to
-/// the queue's leading byte count is the hot line.
+/// The queue itself lives in the out-of-line [`DirRecord`]; the line
+/// mirrors its byte count in `queued_bytes`, so a transmission that
+/// finds the queue empty never follows the pointer. Every queue
+/// mutation goes through [`DirState::enqueue`], [`DirState::pop`] or
+/// [`DirState::clear_queue`], which keep the mirror exact.
 #[derive(Debug, Default)]
 #[repr(C, align(64))]
 pub(crate) struct DirState {
@@ -406,6 +428,10 @@ pub(crate) struct DirState {
     pub tx_frames: u64,
     /// Bytes fully transmitted ([`DirStats::tx_bytes`]).
     pub tx_bytes: u64,
+    /// Bytes queued behind the transmitter: the queue's
+    /// [`PortQueue::bytes`], or 0 with no record. Every frame is at
+    /// least 60 bytes on the wire, so 0 means empty.
+    pub queued_bytes: usize,
     /// Wire length of the in-flight frame, credited to `tx_bytes` on
     /// completion.
     pub in_flight_len: u32,
@@ -424,17 +450,8 @@ pub(crate) struct DirState {
     /// This direction's queue has an unreleased pause asserted toward
     /// the devices feeding it (PFC policy only).
     pub pause_asserted: bool,
-    /// Frames awaiting the transmitter, under the link's queue policy.
-    /// Its byte count closes the hot line.
-    pub queue: PortQueue,
-    /// When the current pause began (for `DirStats::paused_for`).
-    pub pause_started: Option<SimTime>,
-    /// Bumped every time a pause takes hold; a pending watchdog event
-    /// carries the generation it was armed under and is ignored if the
-    /// pause it guarded has since been released (or replaced).
-    pub pause_gen: u64,
-    /// The drop and pause counters.
-    pub stats: RareStats,
+    /// The queue, pause bookkeeping and rare counters, once needed.
+    record: Option<Box<DirRecord>>,
 }
 
 impl DirState {
@@ -446,12 +463,74 @@ impl DirState {
         self.tx_frames += 1;
         self.tx_bytes += u64::from(self.in_flight_len);
     }
+
+    /// The out-of-line record, allocated on first use with a queue
+    /// under `policy` (the link's [`LinkParams::queue`]).
+    pub(crate) fn record(&mut self, policy: QueuePolicy) -> &mut DirRecord {
+        self.record.get_or_insert_with(|| {
+            Box::new(DirRecord { queue: PortQueue::new(policy), ..Default::default() })
+        })
+    }
+
+    /// The out-of-line record, if this direction ever needed one.
+    pub(crate) fn existing_record(&self) -> Option<&DirRecord> {
+        self.record.as_deref()
+    }
+
+    /// Admit `frame` to the queue under `policy`, or hand it back.
+    pub(crate) fn enqueue(&mut self, frame: EthernetFrame, policy: QueuePolicy) -> Admission {
+        let queue = &mut self.record(policy).queue;
+        let admission = queue.try_enqueue(frame);
+        self.queued_bytes = queue.bytes();
+        admission
+    }
+
+    /// Dequeue the frame at the head, if any.
+    pub(crate) fn pop(&mut self) -> Option<EthernetFrame> {
+        if self.queued_bytes == 0 {
+            return None;
+        }
+        let queue = &mut self.record.as_mut()?.queue;
+        let frame = queue.pop();
+        self.queued_bytes = queue.bytes();
+        frame
+    }
+
+    /// Drop every queued frame, returning how many were discarded.
+    pub(crate) fn clear_queue(&mut self) -> usize {
+        if self.queued_bytes == 0 {
+            return 0;
+        }
+        self.queued_bytes = 0;
+        self.record.as_mut().map_or(0, |rec| rec.queue.clear())
+    }
+
+    /// True when a PFC policy says the queue's depth warrants a pause.
+    pub(crate) fn above_pause(&self) -> bool {
+        self.record.as_ref().is_some_and(|rec| rec.queue.above_pause())
+    }
+
+    /// True when a PFC policy says the queue has drained enough to
+    /// release an asserted pause.
+    pub(crate) fn below_resume(&self) -> bool {
+        self.record.as_ref().is_some_and(|rec| rec.queue.below_resume())
+    }
+
+    /// Close an open pause interval at `now` into `paused_for`.
+    pub(crate) fn end_pause(&mut self, now: SimTime) {
+        if let Some(rec) = self.record.as_mut() {
+            if let Some(started) = rec.pause_started.take() {
+                rec.stats.paused_for = rec.stats.paused_for + SimDuration::nanos(now.0 - started.0);
+            }
+        }
+    }
 }
 
-/// A full-duplex point-to-point link.
+/// A full-duplex point-to-point link: four cache lines.
 ///
 /// Field order is the layout (see the module docs): everything down to
-/// the first two fields of `params` is the shared line.
+/// the first two fields of `params` is the shared line, the rest of
+/// `params` the second line, and each direction's hot line follows.
 #[derive(Debug)]
 #[repr(C, align(64))]
 pub struct Link {
@@ -472,8 +551,7 @@ pub struct Link {
 
 impl Link {
     pub(crate) fn new(a: Endpoint, b: Endpoint, params: LinkParams) -> Self {
-        let dir = || DirState { queue: PortQueue::new(params.queue), ..Default::default() };
-        Link { a, b, epoch: 0, up: true, params, dirs: [dir(), dir()] }
+        Link { a, b, epoch: 0, up: true, params, dirs: Default::default() }
     }
 
     /// The endpoint a frame travelling in `dir` arrives at.
@@ -497,25 +575,34 @@ impl Link {
     /// of `run_until`, `run_until_idle`, `run_for` or `step`).
     pub fn stats(&self, dir: Dir) -> DirStats {
         let d = &self.dirs[dir.index()];
-        DirStats {
+        let hot = DirStats {
             tx_frames: d.tx_frames,
             tx_bytes: d.tx_bytes,
-            dropped_queue_full: d.stats.dropped_queue_full,
-            dropped_link_down: d.stats.dropped_link_down,
             busy: d.busy,
-            pause_events: d.stats.pause_events,
-            paused_for: d.stats.paused_for,
-            peak_queue_bytes: d.stats.peak_queue_bytes,
-            watchdog_fires: d.stats.watchdog_fires,
-            dropped_watchdog: d.stats.dropped_watchdog,
+            ..DirStats::default()
+        };
+        let Some(rec) = d.existing_record() else {
+            return hot;
+        };
+        let rare = &rec.stats;
+        DirStats {
+            dropped_queue_full: rare.dropped_queue_full,
+            dropped_link_down: rare.dropped_link_down,
+            pause_events: rare.pause_events,
+            paused_for: rare.paused_for,
+            peak_queue_bytes: rec.queue.peak_bytes() as u64,
+            watchdog_fires: rare.watchdog_fires,
+            dropped_watchdog: rare.dropped_watchdog,
+            ..hot
         }
     }
 
     /// Current depth of one direction's transmit queue as
     /// `(frames, bytes)` — the E9 queue-depth sampler's source.
     pub fn queue_depth(&self, dir: Dir) -> (usize, usize) {
-        let q = &self.dirs[dir.index()].queue;
-        (q.len(), q.bytes())
+        self.dirs[dir.index()]
+            .existing_record()
+            .map_or((0, 0), |rec| (rec.queue.len(), rec.queue.bytes()))
     }
 
     /// True while `dir`'s transmitter is halted by a pause frame.
@@ -530,15 +617,25 @@ impl Link {
     /// deadlocked fabric).
     pub fn paused_for(&self, dir: Dir, now: SimTime) -> SimDuration {
         let d = &self.dirs[dir.index()];
-        match (d.paused, d.pause_started) {
-            (true, Some(started)) => d.stats.paused_for + SimDuration::nanos(now.0 - started.0),
-            _ => d.stats.paused_for,
+        let Some(rec) = d.existing_record() else {
+            return SimDuration::ZERO;
+        };
+        match (d.paused, rec.pause_started) {
+            (true, Some(started)) => rec.stats.paused_for + SimDuration::nanos(now.0 - started.0),
+            _ => rec.stats.paused_for,
         }
     }
 
     /// Combined counters of both directions.
     pub fn total_tx_frames(&self) -> u64 {
         self.dirs[0].tx_frames + self.dirs[1].tx_frames
+    }
+
+    /// Heap bytes of the out-of-line records this link's directions
+    /// allocated (0, 1 or 2 records of [`DirRecord`]).
+    pub(crate) fn out_of_line_bytes(&self) -> usize {
+        self.dirs.iter().filter(|d| d.existing_record().is_some()).count()
+            * std::mem::size_of::<DirRecord>()
     }
 }
 
@@ -567,8 +664,13 @@ mod tests {
         const LINE: usize = 64;
 
         #[test]
-        fn a_send_and_a_delivery_read_one_shared_line_of_the_link() {
+        fn a_link_is_four_lines() {
             assert_eq!(align_of::<Link>(), LINE);
+            assert!(size_of::<Link>() <= 4 * LINE, "{} B", size_of::<Link>());
+        }
+
+        #[test]
+        fn a_send_and_a_delivery_read_one_shared_line_of_the_link() {
             assert!(offset_of!(Link, a) + size_of::<Endpoint>() <= LINE);
             assert!(offset_of!(Link, b) + size_of::<Endpoint>() <= LINE);
             assert!(offset_of!(Link, epoch) + size_of::<u64>() <= LINE);
@@ -578,18 +680,21 @@ mod tests {
             assert!(
                 params + offset_of!(LinkParams, propagation) + size_of::<SimDuration>() <= LINE
             );
-            // The directions start on lines of their own.
-            assert_eq!(offset_of!(Link, dirs) % LINE, 0);
+            // The rest of the parameters fill the second line, and the
+            // directions start on lines of their own after it.
+            assert!(params + size_of::<LinkParams>() <= 2 * LINE);
+            assert_eq!(offset_of!(Link, dirs), 2 * LINE);
         }
 
         #[test]
         fn a_direction_keeps_everything_a_transmission_touches_on_one_line() {
             assert_eq!(align_of::<DirState>(), LINE);
-            assert_eq!(size_of::<DirState>() % LINE, 0);
+            assert_eq!(size_of::<DirState>(), LINE);
             assert!(offset_of!(DirState, busy_until) + size_of::<SimTime>() <= LINE);
             assert!(offset_of!(DirState, busy) + size_of::<SimDuration>() <= LINE);
             assert!(offset_of!(DirState, tx_frames) + size_of::<u64>() <= LINE);
             assert!(offset_of!(DirState, tx_bytes) + size_of::<u64>() <= LINE);
+            assert!(offset_of!(DirState, queued_bytes) + size_of::<usize>() <= LINE);
             assert!(offset_of!(DirState, in_flight_len) + size_of::<u32>() <= LINE);
             for flag in [
                 offset_of!(DirState, transmitting),
@@ -600,11 +705,9 @@ mod tests {
             ] {
                 assert!(flag < LINE);
             }
-            let queued_bytes = offset_of!(DirState, queue) + offset_of!(PortQueue, bytes);
-            assert!(queued_bytes + size_of::<usize>() <= LINE);
-            // What a hop does not need stays off the line.
-            assert!(offset_of!(DirState, queue) + offset_of!(PortQueue, queue) >= LINE);
-            assert!(offset_of!(DirState, stats) >= LINE);
+            // The queue, pause bookkeeping and rare counters are one
+            // pointer away, and the pointer is on the line too.
+            assert!(offset_of!(DirState, record) + size_of::<Option<Box<DirRecord>>>() <= LINE);
         }
     }
 
@@ -613,12 +716,19 @@ mod tests {
         let a = Endpoint { node: NodeId(0), port: PortNo(0) };
         let b = Endpoint { node: NodeId(1), port: PortNo(0) };
         let mut link = Link::new(a, b, LinkParams::default());
+        let policy = link.params.queue;
         let d = &mut link.dirs[Dir::BtoA.index()];
         d.in_flight_len = 60;
         d.complete_tx();
         d.busy = SimDuration::nanos(672);
-        d.stats.dropped_link_down = 3;
-        d.stats.peak_queue_bytes = 120;
+        assert_eq!(link.out_of_line_bytes(), 0, "nothing queued, dropped or paused yet");
+        let d = &mut link.dirs[Dir::BtoA.index()];
+        d.record(policy).stats.dropped_link_down = 3;
+        for _ in 0..2 {
+            assert!(matches!(d.enqueue(min_frame(), policy), Admission::Queued));
+        }
+        assert!(d.pop().is_some());
+        assert_eq!(d.queued_bytes, 60, "the hot line mirrors the queue's bytes");
         let expected = DirStats {
             tx_frames: 1,
             tx_bytes: 60,
@@ -628,8 +738,14 @@ mod tests {
             ..DirStats::default()
         };
         assert_eq!(link.stats(Dir::BtoA), expected);
+        assert_eq!(link.queue_depth(Dir::BtoA), (1, 60));
         assert_eq!(link.stats(Dir::AtoB), DirStats::default());
+        assert_eq!(link.queue_depth(Dir::AtoB), (0, 0));
         assert_eq!(link.total_tx_frames(), 1);
+        assert_eq!(link.out_of_line_bytes(), std::mem::size_of::<DirRecord>());
+        let d = &mut link.dirs[Dir::BtoA.index()];
+        assert_eq!(d.clear_queue(), 1);
+        assert_eq!((d.queued_bytes, d.pop().is_none()), (0, true));
     }
 
     #[test]

@@ -240,7 +240,6 @@ impl Host for ChurnHost {
     fn counters(&self) -> (HostCounters, Vec<u64>) {
         let mut seen = vec![self.probes_tx, self.replies_rx, u64::from(self.activations)];
         seen.extend(&self.correction_ns);
-        seen.extend(self.reply_times.iter().map(|t| t.as_nanos()));
         (self.stack.counters(), seen)
     }
 }
