@@ -938,7 +938,7 @@ impl Network {
         let link = &mut self.links[link_id.0];
         if !link.up {
             self.stats.drops_link_down += 1;
-            link.dirs[dir.index()].record(link.params.queue).stats.dropped_link_down += 1;
+            link.dirs[dir.index()].record().stats.dropped_link_down += 1;
             self.trace(TraceEvent::DropLinkDown { link: link_id, frame });
             return;
         }
@@ -952,7 +952,7 @@ impl Network {
             match state.enqueue(out.into_owned(), policy) {
                 Admission::Dropped(frame) => {
                     self.stats.drops_queue_full += 1;
-                    state.record(policy).stats.dropped_queue_full += 1;
+                    state.record().stats.dropped_queue_full += 1;
                     self.trace(TraceEvent::DropQueueFull { link: link_id, dir, frame: &frame });
                 }
                 Admission::Queued => {
@@ -964,7 +964,8 @@ impl Network {
                     // PFC: crossing the pause threshold asserts pause
                     // toward every device feeding this queue — i.e. out
                     // of all the congested device's *other* ports.
-                    let assert_pause = !state.pause_asserted && state.above_pause();
+                    let assert_pause =
+                        !state.pause_asserted && policy.above_pause(state.queued_bytes);
                     state.pause_asserted |= assert_pause;
                     if schedule_done {
                         self.push_at(done_at, EventKind::TxDone { link: link_id, dir, epoch });
@@ -1061,13 +1062,13 @@ impl Network {
         };
         let now = self.now;
         let link = &mut self.links[link_id.0];
-        let (policy, watchdog) = (link.params.queue, link.params.watchdog);
+        let watchdog = link.params.watchdog;
         let state = &mut link.dirs[dir.index()];
         match op {
             PfcOp::Pause => {
                 if !state.paused {
                     state.paused = true;
-                    let rec = state.record(policy);
+                    let rec = state.record();
                     rec.pause_started = Some(now);
                     rec.stats.pause_events += 1;
                     // Arm the deadlock watchdog for *this* pause. The
@@ -1117,16 +1118,16 @@ impl Network {
         }
         self.settle(link_id, dir);
         let link = &mut self.links[link_id.0];
-        let (queue, watchdog) = (link.params.queue, link.params.watchdog);
+        let watchdog = link.params.watchdog;
         let ep = link.sender(dir);
         let state = &mut link.dirs[dir.index()];
         // A paused direction has its record: the pause wrote it.
-        if !state.paused || state.record(queue).pause_gen != gen {
+        if !state.paused || state.record().pause_gen != gen {
             return; // released before the deadline: not stuck
         }
         state.paused = false;
         state.end_pause(now);
-        state.record(queue).stats.watchdog_fires += 1;
+        state.record().stats.watchdog_fires += 1;
         self.stats.watchdog_fires += 1;
         let mut resume_next = None;
         match watchdog {
@@ -1140,7 +1141,7 @@ impl Network {
             }
             PauseWatchdog::DrainAndDrop { .. } => {
                 let lost = state.clear_queue() as u64;
-                state.record(queue).stats.dropped_watchdog += lost;
+                state.record().stats.dropped_watchdog += lost;
                 self.stats.drops_watchdog += lost;
             }
         }
@@ -1226,9 +1227,9 @@ impl Network {
         // PFC: a queue that drained back to the resume threshold
         // releases its asserted pause.
         let link = &mut self.links[link_id.0];
-        let sender = link.sender(dir);
+        let (sender, policy) = (link.sender(dir), link.params.queue);
         let state = &mut link.dirs[dir.index()];
-        if state.pause_asserted && state.below_resume() {
+        if state.pause_asserted && policy.below_resume(state.queued_bytes) {
             state.pause_asserted = false;
             self.emit_pfc(sender, PfcOp::Resume);
         }
@@ -1304,14 +1305,13 @@ impl Network {
             // state dies with the carrier (a re-plugged link starts
             // unpaused, like real hardware renegotiating flow control).
             let now = self.now;
-            let policy = link.params.queue;
             let mut release: Vec<Endpoint> = Vec::new();
             for dir in [Dir::AtoB, Dir::BtoA] {
                 let sender = link.sender(dir);
                 let state = &mut link.dirs[dir.index()];
                 let lost = state.clear_queue() as u64;
                 if lost > 0 {
-                    state.record(policy).stats.dropped_link_down += lost;
+                    state.record().stats.dropped_link_down += lost;
                 }
                 self.stats.drops_link_down += lost;
                 if state.transmitting {
@@ -1323,7 +1323,7 @@ impl Network {
                     // instant.
                     state.transmitting = false;
                     state.done_scheduled = false;
-                    state.record(policy).stats.dropped_link_down += 1;
+                    state.record().stats.dropped_link_down += 1;
                 }
                 if state.pause_asserted {
                     state.pause_asserted = false;

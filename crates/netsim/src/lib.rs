@@ -59,10 +59,7 @@ pub use calq::CalendarQueue;
 pub use device::{Command, Ctx, Device, NodeId, PortNo, TimerToken, Verdict};
 pub use difftest::{DiffScenario, Divergence, Minimized, Outcome};
 pub use engine::{Engine, Network, NetworkBuilder, NetworkStats};
-pub use link::{
-    Admission, Dir, DirStats, Endpoint, Link, LinkId, LinkParams, PauseWatchdog, PortQueue,
-    QueuePolicy,
-};
+pub use link::{Dir, DirStats, Endpoint, Link, LinkId, LinkParams, PauseWatchdog, QueuePolicy};
 pub use pfc::PfcOp;
 pub use sharded::{ShardStats, ShardedBuilder, ShardedNetwork};
 pub use time::{SimDuration, SimTime};

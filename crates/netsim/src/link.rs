@@ -14,21 +14,23 @@
 //!   propagation — is all a delivery reads, and the first of the two
 //!   lines a send reads;
 //! * the second line holds the rest of [`LinkParams`], the queue policy
-//!   and the pause watchdog, read only when a direction first queues,
-//!   drops or pauses, and when a pause arms the watchdog;
+//!   and the pause watchdog, read only when a frame meets a busy or
+//!   paused transmitter, when a completion checks a PFC queue's resume
+//!   threshold, and when a pause arms the watchdog;
 //! * each direction's **hot line** — `busy_until`, the busy/frame/byte
 //!   counters every transmission bumps, the queued byte count, the
 //!   in-flight length and the five state flags — is the other line a
 //!   send reads.
 //!
-//! The transmit queue, the pause bookkeeping and the counters that only
+//! The queued frames, the pause bookkeeping and the counters that only
 //! move on drops and pauses live out of line, in a per-direction record
-//! allocated the first time that direction queues, drops or pauses;
-//! the hot line holds the pointer and mirrors the queue's byte count,
-//! so a send that finds the transmitter idle and the queue empty never
-//! follows it. Most directions of a fabric never allocate a record
-//! ([`crate::Network::link_state_bytes`] counts those that do). The
-//! `layout` tests pin the offsets and the four-line size.
+//! allocated the first time that direction queues, drops or pauses.
+//! The hot line holds the pointer and the queue's byte count, its only
+//! copy, so a send that finds the transmitter idle and the queue empty
+//! never follows the pointer. Most directions of a fabric never
+//! allocate a record ([`crate::Network::link_state_bytes`] counts
+//! those that do). The `layout` tests pin the offsets, the four-line
+//! size and the record's size.
 
 use crate::device::{NodeId, PortNo};
 use crate::time::{SimDuration, SimTime};
@@ -80,38 +82,55 @@ pub enum QueuePolicy {
     /// Unbounded queue: frames are never dropped for lack of space.
     #[default]
     Infinite,
-    /// Drop-tail: a frame that would push the queue past either cap is
+    /// Drop-tail: a frame that would push the queue past `max_bytes` is
     /// dropped at enqueue time and counted in
     /// [`DirStats::dropped_queue_full`].
     DropTail {
         /// Capacity in bytes of queued frame data (wire length).
         max_bytes: usize,
-        /// Capacity in frames.
-        max_frames: usize,
     },
     /// Priority-flow-control flavoured backpressure: the queue itself
     /// is unbounded (lossless), but when its depth crosses
     /// `pause_bytes` the engine synthesizes pause frames toward the
     /// devices feeding it, and resume frames once it drains back to
-    /// `resume_bytes`.
+    /// half of it.
     Pfc {
         /// Queue depth (bytes) at which pause is asserted.
         pause_bytes: usize,
-        /// Queue depth (bytes) at or below which pause is released.
-        resume_bytes: usize,
     },
 }
 
 impl QueuePolicy {
-    /// A drop-tail queue capped in bytes only.
+    /// A drop-tail queue capped at `max_bytes`.
     pub fn drop_tail(max_bytes: usize) -> Self {
-        QueuePolicy::DropTail { max_bytes, max_frames: usize::MAX }
+        QueuePolicy::DropTail { max_bytes }
     }
 
-    /// A PFC queue with the conventional hysteresis pair
-    /// (`resume = pause / 2`).
+    /// A PFC queue that pauses at `pause_bytes` and resumes at half of
+    /// it.
     pub fn pfc(pause_bytes: usize) -> Self {
-        QueuePolicy::Pfc { pause_bytes, resume_bytes: pause_bytes / 2 }
+        QueuePolicy::Pfc { pause_bytes }
+    }
+
+    /// True when a queue holding `queued` bytes admits a frame of `len`
+    /// more: always, except past a drop-tail cap.
+    pub(crate) fn admits(self, queued: usize, len: usize) -> bool {
+        match self {
+            QueuePolicy::DropTail { max_bytes } => queued + len <= max_bytes,
+            QueuePolicy::Infinite | QueuePolicy::Pfc { .. } => true,
+        }
+    }
+
+    /// True when a PFC policy says a queue `queued` bytes deep warrants
+    /// a pause.
+    pub(crate) fn above_pause(self, queued: usize) -> bool {
+        matches!(self, QueuePolicy::Pfc { pause_bytes } if queued >= pause_bytes)
+    }
+
+    /// True when a PFC policy says a queue `queued` bytes deep has
+    /// drained enough to release an asserted pause.
+    pub(crate) fn below_resume(self, queued: usize) -> bool {
+        matches!(self, QueuePolicy::Pfc { pause_bytes } if queued <= pause_bytes / 2)
     }
 }
 
@@ -167,101 +186,14 @@ impl PauseWatchdog {
     }
 }
 
-/// Verdict of [`PortQueue::try_enqueue`]: either the frame was queued,
-/// or it is handed back so the caller can count and trace the drop.
+/// Verdict of a direction's enqueue: either the frame was queued, or
+/// it is handed back so the caller can count and trace the drop.
 #[derive(Debug)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// The frame was accepted into the queue.
     Queued,
     /// The frame was refused (drop-tail cap); returned to the caller.
     Dropped(EthernetFrame),
-}
-
-/// One direction's transmit queue, admission policy included.
-///
-/// This is the exact structure the engine uses behind [`Link`]; it is
-/// public so the drop-tail property suite
-/// (`crates/netsim/tests/queue_oracle.rs`) can exercise the real
-/// admission logic against a naive reference model.
-#[derive(Debug, Default)]
-pub struct PortQueue {
-    bytes: usize,
-    peak_bytes: usize,
-    policy: QueuePolicy,
-    queue: VecDeque<EthernetFrame>,
-}
-
-impl PortQueue {
-    /// An empty queue under `policy`.
-    pub fn new(policy: QueuePolicy) -> Self {
-        PortQueue { policy, ..Default::default() }
-    }
-
-    /// The admission policy.
-    pub fn policy(&self) -> QueuePolicy {
-        self.policy
-    }
-
-    /// Frames currently queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when no frames are queued. Read off the byte count: every
-    /// frame is at least 60 bytes on the wire.
-    pub fn is_empty(&self) -> bool {
-        self.bytes == 0
-    }
-
-    /// Bytes of frame data (wire length) currently queued.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// High-water mark of [`Self::bytes`] over the queue's lifetime.
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes
-    }
-
-    /// Admit `frame` under the policy, or hand it back.
-    pub fn try_enqueue(&mut self, frame: EthernetFrame) -> Admission {
-        let len = frame.wire_len();
-        if let QueuePolicy::DropTail { max_bytes, max_frames } = self.policy {
-            if self.bytes + len > max_bytes || self.queue.len() >= max_frames {
-                return Admission::Dropped(frame);
-            }
-        }
-        self.bytes += len;
-        self.peak_bytes = self.peak_bytes.max(self.bytes);
-        self.queue.push_back(frame);
-        Admission::Queued
-    }
-
-    /// Dequeue the frame at the head, if any.
-    pub fn pop(&mut self) -> Option<EthernetFrame> {
-        let frame = self.queue.pop_front()?;
-        self.bytes -= frame.wire_len();
-        Some(frame)
-    }
-
-    /// Drop every queued frame, returning how many were discarded.
-    pub fn clear(&mut self) -> usize {
-        let n = self.queue.len();
-        self.queue.clear();
-        self.bytes = 0;
-        n
-    }
-
-    /// True when a PFC policy says this depth warrants a pause.
-    pub fn above_pause(&self) -> bool {
-        matches!(self.policy, QueuePolicy::Pfc { pause_bytes, .. } if self.bytes >= pause_bytes)
-    }
-
-    /// True when a PFC policy says the queue has drained enough to
-    /// release an asserted pause.
-    pub fn below_resume(&self) -> bool {
-        matches!(self.policy, QueuePolicy::Pfc { resume_bytes, .. } if self.bytes <= resume_bytes)
-    }
 }
 
 /// Physical parameters of a link. The two every transmission reads
@@ -373,8 +305,8 @@ pub struct DirStats {
 /// The [`DirStats`] counters that move only when a frame drops or a
 /// pause starts, ends or times out. (`busy`, `tx_frames` and
 /// `tx_bytes` move on every frame and live on the direction's hot
-/// line; the peak queue depth is the queue's own
-/// [`PortQueue::peak_bytes`]; [`Link::stats`] puts them together.)
+/// line; the peak queue depth is [`DirRecord::peak_bytes`];
+/// [`Link::stats`] puts them together.)
 #[derive(Debug, Default)]
 pub(crate) struct RareStats {
     pub dropped_queue_full: u64,
@@ -388,11 +320,16 @@ pub(crate) struct RareStats {
 /// What one direction needs only once it has queued, dropped or been
 /// paused: the transmit queue, the pause bookkeeping and the rare
 /// counters. Allocated the first time any of them is written; most
-/// directions of a fabric never allocate one.
+/// directions of a fabric never allocate one. The queue's byte count
+/// and the policy it is held to are not here: the count is
+/// [`DirState::queued_bytes`] and the policy the link's
+/// [`LinkParams::queue`].
 #[derive(Debug, Default)]
 pub(crate) struct DirRecord {
-    /// Frames awaiting the transmitter, under the link's queue policy.
-    pub queue: PortQueue,
+    /// Frames awaiting the transmitter.
+    pub queue: VecDeque<EthernetFrame>,
+    /// High-water mark of [`DirState::queued_bytes`].
+    pub peak_bytes: usize,
     /// When the current pause began (for `DirStats::paused_for`).
     pub pause_started: Option<SimTime>,
     /// Bumped every time a pause takes hold; a pending watchdog event
@@ -412,11 +349,11 @@ pub(crate) struct DirRecord {
 /// reads this state at or after its canonical position
 /// `(busy_until, TxDone key)`, or at the next run boundary.
 ///
-/// The queue itself lives in the out-of-line [`DirRecord`]; the line
-/// mirrors its byte count in `queued_bytes`, so a transmission that
+/// The queued frames live in the out-of-line [`DirRecord`]; their
+/// byte count lives here, in `queued_bytes`, so a transmission that
 /// finds the queue empty never follows the pointer. Every queue
 /// mutation goes through [`DirState::enqueue`], [`DirState::pop`] or
-/// [`DirState::clear_queue`], which keep the mirror exact.
+/// [`DirState::clear_queue`], which keep the count exact.
 #[derive(Debug, Default)]
 #[repr(C, align(64))]
 pub(crate) struct DirState {
@@ -428,9 +365,9 @@ pub(crate) struct DirState {
     pub tx_frames: u64,
     /// Bytes fully transmitted ([`DirStats::tx_bytes`]).
     pub tx_bytes: u64,
-    /// Bytes queued behind the transmitter: the queue's
-    /// [`PortQueue::bytes`], or 0 with no record. Every frame is at
-    /// least 60 bytes on the wire, so 0 means empty.
+    /// Bytes of frame data (wire length) queued behind the
+    /// transmitter; 0 with no record. Every frame is at least 60 bytes
+    /// on the wire, so 0 means empty.
     pub queued_bytes: usize,
     /// Wire length of the in-flight frame, credited to `tx_bytes` on
     /// completion.
@@ -464,12 +401,9 @@ impl DirState {
         self.tx_bytes += u64::from(self.in_flight_len);
     }
 
-    /// The out-of-line record, allocated on first use with a queue
-    /// under `policy` (the link's [`LinkParams::queue`]).
-    pub(crate) fn record(&mut self, policy: QueuePolicy) -> &mut DirRecord {
-        self.record.get_or_insert_with(|| {
-            Box::new(DirRecord { queue: PortQueue::new(policy), ..Default::default() })
-        })
+    /// The out-of-line record, allocated on first use.
+    pub(crate) fn record(&mut self) -> &mut DirRecord {
+        self.record.get_or_insert_with(Box::default)
     }
 
     /// The out-of-line record, if this direction ever needed one.
@@ -477,12 +411,18 @@ impl DirState {
         self.record.as_deref()
     }
 
-    /// Admit `frame` to the queue under `policy`, or hand it back.
+    /// Admit `frame` to the queue under `policy` (the link's
+    /// [`LinkParams::queue`]), or hand it back.
     pub(crate) fn enqueue(&mut self, frame: EthernetFrame, policy: QueuePolicy) -> Admission {
-        let queue = &mut self.record(policy).queue;
-        let admission = queue.try_enqueue(frame);
-        self.queued_bytes = queue.bytes();
-        admission
+        let len = frame.wire_len();
+        if !policy.admits(self.queued_bytes, len) {
+            return Admission::Dropped(frame);
+        }
+        self.queued_bytes += len;
+        let rec = self.record.get_or_insert_with(Box::default);
+        rec.peak_bytes = rec.peak_bytes.max(self.queued_bytes);
+        rec.queue.push_back(frame);
+        Admission::Queued
     }
 
     /// Dequeue the frame at the head, if any.
@@ -490,10 +430,9 @@ impl DirState {
         if self.queued_bytes == 0 {
             return None;
         }
-        let queue = &mut self.record.as_mut()?.queue;
-        let frame = queue.pop();
-        self.queued_bytes = queue.bytes();
-        frame
+        let frame = self.record.as_mut()?.queue.pop_front()?;
+        self.queued_bytes -= frame.wire_len();
+        Some(frame)
     }
 
     /// Drop every queued frame, returning how many were discarded.
@@ -502,18 +441,7 @@ impl DirState {
             return 0;
         }
         self.queued_bytes = 0;
-        self.record.as_mut().map_or(0, |rec| rec.queue.clear())
-    }
-
-    /// True when a PFC policy says the queue's depth warrants a pause.
-    pub(crate) fn above_pause(&self) -> bool {
-        self.record.as_ref().is_some_and(|rec| rec.queue.above_pause())
-    }
-
-    /// True when a PFC policy says the queue has drained enough to
-    /// release an asserted pause.
-    pub(crate) fn below_resume(&self) -> bool {
-        self.record.as_ref().is_some_and(|rec| rec.queue.below_resume())
+        self.record.as_mut().map_or(0, |rec| rec.queue.drain(..).count())
     }
 
     /// Close an open pause interval at `now` into `paused_for`.
@@ -590,7 +518,7 @@ impl Link {
             dropped_link_down: rare.dropped_link_down,
             pause_events: rare.pause_events,
             paused_for: rare.paused_for,
-            peak_queue_bytes: rec.queue.peak_bytes() as u64,
+            peak_queue_bytes: rec.peak_bytes as u64,
             watchdog_fires: rare.watchdog_fires,
             dropped_watchdog: rare.dropped_watchdog,
             ..hot
@@ -600,9 +528,8 @@ impl Link {
     /// Current depth of one direction's transmit queue as
     /// `(frames, bytes)` — the E9 queue-depth sampler's source.
     pub fn queue_depth(&self, dir: Dir) -> (usize, usize) {
-        self.dirs[dir.index()]
-            .existing_record()
-            .map_or((0, 0), |rec| (rec.queue.len(), rec.queue.bytes()))
+        let d = &self.dirs[dir.index()];
+        d.existing_record().map_or((0, 0), |rec| (rec.queue.len(), d.queued_bytes))
     }
 
     /// True while `dir`'s transmitter is halted by a pause frame.
@@ -653,6 +580,15 @@ mod tests {
                 Ipv4Addr::new(10, 0, 0, 1),
                 Ipv4Addr::new(10, 0, 0, 2),
             ),
+        )
+    }
+
+    /// A data frame whose wire length is `60 + pad` bytes.
+    fn frame(pad: usize) -> EthernetFrame {
+        EthernetFrame::new(
+            MacAddr::from_index(1, 2),
+            MacAddr::from_index(1, 1),
+            Payload::Raw { ethertype: EtherType(0x88B5), data: vec![0xA5; 46 + pad].into() },
         )
     }
 
@@ -709,6 +645,13 @@ mod tests {
             // pointer away, and the pointer is on the line too.
             assert!(offset_of!(DirState, record) + size_of::<Option<Box<DirRecord>>>() <= LINE);
         }
+
+        #[test]
+        fn a_direction_record_keeps_no_copy_of_the_policy_or_the_byte_count() {
+            // The deque, the peak, the pause start and generation, and
+            // six rare counters: 32 + 8 + 16 + 8 + 48 bytes.
+            assert!(size_of::<DirRecord>() <= 112, "{} B", size_of::<DirRecord>());
+        }
     }
 
     #[test]
@@ -723,12 +666,12 @@ mod tests {
         d.busy = SimDuration::nanos(672);
         assert_eq!(link.out_of_line_bytes(), 0, "nothing queued, dropped or paused yet");
         let d = &mut link.dirs[Dir::BtoA.index()];
-        d.record(policy).stats.dropped_link_down = 3;
+        d.record().stats.dropped_link_down = 3;
         for _ in 0..2 {
             assert!(matches!(d.enqueue(min_frame(), policy), Admission::Queued));
         }
         assert!(d.pop().is_some());
-        assert_eq!(d.queued_bytes, 60, "the hot line mirrors the queue's bytes");
+        assert_eq!(d.queued_bytes, 60, "the hot line counts the one frame still queued");
         let expected = DirStats {
             tx_frames: 1,
             tx_bytes: 60,
@@ -799,56 +742,196 @@ mod tests {
         assert_eq!(Dir::AtoB.flip(), Dir::BtoA);
     }
 
-    #[test]
-    fn infinite_queue_never_refuses() {
-        let mut q = PortQueue::new(QueuePolicy::Infinite);
-        for _ in 0..1000 {
-            assert!(matches!(q.try_enqueue(min_frame()), Admission::Queued));
-        }
-        assert_eq!(q.len(), 1000);
-        assert_eq!(q.bytes(), 1000 * min_frame().wire_len());
-        assert_eq!(q.peak_bytes(), q.bytes());
-    }
-
-    #[test]
-    fn drop_tail_enforces_byte_cap() {
-        // Each min frame is 60 wire-length bytes: two fit under 120,
-        // the third is refused and handed back intact.
-        let len = min_frame().wire_len();
-        let mut q = PortQueue::new(QueuePolicy::drop_tail(2 * len));
-        assert!(matches!(q.try_enqueue(min_frame()), Admission::Queued));
-        assert!(matches!(q.try_enqueue(min_frame()), Admission::Queued));
-        match q.try_enqueue(min_frame()) {
-            Admission::Dropped(f) => assert_eq!(f.wire_len(), len),
-            Admission::Queued => panic!("third frame must be refused"),
-        }
-        assert_eq!(q.bytes(), 2 * len);
-        q.pop().unwrap();
-        assert!(matches!(q.try_enqueue(min_frame()), Admission::Queued));
-    }
-
-    #[test]
-    fn drop_tail_enforces_frame_cap() {
-        let mut q = PortQueue::new(QueuePolicy::DropTail { max_bytes: usize::MAX, max_frames: 3 });
-        for _ in 0..3 {
-            assert!(matches!(q.try_enqueue(min_frame()), Admission::Queued));
-        }
-        assert!(matches!(q.try_enqueue(min_frame()), Admission::Dropped(_)));
+    /// The frames a direction holds queued.
+    fn queued_frames(d: &DirState) -> usize {
+        d.existing_record().map_or(0, |rec| rec.queue.len())
     }
 
     #[test]
     fn pfc_thresholds_have_hysteresis() {
         let len = min_frame().wire_len(); // 60
-        let mut q = PortQueue::new(QueuePolicy::Pfc { pause_bytes: 2 * len, resume_bytes: len });
-        assert!(!q.above_pause());
-        q.try_enqueue(min_frame());
-        assert!(!q.above_pause());
-        assert!(q.below_resume());
-        q.try_enqueue(min_frame());
-        assert!(q.above_pause());
-        assert!(!q.below_resume());
-        q.pop();
-        assert!(!q.above_pause());
-        assert!(q.below_resume());
+        let policy = QueuePolicy::pfc(2 * len);
+        let mut d = DirState::default();
+        assert!(!policy.above_pause(d.queued_bytes));
+        d.enqueue(min_frame(), policy);
+        assert!(!policy.above_pause(d.queued_bytes));
+        assert!(policy.below_resume(d.queued_bytes));
+        d.enqueue(min_frame(), policy);
+        assert!(policy.above_pause(d.queued_bytes));
+        assert!(!policy.below_resume(d.queued_bytes));
+        d.pop();
+        assert!(!policy.above_pause(d.queued_bytes));
+        assert!(policy.below_resume(d.queued_bytes));
+    }
+
+    #[test]
+    fn boundary_fit_is_admitted_exactly() {
+        // A frame that lands exactly on the byte cap is admitted (`<=`),
+        // one byte past is not — pinned so the oracle comparison below
+        // can't mask an off-by-one agreement-in-error. A refused frame
+        // is handed back intact, and a pop makes room again.
+        let policy = QueuePolicy::drop_tail(120);
+        let mut d = DirState::default();
+        assert!(matches!(d.enqueue(frame(0), policy), Admission::Queued));
+        assert!(matches!(d.enqueue(frame(0), policy), Admission::Queued), "exactly at cap fits");
+        match d.enqueue(frame(7), policy) {
+            Admission::Dropped(f) => assert_eq!(f, frame(7)),
+            Admission::Queued => panic!("a frame past the cap must be refused"),
+        }
+        assert_eq!((queued_frames(&d), d.queued_bytes), (2, 120));
+        d.pop().unwrap();
+        assert!(matches!(d.enqueue(frame(0), policy), Admission::Queued));
+
+        let policy = QueuePolicy::drop_tail(119);
+        let mut d = DirState::default();
+        assert!(matches!(d.enqueue(frame(0), policy), Admission::Queued));
+        assert!(
+            matches!(d.enqueue(frame(0), policy), Admission::Dropped(_)),
+            "one byte short drops"
+        );
+    }
+
+    /// The queue against a naive scalar oracle. [`DirState`] keeps one
+    /// running byte count, on its hot line, so the engine admits or
+    /// drops in O(1); the oracle recomputes everything from a plain
+    /// `Vec` on every op. On every randomized schedule of enqueues
+    /// (varied frame sizes), pops and clears, the two must make
+    /// identical admission decisions and hold identical contents, and
+    /// the capped queue must never exceed its byte cap — the
+    /// invariants E9's congested fabrics lean on.
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The executable specification: a plain `Vec`, byte count
+        /// recomputed from scratch, the admission rule written out
+        /// longhand.
+        struct VecOracle {
+            max_bytes: usize,
+            frames: Vec<EthernetFrame>,
+        }
+
+        impl VecOracle {
+            fn bytes(&self) -> usize {
+                self.frames.iter().map(|f| f.wire_len()).sum()
+            }
+
+            /// True iff the frame is admitted (drop-tail admits only
+            /// when the cap still holds with the frame included).
+            fn try_enqueue(&mut self, f: EthernetFrame) -> bool {
+                if self.bytes() + f.wire_len() <= self.max_bytes {
+                    self.frames.push(f);
+                    true
+                } else {
+                    false
+                }
+            }
+
+            fn pop(&mut self) -> Option<EthernetFrame> {
+                if self.frames.is_empty() {
+                    None
+                } else {
+                    Some(self.frames.remove(0))
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+            /// Drop-tail admission agrees with the oracle op-for-op,
+            /// and the cap is an invariant after every op.
+            #[test]
+            fn drop_tail_matches_vec_oracle(
+                max_bytes in 60usize..2000,
+                // (enqueue?, pad) — pad varies wire length 60..=1514.
+                ops in proptest::collection::vec((any::<bool>(), 0usize..1455), 1..200),
+            ) {
+                let policy = QueuePolicy::drop_tail(max_bytes);
+                let mut d = DirState::default();
+                let mut oracle = VecOracle { max_bytes, frames: Vec::new() };
+                for (enq, pad) in ops {
+                    if enq {
+                        let f = frame(pad);
+                        let admitted = matches!(d.enqueue(f.clone(), policy), Admission::Queued);
+                        prop_assert_eq!(admitted, oracle.try_enqueue(f),
+                            "admission decision diverged from the oracle");
+                    } else {
+                        prop_assert_eq!(d.pop(), oracle.pop());
+                    }
+                    // The cap is an invariant, not just an eventual property.
+                    prop_assert!(d.queued_bytes <= max_bytes,
+                        "byte cap exceeded: {} > {}", d.queued_bytes, max_bytes);
+                    // The running byte count never drifts from ground truth.
+                    prop_assert_eq!(d.queued_bytes, oracle.bytes());
+                    prop_assert_eq!(queued_frames(&d), oracle.frames.len());
+                }
+                // Drain: remaining contents identical, the count back to zero.
+                while let Some(f) = d.pop() {
+                    prop_assert_eq!(Some(f), oracle.pop());
+                }
+                prop_assert_eq!(oracle.pop(), None);
+                prop_assert_eq!((d.queued_bytes, queued_frames(&d)), (0, 0));
+            }
+
+            /// The same equivalence under PFC, whose queue is never
+            /// refused an enqueue and is emptied wholesale by
+            /// `clear_queue` (a link cut, a `DrainAndDrop` watchdog):
+            /// the byte count is 0 exactly when no frame is queued after
+            /// every enqueue, pop and clear, and the pause/resume
+            /// thresholds read that count.
+            #[test]
+            fn pfc_emptiness_follows_the_byte_count(
+                pause_frames in 1usize..8,
+                // 0–5: enqueue (pad), 6–8: pop, 9: clear.
+                ops in proptest::collection::vec((0u8..10, 0usize..1455), 1..200),
+            ) {
+                let pause_bytes = pause_frames * 600;
+                let policy = QueuePolicy::pfc(pause_bytes);
+                let mut d = DirState::default();
+                let mut held: Vec<usize> = Vec::new();
+                for (sel, pad) in ops {
+                    match sel {
+                        0..=5 => {
+                            let f = frame(pad);
+                            held.push(f.wire_len());
+                            prop_assert!(matches!(d.enqueue(f, policy), Admission::Queued));
+                        }
+                        6..=8 => {
+                            let popped = d.pop().map(|f| f.wire_len());
+                            prop_assert_eq!(popped, (!held.is_empty()).then(|| held.remove(0)));
+                        }
+                        _ => {
+                            prop_assert_eq!(d.clear_queue(), held.len());
+                            held.clear();
+                        }
+                    }
+                    let bytes: usize = held.iter().sum();
+                    prop_assert_eq!(queued_frames(&d), held.len());
+                    prop_assert_eq!(d.queued_bytes, bytes);
+                    prop_assert_eq!(d.queued_bytes == 0, held.is_empty());
+                    prop_assert_eq!(policy.above_pause(d.queued_bytes), bytes >= pause_bytes);
+                    prop_assert_eq!(policy.below_resume(d.queued_bytes), bytes <= pause_bytes / 2);
+                }
+            }
+
+            /// The infinite policy admits everything, byte count
+            /// drift-free.
+            #[test]
+            fn infinite_never_drops(
+                pads in proptest::collection::vec(0usize..1455, 1..100),
+            ) {
+                let mut d = DirState::default();
+                let mut total = 0usize;
+                for pad in &pads {
+                    let f = frame(*pad);
+                    total += f.wire_len();
+                    prop_assert!(matches!(d.enqueue(f, QueuePolicy::Infinite), Admission::Queued));
+                }
+                prop_assert_eq!(queued_frames(&d), pads.len());
+                prop_assert_eq!(d.queued_bytes, total);
+                prop_assert_eq!(d.existing_record().map(|rec| rec.peak_bytes), Some(total));
+            }
+        }
     }
 }

@@ -288,10 +288,8 @@ pub struct DLeftTable<K: DLeftKey, V> {
     /// Latest instant any accessor has reported; inserts scrub up to
     /// here.
     observed_now: SimTime,
-    /// Bucket-overflow evictions since construction.
-    evictions: u64,
-    /// Churn instrumentation (high-water, sweep shape, victim life left);
-    /// `stats.evictions` mirrors the standalone counter.
+    /// Churn instrumentation (evictions, high-water, sweep shape,
+    /// victim life left).
     stats: TableStats,
 }
 
@@ -322,7 +320,6 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
             next_due: NEVER,
             len: 0,
             observed_now: SimTime::ZERO,
-            evictions: 0,
             stats: TableStats::default(),
         }
     }
@@ -347,14 +344,12 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
     /// docs; zero in every static in-repo workload — E11's undersized
     /// churn regime is the deliberate exception).
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.stats.evictions
     }
 
     /// Snapshot of the churn/aging instrumentation ([`TableStats`]).
     pub fn stats(&self) -> TableStats {
-        let mut s = self.stats;
-        s.evictions = self.evictions;
-        s
+        self.stats
     }
 
     /// Entry count including not-yet-scrubbed expired entries (same
@@ -610,7 +605,7 @@ impl<K: DLeftKey, V> DLeftTable<K, V> {
                         }
                     }
                 }
-                self.evictions += 1;
+                self.stats.evictions += 1;
                 self.stats.victim_life_histogram
                     [TableStats::life_bucket(victim_expires, watermark)] += 1;
                 victim

@@ -144,13 +144,6 @@ impl Fig3 {
     }
 }
 
-/// Convenience: a fresh builder of `kind` with the Figure-2 fabric.
-pub fn fig2_topology(kind: BridgeKind) -> (TopoBuilder, Fig2) {
-    let mut t = TopoBuilder::new(kind);
-    let fig = Fig2::build(&mut t);
-    (t, fig)
-}
-
 /// Convenience: a fresh builder of `kind` with the Figure-3 fabric.
 pub fn fig3_topology(kind: BridgeKind) -> (TopoBuilder, Fig3) {
     let mut t = TopoBuilder::new(kind);
@@ -176,7 +169,8 @@ mod tests {
 
     #[test]
     fn fig2_has_six_bridges_eight_links() {
-        let (t, fig) = fig2_topology(BridgeKind::ArpPath(ArpPathConfig::default()));
+        let mut t = TopoBuilder::new(BridgeKind::ArpPath(ArpPathConfig::default()));
+        let fig = Fig2::build(&mut t);
         assert_eq!(t.bridge_count(), 6);
         let built = t.build();
         assert_eq!(built.bridge_links.len(), 8);

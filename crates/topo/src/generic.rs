@@ -1,21 +1,11 @@
-//! Generic topology families: lines, rings, grids, meshes, fat-trees
-//! and random connected graphs — the scaling substrate for experiments
-//! E5–E7 and the property-based loop-freedom tests.
+//! Generic topology families: rings, grids, fat-trees and random
+//! connected graphs — the scaling substrate for experiments E5–E7 and
+//! the property-based loop-freedom tests.
 
 use crate::builder::{BridgeIx, TopoBuilder};
 use arppath_netsim::{LinkParams, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A chain `B0—B1—…—B(n-1)`. Returns the bridges in order.
-pub fn line(t: &mut TopoBuilder, n: usize) -> Vec<BridgeIx> {
-    assert!(n >= 1);
-    let bridges: Vec<BridgeIx> = (0..n).map(|i| t.bridge(format!("L{i}"))).collect();
-    for w in bridges.windows(2) {
-        t.connect(w[0], w[1]);
-    }
-    bridges
-}
 
 /// A ring of `n ≥ 3` bridges.
 pub fn ring(t: &mut TopoBuilder, n: usize) -> Vec<BridgeIx> {
@@ -42,17 +32,6 @@ pub fn grid(t: &mut TopoBuilder, w: usize, h: usize) -> Vec<BridgeIx> {
             if y + 1 < h {
                 t.connect(bridges[i], bridges[i + w]);
             }
-        }
-    }
-    bridges
-}
-
-/// A full mesh over `n` bridges.
-pub fn full_mesh(t: &mut TopoBuilder, n: usize) -> Vec<BridgeIx> {
-    let bridges: Vec<BridgeIx> = (0..n).map(|i| t.bridge(format!("M{i}"))).collect();
-    for i in 0..n {
-        for j in i + 1..n {
-            t.connect(bridges[i], bridges[j]);
         }
     }
     bridges
@@ -249,11 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn line_and_ring_shapes() {
-        let mut t = fresh();
-        line(&mut t, 4);
-        assert_eq!(t.build().bridge_links.len(), 3);
-
+    fn ring_edge_count() {
         let mut t = fresh();
         ring(&mut t, 5);
         assert_eq!(t.build().bridge_links.len(), 5);
@@ -265,13 +240,6 @@ mod tests {
         grid(&mut t, 3, 4);
         // 3x4 grid: horizontal 2*4 + vertical 3*3 = 17.
         assert_eq!(t.build().bridge_links.len(), 17);
-    }
-
-    #[test]
-    fn full_mesh_edge_count() {
-        let mut t = fresh();
-        full_mesh(&mut t, 5);
-        assert_eq!(t.build().bridge_links.len(), 10);
     }
 
     #[test]
