@@ -428,7 +428,12 @@ fn main() {
             let hotspot = TrafficPattern::Hotspot { hot_receivers: params.hot_receivers };
             out.write(
                 "E9",
-                &e9_congestion::delivery_trace(&params, e9_congestion::QueueMode::Pfc, hotspot),
+                &e9_congestion::delivery_trace_cc(
+                    &params,
+                    e9_congestion::QueueMode::Pfc,
+                    e9_congestion::CcMode::Fixed,
+                    hotspot,
+                ),
             );
         }
     }

@@ -174,7 +174,7 @@ fn run_size(frame_len: usize, params: &E3Params) -> E3Row {
     // Pre-establish the path so the sweep measures pure forwarding:
     // one ARP exchange S→D.
     let arp = ArpPacket::request(src, host_ip(1), host_ip(2));
-    net.inject(bridge, PortNo(0), EthernetFrame::arp_request(src, arp));
+    net.inject_at(net.now(), bridge, PortNo(0), EthernetFrame::arp_request(src, arp));
     let reply = ArpPacket {
         op: arppath_wire::ArpOp::Reply,
         sha: dst,
@@ -182,7 +182,7 @@ fn run_size(frame_len: usize, params: &E3Params) -> E3Row {
         tha: src,
         tpa: host_ip(1),
     };
-    net.inject(bridge, PortNo(1), EthernetFrame::arp_reply(reply));
+    net.inject_at(net.now(), bridge, PortNo(1), EthernetFrame::arp_reply(reply));
 
     // Bounded horizon: the bridge's hello beacons keep the event queue
     // alive forever, so "run until idle" would never return. Everything

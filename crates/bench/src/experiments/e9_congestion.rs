@@ -367,17 +367,11 @@ fn measure<N: Engine>(
     }
 }
 
-/// The merged, timestamp-sorted delivery trace of one (mode, pattern)
-/// run — the byte-comparable artifact CI diffs between the
+/// The merged, timestamp-sorted delivery trace of one (mode, cc,
+/// pattern) run — the byte-comparable artifact CI diffs between the
 /// single-threaded and sharded engines. With PFC this includes every
 /// pause/resume control frame's delivery, so the comparison also pins
 /// backpressure crossing shard cuts.
-pub fn delivery_trace(params: &E9Params, mode: QueueMode, pattern: TrafficPattern) -> Vec<String> {
-    delivery_trace_cc(params, mode, CcMode::Fixed, pattern)
-}
-
-/// [`delivery_trace`] with an explicit congestion controller — the
-/// sharded watchdog fire-order test captures the AIMD grid cells too.
 pub fn delivery_trace_cc(
     params: &E9Params,
     mode: QueueMode,

@@ -449,10 +449,8 @@ mod tests {
         stack.handle_frame(EthernetFrame::arp_reply(arp), &mut ctx);
         cmds.clear();
         // Ping arrives.
-        let echo = IcmpEcho::request(7, 1, Bytes::from_static(b"payload"));
-        let mut buf = Vec::new();
-        echo.emit(&mut buf);
-        let pkt = Ipv4Packet::new(peer_ip, ip, IpProto::Icmp, Bytes::from(buf));
+        let echo = IcmpEcho::encode(true, 7, 1, b"payload");
+        let pkt = Ipv4Packet::new(peer_ip, ip, IpProto::Icmp, echo);
         let frame = EthernetFrame::new(mac, peer_mac, Payload::Ipv4(pkt));
         let mut ctx = ctx_with(&mut cmds, &ports, SimTime(10));
         let up = stack.handle_frame(frame, &mut ctx);
@@ -460,6 +458,15 @@ mod tests {
         let frames = sent_frames(&cmds);
         assert_eq!(frames.len(), 1, "reply sent");
         assert_eq!(stack.counters().echo_replies_tx, 1);
+        // The reply echoes identifier, sequence and payload (RFC 792).
+        assert_eq!((frames[0].dst, frames[0].src), (peer_mac, mac));
+        let Payload::Ipv4(reply) = &frames[0].payload else { panic!("reply is not IPv4") };
+        assert_eq!((reply.src, reply.dst, reply.proto), (ip, peer_ip, IpProto::Icmp));
+        let payload = Bytes::from_static(b"payload");
+        assert_eq!(
+            IcmpEcho::parse(&reply.payload),
+            Ok(IcmpEcho { is_request: false, ident: 7, seq: 1, payload })
+        );
     }
 
     #[test]
@@ -470,11 +477,8 @@ mod tests {
         let ports = [true];
         let mut cmds = Vec::new();
         let mut ctx = ctx_with(&mut cmds, &ports, SimTime(0));
-        let echo =
-            IcmpEcho { is_request: false, ident: 7, seq: 3, payload: Bytes::from_static(b"t") };
-        let mut buf = Vec::new();
-        echo.emit(&mut buf);
-        let pkt = Ipv4Packet::new(peer_ip, ip, IpProto::Icmp, Bytes::from(buf));
+        let echo = IcmpEcho::encode(false, 7, 3, b"t");
+        let pkt = Ipv4Packet::new(peer_ip, ip, IpProto::Icmp, echo);
         let frame = EthernetFrame::new(mac, peer_mac, Payload::Ipv4(pkt));
         let up = stack.handle_frame(frame, &mut ctx);
         assert_eq!(
@@ -496,10 +500,8 @@ mod tests {
         let ports = [true];
         let mut cmds = Vec::new();
         let mut ctx = ctx_with(&mut cmds, &ports, SimTime(0));
-        let udp = UdpDatagram::new(5004, 5005, Bytes::from_static(b"chunk"));
-        let mut buf = Vec::new();
-        udp.emit(&mut buf);
-        let pkt = Ipv4Packet::new(peer_ip, ip, IpProto::Udp, Bytes::from(buf));
+        let udp = UdpDatagram::encode(5004, 5005, b"chunk");
+        let pkt = Ipv4Packet::new(peer_ip, ip, IpProto::Udp, udp);
         let frame = EthernetFrame::new(mac, peer_mac, Payload::Ipv4(pkt));
         let up = stack.handle_frame(frame, &mut ctx);
         assert_eq!(

@@ -242,7 +242,7 @@ pub trait Device: Any {
     /// intercepted by the engine. Standard devices never see them, like
     /// a real NIC whose MAC consumes pause frames in hardware; the
     /// sharded engine's boundary stubs override this so control frames
-    /// cross the shard cut as ordinary wire bytes and take effect in
+    /// cross the shard cut as ordinary frames and take effect in
     /// the receiving shard.
     fn forwards_control_frames(&self) -> bool {
         false

@@ -224,7 +224,9 @@ enum EventKind {
     /// A pause-watchdog deadline armed at pause time expired; `gen`
     /// identifies the pause it guarded (stale fires are ignored).
     Watchdog { link: LinkId, dir: Dir, gen: u64 },
-    /// Test hook: hand a frame directly to a device's ingress.
+    /// A frame handed straight to a device's ingress by
+    /// [`Network::inject_at`]: every cut-link arrival in a sharded run,
+    /// and any frame a harness injects.
     Inject { node: NodeId, port: PortNo, frame: EthernetFrame },
 }
 
@@ -615,18 +617,13 @@ impl Network {
         self.push_at(at, EventKind::LinkAdmin { link, up: true });
     }
 
-    /// Test hook: deliver `frame` to `node`/`port` at the current time
-    /// (processed before any later event).
-    pub fn inject(&mut self, node: NodeId, port: PortNo, frame: EthernetFrame) {
-        self.push_at(self.now, EventKind::Inject { node, port, frame });
-    }
-
-    /// Deliver `frame` to `node`/`port` at the future instant `at`.
+    /// Deliver `frame` to `node`/`port` at the instant `at`: now
+    /// (processed before any later event) or later.
     ///
     /// This is the partition-aware ingress the sharded engine uses: a
     /// frame that left another shard arrives here carrying the delivery
-    /// time its sender-side link computed. Also useful for harnesses
-    /// replaying a captured schedule.
+    /// time its sender-side link computed. Harnesses that hand a frame
+    /// straight to a device pass [`Network::now`].
     ///
     /// # Panics
     /// If `at` is in the past — accepting it would reorder history.
@@ -1657,7 +1654,7 @@ mod tests {
         net.schedule_link_down(l, SimTime(0));
         net.run_until_idle(SimTime(u64::MAX));
         // Now inject a frame into tx; its echo goes into a dead port.
-        net.inject(tx, PortNo(0), test_frame());
+        net.inject_at(net.now(), tx, PortNo(0), test_frame());
         net.run_until_idle(SimTime(u64::MAX));
         assert_eq!(net.stats().drops_link_down, 1);
         assert_eq!(net.device::<Probe>(rx).heard.len(), 0);
@@ -1822,12 +1819,12 @@ mod tests {
         let (mut net, _na, nb, l) = two_probes(false, LinkParams::default());
         // A pause frame arriving at b's port 0 must pause b's own
         // transmitter on that link and never reach the device.
-        net.inject(nb, PortNo(0), crate::pfc::pause_frame());
+        net.inject_at(net.now(), nb, PortNo(0), crate::pfc::pause_frame());
         net.run_until_idle(SimTime(u64::MAX));
         assert!(net.link(l).is_paused(Dir::BtoA));
         assert_eq!(net.device::<Probe>(nb).heard.len(), 0);
         // Resume releases it and closes the pause-time accounting.
-        net.inject(nb, PortNo(0), crate::pfc::resume_frame());
+        net.inject_at(net.now(), nb, PortNo(0), crate::pfc::resume_frame());
         net.run_until_idle(SimTime(u64::MAX));
         assert!(!net.link(l).is_paused(Dir::BtoA));
         assert_eq!(net.link(l).stats(Dir::BtoA).pause_events, 1);
@@ -1848,7 +1845,7 @@ mod tests {
         let mut net = b.build();
         // The blaster's burst is in the transmitter; halt it with a
         // pause that nobody will ever release.
-        net.inject(tx, PortNo(0), crate::pfc::pause_frame());
+        net.inject_at(net.now(), tx, PortNo(0), crate::pfc::pause_frame());
         net.run_until_idle(SimTime(u64::MAX));
         assert_eq!(net.device::<Probe>(rx).heard.len(), 5, "parked frames must drain");
         assert_eq!(net.stats().watchdog_fires, 1);
@@ -1871,7 +1868,7 @@ mod tests {
         let mut net = b.build();
         // One frame is already serializing (it always completes); the
         // other four are queued behind the pause and get discarded.
-        net.inject(tx, PortNo(0), crate::pfc::pause_frame());
+        net.inject_at(net.now(), tx, PortNo(0), crate::pfc::pause_frame());
         net.run_until_idle(SimTime(u64::MAX));
         assert_eq!(net.device::<Probe>(rx).heard.len(), 1);
         assert_eq!(net.stats().watchdog_fires, 1);
@@ -1888,11 +1885,11 @@ mod tests {
         let params = LinkParams::default()
             .with_watchdog(PauseWatchdog::force_resume(SimDuration::millis(1)));
         let (mut net, _na, nb, l) = two_probes(false, params);
-        net.inject(nb, PortNo(0), crate::pfc::pause_frame());
-        net.inject(nb, PortNo(0), crate::pfc::resume_frame());
+        net.inject_at(net.now(), nb, PortNo(0), crate::pfc::pause_frame());
+        net.inject_at(net.now(), nb, PortNo(0), crate::pfc::resume_frame());
         // Half a deadline later, a second pause arrives (generation 2).
         net.run_until(SimTime(SimDuration::micros(500).as_nanos()));
-        net.inject(nb, PortNo(0), crate::pfc::pause_frame());
+        net.inject_at(net.now(), nb, PortNo(0), crate::pfc::pause_frame());
         // The generation-1 deadline passes: the generation-2 pause must
         // survive it untouched.
         net.run_until(SimTime(SimDuration::micros(1200).as_nanos()));
@@ -1953,9 +1950,9 @@ mod tests {
         let rx = b.add(Box::new(Probe::new("rx", false)));
         let l = b.link(tx, 0, rx, 0, LinkParams::default());
         let mut net = b.build();
-        net.inject(tx, PortNo(0), crate::pfc::pause_frame());
+        net.inject_at(net.now(), tx, PortNo(0), crate::pfc::pause_frame());
         for _ in 0..5 {
-            net.inject(tx, PortNo(0), test_frame());
+            net.inject_at(net.now(), tx, PortNo(0), test_frame());
         }
         net.run_until(SimTime(SimDuration::micros(10).as_nanos()));
         assert!(net.link(l).is_paused(Dir::AtoB), "precondition: tx is paused");
@@ -1968,7 +1965,7 @@ mod tests {
         assert_eq!(net.stats().drops_link_down, 5);
         assert_eq!(net.link(l).stats(Dir::AtoB).tx_frames, 0, "nothing left on re-plug");
         assert!(net.device::<Probe>(rx).heard.is_empty());
-        net.inject(tx, PortNo(0), test_frame());
+        net.inject_at(net.now(), tx, PortNo(0), test_frame());
         net.run_until_idle(SimTime(u64::MAX));
         assert_eq!(net.link(l).stats(Dir::AtoB).tx_frames, 1);
         assert_eq!(net.device::<Probe>(rx).heard.len(), 1);
@@ -1982,7 +1979,7 @@ mod tests {
         let (mut net, _na, nb, l) = two_probes(false, LinkParams::default());
         net.schedule_link_down(l, SimTime(0));
         net.run_until_idle(SimTime(u64::MAX));
-        net.inject(nb, PortNo(0), test_frame());
+        net.inject_at(net.now(), nb, PortNo(0), test_frame());
         net.run_until_idle(SimTime(u64::MAX));
         assert_eq!(net.device::<Probe>(nb).heard.len(), 0);
         assert_eq!(net.stats().drops_link_down, 1);

@@ -130,50 +130,19 @@ impl EthernetFrame {
         ((self.wire_len() + WIRE_OVERHEAD) * 8) as u64
     }
 
-    /// Decode a frame from a plain slice. Unknown EtherTypes and
-    /// undecodable payloads fall back to [`Payload::Raw`]; only a
-    /// mangled *frame header* errors.
-    ///
-    /// Any [`Bytes`] payload the result carries (`Raw` data, IPv4
-    /// transport payload) is **copied** out of `buf`, because a borrowed
-    /// slice has no shareable backing allocation. On hot paths that
-    /// already own a [`Bytes`] buffer, use [`EthernetFrame::parse_bytes`]
-    /// instead, which shares the input allocation.
-    pub fn parse(buf: &[u8]) -> ParseResult<Self> {
-        Self::parse_at(buf, None)
-    }
-
-    /// Decode a frame **zero-copy**: every [`Bytes`] payload in the
-    /// result (`Raw` data, IPv4 transport payload) is a [`Bytes::slice`]
-    /// window into `buf`'s backing allocation — no byte is copied.
-    /// Flooding the decoded frame out of N ports therefore shares one
-    /// allocation across all N clones.
+    /// Decode a frame **zero-copy**. Unknown EtherTypes and undecodable
+    /// payloads fall back to [`Payload::Raw`]; only a mangled *frame
+    /// header* errors. Every [`Bytes`] payload in the result (`Raw`
+    /// data, IPv4 transport payload) is a [`Bytes::slice`] window into
+    /// `buf`'s backing allocation — no byte is copied.
     pub fn parse_bytes(buf: &Bytes) -> ParseResult<Self> {
-        Self::parse_at(buf, Some(buf))
-    }
-
-    /// Shared decode core. `shared` must view the same bytes as `buf`
-    /// when present; payloads then slice it instead of copying.
-    /// Force-inlined so each public entry point specializes away the
-    /// `shared` branches instead of paying them per payload.
-    #[inline(always)]
-    fn parse_at(buf: &[u8], shared: Option<&Bytes>) -> ParseResult<Self> {
-        debug_assert!(shared.is_none_or(|s| s.as_ptr() == buf.as_ptr() && s.len() == buf.len()));
         crate::need(buf, Self::HEADER_LEN, "ethernet")?;
         let dst = MacAddr::parse(&buf[0..6])?;
         let src = MacAddr::parse(&buf[6..12])?;
         let ethertype = EtherType(be16(buf, 12));
         let offset = Self::HEADER_LEN;
         let body = &buf[offset..];
-        // The whole body as a payload buffer: sliced from the shared
-        // allocation when available, copied otherwise.
-        let raw_body = |ethertype: EtherType| Payload::Raw {
-            ethertype,
-            data: match shared {
-                Some(s) => s.slice(offset..),
-                None => Bytes::copy_from_slice(body),
-            },
-        };
+        let raw_body = |ethertype: EtherType| Payload::Raw { ethertype, data: buf.slice(offset..) };
         let payload = if !ethertype.is_ethertype() {
             // 802.3 length framing: BPDUs live here. The declared length
             // bounds the LLC payload; padding follows.
@@ -195,11 +164,7 @@ impl EthernetFrame {
                 Err(_) => raw_body(ethertype),
             }
         } else if ethertype == EtherType::IPV4 {
-            let parsed = match shared {
-                Some(s) => Ipv4Packet::parse_bytes_at(s, offset),
-                None => Ipv4Packet::parse(body),
-            };
-            match parsed {
+            match Ipv4Packet::parse_bytes_at(buf, offset) {
                 Ok(ip) => Payload::Ipv4(ip),
                 Err(_) => raw_body(ethertype),
             }
@@ -264,6 +229,10 @@ mod tests {
     use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
+    fn parse(wire: &[u8]) -> ParseResult<EthernetFrame> {
+        EthernetFrame::parse_bytes(&Bytes::copy_from_slice(wire))
+    }
+
     fn host(i: u32) -> MacAddr {
         MacAddr::from_index(1, i)
     }
@@ -304,7 +273,7 @@ mod tests {
     #[test]
     fn roundtrip_arp() {
         let f = sample_arp_frame();
-        assert_eq!(EthernetFrame::parse(&f.to_bytes()).unwrap(), f);
+        assert_eq!(parse(&f.to_bytes()).unwrap(), f);
     }
 
     #[test]
@@ -317,7 +286,7 @@ mod tests {
         );
         let f = EthernetFrame::new(host(2), host(1), Payload::Ipv4(ip));
         assert_eq!(f.wire_len(), 14 + 20 + 1000);
-        assert_eq!(EthernetFrame::parse(&f.to_bytes()).unwrap(), f);
+        assert_eq!(parse(&f.to_bytes()).unwrap(), f);
     }
 
     #[test]
@@ -334,7 +303,7 @@ mod tests {
             forward_delay: BpduTime::from_secs(15),
         });
         let f = EthernetFrame::new(MacAddr::STP_MULTICAST, host(11), Payload::Bpdu(bpdu));
-        let parsed = EthernetFrame::parse(&f.to_bytes()).unwrap();
+        let parsed = parse(&f.to_bytes()).unwrap();
         assert_eq!(parsed, f);
     }
 
@@ -342,7 +311,7 @@ mod tests {
     fn roundtrip_pathctl() {
         let ctl = PathCtl::request(host(1), host(2), host(99), 77);
         let f = EthernetFrame::new(MacAddr::BROADCAST, host(1), Payload::PathCtl(ctl));
-        assert_eq!(EthernetFrame::parse(&f.to_bytes()).unwrap(), f);
+        assert_eq!(parse(&f.to_bytes()).unwrap(), f);
     }
 
     #[test]
@@ -352,7 +321,7 @@ mod tests {
             host(1),
             Payload::Raw { ethertype: EtherType(0x86DD), data: Bytes::from(vec![1u8; 46]) },
         );
-        let parsed = EthernetFrame::parse(&f.to_bytes()).unwrap();
+        let parsed = parse(&f.to_bytes()).unwrap();
         assert_eq!(parsed, f);
     }
 
@@ -360,13 +329,13 @@ mod tests {
     fn corrupt_arp_payload_degrades_to_raw_not_error() {
         let mut bytes = sample_arp_frame().to_bytes();
         bytes[15] = 0xff; // wreck the ARP ptype field
-        let parsed = EthernetFrame::parse(&bytes).unwrap();
+        let parsed = parse(&bytes).unwrap();
         assert!(matches!(parsed.payload, Payload::Raw { .. }));
     }
 
     #[test]
     fn truncated_header_is_error() {
-        assert!(EthernetFrame::parse(&[0u8; 10]).is_err());
+        assert!(parse(&[0u8; 10]).is_err());
     }
 
     #[test]
@@ -390,12 +359,7 @@ mod tests {
                 MacAddr(src),
                 Payload::Raw { ethertype: EtherType(et), data: Bytes::from(data) },
             );
-            prop_assert_eq!(EthernetFrame::parse(&f.to_bytes()).unwrap(), f);
-        }
-
-        #[test]
-        fn parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let _ = EthernetFrame::parse(&bytes);
+            prop_assert_eq!(parse(&f.to_bytes()).unwrap(), f);
         }
 
         #[test]

@@ -23,22 +23,6 @@ impl IcmpEcho {
     /// Fixed header length.
     pub const HEADER_LEN: usize = 8;
 
-    /// Build an echo request.
-    pub fn request(ident: u16, seq: u16, payload: Bytes) -> Self {
-        IcmpEcho { is_request: true, ident, seq, payload }
-    }
-
-    /// Build the reply mirroring `req` (identifier, sequence and payload
-    /// are echoed verbatim, per RFC 792).
-    pub fn reply_to(req: &IcmpEcho) -> Self {
-        IcmpEcho { is_request: false, ident: req.ident, seq: req.seq, payload: req.payload.clone() }
-    }
-
-    /// Total wire length.
-    pub fn wire_len(&self) -> usize {
-        Self::HEADER_LEN + self.payload.len()
-    }
-
     /// Decode and verify the ICMP checksum. The payload is a
     /// [`Bytes::slice`] view into `buf`'s allocation, not a copy.
     pub fn parse(buf: &Bytes) -> ParseResult<Self> {
@@ -68,32 +52,20 @@ impl IcmpEcho {
         })
     }
 
-    /// Encode onto `out`, computing the checksum over header + payload.
-    pub fn emit(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.resize(start + self.wire_len(), 0);
-        Self::write_into(self.is_request, self.ident, self.seq, &self.payload, &mut out[start..]);
-    }
-
-    /// Encode an echo from its parts straight into one freshly allocated
-    /// buffer — the send path's single allocation and single copy of
-    /// `payload`.
+    /// Encode an echo from its parts, computing the checksum over
+    /// header + payload, straight into one freshly allocated buffer —
+    /// the send path's single allocation and single copy of `payload`.
     pub fn encode(is_request: bool, ident: u16, seq: u16, payload: &[u8]) -> Bytes {
         let mut out = BytesMut::zeroed(Self::HEADER_LEN + payload.len());
-        Self::write_into(is_request, ident, seq, payload, &mut out);
-        out.freeze()
-    }
-
-    /// The one encoder: writes header and `payload` into `out`, which is
-    /// exactly [`IcmpEcho::HEADER_LEN`] + `payload.len()` bytes long.
-    fn write_into(is_request: bool, ident: u16, seq: u16, payload: &[u8], out: &mut [u8]) {
+        let (header, body) = out.split_at_mut(Self::HEADER_LEN);
         // Type, code 0, and a zero checksum placeholder.
-        out[..4].copy_from_slice(&[if is_request { 8 } else { 0 }, 0, 0, 0]);
-        out[4..6].copy_from_slice(&ident.to_be_bytes());
-        out[6..8].copy_from_slice(&seq.to_be_bytes());
-        out[Self::HEADER_LEN..].copy_from_slice(payload);
-        let csum = internet_checksum(out);
+        header[..4].copy_from_slice(&[if is_request { 8 } else { 0 }, 0, 0, 0]);
+        header[4..6].copy_from_slice(&ident.to_be_bytes());
+        header[6..8].copy_from_slice(&seq.to_be_bytes());
+        body.copy_from_slice(payload);
+        let csum = internet_checksum(&out);
         out[2..4].copy_from_slice(&csum.to_be_bytes());
+        out.freeze()
     }
 }
 
@@ -115,49 +87,25 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn parse_emit_identity() {
-        let e = IcmpEcho::request(42, 7, Bytes::from_static(b"timestamp:123456"));
-        let mut buf = Vec::new();
-        e.emit(&mut buf);
-        assert_eq!(buf.len(), e.wire_len());
-        assert_eq!(IcmpEcho::parse(&Bytes::from(buf)).unwrap(), e);
-    }
-
-    #[test]
-    fn encode_is_emit_in_one_buffer() {
-        let e = IcmpEcho::request(42, 7, Bytes::from_static(b"timestamp:123456"));
-        let mut buf = Vec::new();
-        e.emit(&mut buf);
+    fn parse_encode_identity() {
         let wire = IcmpEcho::encode(true, 42, 7, b"timestamp:123456");
-        assert_eq!(wire, buf);
+        assert_eq!(wire.len(), IcmpEcho::HEADER_LEN + 16);
         let parsed = IcmpEcho::parse(&wire).unwrap();
+        let payload = Bytes::from_static(b"timestamp:123456");
+        assert_eq!(parsed, IcmpEcho { is_request: true, ident: 42, seq: 7, payload });
         assert!(parsed.payload.shares_allocation_with(&wire), "payload must not be copied");
     }
 
     #[test]
-    fn reply_echoes_request_fields() {
-        let req = IcmpEcho::request(1, 2, Bytes::from_static(b"x"));
-        let rep = IcmpEcho::reply_to(&req);
-        assert!(!rep.is_request);
-        assert_eq!(rep.ident, req.ident);
-        assert_eq!(rep.seq, req.seq);
-        assert_eq!(rep.payload, req.payload);
-    }
-
-    #[test]
     fn corrupt_byte_fails_checksum() {
-        let e = IcmpEcho::request(42, 7, Bytes::from_static(b"abcdef"));
-        let mut buf = Vec::new();
-        e.emit(&mut buf);
+        let mut buf = IcmpEcho::encode(true, 42, 7, b"abcdef").to_vec();
         buf[6] ^= 0x40;
         assert!(matches!(IcmpEcho::parse(&Bytes::from(buf)), Err(ParseError::BadChecksum { .. })));
     }
 
     #[test]
     fn rejects_non_echo_types() {
-        let e = IcmpEcho::request(1, 1, Bytes::new());
-        let mut buf = Vec::new();
-        e.emit(&mut buf);
+        let mut buf = IcmpEcho::encode(true, 1, 1, b"").to_vec();
         buf[0] = 3; // destination unreachable
         assert!(matches!(
             IcmpEcho::parse(&Bytes::from(buf)),
@@ -171,10 +119,9 @@ mod tests {
             is_request: bool, ident: u16, seq: u16,
             payload in proptest::collection::vec(any::<u8>(), 0..128),
         ) {
+            let wire = IcmpEcho::encode(is_request, ident, seq, &payload);
             let e = IcmpEcho { is_request, ident, seq, payload: Bytes::from(payload) };
-            let mut buf = Vec::new();
-            e.emit(&mut buf);
-            prop_assert_eq!(IcmpEcho::parse(&Bytes::from(buf)).unwrap(), e);
+            prop_assert_eq!(IcmpEcho::parse(&wire).unwrap(), e);
         }
 
         #[test]

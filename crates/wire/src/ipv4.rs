@@ -96,42 +96,23 @@ impl Ipv4Packet {
         Self::HEADER_LEN + self.payload.len()
     }
 
-    /// Decode and verify the header checksum, **copying** the transport
-    /// payload out of `buf`. When the caller owns a [`Bytes`] buffer,
-    /// [`Ipv4Packet::parse_bytes`] decodes without copying.
-    pub fn parse(buf: &[u8]) -> ParseResult<Self> {
-        let total_len = Self::validate(buf)?;
-        Ok(Self::from_header(buf, Bytes::copy_from_slice(&buf[Self::HEADER_LEN..total_len])))
-    }
-
-    /// Decode and verify the header checksum, zero-copy: the returned
-    /// packet's payload is a [`Bytes::slice`] window into `buf`'s
-    /// backing allocation.
-    pub fn parse_bytes(buf: &Bytes) -> ParseResult<Self> {
-        Self::parse_bytes_at(buf, 0)
-    }
-
-    /// Zero-copy decode of the packet starting at `offset` within
-    /// `buf`. Taking the offset (rather than a pre-sliced `Bytes`)
-    /// avoids an intermediate refcounted view on the frame-decode hot
-    /// path: exactly one slice is created, for the payload.
+    /// Decode the packet starting at `offset` within `buf` and verify
+    /// its header checksum, zero-copy: the payload is a [`Bytes::slice`]
+    /// window into `buf`'s allocation. Taking the offset (rather than a
+    /// pre-sliced `Bytes`) lets the frame decoder create exactly one
+    /// refcounted view, for the payload.
     pub(crate) fn parse_bytes_at(buf: &Bytes, offset: usize) -> ParseResult<Self> {
         let body = &buf[offset..];
         let total_len = Self::validate(body)?;
-        Ok(Self::from_header(body, buf.slice(offset + Self::HEADER_LEN..offset + total_len)))
-    }
-
-    /// Assemble a packet from a validated header and its payload bytes.
-    fn from_header(buf: &[u8], payload: Bytes) -> Self {
-        Ipv4Packet {
-            dscp_ecn: buf[1],
-            ident: be16(buf, 4),
-            ttl: buf[8],
-            proto: IpProto::from_u8(buf[9]),
-            src: Ipv4Addr::new(buf[12], buf[13], buf[14], buf[15]),
-            dst: Ipv4Addr::new(buf[16], buf[17], buf[18], buf[19]),
-            payload,
-        }
+        Ok(Ipv4Packet {
+            dscp_ecn: body[1],
+            ident: be16(body, 4),
+            ttl: body[8],
+            proto: IpProto::from_u8(body[9]),
+            src: Ipv4Addr::new(body[12], body[13], body[14], body[15]),
+            dst: Ipv4Addr::new(body[16], body[17], body[18], body[19]),
+            payload: buf.slice(offset + Self::HEADER_LEN..offset + total_len),
+        })
     }
 
     /// Validate the fixed header; returns the declared total length
@@ -218,6 +199,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn parse(wire: &[u8]) -> ParseResult<Ipv4Packet> {
+        Ipv4Packet::parse_bytes_at(&Bytes::copy_from_slice(wire), 0)
+    }
+
     fn sample() -> Ipv4Packet {
         Ipv4Packet::new(
             Ipv4Addr::new(10, 0, 0, 1),
@@ -280,7 +265,7 @@ mod tests {
         let max = Ipv4Packet { payload: Bytes::from(vec![0; 65_515]), ..sample() };
         let mut buf = Vec::new();
         max.emit(&mut buf);
-        assert_eq!(Ipv4Packet::parse(&buf).unwrap(), max);
+        assert_eq!(parse(&buf).unwrap(), max);
     }
 
     #[test]
@@ -296,7 +281,7 @@ mod tests {
         let mut buf = Vec::new();
         pkt.emit(&mut buf);
         assert_eq!(buf.len(), pkt.wire_len());
-        assert_eq!(Ipv4Packet::parse(&buf).unwrap(), pkt);
+        assert_eq!(parse(&buf).unwrap(), pkt);
     }
 
     #[test]
@@ -311,7 +296,7 @@ mod tests {
         let mut buf = Vec::new();
         sample().emit(&mut buf);
         buf[8] ^= 0xff; // flip TTL
-        assert!(matches!(Ipv4Packet::parse(&buf), Err(ParseError::BadChecksum { .. })));
+        assert!(matches!(parse(&buf), Err(ParseError::BadChecksum { .. })));
     }
 
     #[test]
@@ -320,7 +305,7 @@ mod tests {
         let mut buf = Vec::new();
         pkt.emit(&mut buf);
         buf.resize(buf.len() + 14, 0); // frame padding past total_len
-        assert_eq!(Ipv4Packet::parse(&buf).unwrap(), pkt);
+        assert_eq!(parse(&buf).unwrap(), pkt);
     }
 
     #[test]
@@ -335,10 +320,7 @@ mod tests {
             h
         });
         buf[10..12].copy_from_slice(&c.to_be_bytes());
-        assert!(matches!(
-            Ipv4Packet::parse(&buf),
-            Err(ParseError::BadField { field: "fragment", .. })
-        ));
+        assert!(matches!(parse(&buf), Err(ParseError::BadField { field: "fragment", .. })));
     }
 
     #[test]
@@ -346,7 +328,7 @@ mod tests {
         let mut buf = Vec::new();
         sample().emit(&mut buf);
         buf.truncate(25); // total_len says 32
-        assert!(matches!(Ipv4Packet::parse(&buf), Err(ParseError::LengthMismatch { .. })));
+        assert!(matches!(parse(&buf), Err(ParseError::LengthMismatch { .. })));
     }
 
     proptest! {
@@ -367,12 +349,12 @@ mod tests {
             };
             let mut buf = Vec::new();
             pkt.emit(&mut buf);
-            prop_assert_eq!(Ipv4Packet::parse(&buf).unwrap(), pkt);
+            prop_assert_eq!(parse(&buf).unwrap(), pkt);
         }
 
         #[test]
         fn parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-            let _ = Ipv4Packet::parse(&bytes);
+            let _ = parse(&bytes);
         }
 
         #[test]

@@ -18,9 +18,14 @@
 //! # Design
 //!
 //! Following the smoltcp school: parsing is *total* (every byte pattern
-//! either yields a value or a typed [`ParseError`]; no panics), emitting is
-//! infallible, and `parse ∘ emit` is the identity — a property enforced by
-//! proptest round-trip suites in every module.
+//! either yields a value or a typed [`ParseError`]; no panics), encoding
+//! is infallible, and each format has one encoder and one decoder whose
+//! composition is the identity: [`EthernetFrame::parse_bytes`] ∘
+//! [`EthernetFrame::emit`] for frames (IPv4 packets included),
+//! [`UdpDatagram::parse`] ∘ [`UdpDatagram::encode`] and
+//! [`IcmpEcho::parse`] ∘ [`IcmpEcho::encode`] for the transports, and
+//! `parse ∘ emit` for ARP, PathCtl, BPDUs and MAC addresses — properties
+//! enforced by proptest round-trip suites in every module.
 //!
 //! Frames are owned structs rather than views over borrowed buffers: the
 //! simulator clones frames at flood fan-out points, and `bytes::Bytes`

@@ -6,7 +6,7 @@ use std::fmt;
 
 /// A UDP datagram. The checksum is carried but computed over the payload
 /// only (checksum 0 = disabled is also accepted), because the simulator's
-/// frames cannot be corrupted between emit and parse except by explicit
+/// frames cannot be corrupted between encode and parse except by explicit
 /// fault injection — which flips payload bytes, and those are covered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UdpDatagram {
@@ -24,16 +24,6 @@ impl UdpDatagram {
 
     /// The largest payload the 16-bit length field can state.
     pub const MAX_PAYLOAD: usize = u16::MAX as usize - Self::HEADER_LEN;
-
-    /// Construct a datagram.
-    pub fn new(src_port: u16, dst_port: u16, payload: Bytes) -> Self {
-        UdpDatagram { src_port, dst_port, payload }
-    }
-
-    /// Total wire length.
-    pub fn wire_len(&self) -> usize {
-        Self::HEADER_LEN + self.payload.len()
-    }
 
     /// Decode from `buf`, honouring the declared length (trailing bytes
     /// beyond it — Ethernet padding — are ignored). The checksum is
@@ -60,35 +50,23 @@ impl UdpDatagram {
         })
     }
 
-    /// Encode onto `out` with a payload checksum.
-    pub fn emit(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.resize(start + self.wire_len(), 0);
-        Self::write_into(self.src_port, self.dst_port, &self.payload, &mut out[start..]);
-    }
-
-    /// Encode a datagram from its parts straight into one freshly
-    /// allocated buffer — the send path's single allocation and single
-    /// copy of `payload`.
-    pub fn encode(src_port: u16, dst_port: u16, payload: &[u8]) -> Bytes {
-        let mut out = BytesMut::zeroed(Self::HEADER_LEN + payload.len());
-        Self::write_into(src_port, dst_port, payload, &mut out);
-        out.freeze()
-    }
-
-    /// The one encoder: writes header and `payload` into `out`, which is
-    /// exactly [`UdpDatagram::HEADER_LEN`] + `payload.len()` bytes long.
+    /// Encode a datagram from its parts, with a payload checksum,
+    /// straight into one freshly allocated buffer — the send path's
+    /// single allocation and single copy of `payload`.
     ///
     /// # Panics
     /// If the payload is longer than [`UdpDatagram::MAX_PAYLOAD`].
-    fn write_into(src_port: u16, dst_port: u16, payload: &[u8], out: &mut [u8]) {
+    pub fn encode(src_port: u16, dst_port: u16, payload: &[u8]) -> Bytes {
+        let mut out = BytesMut::zeroed(Self::HEADER_LEN + payload.len());
         let len = u16::try_from(out.len())
             .expect("UDP datagram longer than 65,535 bytes: the caller built an oversized payload");
-        out[0..2].copy_from_slice(&src_port.to_be_bytes());
-        out[2..4].copy_from_slice(&dst_port.to_be_bytes());
-        out[4..6].copy_from_slice(&len.to_be_bytes());
-        out[6..8].copy_from_slice(&Self::checksum(payload).to_be_bytes());
-        out[Self::HEADER_LEN..].copy_from_slice(payload);
+        let (header, body) = out.split_at_mut(Self::HEADER_LEN);
+        header[0..2].copy_from_slice(&src_port.to_be_bytes());
+        header[2..4].copy_from_slice(&dst_port.to_be_bytes());
+        header[4..6].copy_from_slice(&len.to_be_bytes());
+        header[6..8].copy_from_slice(&Self::checksum(payload).to_be_bytes());
+        body.copy_from_slice(payload);
+        out.freeze()
     }
 
     /// The payload checksum as carried on the wire: a computed 0 is sent
@@ -112,21 +90,20 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn parse_emit_identity() {
-        let d = UdpDatagram::new(5004, 5005, Bytes::from_static(b"gop-frame-0001"));
-        let mut buf = Vec::new();
-        d.emit(&mut buf);
-        assert_eq!(buf.len(), d.wire_len());
-        assert_eq!(UdpDatagram::parse(&Bytes::from(buf)).unwrap(), d);
+    /// The wire bytes of a datagram, as a mutable buffer to corrupt.
+    fn wire(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
+        UdpDatagram::encode(src_port, dst_port, payload).to_vec()
+    }
+
+    fn datagram(src_port: u16, dst_port: u16, payload: &'static [u8]) -> UdpDatagram {
+        UdpDatagram { src_port, dst_port, payload: Bytes::from_static(payload) }
     }
 
     #[test]
-    fn encode_is_emit_in_one_buffer() {
-        let d = UdpDatagram::new(5004, 5005, Bytes::from_static(b"gop-frame-0001"));
-        let mut buf = Vec::new();
-        d.emit(&mut buf);
-        assert_eq!(UdpDatagram::encode(5004, 5005, b"gop-frame-0001"), buf);
+    fn parse_encode_identity() {
+        let wire = UdpDatagram::encode(5004, 5005, b"gop-frame-0001");
+        assert_eq!(wire.len(), UdpDatagram::HEADER_LEN + 14);
+        assert_eq!(UdpDatagram::parse(&wire).unwrap(), datagram(5004, 5005, b"gop-frame-0001"));
     }
 
     #[test]
@@ -151,17 +128,13 @@ mod tests {
 
     #[test]
     fn empty_payload_roundtrips() {
-        let d = UdpDatagram::new(1, 2, Bytes::new());
-        let mut buf = Vec::new();
-        d.emit(&mut buf);
-        assert_eq!(UdpDatagram::parse(&Bytes::from(buf)).unwrap(), d);
+        let wire = UdpDatagram::encode(1, 2, b"");
+        assert_eq!(UdpDatagram::parse(&wire).unwrap(), datagram(1, 2, b""));
     }
 
     #[test]
     fn corrupted_payload_fails_checksum() {
-        let d = UdpDatagram::new(9, 10, Bytes::from_static(b"payload"));
-        let mut buf = Vec::new();
-        d.emit(&mut buf);
+        let mut buf = wire(9, 10, b"payload");
         let last = buf.len() - 1;
         buf[last] ^= 0x01;
         assert!(matches!(
@@ -172,19 +145,15 @@ mod tests {
 
     #[test]
     fn zero_checksum_means_disabled() {
-        let d = UdpDatagram::new(9, 10, Bytes::from_static(b"payload"));
-        let mut buf = Vec::new();
-        d.emit(&mut buf);
+        let mut buf = wire(9, 10, b"payload");
         buf[6] = 0;
         buf[7] = 0;
-        assert_eq!(UdpDatagram::parse(&Bytes::from(buf)).unwrap(), d);
+        assert_eq!(UdpDatagram::parse(&Bytes::from(buf)).unwrap(), datagram(9, 10, b"payload"));
     }
 
     #[test]
     fn rejects_short_declared_length() {
-        let d = UdpDatagram::new(9, 10, Bytes::from_static(b"xx"));
-        let mut buf = Vec::new();
-        d.emit(&mut buf);
+        let mut buf = wire(9, 10, b"xx");
         buf[5] = 4; // declared len < header
         assert!(matches!(
             UdpDatagram::parse(&Bytes::from(buf)),
@@ -198,10 +167,9 @@ mod tests {
             sp: u16, dp: u16,
             payload in proptest::collection::vec(any::<u8>(), 0..512),
         ) {
-            let d = UdpDatagram::new(sp, dp, Bytes::from(payload));
-            let mut buf = Vec::new();
-            d.emit(&mut buf);
-            prop_assert_eq!(UdpDatagram::parse(&Bytes::from(buf)).unwrap(), d);
+            let wire = UdpDatagram::encode(sp, dp, &payload);
+            let d = UdpDatagram { src_port: sp, dst_port: dp, payload: Bytes::from(payload) };
+            prop_assert_eq!(UdpDatagram::parse(&wire).unwrap(), d);
         }
 
         #[test]

@@ -3,7 +3,7 @@
 //! in `docs/EXPERIMENTS.md` is therefore exactly reproducible.
 
 use arppath::ArpPathConfig;
-use arppath_bench::experiments::e9_congestion::{self, E9Params, QueueMode};
+use arppath_bench::experiments::e9_congestion::{self, CcMode, E9Params, QueueMode};
 use arppath_host::{PingConfig, PingHost, TrafficPattern};
 use arppath_netsim::{CollectingTracer, SimDuration, SimTime};
 use arppath_topo::{BridgeKind, Fig2, TopoBuilder};
@@ -84,11 +84,11 @@ fn e9_congested_runs_are_seed_stable() {
         |seed| E9Params { k: 4, hosts_per_edge: 2, segments: 8, seed, ..Default::default() };
     for mode in [QueueMode::DropTail, QueueMode::Pfc] {
         let pattern = TrafficPattern::Hotspot { hot_receivers: 2 };
-        let a = e9_congestion::delivery_trace(&params(0xE9), mode, pattern);
-        let b = e9_congestion::delivery_trace(&params(0xE9), mode, pattern);
+        let a = e9_congestion::delivery_trace_cc(&params(0xE9), mode, CcMode::Fixed, pattern);
+        let b = e9_congestion::delivery_trace_cc(&params(0xE9), mode, CcMode::Fixed, pattern);
         assert!(!a.is_empty(), "{mode:?}: congested scenario must produce traffic");
         assert_eq!(a, b, "{mode:?}: identical seeds diverged");
-        let c = e9_congestion::delivery_trace(&params(7), mode, pattern);
+        let c = e9_congestion::delivery_trace_cc(&params(7), mode, CcMode::Fixed, pattern);
         assert_ne!(a, c, "{mode:?}: the seed must actually steer the workload");
     }
 }

@@ -167,9 +167,9 @@ fn congested_queues_and_pfc_are_trace_identical_across_shards() {
         |shards| E9Params { k: 4, hosts_per_edge: 2, segments: 8, shards, ..Default::default() };
     let pattern = TrafficPattern::Hotspot { hot_receivers: 2 };
     for mode in [QueueMode::DropTail, QueueMode::Pfc] {
-        let reference = e9_congestion::delivery_trace(&params(1), mode, pattern);
+        let reference = e9_congestion::delivery_trace_cc(&params(1), mode, CcMode::Fixed, pattern);
         assert!(!reference.is_empty(), "{mode:?}: scenario must produce traffic");
-        let trace = e9_congestion::delivery_trace(&params(2), mode, pattern);
+        let trace = e9_congestion::delivery_trace_cc(&params(2), mode, CcMode::Fixed, pattern);
         assert_eq!(trace, reference, "{mode:?}: congested delivery trace diverged at 2 shards");
     }
 }
