@@ -65,8 +65,32 @@ enum NextHop {
     Miss,
 }
 
-/// A flood copy that lost the discovery race ([`ArpPathBridge::race_probe`]).
-struct LostRace;
+/// A source's live path entry and the slot it sits in, as a flood's
+/// table probe found it.
+type Standing = Option<(Slot, PathEntry)>;
+
+/// What [`ArpPathBridge::decide`] makes of a received frame.
+enum Decision {
+    /// Path control, for its kind's handler.
+    Control(PathCtl),
+    /// Settled and counted: a non-unicast source, a host flood copy
+    /// that lost the race, or unicast data whose entry points back out
+    /// of its ingress port.
+    Drop,
+    /// Unicast data along a live entry: refreshed and counted, to be
+    /// sent out of this port.
+    Forward(PortNo),
+    /// Unicast data with no live entry for its destination.
+    Miss,
+    /// The winning copy of a host's ARP Request flood, with its
+    /// source's standing entry on the ingress port, if any.
+    ArpRequest(ArpPacket, Standing),
+    /// The winning copy of any other host flood, likewise.
+    Flood(Standing),
+    /// A unicast ARP Reply, which learns its sender and promotes the
+    /// path it follows.
+    ArpReply(ArpPacket),
+}
 
 /// The ARP-Path (FastPath) bridge decision plane.
 pub struct ArpPathBridge {
@@ -258,50 +282,82 @@ impl ArpPathBridge {
         true
     }
 
+    // ---- the decision ----
+
+    /// The one classification of a frame received on `port`, and the
+    /// table probes that decide it (paper §2.1).
+    ///
+    /// A host flood races in the forwarding table: a copy arriving while
+    /// its source's live entry names another port lost the race (the
+    /// discard rule). Unicast data first refreshes its source's
+    /// `Learnt` entry if it came in on that entry's port (the path is in
+    /// use), then follows [`Self::next_hop`]. What this settles without
+    /// a `Ctx` (a non-unicast source, a lost race, a bounce, a forwarded
+    /// hit) it also counts, so the lookup stage and `on_frame` count it
+    /// alike. For the rest it writes nothing that a second call at the
+    /// same instant would not repeat identically: a refresh extends to
+    /// the same expiry.
+    fn decide(&mut self, port: PortNo, frame: &EthernetFrame, now: SimTime) -> Decision {
+        // Control messages first: they may carry spoofed host source
+        // addresses by design.
+        if let Payload::PathCtl(ctl) = frame.payload {
+            return Decision::Control(ctl);
+        }
+        if !frame.src.is_unicast() {
+            self.counters.drop_frame(DropReason::Malformed);
+            return Decision::Drop;
+        }
+        if frame.is_flooded() {
+            let standing = self.probe(frame.src, now);
+            if standing.is_some_and(|(_, e)| e.port != port) {
+                self.lose_race();
+                return Decision::Drop;
+            }
+            return match frame.payload {
+                Payload::Arp(arp) if arp.op == ArpOp::Request => {
+                    Decision::ArpRequest(arp, standing)
+                }
+                _ => Decision::Flood(standing),
+            };
+        }
+        if let Payload::Arp(arp) = frame.payload {
+            if arp.op == ArpOp::Reply {
+                return Decision::ArpReply(arp);
+            }
+        }
+        if let Some((slot, e)) = self.probe(frame.src, now) {
+            if e.port == port && e.state == EntryState::Learnt {
+                self.table.touch_at(slot, now + self.config.learn_time);
+            }
+        }
+        let hop = self.next_hop(frame.dst, port, false, now);
+        self.settle(hop)
+    }
+
+    /// Count where [`Self::next_hop`] sent a host unicast: a hit is
+    /// forwarded, a bounce dropped; a miss is left to its caller, which
+    /// may repair.
+    fn settle(&mut self, hop: NextHop) -> Decision {
+        match hop {
+            NextHop::Out(out) => {
+                self.counters.forwarded += 1;
+                Decision::Forward(out)
+            }
+            NextHop::Bounce => {
+                self.counters.drop_frame(DropReason::NoPath);
+                Decision::Drop
+            }
+            NextHop::Miss => Decision::Miss,
+        }
+    }
+
     // ---- discovery ----
 
-    /// Apply the first-copy-wins lock rule to a flooded frame from
-    /// `src` arriving on `port`; `wave` is a repair flood's nonce
-    /// (`None` for host broadcasts). Returns `true` when the copy won
-    /// (caller floods / answers), `false` when it lost (caller drops).
-    fn accept_discovery(
-        &mut self,
-        src: MacAddr,
-        port: PortNo,
-        wave: Option<u32>,
-        now: SimTime,
-    ) -> bool {
+    /// Lock `src` to `port` for a flood copy that won its race, given
+    /// `src`'s standing entry. Returns `false` when a new lock finds no
+    /// room: the copy is dropped and counted.
+    fn lock(&mut self, src: MacAddr, port: PortNo, standing: Standing, now: SimTime) -> bool {
         let lock_expiry = now + self.config.lock_time;
-        let standing = match wave {
-            // A host flood races in the forwarding table.
-            None => match self.race_probe(src, port, now) {
-                Ok(standing) => standing,
-                Err(LostRace) => return false,
-            },
-            // Repair waves resolve their race in `seen_waves`, not the
-            // forwarding table: the first copy of wave `n` records its
-            // port and may take the entry over; every other copy of the
-            // same wave loses, whatever concurrent waves or replies have
-            // since done to the forwarding entry. This dedup lasts
-            // `lock_time`.
-            Some(n) => {
-                match self.seen_waves.get(&(src, n), now).copied() {
-                    None => self.seen_waves.insert((src, n), port, lock_expiry),
-                    Some(p) if p == port => {
-                        // Re-origination of the same episode (e.g. a
-                        // second PathFail converted after the hold
-                        // expired): refresh.
-                        self.seen_waves.touch(&(src, n), lock_expiry, now);
-                        return true;
-                    }
-                    Some(_) => {
-                        self.lose_race();
-                        return false;
-                    }
-                }
-                self.probe(src, now)
-            }
-        };
         match standing {
             Some((slot, e)) if e.port == port => {
                 // Same port as the standing entry: a retry or refresh.
@@ -312,9 +368,9 @@ impl ArpPathBridge {
             }
             Some((slot, _)) => {
                 // Only a repair wave's first copy gets here (a host
-                // flood on another port lost in `race_probe`): it
-                // displaces stale learnt state (the very thing repair
-                // exists to fix) or an older wave's lock.
+                // flood on another port lost in `decide`): it displaces
+                // stale learnt state (the very thing repair exists to
+                // fix) or an older wave's lock.
                 self.table.replace_at(slot, PathEntry::locked(port).into(), lock_expiry);
                 self.ap.locks_created += 1;
                 true
@@ -331,26 +387,30 @@ impl ArpPathBridge {
         }
     }
 
-    /// The forwarding-table race of a host flood from `src` arriving on
-    /// `port`: `Err` when `src`'s live entry names another port — the
-    /// copy lost the race (the paper's discard rule) and is counted
-    /// here — and otherwise `src`'s live entry on this port, if any.
-    /// [`SwitchLogic::lookup_stage`] and `accept_discovery` both decide
-    /// through this, so a loser dropped before `on_frame` is counted
-    /// exactly as `on_frame` would count it.
-    fn race_probe(
-        &mut self,
-        src: MacAddr,
-        port: PortNo,
-        now: SimTime,
-    ) -> Result<Option<(Slot, PathEntry)>, LostRace> {
-        match self.probe(src, now) {
-            Some((_, e)) if e.port != port => {
-                self.lose_race();
-                Err(LostRace)
+    /// The race of repair wave `nonce` for `src` arriving on `port`;
+    /// returns whether the copy won (and locked). Repair waves resolve
+    /// their race in `seen_waves`, not the forwarding table: the first
+    /// copy of a wave records its port and may take the entry over;
+    /// every other copy of the same wave loses, whatever concurrent
+    /// waves or replies have since done to the forwarding entry. This
+    /// dedup lasts `lock_time`.
+    fn accept_wave(&mut self, src: MacAddr, port: PortNo, nonce: u32, now: SimTime) -> bool {
+        let lock_expiry = now + self.config.lock_time;
+        match self.seen_waves.get(&(src, nonce), now).copied() {
+            None => self.seen_waves.insert((src, nonce), port, lock_expiry),
+            Some(p) if p == port => {
+                // Re-origination of the same episode (e.g. a second
+                // PathFail converted after the hold expired): refresh.
+                self.seen_waves.touch(&(src, nonce), lock_expiry, now);
+                return true;
             }
-            standing => Ok(standing),
+            Some(_) => {
+                self.lose_race();
+                return false;
+            }
         }
+        let standing = self.probe(src, now);
+        self.lock(src, port, standing, now)
     }
 
     /// Count a broadcast copy that lost the race.
@@ -373,10 +433,11 @@ impl ArpPathBridge {
         port: PortNo,
         frame: EthernetFrame,
         arp: ArpPacket,
+        standing: Standing,
         ctx: &mut Ctx,
     ) -> ProcessingClass {
         let now = ctx.now();
-        if !self.accept_discovery(frame.src, port, None, now) {
+        if !self.lock(frame.src, port, standing, now) {
             return ProcessingClass::Hardware;
         }
         if self.config.proxy {
@@ -424,7 +485,16 @@ impl ArpPathBridge {
         // The replier D is reachable via the reply's ingress port.
         self.try_insert(frame.src, PathEntry::learnt(port), now + self.config.learn_time, now);
         let hop = self.next_hop(frame.dst, port, true, now);
-        self.forward_unicast(hop, frame, ctx)
+        match self.settle(hop) {
+            Decision::Forward(out) => {
+                ctx.send(out, frame);
+                ProcessingClass::Hardware
+            }
+            // The reverse lock evaporated (slow reply or failure): a
+            // miss like any other.
+            Decision::Miss => self.unicast_miss(frame.src, frame.dst, ctx),
+            _ => ProcessingClass::Hardware,
+        }
     }
 
     /// The one unicast forwarding rule: where a frame toward `dst` that
@@ -456,78 +526,14 @@ impl ArpPathBridge {
         NextHop::Out(e.port)
     }
 
-    /// The unicast data rule: a frame from `src` on `src`'s own
-    /// `Learnt` port proves the path is in use and refreshes that
-    /// entry, then [`Self::next_hop`] decides. `handle_unicast_data` and
-    /// [`SwitchLogic::lookup_stage`] both decide through this, so a hit
-    /// forwarded before `on_frame` is refreshed and counted exactly as
-    /// `on_frame` would have. A `Bounce` or `Miss` changes nothing
-    /// that a second call at the same instant would not repeat
-    /// identically (the refresh extends to the same expiry), so the
-    /// stage leaves those to `on_frame`.
-    fn unicast_hop(&mut self, port: PortNo, src: MacAddr, dst: MacAddr, now: SimTime) -> NextHop {
-        if let Some((slot, e)) = self.probe(src, now) {
-            if e.port == port && e.state == EntryState::Learnt {
-                self.table.touch_at(slot, now + self.config.learn_time);
-            }
-        }
-        self.next_hop(dst, port, false, now)
-    }
-
-    /// Forward a host unicast (data, or an ARP Reply) along the
-    /// [`NextHop`] its rule decided.
-    fn forward_unicast(
-        &mut self,
-        hop: NextHop,
-        frame: EthernetFrame,
-        ctx: &mut Ctx,
-    ) -> ProcessingClass {
-        match hop {
-            NextHop::Out(out) => {
-                self.counters.forwarded += 1;
-                ctx.send(out, frame);
-                ProcessingClass::Hardware
-            }
-            NextHop::Bounce => {
-                self.counters.drop_frame(DropReason::NoPath);
-                ProcessingClass::Hardware
-            }
-            NextHop::Miss => {
-                // The paper's bridges do not flood unknown unicast —
-                // without a spanning tree that could loop. Drop and
-                // repair (§2.1.4); for an ARP Reply the reverse lock
-                // evaporated (slow reply or failure), a miss like any
-                // other.
-                self.ap.unicast_misses += 1;
-                self.counters.drop_frame(DropReason::NoPath);
-                self.maybe_repair(frame.src, frame.dst, ctx);
-                ProcessingClass::Software
-            }
-        }
-    }
-
-    fn handle_unicast_data(
-        &mut self,
-        port: PortNo,
-        frame: EthernetFrame,
-        ctx: &mut Ctx,
-    ) -> ProcessingClass {
-        let hop = self.unicast_hop(port, frame.src, frame.dst, ctx.now());
-        self.forward_unicast(hop, frame, ctx)
-    }
-
-    fn handle_other_broadcast(
-        &mut self,
-        port: PortNo,
-        frame: EthernetFrame,
-        ctx: &mut Ctx,
-    ) -> ProcessingClass {
-        let now = ctx.now();
-        if self.accept_discovery(frame.src, port, None, now) {
-            self.counters.flooded += 1;
-            ctx.flood(&frame, port);
-        }
-        ProcessingClass::Hardware
+    /// A host unicast from `src` toward `dst` found no live entry. The
+    /// paper's bridges do not flood unknown unicast — without a
+    /// spanning tree that could loop. Drop and repair (§2.1.4).
+    fn unicast_miss(&mut self, src: MacAddr, dst: MacAddr, ctx: &mut Ctx) -> ProcessingClass {
+        self.ap.unicast_misses += 1;
+        self.counters.drop_frame(DropReason::NoPath);
+        self.maybe_repair(src, dst, ctx);
+        ProcessingClass::Software
     }
 
     // ---- repair ----
@@ -662,7 +668,7 @@ impl ArpPathBridge {
     ) {
         self.ap.path_requests_rx += 1;
         let now = ctx.now();
-        if !self.accept_discovery(ctl.src_host, port, Some(ctl.nonce), now) {
+        if !self.accept_wave(ctl.src_host, port, ctl.nonce, now) {
             return;
         }
         // Are we the destination's edge bridge? Then answer on its
@@ -753,61 +759,49 @@ impl SwitchLogic for ArpPathBridge {
     }
 
     fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) -> ProcessingClass {
-        // Control messages first: they may carry spoofed host source
-        // addresses by design.
-        if let Payload::PathCtl(ctl) = frame.payload {
-            self.counters.consumed += 1;
-            match ctl.kind {
-                PathCtlKind::BridgeHello => self.handle_hello(port, ctx),
-                PathCtlKind::PathFail => self.handle_path_fail(port, frame, ctl, ctx),
-                PathCtlKind::PathRequest => self.handle_path_request(port, frame, ctl, ctx),
-                PathCtlKind::PathReply => self.handle_path_reply(port, frame, ctl, ctx),
+        let now = ctx.now();
+        match self.decide(port, &frame, now) {
+            Decision::Control(ctl) => {
+                self.counters.consumed += 1;
+                match ctl.kind {
+                    PathCtlKind::BridgeHello => self.handle_hello(port, ctx),
+                    PathCtlKind::PathFail => self.handle_path_fail(port, frame, ctl, ctx),
+                    PathCtlKind::PathRequest => self.handle_path_request(port, frame, ctl, ctx),
+                    PathCtlKind::PathReply => self.handle_path_reply(port, frame, ctl, ctx),
+                }
+                ProcessingClass::Software
             }
-            return ProcessingClass::Software;
-        }
-        if !frame.src.is_unicast() {
-            self.counters.drop_frame(DropReason::Malformed);
-            return ProcessingClass::Hardware;
-        }
-        match (&frame.payload, frame.is_flooded()) {
-            (Payload::Arp(arp), true) if arp.op == ArpOp::Request => {
-                let arp = *arp;
-                self.handle_arp_request(port, frame, arp, ctx)
+            Decision::Drop => ProcessingClass::Hardware,
+            Decision::Forward(out) => {
+                ctx.send(out, frame);
+                ProcessingClass::Hardware
             }
-            (Payload::Arp(arp), false) if arp.op == ArpOp::Reply => {
-                let arp = *arp;
-                self.handle_arp_reply(port, frame, arp, ctx)
+            Decision::Miss => self.unicast_miss(frame.src, frame.dst, ctx),
+            Decision::ArpRequest(arp, standing) => {
+                self.handle_arp_request(port, frame, arp, standing, ctx)
             }
-            (_, true) => self.handle_other_broadcast(port, frame, ctx),
-            (_, false) => self.handle_unicast_data(port, frame, ctx),
+            Decision::Flood(standing) => {
+                if self.lock(frame.src, port, standing, now) {
+                    self.counters.flooded += 1;
+                    ctx.flood(&frame, port);
+                }
+                ProcessingClass::Hardware
+            }
+            Decision::ArpReply(arp) => self.handle_arp_reply(port, frame, arp, ctx),
         }
     }
 
-    /// Drops a host flood that lost the race and forwards unicast data
-    /// whose `NextHop` is `Out`, deciding each through the helper its
-    /// `on_frame` arm uses. Path control, non-unicast sources, ARP
-    /// Replies (which promote), bounces and misses (which may repair)
-    /// go to `on_frame`.
+    /// Settles here what `decide` settles without a `Ctx`: a race loser,
+    /// a non-unicast source and a data bounce are `Dropped`, a data hit
+    /// is `Forward`. Everything else answers `Callback`, and `on_frame`
+    /// decides it again from the start: no state carries over, because
+    /// `NetFpgaSwitch` calls `on_frame` without the stage. So a flood
+    /// winner and a miss are probed twice.
     fn lookup_stage(&mut self, port: PortNo, frame: &EthernetFrame, now: SimTime) -> Verdict {
-        if matches!(frame.payload, Payload::PathCtl(_)) || !frame.src.is_unicast() {
-            return Verdict::Callback;
-        }
-        if frame.is_flooded() {
-            // What `on_frame` hands `accept_discovery` without a wave.
-            return match self.race_probe(frame.src, port, now) {
-                Err(LostRace) => Verdict::Dropped,
-                Ok(_) => Verdict::Callback,
-            };
-        }
-        if matches!(&frame.payload, Payload::Arp(arp) if arp.op == ArpOp::Reply) {
-            return Verdict::Callback;
-        }
-        match self.unicast_hop(port, frame.src, frame.dst, now) {
-            NextHop::Out(out) => {
-                self.counters.forwarded += 1;
-                Verdict::Forward(out)
-            }
-            NextHop::Bounce | NextHop::Miss => Verdict::Callback,
+        match self.decide(port, frame, now) {
+            Decision::Drop => Verdict::Dropped,
+            Decision::Forward(out) => Verdict::Forward(out),
+            _ => Verdict::Callback,
         }
     }
 
@@ -1275,33 +1269,50 @@ mod tests {
     #[test]
     fn unicast_toward_its_own_ingress_bounces_and_leaves_the_entry_alone() {
         // Host 1 is locked (or, after host 2's reply, learnt) on port 1;
-        // each frame toward host 1 arrives on port 1 itself.
+        // each frame toward host 1 arrives on port 1 itself. The lookup
+        // stage settles the data bounce; the ARP Reply and the PathReply
+        // learn their sender first, so they go to `on_frame`.
         let path_reply = PathCtl::reply(host(1), host(2), MacAddr::from_index(2, 50), 7);
         let cases = [
-            ("data", true, data_frame(2, 1)),
-            ("ARP reply", false, arp_reply_frame(2, 1)),
+            ("data", true, Verdict::Dropped, data_frame(2, 1)),
+            ("ARP reply", false, Verdict::Callback, arp_reply_frame(2, 1)),
             (
                 "PathReply",
                 false,
+                Verdict::Callback,
                 EthernetFrame::new(host(1), host(2), Payload::PathCtl(path_reply)),
             ),
         ];
-        for (case, learnt, frame) in cases {
-            let mut br = mk(ArpPathConfig::default());
-            feed(&mut br, 1, arp_request_frame(1, 2), SimTime(0));
-            if learnt {
-                feed(&mut br, 2, arp_reply_frame(2, 1), SimTime(10));
+        for (case, learnt, verdict, frame) in cases {
+            // Through `on_frame` alone, then through the stage first.
+            for staged in [false, true] {
+                let mut br = mk(ArpPathConfig::default());
+                feed(&mut br, 1, arp_request_frame(1, 2), SimTime(0));
+                if learnt {
+                    feed(&mut br, 2, arp_reply_frame(2, 1), SimTime(10));
+                }
+                let now = SimTime(1_000);
+                let entry = |br: &ArpPathBridge| {
+                    br.table.peek_aged(&host(1), now).map(|a| (a.value.unpack(), a.expires))
+                };
+                let before = entry(&br);
+                assert_eq!(
+                    before.map(|(e, _)| (e.port, e.is_locked())),
+                    Some((PortNo(1), !learnt))
+                );
+                let no_path = br.counters().dropped(DropReason::NoPath);
+                if staged {
+                    assert_eq!(br.lookup_stage(PortNo(1), &frame, now), verdict, "{case}");
+                }
+                if !staged || verdict == Verdict::Callback {
+                    assert!(
+                        feed(&mut br, 1, frame.clone(), now).is_empty(),
+                        "{case}: nothing sent"
+                    );
+                }
+                assert_eq!(br.counters().dropped(DropReason::NoPath), no_path + 1, "{case}");
+                assert_eq!(entry(&br), before, "{case}: port, state and expiry unchanged");
             }
-            let now = SimTime(1_000);
-            let entry = |br: &ArpPathBridge| {
-                br.table.peek_aged(&host(1), now).map(|a| (a.value.unpack(), a.expires))
-            };
-            let before = entry(&br);
-            assert_eq!(before.map(|(e, _)| (e.port, e.is_locked())), Some((PortNo(1), !learnt)));
-            let no_path = br.counters().dropped(DropReason::NoPath);
-            assert!(feed(&mut br, 1, frame, now).is_empty(), "{case}: nothing sent");
-            assert_eq!(br.counters().dropped(DropReason::NoPath), no_path + 1, "{case}");
-            assert_eq!(entry(&br), before, "{case}: port, state and expiry unchanged");
         }
     }
 
@@ -1402,8 +1413,12 @@ mod tests {
             MacAddr::BROADCAST,
             Payload::Raw { ethertype: arppath_wire::EtherType(0x88B6), data: Bytes::new() },
         );
-        let out = feed(&mut br, 0, bad, SimTime(0));
+        let out = feed(&mut br, 0, bad.clone(), SimTime(0));
         assert!(out.is_empty());
         assert_eq!(br.counters().dropped(DropReason::Malformed), 1);
+        // The lookup stage settles it alike, with no callback.
+        let mut staged = mk(ArpPathConfig::default());
+        assert_eq!(staged.lookup_stage(PortNo(0), &bad, SimTime(0)), Verdict::Dropped);
+        assert_eq!(staged.counters(), br.counters());
     }
 }

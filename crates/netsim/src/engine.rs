@@ -125,20 +125,26 @@
 //! [`Device::lookup_stage`] for a [`Verdict`]:
 //!
 //! - `Dropped`: the device counted the frame, and `on_frame` would
-//!   have done nothing else — a bridge's flood copy that lost the race,
-//!   a host's copy of someone else's ARP request. Done.
+//!   have done nothing else — at a bridge, a flood copy that lost the
+//!   race, a frame from a non-unicast source, or unicast data whose
+//!   entry points back out of its ingress port; at a host, a copy of
+//!   someone else's ARP request. Done.
 //! - `Forward(port)`: the device did its counting and table refreshes,
 //!   and `on_frame` would have sent the frame, unchanged, out of
-//!   `port` and nothing else — a bridge's unicast table hit. The engine
-//!   sends it as `apply` would have sent that one `Send`.
+//!   `port` and nothing else — a bridge's unicast data table hit. The
+//!   engine sends it as `apply` would have sent that one `Send`.
 //! - `Callback`: everything else goes to `on_frame` as before.
 //!
 //! The first two skip the device checkout, the [`Ctx`] and the command
 //! buffer, and a lent frame is cloned only when it goes on. The default
 //! answers `Callback`, so a device that does not implement the stage
-//! sees every frame. Traces, counters and event counts are the same
-//! either way: `crates/netsim/tests/lookup_stage_twin.rs` runs twin
-//! networks, one with the stage hidden, to hold that.
+//! sees every frame. A device's `on_frame` still decides every frame
+//! on its own, the stage's included, and carries no state over from
+//! the stage: a wrapper with timing of its own (the NetFPGA card
+//! model) and a replay of a captured run call it without the stage.
+//! Traces, counters and event counts are the same either way:
+//! `crates/netsim/tests/lookup_stage_twin.rs` runs twin networks, one
+//! with the stage hidden, to hold that.
 //!
 //! # Example
 //!

@@ -8,16 +8,19 @@
 //! what the logic decides *is* what the engine applies, in the order
 //! decided. Before a frame's callback the engine asks the device's
 //! lookup stage ([`Device::lookup_stage`]), which this wrapper forwards
-//! to [`SwitchLogic::lookup_stage`]: a flood copy that lost the race —
-//! nine in ten bridge receptions on a large fat-tree — is dropped
-//! there, and a unicast table hit is forwarded there, each by the
-//! table probes `on_frame` would have made, with no `Ctx` built and no
-//! command issued. Having no timing of its own is what lets this
-//! wrapper pass a `Forward` straight on: the engine sends the frame
-//! the instant it arrives, as `on_frame`'s `Send` would have. A frame
-//! that does reach `on_frame` costs nothing beyond the callback: no
-//! snapshot of the ports, no buffer of its own, no allocation
-//! (`tests/ideal_alloc.rs`).
+//! to [`SwitchLogic::lookup_stage`]. An ARP-Path bridge drops a flood
+//! copy that lost the race there (nine in ten bridge receptions on a
+//! large fat-tree), a frame from a non-unicast source and unicast data
+//! that would bounce out of its ingress port; it forwards a unicast
+//! data table hit there. Each is decided by the same code and table
+//! probes as in `on_frame`, with no `Ctx` built and no command issued.
+//! `on_frame` still decides those frames alone when it is called
+//! without the stage, as under `NetFpgaSwitch`. Having no timing of
+//! its own is what lets this wrapper pass a `Forward` straight on: the
+//! engine sends the frame the instant it arrives, as `on_frame`'s
+//! `Send` would have. A frame that does reach `on_frame` costs nothing
+//! beyond the callback: no snapshot of the ports, no buffer of its
+//! own, no allocation (`tests/ideal_alloc.rs`).
 
 use crate::logic::SwitchLogic;
 use arppath_netsim::{Ctx, Device, PortNo, SimTime, TimerToken, Verdict};

@@ -106,7 +106,11 @@ pub trait SwitchLogic: 'static {
     /// if `on_frame` would send, schedule and flood nothing; `Forward`
     /// only if it would send exactly the unchanged frame out of that
     /// port; either way with its counters already bumped and its table
-    /// refreshes done. The default leaves every frame to `on_frame`.
+    /// refreshes done. The ARP-Path bridge drops race losers,
+    /// non-unicast sources and unicast data bounces here, and forwards
+    /// unicast data hits. `on_frame` must still decide every frame alone,
+    /// with nothing carried over from the stage: `NetFpgaSwitch` never
+    /// calls the stage. The default leaves every frame to `on_frame`.
     fn lookup_stage(&mut self, _port: PortNo, _frame: &EthernetFrame, _now: SimTime) -> Verdict {
         Verdict::Callback
     }

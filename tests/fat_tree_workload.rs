@@ -1,6 +1,7 @@
 //! Workspace-level properties of the E8 fat-tree workload: every host
 //! pair's learned path traverses the fabric's edge/aggregation/core
-//! layers legally and reaches the destination's rack, and the whole
+//! layers legally and reaches the destination's rack, every ARP flood
+//! costs the bridges exactly what the flood law says, and the whole
 //! experiment — seeded topology jitter, seeded pairings, simulation,
 //! rendered tables — is a pure function of its parameters.
 //!
@@ -144,6 +145,36 @@ fn check_delivery(w: &World, seed: u64) {
     assert_eq!(delivered, sent, "seed {seed}: datagrams lost");
 }
 
+/// The flood law (All-Path, arXiv:1703.08744): every ARP request a
+/// host sends is won exactly once by each of the B bridges, which
+/// floods it on, and the rest of its copies on the E bridge links lose
+/// the race — 2·(E − B + 1) of them, twice the fabric's cyclomatic
+/// number, whatever the link delays. Summed over the run, with F the
+/// requests sent, the bridges count F·B floods and F·2·(E − B + 1)
+/// race drops.
+fn check_flood_law(w: &World, seed: u64) {
+    let requests: u64 = w
+        .built
+        .host_nodes
+        .iter()
+        .map(|&h| w.built.net.device::<TrafficHost>(h).stack.counters().arp_requests_tx)
+        .sum();
+    let (e, b) = (w.built.bridge_links.len() as u64, w.built.bridge_nodes.len() as u64);
+    let (mut race_drops, mut floods) = (0, 0);
+    for ix in 0..w.built.bridge_nodes.len() {
+        let ap = w.built.arppath(BridgeIx(ix)).ap_counters();
+        race_drops += ap.race_drops;
+        floods += ap.arp_request_floods;
+    }
+    assert!(requests > 0, "seed {seed}: no host sent an ARP request");
+    assert_eq!(
+        race_drops,
+        requests * 2 * (e - b + 1),
+        "seed {seed}: race drops for {requests} requests (E = {e}, B = {b})"
+    );
+    assert_eq!(floods, requests * b, "seed {seed}: floods for {requests} requests (B = {b})");
+}
+
 /// On E8's default seed the walk shapes are exactly canonical — pinned
 /// so a protocol or topology regression that reroutes paths shows up.
 #[test]
@@ -153,6 +184,7 @@ fn default_seed_paths_are_canonical() {
     let now = w.built.net.now();
     check_structure(&w, seed);
     check_delivery(&w, seed);
+    check_flood_law(&w, seed);
     let walker = PathWalker::new(&w.built);
     for (i, &d) in w.pairs.iter().enumerate() {
         let src_edge = w.ft.edge_of_host(i, HOSTS_PER_EDGE);
@@ -248,5 +280,6 @@ proptest! {
         let w = run_workload(seed, HOSTS_PER_EDGE);
         check_structure(&w, seed);
         check_delivery(&w, seed);
+        check_flood_law(&w, seed);
     }
 }
