@@ -93,7 +93,8 @@ pub struct E12Result {
     /// Σ path-table heap bytes over every bridge.
     pub table_bytes: usize,
     /// `Network::scheduler_reserved_bytes` at the end of the
-    /// single-engine run (the 1-shard sweep point).
+    /// single-engine run (the 1-shard sweep point): pending events and
+    /// the frames they and the transmit queues hold.
     pub scheduler_reserved_bytes: usize,
     /// `Network::link_state_bytes` at the end of the single-engine
     /// run.
@@ -113,12 +114,16 @@ pub struct E12Result {
 /// full sweep reads 10,320 B.
 pub const MAX_BYTES_PER_STATION: f64 = 21_060.0;
 
-/// Ceiling on [`E12Result::scheduler_reserved_bytes`]. With drained
-/// calendar buckets recycled the ring reserves what was pending at
-/// once: 4.7 MB at the end of the full sweep's 2,048-host run and
-/// 1.7 MB on the quick geometry (PR 15). Keeping every ring index's
-/// high-water storage reserved 28.7 and 9.3 MB for the same ~1,100
-/// events pending in steady state, and cycled through all of it.
+/// Ceiling on [`E12Result::scheduler_reserved_bytes`]: the calendar's
+/// event storage plus the frame pool's slots. With drained calendar
+/// buckets recycled the ring reserves what was pending at once: 4.7 MB
+/// at the end of the full sweep's 2,048-host run and 1.7 MB on the
+/// quick geometry (PR 15). Keeping every ring index's high-water
+/// storage reserved 28.7 and 9.3 MB for the same ~1,100 events pending
+/// in steady state, and cycled through all of it. Since events hold
+/// their frames by reference into the pool (48-byte entries, not 104),
+/// the two together read 1.74 MB on the full sweep and 1.29 MB on the
+/// quick geometry, where the calendar alone had read 2.64 and 1.65 MB.
 pub const MAX_SCHEDULER_RESERVED_BYTES: usize = 6 << 20;
 
 /// Ceiling on [`E12Result::link_state_bytes_per_station`]: the quick
@@ -126,7 +131,7 @@ pub const MAX_SCHEDULER_RESERVED_BYTES: usize = 6 << 20;
 /// and no direction that ever queued, dropped or paused) plus 2 %. At
 /// the 640 B a link took while every direction carried its queue and
 /// rare counters inline, the quick run reads 10,880 B; the full sweep
-/// reads 556 B (4,096 links and 620 out-of-line records over 2,048
+/// reads 539 B (4,096 links and 620 out-of-line records over 2,048
 /// stations).
 pub const MAX_LINK_STATE_BYTES_PER_STATION: f64 = 4_440.0;
 
@@ -306,7 +311,7 @@ pub fn table(result: &E12Result) -> Table {
 }
 
 /// Render the memory report: path tables, and the scheduler's reserved
-/// event storage and the link state beside them.
+/// event and frame storage and the link state beside them.
 pub fn footprint_table(result: &E12Result) -> Table {
     let mut t = Table::new(
         format!("E12: memory footprint, k={} ({} stations)", result.k, result.hosts),
@@ -319,7 +324,7 @@ pub fn footprint_table(result: &E12Result) -> Table {
     ]);
     let bytes = result.scheduler_reserved_bytes;
     t.row(&[
-        "scheduler events, reserved (1 shard)".into(),
+        "scheduler events + pooled frames, reserved (1 shard)".into(),
         bytes.to_string(),
         format!("{:.0}", bytes as f64 / result.hosts.max(1) as f64),
     ]);

@@ -215,10 +215,11 @@ const DENSE_BUCKETS: u64 = 5;
 /// `DENSE_BUCKETS × DENSE_STRIDE_NS` ahead, so the pattern recurs.
 const DENSE_STRIDE_NS: u64 = 320;
 
-/// An `EventKind`-sized payload (the engine's entries are 104 bytes:
-/// 24 of ordering plus this), so the scheduler moves what it moves in
-/// production.
-type DensePayload = [u64; 10];
+/// An `EventKind`-sized payload (the engine's entries are 48 bytes:
+/// 24 of ordering plus this, since events hold their frames by
+/// reference into the engine's frame pool), so the scheduler moves what
+/// it moves in production.
+type DensePayload = [u64; 3];
 
 /// The scheduler operations the dense schedule is driven through.
 trait DenseQueue {
@@ -298,7 +299,7 @@ impl<Q: DenseQueue> DenseChurn<Q> {
                 for i in 0..DENSE_COHORT {
                     let time = origin
                         + SimDuration::nanos(bucket * DENSE_STRIDE_NS + slot * DENSE_SLOT_NS);
-                    churn.queue.push(time, (i * 37) % DENSE_COHORT, churn.seq, [churn.seq; 10]);
+                    churn.queue.push(time, (i * 37) % DENSE_COHORT, churn.seq, [churn.seq; 3]);
                     churn.seq += 1;
                 }
             }
@@ -548,7 +549,7 @@ mod tests {
     /// 1,024-entry cohort (`BURST_COHORT`) pushed and drained in each of
     /// the 512 ring indices, as a fabric's `on_start` hellos and first
     /// timers do. A ring that keeps every index's high-water storage is
-    /// left reserving 512 × 1,024 entries (54 MB) for the ~1,000 that
+    /// left reserving 512 × 1,024 entries (25 MB) for the ~1,000 that
     /// are ever pending afterwards; one that recycles drained buckets
     /// reserves what is pending at once.
     fn calq_rotating() -> DenseChurn<CalendarQueue<DensePayload>> {
@@ -556,7 +557,7 @@ mod tests {
         let (mut seq, mut batch) = (0, Vec::new());
         for bucket in 0..BUCKET_COUNT as u64 {
             for key in 0..BURST_COHORT {
-                queue.push(SimTime(bucket << BUCKET_SHIFT), key, seq, [seq; 10]);
+                queue.push(SimTime(bucket << BUCKET_SHIFT), key, seq, [seq; 3]);
                 seq += 1;
             }
             queue.drain_head(&mut batch);
@@ -570,11 +571,11 @@ mod tests {
         let mut rotating = calq_rotating();
         let mut heap = DenseChurn::new(BinaryHeap::new(), ROTATING_ORIGIN);
         assert_eq!(rotating.run(1024), heap.run(1024), "same schedule, same order");
-        // 2,304 entries of 104 bytes (one recycled 1,024-entry `Vec`
-        // and five of 256) = 239,616 bytes, within 2 %; the burst's
-        // 54 MB of high-water storage is not kept.
+        // 2,304 entries of 48 bytes (one recycled 1,024-entry `Vec`
+        // and five of 256) = 110,592 bytes, within 2 %; the burst's
+        // 25 MB of high-water storage is not kept.
         let reserved = rotating.queue.reserved_bytes();
-        assert!(reserved <= 244_408, "{reserved} bytes reserved");
+        assert!(reserved <= 112_803, "{reserved} bytes reserved");
         rotating.run(4096);
         assert_eq!(rotating.queue.reserved_bytes(), reserved, "settled");
     }

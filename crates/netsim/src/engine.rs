@@ -36,10 +36,11 @@
 //! the engine's [`Ctx`] logs it once, in a second reused buffer, and
 //! the engine fans it out itself (see *Flood fan-out* below). A frame
 //! hop allocates nothing after warm-up, for two reasons: the scratch
-//! vector, the flood log, the fan target lists, the batch buffer and
-//! the scheduler's bucket storage are each owned once and recycled (the
-//! calendar shelves a drained bucket's `Vec` and hands it to the next
-//! bucket that opens — see [`crate::calq`]); and the callback writes
+//! vector, the flood log, the fan target lists, the batch buffer, the
+//! frame pool's slots and the scheduler's bucket storage are each owned
+//! once and recycled (the calendar shelves a drained bucket's `Vec` and
+//! hands it to the next bucket that opens — see [`crate::calq`]); and
+//! the callback writes
 //! where the engine reads (a wrapper such as
 //! `arppath_switch::IdealSwitch` hands the engine's own [`Ctx`] to its
 //! decision plane, so there is no second output list to grow and copy,
@@ -65,8 +66,8 @@
 //! ```
 //!
 //! A link's delivery time is fully determined the moment a frame
-//! starts serializing, so `start_tx` schedules the `Deliver` event
-//! directly and records `busy_until` on the direction. The transmit
+//! starts serializing, so `launch` schedules the `Deliver` event
+//! directly and `start_tx` records `busy_until` on the direction. The transmit
 //! *completion* at `busy_until` is an event (`TxDone`) only when it has
 //! work to do: a queued successor to start, or an asserted PFC pause
 //! whose release it must check — known at `start_tx`, or discovered
@@ -85,6 +86,18 @@
 //! reproducible and what lets the sharded engine ([`crate::sharded`])
 //! cut the graph at link boundaries.
 //!
+//! Between two callbacks a frame lives in the engine's **frame pool**,
+//! a `Vec` of slots with a LIFO free list. `handle_send` moves a frame
+//! in when it queues it or puts it on the wire (`launch`); a pending
+//! `Deliver`, `Fan` or `Inject` holds a 4-byte reference to it, and a
+//! transmit queue threads its frames through the pool from the
+//! direction's record. A frame popped from a queue goes on the wire
+//! where it is, and the event that delivers, drops or fans it takes it
+//! out again. So no event carries a frame: each is a self-contained
+//! value of at most 24 bytes, a scheduler entry 48 with its ordering,
+//! which the calendar's sort and its annex heap move cheaply. The pool
+//! keeps as many slots as the most frames ever held at once.
+//!
 //! # Flood fan-out
 //!
 //! Most deliveries of a flooding run are flood copies bound for hosts.
@@ -94,7 +107,7 @@
 //! link are exactly what N `Send`s would have produced. A copy that
 //! starts transmitting toward a device with exactly one cabled port is
 //! set aside, and the set-aside copies that arrive in the same instant
-//! become one `Fan` event. It carries the frame once, sorts at its
+//! become one `Fan` event. It pools the frame once, sorts at its
 //! smallest target wire key, and runs the ordinary per-delivery code
 //! for each target in wire-key order, with the frame lent.
 //! `NetworkStats::events` still counts one per delivery.
@@ -196,6 +209,7 @@ use crate::calq::CalendarQueue;
 use crate::device::{Command, Ctx, Device, Flood, NodeId, PortNo, TimerToken, Verdict};
 use crate::link::{Admission, Dir, DirStats, Endpoint, Link, LinkId, LinkParams, PauseWatchdog};
 use crate::pfc::{self, PfcOp};
+use crate::pool::{FramePool, FrameRef};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DeliveryRecord, DeliveryTracer, TeeTracer, TraceEvent, Tracer};
 use arppath_wire::EthernetFrame;
@@ -208,32 +222,37 @@ use std::sync::{Arc, Mutex};
 const TIER: u32 = 60;
 
 /// What happens at an instant.
+///
+/// Every pending event costs the widest variant in the scheduler, so
+/// no variant carries a frame: `Deliver`, `Fan` and `Inject` hold a
+/// [`FrameRef`] into `Network::pool`, and a fan's targets live in
+/// `Network::fan_lists`. The widest variants, `TxDone` and `Deliver`,
+/// are 24 bytes, and a scheduler entry 48 with its ordering.
 #[derive(Debug)]
 enum EventKind {
     /// The frame in flight on `link`/`dir` finished serializing and the
     /// transmitter has something to do about it. Scheduled only then;
     /// an idle completion is elided (see `Network::settle`).
     TxDone { link: LinkId, dir: Dir, epoch: u64 },
-    /// The last bit of `frame` reached the far end of `link`/`dir`.
-    Deliver { link: LinkId, dir: Dir, epoch: u64, frame: EthernetFrame },
+    /// The last bit of the pooled `frame` reached the far end of
+    /// `link`/`dir`.
+    Deliver { link: LinkId, dir: Dir, epoch: u64, frame: FrameRef },
     /// Copies of one flood reached several single-port devices in the
     /// same instant: one `Deliver` per target in `Network::fan_lists
-    /// [list]`, with the frame carried once (see `Network::fan_out`).
-    /// The targets live off the event so this variant is no wider than
-    /// `Deliver`: every pending event costs the widest variant in the
-    /// scheduler.
-    Fan { frame: EthernetFrame, list: usize },
+    /// [list]`, with the frame pooled once (see `Network::fan_out`).
+    Fan { frame: FrameRef, list: usize },
     /// A device timer fires.
     Timer { node: NodeId, token: TimerToken },
     /// The harness flips a link's state (cable cut / re-plug).
     LinkAdmin { link: LinkId, up: bool },
-    /// A pause-watchdog deadline armed at pause time expired; `gen`
-    /// identifies the pause it guarded (stale fires are ignored).
-    Watchdog { link: LinkId, dir: Dir, gen: u64 },
-    /// A frame handed straight to a device's ingress by
+    /// The oldest pause deadline of `link`/`dir` that nothing has
+    /// checked yet is due. At most one is pending per direction (see
+    /// `Network::on_watchdog`).
+    Watchdog { link: LinkId, dir: Dir },
+    /// A pooled frame handed straight to a device's ingress by
     /// [`Network::inject_at`]: every cut-link arrival in a sharded run,
     /// and any frame a harness injects.
-    Inject { node: NodeId, port: PortNo, frame: EthernetFrame },
+    Inject { node: NodeId, port: PortNo, frame: FrameRef },
 }
 
 /// One delivery of a [`EventKind::Fan`]: the fields of its `Deliver`
@@ -296,7 +315,9 @@ pub struct NetworkStats {
     /// also when a fan event carries it with others), plus a transmit
     /// completion only where one had work to do — a
     /// queued successor to start or a PFC release to check — plus
-    /// timers, link-admin flips, watchdog deadlines and injections.
+    /// timers, link-admin flips, injections and watchdog deadlines (at
+    /// most one pending per direction: a pause that finds one pending
+    /// arms none).
     pub events: u64,
 }
 
@@ -452,6 +473,7 @@ impl NetworkBuilder {
             link_order_keys: self.link_order_keys,
             node_order_keys: self.node_order_keys,
             queue: CalendarQueue::new(),
+            pool: FramePool::new(),
             now: SimTime::ZERO,
             seq: 0,
             stats: NetworkStats::default(),
@@ -487,6 +509,9 @@ pub struct Network {
     /// Canonical device ids (see `Network::order_key`).
     node_order_keys: Vec<u64>,
     queue: CalendarQueue<EventKind>,
+    /// Every frame on a wire or in a transmit queue: what the pending
+    /// events' and the queues' [`FrameRef`]s point at.
+    pool: FramePool,
     now: SimTime,
     seq: u64,
     stats: NetworkStats,
@@ -539,16 +564,17 @@ impl Network {
         self.queue.head_time()
     }
 
-    /// Bytes of event storage the scheduler holds allocated (see
-    /// [`CalendarQueue::reserved_bytes`]): what a run's pending events
-    /// cost in memory at their high-water mark.
+    /// Bytes the scheduler holds allocated for pending events (see
+    /// [`CalendarQueue::reserved_bytes`]) and for the frames they and
+    /// the transmit queues hold: what a run's pending work costs in
+    /// memory at its high-water mark.
     pub fn scheduler_reserved_bytes(&self) -> usize {
-        self.queue.reserved_bytes()
+        self.queue.reserved_bytes() + self.pool.reserved_bytes()
     }
 
     /// Bytes of link state: every [`Link`]'s inline size, plus the
     /// out-of-line record each direction allocates the first time it
-    /// queues, drops or pauses (not the frames a queue holds).
+    /// queues, drops or pauses.
     pub fn link_state_bytes(&self) -> usize {
         let inline = self.links.len() * std::mem::size_of::<Link>();
         inline + self.links.iter().map(Link::out_of_line_bytes).sum::<usize>()
@@ -635,6 +661,7 @@ impl Network {
     /// If `at` is in the past — accepting it would reorder history.
     pub fn inject_at(&mut self, at: SimTime, node: NodeId, port: PortNo, frame: EthernetFrame) {
         assert!(at >= self.now, "inject_at({at}) is before the current instant {}", self.now);
+        let frame = self.pool.put(frame);
         self.push_at(at, EventKind::Inject { node, port, frame });
     }
 
@@ -725,7 +752,9 @@ impl Network {
 
     // ---- internals ----
 
-    /// Apply one event's effect at the already-advanced clock.
+    /// Apply one event's effect at the already-advanced clock. A frame
+    /// an event carries leaves the pool here, whether it is delivered,
+    /// dropped or fanned out.
     fn process(&mut self, kind: EventKind) {
         self.cur_key = match kind {
             EventKind::TxDone { link, dir, .. } => {
@@ -739,9 +768,11 @@ impl Network {
         match kind {
             EventKind::TxDone { link, dir, epoch } => self.on_tx_done(link, dir, epoch),
             EventKind::Deliver { link, dir, epoch, frame } => {
+                let frame = self.pool.take(frame);
                 self.on_deliver(link, dir, epoch, frame)
             }
             EventKind::Fan { frame, list } => {
+                let frame = self.pool.take(frame);
                 let mut targets = std::mem::take(&mut self.fan_lists[list]);
                 // Each target is one delivery, counted as one event.
                 self.stats.events += targets.len() as u64 - 1;
@@ -760,8 +791,11 @@ impl Network {
                 self.dispatch(node, |dev, ctx| dev.on_timer(token, ctx));
             }
             EventKind::LinkAdmin { link, up } => self.on_link_admin(link, up),
-            EventKind::Watchdog { link, dir, gen } => self.on_watchdog(link, dir, gen),
-            EventKind::Inject { node, port, frame } => self.on_inject(node, port, frame),
+            EventKind::Watchdog { link, dir } => self.on_watchdog(link, dir),
+            EventKind::Inject { node, port, frame } => {
+                let frame = self.pool.take(frame);
+                self.on_inject(node, port, frame)
+            }
         }
     }
 
@@ -888,10 +922,10 @@ impl Network {
     /// Send one copy of a logged flood out of every up port of `node`
     /// but the excepted one, in port order, through the ordinary send
     /// path with the frame lent — what its `Send`s would have done,
-    /// command for command. The copies `start_tx` set aside for
-    /// single-port devices are then filed: those arriving in the same
-    /// instant as one [`EventKind::Fan`] carrying the frame once, a
-    /// lone one as a plain `Deliver`. Why this reorders nothing a
+    /// command for command. The copies `set_aside` kept for single-port
+    /// devices are then filed: those arriving in the same instant as
+    /// one [`EventKind::Fan`] with the frame pooled once, a lone one as
+    /// a plain `Deliver`. Why this reorders nothing a
     /// device can see: the module docs, *Flood fan-out*.
     fn fan_out(&mut self, node: NodeId, Flood { frame, except, .. }: Flood) {
         for p in 0..self.ports_up[node.0].len() {
@@ -908,7 +942,7 @@ impl Network {
         let mut runs = fan.chunk_by(|a, b| a.0 == b.0).peekable();
         while let Some(run) = runs.next() {
             let copy = if runs.peek().is_some() { frame.clone() } else { frame.take() };
-            let frame = copy.expect("the last run takes the flood's frame");
+            let frame = self.pool.put(copy.expect("the last run takes the flood's frame"));
             let at = run[0].0;
             if let [(.., FanTarget { link, dir, epoch })] = *run {
                 self.push_at(at, EventKind::Deliver { link, dir, epoch, frame });
@@ -926,9 +960,9 @@ impl Network {
     }
 
     /// Transmit `out` from `node`'s `port`. The frame is borrowed when
-    /// a flood lends it (`fan_out`), and cloned only where a copy must
-    /// outlive the send: in a transmit queue, or in a delivery that is
-    /// not fanned.
+    /// a flood lends it (`fan_out`), and cloned into the pool only
+    /// where a copy must outlive the send: in a transmit queue, or on a
+    /// wire whose delivery is not fanned.
     fn handle_send(&mut self, node: NodeId, port: PortNo, out: Cow<'_, EthernetFrame>) {
         self.stats.frames_sent += 1;
         let frame = &*out;
@@ -952,7 +986,7 @@ impl Network {
         let policy = link.params.queue;
         let state = &mut link.dirs[dir.index()];
         if state.transmitting || state.paused {
-            match state.enqueue(out.into_owned(), policy) {
+            match state.enqueue(&mut self.pool, out.into_owned(), policy) {
                 Admission::Dropped(frame) => {
                     self.stats.drops_queue_full += 1;
                     state.record().stats.dropped_queue_full += 1;
@@ -979,7 +1013,13 @@ impl Network {
                 }
             }
         } else {
-            self.start_tx(link_id, dir, out);
+            if let Cow::Borrowed(frame) = out {
+                if self.set_aside(link_id, dir, frame) {
+                    return;
+                }
+            }
+            let frame = self.pool.put(out.into_owned());
+            self.launch(link_id, dir, frame);
         }
     }
 
@@ -1074,17 +1114,14 @@ impl Network {
                     let rec = state.record();
                     rec.pause_started = Some(now);
                     rec.stats.pause_events += 1;
-                    // Arm the deadlock watchdog for *this* pause. The
-                    // generation stamp lets the fire handler tell a
-                    // pause that was released (and possibly replaced)
-                    // in the meantime from one that is genuinely stuck.
-                    rec.pause_gen += 1;
-                    let gen = rec.pause_gen;
-                    if let Some(deadline) = watchdog.deadline() {
-                        self.push_at(
-                            now + deadline,
-                            EventKind::Watchdog { link: link_id, dir, gen },
-                        );
+                    // Arm the deadlock watchdog for this pause, unless a
+                    // fire is pending already: that one is due no later,
+                    // and re-arms at this pause's deadline if it finds
+                    // this pause in force (`on_watchdog`).
+                    let arm = watchdog.deadline().filter(|_| !rec.watchdog_armed);
+                    rec.watchdog_armed |= arm.is_some();
+                    if let Some(deadline) = arm {
+                        self.push_at(now + deadline, EventKind::Watchdog { link: link_id, dir });
                     }
                 }
             }
@@ -1095,8 +1132,8 @@ impl Network {
                     self.settle(link_id, dir);
                     let state = &mut self.links[link_id.0].dirs[dir.index()];
                     if !state.transmitting {
-                        if let Some(next) = state.pop() {
-                            self.start_tx(link_id, dir, Cow::Owned(next));
+                        if let Some(next) = state.pop(&self.pool) {
+                            self.launch(link_id, dir, next);
                         }
                     }
                 }
@@ -1104,29 +1141,47 @@ impl Network {
         }
     }
 
-    /// A pause-watchdog deadline expired. If the pause it was armed for
-    /// is still in force (same generation, link still up), the
-    /// transmitter is declared stuck — PFC's cyclic-buffer-dependency
-    /// deadlock — and the cycle is broken per the link's
-    /// [`crate::PauseWatchdog`] policy. The fire is counted and
-    /// synthesized into the delivery trace as a constant-byte marker at
-    /// the stuck transmitter's own endpoint; because the decision
-    /// depends only on sender-side state, the sharded engine fires the
-    /// same watchdogs at the same instants and traces stay
-    /// byte-identical.
-    fn on_watchdog(&mut self, link_id: LinkId, dir: Dir, gen: u64) {
+    /// The direction's pending pause deadline expired: the deadline of
+    /// the oldest pause since the last fire. If that pause is still in
+    /// force (link still up), the transmitter is declared stuck — PFC's
+    /// cyclic-buffer-dependency deadlock — and the cycle is broken per
+    /// the link's [`crate::PauseWatchdog`] policy. If it was released
+    /// and a younger pause holds now, the fire re-arms at that pause's
+    /// own deadline: the instant, and the `(time, key)` position, at
+    /// which an event armed by that pause would have fired. So a
+    /// direction never has more than one fire pending, however often
+    /// it is paused and resumed within a deadline.
+    ///
+    /// A fire is counted and synthesized into the delivery trace as a
+    /// constant-byte marker at the stuck transmitter's own endpoint;
+    /// because the decision depends only on sender-side state, the
+    /// sharded engine fires the same watchdogs at the same instants and
+    /// traces stay byte-identical.
+    fn on_watchdog(&mut self, link_id: LinkId, dir: Dir) {
         let now = self.now;
         if !self.links[link_id.0].up {
-            return; // pause state died with the carrier
+            // Pause state died with the carrier; a pause after the
+            // re-plug arms afresh.
+            self.links[link_id.0].dirs[dir.index()].record().watchdog_armed = false;
+            return;
         }
         self.settle(link_id, dir);
         let link = &mut self.links[link_id.0];
         let watchdog = link.params.watchdog;
         let ep = link.sender(dir);
         let state = &mut link.dirs[dir.index()];
-        // A paused direction has its record: the pause wrote it.
-        if !state.paused || state.record().pause_gen != gen {
+        let paused = state.paused;
+        // An armed direction has its record: the pause wrote it.
+        let rec = state.record();
+        rec.watchdog_armed = false;
+        if !paused {
             return; // released before the deadline: not stuck
+        }
+        let started = rec.pause_started.expect("a paused direction notes when its pause began");
+        if let Some(due) = watchdog.deadline().map(|d| started + d).filter(|&due| due > now) {
+            rec.watchdog_armed = true;
+            self.push_at(due, EventKind::Watchdog { link: link_id, dir });
+            return;
         }
         state.paused = false;
         state.end_pause(now);
@@ -1139,11 +1194,11 @@ impl Network {
             PauseWatchdog::Off => {}
             PauseWatchdog::ForceResume { .. } => {
                 if !state.transmitting {
-                    resume_next = state.pop();
+                    resume_next = state.pop(&self.pool);
                 }
             }
             PauseWatchdog::DrainAndDrop { .. } => {
-                let lost = state.clear_queue() as u64;
+                let lost = state.clear_queue(&mut self.pool) as u64;
                 state.record().stats.dropped_watchdog += lost;
                 self.stats.drops_watchdog += lost;
             }
@@ -1155,34 +1210,61 @@ impl Network {
             frame: &pfc::watchdog_resume_frame(),
         });
         if let Some(frame) = resume_next {
-            self.start_tx(link_id, dir, Cow::Owned(frame));
+            self.launch(link_id, dir, frame);
         }
     }
 
-    /// Put `frame` on the wire. Its delivery is fully determined here
-    /// — serialization plus propagation from now — so the `Deliver`
-    /// event is scheduled straight away. The completion at
-    /// `busy_until` gets an event only if it has work to do: a queued
-    /// successor to start, or an asserted PFC pause whose release it
-    /// must check. Otherwise it is elided and settled lazily.
-    ///
-    /// A lent flood copy bound for a single-port device is set aside
-    /// for `fan_out` instead of getting its own event, unless it takes
-    /// no line time: two zero-length frames on one direction could
-    /// arrive in the same instant.
-    fn start_tx(&mut self, link_id: LinkId, dir: Dir, out: Cow<'_, EthernetFrame>) {
-        let link = &mut self.links[link_id.0];
-        let frame = &*out;
+    /// Keep a lent flood copy bound for a single-port device out of the
+    /// pool and off its own event: the transmitter starts, and
+    /// `fan_out` files the copy with the flood's other same-instant
+    /// arrivals. Returns `false`, starting nothing, for any other
+    /// target, or for a copy that takes no line time: two zero-length
+    /// frames on one direction could arrive in the same instant.
+    fn set_aside(&mut self, link_id: LinkId, dir: Dir, frame: &EthernetFrame) -> bool {
+        let link = &self.links[link_id.0];
+        if !self.single_port[link.receiver(dir).node.0] {
+            return false;
+        }
         let ser = link.params.serialization(frame);
+        if ser == SimDuration::ZERO {
+            return false;
+        }
+        let epoch = link.epoch;
+        let arrives_at = self.start_tx(link_id, dir, ser, frame.wire_len());
+        let key = self.link_order_keys[link_id.0][dir.index()];
+        self.fan.push((arrives_at, key, FanTarget { link: link_id, dir, epoch }));
+        true
+    }
+
+    /// Put the pooled `frame` on the wire: a send that found the
+    /// transmitter idle, or the head of its queue. The frame stays
+    /// where it is in the pool, and its `Deliver` event is scheduled
+    /// straight away.
+    fn launch(&mut self, link_id: LinkId, dir: Dir, frame: FrameRef) {
+        let link = &self.links[link_id.0];
+        let bytes = self.pool.get(frame);
+        let (ser, len, epoch) = (link.params.serialization(bytes), bytes.wire_len(), link.epoch);
+        let arrives_at = self.start_tx(link_id, dir, ser, len);
+        self.push_at(arrives_at, EventKind::Deliver { link: link_id, dir, epoch, frame });
+    }
+
+    /// Start serializing a frame of `len` wire bytes that takes `ser`
+    /// of line time, and return when its last bit arrives. Its delivery
+    /// is fully determined here — serialization plus propagation from
+    /// now. The completion at `busy_until` gets an event only if it has
+    /// work to do: a queued successor to start, or an asserted PFC
+    /// pause whose release it must check. Otherwise it is elided and
+    /// settled lazily.
+    fn start_tx(&mut self, link_id: LinkId, dir: Dir, ser: SimDuration, len: usize) -> SimTime {
+        let link = &mut self.links[link_id.0];
         let done_at = self.now + ser;
         let arrives_at = done_at + link.params.propagation;
         let epoch = link.epoch;
-        let to = link.receiver(dir).node;
         let state = &mut link.dirs[dir.index()];
         debug_assert!(!state.transmitting, "start_tx on a busy transmitter");
         state.transmitting = true;
         state.busy_until = done_at;
-        state.in_flight_len = frame.wire_len() as u32;
+        state.in_flight_len = len as u32;
         state.busy = state.busy + ser;
         state.done_scheduled = state.queued_bytes != 0 || state.pause_asserted;
         if state.done_scheduled {
@@ -1191,16 +1273,7 @@ impl Network {
             state.listed = true;
             self.unsettled.push((link_id, dir));
         }
-        match out {
-            Cow::Borrowed(_) if ser > SimDuration::ZERO && self.single_port[to.0] => {
-                let key = self.link_order_keys[link_id.0][dir.index()];
-                self.fan.push((arrives_at, key, FanTarget { link: link_id, dir, epoch }));
-            }
-            out => {
-                let frame = out.into_owned();
-                self.push_at(arrives_at, EventKind::Deliver { link: link_id, dir, epoch, frame });
-            }
-        }
+        arrives_at
     }
 
     /// A scheduled completion: free the transmitter, pull the next
@@ -1223,8 +1296,8 @@ impl Network {
         // direction (the in-flight frame always finishes; the next one
         // waits for resume).
         if !state.paused {
-            if let Some(next) = state.pop() {
-                self.start_tx(link_id, dir, Cow::Owned(next));
+            if let Some(next) = state.pop(&self.pool) {
+                self.launch(link_id, dir, next);
             }
         }
         // PFC: a queue that drained back to the resume threshold
@@ -1281,8 +1354,8 @@ impl Network {
         match dev.lookup_stage(port, frame.frame(), now) {
             Verdict::Dropped => {}
             // What `apply` does with the one `Send` `on_frame` would
-            // have issued. Owned, because `start_tx` would set a lent
-            // frame aside as a flood copy for `fan_out`.
+            // have issued. Owned, because `handle_send` would set a
+            // lent frame aside as a flood copy for `fan_out`.
             Verdict::Forward(out) => self.handle_send(node, out, Cow::Owned(frame.into_frame())),
             Verdict::Callback => {
                 let frame = frame.into_frame();
@@ -1312,7 +1385,7 @@ impl Network {
             for dir in [Dir::AtoB, Dir::BtoA] {
                 let sender = link.sender(dir);
                 let state = &mut link.dirs[dir.index()];
-                let lost = state.clear_queue() as u64;
+                let lost = state.clear_queue(&mut self.pool) as u64;
                 if lost > 0 {
                     state.record().stats.dropped_link_down += lost;
                 }
@@ -1886,22 +1959,22 @@ mod tests {
     #[test]
     fn watchdog_ignores_released_and_replaced_pauses() {
         // No false positives: a pause released before the deadline must
-        // not fire, and a *stale* deadline must not break a younger
-        // pause that replaced the one it was armed for.
+        // not fire, and its deadline must not break a younger pause
+        // that replaced it; it re-arms for the younger one instead.
         let params = LinkParams::default()
             .with_watchdog(PauseWatchdog::force_resume(SimDuration::millis(1)));
         let (mut net, _na, nb, l) = two_probes(false, params);
         net.inject_at(net.now(), nb, PortNo(0), crate::pfc::pause_frame());
         net.inject_at(net.now(), nb, PortNo(0), crate::pfc::resume_frame());
-        // Half a deadline later, a second pause arrives (generation 2).
+        // Half a deadline later, a second pause arrives.
         net.run_until(SimTime(SimDuration::micros(500).as_nanos()));
         net.inject_at(net.now(), nb, PortNo(0), crate::pfc::pause_frame());
-        // The generation-1 deadline passes: the generation-2 pause must
+        // The first pause's deadline passes: the second pause must
         // survive it untouched.
         net.run_until(SimTime(SimDuration::micros(1200).as_nanos()));
         assert!(net.link(l).is_paused(Dir::BtoA), "stale fire must not release a younger pause");
         assert_eq!(net.stats().watchdog_fires, 0);
-        // The generation-2 deadline is real, though.
+        // The second pause's deadline is real, though.
         net.run_until_idle(SimTime(u64::MAX));
         assert!(!net.link(l).is_paused(Dir::BtoA));
         assert_eq!(net.stats().watchdog_fires, 1);
@@ -2311,10 +2384,243 @@ mod tests {
     }
 
     #[test]
-    fn a_fan_event_is_no_wider_than_a_delivery() {
-        // Every pending event costs the widest variant in the
-        // scheduler: `Deliver`'s link, epoch and direction beside the
-        // frame, the tag sharing the direction's word.
-        assert_eq!(std::mem::size_of::<EventKind>(), std::mem::size_of::<EthernetFrame>() + 24);
+    fn an_event_carries_no_frame() {
+        // Every pending event costs the widest variant in the scheduler.
+        // Frames wait in the pool, so `Deliver` and `TxDone` set the
+        // width: a link, an epoch and a direction, with the frame
+        // reference and the tag in the direction's word.
+        assert!(std::mem::size_of::<EventKind>() <= 24, "{} B", std::mem::size_of::<EventKind>());
+    }
+
+    #[test]
+    fn one_watchdog_fire_is_pending_per_direction_however_often_it_pauses() {
+        // b's transmitter is paused four times within one 1 ms deadline
+        // and released in between. Only the first pause arms a fire; at
+        // its deadline the fire finds the last pause in force and
+        // re-arms at that pause's own deadline, 1.3 ms, where the one
+        // stuck pause is broken.
+        let params = LinkParams::default()
+            .with_watchdog(PauseWatchdog::force_resume(SimDuration::millis(1)));
+        let (mut net, _na, nb, l) = two_probes(false, params);
+        let us = |n: u64| SimTime(SimDuration::micros(n).as_nanos());
+        let pfc = |net: &mut Network, schedule: &[(u64, bool)]| {
+            for &(at, pause) in schedule {
+                let frame =
+                    if pause { crate::pfc::pause_frame() } else { crate::pfc::resume_frame() };
+                net.inject_at(us(at), nb, PortNo(0), frame);
+            }
+        };
+        pfc(&mut net, &[(0, true), (50, false), (100, true), (150, false), (200, true)]);
+        pfc(&mut net, &[(250, false), (300, true)]);
+        net.run_until(SimTime(us(1300).0 - 1));
+        assert!(net.link(l).is_paused(Dir::BtoA));
+        assert_eq!(net.stats().watchdog_fires, 0, "nothing fires before the last pause's deadline");
+        net.run_until(us(1300));
+        assert!(!net.link(l).is_paused(Dir::BtoA));
+        assert_eq!(net.stats().watchdog_fires, 1);
+        // Seven injections and two watchdog events: the first pause's
+        // deadline, which re-armed, and the fire. One fire per pause
+        // made four watchdog events, three of them stale.
+        assert_eq!(net.stats().events, 9);
+        // A pause released before its deadline leaves a fire that finds
+        // nothing paused and disarms; the next pause arms afresh.
+        pfc(&mut net, &[(1400, true), (1500, false), (2500, true)]);
+        net.run_until_idle(SimTime(u64::MAX));
+        assert_eq!(net.stats().watchdog_fires, 2);
+        assert_eq!(net.stats().events, 14, "three injections, the idle fire at 2.4 ms, the fire");
+        let s = net.link(l).stats(Dir::BtoA);
+        assert_eq!(s.pause_events, 6);
+        assert_eq!(s.paused_for, SimDuration::micros(3 * 50 + 1000 + 100 + 1000));
+    }
+
+    // ---- the frame pool: every frame a run holds, and none after it ----
+
+    /// Runs `build`'s network up to `until`, when nothing may be on a
+    /// wire or in a queue any more, once single-stepped and once with
+    /// the run loops. Both must leave the pool empty, and the run
+    /// loops' pool must have exactly as many slots as the most frames
+    /// held between two events — which is the most ever held at once,
+    /// since an event takes its frames out of the pool before it puts
+    /// any in. Returns that peak.
+    fn assert_the_pool_drains(build: impl Fn() -> Network, until: SimTime) -> usize {
+        let mut net = build();
+        let mut peak = net.pool.held();
+        while net.next_event_time().is_some_and(|t| t <= until) {
+            net.step();
+            peak = peak.max(net.pool.held());
+        }
+        assert_eq!(net.pool.held(), 0, "a single-stepped run left frames pooled");
+        let mut net = build();
+        net.run_until_idle(until);
+        assert_eq!(net.pool.held(), 0, "a drained run left frames pooled");
+        assert_eq!(net.pool.slots(), peak, "slots beyond the most frames held at once");
+        peak
+    }
+
+    /// A bridge that forwards the first copy of each station's flood
+    /// out of every other port and drops the later ones: ARP-Path's
+    /// race, with the race lost by every copy after the first.
+    #[derive(Default)]
+    struct FirstCopy {
+        seen: std::collections::HashSet<MacAddr>,
+    }
+
+    impl Device for FirstCopy {
+        fn name(&self) -> &str {
+            "bridge"
+        }
+        fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
+            if self.seen.insert(frame.src) {
+                ctx.flood(&frame, port);
+            }
+        }
+    }
+
+    /// A station that broadcasts one frame from its own address at
+    /// `at` ns.
+    struct Station {
+        mac: MacAddr,
+        at: u64,
+        heard: usize,
+    }
+
+    impl Device for Station {
+        fn name(&self) -> &str {
+            "station"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.schedule(SimDuration::nanos(self.at), TimerToken(0));
+        }
+        fn on_timer(&mut self, _: TimerToken, ctx: &mut Ctx) {
+            let req = ArpPacket::request(
+                self.mac,
+                Ipv4Addr::new(10, 0, 0, 1),
+                Ipv4Addr::new(10, 0, 0, 2),
+            );
+            ctx.send(PortNo(0), EthernetFrame::arp_request(self.mac, req));
+        }
+        fn on_frame(&mut self, _: PortNo, _: EthernetFrame, _: &mut Ctx) {
+            self.heard += 1;
+        }
+    }
+
+    #[test]
+    fn a_drained_k4_flood_leaves_the_pool_empty() {
+        // A k=4 fat-tree, two stations per edge, each station flooding
+        // once, 100 ns apart: copies fanned out to stations, race
+        // losers, overlapping floods.
+        const K: usize = 4;
+        let (half, cores) = (K / 2, K * K / 4);
+        let bridges = cores + K * K;
+        let stations = 2 * K * half;
+        let agg = |pod: usize, j: usize| cores + pod * K + j;
+        let edge = |pod: usize, i: usize| cores + pod * K + half + i;
+        let mut cables = Vec::new();
+        for pod in 0..K {
+            for j in 0..half {
+                cables.extend((0..half).map(|i| (edge(pod, i), agg(pod, j))));
+                cables.extend((0..half).map(|m| (agg(pod, j), j * half + m)));
+            }
+        }
+        cables.extend((0..stations).map(|h| (edge(h / 2 / half, h / 2 % half), bridges + h)));
+        let build = || {
+            let mut b = NetworkBuilder::new();
+            for _ in 0..bridges {
+                b.add(Box::<FirstCopy>::default());
+            }
+            for h in 0..stations {
+                let mac = MacAddr::from_index(1, h as u32 + 1);
+                b.add(Box::new(Station { mac, at: 100 * h as u64, heard: 0 }));
+            }
+            let mut next = vec![0; bridges + stations];
+            for &(x, y) in &cables {
+                // 1–10 µs, so no two copies of a flood tie.
+                let delay = SimDuration::micros(1 + (7 * x + 3 * y) as u64 % 10);
+                b.link(NodeId(x), next[x], NodeId(y), next[y], LinkParams::gigabit(delay));
+                next[x] += 1;
+                next[y] += 1;
+            }
+            b.build()
+        };
+        let peak = assert_the_pool_drains(build, SimTime(u64::MAX));
+        assert!(peak > stations, "overlapping floods hold many copies at once: {peak}");
+        let mut net = build();
+        net.run_until_idle(SimTime(u64::MAX));
+        for h in 0..stations {
+            let heard = net.device::<Station>(NodeId(bridges + h)).heard;
+            assert_eq!(heard, stations - 1, "every other station's flood, once");
+        }
+    }
+
+    /// Sends every frame it hears on a port other than 0 out of port 0.
+    struct Funnel;
+
+    impl Device for Funnel {
+        fn name(&self) -> &str {
+            "funnel"
+        }
+        fn on_frame(&mut self, port: PortNo, frame: EthernetFrame, ctx: &mut Ctx) {
+            if port.0 != 0 {
+                ctx.send(PortNo(0), frame);
+            }
+        }
+    }
+
+    /// Four blasters of 20 frames into a funnel whose 10 Mbit/s egress
+    /// is a PFC queue: it fills, pauses the blasters, and their own
+    /// queues fill behind the pause until a 200 µs watchdog or a resume
+    /// releases them. With `cut`, the egress is cut at 300 µs, with
+    /// frames queued and one in flight, and so is a feed, and both come
+    /// back at 2 ms.
+    fn pfc_incast(cut: bool) -> (Network, NodeId) {
+        let us = |n: u64| SimTime(SimDuration::micros(n).as_nanos());
+        let feed = LinkParams::default()
+            .with_watchdog(PauseWatchdog::force_resume(SimDuration::micros(200)));
+        let egress = LinkParams {
+            bandwidth_bps: 10_000_000,
+            queue: QueuePolicy::pfc(300),
+            ..Default::default()
+        };
+        let mut b = NetworkBuilder::new();
+        let funnel = b.add(Box::new(Funnel));
+        let rx = b.add(Box::new(Probe::new("rx", false)));
+        let out = b.link(funnel, 0, rx, 0, egress);
+        let feeds: Vec<LinkId> = (1..=4)
+            .map(|p| {
+                let tx = b.add(Box::new(Blaster { name: format!("tx{p}"), count: 20 }));
+                b.link(tx, 0, funnel, p, feed)
+            })
+            .collect();
+        let mut net = b.build();
+        if cut {
+            for link in [out, feeds[0]] {
+                net.schedule_link_down(link, us(300));
+                net.schedule_link_up(link, us(2000));
+            }
+        }
+        (net, rx)
+    }
+
+    #[test]
+    fn a_drained_pfc_incast_leaves_the_pool_empty() {
+        let peak = assert_the_pool_drains(|| pfc_incast(false).0, SimTime(u64::MAX));
+        assert!(peak >= 40, "queues at both hops hold frames: {peak}");
+        let (mut net, rx) = pfc_incast(false);
+        net.run_until_idle(SimTime(u64::MAX));
+        assert_eq!(net.device::<Probe>(rx).heard.len(), 80, "PFC and forced resumes are lossless");
+        assert!(net.stats().watchdog_fires > 0);
+    }
+
+    #[test]
+    fn a_link_cut_under_queued_and_flying_frames_leaves_the_pool_empty() {
+        assert_the_pool_drains(|| pfc_incast(true).0, SimTime(u64::MAX));
+        let (mut net, _) = pfc_incast(true);
+        net.run_until(SimTime(SimDuration::micros(299).as_nanos()));
+        let out = LinkId(0);
+        assert!(net.link(out).queue_depth(Dir::AtoB).0 > 0, "precondition: a queue at the cut");
+        net.run_until_idle(SimTime(u64::MAX));
+        let s = net.link(out).stats(Dir::AtoB);
+        assert!(s.dropped_link_down > 1, "the queue and the frame in flight are lost: {s:?}");
+        assert!(net.stats().drops_link_down > 0);
     }
 }

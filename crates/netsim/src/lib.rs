@@ -51,6 +51,7 @@ pub mod difftest;
 pub mod engine;
 pub mod link;
 pub mod pfc;
+mod pool;
 pub mod sharded;
 pub mod time;
 pub mod trace;

@@ -22,20 +22,24 @@
 //!   in-flight length and the five state flags — is the other line a
 //!   send reads.
 //!
-//! The queued frames, the pause bookkeeping and the counters that only
-//! move on drops and pauses live out of line, in a per-direction record
-//! allocated the first time that direction queues, drops or pauses.
-//! The hot line holds the pointer and the queue's byte count, its only
-//! copy, so a send that finds the transmitter idle and the queue empty
-//! never follows the pointer. Most directions of a fabric never
-//! allocate a record ([`crate::Network::link_state_bytes`] counts
-//! those that do). The `layout` tests pin the offsets, the four-line
-//! size and the record's size.
+//! The transmit queue's two ends and length, the pause bookkeeping and
+//! the counters that only move on drops and pauses live out of line,
+//! in a per-direction record allocated the first time that direction
+//! queues, drops or pauses. The queued frames themselves wait in the
+//! engine's frame pool, each linked to the one behind it, so a queue
+//! holds no storage of its own and a frame leaves it for the wire
+//! without moving. The hot line holds the record's pointer and the
+//! queue's byte count, its only copy, so a send that finds the
+//! transmitter idle and the queue empty never follows the pointer.
+//! Most directions of a fabric never allocate a record
+//! ([`crate::Network::link_state_bytes`] counts those that do). The
+//! `layout` tests pin the offsets, the four-line size and the record's
+//! size.
 
 use crate::device::{NodeId, PortNo};
+use crate::pool::{FramePool, FrameRef};
 use crate::time::{SimDuration, SimTime};
 use arppath_wire::EthernetFrame;
-use std::collections::VecDeque;
 
 /// Identifies a link within one network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -318,24 +322,32 @@ pub(crate) struct RareStats {
 }
 
 /// What one direction needs only once it has queued, dropped or been
-/// paused: the transmit queue, the pause bookkeeping and the rare
-/// counters. Allocated the first time any of them is written; most
-/// directions of a fabric never allocate one. The queue's byte count
-/// and the policy it is held to are not here: the count is
+/// paused: the transmit queue's ends, the pause bookkeeping and the
+/// rare counters. Allocated the first time any of them is written;
+/// most directions of a fabric never allocate one. The queued frames
+/// are not here: they sit in the engine's frame pool, each linked to
+/// the one behind it, from `head` to `tail`. Nor are the queue's byte
+/// count and the policy it is held to: the count is
 /// [`DirState::queued_bytes`] and the policy the link's
 /// [`LinkParams::queue`].
 #[derive(Debug, Default)]
 pub(crate) struct DirRecord {
+    /// The frame the transmitter takes next (meaningful while `len` is
+    /// nonzero).
+    head: FrameRef,
+    /// The frame queued last (meaningful while `len` is nonzero).
+    tail: FrameRef,
     /// Frames awaiting the transmitter.
-    pub queue: VecDeque<EthernetFrame>,
+    len: u32,
+    /// A pause-watchdog event is pending for this direction. There is
+    /// at most one: a pause arms one only when none is pending, and a
+    /// fire that finds a younger pause re-arms at that pause's
+    /// deadline.
+    pub watchdog_armed: bool,
     /// High-water mark of [`DirState::queued_bytes`].
     pub peak_bytes: usize,
     /// When the current pause began (for `DirStats::paused_for`).
     pub pause_started: Option<SimTime>,
-    /// Bumped every time a pause takes hold; a pending watchdog event
-    /// carries the generation it was armed under and is ignored if the
-    /// pause it guarded has since been released (or replaced).
-    pub pause_gen: u64,
     /// The drop and pause counters.
     pub stats: RareStats,
 }
@@ -349,10 +361,11 @@ pub(crate) struct DirRecord {
 /// reads this state at or after its canonical position
 /// `(busy_until, TxDone key)`, or at the next run boundary.
 ///
-/// The queued frames live in the out-of-line [`DirRecord`]; their
-/// byte count lives here, in `queued_bytes`, so a transmission that
-/// finds the queue empty never follows the pointer. Every queue
-/// mutation goes through [`DirState::enqueue`], [`DirState::pop`] or
+/// The queued frames live in the engine's frame pool, threaded from
+/// the out-of-line [`DirRecord`]'s head to its tail; their byte count
+/// lives here, in `queued_bytes`, so a transmission that finds the
+/// queue empty never follows the pointer. Every queue mutation goes
+/// through [`DirState::enqueue`], [`DirState::pop`] or
 /// [`DirState::clear_queue`], which keep the count exact.
 #[derive(Debug, Default)]
 #[repr(C, align(64))]
@@ -387,7 +400,8 @@ pub(crate) struct DirState {
     /// This direction's queue has an unreleased pause asserted toward
     /// the devices feeding it (PFC policy only).
     pub pause_asserted: bool,
-    /// The queue, pause bookkeeping and rare counters, once needed.
+    /// The queue's ends, pause bookkeeping and rare counters, once
+    /// needed.
     record: Option<Box<DirRecord>>,
 }
 
@@ -412,8 +426,13 @@ impl DirState {
     }
 
     /// Admit `frame` to the queue under `policy` (the link's
-    /// [`LinkParams::queue`]), or hand it back.
-    pub(crate) fn enqueue(&mut self, frame: EthernetFrame, policy: QueuePolicy) -> Admission {
+    /// [`LinkParams::queue`]) and hold it in `pool`, or hand it back.
+    pub(crate) fn enqueue(
+        &mut self,
+        pool: &mut FramePool,
+        frame: EthernetFrame,
+        policy: QueuePolicy,
+    ) -> Admission {
         let len = frame.wire_len();
         if !policy.admits(self.queued_bytes, len) {
             return Admission::Dropped(frame);
@@ -421,27 +440,50 @@ impl DirState {
         self.queued_bytes += len;
         let rec = self.record.get_or_insert_with(Box::default);
         rec.peak_bytes = rec.peak_bytes.max(self.queued_bytes);
-        rec.queue.push_back(frame);
+        let r = pool.put(frame);
+        if rec.len == 0 {
+            rec.head = r;
+        } else {
+            pool.chain(rec.tail, r);
+        }
+        rec.tail = r;
+        rec.len += 1;
         Admission::Queued
     }
 
-    /// Dequeue the frame at the head, if any.
-    pub(crate) fn pop(&mut self) -> Option<EthernetFrame> {
+    /// Dequeue the frame at the head, if any. It stays where it is in
+    /// `pool`: the transmitter takes it from there.
+    pub(crate) fn pop(&mut self, pool: &FramePool) -> Option<FrameRef> {
         if self.queued_bytes == 0 {
             return None;
         }
-        let frame = self.record.as_mut()?.queue.pop_front()?;
-        self.queued_bytes -= frame.wire_len();
-        Some(frame)
+        let rec = self.record.as_mut()?;
+        let r = rec.head;
+        rec.len -= 1;
+        if rec.len != 0 {
+            rec.head = pool.next(r);
+        }
+        self.queued_bytes -= pool.get(r).wire_len();
+        Some(r)
     }
 
-    /// Drop every queued frame, returning how many were discarded.
-    pub(crate) fn clear_queue(&mut self) -> usize {
+    /// Drop every queued frame from `pool`, returning how many were
+    /// discarded.
+    pub(crate) fn clear_queue(&mut self, pool: &mut FramePool) -> usize {
         if self.queued_bytes == 0 {
             return 0;
         }
         self.queued_bytes = 0;
-        self.record.as_mut().map_or(0, |rec| rec.queue.drain(..).count())
+        let Some(rec) = self.record.as_mut() else {
+            return 0;
+        };
+        let mut r = rec.head;
+        for _ in 0..rec.len {
+            let next = pool.next(r);
+            pool.take(r);
+            r = next;
+        }
+        std::mem::take(&mut rec.len) as usize
     }
 
     /// Close an open pause interval at `now` into `paused_for`.
@@ -529,7 +571,7 @@ impl Link {
     /// `(frames, bytes)` — the E9 queue-depth sampler's source.
     pub fn queue_depth(&self, dir: Dir) -> (usize, usize) {
         let d = &self.dirs[dir.index()];
-        d.existing_record().map_or((0, 0), |rec| (rec.queue.len(), d.queued_bytes))
+        d.existing_record().map_or((0, 0), |rec| (rec.len as usize, d.queued_bytes))
     }
 
     /// True while `dir`'s transmitter is halted by a pause frame.
@@ -641,16 +683,18 @@ mod tests {
             ] {
                 assert!(flag < LINE);
             }
-            // The queue, pause bookkeeping and rare counters are one
-            // pointer away, and the pointer is on the line too.
+            // The queue's ends, pause bookkeeping and rare counters are
+            // one pointer away, and the pointer is on the line too.
             assert!(offset_of!(DirState, record) + size_of::<Option<Box<DirRecord>>>() <= LINE);
         }
 
         #[test]
         fn a_direction_record_keeps_no_copy_of_the_policy_or_the_byte_count() {
-            // The deque, the peak, the pause start and generation, and
-            // six rare counters: 32 + 8 + 16 + 8 + 48 bytes.
-            assert!(size_of::<DirRecord>() <= 112, "{} B", size_of::<DirRecord>());
+            // The queue's two ends and length, the watchdog flag, the
+            // peak, the pause start, and six rare counters:
+            // 12 + 1 (+ 3 padding) + 8 + 16 + 48 bytes. The frames
+            // themselves are pooled.
+            assert!(size_of::<DirRecord>() <= 88, "{} B", size_of::<DirRecord>());
         }
     }
 
@@ -659,6 +703,7 @@ mod tests {
         let a = Endpoint { node: NodeId(0), port: PortNo(0) };
         let b = Endpoint { node: NodeId(1), port: PortNo(0) };
         let mut link = Link::new(a, b, LinkParams::default());
+        let mut pool = FramePool::new();
         let policy = link.params.queue;
         let d = &mut link.dirs[Dir::BtoA.index()];
         d.in_flight_len = 60;
@@ -668,9 +713,10 @@ mod tests {
         let d = &mut link.dirs[Dir::BtoA.index()];
         d.record().stats.dropped_link_down = 3;
         for _ in 0..2 {
-            assert!(matches!(d.enqueue(min_frame(), policy), Admission::Queued));
+            assert!(matches!(d.enqueue(&mut pool, min_frame(), policy), Admission::Queued));
         }
-        assert!(d.pop().is_some());
+        let head = d.pop(&pool).expect("two frames queued");
+        assert_eq!(pool.take(head), min_frame());
         assert_eq!(d.queued_bytes, 60, "the hot line counts the one frame still queued");
         let expected = DirStats {
             tx_frames: 1,
@@ -687,8 +733,9 @@ mod tests {
         assert_eq!(link.total_tx_frames(), 1);
         assert_eq!(link.out_of_line_bytes(), std::mem::size_of::<DirRecord>());
         let d = &mut link.dirs[Dir::BtoA.index()];
-        assert_eq!(d.clear_queue(), 1);
-        assert_eq!((d.queued_bytes, d.pop().is_none()), (0, true));
+        assert_eq!(d.clear_queue(&mut pool), 1);
+        assert_eq!((d.queued_bytes, d.pop(&pool).is_none()), (0, true));
+        assert_eq!(pool.held(), 0, "the cleared frame left the pool");
     }
 
     #[test]
@@ -744,22 +791,28 @@ mod tests {
 
     /// The frames a direction holds queued.
     fn queued_frames(d: &DirState) -> usize {
-        d.existing_record().map_or(0, |rec| rec.queue.len())
+        d.existing_record().map_or(0, |rec| rec.len as usize)
+    }
+
+    /// Dequeue the head frame out of the pool, as a transmission that
+    /// delivers it would.
+    fn pop_out(d: &mut DirState, pool: &mut FramePool) -> Option<EthernetFrame> {
+        d.pop(pool).map(|r| pool.take(r))
     }
 
     #[test]
     fn pfc_thresholds_have_hysteresis() {
         let len = min_frame().wire_len(); // 60
         let policy = QueuePolicy::pfc(2 * len);
-        let mut d = DirState::default();
+        let (mut d, mut pool) = (DirState::default(), FramePool::new());
         assert!(!policy.above_pause(d.queued_bytes));
-        d.enqueue(min_frame(), policy);
+        d.enqueue(&mut pool, min_frame(), policy);
         assert!(!policy.above_pause(d.queued_bytes));
         assert!(policy.below_resume(d.queued_bytes));
-        d.enqueue(min_frame(), policy);
+        d.enqueue(&mut pool, min_frame(), policy);
         assert!(policy.above_pause(d.queued_bytes));
         assert!(!policy.below_resume(d.queued_bytes));
-        d.pop();
+        pop_out(&mut d, &mut pool);
         assert!(!policy.above_pause(d.queued_bytes));
         assert!(policy.below_resume(d.queued_bytes));
     }
@@ -771,34 +824,38 @@ mod tests {
         // can't mask an off-by-one agreement-in-error. A refused frame
         // is handed back intact, and a pop makes room again.
         let policy = QueuePolicy::drop_tail(120);
-        let mut d = DirState::default();
-        assert!(matches!(d.enqueue(frame(0), policy), Admission::Queued));
-        assert!(matches!(d.enqueue(frame(0), policy), Admission::Queued), "exactly at cap fits");
-        match d.enqueue(frame(7), policy) {
+        let (mut d, mut pool) = (DirState::default(), FramePool::new());
+        assert!(matches!(d.enqueue(&mut pool, frame(0), policy), Admission::Queued));
+        assert!(
+            matches!(d.enqueue(&mut pool, frame(0), policy), Admission::Queued),
+            "exactly at cap fits"
+        );
+        match d.enqueue(&mut pool, frame(7), policy) {
             Admission::Dropped(f) => assert_eq!(f, frame(7)),
             Admission::Queued => panic!("a frame past the cap must be refused"),
         }
         assert_eq!((queued_frames(&d), d.queued_bytes), (2, 120));
-        d.pop().unwrap();
-        assert!(matches!(d.enqueue(frame(0), policy), Admission::Queued));
+        pop_out(&mut d, &mut pool).unwrap();
+        assert!(matches!(d.enqueue(&mut pool, frame(0), policy), Admission::Queued));
 
         let policy = QueuePolicy::drop_tail(119);
-        let mut d = DirState::default();
-        assert!(matches!(d.enqueue(frame(0), policy), Admission::Queued));
+        let (mut d, mut pool) = (DirState::default(), FramePool::new());
+        assert!(matches!(d.enqueue(&mut pool, frame(0), policy), Admission::Queued));
         assert!(
-            matches!(d.enqueue(frame(0), policy), Admission::Dropped(_)),
+            matches!(d.enqueue(&mut pool, frame(0), policy), Admission::Dropped(_)),
             "one byte short drops"
         );
     }
 
     /// The queue against a naive scalar oracle. [`DirState`] keeps one
     /// running byte count, on its hot line, so the engine admits or
-    /// drops in O(1); the oracle recomputes everything from a plain
-    /// `Vec` on every op. On every randomized schedule of enqueues
-    /// (varied frame sizes), pops and clears, the two must make
-    /// identical admission decisions and hold identical contents, and
-    /// the capped queue must never exceed its byte cap — the
-    /// invariants E9's congested fabrics lean on.
+    /// drops in O(1), and threads its frames through a [`FramePool`];
+    /// the oracle recomputes everything from a plain `Vec` on every op.
+    /// On every randomized schedule of enqueues (varied frame sizes),
+    /// pops and clears, the two must make identical admission decisions
+    /// and hold identical contents, the pool must hold exactly the
+    /// queued frames, and the capped queue must never exceed its byte
+    /// cap — the invariants E9's congested fabrics lean on.
     mod oracle {
         use super::*;
         use proptest::prelude::*;
@@ -848,16 +905,17 @@ mod tests {
                 ops in proptest::collection::vec((any::<bool>(), 0usize..1455), 1..200),
             ) {
                 let policy = QueuePolicy::drop_tail(max_bytes);
-                let mut d = DirState::default();
+                let (mut d, mut pool) = (DirState::default(), FramePool::new());
                 let mut oracle = VecOracle { max_bytes, frames: Vec::new() };
                 for (enq, pad) in ops {
                     if enq {
                         let f = frame(pad);
-                        let admitted = matches!(d.enqueue(f.clone(), policy), Admission::Queued);
+                        let admitted =
+                            matches!(d.enqueue(&mut pool, f.clone(), policy), Admission::Queued);
                         prop_assert_eq!(admitted, oracle.try_enqueue(f),
                             "admission decision diverged from the oracle");
                     } else {
-                        prop_assert_eq!(d.pop(), oracle.pop());
+                        prop_assert_eq!(pop_out(&mut d, &mut pool), oracle.pop());
                     }
                     // The cap is an invariant, not just an eventual property.
                     prop_assert!(d.queued_bytes <= max_bytes,
@@ -865,13 +923,14 @@ mod tests {
                     // The running byte count never drifts from ground truth.
                     prop_assert_eq!(d.queued_bytes, oracle.bytes());
                     prop_assert_eq!(queued_frames(&d), oracle.frames.len());
+                    prop_assert_eq!(pool.held(), oracle.frames.len());
                 }
                 // Drain: remaining contents identical, the count back to zero.
-                while let Some(f) = d.pop() {
+                while let Some(f) = pop_out(&mut d, &mut pool) {
                     prop_assert_eq!(Some(f), oracle.pop());
                 }
                 prop_assert_eq!(oracle.pop(), None);
-                prop_assert_eq!((d.queued_bytes, queued_frames(&d)), (0, 0));
+                prop_assert_eq!((d.queued_bytes, queued_frames(&d), pool.held()), (0, 0, 0));
             }
 
             /// The same equivalence under PFC, whose queue is never
@@ -888,26 +947,29 @@ mod tests {
             ) {
                 let pause_bytes = pause_frames * 600;
                 let policy = QueuePolicy::pfc(pause_bytes);
-                let mut d = DirState::default();
+                let (mut d, mut pool) = (DirState::default(), FramePool::new());
                 let mut held: Vec<usize> = Vec::new();
                 for (sel, pad) in ops {
                     match sel {
                         0..=5 => {
                             let f = frame(pad);
                             held.push(f.wire_len());
-                            prop_assert!(matches!(d.enqueue(f, policy), Admission::Queued));
+                            prop_assert!(
+                                matches!(d.enqueue(&mut pool, f, policy), Admission::Queued)
+                            );
                         }
                         6..=8 => {
-                            let popped = d.pop().map(|f| f.wire_len());
+                            let popped = pop_out(&mut d, &mut pool).map(|f| f.wire_len());
                             prop_assert_eq!(popped, (!held.is_empty()).then(|| held.remove(0)));
                         }
                         _ => {
-                            prop_assert_eq!(d.clear_queue(), held.len());
+                            prop_assert_eq!(d.clear_queue(&mut pool), held.len());
                             held.clear();
                         }
                     }
                     let bytes: usize = held.iter().sum();
                     prop_assert_eq!(queued_frames(&d), held.len());
+                    prop_assert_eq!(pool.held(), held.len());
                     prop_assert_eq!(d.queued_bytes, bytes);
                     prop_assert_eq!(d.queued_bytes == 0, held.is_empty());
                     prop_assert_eq!(policy.above_pause(d.queued_bytes), bytes >= pause_bytes);
@@ -921,12 +983,15 @@ mod tests {
             fn infinite_never_drops(
                 pads in proptest::collection::vec(0usize..1455, 1..100),
             ) {
-                let mut d = DirState::default();
+                let (mut d, mut pool) = (DirState::default(), FramePool::new());
                 let mut total = 0usize;
                 for pad in &pads {
                     let f = frame(*pad);
                     total += f.wire_len();
-                    prop_assert!(matches!(d.enqueue(f, QueuePolicy::Infinite), Admission::Queued));
+                    prop_assert!(matches!(
+                        d.enqueue(&mut pool, f, QueuePolicy::Infinite),
+                        Admission::Queued
+                    ));
                 }
                 prop_assert_eq!(queued_frames(&d), pads.len());
                 prop_assert_eq!(d.queued_bytes, total);
